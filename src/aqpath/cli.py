@@ -107,11 +107,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _env_jobs() -> int:
+    raw = os.environ.get("AQPATH_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"AQPATH_JOBS must be an integer, got {raw!r}") from None
+
+
 def cmd_pi3(args) -> int:
+    jobs = _env_jobs() if args.jobs is None else args.jobs
     cube = AugmentedCube(args.n)
     value, argmin = oracle.pi3_exact(cube, mode=args.mode, seed=args.seed,
                                      count=args.count, budget=args.budget,
-                                     jobs=args.jobs)
+                                     jobs=jobs)
     trip = ",".join(_fmt(v, args.n) for v in argmin)
     print(f"PI3 AQ{args.n} {value} {trip}")
     return 0
@@ -192,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("AQPATH_JOBS", "1")))
+    p.add_argument("--jobs", type=int, help="worker processes (default: AQPATH_JOBS or 1)")
     p.set_defaults(fn=cmd_pi3)
 
     p = sub.add_parser("bounds", help="counting ceiling next to the built count")

@@ -22,7 +22,7 @@ Conventions
   applied.
 
 Every view (half, quadrant, diamond, restriction) answers adjacency with
-the parent cube's masks filtered by membership, so arbitrary n stays cheap.
+the parent cube's masks filtered by membership.
 """
 
 from __future__ import annotations
@@ -132,101 +132,63 @@ class AugmentedCube:
         self.check_vertex(x)
         return x >> (self.n - 2)
 
-    def half_view(self, bit: int) -> "SubcubeView":
+    def half_view(self, bit: int) -> "PrefixView":
         if self.n < 2:
             raise ValueError("half view needs dimension >= 2")
-        return SubcubeView(self, prefix=bit, prefix_bits=1)
+        return PrefixView(self, (bit,), prefix_bits=1)
 
-    def quadrant_view(self, quad: int) -> "SubcubeView":
+    def quadrant_view(self, quad: int) -> "PrefixView":
         if self.n < 3:
             raise ValueError("quadrant view needs dimension >= 3")
-        return SubcubeView(self, prefix=quad, prefix_bits=2)
+        return PrefixView(self, (quad,), prefix_bits=2)
 
-    def diamond_view(self, quad_a: int, quad_b: int) -> "DiamondView":
+    def diamond_view(self, quad_a: int, quad_b: int) -> "PrefixView":
         if self.n < 3:
             raise ValueError("diamond view needs dimension >= 3")
-        return DiamondView(self, quad_a, quad_b)
+        if quad_a == quad_b:
+            raise ValueError("diamond needs two distinct quadrants")
+        return PrefixView(self, (quad_a, quad_b), prefix_bits=2)
 
 
 def make_cube(n: int) -> AugmentedCube:
     return AugmentedCube(n)
 
 
-class SubcubeView:
-    """Half or quadrant of a cube: the induced sub-cube, one level down per bit.
+class PrefixView:
+    """The subgraph a cube induces on the vertices whose leading
+    ``prefix_bits`` bits form one of ``prefixes``.
 
-    Membership is a prefix test; adjacency is the parent's masks filtered by
-    membership, which for a fixed prefix is exactly the lower-dimensional
-    augmented cube on the remaining bits.
+    One prefix gives a half or a quadrant, which is exactly the
+    lower-dimensional augmented cube on the remaining bits.  Two quadrant
+    prefixes give a diamond: both quadrants plus the perfect matching(s)
+    the cube places between them (one matching across halves or across
+    the diagonal, two between siblings of one half).  Membership is a
+    prefix test; adjacency is the parent's masks filtered by membership.
     """
 
     vertex_transitive = False
 
-    def __init__(self, cube: AugmentedCube, prefix: int, prefix_bits: int):
+    def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
         self.cube = cube
         self.bits = cube.n
-        self.prefix = prefix
-        self.prefix_bits = prefix_bits
+        self.prefixes = frozenset(prefixes)
         self.shift = cube.n - prefix_bits
-        self.vertex_count = 1 << self.shift
+        self.vertex_count = len(self.prefixes) << self.shift
         self._nbrs: dict[int, tuple[int, ...]] = {}
 
-    def vertices(self) -> range:
-        base = self.prefix << self.shift
-        return range(base, base + self.vertex_count)
+    def vertices(self) -> Sequence[int]:
+        blocks = [range(p << self.shift, (p + 1) << self.shift)
+                  for p in sorted(self.prefixes)]
+        return blocks[0] if len(blocks) == 1 else [v for b in blocks for v in b]
 
     def __contains__(self, v: int) -> bool:
-        return v in self.cube and (v >> self.shift) == self.prefix
+        return v in self.cube and (v >> self.shift) in self.prefixes
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         got = self._nbrs.get(x)
         if got is None:
             if x not in self:
-                raise ValueError(f"vertex {x} not in this sub-cube")
-            got = tuple(w for w in self.cube.neighbors(x) if w in self)
-            self._nbrs[x] = got
-        return got
-
-    def is_adjacent(self, x: int, y: int) -> bool:
-        return x in self and y in self and self.cube.is_adjacent(x, y)
-
-
-class DiamondView:
-    """Two quadrants plus the perfect matching(s) the cube places between them.
-
-    The induced subgraph on the union is exactly that: the masks that stay
-    inside one quadrant, together with the mask(s) whose leading-two-bit
-    pattern maps one quadrant onto the other (one matching across halves or
-    across the diagonal, two between siblings of one half).
-    """
-
-    vertex_transitive = False
-
-    def __init__(self, cube: AugmentedCube, quad_a: int, quad_b: int):
-        if quad_a == quad_b:
-            raise ValueError("diamond needs two distinct quadrants")
-        self.cube = cube
-        self.bits = cube.n
-        self.quads = frozenset((quad_a, quad_b))
-        self.shift = cube.n - 2
-        self.vertex_count = 2 << self.shift
-        self._nbrs: dict[int, tuple[int, ...]] = {}
-
-    def vertices(self) -> list[int]:
-        out: list[int] = []
-        for q in sorted(self.quads):
-            base = q << self.shift
-            out.extend(range(base, base + (1 << self.shift)))
-        return out
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.cube and (v >> self.shift) in self.quads
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        got = self._nbrs.get(x)
-        if got is None:
-            if x not in self:
-                raise ValueError(f"vertex {x} not in this diamond")
+                raise ValueError(f"vertex {x} not in this view")
             got = tuple(w for w in self.cube.neighbors(x) if w in self)
             self._nbrs[x] = got
         return got

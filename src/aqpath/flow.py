@@ -1,11 +1,18 @@
 """Unit-vertex-capacity flow over graph views.
 
-One engine serves all the path-system operations: internally disjoint
-path bundles between two vertices, fans from a vertex onto a set, and
-linkages between two equal-size sets.  Each vertex of the view is split
-into an in-node and an out-node joined by a capacity-1 arc; endpoints
-get source/sink arcs instead of a through arc, so fan targets and
-linkage endpoints can never be crossed as interiors.
+One network builder, ``build_net``, serves every path-system operation:
+internally disjoint path bundles between two vertices, fans from a vertex
+onto a set, linkages between two equal-size sets, and the relaxations of
+the packing engine (``aqpath.packing``).  Each free vertex of the view is
+split into an in-node and an out-node joined by a capacity-1 arc;
+terminals get source/sink arcs instead of a through arc, so fan targets
+and linkage endpoints can never be crossed as interiors.  The split-node
+encoding stays in this module: callers pass vertices and get vertex
+tuples back.
+
+The network keeps only residual capacities.  No arc has an antiparallel
+twin, so the flow on an arc u->v is the residual capacity of its reverse
+entry v->u, and the node encoding tells arcs from reverse entries.
 
 Augmentation is breadth-first with neighbors scanned in ascending vertex
 order, so identical inputs always produce identical path systems.
@@ -14,10 +21,10 @@ order, so identical inputs always produce identical path systems.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
-SRC = -1
-SNK = -2
+_SRC = -1
+_SNK = -2
 
 
 class Insufficient(RuntimeError):
@@ -37,47 +44,57 @@ def _out(v: int) -> int:
     return 2 * v + 1
 
 
+def _is_arc(u: int, v: int) -> bool:
+    """Whether u->v is an arc of the split network, not a reverse entry:
+    the source feeds out-nodes, in-nodes drain into the sink, an in-node
+    feeds its own out-node and an out-node the in-nodes of other vertices."""
+    if u == _SRC or v == _SNK:
+        return True
+    if u == _SNK or v == _SRC:
+        return False
+    return (u % 2 == 0) == (u // 2 == v // 2)
+
+
 class UnitFlowNet:
-    """Residual network with integer capacities and unit-path decomposition."""
+    """Residual network with integer capacities and unit-path decomposition.
+
+    ``cap[u][v]`` is the residual capacity of u->v; every arc has an entry
+    in both directions.
+    """
 
     def __init__(self) -> None:
         self.cap: dict[int, dict[int, int]] = {}
-        self.flow: dict[int, dict[int, int]] = {}
 
     def add_arc(self, u: int, v: int, c: int) -> None:
-        row = self.cap.setdefault(u, {})
-        row[v] = row.get(v, 0) + c
-        self.cap.setdefault(v, {}).setdefault(u, 0)
-        self.flow.setdefault(u, {}).setdefault(v, 0)
-        self.flow.setdefault(v, {}).setdefault(u, 0)
+        """Add u->v once; its reverse v->u must not be an arc."""
+        self.cap.setdefault(u, {})[v] = c
+        self.cap.setdefault(v, {})[u] = 0
 
     def _augment_once(self) -> int:
-        parent: dict[int, int] = {SRC: SRC}
-        queue = deque([SRC])
+        parent: dict[int, int] = {_SRC: _SRC}
+        queue = deque([_SRC])
         while queue:
             u = queue.popleft()
-            if u == SNK:
+            if u == _SNK:
                 break
             for v in sorted(self.cap.get(u, ())):
                 if v not in parent and self.cap[u][v] > 0:
                     parent[v] = u
                     queue.append(v)
-        if SNK not in parent:
+        if _SNK not in parent:
             return 0
         # bottleneck
         push = None
-        v = SNK
-        while v != SRC:
+        v = _SNK
+        while v != _SRC:
             u = parent[v]
             push = self.cap[u][v] if push is None else min(push, self.cap[u][v])
             v = u
-        v = SNK
-        while v != SRC:
+        v = _SNK
+        while v != _SRC:
             u = parent[v]
             self.cap[u][v] -= push
             self.cap[v][u] += push
-            self.flow[u][v] += push
-            self.flow[v][u] -= push
             v = u
         return push
 
@@ -92,58 +109,67 @@ class UnitFlowNet:
                 raise AssertionError("overshot augmentation limit")
         return total
 
-    def unit_paths(self) -> list[list[int]]:
-        """Decompose the current flow into unit source-to-sink node paths."""
-        out: list[list[int]] = []
-        use = {u: {v: f for v, f in row.items() if f > 0}
-               for u, row in self.flow.items()}
-        while True:
-            row = use.get(SRC, {})
-            start = min((v for v, f in row.items() if f > 0), default=None)
-            if start is None:
-                break
-            node_path = [SRC]
-            cur = SRC
-            while cur != SNK:
-                nxt = min(v for v, f in use[cur].items() if f > 0)
-                use[cur][nxt] -= 1
-                node_path.append(nxt)
+    def unit_paths(self) -> list[tuple[int, ...]]:
+        """Decompose the current flow into unit source-to-sink paths, each
+        given as the tuple of vertices it visits."""
+        cap = self.cap
+        left: dict[int, dict[int, int]] = {}
+
+        def flow_out(u: int) -> dict[int, int]:  # not yet decomposed
+            row = left.get(u)
+            if row is None:
+                row = left[u] = {v: cap[v][u] for v in cap.get(u, ())
+                                 if _is_arc(u, v) and cap[v][u] > 0}
+            return row
+
+        out: list[tuple[int, ...]] = []
+        while flow_out(_SRC):
+            verts: list[int] = []
+            cur = _SRC
+            while cur != _SNK:
+                row = flow_out(cur)
+                nxt = min(row)
+                row[nxt] -= 1
+                if not row[nxt]:
+                    del row[nxt]
+                if nxt % 2:  # an out-node: the path leaves that vertex
+                    verts.append(nxt // 2)
+                elif nxt == _SNK:
+                    verts.append(cur // 2)
                 cur = nxt
-            out.append(node_path)
+            out.append(tuple(verts))
         return out
 
 
-def build_net(view, sources: dict[int, int], sinks: dict[int, int]) -> UnitFlowNet:
-    """Split-vertex network over a view.
+def build_net(view, sources: dict[int, int], sinks: dict[int, int],
+              free: set[int]) -> UnitFlowNet:
+    """Split-vertex network over a view; the only network builder.
 
-    ``sources``/``sinks`` give per-terminal capacities.  A terminal carries
-    no through arc, so no path may cross it; a vertex may appear on both
-    sides (it then has both roles but still cannot be an interior).
+    ``sources``/``sinks`` give per-terminal capacities and ``free`` the
+    vertices that may be path interiors (no terminal among them).  A
+    terminal carries no through arc, so no path may cross it; a vertex may
+    be both a source and a sink (it then has both roles but still cannot
+    be an interior).  Vertices in none of the three are left out.
     """
     net = UnitFlowNet()
-    terminal = set(sources) | set(sinks)
     for s, c in sorted(sources.items()):
-        net.add_arc(SRC, _out(s), c)
+        net.add_arc(_SRC, _out(s), c)
     for t, c in sorted(sinks.items()):
-        net.add_arc(_in(t), SNK, c)
+        net.add_arc(_in(t), _SNK, c)
     for v in view.vertices():
-        if v not in terminal:
+        if v in free:
             net.add_arc(_in(v), _out(v), 1)
+        elif v not in sources:
+            continue
         for w in view.neighbors(v):
-            tail_ok = v not in terminal or v in sources
-            head_ok = w not in terminal or w in sinks
-            if tail_ok and head_ok:
+            if w in free or w in sinks:
                 net.add_arc(_out(v), _in(w), 1)
     return net
 
 
-def node_path_to_vertices(node_path: Sequence[int]) -> tuple[int, ...]:
-    """SRC -> a_out -> (w_in w_out)* -> t_in -> SNK becomes a vertex tuple."""
-    verts = [node_path[1] // 2]
-    for node in node_path[2:-1]:
-        if node % 2 == 0:  # in-node
-            verts.append(node // 2)
-    return tuple(verts)
+def _interiors(view, terminals: Iterable[int]) -> set[int]:
+    """Every vertex of the view except the terminals."""
+    return set(view.vertices()).difference(terminals)
 
 
 def _check_pair(view, u: int, v: int) -> None:
@@ -163,12 +189,12 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     if k < 1:
         raise ValueError("k must be positive")
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), k)
-    net = build_net(view, {u: cap}, {v: cap})
+    net = build_net(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
     got = net.max_flow(limit=k)
     if got < k:
         got += net.max_flow()  # keep going to report the true maximum
         raise Insufficient(got, k)
-    return [node_path_to_vertices(p) for p in net.unit_paths()]
+    return net.unit_paths()
 
 
 def min_vertex_cut(view, u: int, v: int) -> int:
@@ -176,7 +202,7 @@ def min_vertex_cut(view, u: int, v: int) -> int:
     for adjacent pairs this is the usual delete-edge cut plus one)."""
     _check_pair(view, u, v)
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), 1)
-    net = build_net(view, {u: cap}, {v: cap})
+    net = build_net(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
     return net.max_flow()
 
 
@@ -206,15 +232,11 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
         raise ValueError("source may not be a target")
     if x not in view:
         raise ValueError(f"vertex {x} not in view")
-    net = build_net(view, {x: len(S)}, {t: 1 for t in S})
+    net = build_net(view, {x: len(S)}, {t: 1 for t in S}, _interiors(view, [x, *S]))
     got = net.max_flow(limit=len(S))
     if got < len(S):
         raise Insufficient(got, len(S), "fan paths")
-    out: dict[int, tuple[int, ...]] = {}
-    for node_path in net.unit_paths():
-        p = node_path_to_vertices(node_path)
-        out[p[-1]] = p
-    return out
+    return {p[-1]: p for p in net.unit_paths()}
 
 
 def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tuple[int, ...]]:
@@ -229,12 +251,8 @@ def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tup
     for t in A + B:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = build_net(view, {a: 1 for a in A}, {b: 1 for b in B})
+    net = build_net(view, {a: 1 for a in A}, {b: 1 for b in B}, _interiors(view, A + B))
     got = net.max_flow(limit=len(A))
     if got < len(A):
         raise Insufficient(got, len(A), "linkage paths")
-    out: dict[int, tuple[int, ...]] = {}
-    for node_path in net.unit_paths():
-        p = node_path_to_vertices(node_path)
-        out[p[0]] = p
-    return out
+    return {p[0]: p for p in net.unit_paths()}

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
 from typing import Iterable, Sequence
 
@@ -229,6 +230,7 @@ def pi3_exact(view, mode: str = "exhaustive", seed: int | None = None,
     """Minimum of max_dpaths over terminal triples, with the argmin triple
     (lexicographically smallest on ties)."""
     triples = list(_triples(view, mode, seed, count))
+    jobs = _worker_count(jobs, len(triples))
     if jobs > 1 and isinstance(view, AugmentedCube):
         results = _parallel_cube_sweep(view.n, triples, budget, jobs)
     else:
@@ -241,6 +243,11 @@ def pi3_exact(view, mode: str = "exhaustive", seed: int | None = None,
     if best_val is None:
         raise ValueError("no triples to sweep")
     return best_val, best_trip
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Requested workers, at least 1 and at most one per CPU and per task."""
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
 def _sweep_chunk(args):

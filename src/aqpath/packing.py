@@ -11,12 +11,13 @@ Feasibility is decided exactly, in three stages:
 
 1. arithmetic slot counts at each terminal;
 2. single-commodity flow relaxations (sources at first endpoints, sinks at
-   second endpoints, unit capacities on free vertices).  A value below the
-   total demand refutes the packing outright.  When the integral flow
-   decomposes into unit paths whose endpoints match the demands exactly,
-   that decomposition *is* a packing.  The relaxation is not tight only
-   when a terminal acts as both source and sink, so for three-terminal
-   demands all three orientations are tried;
+   second endpoints, unit capacities on free vertices), each built by
+   ``aqpath.flow.build_net``, the one network builder of the package.  A
+   value below the total demand refutes the packing outright.  When the
+   integral flow decomposes into unit paths whose endpoints match the
+   demands exactly, that decomposition *is* a packing.  The relaxation is
+   not tight only when a terminal acts as both source and sink, so for
+   three-terminal demands all three orientations are tried;
 3. otherwise a branch-and-bound over segments.  Once every demand but a
    single-source remainder is committed, that remainder is itself a flow
    problem the relaxation answers exactly (one source cannot loop back to
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .flow import SNK, SRC, UnitFlowNet, _in, _out, node_path_to_vertices
+from .flow import build_net
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -106,24 +107,30 @@ def pack_segments(view, demands: Sequence[Demand], forbidden: Iterable[int] = ()
     return _regroup(demands, [d for d, _ in found], [s for _, s in found])
 
 
+def _triangle(live: Sequence[Demand]):
+    """(sorted terminals, count per ordered pair) when three demands join
+    each two of three terminals, else None."""
+    terms = sorted({t for (u, v, _) in live for t in (u, v)})
+    count: dict[tuple[int, int], int] = {}
+    for u, v, c in live:
+        count[(u, v)] = count[(v, u)] = c
+    if len(live) != 3 or len(terms) != 3 or len(count) != 6:
+        return None
+    return terms, count
+
+
 def _orientations(live: Sequence[Demand]) -> list[list[Demand]]:
     """Orientation variants.  For three demands on three terminals, each
     variant leaves a different terminal with the source+sink double role
     (the only source of slack in the relaxation)."""
-    terms = sorted({t for (u, v, _) in live for t in (u, v)})
-    if len(live) == 3 and len(terms) == 3:
-        by_pair = {frozenset((u, v)): c for (u, v, c) in live}
-        x, y, z = terms
-        want = {frozenset((x, y)), frozenset((y, z)), frozenset((x, z))}
-        if set(by_pair) == want:
-            cxy = by_pair[frozenset((x, y))]
-            cyz = by_pair[frozenset((y, z))]
-            cxz = by_pair[frozenset((x, z))]
-            return [
-                [(x, y, cxy), (y, z, cyz), (x, z, cxz)],  # y double-role
-                [(y, x, cxy), (x, z, cxz), (y, z, cyz)],  # x double-role
-                [(x, y, cxy), (z, y, cyz), (x, z, cxz)],  # z double-role
-            ]
+    tri = _triangle(live)
+    if tri is not None:
+        (x, y, z), c = tri
+        return [
+            [(x, y, c[x, y]), (y, z, c[y, z]), (x, z, c[x, z])],  # y double-role
+            [(y, x, c[x, y]), (x, z, c[x, z]), (y, z, c[y, z])],  # x double-role
+            [(x, y, c[x, y]), (z, y, c[y, z]), (x, z, c[x, z])],  # z double-role
+        ]
     if len(live) == 2:
         (u1, v1, c1), (u2, v2, c2) = live
         shared = {u1, v1} & {u2, v2}
@@ -153,25 +160,15 @@ def _regroup(demands, oriented, live_segs):
     return out
 
 
-def _relax_net(view, demands: Sequence[Demand], free: set[int]) -> UnitFlowNet:
+def _relax_net(view, demands: Sequence[Demand], free: set[int]):
+    """Relaxation network: each demand adds its count to the source
+    capacity of its first and the sink capacity of its second endpoint."""
     sources: dict[int, int] = {}
     sinks: dict[int, int] = {}
     for u, v, c in demands:
         sources[u] = sources.get(u, 0) + c
         sinks[v] = sinks.get(v, 0) + c
-    net = UnitFlowNet()
-    for s, c in sorted(sources.items()):
-        net.add_arc(SRC, _out(s), c)
-    for t, c in sorted(sinks.items()):
-        net.add_arc(_in(t), SNK, c)
-    for w in sorted(free):
-        net.add_arc(_in(w), _out(w), 1)
-    for v in view.vertices():
-        if v in free or v in sources:
-            for w in view.neighbors(v):
-                if w in free or w in sinks:
-                    net.add_arc(_out(v), _in(w), 1)
-    return net
+    return build_net(view, sources, sinks, free)
 
 
 def _relax_feasible(view, demands: Sequence[Demand], free: set[int]) -> bool:
@@ -182,14 +179,13 @@ def _relax_feasible(view, demands: Sequence[Demand], free: set[int]) -> bool:
     return _relax_net(view, live, free).max_flow(limit=total) == total
 
 
-def _classify(net: UnitFlowNet, demands: Sequence[Demand]):
+def _classify(net, demands: Sequence[Demand]):
     """Turn a saturating flow into per-demand segments, or None if any unit
     loops back to its own source terminal or pairs endpoints no demand
     names (possible only through double roles or between distinct pairs)."""
     want = {(u, v): c for (u, v, c) in demands}
     got: dict[tuple[int, int], list[Segment]] = {p: [] for p in want}
-    for node_path in net.unit_paths():
-        seg = node_path_to_vertices(node_path)
+    for seg in net.unit_paths():
         key = (seg[0], seg[-1])
         if key not in want:
             return None
@@ -263,19 +259,12 @@ def _split_for_search(live: Sequence[Demand]):
     leaving a single-source leaf.  Otherwise everything but the final
     demand is branched.
     """
-    terms = sorted({t for (u, v, _) in live for t in (u, v)})
-    if len(live) == 3 and len(terms) == 3:
-        by_pair = {frozenset((u, v)): c for (u, v, c) in live}
-        x, y, z = terms
-        want = {frozenset((x, y)), frozenset((y, z)), frozenset((x, z))}
-        if set(by_pair) == want:
-            pairs = sorted(((c, (u, v)) for fs, c in by_pair.items()
-                            for (u, v) in [tuple(sorted(fs))]))
-            c_uv, (u, v) = pairs[0]
-            w = next(t for t in terms if t not in (u, v))
-            c_wu = by_pair[frozenset((w, u))]
-            c_wv = by_pair[frozenset((w, v))]
-            return [(u, v, c_uv)], [(w, u, c_wu), (w, v, c_wv)]
+    tri = _triangle(live)
+    if tri is not None:
+        terms, c = tri
+        c_uv, (u, v) = min((cnt, pair) for pair, cnt in c.items() if pair[0] < pair[1])
+        w = next(t for t in terms if t not in (u, v))
+        return [(u, v, c_uv)], [(w, u, c[w, u]), (w, v, c[w, v])]
     return list(live[:-1]), [live[-1]]
 
 

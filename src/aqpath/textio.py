@@ -85,8 +85,11 @@ def parse_family(text: str) -> tuple[tuple[int, ...], list[tuple[int, ...]], int
             continue
         parts = ln.split()
         if parts[0] == "D":
-            if bits is None:
-                bits = len(parts[1])
+            if terminals is not None:
+                raise ValueError("family text has more than one D line")
+            if len(parts) != 4 or len(set(parts[1:])) != 3:
+                raise ValueError(f"D line needs three distinct terminals: {ln!r}")
+            bits = len(parts[1])
             terminals = tuple(parse_vertex(t, bits) for t in parts[1:])
         elif parts[0] == "P":
             if bits is None:

@@ -1,3 +1,5 @@
+import pytest
+
 from aqpath.cli import main
 from aqpath.construct import construct
 from aqpath.cube import AugmentedCube
@@ -122,3 +124,28 @@ def test_report_nmax_skips_large_sweeps(capsys):
     assert code == 0
     assert "SKIP" in out
     assert "CRITERION 7 PASS" in out
+
+
+def test_bad_jobs_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("AQPATH_JOBS", "many")
+    code, out, _ = run(capsys, "gen", "--n", "2")
+    assert code == 0
+    assert out.startswith("AQ n=2\n")
+    code, _, err = run(capsys, "pi3", "--n", "4")
+    assert code == 2
+    assert err.startswith("error: AQPATH_JOBS")
+
+
+@pytest.mark.parametrize("text", [
+    "D\nP 0000 0001\n",
+    "D 0000 0001\nP 0000 0001\nP 0000 0010 0001\n",
+    "D 0000 0010 0001\nD 0000 0010 0011\nP 0000 0010 0001\n",
+    "D 0000 0000 0001\nP 0000 0001\n",
+], ids=["bare", "two-terminals", "second-d-line", "repeated-terminal"])
+def test_verify_rejects_broken_d_line(tmp_path, capsys, text):
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--n", "4", "--family", str(fam_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

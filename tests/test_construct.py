@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -158,3 +159,24 @@ def test_count_never_exceeds_oracle():
         D = tuple(sorted(rng.sample(range(16), 3)))
         fam = construct(4, D)
         assert len(fam.paths) <= max_dpaths(cube, D)[0]
+
+
+@pytest.mark.parametrize("n, trip", [
+    (4, (0b0000, 0b0010, 0b0001)),
+    (5, (1, 9, 27)),
+    (6, (1, 2, 4)),
+    (6, (0b000001, 0b001010, 0b111100)),
+])
+def test_fallback_family_when_every_case_fails(monkeypatch, n, trip):
+    # the package attribute ``aqpath.construct`` is the function, not the module
+    module = importlib.import_module("aqpath.construct")
+
+    def infeasible(cube, triple):
+        raise module._CaseInfeasible("forced")
+
+    monkeypatch.setattr(module, "_construct_level", infeasible)
+    fam = construct(n, trip)
+    assert check_family(AugmentedCube(n), trip, fam.paths) is None
+    assert len(fam.paths) == target_count(n)
+    assert fam.fallback_used
+    assert [e.case for e in fam.trace] == ["FB"]

@@ -1,10 +1,13 @@
 import itertools
+import multiprocessing
+import os
 
 import pytest
 
 from aqpath.cube import AdjListView, AugmentedCube
 from aqpath.oracle import (
     ResourceGuard,
+    _worker_count,
     brute_small,
     common_neighbors,
     cube_upper_bound,
@@ -118,6 +121,41 @@ def test_pi3_sampled_requires_seed():
     val, trip = pi3_exact(cube, "sampled", seed=3, count=25)
     assert val >= 4
     assert len(trip) == 3
+
+
+def test_worker_count_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(0, 10) == 1
+    assert _worker_count(-3, 10) == 1
+    assert _worker_count(5, 0) == 1
+    assert _worker_count(10**6, 3) == min(cpus, 3)
+    assert _worker_count(10**6, 10**6) == cpus
+
+
+def test_pi3_pool_never_exceeds_cpus_or_triples(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the requested size, starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    cube = AugmentedCube(4)
+    serial = pi3_exact(cube, "sampled", seed=3, count=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert pi3_exact(cube, "sampled", seed=3, count=3, jobs=64) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pi3_exact(cube, "sampled", seed=3, count=3, jobs=64) == serial
+    assert sizes == [3, 2]
 
 
 def test_pi3_exhaustive_guard():
