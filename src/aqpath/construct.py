@@ -16,16 +16,26 @@ the triple meets the two-leading-bit decomposition:
     B1/B2/B3.x   dimension-4 base cases
     E1.x         even n, all three in one quadrant: recurse two dimensions
                  down, then add three cross-quadrant paths
-    E2.x, E3     even n, direct ladders from a maximum bundle of x-y paths,
-                 a fan from z, and the matching edges between sub-cubes
+    E2.x, E3     even n, direct ladders within one half or across the halves
     O1           odd n, all in one half: recurse one dimension down, then
                  one extra path over the other half
     O2           odd n, direct ladder across the halves
 
+The case table ``_CASES`` maps each label to its builder and to the number
+of dimensions the case recurses down first.  All direct ladders share one
+assembler, ``_ladder``: a maximum bundle of x-y paths in one sub-cube is
+split into backbones and attachment paths, z fans out in the sibling
+sub-cube, and each rung runs along a backbone to the vertex next to x or y
+on an attachment path, over that vertex's matching edge across a mask word,
+and along the fan to z.  B2 and B3.2 share one bundle-and-fan base builder.
+
 Every case ends at the verifier.  If a transcription cannot be realized on
 some triple (named vertices colliding, not enough long paths to attach to),
 the constructor falls back to a direct profile-packing search for the full
-count, flags the trace, and verifies again; shortfall is never silent.
+count, flags the trace, and verifies again; shortfall is never silent.  That
+search covers the whole cube, so it runs only up to n = 7
+(``FALLBACK_MAX_N``); above that a failed transcription raises
+``ConstructionError`` at once.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import itertools
 
 from .cube import AugmentedCube, RestrictedView, canonicalize_triple
 from .flow import Insufficient, disjoint_paths, fan, linkage
-from .oracle import _assemble, _profiles
+from .oracle import family_of_size
 from .packing import Budget, SearchBudgetExceeded, pack_segments
 from .verify import check_family
 
@@ -47,6 +57,7 @@ CASE_O1, CASE_O2 = "O1", "O2"
 CASE_FALLBACK = "FB"
 
 PACK_BUDGET = 2_000_000
+FALLBACK_MAX_N = 7  # the fallback's whole-cube search stays desk-sized up to here
 
 
 class ConstructionError(RuntimeError):
@@ -118,37 +129,13 @@ def construct(n: int, triple) -> DPathFamily:
 
 
 def _construct_level(cube, trip):
-    n = cube.n
     word, case, xyz = _normalize(cube, trip)
-    x, y, z = xyz
-    sub: list[TraceEntry] = []
-    if case == CASE_B1:
-        paths = _base_one_quadrant(x, y, z)
-    elif case == CASE_B2:
-        paths = _base_pair_sibling(cube, x, y, z)
-    elif case == CASE_B31:
-        paths = _base_cross_half_mated(cube, x, y, z)
-    elif case == CASE_B32:
-        paths = _base_cross_half_generic(cube, x, y, z)
-    elif case == CASE_E11:
-        paths, sub = _even_one_quadrant_mated(cube, x, y, z)
-    elif case == CASE_E12:
-        paths, sub = _even_one_quadrant_generic(cube, x, y, z)
-    elif case == CASE_E21:
-        paths = _even_pair_sibling_mated(cube, x, y, z)
-    elif case == CASE_E22:
-        paths = _even_pair_sibling_generic(cube, x, y, z)
-    elif case == CASE_E3:
-        paths = _even_cross_half(cube, x, y, z)
-    elif case == CASE_O1:
-        paths, sub = _odd_same_half(cube, x, y, z)
-    elif case == CASE_O2:
-        paths = _odd_cross_half(cube, x, y, z)
-    else:  # pragma: no cover
-        raise AssertionError(case)
+    builder, down = _CASES[case]
+    sub = construct(cube.n - down, xyz) if down else None
+    paths = (list(sub.paths) if sub else []) + builder(cube, *xyz)
     pulled = [[v ^ word for v in p] for p in paths]
-    entry = TraceEntry(n, case, word, tuple(v ^ word for v in xyz))
-    return pulled, [entry] + sub
+    entry = TraceEntry(cube.n, case, word, tuple(v ^ word for v in xyz))
+    return pulled, [entry] + (sub.trace if sub else [])
 
 
 def _normalize(cube, trip):
@@ -233,13 +220,23 @@ def _fan_map(view, z, targets):
     return got
 
 
-def _split_qp(bundle, n_long, n_flex=0):
-    """Partition a disjoint path bundle into attachment paths and backbones.
+def _cross(fanm, mask, w, then=None):
+    """From w's image across ``mask`` along its fan path to z; given
+    ``then``, on from z along the fan path to then's image."""
+    path = _rev(fanm[w ^ mask])
+    return path if then is None else path + fanm[then ^ mask][1:]
+
+
+def _rungs(bundle, fan_view, z, mask, extra, n_long, n_flex=0, flex_end=1):
+    """Split an x-y bundle for a ladder and fan from z across ``mask``.
 
     Attachment paths lend their end edges to other members, so the first
     ``n_long`` need distinct neighbors at both ends (>= 4 vertices) and any
-    flex slot needs at least one interior vertex.  Backbones are used whole
-    and may have any shape.
+    flex slot needs at least one interior vertex.  Backbones are the other
+    members, used whole and of any shape.  Returns the backbones, the
+    vertices next to x (``xi``) and next to y (``yi``) on each attachment
+    path, the ``flex_end`` vertex of each flex path, and the fan map onto
+    the images of all of those and of ``extra``.
     """
     paths = [list(p) for p in bundle]
     qs = []
@@ -248,17 +245,32 @@ def _split_qp(bundle, n_long, n_flex=0):
             qs.append(p)
     if len(qs) < n_long:
         raise _CaseInfeasible("not enough long attachment paths")
-    rest = [p for p in paths if p not in qs]
+    ps = [p for p in paths if p not in qs]
     flex = []
-    for p in list(rest):
+    for p in list(ps):
         if len(flex) == n_flex:
             break
         if len(p) >= 3:
             flex.append(p)
-            rest.remove(p)
+            ps.remove(p)
     if len(flex) < n_flex:
         raise _CaseInfeasible("not enough non-direct attachment paths")
-    return qs, flex, rest
+    xi = [q[1] for q in qs]
+    yi = [q[-2] for q in qs]
+    fi = [q[flex_end] for q in flex]
+    fanm = _fan_map(fan_view, z, [w ^ mask for w in xi + yi + fi + extra])
+    return ps, xi, yi, fi, fanm
+
+
+def _ladder(x, y, ps, xi, yi, k, fanm, mask):
+    """k rungs from x's side and k from y's side, each a backbone extended by
+    one rung vertex and its crossing to z; then one bridged rung x..z..y
+    through each remaining attachment path's two rung vertices."""
+    paths = [_rev(ps[i]) + [xi[i]] + _cross(fanm, mask, xi[i]) for i in range(k)]
+    paths += [ps[k + i] + [yi[i]] + _cross(fanm, mask, yi[i]) for i in range(k)]
+    paths += [[x, xi[i]] + _cross(fanm, mask, xi[i], yi[i]) + [yi[i], y]
+              for i in range(k, len(yi))]
+    return paths
 
 
 def _pack_pairs(view, pairs):
@@ -280,23 +292,26 @@ _BASE_SAME_QUAD = (
 )
 
 
-def _base_one_quadrant(x, y, z):
+def _base_one_quadrant(cube, x, y, z):
     assert (x, y, z) == (0, 2, 1)
     return [list(p) for p in _BASE_SAME_QUAD]
 
 
-def _base_pair_sibling(cube, x, y, z):
-    # x, y in quadrant 00, z in quadrant 01
-    h2w, c1w = 0b0100, 0b1111
-    dia_xy = cube.diamond_view(0b00, 0b10)
-    dia_z = cube.diamond_view(0b01, 0b11)
-    bundle = disjoint_paths(dia_xy, x, y, 4)
-    fanm = _fan_map(dia_z, z, [x ^ h2w, y ^ h2w, x ^ c1w, y ^ c1w])
+def _base_bundle(cube, x, y, z):
+    # B2 (x, y in quadrant 00, z in 01) and B3.2 (x, y in half 0, z in
+    # half 1): ``h`` is the leading bit that parts z's side from x's side,
+    # each side is a diamond of two quadrants, and the four bundle paths
+    # cross to z's side over h and over the complement word 1111
+    h = 0b1000 if cube.half(z) else 0b0100
+    qh = h >> 2  # the same bit among the quadrant labels
+    bundle = disjoint_paths(cube.diamond_view(0b00, 0b11 ^ qh), x, y, 4)
+    fanm = _fan_map(cube.diamond_view(qh, 0b11), z,
+                    [x ^ h, y ^ h, x ^ 0b1111, y ^ 0b1111])
     return [
-        _rev(bundle[0]) + _rev(fanm[x ^ h2w]),
-        list(bundle[1]) + _rev(fanm[y ^ h2w]),
-        _rev(bundle[2]) + _rev(fanm[x ^ c1w]),
-        list(bundle[3]) + _rev(fanm[y ^ c1w]),
+        _rev(bundle[0]) + _cross(fanm, h, x),
+        list(bundle[1]) + _cross(fanm, h, y),
+        _rev(bundle[2]) + _cross(fanm, 0b1111, x),
+        list(bundle[3]) + _cross(fanm, 0b1111, y),
     ]
 
 
@@ -307,25 +322,12 @@ def _base_cross_half_mated(cube, x, y, z):
     x3 = x ^ 0b0011
     x1, x2 = sorted((x ^ 0b0010, x ^ 0b0001))
     y1, y2, y3 = x1 ^ h2w, x2 ^ h2w, x ^ h2w
-    half1 = cube.half_view(1)
-    fanm = _fan_map(half1, z, [x ^ h1w, y ^ h1w, x2 ^ h1w, y2 ^ h1w])
+    fanm = _fan_map(cube.half_view(1), z, [x ^ h1w, y ^ h1w, x2 ^ h1w, y2 ^ h1w])
     return [
-        [y, x] + _rev(fanm[x ^ h1w]),
-        [x, x3, y] + _rev(fanm[y ^ h1w]),
-        [y, y3, x, x2] + _rev(fanm[x2 ^ h1w]),
-        [x, x1, y1, y, y2] + _rev(fanm[y2 ^ h1w]),
-    ]
-
-
-def _base_cross_half_generic(cube, x, y, z):
-    h1w, c1w = 0b1000, 0b1111
-    bundle = disjoint_paths(cube.half_view(0), x, y, 4)
-    fanm = _fan_map(cube.half_view(1), z, [x ^ h1w, y ^ h1w, x ^ c1w, y ^ c1w])
-    return [
-        _rev(bundle[0]) + _rev(fanm[x ^ h1w]),
-        list(bundle[1]) + _rev(fanm[y ^ h1w]),
-        _rev(bundle[2]) + _rev(fanm[x ^ c1w]),
-        list(bundle[3]) + _rev(fanm[y ^ c1w]),
+        [y, x] + _cross(fanm, h1w, x),
+        [x, x3, y] + _cross(fanm, h1w, y),
+        [y, y3, x, x2] + _cross(fanm, h1w, x2),
+        [x, x1, y1, y, y2] + _cross(fanm, h1w, y2),
     ]
 
 
@@ -337,7 +339,6 @@ def _even_one_quadrant_mated(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w, c2w = (1 << n) - 1, (1 << (n - 1)) - 1
-    sub = construct(n - 2, (x, y, z))
     a = z ^ (c1w ^ h2w)  # the one neighbor of z's complement inside quadrant 10
     ends = {x ^ h1w, y ^ h1w, z ^ h1w, a}
     if len(ends) != 4:
@@ -354,14 +355,13 @@ def _even_one_quadrant_mated(cube, x, y, z):
         psi_c = [x] + ph + [z, z ^ c1w] + _rev(phy) + [y]
     else:
         psi_c = [x] + ph + [z ^ c1w, z] + _rev(phy) + [y]
-    return [list(p) for p in sub.paths] + [psi_a, psi_b, psi_c], sub.trace
+    return [psi_a, psi_b, psi_c]
 
 
 def _even_one_quadrant_generic(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w, c2w = (1 << n) - 1, (1 << (n - 1)) - 1
-    sub = construct(n - 2, (x, y, z))
     p1, p2, p3 = _pack_pairs(cube.quadrant_view(0b01),
                              [(x ^ h2w, z ^ h2w), (y ^ h2w, z ^ c2w),
                               (x ^ c2w, y ^ c2w)])
@@ -371,7 +371,7 @@ def _even_one_quadrant_generic(cube, x, y, z):
     psi_1 = [x] + p1 + [z] + _rev(p2) + [y]
     psi_2 = [y] + _rev(p3) + [x] + q1 + [z]
     psi_3 = [x] + q3 + [y] + q2 + [z]
-    return [list(p) for p in sub.paths] + [psi_1, psi_2, psi_3], sub.trace
+    return [psi_1, psi_2, psi_3]
 
 
 def _even_pair_sibling_mated(cube, x, y, z):
@@ -379,38 +379,17 @@ def _even_pair_sibling_mated(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
-    q00, q01 = cube.quadrant_view(0b00), cube.quadrant_view(0b01)
-    bundle = disjoint_paths(q00, x, y, 2 * n - 5)
-    longs = [list(p) for p in bundle if len(p) >= 4]
+    bundle = disjoint_paths(cube.quadrant_view(0b00), x, y, 2 * n - 5)
     # a pair with four shared neighbors forces five short bundle members, in
     # which case one mid-band path is rerouted through x's own sibling image
     # (otherwise unused) and tolerates a one-interior attachment on y's side
-    if len(longs) >= n - 3:
-        qs, _, ps = _split_qp(bundle, n - 3)
-        half_q = None
-    elif len(longs) == n - 4:
-        qs, flex, ps = _split_qp(bundle, n - 4, n_flex=1)
-        half_q = flex[0]
-    else:
-        raise _CaseInfeasible("not enough attachment paths")
-    xi = [q[1] for q in qs]
-    yi = [q[-2] for q in qs]
-    targets = [w ^ h2w for w in xi] + [w ^ h2w for w in yi] + [y ^ h2w]
-    if half_q is not None:
-        targets += [x ^ h2w, half_q[-2] ^ h2w]
-    fanm = _fan_map(q01, z, targets)
+    short = sum(1 for p in bundle if len(p) >= 4) < n - 3
+    n_long, n_flex, extra = (n - 4, 1, [x, y]) if short else (n - 3, 0, [y])
+    ps, xi, yi, fi, fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
+                                  extra, n_long, n_flex, -2)
     k = n // 2 - 2
-    paths = []
-    for i in range(k):
-        paths.append(_rev(ps[i]) + [xi[i]] + _rev(fanm[xi[i] ^ h2w]))
-    for i in range(k):
-        paths.append(list(ps[k + i]) + [yi[i]] + _rev(fanm[yi[i] ^ h2w]))
-    for i in range(k, len(qs)):
-        paths.append([x, xi[i]] + _rev(fanm[xi[i] ^ h2w])
-                     + fanm[yi[i] ^ h2w][1:] + [yi[i], y])
-    if half_q is not None:
-        w = half_q[-2]
-        paths.append([x] + _rev(fanm[x ^ h2w]) + fanm[w ^ h2w][1:] + [w, y])
+    paths = _ladder(x, y, ps, xi, yi, k, fanm, h2w)
+    paths += [[x] + _cross(fanm, h2w, x, w) + [w, y] for w in fi]
     paths.append([x] + fanm[y ^ h2w] + [y])        # x-z edge, fan back to y
     paths.append(_rev(ps[2 * k]) + [x ^ h1w, z])   # z's complement is x^h
     paths.append(_rev(ps[2 * k + 1]) + [x ^ c1w, z])
@@ -421,57 +400,33 @@ def _even_pair_sibling_generic(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
-    q00, q01 = cube.quadrant_view(0b00), cube.quadrant_view(0b01)
-    bundle = disjoint_paths(q00, x, y, 2 * n - 5)
-    qs, flex, ps = _split_qp(bundle, n - 4, n_flex=1)
-    qs = qs + flex
-    xi = [q[1] for q in qs]
-    yi = [q[-2] for q in qs[:n - 4]]
-    fanm = _fan_map(q01, z, [w ^ h2w for w in xi] + [w ^ h2w for w in yi]
-                    + [x ^ h2w, y ^ h2w])
+    bundle = disjoint_paths(cube.quadrant_view(0b00), x, y, 2 * n - 5)
+    ps, xi, yi, (f,), fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
+                                    [x, y], n - 4, 1)
     l1, l2, l3 = _pack_pairs(cube.half_view(1),
                              [(x ^ h1w, z ^ c1w), (x ^ c1w, y ^ h1w),
                               (y ^ c1w, z ^ h1w)])
     k = n // 2 - 2
-    paths = []
-    for i in range(k):
-        paths.append(_rev(ps[i]) + [xi[i]] + _rev(fanm[xi[i] ^ h2w]))
-    for i in range(k):
-        paths.append(list(ps[k + i]) + [yi[i]] + _rev(fanm[yi[i] ^ h2w]))
-    for i in range(k, n - 4):
-        paths.append([x, xi[i]] + _rev(fanm[xi[i] ^ h2w])
-                     + fanm[yi[i] ^ h2w][1:] + [yi[i], y])
-    paths.append([x] + _rev(fanm[x ^ h2w]) + fanm[y ^ h2w][1:] + [y])
-    paths.append(_rev(ps[2 * k]) + [xi[n - 4]] + _rev(fanm[xi[n - 4] ^ h2w]))
-    paths.append(_rev(ps[2 * k + 1]) + l1 + [z])
-    paths.append([x] + l2 + [y] + l3 + [z])
-    return paths
+    return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
+        [x] + _cross(fanm, h2w, x, y) + [y],
+        _rev(ps[2 * k]) + [f] + _cross(fanm, h2w, f),
+        _rev(ps[2 * k + 1]) + l1 + [z],
+        [x] + l2 + [y] + l3 + [z],
+    ]
 
 
 def _even_cross_half(cube, x, y, z):
     n = cube.n
     h1w = 1 << (n - 1)
-    half0, half1 = cube.half_view(0), cube.half_view(1)
-    bundle = disjoint_paths(half0, x, y, 2 * n - 3)
-    qs, flex, ps = _split_qp(bundle, n - 3, n_flex=1)
-    qs = qs + flex
-    xi = [q[1] for q in qs]
-    yi = [q[-2] for q in qs[:n - 3]]
-    fanm = _fan_map(half1, z, [w ^ h1w for w in xi] + [w ^ h1w for w in yi]
-                    + [x ^ h1w, y ^ h1w])
+    bundle = disjoint_paths(cube.half_view(0), x, y, 2 * n - 3)
+    ps, xi, yi, (f,), fanm = _rungs(bundle, cube.half_view(1), z, h1w,
+                                    [x, y], n - 3, 1)
     k = n // 2 - 2
-    paths = []
-    for i in range(k):
-        paths.append(_rev(ps[i]) + [xi[i]] + _rev(fanm[xi[i] ^ h1w]))
-    for i in range(k):
-        paths.append(list(ps[k + i]) + [yi[i]] + _rev(fanm[yi[i] ^ h1w]))
-    for i in range(k, n - 3):
-        paths.append([x, xi[i]] + _rev(fanm[xi[i] ^ h1w])
-                     + fanm[yi[i] ^ h1w][1:] + [yi[i], y])
-    paths.append(_rev(ps[2 * k]) + [xi[n - 3]] + _rev(fanm[xi[n - 3] ^ h1w]))
-    paths.append(_rev(ps[2 * k + 1]) + _rev(fanm[x ^ h1w]))
-    paths.append(list(ps[2 * k + 2]) + _rev(fanm[y ^ h1w]))
-    return paths
+    return _ladder(x, y, ps, xi, yi, k, fanm, h1w) + [
+        _rev(ps[2 * k]) + [f] + _cross(fanm, h1w, f),
+        _rev(ps[2 * k + 1]) + _cross(fanm, h1w, x),
+        ps[2 * k + 2] + _cross(fanm, h1w, y),
+    ]
 
 
 # -- odd induction step --------------------------------------------------
@@ -480,7 +435,6 @@ def _even_cross_half(cube, x, y, z):
 def _odd_same_half(cube, x, y, z):
     n = cube.n
     h1w, c1w = 1 << (n - 1), (1 << n) - 1
-    sub = construct(n - 1, (x, y, z))
     side_a = [x ^ h1w, x ^ c1w]
     side_b = [y ^ h1w, z ^ h1w]
     if set(side_a) & set(side_b):
@@ -491,31 +445,36 @@ def _odd_same_half(cube, x, y, z):
         psi = [y] + _rev(ph) + [x] + pc + [z]
     else:
         psi = [y] + _rev(pc) + [x] + ph + [z]
-    return [list(p) for p in sub.paths] + [psi], sub.trace
+    return [psi]
 
 
 def _odd_cross_half(cube, x, y, z):
     n = cube.n
     h1w = 1 << (n - 1)
-    half0, half1 = cube.half_view(0), cube.half_view(1)
-    bundle = disjoint_paths(half0, x, y, 2 * n - 3)
-    qs, _, rest = _split_qp(bundle, n - 3)
-    ps = rest[:n - 1]  # one bundle member is deliberately spare
-    xi = [q[1] for q in qs]
-    yi = [q[-2] for q in qs]
-    fanm = _fan_map(half1, z, [w ^ h1w for w in xi] + [w ^ h1w for w in yi]
-                    + [x ^ h1w, y ^ h1w])
-    k = (n - 1) // 2
-    paths = []
-    for i in range(k):
-        paths.append(_rev(ps[i]) + [xi[i]] + _rev(fanm[xi[i] ^ h1w]))
-    for i in range(k):
-        paths.append(list(ps[k + i]) + [yi[i]] + _rev(fanm[yi[i] ^ h1w]))
-    for i in range(k, n - 3):
-        paths.append([x, xi[i]] + _rev(fanm[xi[i] ^ h1w])
-                     + fanm[yi[i] ^ h1w][1:] + [yi[i], y])
-    paths.append([x] + _rev(fanm[x ^ h1w]) + fanm[y ^ h1w][1:] + [y])
+    bundle = disjoint_paths(cube.half_view(0), x, y, 2 * n - 3)
+    # the ladder takes n - 1 backbones: one bundle member is deliberately spare
+    ps, xi, yi, _, fanm = _rungs(bundle, cube.half_view(1), z, h1w, [x, y],
+                                 n - 3)
+    paths = _ladder(x, y, ps, xi, yi, (n - 1) // 2, fanm, h1w)
+    paths.append([x] + _cross(fanm, h1w, x, y) + [y])
     return paths
+
+
+# case -> (builder, dimensions to recurse down first; the builder's paths
+# follow the sub-family's)
+_CASES = {
+    CASE_B1: (_base_one_quadrant, 0),
+    CASE_B2: (_base_bundle, 0),
+    CASE_B31: (_base_cross_half_mated, 0),
+    CASE_B32: (_base_bundle, 0),
+    CASE_E11: (_even_one_quadrant_mated, 2),
+    CASE_E12: (_even_one_quadrant_generic, 2),
+    CASE_E21: (_even_pair_sibling_mated, 0),
+    CASE_E22: (_even_pair_sibling_generic, 0),
+    CASE_E3: (_even_cross_half, 0),
+    CASE_O1: (_odd_same_half, 1),
+    CASE_O2: (_odd_cross_half, 0),
+}
 
 
 # -- fallback ------------------------------------------------------------
@@ -523,15 +482,15 @@ def _odd_cross_half(cube, x, y, z):
 
 def _fallback_family(cube, trip):
     """Direct profile-packing search for the guaranteed count on the whole
-    cube; used only when a case transcription fails, and always flagged."""
+    cube; used only when a case transcription fails, and always flagged.
+    Above ``FALLBACK_MAX_N`` the search is not started."""
     m = target_count(cube.n)
+    if cube.n > FALLBACK_MAX_N:
+        raise ConstructionError(f"case transcription failed on {trip} and "
+                                f"the fallback stops at n = {FALLBACK_MAX_N}")
     x, y, z = sorted(trip)
     degs = tuple(len(cube.neighbors(t)) for t in (x, y, z))
-    tracker = Budget(50 * PACK_BUDGET)
-    for profile in _profiles(m, tuple(d - m for d in degs)):
-        a, b, c = profile
-        demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
-        segs = pack_segments(cube, demands, budget=tracker)
-        if segs is not None:
-            return [list(p) for p in _assemble(profile, segs)]
-    raise ConstructionError(f"no direct packing of size {m} found for {trip}")
+    fam = family_of_size(cube, (x, y, z), degs, m, Budget(50 * PACK_BUDGET))
+    if fam is None:
+        raise ConstructionError(f"no direct packing of size {m} found for {trip}")
+    return [list(p) for p in fam]

@@ -113,21 +113,28 @@ def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
     for t in trip:
         if t not in view:
             raise ValueError(f"terminal {t} not in view")
-    x, y, z = trip
-    degs = (len(view.neighbors(x)), len(view.neighbors(y)), len(view.neighbors(z)))
+    degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
     tracker = Budget(budget)
     for m in range(ub, 0, -1):
-        caps = tuple(d - m for d in degs)
-        if any(c < 0 for c in caps):
-            continue
-        for profile in _profiles(m, caps):
-            a, b, c = profile
-            demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
-            segs = pack_segments(view, demands, budget=tracker)
-            if segs is not None:
-                return m, _assemble(profile, segs)
+        fam = family_of_size(view, trip, degs, m, tracker)
+        if fam is not None:
+            return m, fam
     return 0, []
+
+
+def family_of_size(view, trip: tuple[int, int, int], degs: tuple[int, int, int],
+                   m: int, tracker: Budget) -> list[tuple[int, ...]] | None:
+    """m paths through the sorted triple ``trip`` (terminal degrees
+    ``degs``), from the first profile that packs; None when none does."""
+    x, y, z = trip
+    for profile in _profiles(m, tuple(d - m for d in degs)):
+        a, b, c = profile
+        demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
+        segs = pack_segments(view, demands, budget=tracker)
+        if segs is not None:
+            return _assemble(profile, segs)
+    return None
 
 
 # -- independent small-scale referee -----------------------------------

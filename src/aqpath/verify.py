@@ -55,8 +55,11 @@ def check_path(view, path: Sequence[int]) -> Violation | None:
 
 def check_family(view, terminals: Sequence[int],
                  paths: Sequence[Sequence[int]]) -> Violation | None:
-    """Full family check; None means Accept(len(paths))."""
+    """Full family check; None means Accept(len(paths)).  The terminals must
+    be three distinct vertices (ValueError otherwise)."""
     D = set(terminals)
+    if len(D) != 3 or len(terminals) != 3:
+        raise ValueError("need three distinct terminals")
     for t in D:
         if t not in view:
             return Violation(ViolationKind.WRONG_GRAPH, f"terminal {t} not in view")

@@ -180,3 +180,40 @@ def test_fallback_family_when_every_case_fails(monkeypatch, n, trip):
     assert len(fam.paths) == target_count(n)
     assert fam.fallback_used
     assert [e.case for e in fam.trace] == ["FB"]
+
+
+def test_fallback_is_not_started_above_dimension_seven(monkeypatch):
+    module = importlib.import_module("aqpath.construct")
+    oracle = importlib.import_module("aqpath.oracle")
+
+    def infeasible(cube, triple):
+        raise module._CaseInfeasible("forced")
+
+    def no_packing(*args, **kwargs):
+        raise AssertionError("fallback search started above its size limit")
+
+    monkeypatch.setattr(module, "_construct_level", infeasible)
+    monkeypatch.setattr(oracle, "pack_segments", no_packing)
+    with pytest.raises(module.ConstructionError):
+        construct(8, (0, 1, 2))
+
+
+@pytest.mark.parametrize("case, n, trip", [
+    ("B1", 4, (0, 1, 2)),
+    ("B2", 4, (0, 1, 4)),
+    ("B3.1", 4, (0, 7, 8)),
+    ("B3.2", 4, (0, 1, 8)),
+    ("E1.1", 6, (0, 1, 14)),
+    ("E1.2", 6, (0, 1, 2)),
+    ("E2.1", 6, (0, 1, 30)),
+    ("E2.2", 6, (0, 1, 16)),
+    ("E3", 6, (0, 1, 32)),
+    ("O1", 5, (0, 1, 2)),
+    ("O2", 5, (0, 1, 16)),
+])
+def test_every_dispatch_case_builds_its_family(case, n, trip):
+    fam = construct(n, trip)
+    assert fam.trace[0].case == case
+    assert len(fam.paths) == target_count(n)
+    assert check_family(AugmentedCube(n), trip, fam.paths) is None
+    assert not fam.fallback_used

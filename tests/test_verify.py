@@ -1,3 +1,5 @@
+import pytest
+
 from aqpath.construct import construct
 from aqpath.cube import AugmentedCube
 from aqpath.verify import ViolationKind, check_family, check_path
@@ -78,3 +80,12 @@ def test_missing_terminal_reported_before_overlap():
            [0b0000, 0b0011, 0b0010, 0b0001]]
     bad = check_family(CUBE, BASE_D, fam)
     assert bad.kind is ViolationKind.MISSING_TERMINAL
+
+
+@pytest.mark.parametrize("terminals, paths", [
+    ((0, 0, 1), [(0, 1)]),            # a repeated terminal
+    ((0, 1), [(0, 1), (0, 2, 1)]),    # only two terminals
+])
+def test_terminals_must_be_three_distinct_vertices(terminals, paths):
+    with pytest.raises(ValueError):
+        check_family(CUBE, terminals, paths)
