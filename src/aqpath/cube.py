@@ -63,8 +63,6 @@ def translate(x: int, t: int) -> int:
 class AugmentedCube:
     """Handle for the n-dimensional augmented cube (also usable as a view)."""
 
-    vertex_transitive = True
-
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be at least 1")
@@ -166,8 +164,6 @@ class PrefixView:
     prefix test; adjacency is the parent's masks filtered by membership.
     """
 
-    vertex_transitive = False
-
     def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
         self.cube = cube
         self.bits = cube.n
@@ -199,8 +195,6 @@ class PrefixView:
 
 class RestrictedView:
     """A view minus forbidden vertices and/or edges; used for avoid sets."""
-
-    vertex_transitive = False
 
     def __init__(self, base, forbidden_vertices: Iterable[int] = (),
                  forbidden_edges: Iterable[tuple[int, int]] = ()):
@@ -240,8 +234,6 @@ class RestrictedView:
 
 class AdjListView:
     """Explicit small graph (text-format input, random test corpora)."""
-
-    vertex_transitive = False
 
     def __init__(self, edges: Iterable[tuple[int, int]], bits: int,
                  vertices: Iterable[int] = ()):

@@ -1,21 +1,25 @@
 """Unit-vertex-capacity flow over graph views.
 
-One network builder, ``build_net``, serves every path-system operation:
-internally disjoint path bundles between two vertices, fans from a vertex
-onto a set, linkages between two equal-size sets, and the relaxations of
-the packing engine (``aqpath.packing``).  Each free vertex of the view is
-split into an in-node and an out-node joined by a capacity-1 arc;
-terminals get source/sink arcs instead of a through arc, so fan targets
-and linkage endpoints can never be crossed as interiors.  The split-node
-encoding stays in this module: callers pass vertices and get vertex
-tuples back.
+One network, ``UnitFlowNet(view, sources, sinks, free)``, serves every
+path-system operation: internally disjoint path bundles between two
+vertices, fans from a vertex onto a set, linkages between two equal-size
+sets, and the relaxations of the packing engine (``aqpath.packing``).  Each
+free vertex of the view is split into an in-node and an out-node joined by
+a capacity-1 arc; terminals get source/sink arcs instead of a through arc,
+so fan targets and linkage endpoints can never be crossed as interiors.
+The split-node encoding stays in this module: callers pass vertices and
+get vertex tuples back.
 
-The network keeps only residual capacities.  No arc has an antiparallel
-twin, so the flow on an arc u->v is the residual capacity of its reverse
-entry v->u, and the node encoding tells arcs from reverse entries.
+The network is read from the view, not copied out of it: the residual row
+of a node is derived from the view's adjacency the first time a search or
+a push reaches it, so the cost follows the region the augmentations
+explore, not the size of the view.  The network keeps only residual
+capacities.  No arc has an antiparallel twin, so the flow on an arc u->v
+is the residual capacity of its reverse entry v->u, and the node encoding
+tells arcs from reverse entries.
 
-Augmentation is breadth-first with neighbors scanned in ascending vertex
-order, so identical inputs always produce identical path systems.
+Augmentation is breadth-first and every row lists its entries in ascending
+node order, so identical inputs always produce identical path systems.
 """
 
 from __future__ import annotations
@@ -56,57 +60,86 @@ def _is_arc(u: int, v: int) -> bool:
 
 
 class UnitFlowNet:
-    """Residual network with integer capacities and unit-path decomposition.
+    """Residual split-vertex network over a view, with unit-path decomposition.
 
-    ``cap[u][v]`` is the residual capacity of u->v; every arc has an entry
-    in both directions.
+    ``sources``/``sinks`` give per-terminal capacities and ``free`` the
+    vertices that may be path interiors (no terminal among them).  A
+    terminal carries no through arc, so no path may cross it; a vertex may
+    be both a source and a sink (it then has both roles but still cannot
+    be an interior).  Vertices in none of the three are left out.
+
+    ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
+    derived by ``_row`` when node u is first reached.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
+                 free: set[int]) -> None:
+        self.view = view
+        self.sources = sources
+        self.sinks = sinks
+        self.free = free
         self.cap: dict[int, dict[int, int]] = {}
 
-    def add_arc(self, u: int, v: int, c: int) -> None:
-        """Add u->v once; its reverse v->u must not be an arc."""
-        self.cap.setdefault(u, {})[v] = c
-        self.cap.setdefault(v, {})[u] = 0
+    def _row(self, u: int) -> dict[int, int]:
+        """Store and return node u's row: its arcs at full capacity and its
+        reverse entries at 0, ascending by node."""
+        free, sources, sinks = self.free, self.sources, self.sinks
+        v = u // 2  # the vertex of a split node
+        if u == _SRC:
+            entries = [(_out(s), c) for s, c in sources.items()]
+        elif u == _SNK:
+            entries = [(_in(t), 0) for t in sinks]
+        elif u % 2:  # out-node of a free vertex or a source
+            entries = [(_in(w), 1) for w in self.view.neighbors(v)
+                       if w in free or w in sinks]
+            # the reverse entry of the one arc into it
+            entries.append((_in(v), 0) if v in free else (_SRC, 0))
+        else:  # in-node of a free vertex or a sink
+            entries = [(_out(w), 0) for w in self.view.neighbors(v)
+                       if w in free or w in sources]
+            if v in free:
+                entries.append((_out(v), 1))
+            if v in sinks:
+                entries.append((_SNK, sinks[v]))
+        row = self.cap[u] = dict(sorted(entries))
+        return row
 
-    def _augment_once(self) -> int:
+    def _augment_once(self) -> bool:
+        """Push one unit along a shortest residual path, if there is one.
+        Every such path crosses an entry between split nodes, and those
+        hold at most 1, so one unit is all a path can carry."""
+        cap = self.cap
         parent: dict[int, int] = {_SRC: _SRC}
         queue = deque([_SRC])
         while queue:
             u = queue.popleft()
             if u == _SNK:
                 break
-            for v in sorted(self.cap.get(u, ())):
-                if v not in parent and self.cap[u][v] > 0:
+            row = cap.get(u)
+            if row is None:
+                row = self._row(u)
+            for v, c in row.items():
+                if c > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
         if _SNK not in parent:
-            return 0
-        # bottleneck
-        push = None
+            return False
+        if _SNK not in cap:  # reached, but never scanned
+            self._row(_SNK)
         v = _SNK
         while v != _SRC:
             u = parent[v]
-            push = self.cap[u][v] if push is None else min(push, self.cap[u][v])
+            cap[u][v] -= 1
+            cap[v][u] += 1
             v = u
-        v = _SNK
-        while v != _SRC:
-            u = parent[v]
-            self.cap[u][v] -= push
-            self.cap[v][u] += push
-            v = u
-        return push
+        return True
 
     def max_flow(self, limit: int | None = None) -> int:
+        """Push units until no augmenting path is left or ``limit`` units
+        flow; return how many were pushed."""
         total = 0
-        while limit is None or total < limit:
-            pushed = self._augment_once()
-            if pushed == 0:
-                break
-            total += pushed
-            if limit is not None and total > limit:
-                raise AssertionError("overshot augmentation limit")
+        while (limit is None or total < limit) and self._augment_once():
+            total += 1
         return total
 
     def unit_paths(self) -> list[tuple[int, ...]]:
@@ -117,9 +150,9 @@ class UnitFlowNet:
 
         def flow_out(u: int) -> dict[int, int]:  # not yet decomposed
             row = left.get(u)
-            if row is None:
+            if row is None:  # a node never reached carries no flow
                 row = left[u] = {v: cap[v][u] for v in cap.get(u, ())
-                                 if _is_arc(u, v) and cap[v][u] > 0}
+                                 if _is_arc(u, v) and v in cap and cap[v][u] > 0}
             return row
 
         out: list[tuple[int, ...]] = []
@@ -139,32 +172,6 @@ class UnitFlowNet:
                 cur = nxt
             out.append(tuple(verts))
         return out
-
-
-def build_net(view, sources: dict[int, int], sinks: dict[int, int],
-              free: set[int]) -> UnitFlowNet:
-    """Split-vertex network over a view; the only network builder.
-
-    ``sources``/``sinks`` give per-terminal capacities and ``free`` the
-    vertices that may be path interiors (no terminal among them).  A
-    terminal carries no through arc, so no path may cross it; a vertex may
-    be both a source and a sink (it then has both roles but still cannot
-    be an interior).  Vertices in none of the three are left out.
-    """
-    net = UnitFlowNet()
-    for s, c in sorted(sources.items()):
-        net.add_arc(_SRC, _out(s), c)
-    for t, c in sorted(sinks.items()):
-        net.add_arc(_in(t), _SNK, c)
-    for v in view.vertices():
-        if v in free:
-            net.add_arc(_in(v), _out(v), 1)
-        elif v not in sources:
-            continue
-        for w in view.neighbors(v):
-            if w in free or w in sinks:
-                net.add_arc(_out(v), _in(w), 1)
-    return net
 
 
 def _interiors(view, terminals: Iterable[int]) -> set[int]:
@@ -189,7 +196,7 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     if k < 1:
         raise ValueError("k must be positive")
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), k)
-    net = build_net(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
+    net = UnitFlowNet(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
     got = net.max_flow(limit=k)
     if got < k:
         got += net.max_flow()  # keep going to report the true maximum
@@ -202,7 +209,7 @@ def min_vertex_cut(view, u: int, v: int) -> int:
     for adjacent pairs this is the usual delete-edge cut plus one)."""
     _check_pair(view, u, v)
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), 1)
-    net = build_net(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
+    net = UnitFlowNet(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
     return net.max_flow()
 
 
@@ -230,9 +237,10 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
         raise ValueError("empty target set")
     if x in S:
         raise ValueError("source may not be a target")
-    if x not in view:
-        raise ValueError(f"vertex {x} not in view")
-    net = build_net(view, {x: len(S)}, {t: 1 for t in S}, _interiors(view, [x, *S]))
+    for t in [x, *S]:
+        if t not in view:
+            raise ValueError(f"vertex {t} not in view")
+    net = UnitFlowNet(view, {x: len(S)}, {t: 1 for t in S}, _interiors(view, [x, *S]))
     got = net.max_flow(limit=len(S))
     if got < len(S):
         raise Insufficient(got, len(S), "fan paths")
@@ -251,7 +259,7 @@ def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tup
     for t in A + B:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = build_net(view, {a: 1 for a in A}, {b: 1 for b in B}, _interiors(view, A + B))
+    net = UnitFlowNet(view, {a: 1 for a in A}, {b: 1 for b in B}, _interiors(view, A + B))
     got = net.max_flow(limit=len(A))
     if got < len(A):
         raise Insufficient(got, len(A), "linkage paths")

@@ -211,11 +211,12 @@ def brute_small(view, D: Sequence[int]) -> int:
 
 
 def _triples(view, mode: str, seed: int | None, count: int | None):
+    # the guard comes before any vertex list is built
+    if mode == "exhaustive" and view.vertex_count > 64:
+        raise ResourceGuard("exhaustive sweep is limited to 64 vertices")
     verts = sorted(view.vertices())
     if mode == "exhaustive":
-        if len(verts) > 64:
-            raise ResourceGuard("exhaustive sweep is limited to 64 vertices")
-        if getattr(view, "vertex_transitive", False):
+        if isinstance(view, AugmentedCube):  # vertex-transitive
             x0 = verts[0]
             for b, c in itertools.combinations(verts[1:], 2):
                 yield (x0, b, c)
@@ -291,13 +292,13 @@ def common_neighbors(view, vertices: Sequence[int]) -> set[int]:
 def max_common(view, arity: int) -> tuple[int, tuple[int, ...]]:
     """Maximum shared-neighborhood size over all vertex pairs or triples.
 
-    On a vertex-transitive view the first element is pinned to the smallest
-    vertex, which translation invariance justifies.
+    On an augmented cube, which is vertex-transitive, the first element is
+    pinned to the smallest vertex, which translation invariance justifies.
     """
     if arity not in (2, 3):
         raise ValueError("arity must be 2 or 3")
     verts = sorted(view.vertices())
-    if getattr(view, "vertex_transitive", False):
+    if isinstance(view, AugmentedCube):
         groups = ((verts[0], *rest)
                   for rest in itertools.combinations(verts[1:], arity - 1))
     else:

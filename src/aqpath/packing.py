@@ -1,18 +1,19 @@
 """Exact packing of interior-disjoint terminal-to-terminal segments.
 
 A *segment* joins two prescribed terminals; its interior uses only free
-vertices (no terminal of any pair, nothing forbidden), interiors are
-pairwise disjoint across the whole packing, and segments between the same
-pair may include the direct edge at most once.  This engine decides the
-pair demands a split profile induces (the exact D-path oracle) and the
-prescribed multi-pair linkages of the constructor.
+vertices (no terminal of any pair), interiors are pairwise disjoint across
+the whole packing, and segments between the same pair may include the
+direct edge at most once, so each unordered terminal pair appears in at
+most one demand.  This engine decides the pair demands a split profile
+induces (the exact D-path oracle) and the prescribed multi-pair linkages
+of the constructor.
 
 Feasibility is decided exactly, in three stages:
 
 1. arithmetic slot counts at each terminal;
 2. single-commodity flow relaxations (sources at first endpoints, sinks at
-   second endpoints, unit capacities on free vertices), each built by
-   ``aqpath.flow.build_net``, the one network builder of the package.  A
+   second endpoints, unit capacities on free vertices), each a
+   ``aqpath.flow.UnitFlowNet`` over the view, saturated by ``_saturate``.  A
    value below the total demand refutes the packing outright.  When the
    integral flow decomposes into unit paths whose endpoints match the
    demands exactly, that decomposition *is* a packing.  The relaxation is
@@ -34,9 +35,9 @@ to an approximation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .flow import build_net
+from .flow import UnitFlowNet
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -58,7 +59,7 @@ Demand = tuple[int, int, int]  # (u, v, count)
 Segment = tuple[int, ...]
 
 
-def pack_segments(view, demands: Sequence[Demand], forbidden: Iterable[int] = (),
+def pack_segments(view, demands: Sequence[Demand],
                   budget: Budget | None = None) -> list[list[Segment]] | None:
     """Segments satisfying every demand, grouped per demand, or None.
 
@@ -68,11 +69,17 @@ def pack_segments(view, demands: Sequence[Demand], forbidden: Iterable[int] = ()
         budget = Budget(None)
     demands = [(u, v, c) for (u, v, c) in demands]
     terminals: set[int] = set()
+    pairs: set[frozenset[int]] = set()
     for u, v, c in demands:
         if u == v:
             raise ValueError("segment endpoints must differ")
         if c < 0:
             raise ValueError("negative demand")
+        # segments are grouped per unordered pair, and a repeated pair
+        # could use its direct edge once per demand
+        if frozenset((u, v)) in pairs:
+            raise ValueError(f"terminal pair {u}-{v} in more than one demand")
+        pairs.add(frozenset((u, v)))
         terminals.add(u)
         terminals.add(v)
     for t in terminals:
@@ -82,7 +89,7 @@ def pack_segments(view, demands: Sequence[Demand], forbidden: Iterable[int] = ()
     if not live:
         return [[] for _ in demands]
 
-    free = {w for w in view.vertices() if w not in terminals} - set(forbidden)
+    free = {w for w in view.vertices() if w not in terminals}
 
     # per-terminal slot counts: segments at t need that many distinct edges
     for t in terminals:
@@ -92,10 +99,9 @@ def pack_segments(view, demands: Sequence[Demand], forbidden: Iterable[int] = ()
             return None
 
     budget.tick()
-    total = sum(c for (_, _, c) in live)
     for oriented in _orientations(live):
-        net = _relax_net(view, oriented, free)
-        if net.max_flow(limit=total) < total:
+        net = _saturate(view, oriented, free)
+        if net is None:
             return None
         segs = _classify(net, oriented)
         if segs is not None:
@@ -160,23 +166,21 @@ def _regroup(demands, oriented, live_segs):
     return out
 
 
-def _relax_net(view, demands: Sequence[Demand], free: set[int]):
-    """Relaxation network: each demand adds its count to the source
-    capacity of its first and the sink capacity of its second endpoint."""
+def _saturate(view, demands: Sequence[Demand], free: set[int]) -> UnitFlowNet | None:
+    """The relaxation network with a maximum flow pushed through it, or
+    None when that flow falls short of the total demand.  Each demand adds
+    its count to the source capacity of its first and the sink capacity of
+    its second endpoint; a zero count adds nothing."""
     sources: dict[int, int] = {}
     sinks: dict[int, int] = {}
+    total = 0
     for u, v, c in demands:
-        sources[u] = sources.get(u, 0) + c
-        sinks[v] = sinks.get(v, 0) + c
-    return build_net(view, sources, sinks, free)
-
-
-def _relax_feasible(view, demands: Sequence[Demand], free: set[int]) -> bool:
-    live = [d for d in demands if d[2] > 0]
-    if not live:
-        return True
-    total = sum(c for (_, _, c) in live)
-    return _relax_net(view, live, free).max_flow(limit=total) == total
+        if c > 0:
+            sources[u] = sources.get(u, 0) + c
+            sinks[v] = sinks.get(v, 0) + c
+            total += c
+    net = UnitFlowNet(view, sources, sinks, free)
+    return net if net.max_flow(limit=total) == total else None
 
 
 def _classify(net, demands: Sequence[Demand]):
@@ -271,13 +275,8 @@ def _split_for_search(live: Sequence[Demand]):
 def _leaf_solve(view, leaf: Sequence[Demand], free: set[int]):
     """Exact decision for single-source demands: the relaxation cannot loop
     a unit back into its source, and saturation forces the sink split."""
-    total = sum(c for (_, _, c) in leaf)
-    if total == 0:
-        return [[] for _ in leaf]
-    net = _relax_net(view, leaf, free)
-    if net.max_flow(limit=total) < total:
-        return None
-    return _classify(net, leaf)
+    net = _saturate(view, leaf, free)
+    return None if net is None else _classify(net, leaf)
 
 
 def _leaf_spare_vertices(view, leaf: Sequence[Demand], free: set[int]) -> set[int]:
@@ -287,13 +286,7 @@ def _leaf_spare_vertices(view, leaf: Sequence[Demand], free: set[int]) -> set[in
     never route through a vertex outside this set; jointly critical
     combinations are still caught by the per-commitment leaf check.
     """
-    total = sum(c for (_, _, c) in leaf)
-    spare: set[int] = set()
-    for w in free:
-        rest = free - {w}
-        if _relax_net(view, leaf, rest).max_flow(limit=total) == total:
-            spare.add(w)
-    return spare
+    return {w for w in free if _saturate(view, leaf, free - {w}) is not None}
 
 
 def _dfs_pack(view, demands: Sequence[Demand], free: set[int], budget: Budget):
@@ -347,7 +340,7 @@ def _dfs_pack(view, demands: Sequence[Demand], free: set[int], budget: Budget):
             # the leaf alone is an exact, junk-free necessary condition and
             # prunes far harder than the joint relaxation
             if (_leaf_solve(view, leaf, free_set) is not None
-                    and _relax_feasible(view, remaining(), free_set)
+                    and _saturate(view, remaining(), free_set) is not None
                     and rec(di)):
                 return True
             chosen[di].pop()

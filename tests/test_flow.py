@@ -5,6 +5,7 @@ import pytest
 from aqpath.cube import AdjListView, AugmentedCube, RestrictedView
 from aqpath.flow import (
     Insufficient,
+    UnitFlowNet,
     connectivity,
     disjoint_paths,
     fan,
@@ -98,6 +99,11 @@ def test_fan_rejects_source_in_targets():
         fan(AugmentedCube(3), 0, [0, 1])
 
 
+def test_fan_rejects_targets_outside_the_view():
+    with pytest.raises(ValueError, match="vertex 99 not in view"):
+        fan(AugmentedCube(3), 0, [1, 99])
+
+
 def test_linkage_matched_sets():
     cube = AugmentedCube(4)
     A = [0b0000, 0b0001]
@@ -170,3 +176,15 @@ def test_determinism():
     b = disjoint_paths(cube, 0, 15, 7)
     assert a == b
     assert fan(cube, 0, [1, 2, 4, 8]) == fan(cube, 0, [1, 2, 4, 8])
+
+
+def test_network_cost_follows_the_explored_region():
+    # one augmenting path between adjacent vertices of a 65,536-vertex cube
+    # reads only the rows its search reaches, not the whole network
+    cube = AugmentedCube(16)
+    u, v = 0, 1
+    assert cube.is_adjacent(u, v)
+    free = set(cube.vertices()) - {u, v}
+    net = UnitFlowNet(cube, {u: cube.degree}, {v: cube.degree}, free)
+    assert net.max_flow(limit=1) == 1
+    assert len(net.cap) < 100

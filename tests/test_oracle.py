@@ -164,6 +164,15 @@ def test_pi3_exhaustive_guard():
         pi3_exact(big, "exhaustive")
 
 
+def test_pi3_exhaustive_guard_comes_before_the_vertex_list():
+    class HugeCube(AugmentedCube):
+        def vertices(self):
+            raise AssertionError("vertex list built before the size guard")
+
+    with pytest.raises(ResourceGuard):
+        pi3_exact(HugeCube(40), "exhaustive")
+
+
 def test_pi3_reads_text_graphs(tmp_path):
     from aqpath.textio import parse_graph, render_graph
 
