@@ -20,6 +20,9 @@ tells arcs from reverse entries.
 
 Augmentation is breadth-first and every row lists its entries in ascending
 node order, so identical inputs always produce identical path systems.
+
+``UnitFlowNet.critical`` reads, from the flow already found and with no
+network rebuilt, the free vertices that every flow of its value must cross.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ def _is_arc(u: int, v: int) -> bool:
     if u == _SNK or v == _SRC:
         return False
     return (u % 2 == 0) == (u // 2 == v // 2)
+
+
+def _nodes(path: tuple[int, ...]) -> list[int]:
+    """The split nodes a unit path crosses, source to sink."""
+    nodes = [_SRC, _out(path[0])]
+    for v in path[1:-1]:
+        nodes += (_in(v), _out(v))
+    nodes += (_in(path[-1]), _SNK)
+    return nodes
 
 
 class UnitFlowNet:
@@ -104,17 +116,16 @@ class UnitFlowNet:
         row = self.cap[u] = dict(sorted(entries))
         return row
 
-    def _augment_once(self) -> bool:
-        """Push one unit along a shortest residual path, if there is one.
-        Every such path crosses an entry between split nodes, and those
-        hold at most 1, so one unit is all a path can carry."""
+    def _search(self, parent: dict[int, int]) -> dict[int, int]:
+        """Breadth-first search of the residual network from the source,
+        recording each node's predecessor in ``parent``; nodes already in
+        ``parent`` are never entered, so seeding it blocks them.  Stops
+        once the sink is found and returns ``parent``."""
         cap = self.cap
-        parent: dict[int, int] = {_SRC: _SRC}
+        parent[_SRC] = _SRC
         queue = deque([_SRC])
         while queue:
             u = queue.popleft()
-            if u == _SNK:
-                break
             row = cap.get(u)
             if row is None:
                 row = self._row(u)
@@ -122,16 +133,30 @@ class UnitFlowNet:
                 if c > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
+            if _SNK in parent:
+                break
+        return parent
+
+    def _push(self, nodes: list[int], units: int) -> None:
+        """Move ``units`` of flow along consecutive nodes (-1 cancels)."""
+        cap = self.cap
+        for u, v in zip(nodes, nodes[1:]):
+            cap[u][v] -= units
+            cap[v][u] += units
+
+    def _augment_once(self) -> bool:
+        """Push one unit along a shortest residual path, if there is one.
+        Every such path crosses an entry between split nodes, and those
+        hold at most 1, so one unit is all a path can carry."""
+        parent = self._search({})
         if _SNK not in parent:
             return False
-        if _SNK not in cap:  # reached, but never scanned
+        if _SNK not in self.cap:  # reached, but never scanned
             self._row(_SNK)
-        v = _SNK
-        while v != _SRC:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
+        nodes = [_SNK]
+        while nodes[-1] != _SRC:
+            nodes.append(parent[nodes[-1]])
+        self._push(nodes[::-1], 1)
         return True
 
     def max_flow(self, limit: int | None = None) -> int:
@@ -141,6 +166,28 @@ class UnitFlowNet:
         while (limit is None or total < limit) and self._augment_once():
             total += 1
         return total
+
+    def critical(self) -> set[int]:
+        """The free vertices that every flow of the current value crosses.
+
+        A vertex on no unit path is not one of them: the flow already
+        avoids it, or avoids it once a cycle through it is dropped.  A
+        vertex w on a unit path P lies on no other (vertex capacity 1), so
+        the flow without P avoids w, and a flow of the current value avoids
+        w iff that smaller flow still has an augmenting path entering
+        neither split node of w.  So P is cancelled, one search runs per
+        interior vertex of P with that vertex blocked, and P is pushed
+        back: the net is left as it was found.
+        """
+        out: set[int] = set()
+        for path in self.unit_paths():
+            nodes = _nodes(path)
+            self._push(nodes, -1)
+            for w in path[1:-1]:
+                if _SNK not in self._search({_in(w): _in(w), _out(w): _out(w)}):
+                    out.add(w)
+            self._push(nodes, 1)
+        return out
 
     def unit_paths(self) -> list[tuple[int, ...]]:
         """Decompose the current flow into unit source-to-sink paths, each

@@ -34,10 +34,20 @@ from .cube import AugmentedCube
 from .packing import Budget, pack_segments
 
 DEFAULT_BUDGET = 2_000_000
+# far above AQ_6, the largest view the shipped claims sweep; every entry
+# point checks it before it lists a vertex
+ORACLE_MAX_VERTICES = 1 << 16
 
 
 class ResourceGuard(RuntimeError):
-    """An exhaustive sweep was requested beyond the permitted size."""
+    """An oracle call was requested beyond the permitted size."""
+
+
+def _guard_size(view) -> None:
+    if view.vertex_count > ORACLE_MAX_VERTICES:
+        raise ResourceGuard(
+            f"the oracle is limited to {ORACLE_MAX_VERTICES} vertices, "
+            f"the view has {view.vertex_count}")
 
 
 # -- counting bounds ---------------------------------------------------
@@ -107,6 +117,7 @@ def _assemble(profile: tuple[int, int, int],
 def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
                ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact maximum family size through the three terminals, with a witness."""
+    _guard_size(view)
     trip = tuple(sorted(set(D)))
     if len(trip) != 3:
         raise ValueError("need three distinct terminals")
@@ -211,7 +222,8 @@ def brute_small(view, D: Sequence[int]) -> int:
 
 
 def _triples(view, mode: str, seed: int | None, count: int | None):
-    # the guard comes before any vertex list is built
+    # the guards come before any vertex list is built
+    _guard_size(view)
     if mode == "exhaustive" and view.vertex_count > 64:
         raise ResourceGuard("exhaustive sweep is limited to 64 vertices")
     verts = sorted(view.vertices())

@@ -26,7 +26,11 @@ Feasibility is decided exactly, in three stages:
    segment sets are enumerated shortest-first (then lexicographically) in
    strictly increasing order so no packing is visited twice, pruned by
    reachability, by interior budgets, and by the flow relaxation after
-   every commitment, and every branch ends in an exact flow.
+   every commitment, and every branch ends in an exact flow.  Branch
+   segments route only through the leaf's spare vertices, those whose
+   removal alone keeps the leaf feasible.  One saturated leaf relaxation
+   finds them all: they are the free vertices its flow does not need
+   (``UnitFlowNet.critical``), with no relaxation rebuilt per vertex.
 
 The search is budgeted; exhausting the budget raises, it never degrades
 to an approximation.
@@ -284,9 +288,15 @@ def _leaf_spare_vertices(view, leaf: Sequence[Demand], free: set[int]) -> set[in
 
     Leaf feasibility is monotone in the free set, so a branch segment may
     never route through a vertex outside this set; jointly critical
-    combinations are still caught by the per-commitment leaf check.
+    combinations are still caught by the per-commitment leaf check.  One
+    saturated relaxation answers for every vertex: an infeasible leaf
+    spares nothing, and a feasible one spares all but the vertices every
+    saturating flow crosses (``UnitFlowNet.critical``).
     """
-    return {w for w in free if _saturate(view, leaf, free - {w}) is not None}
+    net = _saturate(view, leaf, free)
+    if net is None:
+        return set()
+    return free - net.critical()
 
 
 def _dfs_pack(view, demands: Sequence[Demand], free: set[int], budget: Budget):

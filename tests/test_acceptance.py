@@ -52,3 +52,17 @@ def test_criterion_09_documented_deviation_regression():
 
 def test_criterion_10_property_suites():
     _run(report.criterion_10, cases=120, seed=5)
+
+
+def test_criterion_04_fails_when_the_budget_runs_out(monkeypatch):
+    max_dpaths = report.oracle.max_dpaths
+
+    def exhausted_at_six(view, D, budget):
+        if view.n == 6:
+            raise report.SearchBudgetExceeded(f"search budget {budget} exhausted")
+        return max_dpaths(view, D, budget)
+
+    monkeypatch.setattr(report.oracle, "max_dpaths", exhausted_at_six)
+    res = report.criterion_4(budget=1234)
+    assert res.passed is False
+    assert res.detail == "n=6: search budget 1234 exhausted"

@@ -149,3 +149,19 @@ def test_verify_rejects_broken_d_line(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_oracle_commands_refuse_huge_cubes(monkeypatch, capsys):
+    class HugeCube(AugmentedCube):
+        def vertices(self):
+            raise AssertionError("vertex list built before the size guard")
+
+    monkeypatch.setattr("aqpath.cli.AugmentedCube", HugeCube)
+    triple = ",".join(format(v, "040b") for v in (0, 1, 2))
+    for argv in (["oracle", "--n", "40", "--triple", triple],
+                 ["pi3", "--n", "40", "--mode", "sampled", "--seed", "1",
+                  "--count", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the oracle is limited to 65536 vertices")

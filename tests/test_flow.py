@@ -188,3 +188,22 @@ def test_network_cost_follows_the_explored_region():
     net = UnitFlowNet(cube, {u: cube.degree}, {v: cube.degree}, free)
     assert net.max_flow(limit=1) == 1
     assert len(net.cap) < 100
+
+
+def test_every_interior_of_a_bare_path_is_critical():
+    path = AdjListView([(i, i + 1) for i in range(4)], bits=3)
+    net = UnitFlowNet(path, {0: 1}, {4: 1}, {1, 2, 3})
+    assert net.max_flow() == 1
+    assert net.critical() == {1, 2, 3}
+
+
+def test_critical_vertices_leave_the_net_as_found():
+    cube = AugmentedCube(5)
+    net = UnitFlowNet(cube, {0: 9}, {21: 5, 26: 4}, set(cube.vertices()) - {0, 21, 26})
+    assert net.max_flow() == 9
+    paths = net.unit_paths()
+    rows = {u: dict(row) for u, row in net.cap.items()}
+    assert net.critical() == set(cube.neighbors(0))
+    assert net.unit_paths() == paths
+    assert {u: net.cap[u] for u in rows} == rows
+    assert net.max_flow() == 0

@@ -164,13 +164,21 @@ def test_pi3_exhaustive_guard():
         pi3_exact(big, "exhaustive")
 
 
-def test_pi3_exhaustive_guard_comes_before_the_vertex_list():
-    class HugeCube(AugmentedCube):
-        def vertices(self):
-            raise AssertionError("vertex list built before the size guard")
+class HugeCube(AugmentedCube):
+    def vertices(self):
+        raise AssertionError("vertex list built before the size guard")
 
+
+def test_pi3_exhaustive_guard_comes_before_the_vertex_list():
     with pytest.raises(ResourceGuard):
         pi3_exact(HugeCube(40), "exhaustive")
+
+
+def test_oracle_size_guard_comes_before_the_vertex_list():
+    with pytest.raises(ResourceGuard, match="limited to 65536 vertices"):
+        pi3_exact(HugeCube(40), "sampled", seed=1, count=1)
+    with pytest.raises(ResourceGuard, match="limited to 65536 vertices"):
+        max_dpaths(HugeCube(40), (0, 1, 2))
 
 
 def test_pi3_reads_text_graphs(tmp_path):
