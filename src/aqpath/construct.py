@@ -36,6 +36,11 @@ count, flags the trace, and verifies again; shortfall is never silent.  That
 search covers the whole cube, so it runs only up to n = 7
 (``FALLBACK_MAX_N``); above that a failed transcription raises
 ``ConstructionError`` at once.
+
+The flows read only the region their searches explore, but the packing
+cases still list whole halves, so ``construct`` refuses n above
+``CONSTRUCT_MAX_N`` with ``oracle.ResourceGuard`` before it lists a
+vertex.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import itertools
 
 from .cube import AugmentedCube, RestrictedView, canonicalize_triple
 from .flow import Insufficient, disjoint_paths, fan, linkage
-from .oracle import family_of_size
+from .oracle import ResourceGuard, family_of_size
 from .packing import Budget, SearchBudgetExceeded, pack_segments
 from .verify import check_family
 
@@ -58,6 +63,9 @@ CASE_FALLBACK = "FB"
 
 PACK_BUDGET = 2_000_000
 FALLBACK_MAX_N = 7  # the fallback's whole-cube search stays desk-sized up to here
+# the packing cases list whole halves: a same-half triple peaks near 220 MB
+# at n = 16 and grows about 3.5x per two dimensions
+CONSTRUCT_MAX_N = 18
 
 
 class ConstructionError(RuntimeError):
@@ -97,10 +105,12 @@ class DPathFamily:
 
 def construct(n: int, triple) -> DPathFamily:
     """target_count(n) internally disjoint paths through the triple."""
-    cube = AugmentedCube(n)
-    trip = tuple(triple)
     if n < 4:
         raise ValueError("construction defined for n >= 4")
+    if n > CONSTRUCT_MAX_N:
+        raise ResourceGuard(f"construct is limited to n <= {CONSTRUCT_MAX_N}")
+    cube = AugmentedCube(n)
+    trip = tuple(triple)
     if len(trip) != 3 or len(set(trip)) != 3:
         raise ValueError("need three distinct vertices")
     for v in trip:

@@ -17,12 +17,17 @@ Conventions
   contradict the 2n-1 degree that everything downstream relies on.)
 - XOR translation by any word is an adjacency-preserving bijection, which
   is what lets sweeps pin one terminal and lets the constructor relocate
-  a triple into a canonical position.  Bit permutations are NOT
-  automorphisms here (the complement masks are suffix runs) and are never
-  applied.
+  a triple into a canonical position.  A bit permutation is an
+  automorphism only if it maps every complement mask (a suffix run) to a
+  suffix run of the same length, so the only one besides the identity
+  swaps the last two bits; no bit permutation is ever applied.
+- The distance between u and v is the fewest mask words whose XOR is
+  u ^ v (``distance``).  It does not depend on n, and it bounds the hop
+  count in every view below: a view keeps a subset of the cube's edges.
 
 Every view (half, quadrant, diamond, restriction) answers adjacency with
-the parent cube's masks filtered by membership.
+the parent cube's masks filtered by membership, and distance with the
+cube's value.
 """
 
 from __future__ import annotations
@@ -53,6 +58,24 @@ def complement_word(n: int, d: int) -> int:
     if not 1 <= d <= n - 1:
         raise ValueError(f"complement level {d} out of range for n={n}")
     return (1 << (n - d + 1)) - 1
+
+
+def distance(u: int, v: int) -> int:
+    """Fewest mask words whose XOR is u ^ v.
+
+    Under w -> w ^ (w >> 1) each complement word becomes a single bit and
+    each hyper word an adjacent bit pair (the lowest bit alone for the
+    last one), so the distance is the sum of ceil(L/2) over the runs of 1s
+    in the image: clear the lowest set bit and the bit above it until
+    nothing is left, and count the steps.
+    """
+    w = u ^ v
+    x = w ^ (w >> 1)
+    d = 0
+    while x:
+        x &= ~((x & -x) * 3)
+        d += 1
+    return d
 
 
 def translate(x: int, t: int) -> int:
@@ -101,6 +124,8 @@ class AugmentedCube:
 
     def is_adjacent(self, x: int, y: int) -> bool:
         return (x ^ y) in self.mask_words
+
+    distance = staticmethod(distance)
 
     def h_neighbor(self, x: int, d: int) -> int:
         self.check_vertex(x)
@@ -178,7 +203,9 @@ class PrefixView:
         return blocks[0] if len(blocks) == 1 else [v for b in blocks for v in b]
 
     def __contains__(self, v: int) -> bool:
-        return v in self.cube and (v >> self.shift) in self.prefixes
+        # every prefix is below 2**(n - shift) and a negative v shifts to a
+        # negative, so the prefix test alone keeps v inside the cube
+        return (v >> self.shift) in self.prefixes
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         got = self._nbrs.get(x)
@@ -191,6 +218,9 @@ class PrefixView:
 
     def is_adjacent(self, x: int, y: int) -> bool:
         return x in self and y in self and self.cube.is_adjacent(x, y)
+
+    # the cube's distance: a lower bound on hops inside the view
+    distance = staticmethod(distance)
 
 
 class RestrictedView:
@@ -231,6 +261,10 @@ class RestrictedView:
                 and frozenset((x, y)) not in self.forbidden_edges
                 and self.base.is_adjacent(x, y))
 
+    def distance(self, x: int, y: int) -> int:
+        """The base's distance: a lower bound on hops with fewer edges."""
+        return self.base.distance(x, y)
+
 
 class AdjListView:
     """Explicit small graph (text-format input, random test corpora)."""
@@ -260,6 +294,10 @@ class AdjListView:
 
     def is_adjacent(self, x: int, y: int) -> bool:
         return x in self._adj and y in self._adj[x]
+
+    def distance(self, x: int, y: int) -> int:
+        """No known bound on an arbitrary graph, so 0."""
+        return 0
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, ws in self._adj.items() for w in ws if u < w]

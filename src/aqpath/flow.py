@@ -18,8 +18,18 @@ capacities.  No arc has an antiparallel twin, so the flow on an arc u->v
 is the residual capacity of its reverse entry v->u, and the node encoding
 tells arcs from reverse entries.
 
-Augmentation is breadth-first and every row lists its entries in ascending
-node order, so identical inputs always produce identical path systems.
+Each augmenting path comes from one best-first search steered toward the
+sinks (Hart, Nilsson & Raphael 1968): a node's key is the number of
+residual arcs from the source plus three times the view's distance from
+its vertex to the nearest sink, and equal keys leave the queue last in,
+first out.  The distance is the cube's closed form (``aqpath.cube``), so
+a search reaches a far sink after scanning little more than the region
+between, not the whole view; on a view with no distance (0 everywhere)
+the search is breadth-first.  The weight only chooses *which* augmenting
+path is found, so flow values stay exact, but a path need not be a
+shortest one.  Rows list their entries in the view's neighbor order and
+the queue order is fixed, so identical inputs always produce identical
+path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -27,8 +37,9 @@ network rebuilt, the free vertices that every flow of its value must cross.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import repeat
 from typing import Iterable
+from weakref import WeakKeyDictionary
 
 _SRC = -1
 _SNK = -2
@@ -71,6 +82,12 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
     return nodes
 
 
+# view -> sink set -> ``UnitFlowNet.h``: the distances depend on nothing
+# else (views do not change), so all nets over one view and one sink set
+# fill one table, and it goes when the view does
+_TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
+
+
 class UnitFlowNet:
     """Residual split-vertex network over a view, with unit-path decomposition.
 
@@ -80,59 +97,94 @@ class UnitFlowNet:
     be both a source and a sink (it then has both roles but still cannot
     be an interior).  Vertices in none of the three are left out.
 
+    ``free`` need only answer ``in``, and is asked only about vertices of
+    the view.
+
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
-    derived by ``_row`` when node u is first reached.
+    derived by ``_row`` when node u is first reached.  ``h[x]`` is the
+    view's distance from vertex x to the nearest sink, filled in as
+    searches discover x and shared by every net over the same view and
+    sink set (``_TO_SINK``); the source and the sink both map to the key
+    -1 (node >> 1) and to 0.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
-                 free: set[int]) -> None:
+                 free) -> None:
         self.view = view
         self.sources = sources
         self.sinks = sinks
         self.free = free
         self.cap: dict[int, dict[int, int]] = {}
+        tables = _TO_SINK.setdefault(view, {})
+        self.h = tables.setdefault(frozenset(sinks), {-1: 0})
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row: its arcs at full capacity and its
-        reverse entries at 0, ascending by node."""
+        reverse entries at 0, in the view's neighbor order (the node
+        numbers ``_in`` and ``_out`` give are written out here)."""
         free, sources, sinks = self.free, self.sources, self.sinks
         v = u // 2  # the vertex of a split node
         if u == _SRC:
-            entries = [(_out(s), c) for s, c in sources.items()]
+            row = {2 * s + 1: c for s, c in sources.items()}
         elif u == _SNK:
-            entries = [(_in(t), 0) for t in sinks]
+            row = {2 * t: 0 for t in sinks}
         elif u % 2:  # out-node of a free vertex or a source
-            entries = [(_in(w), 1) for w in self.view.neighbors(v)
-                       if w in free or w in sinks]
+            row = {2 * w: 1 for w in self.view.neighbors(v)
+                   if w in free or w in sinks}
             # the reverse entry of the one arc into it
-            entries.append((_in(v), 0) if v in free else (_SRC, 0))
+            row[2 * v if v in free else _SRC] = 0
         else:  # in-node of a free vertex or a sink
-            entries = [(_out(w), 0) for w in self.view.neighbors(v)
-                       if w in free or w in sources]
+            row = {2 * w + 1: 0 for w in self.view.neighbors(v)
+                   if w in free or w in sources}
             if v in free:
-                entries.append((_out(v), 1))
+                row[2 * v + 1] = 1
             if v in sinks:
-                entries.append((_SNK, sinks[v]))
-        row = self.cap[u] = dict(sorted(entries))
+                row[_SNK] = sinks[v]
+        self.cap[u] = row
         return row
 
+    def _to_sink(self, x: int) -> int:
+        """Store and return the view's distance from x to the nearest sink."""
+        got = self.h[x] = min(map(self.view.distance, repeat(x), self.sinks),
+                              default=0)
+        return got
+
     def _search(self, parent: dict[int, int]) -> dict[int, int]:
-        """Breadth-first search of the residual network from the source,
+        """Best-first search of the residual network from the source,
         recording each node's predecessor in ``parent``; nodes already in
-        ``parent`` are never entered, so seeding it blocks them.  Stops
-        once the sink is found and returns ``parent``."""
-        cap = self.cap
+        ``parent`` are never entered, so seeding it blocks them.  A node is
+        queued once, when discovered, under g + 3h (g: residual arcs from
+        the source along the search tree, h: ``self.h``); ``buckets[k]``
+        holds the nodes under key k, popped last in, first out.  Stops once
+        the sink is found and returns ``parent``."""
+        cap, h = self.cap, self.h
         parent[_SRC] = _SRC
-        queue = deque([_SRC])
-        while queue:
-            u = queue.popleft()
+        buckets = [[_SRC]]
+        top = 1  # len(buckets)
+        f = 0  # no queued node has a smaller key
+        while f < top:
+            bucket = buckets[f]
+            if not bucket:
+                f += 1
+                continue
+            u = bucket.pop()
             row = cap.get(u)
             if row is None:
                 row = self._row(u)
+            g = f - 3 * h[u >> 1] + 1  # arcs from the source to u's successors
             for v, c in row.items():
                 if c > 0 and v not in parent:
                     parent[v] = u
-                    queue.append(v)
+                    hv = h.get(v >> 1)
+                    if hv is None:
+                        hv = self._to_sink(v >> 1)
+                    k = g + 3 * hv
+                    while top <= k:
+                        buckets.append([])
+                        top += 1
+                    buckets[k].append(v)
+                    if k < f:
+                        f = k
             if _SNK in parent:
                 break
         return parent
@@ -145,18 +197,21 @@ class UnitFlowNet:
             cap[v][u] += units
 
     def _augment_once(self) -> bool:
-        """Push one unit along a shortest residual path, if there is one.
-        Every such path crosses an entry between split nodes, and those
-        hold at most 1, so one unit is all a path can carry."""
+        """Push one unit along a residual path, if there is one.  Every such
+        path crosses an entry between split nodes, and those hold at most
+        1, so one unit is all a path can carry."""
         parent = self._search({})
         if _SNK not in parent:
             return False
-        if _SNK not in self.cap:  # reached, but never scanned
+        cap = self.cap
+        if _SNK not in cap:  # reached, but never scanned
             self._row(_SNK)
-        nodes = [_SNK]
-        while nodes[-1] != _SRC:
-            nodes.append(parent[nodes[-1]])
-        self._push(nodes[::-1], 1)
+        v = _SNK
+        while v != _SRC:  # every other node on the path was scanned
+            u = parent[v]
+            cap[u][v] -= 1
+            cap[v][u] += 1
+            v = u
         return True
 
     def max_flow(self, limit: int | None = None) -> int:
@@ -221,9 +276,18 @@ class UnitFlowNet:
         return out
 
 
-def _interiors(view, terminals: Iterable[int]) -> set[int]:
-    """Every vertex of the view except the terminals."""
-    return set(view.vertices()).difference(terminals)
+class _Interiors:
+    """Every vertex of a view but the terminals, as the membership test a
+    ``UnitFlowNet`` asks only about vertices of that view, so nothing
+    lists the view."""
+
+    __slots__ = ("terminals",)
+
+    def __init__(self, terminals: Iterable[int]) -> None:
+        self.terminals = frozenset(terminals)
+
+    def __contains__(self, v: int) -> bool:
+        return v not in self.terminals
 
 
 def _check_pair(view, u: int, v: int) -> None:
@@ -243,7 +307,7 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     if k < 1:
         raise ValueError("k must be positive")
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), k)
-    net = UnitFlowNet(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
+    net = UnitFlowNet(view, {u: cap}, {v: cap}, _Interiors((u, v)))
     got = net.max_flow(limit=k)
     if got < k:
         got += net.max_flow()  # keep going to report the true maximum
@@ -256,7 +320,7 @@ def min_vertex_cut(view, u: int, v: int) -> int:
     for adjacent pairs this is the usual delete-edge cut plus one)."""
     _check_pair(view, u, v)
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), 1)
-    net = UnitFlowNet(view, {u: cap}, {v: cap}, _interiors(view, (u, v)))
+    net = UnitFlowNet(view, {u: cap}, {v: cap}, _Interiors((u, v)))
     return net.max_flow()
 
 
@@ -287,7 +351,7 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
     for t in [x, *S]:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = UnitFlowNet(view, {x: len(S)}, {t: 1 for t in S}, _interiors(view, [x, *S]))
+    net = UnitFlowNet(view, {x: len(S)}, {t: 1 for t in S}, _Interiors([x, *S]))
     got = net.max_flow(limit=len(S))
     if got < len(S):
         raise Insufficient(got, len(S), "fan paths")
@@ -306,7 +370,7 @@ def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tup
     for t in A + B:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = UnitFlowNet(view, {a: 1 for a in A}, {b: 1 for b in B}, _interiors(view, A + B))
+    net = UnitFlowNet(view, {a: 1 for a in A}, {b: 1 for b in B}, _Interiors(A + B))
     got = net.max_flow(limit=len(A))
     if got < len(A):
         raise Insufficient(got, len(A), "linkage paths")

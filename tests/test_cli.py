@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from aqpath.cli import main
@@ -165,3 +167,19 @@ def test_oracle_commands_refuse_huge_cubes(monkeypatch, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: the oracle is limited to 65536 vertices")
+
+
+def test_construct_above_the_size_guard_exits_2(capsys, monkeypatch):
+    module = importlib.import_module("aqpath.construct")
+
+    class UnlistedCube(AugmentedCube):
+        def vertices(self):
+            raise AssertionError("vertex list built before the size guard")
+
+    monkeypatch.setattr(module, "AugmentedCube", UnlistedCube)
+    n = module.CONSTRUCT_MAX_N + 1
+    trip = ",".join(format(v, f"0{n}b") for v in (0, 1, 2))
+    code, out, err = run(capsys, "construct", "--n", str(n), "--triple", trip)
+    assert code == 2
+    assert out == ""
+    assert "construct is limited to" in err

@@ -217,3 +217,27 @@ def test_every_dispatch_case_builds_its_family(case, n, trip):
     assert len(fam.paths) == target_count(n)
     assert check_family(AugmentedCube(n), trip, fam.paths) is None
     assert not fam.fallback_used
+
+
+class UnlistedCube(AugmentedCube):
+    def vertices(self):
+        raise AssertionError("vertex list built before the size guard")
+
+
+def test_construct_guard_comes_before_the_vertex_list(monkeypatch):
+    module = importlib.import_module("aqpath.construct")
+    oracle = importlib.import_module("aqpath.oracle")
+
+    class Reached(Exception):
+        pass
+
+    def reached(cube, triple):
+        raise Reached
+
+    monkeypatch.setattr(module, "AugmentedCube", UnlistedCube)
+    monkeypatch.setattr(module, "_construct_level", reached)
+    top = module.CONSTRUCT_MAX_N
+    with pytest.raises(oracle.ResourceGuard, match=f"n <= {top}"):
+        construct(top + 1, (0, 1, 2))
+    with pytest.raises(Reached):  # the largest admitted n gets past the guard
+        construct(top, (0, 1, 2))

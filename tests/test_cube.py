@@ -1,11 +1,14 @@
 import itertools
+from collections import deque
 
 import pytest
 
 from aqpath.cube import (
     AdjListView,
+    RestrictedView,
     canonicalize_triple,
     complement_word,
+    distance,
     hyper_word,
     make_cube,
     translate,
@@ -212,3 +215,79 @@ def test_adjlist_view():
     assert g.edges() == [(0, 1), (1, 2)]
     with pytest.raises(ValueError):
         AdjListView([(0, 0)], bits=1)
+
+
+def hops_from(view, source):
+    """Breadth-first hop counts from ``source`` inside a view."""
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in view.neighbors(u):
+            if w not in hops:
+                hops[w] = hops[u] + 1
+                queue.append(w)
+    return hops
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_distance_is_the_hop_count(n):
+    # every pair is a translate of a pair (0, v), and translations are
+    # automorphisms, so this covers all pairs
+    cube = make_cube(n)
+    hops = hops_from(cube, 0)
+    assert len(hops) == cube.vertex_count
+    for v, d in hops.items():
+        assert distance(0, v) == cube.distance(0, v) == d
+        assert distance(v, 0) == d
+
+
+@pytest.mark.parametrize("view_of", [
+    lambda c: c.half_view(1),
+    lambda c: c.diamond_view(0b00, 0b11),
+    lambda c: c.diamond_view(0b01, 0b10),
+    lambda c: RestrictedView(c, forbidden_vertices={1, 2, 5, 12, 33},
+                             forbidden_edges=[(0, 63), (0, 32), (8, 16)]),
+    lambda c: RestrictedView(c.diamond_view(0b00, 0b01),
+                             forbidden_vertices={3, 17}),
+], ids=["half", "diamond-cross", "diamond-diagonal", "restricted-cube",
+        "restricted-diamond"])
+def test_view_distance_never_exceeds_the_hop_count(view_of):
+    view = view_of(make_cube(6))
+    for u in list(view.vertices())[::5]:
+        for v, d in hops_from(view, u).items():
+            assert view.distance(u, v) <= d
+
+
+def test_adjacency_list_views_have_no_distance():
+    g = AdjListView([(0, 1), (1, 2)], bits=2)
+    assert g.distance(0, 2) == 0
+    assert RestrictedView(g, forbidden_vertices={1}).distance(0, 2) == 0
+
+
+def swap_last_two_bits(v):
+    return v ^ (((v ^ (v >> 1)) & 1) * 0b11)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swapping_the_last_two_bits_is_an_automorphism(n):
+    cube = make_cube(n)
+    images = [swap_last_two_bits(v) for v in cube.vertices()]
+    assert sorted(images) == list(cube.vertices())
+    for v in cube.vertices():
+        assert (sorted(swap_last_two_bits(w) for w in cube.neighbors(v))
+                == list(cube.neighbors(images[v])))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_no_other_bit_transposition_is_an_automorphism(n):
+    cube = make_cube(n)
+    for i, j in itertools.combinations(range(n), 2):
+        if (i, j) == (0, 1):
+            continue
+
+        def swap(v):
+            return v ^ ((((v >> i) ^ (v >> j)) & 1) * ((1 << i) | (1 << j)))
+
+        assert any(not cube.is_adjacent(swap(v), swap(w))
+                   for v in cube.vertices() for w in cube.neighbors(v))

@@ -1,8 +1,10 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 
-from aqpath.cube import AdjListView, AugmentedCube, RestrictedView
+from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import (
     Insufficient,
     UnitFlowNet,
@@ -12,6 +14,7 @@ from aqpath.flow import (
     linkage,
     min_vertex_cut,
 )
+from aqpath.packing import pack_segments
 
 
 def k4():
@@ -207,3 +210,164 @@ def test_critical_vertices_leave_the_net_as_found():
     assert net.unit_paths() == paths
     assert {u: net.cap[u] for u in rows} == rows
     assert net.max_flow() == 0
+
+
+class UnlistedHalf(PrefixView):
+    """A half that may not be listed, and whose rows a search may derive
+    only a few thousand times, so a search that floods it fails fast."""
+
+    rows = 0
+
+    def vertices(self):
+        raise AssertionError("the view was listed")
+
+    def neighbors(self, x):
+        self.rows += 1
+        assert self.rows <= 5000, "the search floods the view"
+        return super().neighbors(x)
+
+
+def test_a_far_pair_in_a_huge_half_lists_no_vertex():
+    cube = AugmentedCube(40)
+    half = UnlistedHalf(cube, (0,), prefix_bits=1)
+    u, v = 0, int("110" + "0110" * 9, 2)  # 39 bits, as far as the half goes
+    assert v in half and cube.distance(u, v) == 20
+    path, = disjoint_paths(half, u, v, 1)
+    assert path[0] == u and path[-1] == v
+    assert len(set(path)) == len(path)
+    assert all(w in half for w in path)
+    assert all(half.is_adjacent(a, b) for a, b in zip(path, path[1:]))
+
+
+def test_a_far_search_reads_under_one_percent_of_the_rows():
+    half = AugmentedCube(16).half_view(0)
+    u, v = 0, int("110" + "0110" * 3, 2)
+    assert half.distance(u, v) == 8  # the diameter of the 15-dimensional half
+    free = set(half.vertices()) - {u, v}
+    net = UnitFlowNet(half, {u: 1}, {v: 1}, free)
+    assert net.max_flow(limit=1) == 1
+    assert len(net.cap) < half.vertex_count // 100
+
+
+# -- flow values against a breadth-first Edmonds-Karp reference ----------
+
+
+def reference_cut(view, u, v):
+    """Maximum internally disjoint u-v path count by Edmonds-Karp on an
+    explicit split-vertex network (every vertex but u and v has capacity 1)."""
+    cap = {}
+
+    def arc(a, b):
+        cap.setdefault(a, {})[b] = 1
+        cap.setdefault(b, {}).setdefault(a, 0)
+
+    for x in view.vertices():
+        if x not in (u, v):
+            arc((x, "in"), (x, "out"))
+        for y in view.neighbors(x):
+            arc((x, "out"), (y, "in"))
+    source, sink = (u, "out"), (v, "in")
+    paths = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            a = queue.popleft()
+            for b, c in cap[a].items():
+                if c > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return paths
+        b = sink
+        while parent[b] is not None:
+            a = parent[b]
+            cap[a][b] -= 1
+            cap[b][a] += 1
+            b = a
+        paths += 1
+
+
+def reference_connectivity(view):
+    verts = list(view.vertices())
+    best = min(len(view.neighbors(x)) for x in verts)
+    for u, v in itertools.combinations(verts, 2):
+        if not view.is_adjacent(u, v):
+            best = min(best, reference_cut(view, u, v))
+    return best
+
+
+def random_graph(seed, k=11, p=0.35):
+    rng = random.Random(seed)
+    edges = [(i, j) for i, j in itertools.combinations(range(k), 2)
+             if rng.random() < p]
+    return AdjListView(edges, bits=4, vertices=range(k))
+
+
+GRAPHS = {
+    "AQ4": lambda: AugmentedCube(4),
+    "AQ5": lambda: AugmentedCube(5),
+    "AQ6": lambda: AugmentedCube(6),
+    "AQ7": lambda: AugmentedCube(7),
+    "half": lambda: AugmentedCube(6).half_view(1),
+    "diamond": lambda: AugmentedCube(5).diamond_view(0b00, 0b11),
+    "restricted": lambda: RestrictedView(AugmentedCube(5),
+                                         forbidden_vertices={3, 9, 20},
+                                         forbidden_edges=[(0, 31), (4, 5)]),
+    "adjlist": lambda: random_graph(7),
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_cut_values_match_the_reference(name):
+    view = GRAPHS[name]()
+    rng = random.Random(f"cut/{name}")
+    verts = list(view.vertices())
+    for _ in range(12):
+        u, v = rng.sample(verts, 2)
+        assert min_vertex_cut(view, u, v) == reference_cut(view, u, v)
+
+
+@pytest.mark.parametrize("name", ["AQ4", "AQ5", "half", "diamond",
+                                  "restricted", "adjlist"])
+def test_connectivity_matches_the_reference(name):
+    view = GRAPHS[name]()
+    assert connectivity(view) == reference_connectivity(view)
+
+
+def breadth_first_search(self, parent):
+    """The search contract of ``UnitFlowNet`` met by plain breadth-first
+    search, so every augmenting path is a shortest one (Edmonds-Karp)."""
+    parent[-1] = -1
+    queue = deque([-1])
+    while queue and -2 not in parent:
+        u = queue.popleft()
+        row = self.cap.get(u)
+        if row is None:
+            row = self._row(u)
+        for v, c in row.items():
+            if c > 0 and v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_packing_verdicts_match_breadth_first_augmentation(name, monkeypatch):
+    # demands that use every edge at x and all they can at y or z, so
+    # some packings exist and some are refuted
+    view = GRAPHS[name]()
+    rng = random.Random(f"pack/{name}")
+    verts = list(view.vertices())
+    cases = []
+    while len(cases) < 10:
+        x, y, z = rng.sample(verts, 3)
+        dx, dy, dz = (len(view.neighbors(t)) for t in (x, y, z))
+        a = rng.randint(0, dx)
+        c = min(dy - a, dz - (dx - a))
+        if c >= 0:
+            cases.append([(x, y, a), (x, z, dx - a), (y, z, c)])
+    got = [pack_segments(view, d) for d in cases]
+    monkeypatch.setattr(UnitFlowNet, "_search", breadth_first_search)
+    want = [pack_segments(view, d) for d in cases]
+    assert [g is None for g in got] == [w is None for w in want]

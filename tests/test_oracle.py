@@ -200,3 +200,16 @@ def test_oracle_family_matches_value_and_referee():
         val, fam = max_dpaths(cube, D)
         assert len(fam) == val
         assert check_family(cube, D, fam) is None
+
+
+# max_dpaths of the pinned triples (0, b, c), 0 < b < c < 16, of AQ_4 in
+# itertools.combinations order, as computed with breadth-first augmentation
+PINNED_AQ4 = ("4455445555555545454555555555445444444445555555555544555555554555"
+              "55555444444445545554455545554554555554455")
+
+
+def test_pinned_dimension_four_values_are_unchanged():
+    cube = AugmentedCube(4)
+    pairs = itertools.combinations(range(1, 16), 2)
+    got = "".join(str(max_dpaths(cube, (0, b, c))[0]) for b, c in pairs)
+    assert got == PINNED_AQ4
