@@ -8,8 +8,6 @@ from .cube import (
     CanonicalTriple,
     RestrictedView,
     canonicalize_triple,
-    make_cube,
-    translate,
 )
 from .flow import Insufficient, connectivity, disjoint_paths, fan, linkage, min_vertex_cut
 from .oracle import (
@@ -53,7 +51,6 @@ __all__ = [
     "disjoint_paths",
     "fan",
     "linkage",
-    "make_cube",
     "max_common",
     "max_dpaths",
     "min_vertex_cut",
@@ -61,6 +58,5 @@ __all__ = [
     "pi3_exact",
     "regular_upper_bound",
     "target_count",
-    "translate",
     "witness_triple",
 ]

@@ -9,7 +9,6 @@ resource-guard errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import oracle, report, textio
@@ -107,20 +106,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _env_jobs() -> int:
-    raw = os.environ.get("AQPATH_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"AQPATH_JOBS must be an integer, got {raw!r}") from None
-
-
 def cmd_pi3(args) -> int:
-    jobs = _env_jobs() if args.jobs is None else args.jobs
     cube = AugmentedCube(args.n)
     value, argmin = oracle.pi3_exact(cube, mode=args.mode, seed=args.seed,
-                                     count=args.count, budget=args.budget,
-                                     jobs=jobs)
+                                     count=args.count, budget=args.budget)
     trip = ",".join(_fmt(v, args.n) for v in argmin)
     print(f"PI3 AQ{args.n} {value} {trip}")
     return 0
@@ -201,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, help="worker processes (default: AQPATH_JOBS or 1)")
     p.set_defaults(fn=cmd_pi3)
 
     p = sub.add_parser("bounds", help="counting ceiling next to the built count")

@@ -16,11 +16,12 @@ Conventions
   graph on four vertices.  (Starting the recursion one level lower would
   contradict the 2n-1 degree that everything downstream relies on.)
 - XOR translation by any word is an adjacency-preserving bijection, which
-  is what lets sweeps pin one terminal and lets the constructor relocate
-  a triple into a canonical position.  A bit permutation is an
-  automorphism only if it maps every complement mask (a suffix run) to a
-  suffix run of the same length, so the only one besides the identity
-  swaps the last two bits; no bit permutation is ever applied.
+  is what lets the constructor relocate a triple into a canonical
+  position.  The 8 automorphisms that fix 0 (``automorphisms``) are
+  linear maps permuting the mask words, generated by swapping the last two
+  bits and by reversing the path that w -> w ^ (w >> 1) makes of the mask
+  words; with the translations they let the exhaustive sweeps visit one
+  triple per orbit (``orbit_representatives``).
 - The distance between u and v is the fewest mask words whose XOR is
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
@@ -33,6 +34,7 @@ cube's value.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -78,9 +80,54 @@ def distance(u: int, v: int) -> int:
     return d
 
 
-def translate(x: int, t: int) -> int:
-    """XOR translation; bijective and adjacency-preserving on any cube."""
-    return x ^ t
+def map_vertex(images: Sequence[int], v: int) -> int:
+    """The image of v under the linear map sending bit i to ``images[i]``."""
+    out = 0
+    for i, img in enumerate(images):
+        if v >> i & 1:
+            out ^= img
+    return out
+
+
+def automorphisms(n: int) -> list[tuple[int, ...]]:
+    """The 8 linear automorphisms, each as the images of bits 0..n-1:
+    (rho sigma)^k and sigma (rho sigma)^k for k = 0..3.  Under
+    x = w ^ (w >> 1) the mask words become the unit vectors and the sums of
+    neighbouring ones, the vertices and edges of a path; rho reverses that
+    path and sigma swaps the last two bits.  At n = 2 only 6 are distinct."""
+
+    def rho(w: int) -> int:
+        x = int(format(w ^ (w >> 1), f"0{n}b")[::-1], 2)
+        w = 0
+        while x:  # invert w -> w ^ (w >> 1)
+            w ^= x
+            x >>= 1
+        return w
+
+    def sigma(w: int) -> int:
+        return w ^ (((w ^ (w >> 1)) & 1) * 0b11) if n >= 2 else w
+
+    maps, images = [], [1 << i for i in range(n)]
+    for _ in range(4):
+        maps += [tuple(images), tuple(sigma(w) for w in images)]
+        images = [rho(sigma(w)) for w in images]
+    return maps
+
+
+def orbit_representatives(n: int) -> Iterable[tuple[int, int, int]]:
+    """One triple per orbit of the n-cube's automorphisms (the 8 linear
+    maps and the translations), in ascending order: the pinned triples
+    (0, b, c) that no map followed by a translation carries to a
+    lexicographically smaller triple containing 0.  That least triple
+    contains 0, so every orbit has exactly one."""
+    tables = [[map_vertex(g, v) for v in range(1 << n)]
+              for g in automorphisms(n)]
+    for b, c in itertools.combinations(range(1, 1 << n), 2):
+        # translating by 0, g(b) or g(c) leaves 0 and the other two
+        if all((b, c) <= tuple(sorted(pair))
+               for g in tables
+               for pair in ((g[b], g[c]), (g[b], g[b] ^ g[c]), (g[c], g[b] ^ g[c]))):
+            yield (0, b, c)
 
 
 class AugmentedCube:
@@ -171,10 +218,6 @@ class AugmentedCube:
         if quad_a == quad_b:
             raise ValueError("diamond needs two distinct quadrants")
         return PrefixView(self, (quad_a, quad_b), prefix_bits=2)
-
-
-def make_cube(n: int) -> AugmentedCube:
-    return AugmentedCube(n)
 
 
 class PrefixView:
@@ -323,9 +366,6 @@ class CanonicalTriple:
     def pull_back_path(self, path: Sequence[int]) -> tuple[int, ...]:
         t = self.translation
         return tuple(v ^ t for v in path)
-
-    def pull_back_vertex(self, v: int) -> int:
-        return v ^ self.translation
 
 
 def canonicalize_triple(cube: AugmentedCube, triple: Sequence[int]) -> CanonicalTriple:

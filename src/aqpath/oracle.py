@@ -26,28 +26,29 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import random
 from typing import Iterable, Sequence
 
-from .cube import AugmentedCube
+from .cube import AugmentedCube, orbit_representatives
 from .packing import Budget, pack_segments
 
 DEFAULT_BUDGET = 2_000_000
 # far above AQ_6, the largest view the shipped claims sweep; every entry
 # point checks it before it lists a vertex
 ORACLE_MAX_VERTICES = 1 << 16
+# the largest view the exhaustive sweeps (pi3_exact, max_common) list
+EXHAUSTIVE_MAX_VERTICES = 64
 
 
 class ResourceGuard(RuntimeError):
     """An oracle call was requested beyond the permitted size."""
 
 
-def _guard_size(view) -> None:
-    if view.vertex_count > ORACLE_MAX_VERTICES:
-        raise ResourceGuard(
-            f"the oracle is limited to {ORACLE_MAX_VERTICES} vertices, "
-            f"the view has {view.vertex_count}")
+def _guard_size(view, limit: int = ORACLE_MAX_VERTICES,
+                what: str = "the oracle") -> None:
+    if view.vertex_count > limit:
+        raise ResourceGuard(f"{what} is limited to {limit} vertices, "
+                            f"the view has {view.vertex_count}")
 
 
 # -- counting bounds ---------------------------------------------------
@@ -176,9 +177,8 @@ def _simple_paths(view, u: int, w: int, via: int) -> Iterable[tuple[int, ...]]:
 
 def brute_small(view, D: Sequence[int]) -> int:
     """Exact maximum by full path enumeration; guarded to 14 vertices."""
+    _guard_size(view, 14, "brute enumeration")
     verts = sorted(view.vertices())
-    if len(verts) > 14:
-        raise ResourceGuard("brute enumeration is limited to 14 vertices")
     trip = tuple(sorted(set(D)))
     if len(trip) != 3:
         raise ValueError("need three distinct terminals")
@@ -224,19 +224,16 @@ def brute_small(view, D: Sequence[int]) -> int:
 def _triples(view, mode: str, seed: int | None, count: int | None):
     # the guards come before any vertex list is built
     _guard_size(view)
-    if mode == "exhaustive" and view.vertex_count > 64:
-        raise ResourceGuard("exhaustive sweep is limited to 64 vertices")
-    verts = sorted(view.vertices())
     if mode == "exhaustive":
-        if isinstance(view, AugmentedCube):  # vertex-transitive
-            x0 = verts[0]
-            for b, c in itertools.combinations(verts[1:], 2):
-                yield (x0, b, c)
+        _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "exhaustive sweep")
+        if isinstance(view, AugmentedCube):
+            yield from orbit_representatives(view.n)
         else:
-            yield from itertools.combinations(verts, 3)
+            yield from itertools.combinations(sorted(view.vertices()), 3)
     elif mode == "sampled":
         if seed is None or count is None:
             raise ValueError("sampled mode needs an explicit seed and count")
+        verts = sorted(view.vertices())
         rng = random.Random(seed)
         for _ in range(count):
             yield tuple(sorted(rng.sample(verts, 3)))
@@ -245,47 +242,18 @@ def _triples(view, mode: str, seed: int | None, count: int | None):
 
 
 def pi3_exact(view, mode: str = "exhaustive", seed: int | None = None,
-              count: int | None = None, budget: int | None = DEFAULT_BUDGET,
-              jobs: int = 1) -> tuple[int, tuple[int, int, int]]:
+              count: int | None = None, budget: int | None = DEFAULT_BUDGET
+              ) -> tuple[int, tuple[int, int, int]]:
     """Minimum of max_dpaths over terminal triples, with the argmin triple
-    (lexicographically smallest on ties)."""
-    triples = list(_triples(view, mode, seed, count))
-    jobs = _worker_count(jobs, len(triples))
-    if jobs > 1 and isinstance(view, AugmentedCube):
-        results = _parallel_cube_sweep(view.n, triples, budget, jobs)
-    else:
-        results = ((max_dpaths(view, D, budget)[0], D) for D in triples)
-    best_val: int | None = None
-    best_trip: tuple[int, int, int] | None = None
-    for val, D in results:
-        if best_val is None or val < best_val or (val == best_val and D < best_trip):
-            best_val, best_trip = val, D
-    if best_val is None:
+    (lexicographically smallest on ties).  An exhaustive sweep of a cube
+    covers one triple per automorphism orbit; the least minimiser is its
+    orbit's representative, so value and argmin are those of every triple.
+    """
+    best = min(((max_dpaths(view, D, budget)[0], D)
+                for D in _triples(view, mode, seed, count)), default=None)
+    if best is None:
         raise ValueError("no triples to sweep")
-    return best_val, best_trip
-
-
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Requested workers, at least 1 and at most one per CPU and per task."""
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
-
-
-def _sweep_chunk(args):
-    n, chunk, budget = args
-    cube = AugmentedCube(n)
-    return [(max_dpaths(cube, D, budget)[0], D) for D in chunk]
-
-
-def _parallel_cube_sweep(n: int, triples, budget, jobs: int):
-    import multiprocessing
-
-    chunks = [triples[i::jobs] for i in range(jobs)]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_sweep_chunk, [(n, ch, budget) for ch in chunks if ch])
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+    return best
 
 
 # -- common neighbors ---------------------------------------------------
@@ -309,6 +277,7 @@ def max_common(view, arity: int) -> tuple[int, tuple[int, ...]]:
     """
     if arity not in (2, 3):
         raise ValueError("arity must be 2 or 3")
+    _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "shared-neighbor scan")
     verts = sorted(view.vertices())
     if isinstance(view, AugmentedCube):
         groups = ((verts[0], *rest)

@@ -89,7 +89,13 @@ def test_witness_printed_variant_exits_one(capsys):
 def test_pi3_output(capsys):
     code, out, _ = run(capsys, "pi3", "--n", "4", "--mode", "exhaustive")
     assert code == 0
-    assert out.startswith("PI3 AQ4 4 ")
+    assert out == "PI3 AQ4 4 0000,0001,0010\n"
+
+
+def test_pi3_has_no_worker_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["pi3", "--n", "4", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_pi3_sampled_needs_seed(capsys):
@@ -126,16 +132,6 @@ def test_report_nmax_skips_large_sweeps(capsys):
     assert code == 0
     assert "SKIP" in out
     assert "CRITERION 7 PASS" in out
-
-
-def test_bad_jobs_env_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("AQPATH_JOBS", "many")
-    code, out, _ = run(capsys, "gen", "--n", "2")
-    assert code == 0
-    assert out.startswith("AQ n=2\n")
-    code, _, err = run(capsys, "pi3", "--n", "4")
-    assert code == 2
-    assert err.startswith("error: AQPATH_JOBS")
 
 
 @pytest.mark.parametrize("text", [

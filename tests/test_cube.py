@@ -1,17 +1,20 @@
 import itertools
+import math
 from collections import deque
 
 import pytest
 
 from aqpath.cube import (
     AdjListView,
+    AugmentedCube,
     RestrictedView,
+    automorphisms,
     canonicalize_triple,
     complement_word,
     distance,
     hyper_word,
-    make_cube,
-    translate,
+    map_vertex,
+    orbit_representatives,
 )
 
 
@@ -35,31 +38,31 @@ def reference_edges(n: int) -> set[frozenset[int]]:
 
 
 def test_vertex_and_edge_counts():
-    assert make_cube(1).vertex_count == 2
-    assert make_cube(1).edge_count() == 1
-    assert make_cube(2).edge_count() == 6  # complete graph on four vertices
-    assert make_cube(4).vertex_count == 16
-    assert make_cube(4).edge_count() == 56
+    assert AugmentedCube(1).vertex_count == 2
+    assert AugmentedCube(1).edge_count() == 1
+    assert AugmentedCube(2).edge_count() == 6  # complete graph on four vertices
+    assert AugmentedCube(4).vertex_count == 16
+    assert AugmentedCube(4).edge_count() == 56
     with pytest.raises(ValueError):
-        make_cube(0)
+        AugmentedCube(0)
 
 
 def test_complete_small_cubes():
-    c2 = make_cube(2)
+    c2 = AugmentedCube(2)
     for u, v in itertools.combinations(range(4), 2):
         assert c2.is_adjacent(u, v)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mask_adjacency_matches_doubling_construction(n):
-    cube = make_cube(n)
+    cube = AugmentedCube(n)
     built = {frozenset((u, v))
              for u in cube.vertices() for v in cube.neighbors(u)}
     assert built == reference_edges(n)
 
 
 def test_h_neighbor_examples():
-    c = make_cube(4)
+    c = AugmentedCube(4)
     assert c.h_neighbor(0b0000, 1) == 0b1000
     assert c.h_neighbor(0b0010, 3) == 0b0000
     assert c.h_neighbor(0b0000, 4) == 0b0001
@@ -70,7 +73,7 @@ def test_h_neighbor_examples():
 
 
 def test_c_neighbor_examples():
-    c = make_cube(4)
+    c = AugmentedCube(4)
     assert c.c_neighbor(0b0000, 1) == 0b1111
     assert c.c_neighbor(0b0001, 1) == 0b1110
     assert c.c_neighbor(0b0010, 2) == 0b0101
@@ -79,17 +82,17 @@ def test_c_neighbor_examples():
 
 
 def test_neighbors_examples():
-    c = make_cube(4)
+    c = AugmentedCube(4)
     assert set(c.neighbors(0b0000)) == {0b1000, 0b0100, 0b0010, 0b0001,
                                         0b1111, 0b0111, 0b0011}
     assert set(c.neighbors(0b0111)) == {0b1111, 0b0011, 0b0101, 0b0110,
                                         0b1000, 0b0000, 0b0100}
-    assert make_cube(1).neighbors(0) == (1,)
+    assert AugmentedCube(1).neighbors(0) == (1,)
     assert c.neighbors(3) == tuple(sorted(c.neighbors(3)))
 
 
 def test_adjacency_examples():
-    c = make_cube(4)
+    c = AugmentedCube(4)
     assert c.is_adjacent(0b0000, 0b0111)
     assert not c.is_adjacent(0b1010, 0b0011)
     assert not c.is_adjacent(5, 5)
@@ -97,24 +100,22 @@ def test_adjacency_examples():
 
 def test_degree_regularity():
     for n in range(2, 9):
-        cube = make_cube(n)
+        cube = AugmentedCube(n)
         for v in (0, 1, cube.vertex_count - 1, cube.vertex_count // 3):
             assert len(cube.neighbors(v)) == 2 * n - 1
 
 
 def test_quadrant_and_half():
-    c = make_cube(4)
+    c = AugmentedCube(4)
     assert c.quadrant(0b0111) == 0b01 and c.half(0b0111) == 0
     assert c.quadrant(0b1010) == 0b10 and c.half(0b1010) == 1
     assert c.quadrant(0b0001) == 0b00 and c.half(0b0001) == 0
     with pytest.raises(ValueError):
-        make_cube(1).quadrant(0)
+        AugmentedCube(1).quadrant(0)
 
 
 def test_translate_examples():
-    c = make_cube(4)
-    assert translate(0b1011, 0) == 0b1011
-    assert translate(0b0000, 0b0111) == 0b0111
+    c = AugmentedCube(4)
     t = 0b1010
     assert (c.is_adjacent(0b0000, 0b0111)
             == c.is_adjacent(0b0000 ^ t, 0b0111 ^ t))
@@ -122,7 +123,7 @@ def test_translate_examples():
 
 def test_masks_distinct_and_shaped():
     for n in (1, 2, 5, 9):
-        cube = make_cube(n)
+        cube = AugmentedCube(n)
         words = [m.word for m in cube.masks]
         assert len(set(words)) == 2 * n - 1
         for m in cube.masks:
@@ -133,28 +134,28 @@ def test_masks_distinct_and_shaped():
 
 
 def test_half_view_is_one_dimension_down():
-    c4 = make_cube(4)
+    c4 = AugmentedCube(4)
     h0 = c4.half_view(0)
     assert len(list(h0.vertices())) == 8
     for v in h0.vertices():
         assert len(h0.neighbors(v)) == 5  # the dimension-3 degree
     with pytest.raises(ValueError):
-        make_cube(1).half_view(0)
+        AugmentedCube(1).half_view(0)
 
 
 def test_quadrant_view_is_two_dimensions_down():
-    c4 = make_cube(4)
+    c4 = AugmentedCube(4)
     q = c4.quadrant_view(0b00)
     verts = list(q.vertices())
     assert verts == [0, 1, 2, 3]
     for u, v in itertools.combinations(verts, 2):
         assert q.is_adjacent(u, v)  # the dimension-2 cube is complete
     with pytest.raises(ValueError):
-        make_cube(2).quadrant_view(0)
+        AugmentedCube(2).quadrant_view(0)
 
 
 def test_diamond_edge_inventory():
-    c4 = make_cube(4)
+    c4 = AugmentedCube(4)
     vertical = c4.diamond_view(0b00, 0b10)  # one matching across halves
     sibling = c4.diamond_view(0b00, 0b01)   # two matchings inside a half
 
@@ -166,7 +167,7 @@ def test_diamond_edge_inventory():
 
 
 def test_matching_structure():
-    c4 = make_cube(4)
+    c4 = AugmentedCube(4)
     q00 = set(c4.quadrant_view(0b00).vertices())
     for word, target in ((hyper_word(4, 2), 0b01),   # sibling within the half
                          (hyper_word(4, 1), 0b10),   # across the halves
@@ -178,7 +179,7 @@ def test_matching_structure():
 
 
 def test_canonicalize_identity_and_patterns():
-    c4 = make_cube(4)
+    c4 = AugmentedCube(4)
     can = canonicalize_triple(c4, (0b0000, 0b0001, 0b0010))
     assert can.translation == 0
     assert can.pattern == "one-quadrant"
@@ -194,11 +195,11 @@ def test_canonicalize_identity_and_patterns():
 
 def test_canonicalize_rejects_duplicates():
     with pytest.raises(ValueError):
-        canonicalize_triple(make_cube(4), (1, 1, 2))
+        canonicalize_triple(AugmentedCube(4), (1, 1, 2))
 
 
 def test_canonicalize_roles_cover_input():
-    c5 = make_cube(5)
+    c5 = AugmentedCube(5)
     trip = (7, 19, 28)
     can = canonicalize_triple(c5, trip)
     assert sorted(can.perm) == [0, 1, 2]
@@ -234,7 +235,7 @@ def hops_from(view, source):
 def test_distance_is_the_hop_count(n):
     # every pair is a translate of a pair (0, v), and translations are
     # automorphisms, so this covers all pairs
-    cube = make_cube(n)
+    cube = AugmentedCube(n)
     hops = hops_from(cube, 0)
     assert len(hops) == cube.vertex_count
     for v, d in hops.items():
@@ -253,7 +254,7 @@ def test_distance_is_the_hop_count(n):
 ], ids=["half", "diamond-cross", "diamond-diagonal", "restricted-cube",
         "restricted-diamond"])
 def test_view_distance_never_exceeds_the_hop_count(view_of):
-    view = view_of(make_cube(6))
+    view = view_of(AugmentedCube(6))
     for u in list(view.vertices())[::5]:
         for v, d in hops_from(view, u).items():
             assert view.distance(u, v) <= d
@@ -271,7 +272,7 @@ def swap_last_two_bits(v):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_swapping_the_last_two_bits_is_an_automorphism(n):
-    cube = make_cube(n)
+    cube = AugmentedCube(n)
     images = [swap_last_two_bits(v) for v in cube.vertices()]
     assert sorted(images) == list(cube.vertices())
     for v in cube.vertices():
@@ -281,7 +282,7 @@ def test_swapping_the_last_two_bits_is_an_automorphism(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_no_other_bit_transposition_is_an_automorphism(n):
-    cube = make_cube(n)
+    cube = AugmentedCube(n)
     for i, j in itertools.combinations(range(n), 2):
         if (i, j) == (0, 1):
             continue
@@ -291,3 +292,39 @@ def test_no_other_bit_transposition_is_an_automorphism(n):
 
         assert any(not cube.is_adjacent(swap(v), swap(w))
                    for v in cube.vertices() for w in cube.neighbors(v))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_linear_map_is_an_automorphism(n):
+    cube = AugmentedCube(n)
+    for g in automorphisms(n):
+        images = [map_vertex(g, v) for v in cube.vertices()]
+        assert sorted(images) == list(cube.vertices())
+        for v in cube.vertices():
+            assert (sorted(images[w] for w in cube.neighbors(v))
+                    == list(cube.neighbors(images[v])))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_there_are_eight_distinct_linear_maps(n):
+    maps = automorphisms(n)
+    assert len(maps) == len(set(maps)) == 8
+    assert maps[0] == tuple(1 << i for i in range(n))
+    # one of them swaps the last two bits
+    assert tuple(swap_last_two_bits(1 << i) for i in range(n)) in maps
+
+
+def orbit(n, trip):
+    return {tuple(sorted(map_vertex(g, v) ^ t for v in trip))
+            for g in automorphisms(n) for t in range(1 << n)}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_orbits_of_the_representatives_partition_the_triples(n):
+    reps = list(orbit_representatives(n))
+    assert reps == sorted(reps)
+    orbits = [orbit(n, r) for r in reps]
+    for r, o in zip(reps, orbits):
+        assert min(o) == r
+    assert sum(map(len, orbits)) == math.comb(1 << n, 3)
+    assert len(set().union(*orbits)) == math.comb(1 << n, 3)

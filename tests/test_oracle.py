@@ -1,13 +1,11 @@
 import itertools
-import multiprocessing
-import os
+import random
 
 import pytest
 
-from aqpath.cube import AdjListView, AugmentedCube
+from aqpath.cube import AdjListView, AugmentedCube, automorphisms, map_vertex
 from aqpath.oracle import (
     ResourceGuard,
-    _worker_count,
     brute_small,
     common_neighbors,
     cube_upper_bound,
@@ -123,41 +121,6 @@ def test_pi3_sampled_requires_seed():
     assert len(trip) == 3
 
 
-def test_worker_count_is_clamped():
-    cpus = os.cpu_count() or 1
-    assert _worker_count(0, 10) == 1
-    assert _worker_count(-3, 10) == 1
-    assert _worker_count(5, 0) == 1
-    assert _worker_count(10**6, 3) == min(cpus, 3)
-    assert _worker_count(10**6, 10**6) == cpus
-
-
-def test_pi3_pool_never_exceeds_cpus_or_triples(monkeypatch):
-    sizes = []
-
-    class SerialPool:  # records the requested size, starts no process
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    cube = AugmentedCube(4)
-    serial = pi3_exact(cube, "sampled", seed=3, count=3)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert pi3_exact(cube, "sampled", seed=3, count=3, jobs=64) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert pi3_exact(cube, "sampled", seed=3, count=3, jobs=64) == serial
-    assert sizes == [3, 2]
-
-
 def test_pi3_exhaustive_guard():
     big = AugmentedCube(7)
     with pytest.raises(ResourceGuard):
@@ -179,6 +142,16 @@ def test_oracle_size_guard_comes_before_the_vertex_list():
         pi3_exact(HugeCube(40), "sampled", seed=1, count=1)
     with pytest.raises(ResourceGuard, match="limited to 65536 vertices"):
         max_dpaths(HugeCube(40), (0, 1, 2))
+
+
+def test_brute_and_scan_guards_come_before_the_vertex_list():
+    with pytest.raises(ResourceGuard, match="limited to 14 vertices"):
+        brute_small(HugeCube(40), (0, 1, 2))
+    for arity in (2, 3):
+        with pytest.raises(ResourceGuard, match="limited to 64 vertices"):
+            max_common(HugeCube(40), arity)
+    with pytest.raises(ResourceGuard, match="limited to 64 vertices"):
+        max_common(AugmentedCube(7), 2)
 
 
 def test_pi3_reads_text_graphs(tmp_path):
@@ -213,3 +186,35 @@ def test_pinned_dimension_four_values_are_unchanged():
     pairs = itertools.combinations(range(1, 16), 2)
     got = "".join(str(max_dpaths(cube, (0, b, c))[0]) for b, c in pairs)
     assert got == PINNED_AQ4
+    # the orbit sweep finds the pinned sweep's value and argmin
+    pinned = [(0, b, c) for b, c in itertools.combinations(range(1, 16), 2)]
+    assert pi3_exact(cube) == min(zip(map(int, PINNED_AQ4), pinned))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_orbit_sweep_matches_the_pinned_sweep(n):
+    cube = AugmentedCube(n)
+    pinned = min((max_dpaths(cube, (0, b, c))[0], (0, b, c))
+                 for b, c in itertools.combinations(range(1, 1 << n), 2))
+    assert pi3_exact(cube, "exhaustive") == pinned
+
+
+def test_dimension_six_value_is_exhaustive():
+    assert pi3_exact(AugmentedCube(6), "exhaustive") == (7, (0, 3, 5))
+
+
+def test_max_dpaths_is_invariant_under_automorphisms():
+    cube = AugmentedCube(5)
+    maps = automorphisms(5)
+    rng = random.Random(5)
+    for _ in range(25):
+        D = tuple(rng.sample(range(32), 3))
+        g, t = rng.choice(maps), rng.randrange(32)
+
+        def h(v):
+            return map_vertex(g, v) ^ t
+
+        val, fam = max_dpaths(cube, D)
+        moved = tuple(map(h, D))
+        assert max_dpaths(cube, moved)[0] == val
+        assert check_family(cube, moved, [tuple(map(h, p)) for p in fam]) is None
