@@ -31,6 +31,15 @@ Feasibility is decided exactly, in three stages:
    removal alone keeps the leaf feasible.  One saturated leaf relaxation
    finds them all: they are the free vertices its flow does not need
    (``UnitFlowNet.critical``), with no relaxation rebuilt per vertex.
+   Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
+   both take {a, b}, and so may two shorter segments), and within one
+   search those vertices fix the free set.  So every relaxation verdict is
+   cached for the length of the search under the committed set: the
+   leaf's feasibility and spare set under the set alone, the joint
+   relaxation under the set and the counts still owed.  A fresh leaf
+   saturation that admits a commitment also gives the child its spare
+   set.  Flows are deterministic, so the search visits, ticks and returns
+   exactly what it would without the caches, with far fewer flows.
 
 The search is budgeted; exhausting the budget raises, it never degrades
 to an approximation.
@@ -233,30 +242,31 @@ def _enum_segments(view, u: int, v: int, free: set[int], max_interior: int,
         return
     floor_key = _seg_key(floor) if floor is not None else None
     top = min(max_interior + 2, len(free) + 2)  # vertices on the segment
-    path = [u]
-    used: set[int] = set()
-
-    def exact(length: int):
-        cur = path[-1]
-        room = length - len(path)  # edges still to place after this hop
-        for w in view.neighbors(cur):
-            if w == v:
-                if room == 0:
-                    yield (*path, v)
-            elif room > 0 and w in free and w not in used and dist.get(w, top) <= room:
-                path.append(w)
-                used.add(w)
-                yield from exact(length)
-                path.pop()
-                used.discard(w)
-
     start = max(dist[u], 1)
     if floor_key is not None:
         start = max(start, floor_key[0] - 1)
     for length in range(start, top):
-        for seg in exact(length):
+        for seg in _extend(view, [u], set(), v, free, dist, top, length):
             if floor_key is None or _seg_key(seg) > floor_key:
                 yield seg
+
+
+def _extend(view, path: list[int], used: set[int], v: int, free: set[int],
+            dist: dict[int, int], top: int, length: int):
+    """Completions of ``path`` into segments ending at v with ``length``
+    edges, in the view's neighbor order; ``used`` holds path's interior.  A
+    module-level generator, so a search leaves no closure cycle behind."""
+    room = length - len(path)  # edges still to place after this hop
+    for w in view.neighbors(path[-1]):
+        if w == v:
+            if room == 0:
+                yield (*path, v)
+        elif room > 0 and w in free and w not in used and dist.get(w, top) <= room:
+            path.append(w)
+            used.add(w)
+            yield from _extend(view, path, used, v, free, dist, top, length)
+            path.pop()
+            used.discard(w)
 
 
 def _split_for_search(live: Sequence[Demand]):
@@ -302,62 +312,113 @@ def _leaf_spare_vertices(view, leaf: Sequence[Demand], free: set[int]) -> set[in
 def _dfs_pack(view, demands: Sequence[Demand], free: set[int], budget: Budget):
     """Complete search; segments of a branched pair are committed in strictly
     increasing (length, sequence) order, so no packing is seen twice."""
-    branch, leaf = _split_for_search(demands)
-    chosen: list[list[Segment]] = [[] for _ in branch]
-    leaf_found: list[list[Segment]] = []
-    free_set = set(free)
+    search = _PackSearch(view, demands, free, budget)
+    if not search.rec(0):
+        return None
+    return (list(zip(search.branch, search.chosen))
+            + list(zip(search.leaf, search.leaf_found)))
 
-    def remaining(skip_current: int | None = None) -> list[Demand]:
+
+class _PackSearch:
+    """The state of one ``_dfs_pack`` call, with its relaxation caches keyed
+    by the interior vertices committed so far (see the module docstring).
+    The caches hold booleans and vertex sets, never networks, and nothing
+    here refers back to itself, so all of it is freed on return.
+    """
+
+    def __init__(self, view, demands: Sequence[Demand], free: set[int],
+                 budget: Budget) -> None:
+        self.view = view
+        self.budget = budget
+        self.branch, self.leaf = _split_for_search(demands)
+        self.chosen: list[list[Segment]] = [[] for _ in self.branch]
+        self.leaf_found: list[list[Segment]] = []
+        self.free = set(free)
+        self.leaf_ok: dict[frozenset[int], bool] = {}
+        self.joint_ok: dict[tuple[frozenset[int], tuple[int, ...]], bool] = {}
+        self.spare: dict[frozenset[int], set[int]] = {}
+
+    def committed(self) -> frozenset[int]:
+        """The interior vertices of every segment chosen so far."""
+        return frozenset(w for segs in self.chosen for seg in segs
+                         for w in seg[1:-1])
+
+    def remaining(self, skip_current: int | None = None) -> list[Demand]:
         out = []
-        for i, (u, v, c) in enumerate(branch):
-            left = c - len(chosen[i]) - (1 if i == skip_current else 0)
+        for i, (u, v, c) in enumerate(self.branch):
+            left = c - len(self.chosen[i]) - (1 if i == skip_current else 0)
             out.append((u, v, left))
-        out.extend(leaf)
+        out.extend(self.leaf)
         return out
 
-    def interior_budget(di: int) -> int:
-        spare = len(free_set)
-        for u, v, left in remaining(skip_current=di):
+    def interior_budget(self, di: int) -> int:
+        spare = len(self.free)
+        for u, v, left in self.remaining(skip_current=di):
             if left <= 0:
                 continue
-            dist = _dist_through(view, v, free_set)
+            dist = _dist_through(self.view, v, self.free)
             shortest = dist.get(u)
             if shortest is None:
                 return -1
             spare -= left * max(0, shortest - 1)
         return spare
 
-    def rec(di: int) -> bool:
+    def spare_vertices(self, key: frozenset[int], net) -> set[int]:
+        """The leaf's spare vertices for the current free set, read from the
+        saturated leaf ``net`` over it when the caller has one."""
+        spare = self.spare.get(key)
+        if spare is None:
+            if net is None:
+                spare = _leaf_spare_vertices(self.view, self.leaf, self.free)
+            else:
+                spare = self.free - net.critical()
+            self.spare[key] = spare
+        return spare
+
+    def rec(self, di: int, net=None) -> bool:
+        """Complete the packing from branch demand ``di`` on; ``net`` is the
+        saturated leaf relaxation over the current free set, if at hand."""
+        branch, chosen = self.branch, self.chosen
         if di == len(branch):
-            solved = _leaf_solve(view, leaf, free_set)
+            solved = _leaf_solve(self.view, self.leaf, self.free)
             if solved is None:
                 return False
-            leaf_found.extend(solved)
+            self.leaf_found.extend(solved)
             return True
         u, v, need = branch[di]
         if len(chosen[di]) == need:
-            return rec(di + 1)
-        cap = interior_budget(di)
+            return self.rec(di + 1, net)
+        cap = self.interior_budget(di)
         if cap < 0:
             return False
         floor = chosen[di][-1] if chosen[di] else None
-        roam = _leaf_spare_vertices(view, leaf, free_set)
-        for seg in _enum_segments(view, u, v, roam, cap, floor):
-            budget.tick()
+        roam = self.spare_vertices(self.committed(), net)
+        for seg in _enum_segments(self.view, u, v, roam, cap, floor):
+            self.budget.tick()
             interior = seg[1:-1]
-            free_set.difference_update(interior)
+            self.free.difference_update(interior)
             chosen[di].append(seg)
+            key = self.committed()
             # the leaf alone is an exact, junk-free necessary condition and
-            # prunes far harder than the joint relaxation
-            if (_leaf_solve(view, leaf, free_set) is not None
-                    and _saturate(view, remaining(), free_set) is not None
-                    and rec(di)):
+            # prunes far harder than the joint relaxation; it has one
+            # source, so saturation decides it (``_leaf_solve``)
+            leaf_net = None
+            ok = self.leaf_ok.get(key)
+            if ok is None:
+                leaf_net = _saturate(self.view, self.leaf, self.free)
+                ok = self.leaf_ok[key] = leaf_net is not None
+            if ok and self.joint(key) and self.rec(di, leaf_net):
                 return True
             chosen[di].pop()
-            free_set.update(interior)
+            self.free.update(interior)
         return False
 
-    if not rec(0):
-        return None
-    groups = list(zip(branch, chosen)) + list(zip(leaf, leaf_found))
-    return groups
+    def joint(self, key: frozenset[int]) -> bool:
+        """Whether the joint relaxation of every demand left saturates."""
+        left = self.remaining()
+        counts = tuple(c for _, _, c in left)
+        ok = self.joint_ok.get((key, counts))
+        if ok is None:
+            ok = _saturate(self.view, left, self.free) is not None
+            self.joint_ok[key, counts] = ok
+        return ok

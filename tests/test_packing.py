@@ -1,10 +1,12 @@
+import gc
 import random
 
 import pytest
 
 from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
-from aqpath.packing import _leaf_spare_vertices, _saturate, pack_segments
+from aqpath import packing
+from aqpath.packing import Budget, _leaf_spare_vertices, _saturate, pack_segments
 from aqpath.textio import parse_graph, render_graph
 
 
@@ -100,3 +102,159 @@ def test_spare_vertices_run_one_max_flow(monkeypatch):
     spare = _leaf_spare_vertices(cube, leaf, free)
     assert calls == [9]
     assert free - spare == set(cube.neighbors(0))
+
+
+# the m = 5 refutation at the value-4 orbit of pi3(AQ_4)
+REFUTED = [(0, 1, 4), (1, 2, 3), (0, 2, 3)]
+
+
+def test_a_refutation_leaves_no_cyclic_garbage():
+    cube = AugmentedCube(4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert pack_segments(cube, REFUTED) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
+    calls = []
+    max_flow = UnitFlowNet.max_flow
+
+    def counted(net, limit=None):
+        calls.append(limit)
+        return max_flow(net, limit)
+
+    monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
+    budget = Budget(None)
+    assert pack_segments(AugmentedCube(4), REFUTED, budget) is None
+    # the same search tree as without the caches, with far fewer flows
+    assert budget.used == 1402
+    assert len(calls) <= 320
+
+
+def minimal_interiors(view, u, v, free):
+    """Every inclusion-minimal nonempty interior of a u-v segment through
+    ``free``, as a bitmask over sorted(free): simple paths are grown one
+    vertex per level, and a path whose vertex set already holds a complete
+    interior is dropped, since it can only grow supersets of it."""
+    bit = {w: 1 << i for i, w in enumerate(sorted(free))}
+    found: list[int] = []
+    frontier = {(w, bit[w]) for w in view.neighbors(u) if w in free}
+    while frontier:
+        for w, mask in frontier:
+            if v in view.neighbors(w) and mask not in found:
+                found.append(mask)
+        frontier = {(x, mask | bit[x]) for w, mask in frontier
+                    for x in view.neighbors(w)
+                    if x in free and not mask & bit[x]}
+        frontier = {(w, mask) for w, mask in frontier
+                    if not any(mask & f == f for f in found)}
+    return found
+
+
+def packing_exists(view, demands):
+    """Exhaustive decision: each segment may shrink to a minimal interior
+    and stay disjoint from the rest, so minimal interiors and the direct
+    edge (once per pair) are all that need trying."""
+    terminals = {t for u, v, _ in demands for t in (u, v)}
+    free = set(view.vertices()) - terminals
+    options = [minimal_interiors(view, u, v, free) for u, v, _ in demands]
+    edges = [v in view.neighbors(u) for u, v, _ in demands]
+    slots = [i for i, (_, _, c) in enumerate(demands) for _ in range(c)]
+    memo: dict[tuple[int, int, bool], bool] = {}
+
+    def place(k, used, edge_taken):
+        if k == len(slots):
+            return True
+        p = slots[k]
+        if k and slots[k - 1] != p:
+            edge_taken = False
+        key = (k, used, edge_taken)
+        if key not in memo:
+            memo[key] = ((edges[p] and not edge_taken and place(k + 1, used, True))
+                         or any(place(k + 1, used | m, edge_taken)
+                                for m in options[p] if not used & m))
+        return memo[key]
+
+    return place(0, 0, False)
+
+
+def assert_packing(view, demands, found):
+    terminals = {t for u, v, _ in demands for t in (u, v)}
+    taken: set[int] = set()
+    for (u, v, c), segs in zip(demands, found):
+        assert len(set(segs)) == len(segs) == c
+        for seg in segs:
+            assert (seg[0], seg[-1]) == (u, v)
+            assert all(b in view.neighbors(a) for a, b in zip(seg, seg[1:]))
+            inner = set(seg[1:-1])
+            assert len(inner) == len(seg) - 2
+            assert not inner & (terminals | taken)
+            taken |= inner
+
+
+def tight_triangle(view, rng):
+    """Three terminals and counts near their degrees."""
+    x, y, z = rng.sample(sorted(view.vertices()), 3)
+    dx, dy, dz = (len(view.neighbors(t)) for t in (x, y, z))
+    a = rng.randint(0, max(0, min(dx, dy) - 1))
+    b = max(0, min(dy - a, dz))
+    c = max(0, min(dx - a, dz - b))
+    return [(x, y, a), (y, z, b), (x, z, c)]
+
+
+def disjoint_pairs(view, rng, top=1):
+    """Three pairs on six terminals, the branched two owing up to ``top``
+    segments each."""
+    a, b, c, d, e, f = rng.sample(sorted(view.vertices()), 6)
+    return [(a, b, rng.randint(1, top)), (c, d, rng.randint(1, top)), (e, f, 1)]
+
+
+def exactness_cases():
+    for seed in range(12):
+        view = random_graph(seed)
+        rng = random.Random(seed)
+        for _ in range(4):
+            yield f"parsed-{seed}", view, tight_triangle(view, rng)
+            yield f"parsed-{seed}", view, disjoint_pairs(view, rng)
+            yield f"parsed-{seed}", view, disjoint_pairs(view, rng, top=2)
+    # the search first commits {1, 2, 8, 10} as 7-2-6 and 5-10-8-1-9, still
+    # owing a 5-9 segment, and refutes that; it later commits the same set
+    # as 7-8-10-6, 5-1-9 and 5-2-9, which leads to the only packing, so a
+    # verdict keyed by the vertex set alone would miss it
+    view = AdjListView([
+        (0, 1), (0, 3), (0, 5), (0, 7), (0, 11), (1, 4), (1, 5), (1, 8),
+        (1, 9), (1, 11), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (3, 4),
+        (3, 6), (3, 7), (4, 6), (4, 9), (4, 10), (4, 11), (5, 6), (5, 7),
+        (5, 10), (5, 11), (6, 9), (6, 10), (7, 8), (7, 11), (8, 10),
+        (8, 11), (9, 11), (10, 11)], bits=4)
+    yield "repeated-cover", view, [(7, 6, 1), (5, 9, 2), (0, 3, 2)]
+    cube = AugmentedCube(4)
+    rng = random.Random(4)
+    yield "AQ4", cube, REFUTED
+    for _ in range(6):
+        yield "AQ4", cube, tight_triangle(cube, rng)
+        yield "AQ4", cube, disjoint_pairs(cube, rng)
+
+
+def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
+    searches = []
+    dfs_pack = packing._dfs_pack
+
+    def counted(view, live, free, budget):
+        searches.append(live)
+        return dfs_pack(view, live, free, budget)
+
+    monkeypatch.setattr(packing, "_dfs_pack", counted)
+    for name, view, demands in exactness_cases():
+        found = pack_segments(view, demands)
+        assert (found is not None) == packing_exists(view, demands), (name, demands)
+        if found is not None:
+            assert_packing(view, demands, found)
+    # the caches only act inside the branch-and-bound
+    assert len(searches) >= 5
+    assert any(len(live) == 3 and len({t for d in live for t in d[:2]}) == 6
+               for live in searches)
