@@ -37,10 +37,10 @@ search covers the whole cube, so it runs only up to n = 7
 (``FALLBACK_MAX_N``); above that a failed transcription raises
 ``ConstructionError`` at once.
 
-The flows read only the region their searches explore, but the packing
-cases still list whole halves, so ``construct`` refuses n above
-``CONSTRUCT_MAX_N`` with ``oracle.ResourceGuard`` before it lists a
-vertex.
+The flows and the packings read only the region their searches explore,
+so ``construct`` lists no vertex at any dimension; ``CONSTRUCT_MAX_N``
+bounds its time alone, and above it ``construct`` raises
+``oracle.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ CASE_FALLBACK = "FB"
 
 PACK_BUDGET = 2_000_000
 FALLBACK_MAX_N = 7  # the fallback's whole-cube search stays desk-sized up to here
-# the packing cases list whole halves: a same-half triple peaks near 220 MB
-# at n = 16 and grows about 3.5x per two dimensions
-CONSTRUCT_MAX_N = 18
+# nothing is listed, so this bounds time only: a triple takes seconds at
+# n = 20 and about three times as long per further two dimensions
+CONSTRUCT_MAX_N = 20
 
 
 class ConstructionError(RuntimeError):

@@ -1,12 +1,15 @@
 """Unit-vertex-capacity flow over graph views.
 
-One network, ``UnitFlowNet(view, sources, sinks, free)``, serves every
+One network, ``UnitFlowNet(view, sources, sinks, blocked)``, serves every
 path-system operation: internally disjoint path bundles between two
 vertices, fans from a vertex onto a set, linkages between two equal-size
-sets, and the relaxations of the packing engine (``aqpath.packing``).  Each
-free vertex of the view is split into an in-node and an out-node joined by
-a capacity-1 arc; terminals get source/sink arcs instead of a through arc,
-so fan targets and linkage endpoints can never be crossed as interiors.
+sets, and the relaxations of the packing engine (``aqpath.packing``).
+Every vertex of the view outside ``blocked`` is free; the caller lists the
+terminals (and any vertex a path may not cross) in ``blocked``, never the
+free ones, so no network lists its view.  Each free vertex is split into
+an in-node and an out-node joined by a capacity-1 arc; terminals get
+source/sink arcs instead of a through arc, so fan targets and linkage
+endpoints can never be crossed as interiors.
 The split-node encoding stays in this module: callers pass vertices and
 get vertex tuples back.
 
@@ -88,17 +91,22 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
 _TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
 
 
+def sink_distances(view, sinks: Iterable[int]) -> dict[int, int]:
+    """The shared table of the view's distances from a vertex to the
+    nearest of ``sinks``, filled by whoever computes one; the key -1 (the
+    source and sink nodes of a net) holds 0."""
+    return _TO_SINK.setdefault(view, {}).setdefault(frozenset(sinks), {-1: 0})
+
+
 class UnitFlowNet:
     """Residual split-vertex network over a view, with unit-path decomposition.
 
-    ``sources``/``sinks`` give per-terminal capacities and ``free`` the
-    vertices that may be path interiors (no terminal among them).  A
-    terminal carries no through arc, so no path may cross it; a vertex may
-    be both a source and a sink (it then has both roles but still cannot
-    be an interior).  Vertices in none of the three are left out.
-
-    ``free`` need only answer ``in``, and is asked only about vertices of
-    the view.
+    ``sources``/``sinks`` give per-terminal capacities.  Every vertex of
+    the view outside ``blocked`` is free, a possible path interior, so
+    ``blocked`` must hold every terminal.  A terminal carries no through
+    arc, so no path may cross it; a vertex may be both a source and a sink
+    (it then has both roles but still cannot be an interior).  Blocked
+    vertices that are neither are left out.
 
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
     derived by ``_row`` when node u is first reached.  ``h[x]`` is the
@@ -109,20 +117,19 @@ class UnitFlowNet:
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
-                 free) -> None:
+                 blocked) -> None:
         self.view = view
         self.sources = sources
         self.sinks = sinks
-        self.free = free
+        self.blocked = blocked
         self.cap: dict[int, dict[int, int]] = {}
-        tables = _TO_SINK.setdefault(view, {})
-        self.h = tables.setdefault(frozenset(sinks), {-1: 0})
+        self.h = sink_distances(view, sinks)
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row: its arcs at full capacity and its
         reverse entries at 0, in the view's neighbor order (the node
         numbers ``_in`` and ``_out`` give are written out here)."""
-        free, sources, sinks = self.free, self.sources, self.sinks
+        blocked, sources, sinks = self.blocked, self.sources, self.sinks
         v = u // 2  # the vertex of a split node
         if u == _SRC:
             row = {2 * s + 1: c for s, c in sources.items()}
@@ -130,13 +137,13 @@ class UnitFlowNet:
             row = {2 * t: 0 for t in sinks}
         elif u % 2:  # out-node of a free vertex or a source
             row = {2 * w: 1 for w in self.view.neighbors(v)
-                   if w in free or w in sinks}
+                   if w not in blocked or w in sinks}
             # the reverse entry of the one arc into it
-            row[2 * v if v in free else _SRC] = 0
+            row[_SRC if v in blocked else 2 * v] = 0
         else:  # in-node of a free vertex or a sink
             row = {2 * w + 1: 0 for w in self.view.neighbors(v)
-                   if w in free or w in sources}
-            if v in free:
+                   if w not in blocked or w in sources}
+            if v not in blocked:
                 row[2 * v + 1] = 1
             if v in sinks:
                 row[_SNK] = sinks[v]
@@ -276,20 +283,6 @@ class UnitFlowNet:
         return out
 
 
-class _Interiors:
-    """Every vertex of a view but the terminals, as the membership test a
-    ``UnitFlowNet`` asks only about vertices of that view, so nothing
-    lists the view."""
-
-    __slots__ = ("terminals",)
-
-    def __init__(self, terminals: Iterable[int]) -> None:
-        self.terminals = frozenset(terminals)
-
-    def __contains__(self, v: int) -> bool:
-        return v not in self.terminals
-
-
 def _check_pair(view, u: int, v: int) -> None:
     if u == v:
         raise ValueError("endpoints must differ")
@@ -307,7 +300,7 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     if k < 1:
         raise ValueError("k must be positive")
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), k)
-    net = UnitFlowNet(view, {u: cap}, {v: cap}, _Interiors((u, v)))
+    net = UnitFlowNet(view, {u: cap}, {v: cap}, frozenset((u, v)))
     got = net.max_flow(limit=k)
     if got < k:
         got += net.max_flow()  # keep going to report the true maximum
@@ -320,7 +313,7 @@ def min_vertex_cut(view, u: int, v: int) -> int:
     for adjacent pairs this is the usual delete-edge cut plus one)."""
     _check_pair(view, u, v)
     cap = max(len(view.neighbors(u)), len(view.neighbors(v)), 1)
-    net = UnitFlowNet(view, {u: cap}, {v: cap}, _Interiors((u, v)))
+    net = UnitFlowNet(view, {u: cap}, {v: cap}, frozenset((u, v)))
     return net.max_flow()
 
 
@@ -351,7 +344,7 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
     for t in [x, *S]:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = UnitFlowNet(view, {x: len(S)}, {t: 1 for t in S}, _Interiors([x, *S]))
+    net = UnitFlowNet(view, {x: len(S)}, {t: 1 for t in S}, frozenset([x, *S]))
     got = net.max_flow(limit=len(S))
     if got < len(S):
         raise Insufficient(got, len(S), "fan paths")
@@ -370,7 +363,7 @@ def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tup
     for t in A + B:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = UnitFlowNet(view, {a: 1 for a in A}, {b: 1 for b in B}, _Interiors(A + B))
+    net = UnitFlowNet(view, {a: 1 for a in A}, {b: 1 for b in B}, frozenset(A + B))
     got = net.max_flow(limit=len(A))
     if got < len(A):
         raise Insufficient(got, len(A), "linkage paths")

@@ -25,12 +25,16 @@ Feasibility is decided exactly, in three stages:
    itself), so the search only branches over the smallest demand: its
    segment sets are enumerated shortest-first (then lexicographically) in
    strictly increasing order so no packing is visited twice, pruned by
-   reachability, by interior budgets, and by the flow relaxation after
-   every commitment, and every branch ends in an exact flow.  Branch
-   segments route only through the leaf's spare vertices, those whose
-   removal alone keeps the leaf feasible.  One saturated leaf relaxation
-   finds them all: they are the free vertices its flow does not need
-   (``UnitFlowNet.critical``), with no relaxation rebuilt per vertex.
+   distance bounds, by interior budgets, and by the flow relaxation after
+   every commitment, and every branch ends in an exact flow.  Shortest
+   lengths come from a search steered by the view's distance to the far
+   endpoint (``_hops``), and a partial segment is dropped once that
+   distance exceeds the edges it has left, so the search reads only the
+   region around the segments it builds.  Branch segments route only
+   through the leaf's spare vertices, those whose removal alone keeps the
+   leaf feasible.  One saturated leaf relaxation finds them all: they are
+   the free vertices its flow does not need (``UnitFlowNet.critical``),
+   with no relaxation rebuilt per vertex.
    Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
    both take {a, b}, and so may two shorter segments), and within one
    search those vertices fix the free set.  So every relaxation verdict is
@@ -41,16 +45,21 @@ Feasibility is decided exactly, in three stages:
    set.  Flows are deterministic, so the search visits, ticks and returns
    exactly what it would without the caches, with far fewer flows.
 
+No stage lists the view: the free vertices are the view's vertices
+outside a small blocked set (the terminals, then the committed interiors
+and the vertices a branch segment must avoid), as ``UnitFlowNet`` takes
+them.
+
 The search is budgeted; exhausting the budget raises, it never degrades
 to an approximation.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 from typing import Sequence
 
-from .flow import UnitFlowNet
+from .flow import UnitFlowNet, sink_distances
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -102,25 +111,22 @@ def pack_segments(view, demands: Sequence[Demand],
     if not live:
         return [[] for _ in demands]
 
-    free = {w for w in view.vertices() if w not in terminals}
-
     # per-terminal slot counts: segments at t need that many distinct edges
     for t in terminals:
         need = sum(c for (u, v, c) in live if t in (u, v))
-        avail = sum(1 for w in view.neighbors(t) if w in free or w in terminals)
-        if need > avail:
+        if need > len(view.neighbors(t)):
             return None
 
     budget.tick()
     for oriented in _orientations(live):
-        net = _saturate(view, oriented, free)
+        net = _saturate(view, oriented, terminals)
         if net is None:
             return None
         segs = _classify(net, oriented)
         if segs is not None:
             return _regroup(demands, oriented, segs)
 
-    found = _dfs_pack(view, live, free, budget)
+    found = _dfs_pack(view, live, terminals, budget)
     if found is None:
         return None
     return _regroup(demands, [d for d, _ in found], [s for _, s in found])
@@ -179,7 +185,7 @@ def _regroup(demands, oriented, live_segs):
     return out
 
 
-def _saturate(view, demands: Sequence[Demand], free: set[int]) -> UnitFlowNet | None:
+def _saturate(view, demands: Sequence[Demand], blocked: set[int]) -> UnitFlowNet | None:
     """The relaxation network with a maximum flow pushed through it, or
     None when that flow falls short of the total demand.  Each demand adds
     its count to the source capacity of its first and the sink capacity of
@@ -192,7 +198,7 @@ def _saturate(view, demands: Sequence[Demand], free: set[int]) -> UnitFlowNet | 
             sources[u] = sources.get(u, 0) + c
             sinks[v] = sinks.get(v, 0) + c
             total += c
-    net = UnitFlowNet(view, sources, sinks, free)
+    net = UnitFlowNet(view, sources, sinks, blocked)
     return net if net.max_flow(limit=total) == total else None
 
 
@@ -215,58 +221,90 @@ def _classify(net, demands: Sequence[Demand]):
 # -- exhaustive branch and bound ----------------------------------------
 
 
-def _dist_through(view, target: int, free: set[int]) -> dict[int, int]:
-    """Hop counts to ``target`` where every intermediate vertex is free."""
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        w = queue.popleft()
-        for nxt in view.neighbors(w):
-            if nxt not in dist:
-                dist[nxt] = dist[w] + 1
-                if nxt in free:
-                    queue.append(nxt)
-    return dist
+def _hops(view, u: int, v: int, blocked: set[int],
+          limit: int | None = None) -> int | None:
+    """The fewest edges on a u-v path with no interior vertex in
+    ``blocked``, or None when there is none (of at most ``limit`` edges).
+
+    Best-first from u under g + h, g the edges from u and h the view's
+    distance to v (``flow.sink_distances``), with stale queue entries
+    skipped.  Each view keeps a subset of the cube's edges, so h never
+    overestimates and drops by at most one per edge: the first time v is
+    popped its key is exact, and the search stays near the shortest paths.
+    With no distance (0 everywhere) the search is breadth-first.
+    """
+    h = sink_distances(view, (v,))
+    dist = view.distance
+    best = {u: 0}
+    heap = [(0, 0, u)]  # (g + h, -g, vertex): deepest first on a tie
+    while heap:
+        _, neg, w = heappop(heap)
+        g = -neg
+        if w == v:
+            return g
+        if g > best[w]:
+            continue
+        g += 1
+        for x in view.neighbors(w):
+            if x != v and x in blocked or best.get(x, g + 1) <= g:
+                continue
+            hx = h.get(x)
+            if hx is None:
+                hx = h[x] = dist(x, v)
+            if limit is None or g + hx <= limit:
+                best[x] = g
+                heappush(heap, (g + hx, -g, x))
+    return None
 
 
 def _seg_key(seg: Segment) -> tuple[int, Segment]:
     return (len(seg), seg)
 
 
-def _enum_segments(view, u: int, v: int, free: set[int], max_interior: int,
+def _enum_segments(view, u: int, v: int, blocked: set[int], max_interior: int,
                    floor: Segment | None):
-    """u->v segments with interiors in ``free``, shortest first and within a
-    length lexicographically, strictly above ``floor`` in that same order."""
-    dist = _dist_through(view, v, free)
-    if u not in dist:
-        return
+    """u->v segments with no interior vertex in ``blocked``, shortest first
+    and within a length lexicographically, strictly above ``floor`` in that
+    same order."""
     floor_key = _seg_key(floor) if floor is not None else None
-    top = min(max_interior + 2, len(free) + 2)  # vertices on the segment
-    start = max(dist[u], 1)
+    # vertices on the segment
+    top = min(max_interior + 2, view.vertex_count - len(blocked) + 2)
+    shortest = _hops(view, u, v, blocked, limit=top - 1)
+    if shortest is None:
+        return
+    start = shortest
     if floor_key is not None:
         start = max(start, floor_key[0] - 1)
+    to_v = sink_distances(view, (v,))
     for length in range(start, top):
-        for seg in _extend(view, [u], set(), v, free, dist, top, length):
+        for seg in _extend(view, [u], set(), v, blocked, to_v, length):
             if floor_key is None or _seg_key(seg) > floor_key:
                 yield seg
 
 
-def _extend(view, path: list[int], used: set[int], v: int, free: set[int],
-            dist: dict[int, int], top: int, length: int):
+def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
+            to_v: dict[int, int], length: int):
     """Completions of ``path`` into segments ending at v with ``length``
     edges, in the view's neighbor order; ``used`` holds path's interior.  A
-    module-level generator, so a search leaves no closure cycle behind."""
+    vertex is entered only when its distance to v (memoised in ``to_v``)
+    fits the edges left after it: a lower bound on the hops, so no
+    completion is lost.  A module-level generator, so a search leaves no
+    closure cycle behind."""
     room = length - len(path)  # edges still to place after this hop
     for w in view.neighbors(path[-1]):
         if w == v:
             if room == 0:
                 yield (*path, v)
-        elif room > 0 and w in free and w not in used and dist.get(w, top) <= room:
-            path.append(w)
-            used.add(w)
-            yield from _extend(view, path, used, v, free, dist, top, length)
-            path.pop()
-            used.discard(w)
+        elif room > 0 and w not in blocked and w not in used:
+            d = to_v.get(w)
+            if d is None:
+                d = to_v[w] = view.distance(w, v)
+            if d <= room:
+                path.append(w)
+                used.add(w)
+                yield from _extend(view, path, used, v, blocked, to_v, length)
+                path.pop()
+                used.discard(w)
 
 
 def _split_for_search(live: Sequence[Demand]):
@@ -286,33 +324,35 @@ def _split_for_search(live: Sequence[Demand]):
     return list(live[:-1]), [live[-1]]
 
 
-def _leaf_solve(view, leaf: Sequence[Demand], free: set[int]):
+def _leaf_solve(view, leaf: Sequence[Demand], blocked: set[int]):
     """Exact decision for single-source demands: the relaxation cannot loop
     a unit back into its source, and saturation forces the sink split."""
-    net = _saturate(view, leaf, free)
+    net = _saturate(view, leaf, blocked)
     return None if net is None else _classify(net, leaf)
 
 
-def _leaf_spare_vertices(view, leaf: Sequence[Demand], free: set[int]) -> set[int]:
-    """Free vertices whose individual removal keeps the leaf feasible.
+def _branch_blocked(view, leaf: Sequence[Demand],
+                    blocked: set[int]) -> set[int] | None:
+    """What a branch segment may not cross: ``blocked`` and every free
+    vertex whose removal alone makes the leaf infeasible, so the free
+    vertices outside it are the leaf's spare vertices.  None when the leaf
+    is infeasible already, which spares no vertex.
 
     Leaf feasibility is monotone in the free set, so a branch segment may
-    never route through a vertex outside this set; jointly critical
+    never route through a vertex that is not spare; jointly critical
     combinations are still caught by the per-commitment leaf check.  One
-    saturated relaxation answers for every vertex: an infeasible leaf
-    spares nothing, and a feasible one spares all but the vertices every
-    saturating flow crosses (``UnitFlowNet.critical``).
+    saturated relaxation answers for every vertex: a feasible leaf spares
+    all but the vertices every saturating flow crosses
+    (``UnitFlowNet.critical``).
     """
-    net = _saturate(view, leaf, free)
-    if net is None:
-        return set()
-    return free - net.critical()
+    net = _saturate(view, leaf, blocked)
+    return None if net is None else blocked | net.critical()
 
 
-def _dfs_pack(view, demands: Sequence[Demand], free: set[int], budget: Budget):
+def _dfs_pack(view, demands: Sequence[Demand], blocked: set[int], budget: Budget):
     """Complete search; segments of a branched pair are committed in strictly
     increasing (length, sequence) order, so no packing is seen twice."""
-    search = _PackSearch(view, demands, free, budget)
+    search = _PackSearch(view, demands, blocked, budget)
     if not search.rec(0):
         return None
     return (list(zip(search.branch, search.chosen))
@@ -322,21 +362,22 @@ def _dfs_pack(view, demands: Sequence[Demand], free: set[int], budget: Budget):
 class _PackSearch:
     """The state of one ``_dfs_pack`` call, with its relaxation caches keyed
     by the interior vertices committed so far (see the module docstring).
-    The caches hold booleans and vertex sets, never networks, and nothing
-    here refers back to itself, so all of it is freed on return.
+    ``blocked`` holds the terminals and those interiors.  The caches hold
+    booleans and vertex sets, never networks, and nothing here refers back
+    to itself, so all of it is freed on return.
     """
 
-    def __init__(self, view, demands: Sequence[Demand], free: set[int],
+    def __init__(self, view, demands: Sequence[Demand], blocked: set[int],
                  budget: Budget) -> None:
         self.view = view
         self.budget = budget
         self.branch, self.leaf = _split_for_search(demands)
         self.chosen: list[list[Segment]] = [[] for _ in self.branch]
         self.leaf_found: list[list[Segment]] = []
-        self.free = set(free)
+        self.blocked = set(blocked)
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.joint_ok: dict[tuple[frozenset[int], tuple[int, ...]], bool] = {}
-        self.spare: dict[frozenset[int], set[int]] = {}
+        self.avoid: dict[frozenset[int], set[int] | None] = {}
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment chosen so far."""
@@ -352,35 +393,35 @@ class _PackSearch:
         return out
 
     def interior_budget(self, di: int) -> int:
-        spare = len(self.free)
+        """Free vertices left once every other segment still owed takes a
+        shortest interior; any negative value means none can be placed."""
+        spare = self.view.vertex_count - len(self.blocked)
         for u, v, left in self.remaining(skip_current=di):
             if left <= 0:
                 continue
-            dist = _dist_through(self.view, v, self.free)
-            shortest = dist.get(u)
+            # a longer shortest segment would take the count below 0
+            shortest = _hops(self.view, u, v, self.blocked,
+                             limit=spare // left + 1)
             if shortest is None:
                 return -1
             spare -= left * max(0, shortest - 1)
         return spare
 
-    def spare_vertices(self, key: frozenset[int], net) -> set[int]:
-        """The leaf's spare vertices for the current free set, read from the
+    def branch_blocked(self, key: frozenset[int], net) -> set[int] | None:
+        """``_branch_blocked`` for the current blocked set, read from the
         saturated leaf ``net`` over it when the caller has one."""
-        spare = self.spare.get(key)
-        if spare is None:
-            if net is None:
-                spare = _leaf_spare_vertices(self.view, self.leaf, self.free)
-            else:
-                spare = self.free - net.critical()
-            self.spare[key] = spare
-        return spare
+        if key not in self.avoid:
+            self.avoid[key] = (
+                _branch_blocked(self.view, self.leaf, self.blocked)
+                if net is None else self.blocked | net.critical())
+        return self.avoid[key]
 
     def rec(self, di: int, net=None) -> bool:
         """Complete the packing from branch demand ``di`` on; ``net`` is the
-        saturated leaf relaxation over the current free set, if at hand."""
+        saturated leaf relaxation over the current blocked set, if at hand."""
         branch, chosen = self.branch, self.chosen
         if di == len(branch):
-            solved = _leaf_solve(self.view, self.leaf, self.free)
+            solved = _leaf_solve(self.view, self.leaf, self.blocked)
             if solved is None:
                 return False
             self.leaf_found.extend(solved)
@@ -392,11 +433,13 @@ class _PackSearch:
         if cap < 0:
             return False
         floor = chosen[di][-1] if chosen[di] else None
-        roam = self.spare_vertices(self.committed(), net)
-        for seg in _enum_segments(self.view, u, v, roam, cap, floor):
+        avoid = self.branch_blocked(self.committed(), net)
+        if avoid is None:  # no vertex is spare: only the direct edge is left
+            avoid, cap = self.blocked, 0
+        for seg in _enum_segments(self.view, u, v, avoid, cap, floor):
             self.budget.tick()
             interior = seg[1:-1]
-            self.free.difference_update(interior)
+            self.blocked.update(interior)
             chosen[di].append(seg)
             key = self.committed()
             # the leaf alone is an exact, junk-free necessary condition and
@@ -405,12 +448,12 @@ class _PackSearch:
             leaf_net = None
             ok = self.leaf_ok.get(key)
             if ok is None:
-                leaf_net = _saturate(self.view, self.leaf, self.free)
+                leaf_net = _saturate(self.view, self.leaf, self.blocked)
                 ok = self.leaf_ok[key] = leaf_net is not None
             if ok and self.joint(key) and self.rec(di, leaf_net):
                 return True
             chosen[di].pop()
-            self.free.update(interior)
+            self.blocked.difference_update(interior)
         return False
 
     def joint(self, key: frozenset[int]) -> bool:
@@ -419,6 +462,6 @@ class _PackSearch:
         counts = tuple(c for _, _, c in left)
         ok = self.joint_ok.get((key, counts))
         if ok is None:
-            ok = _saturate(self.view, left, self.free) is not None
+            ok = _saturate(self.view, left, self.blocked) is not None
             self.joint_ok[key, counts] = ok
         return ok

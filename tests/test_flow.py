@@ -14,7 +14,7 @@ from aqpath.flow import (
     linkage,
     min_vertex_cut,
 )
-from aqpath.packing import pack_segments
+from aqpath.packing import Budget, pack_segments
 
 
 def k4():
@@ -187,22 +187,21 @@ def test_network_cost_follows_the_explored_region():
     cube = AugmentedCube(16)
     u, v = 0, 1
     assert cube.is_adjacent(u, v)
-    free = set(cube.vertices()) - {u, v}
-    net = UnitFlowNet(cube, {u: cube.degree}, {v: cube.degree}, free)
+    net = UnitFlowNet(cube, {u: cube.degree}, {v: cube.degree}, {u, v})
     assert net.max_flow(limit=1) == 1
     assert len(net.cap) < 100
 
 
 def test_every_interior_of_a_bare_path_is_critical():
     path = AdjListView([(i, i + 1) for i in range(4)], bits=3)
-    net = UnitFlowNet(path, {0: 1}, {4: 1}, {1, 2, 3})
+    net = UnitFlowNet(path, {0: 1}, {4: 1}, {0, 4})
     assert net.max_flow() == 1
     assert net.critical() == {1, 2, 3}
 
 
 def test_critical_vertices_leave_the_net_as_found():
     cube = AugmentedCube(5)
-    net = UnitFlowNet(cube, {0: 9}, {21: 5, 26: 4}, set(cube.vertices()) - {0, 21, 26})
+    net = UnitFlowNet(cube, {0: 9}, {21: 5, 26: 4}, {0, 21, 26})
     assert net.max_flow() == 9
     paths = net.unit_paths()
     rows = {u: dict(row) for u, row in net.cap.items()}
@@ -239,12 +238,34 @@ def test_a_far_pair_in_a_huge_half_lists_no_vertex():
     assert all(half.is_adjacent(a, b) for a, b in zip(path, path[1:]))
 
 
+@pytest.mark.parametrize("demands, ticks", [
+    ([(0, 1, 1), (2, 3, 1), (4, 5, 1)], 1),
+    # the flow relaxations leave these two to the branch-and-bound
+    ([(0, 3, 2), (3, 5, 3), (0, 5, 2)], 3),
+    ([(0, 1, 3), (1, 2, 4), (0, 2, 3)], 4),
+], ids=["unit-pairs", "triangle", "searched"])
+def test_packing_in_a_huge_half_lists_no_vertex(demands, ticks):
+    half = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
+    budget = Budget(None)
+    found = pack_segments(half, demands, budget)
+    assert found is not None
+    terminals = {t for u, v, _ in demands for t in (u, v)}
+    interiors = [w for segs in found for seg in segs for w in seg[1:-1]]
+    assert len(set(interiors)) == len(interiors)
+    assert not terminals & set(interiors)
+    for (u, v, c), segs in zip(demands, found):
+        assert len(segs) == c
+        for seg in segs:
+            assert (seg[0], seg[-1]) == (u, v)
+            assert all(half.is_adjacent(a, b) for a, b in zip(seg, seg[1:]))
+    assert budget.used == ticks
+
+
 def test_a_far_search_reads_under_one_percent_of_the_rows():
     half = AugmentedCube(16).half_view(0)
     u, v = 0, int("110" + "0110" * 3, 2)
     assert half.distance(u, v) == 8  # the diameter of the 15-dimensional half
-    free = set(half.vertices()) - {u, v}
-    net = UnitFlowNet(half, {u: 1}, {v: 1}, free)
+    net = UnitFlowNet(half, {u: 1}, {v: 1}, {u, v})
     assert net.max_flow(limit=1) == 1
     assert len(net.cap) < half.vertex_count // 100
 

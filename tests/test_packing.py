@@ -1,12 +1,14 @@
 import gc
 import random
+from collections import deque
 
 import pytest
 
 from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
 from aqpath import packing
-from aqpath.packing import Budget, _leaf_spare_vertices, _saturate, pack_segments
+from aqpath.packing import (Budget, _branch_blocked, _enum_segments, _hops,
+                            _saturate, pack_segments)
 from aqpath.textio import parse_graph, render_graph
 
 
@@ -27,9 +29,16 @@ def test_one_demand_uses_the_direct_edge_once():
     assert len(segs) == 2 and segs.count((0, 1)) == 1
 
 
-def spare_by_rebuild(view, leaf, free):
+def spare_by_rebuild(view, leaf, blocked):
     # the reference: one relaxation per free vertex, left out in turn
-    return {w for w in free if _saturate(view, leaf, free - {w}) is not None}
+    return {w for w in view.vertices() if w not in blocked
+            and _saturate(view, leaf, blocked | {w}) is not None}
+
+
+def spare_vertices(view, leaf, blocked):
+    """The free vertices ``_branch_blocked`` leaves to branch segments."""
+    fence = _branch_blocked(view, leaf, blocked)
+    return set() if fence is None else set(view.vertices()) - fence
 
 
 def random_graph(seed):
@@ -66,23 +75,35 @@ def test_spare_vertices_match_the_per_vertex_rebuild(name):
         total = max(len(sinks), len(view.neighbors(s)) + rng.randint(-2, 1))
         cut = rng.randint(1, total - 1) if len(sinks) == 2 else total
         leaf = [(s, t, c) for t, c in zip(sinks, (cut, total - cut))]
-        free = set(verts) - {s, *sinks}
-        assert _leaf_spare_vertices(view, leaf, free) == spare_by_rebuild(view, leaf, free)
+        blocked = {s, *sinks}
+        assert spare_vertices(view, leaf, blocked) == spare_by_rebuild(view, leaf, blocked)
 
 
 def test_an_infeasible_leaf_spares_nothing():
     ring = AdjListView([(i, (i + 1) % 6) for i in range(6)], bits=3)
-    leaf, free = [(0, 3, 3)], {1, 2, 4, 5}
-    assert _leaf_spare_vertices(ring, leaf, free) == set()
-    assert spare_by_rebuild(ring, leaf, free) == set()
+    leaf, blocked = [(0, 3, 3)], {0, 3}
+    assert spare_vertices(ring, leaf, blocked) == set()
+    assert spare_by_rebuild(ring, leaf, blocked) == set()
+
+
+def test_an_infeasible_leaf_still_tries_the_direct_edge():
+    # the relaxation pairs 0 with 3 and 2 with 1, so the search branches
+    # on 0-1 with a leaf (2 to 3, twice) that no free vertex can rescue;
+    # the direct edge 0-1 is still enumerated and ticks once
+    view = AdjListView([(0, 1), (0, 4), (4, 3), (2, 5), (5, 1), (2, 6), (6, 3)],
+                       bits=3)
+    assert spare_vertices(view, [(2, 3, 2)], {0, 1, 2, 3}) == set()
+    budget = Budget(None)
+    assert pack_segments(view, [(0, 1, 1), (2, 3, 2)], budget) is None
+    assert budget.used == 2
 
 
 def test_spare_vertices_with_a_direct_terminal_edge():
     cube = AugmentedCube(4)
     leaf = [(0, 1, 3), (0, 6, 2)]
-    free = set(cube.vertices()) - {0, 1, 6}
-    assert (0, 1) in _saturate(cube, leaf, free).unit_paths()
-    assert _leaf_spare_vertices(cube, leaf, free) == spare_by_rebuild(cube, leaf, free)
+    blocked = {0, 1, 6}
+    assert (0, 1) in _saturate(cube, leaf, blocked).unit_paths()
+    assert spare_vertices(cube, leaf, blocked) == spare_by_rebuild(cube, leaf, blocked)
 
 
 def test_spare_vertices_run_one_max_flow(monkeypatch):
@@ -98,10 +119,118 @@ def test_spare_vertices_run_one_max_flow(monkeypatch):
     # the source's whole degree is demanded, so exactly its neighbours
     # are critical
     leaf = [(0, 21, 5), (0, 26, 4)]
-    free = set(cube.vertices()) - {0, 21, 26}
-    spare = _leaf_spare_vertices(cube, leaf, free)
+    blocked = {0, 21, 26}
+    spare = spare_vertices(cube, leaf, blocked)
+    free = set(cube.vertices()) - blocked
     assert calls == [9]
     assert free - spare == set(cube.neighbors(0))
+
+
+def dist_through(view, target, free):
+    """The reference for ``_hops``: hop counts to ``target`` where every
+    intermediate vertex is free, by breadth-first search over the view."""
+    dist = {target: 0}
+    queue = deque([target])
+    while queue:
+        w = queue.popleft()
+        for nxt in view.neighbors(w):
+            if nxt not in dist:
+                dist[nxt] = dist[w] + 1
+                if nxt in free:
+                    queue.append(nxt)
+    return dist
+
+
+HOPS_VIEWS = {
+    "AQ4": lambda: AugmentedCube(4),
+    "AQ5": lambda: AugmentedCube(5),
+    "AQ6": lambda: AugmentedCube(6),
+    "AQ7": lambda: AugmentedCube(7),
+    "AQ7-half": lambda: AugmentedCube(7).half_view(1),
+    "AQ6-diamond": lambda: AugmentedCube(6).diamond_view(0b00, 0b11),
+    "AQ5-restricted": SPARE_VIEWS["AQ5-restricted"],
+    "parsed-1": lambda: random_graph(1),
+    "parsed-2": lambda: random_graph(2),
+    "parsed-3": lambda: random_graph(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOPS_VIEWS))
+def test_shortest_hops_match_a_breadth_first_search(name):
+    view = HOPS_VIEWS[name]()
+    rng = random.Random(name)
+    verts = sorted(view.vertices())
+    seen = set()
+    for _ in range(12):
+        # free subsets from nearly all of the view to a sparse remnant
+        free = set(rng.sample(verts, rng.randint(0, len(verts) - 2)))
+        blocked = set(verts) - free
+        v = rng.choice(verts)
+        dist = dist_through(view, v, free)
+        for u in rng.sample(verts, min(len(verts), 12)):
+            if u == v:
+                continue
+            want = dist.get(u)
+            seen.add(want)
+            assert _hops(view, u, v, blocked) == want, (u, v)
+            limit = rng.randint(1, 6)
+            got = _hops(view, u, v, blocked, limit=limit)
+            assert got == (want if want is not None and want <= limit else None)
+    assert 1 in seen and None in seen
+
+
+def enum_reference(view, u, v, free, max_interior, floor):
+    """The reference for ``_enum_segments``: the same order, pruned with
+    exact breadth-first distances over the free vertices."""
+    dist = dist_through(view, v, free)
+    if u not in dist:
+        return
+    top = min(max_interior + 2, len(free) + 2)
+    start = max(dist[u], 1)
+    if floor is not None:
+        start = max(start, len(floor) - 1)
+
+    def extend(path, length):
+        room = length - len(path)
+        for w in view.neighbors(path[-1]):
+            if w == v:
+                if room == 0:
+                    yield (*path, v)
+            elif (room > 0 and w in free and w not in path
+                    and dist.get(w, top) <= room):
+                yield from extend(path + [w], length)
+
+    for length in range(start, top):
+        for seg in extend([u], length):
+            if floor is None or (len(seg), seg) > (len(floor), floor):
+                yield seg
+
+
+ENUM_VIEWS = {
+    "AQ4": lambda: AugmentedCube(4),
+    "AQ5-half": lambda: AugmentedCube(5).half_view(0),
+    "AQ5-restricted": SPARE_VIEWS["AQ5-restricted"],
+    "parsed-4": lambda: random_graph(4),
+    "parsed-5": lambda: random_graph(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_VIEWS))
+def test_segments_come_in_the_order_exact_pruning_gives(name):
+    view = ENUM_VIEWS[name]()
+    rng = random.Random(name)
+    verts = sorted(view.vertices())
+    for _ in range(8):
+        u, v = rng.sample(verts, 2)
+        # at most 7 free vertices keep the full enumeration small
+        free = set(rng.sample([w for w in verts if w not in (u, v)], 7))
+        blocked = set(verts) - free
+        for max_interior in (0, 1, 2, 20):
+            want = list(enum_reference(view, u, v, free, max_interior, None))
+            assert list(_enum_segments(view, u, v, blocked, max_interior, None)) == want
+            for floor in want[::3]:
+                assert (list(_enum_segments(view, u, v, blocked, max_interior, floor))
+                        == list(enum_reference(view, u, v, free, max_interior, floor)))
 
 
 # the m = 5 refutation at the value-4 orbit of pi3(AQ_4)
@@ -244,9 +373,9 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
     searches = []
     dfs_pack = packing._dfs_pack
 
-    def counted(view, live, free, budget):
+    def counted(view, live, blocked, budget):
         searches.append(live)
-        return dfs_pack(view, live, free, budget)
+        return dfs_pack(view, live, blocked, budget)
 
     monkeypatch.setattr(packing, "_dfs_pack", counted)
     for name, view, demands in exactness_cases():
