@@ -25,10 +25,15 @@ Conventions
 - The distance between u and v is the fewest mask words whose XOR is
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
+  It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone,
+  so ``distance_table(bits)`` holds it for every y below 2**bits in one
+  cached ``bytes`` object, built on first use (1 KB at 10 bits, 1 MB at
+  20); the flow and packing searches read sink distances from it.
 
 Every view (half, quadrant, diamond, restriction) answers adjacency with
 the parent cube's masks filtered by membership, and distance with the
-cube's value.
+cube's value.  A prefix view filters once, per prefix: it keeps the mask
+words that stay inside it, and a row is those words applied to the vertex.
 """
 
 from __future__ import annotations
@@ -78,6 +83,40 @@ def distance(u: int, v: int) -> int:
         x &= ~((x & -x) * 3)
         d += 1
     return d
+
+
+# widest table ``distance_table`` builds: 2**20 bytes
+DISTANCE_TABLE_MAX_BITS = 20
+_DISTANCE_TABLES: dict[int, bytes] = {}
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+def distance_table(bits: int) -> bytes | None:
+    """The table t with t[w ^ (w >> 1)] == distance(0, w) for every
+    w < 2**bits, or None above ``DISTANCE_TABLE_MAX_BITS``.
+
+    ``distance`` clears the lowest set bit of y and the bit above it, so
+    t[y] = t[y >> 1] for even y and t[y >> 2] + 1 for odd y.  Each pass
+    doubles the table with slice copies: entry 2i is t[i], and entries 2i
+    and 2i + 1 of the odd half are both t[i] + 1.  Built once per width
+    and cached; two threads that first ask at once may both build it,
+    which only wastes the second build.
+    """
+    if bits > DISTANCE_TABLE_MAX_BITS:
+        return None
+    got = _DISTANCE_TABLES.get(bits)
+    if got is None:
+        t = bytearray(b"\0\1")
+        while len(t) < 1 << bits:
+            size = len(t)
+            odd = t[:size // 2].translate(_PLUS_ONE)
+            nxt = bytearray(2 * size)
+            nxt[0::2] = t
+            nxt[1::4] = odd
+            nxt[3::4] = odd
+            t = nxt
+        got = _DISTANCE_TABLES[bits] = bytes(t[:1 << bits])
+    return got
 
 
 def map_vertex(images: Sequence[int], v: int) -> int:
@@ -142,7 +181,8 @@ class AugmentedCube:
         masks = [AdjacencyMask("h", d, hyper_word(n, d)) for d in range(1, n + 1)]
         masks += [AdjacencyMask("c", d, complement_word(n, d)) for d in range(1, n)]
         self.masks: tuple[AdjacencyMask, ...] = tuple(masks)
-        self.mask_words: frozenset[int] = frozenset(m.word for m in masks)
+        self.words: tuple[int, ...] = tuple(m.word for m in masks)
+        self.mask_words: frozenset[int] = frozenset(self.words)
         self.degree = len(self.masks)
         self._nbrs: dict[int, tuple[int, ...]] = {}
 
@@ -165,14 +205,17 @@ class AugmentedCube:
         got = self._nbrs.get(x)
         if got is None:
             self.check_vertex(x)
-            got = tuple(sorted(x ^ m.word for m in self.masks))
-            self._nbrs[x] = got
+            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, self.words)))
         return got
 
     def is_adjacent(self, x: int, y: int) -> bool:
         return (x ^ y) in self.mask_words
 
     distance = staticmethod(distance)
+
+    @property
+    def distance_table(self) -> bytes | None:
+        return distance_table(self.bits)
 
     def h_neighbor(self, x: int, d: int) -> int:
         self.check_vertex(x)
@@ -229,15 +272,19 @@ class PrefixView:
     prefixes give a diamond: both quadrants plus the perfect matching(s)
     the cube places between them (one matching across halves or across
     the diagonal, two between siblings of one half).  Membership is a
-    prefix test; adjacency is the parent's masks filtered by membership.
+    prefix test; adjacency is the parent's masks filtered by membership,
+    done once per prefix: ``_words[p]`` holds the mask words that keep a
+    vertex with prefix p inside the view, in the cube's mask order.
     """
 
     def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
         self.cube = cube
         self.bits = cube.n
         self.prefixes = frozenset(prefixes)
-        self.shift = cube.n - prefix_bits
-        self.vertex_count = len(self.prefixes) << self.shift
+        self.shift = shift = cube.n - prefix_bits
+        self.vertex_count = len(self.prefixes) << shift
+        self._words = {p: tuple(m for m in cube.words if p ^ (m >> shift) in self.prefixes)
+                       for p in self.prefixes}
         self._nbrs: dict[int, tuple[int, ...]] = {}
 
     def vertices(self) -> Sequence[int]:
@@ -253,10 +300,10 @@ class PrefixView:
     def neighbors(self, x: int) -> tuple[int, ...]:
         got = self._nbrs.get(x)
         if got is None:
-            if x not in self:
+            words = self._words.get(x >> self.shift)
+            if words is None:
                 raise ValueError(f"vertex {x} not in this view")
-            got = tuple(w for w in self.cube.neighbors(x) if w in self)
-            self._nbrs[x] = got
+            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, words)))
         return got
 
     def is_adjacent(self, x: int, y: int) -> bool:
@@ -264,6 +311,10 @@ class PrefixView:
 
     # the cube's distance: a lower bound on hops inside the view
     distance = staticmethod(distance)
+
+    @property
+    def distance_table(self) -> bytes | None:
+        return distance_table(self.bits)
 
 
 class RestrictedView:
@@ -308,6 +359,10 @@ class RestrictedView:
         """The base's distance: a lower bound on hops with fewer edges."""
         return self.base.distance(x, y)
 
+    @property
+    def distance_table(self) -> bytes | None:
+        return self.base.distance_table
+
 
 class AdjListView:
     """Explicit small graph (text-format input, random test corpora)."""
@@ -341,6 +396,8 @@ class AdjListView:
     def distance(self, x: int, y: int) -> int:
         """No known bound on an arbitrary graph, so 0."""
         return 0
+
+    distance_table = None  # nothing to tabulate
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, ws in self._adj.items() for w in ws if u < w]

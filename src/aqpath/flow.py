@@ -28,11 +28,15 @@ its vertex to the nearest sink, and equal keys leave the queue last in,
 first out.  The distance is the cube's closed form (``aqpath.cube``), so
 a search reaches a far sink after scanning little more than the region
 between, not the whole view; on a view with no distance (0 everywhere)
-the search is breadth-first.  The weight only chooses *which* augmenting
-path is found, so flow values stay exact, but a path need not be a
-shortest one.  Rows list their entries in the view's neighbor order and
-the queue order is fixed, so identical inputs always produce identical
-path systems.
+the search is breadth-first.  Each distance is read from the view's
+``distance_table`` (one byte per gray word, so the nearest sink is a
+``min`` over byte lookups) and computed once per view and sink set
+(``sink_distances``); only a view with no table, an adjacency list or
+one wider than the table, asks ``view.distance`` per sink.  The weight
+only chooses *which* augmenting path is found, so flow values stay exact,
+but a path need not be a shortest one.  Rows list their entries in the
+view's neighbor order and the queue order is fixed, so identical inputs
+always produce identical path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -41,7 +45,7 @@ network rebuilt, the free vertices that every flow of its value must cross.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable
+from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
 _SRC = -1
@@ -65,17 +69,6 @@ def _out(v: int) -> int:
     return 2 * v + 1
 
 
-def _is_arc(u: int, v: int) -> bool:
-    """Whether u->v is an arc of the split network, not a reverse entry:
-    the source feeds out-nodes, in-nodes drain into the sink, an in-node
-    feeds its own out-node and an out-node the in-nodes of other vertices."""
-    if u == _SRC or v == _SNK:
-        return True
-    if u == _SNK or v == _SRC:
-        return False
-    return (u % 2 == 0) == (u // 2 == v // 2)
-
-
 def _nodes(path: tuple[int, ...]) -> list[int]:
     """The split nodes a unit path crosses, source to sink."""
     nodes = [_SRC, _out(path[0])]
@@ -85,17 +78,46 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
     return nodes
 
 
-# view -> sink set -> ``UnitFlowNet.h``: the distances depend on nothing
-# else (views do not change), so all nets over one view and one sink set
-# fill one table, and it goes when the view does
+# view -> sink set -> (``UnitFlowNet.h``, its filler): the distances depend
+# on nothing else (views do not change), so all nets over one view and one
+# sink set fill one table, and it goes when the view does.  No filler
+# refers to the view, which would keep the key alive.
 _TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
 
+Filler = Callable[[object, int], int]
 
-def sink_distances(view, sinks: Iterable[int]) -> dict[int, int]:
-    """The shared table of the view's distances from a vertex to the
-    nearest of ``sinks``, filled by whoever computes one; the key -1 (the
-    source and sink nodes of a net) holds 0."""
-    return _TO_SINK.setdefault(view, {}).setdefault(frozenset(sinks), {-1: 0})
+
+def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
+    """The shared table h of the view's distances from a vertex to the
+    nearest of ``sinks``, and the function ``fill(view, x)`` that computes
+    h[x], stores it and returns it.  The key -1 (the source and sink nodes
+    of a net) holds 0.
+
+    With the view's ``distance_table`` t, the distance from x to s is
+    t[g(x) ^ g(s)], g(w) = w ^ (w >> 1), so the sinks are kept as gray
+    words and x's nearest one is a ``min`` over byte lookups.  A view with
+    no table is asked ``view.distance`` once per sink.
+    """
+    key = frozenset(sinks)
+    per_view = _TO_SINK.setdefault(view, {})
+    got = per_view.get(key)
+    if got is None:
+        h = {-1: 0}
+        table = view.distance_table
+        if table is None:
+            def fill(view, x: int) -> int:
+                d = h[x] = min(map(view.distance, repeat(x), key), default=0)
+                return d
+        else:
+            gray = tuple(s ^ (s >> 1) for s in key)
+            lookup = table.__getitem__
+
+            def fill(view, x: int) -> int:
+                gx = x ^ (x >> 1)
+                d = h[x] = min(map(lookup, map(gx.__xor__, gray)), default=0)
+                return d
+        got = per_view[key] = (h, fill)
+    return got
 
 
 class UnitFlowNet:
@@ -110,10 +132,10 @@ class UnitFlowNet:
 
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
     derived by ``_row`` when node u is first reached.  ``h[x]`` is the
-    view's distance from vertex x to the nearest sink, filled in as
-    searches discover x and shared by every net over the same view and
-    sink set (``_TO_SINK``); the source and the sink both map to the key
-    -1 (node >> 1) and to 0.
+    view's distance from vertex x to the nearest sink, read from the
+    view's distance table as searches discover x and shared by every net
+    over the same view and sink set (``sink_distances``); the source and
+    the sink both map to the key -1 (node >> 1) and to 0.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -123,7 +145,7 @@ class UnitFlowNet:
         self.sinks = sinks
         self.blocked = blocked
         self.cap: dict[int, dict[int, int]] = {}
-        self.h = sink_distances(view, sinks)
+        self.h, self._fill = sink_distances(view, sinks)
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row: its arcs at full capacity and its
@@ -150,12 +172,6 @@ class UnitFlowNet:
         self.cap[u] = row
         return row
 
-    def _to_sink(self, x: int) -> int:
-        """Store and return the view's distance from x to the nearest sink."""
-        got = self.h[x] = min(map(self.view.distance, repeat(x), self.sinks),
-                              default=0)
-        return got
-
     def _search(self, parent: dict[int, int]) -> dict[int, int]:
         """Best-first search of the residual network from the source,
         recording each node's predecessor in ``parent``; nodes already in
@@ -164,7 +180,7 @@ class UnitFlowNet:
         the source along the search tree, h: ``self.h``); ``buckets[k]``
         holds the nodes under key k, popped last in, first out.  Stops once
         the sink is found and returns ``parent``."""
-        cap, h = self.cap, self.h
+        cap, h, fill, view = self.cap, self.h, self._fill, self.view
         parent[_SRC] = _SRC
         buckets = [[_SRC]]
         top = 1  # len(buckets)
@@ -184,7 +200,7 @@ class UnitFlowNet:
                     parent[v] = u
                     hv = h.get(v >> 1)
                     if hv is None:
-                        hv = self._to_sink(v >> 1)
+                        hv = fill(view, v >> 1)
                     k = g + 3 * hv
                     while top <= k:
                         buckets.append([])
@@ -256,12 +272,23 @@ class UnitFlowNet:
         given as the tuple of vertices it visits."""
         cap = self.cap
         left: dict[int, dict[int, int]] = {}
+        none: dict[int, int] = {}  # the row of a node never reached
 
         def flow_out(u: int) -> dict[int, int]:  # not yet decomposed
             row = left.get(u)
-            if row is None:  # a node never reached carries no flow
-                row = left[u] = {v: cap[v][u] for v in cap.get(u, ())
-                                 if _is_arc(u, v) and v in cap and cap[v][u] > 0}
+            if row is None:  # the flow on an arc u->v is cap[v][u]
+                if u % 2 and u != _SRC:
+                    # an out-node feeds other vertices' in-nodes by unit
+                    # arcs, each carrying flow exactly when it is saturated
+                    row = {v: 1 for v, c in cap.get(u, none).items()
+                           if not c and not v % 2 and v != u - 1}
+                else:
+                    # the source feeds out-nodes; an in-node its own
+                    # out-node and the sink
+                    heads = cap.get(u, none) if u == _SRC else (u + 1, _SNK)
+                    row = {v: f for v in heads
+                           if (f := cap.get(v, none).get(u, 0)) > 0}
+                left[u] = row
             return row
 
         out: list[tuple[int, ...]] = []

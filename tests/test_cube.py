@@ -1,10 +1,13 @@
+import importlib
 import itertools
 import math
+import random
 from collections import deque
 
 import pytest
 
 from aqpath.cube import (
+    DISTANCE_TABLE_MAX_BITS,
     AdjListView,
     AugmentedCube,
     RestrictedView,
@@ -12,6 +15,7 @@ from aqpath.cube import (
     canonicalize_triple,
     complement_word,
     distance,
+    distance_table,
     hyper_word,
     map_vertex,
     orbit_representatives,
@@ -79,6 +83,14 @@ def test_c_neighbor_examples():
     assert c.c_neighbor(0b0010, 2) == 0b0101
     with pytest.raises(ValueError):
         c.c_neighbor(0, 4)  # level n coincides with the single-bit flip
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cube_rows_apply_the_mask_words(n):
+    cube = AugmentedCube(n)
+    assert cube.words == tuple(m.word for m in cube.masks)
+    for x in cube.vertices():
+        assert cube.neighbors(x) == tuple(sorted(x ^ m.word for m in cube.masks))
 
 
 def test_neighbors_examples():
@@ -164,6 +176,32 @@ def test_diamond_edge_inventory():
 
     assert edge_count(vertical) == 6 + 6 + 4
     assert edge_count(sibling) == 6 + 6 + 8
+
+
+def prefix_views(cube):
+    """Both halves, all four quadrants and all six diamonds."""
+    yield from (cube.half_view(b) for b in (0, 1))
+    yield from (cube.quadrant_view(q) for q in range(4))
+    yield from (cube.diamond_view(a, b) for a, b in itertools.combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_prefix_view_rows_are_the_filtered_cube_rows(n):
+    cube, reference = AugmentedCube(n), AugmentedCube(n)
+    outside = [-1, -2, -(1 << n), 1 << n, (1 << n) + 1, 1 << (n + 3)]
+    for view in prefix_views(cube):
+        for x in range(1 << n):
+            if x in view:
+                # the filter every view ran before it kept words per prefix
+                want = tuple(w for w in reference.neighbors(x) if w in view)
+                assert view.neighbors(x) == want
+            else:
+                with pytest.raises(ValueError):
+                    view.neighbors(x)
+        for x in outside:
+            with pytest.raises(ValueError):
+                view.neighbors(x)
+    assert not cube._nbrs  # the views never fill the parent's memo
 
 
 def test_matching_structure():
@@ -264,6 +302,37 @@ def test_adjacency_list_views_have_no_distance():
     g = AdjListView([(0, 1), (1, 2)], bits=2)
     assert g.distance(0, 2) == 0
     assert RestrictedView(g, forbidden_vertices={1}).distance(0, 2) == 0
+    assert g.distance_table is None
+    assert RestrictedView(g, forbidden_vertices={1}).distance_table is None
+
+
+def test_the_distance_table_holds_every_distance():
+    for bits in range(17):
+        table = distance_table(bits)
+        assert len(table) == 1 << bits
+        for w in range(1 << bits):
+            assert table[w ^ (w >> 1)] == distance(0, w)
+    table = distance_table(20)
+    rng = random.Random(20)
+    for w in (rng.getrandbits(20) for _ in range(100_000)):
+        assert table[w ^ (w >> 1)] == distance(0, w)
+    assert distance_table(20) is table  # built once per width
+    assert distance_table(DISTANCE_TABLE_MAX_BITS + 1) is None
+
+
+def test_every_construct_runs_on_the_table():
+    construct = importlib.import_module("aqpath.construct")
+    assert construct.CONSTRUCT_MAX_N <= DISTANCE_TABLE_MAX_BITS
+
+
+def test_cube_views_share_the_cube_table():
+    cube = AugmentedCube(8)
+    table = distance_table(8)
+    assert cube.distance_table is table
+    assert cube.half_view(1).distance_table is table
+    assert cube.diamond_view(0b00, 0b11).distance_table is table
+    assert RestrictedView(cube.half_view(0), forbidden_vertices={3}).distance_table is table
+    assert AugmentedCube(DISTANCE_TABLE_MAX_BITS + 1).half_view(0).distance_table is None
 
 
 def swap_last_two_bits(v):

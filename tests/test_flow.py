@@ -1,10 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import deque
 
 import pytest
 
-from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
+from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView, distance
 from aqpath.flow import (
     Insufficient,
     UnitFlowNet,
@@ -392,3 +394,130 @@ def test_packing_verdicts_match_breadth_first_augmentation(name, monkeypatch):
     monkeypatch.setattr(UnitFlowNet, "_search", breadth_first_search)
     want = [pack_segments(view, d) for d in cases]
     assert [g is None for g in got] == [w is None for w in want]
+
+
+# -- sink distances from the table, and the flow decomposition -----------
+
+
+@pytest.fixture
+def cube_distance_calls(monkeypatch):
+    """The number of calls to the cube's ``distance`` through any cube view."""
+    calls = [0]
+
+    def counted(u, v):
+        calls[0] += 1
+        return distance(u, v)
+
+    for cls in (AugmentedCube, PrefixView):
+        monkeypatch.setattr(cls, "distance", staticmethod(counted))
+    return calls
+
+
+def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
+    half = AugmentedCube(10).half_view(0)
+    far = int("110011001", 2)
+    assert len(disjoint_paths(half, 0, far, 9)) == 9
+    assert len(fan(half, 0, [far, 0b101010101, 0b011110000, 0b111111111])) == 4
+    assert cube_distance_calls[0] == 0
+    # a view wider than the table is asked, so the count does register
+    wide = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
+    disjoint_paths(wide, 0, far, 1)
+    assert cube_distance_calls[0] > 0
+
+
+@pytest.mark.parametrize("make, source, sinks", [
+    (lambda: UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1),
+     0, (0b110011, 0b1011 << 20, 0b11 << 30)),
+    (lambda: random_graph(7), 0, (5, 9)),
+    (lambda: RestrictedView(AugmentedCube(10).half_view(1),
+                            forbidden_vertices={513, 600, 700},
+                            forbidden_edges=[(512, 1023)]),
+     512, (0b1110011001, 0b1001100110, 0b1111111111)),
+], ids=["wide-half", "adjlist", "restricted"])
+def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
+    view = make()
+    net = UnitFlowNet(view, {source: len(sinks)}, dict.fromkeys(sinks, 1),
+                      {source, *sinks})
+    assert net.max_flow() == len(sinks)
+    assert len(net.h) > 10
+    for x, d in net.h.items():
+        want = 0 if x == -1 else min(view.distance(x, t) for t in sinks)
+        assert d == want
+    if isinstance(view, AdjListView):
+        assert set(net.h.values()) == {0}
+
+
+@pytest.mark.parametrize("make, u, v", [
+    (lambda: AugmentedCube(10).half_view(0), 0, 0b110011001),
+    (lambda: AugmentedCube(40).half_view(0), 0, 0b110011001),
+    (lambda: random_graph(7), 0, 9),
+    (lambda: RestrictedView(AugmentedCube(40).half_view(0), forbidden_vertices={1}),
+     0, 0b110011001),
+], ids=["half", "wide-half", "adjlist", "restricted-wide-half"])
+def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v):
+    view = make()
+    assert disjoint_paths(view, u, v, 1)
+    assert pack_segments(view, [(u, v, 1)]) is not None
+    gone = weakref.ref(view)
+    del view
+    gc.collect()
+    assert gone() is None
+
+
+def decomposition_by_node_encoding(net):
+    """``UnitFlowNet.unit_paths`` as it was before it knew where a node's
+    arcs go: every entry of a row is tested for being an arc."""
+
+    def is_arc(u, v):
+        if u == -1 or v == -2:
+            return True
+        if u == -2 or v == -1:
+            return False
+        return (u % 2 == 0) == (u // 2 == v // 2)
+
+    cap = net.cap
+    left = {}
+
+    def flow_out(u):
+        row = left.get(u)
+        if row is None:
+            row = left[u] = {v: cap[v][u] for v in cap.get(u, ())
+                             if is_arc(u, v) and v in cap and cap[v][u] > 0}
+        return row
+
+    out = []
+    while flow_out(-1):
+        verts, cur = [], -1
+        while cur != -2:
+            row = flow_out(cur)
+            nxt = min(row)
+            row[nxt] -= 1
+            if not row[nxt]:
+                del row[nxt]
+            if nxt % 2:
+                verts.append(nxt // 2)
+            elif nxt == -2:
+                verts.append(cur // 2)
+            cur = nxt
+        out.append(tuple(verts))
+    return out
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_unit_paths_match_the_decomposition_by_node_encoding(name):
+    view = GRAPHS[name]()
+    rng = random.Random(f"decompose/{name}")
+    verts = list(view.vertices())
+    units = 0
+    for _ in range(12):
+        a, b, c, d = rng.sample(verts, 4)
+        # b is both a source and a sink
+        sources = {a: rng.randint(1, 4), b: rng.randint(1, 3)}
+        sinks = {b: rng.randint(1, 3), c: rng.randint(1, 3), d: rng.randint(0, 2)}
+        net = UnitFlowNet(view, sources, sinks, {a, b, c, d})
+        assert net.unit_paths() == []
+        units += net.max_flow(limit=rng.choice((None, 1, 2, 3)))
+        want = decomposition_by_node_encoding(net)
+        assert net.unit_paths() == want
+        assert len(want) == sum(c for c in (net.cap.get(-2) or {}).values())
+    assert units > 12
