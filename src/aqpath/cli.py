@@ -2,8 +2,8 @@
 
 Vertices on the command line are binary strings of length n (decimal is
 rejected so nobody trips over the bit order).  Exit status: 0 on success,
-1 when a verification fails or a claim is refuted, 2 for usage and
-resource-guard errors.
+1 on a failed verification, a refuted claim, or a family the constructor
+could not build, 2 for usage and resource-guard errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import oracle, report, textio
-from .construct import construct, target_count
+from .construct import ConstructionError, construct, target_count
 from .cube import AugmentedCube
 from .oracle import ResourceGuard
 from .packing import SearchBudgetExceeded
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ResourceGuard, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

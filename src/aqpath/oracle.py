@@ -119,34 +119,30 @@ def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
                ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact maximum family size through the three terminals, with a witness."""
     _guard_size(view)
-    trip = tuple(sorted(set(D)))
-    if len(trip) != 3:
-        raise ValueError("need three distinct terminals")
+    trip = _terminals(D)
     for t in trip:
         if t not in view:
             raise ValueError(f"terminal {t} not in view")
+    x, y, z = trip
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
     tracker = Budget(budget)
     for m in range(ub, 0, -1):
-        fam = family_of_size(view, trip, degs, m, tracker)
-        if fam is not None:
-            return m, fam
+        for profile in _profiles(m, tuple(d - m for d in degs)):
+            a, b, c = profile
+            demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
+            segs = pack_segments(view, demands, budget=tracker)
+            if segs is not None:
+                return m, _assemble(profile, segs)
     return 0, []
 
 
-def family_of_size(view, trip: tuple[int, int, int], degs: tuple[int, int, int],
-                   m: int, tracker: Budget) -> list[tuple[int, ...]] | None:
-    """m paths through the sorted triple ``trip`` (terminal degrees
-    ``degs``), from the first profile that packs; None when none does."""
-    x, y, z = trip
-    for profile in _profiles(m, tuple(d - m for d in degs)):
-        a, b, c = profile
-        demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
-        segs = pack_segments(view, demands, budget=tracker)
-        if segs is not None:
-            return _assemble(profile, segs)
-    return None
+def _terminals(D: Sequence[int]) -> tuple[int, int, int]:
+    """D as an ascending triple; it must be three distinct vertices."""
+    trip = tuple(sorted(D))
+    if len(trip) != 3 or len(set(trip)) != 3:
+        raise ValueError("need three distinct terminals")
+    return trip
 
 
 # -- independent small-scale referee -----------------------------------
@@ -178,10 +174,8 @@ def _simple_paths(view, u: int, w: int, via: int) -> Iterable[tuple[int, ...]]:
 def brute_small(view, D: Sequence[int]) -> int:
     """Exact maximum by full path enumeration; guarded to 14 vertices."""
     _guard_size(view, 14, "brute enumeration")
+    trip = _terminals(D)
     verts = sorted(view.vertices())
-    trip = tuple(sorted(set(D)))
-    if len(trip) != 3:
-        raise ValueError("need three distinct terminals")
     x, y, z = trip
     index = {v: i for i, v in enumerate(verts)}
     direct_pairs = [(x, y), (y, z), (x, z)]

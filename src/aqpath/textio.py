@@ -65,10 +65,9 @@ def render_family(terminals: Sequence[int], paths: Iterable[Sequence[int]],
     lines = []
     if trace:
         for e in trace:
-            flag = " fallback" if e.fallback else ""
             roles = ",".join(format_vertex(v, bits) for v in e.roles)
             lines.append(f"# trace: dim={e.dimension} case={e.case} "
-                         f"xor={format_vertex(e.translation, bits)} roles={roles}{flag}")
+                         f"xor={format_vertex(e.translation, bits)} roles={roles}")
     lines.append("D " + " ".join(format_vertex(v, bits) for v in terminals))
     for p in paths:
         lines.append("P " + " ".join(format_vertex(v, bits) for v in p))

@@ -66,3 +66,17 @@ def test_criterion_04_fails_when_the_budget_runs_out(monkeypatch):
     res = report.criterion_4(budget=1234)
     assert res.passed is False
     assert res.detail == "n=6: search budget 1234 exhausted"
+
+
+def test_criterion_02_counts_a_failed_construction(monkeypatch):
+    construct = report.construct
+
+    def fails_once(n, D):
+        if (n, tuple(D)) == (4, (0, 1, 2)):
+            raise report.ConstructionError("forced")
+        return construct(n, D)
+
+    monkeypatch.setattr(report, "construct", fails_once)
+    res = report.criterion_2(samples=10)
+    assert res.passed is False
+    assert "1 violations" in res.detail

@@ -179,3 +179,38 @@ def test_construct_above_the_size_guard_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "construct is limited to" in err
+
+
+def test_construct_failure_exits_1_without_a_traceback(capsys, monkeypatch):
+    module = importlib.import_module("aqpath.construct")
+
+    def infeasible(cube, triple):
+        raise module._CaseInfeasible("forced")
+
+    monkeypatch.setattr(module, "_construct_level", infeasible)
+    code, out, err = run(capsys, "construct", "--n", "4",
+                         "--triple", "0000,0010,0001")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no family built for (0, 2, 1)")
+
+
+def test_report_prints_fail_for_a_failed_construction(capsys, monkeypatch):
+    report = importlib.import_module("aqpath.report")
+    module = importlib.import_module("aqpath.construct")
+
+    def infeasible(cube, triple):
+        raise module._CaseInfeasible("forced")
+
+    # every construction fails; the other sweeps are stubbed to keep it quick
+    monkeypatch.setattr(module, "_construct_level", infeasible)
+    for k in (1, 4, 5, 6, 8, 9):
+        stub = report.CriterionResult(k, "stub", True, "")
+        monkeypatch.setattr(report, f"criterion_{k}", lambda stub=stub: stub)
+    monkeypatch.setattr(report.oracle, "pi3_exact", lambda *a, **kw: (5, (0, 1, 2)))
+    code, out, err = run(capsys, "report", "--nmax", "6", "--samples", "10")
+    assert code == 1
+    assert "CRITERION 2 FAIL" in out
+    assert "CRITERION 3 FAIL" in out
+    assert "CRITERION 10 FAIL" in out
+    assert err == ""

@@ -48,7 +48,6 @@ def test_dimension_four_exhaustive():
         fam = construct(4, D)
         assert len(fam.paths) == 4
         assert check_family(cube, D, fam.paths) is None
-        assert not fam.fallback_used
 
 
 def test_dimension_five_sample_and_case_mix():
@@ -78,14 +77,11 @@ def test_dimension_seven_certification_scale():
     # the odd step certified at the same scale as the even sweeps
     cube = AugmentedCube(7)
     rng = random.Random(17)
-    fallbacks = 0
     for _ in range(10_000):
         D = tuple(sorted(rng.sample(range(128), 3)))
         fam = construct(7, D)
         assert len(fam.paths) == 8
         assert check_family(cube, D, fam.paths) is None
-        fallbacks += fam.fallback_used
-    assert fallbacks < 100
 
 
 def test_forced_short_bundle_builds_without_fallback():
@@ -94,7 +90,6 @@ def test_forced_short_bundle_builds_without_fallback():
     # through x's own sibling image
     fam = construct(6, (0b000001, 0b000010, 0b011110))
     assert len(fam.paths) == 7
-    assert not fam.fallback_used
     assert fam.trace[0].case == "E2.1"
 
 
@@ -166,36 +161,36 @@ def test_count_never_exceeds_oracle():
     (5, (1, 9, 27)),
     (6, (1, 2, 4)),
     (6, (0b000001, 0b001010, 0b111100)),
+    (8, (0, 1, 2)),
 ])
-def test_fallback_family_when_every_case_fails(monkeypatch, n, trip):
+def test_failed_case_raises_construction_error(monkeypatch, n, trip):
     # the package attribute ``aqpath.construct`` is the function, not the module
     module = importlib.import_module("aqpath.construct")
+    forced = module._CaseInfeasible("forced")
 
     def infeasible(cube, triple):
-        raise module._CaseInfeasible("forced")
+        raise forced
 
     monkeypatch.setattr(module, "_construct_level", infeasible)
-    fam = construct(n, trip)
-    assert check_family(AugmentedCube(n), trip, fam.paths) is None
-    assert len(fam.paths) == target_count(n)
-    assert fam.fallback_used
-    assert [e.case for e in fam.trace] == ["FB"]
+    with pytest.raises(module.ConstructionError) as info:
+        construct(n, trip)
+    assert info.value.__cause__ is forced
 
 
-def test_fallback_is_not_started_above_dimension_seven(monkeypatch):
+def test_unverified_family_raises_construction_error(monkeypatch):
+    # a base family with one path cut short must not be returned, even one
+    # level up: the E1.2 step recurses into B1 through ``construct``
     module = importlib.import_module("aqpath.construct")
-    oracle = importlib.import_module("aqpath.oracle")
+    builder, down = module._CASES["B1"]
 
-    def infeasible(cube, triple):
-        raise module._CaseInfeasible("forced")
+    def truncated(cube, x, y, z):
+        paths = builder(cube, x, y, z)
+        paths[-1] = paths[-1][:-1]
+        return paths
 
-    def no_packing(*args, **kwargs):
-        raise AssertionError("fallback search started above its size limit")
-
-    monkeypatch.setattr(module, "_construct_level", infeasible)
-    monkeypatch.setattr(oracle, "pack_segments", no_packing)
-    with pytest.raises(module.ConstructionError):
-        construct(8, (0, 1, 2))
+    monkeypatch.setitem(module._CASES, "B1", (truncated, down))
+    with pytest.raises(module.ConstructionError, match="verification"):
+        construct(6, (0, 1, 2))
 
 
 @pytest.mark.parametrize("case, n, trip", [
@@ -216,7 +211,6 @@ def test_every_dispatch_case_builds_its_family(case, n, trip):
     assert fam.trace[0].case == case
     assert len(fam.paths) == target_count(n)
     assert check_family(AugmentedCube(n), trip, fam.paths) is None
-    assert not fam.fallback_used
 
 
 class UnlistedCube(AugmentedCube):

@@ -64,6 +64,18 @@ def test_oracle_agrees_with_brute_on_dimension_3_sample():
         assert max_dpaths(cube, D)[0] == brute_small(cube, D)
 
 
+@pytest.mark.parametrize("D", [(0, 1, 2, 2), (0, 1, 1), (0, 1)])
+def test_max_dpaths_needs_three_distinct_terminals(D):
+    with pytest.raises(ValueError, match="three distinct"):
+        max_dpaths(AugmentedCube(4), D)
+
+
+@pytest.mark.parametrize("D", [(0, 1, 2, 2), (0, 1, 1), (0, 1)])
+def test_brute_small_needs_three_distinct_terminals(D):
+    with pytest.raises(ValueError, match="three distinct"):
+        brute_small(AugmentedCube(3), D)
+
+
 def test_brute_size_guard():
     cube = AugmentedCube(4)
     with pytest.raises(ResourceGuard):
