@@ -24,19 +24,23 @@ tells arcs from reverse entries.
 Each augmenting path comes from one best-first search steered toward the
 sinks (Hart, Nilsson & Raphael 1968): a node's key is the number of
 residual arcs from the source plus three times the view's distance from
-its vertex to the nearest sink, and equal keys leave the queue last in,
-first out.  The distance is the cube's closed form (``aqpath.cube``), so
-a search reaches a far sink after scanning little more than the region
-between, not the whole view; on a view with no distance (0 everywhere)
-the search is breadth-first.  Each distance is read from the view's
+its vertex to the nearest sink that still takes flow, and equal keys
+leave the queue last in, first out.  An augmenting path can only end at
+a sink with residual capacity, so that distance still bounds the rest of
+the path from below, and a full sink stops drawing later searches toward
+itself; the net switches to the sinks left between searches.  The
+distance is the cube's closed form (``aqpath.cube``), so a search
+reaches a far sink after scanning little more than the region between,
+not the whole view; on a view with no distance (0 everywhere) the search
+is breadth-first.  Each distance is read from the view's
 ``distance_table`` (one byte per gray word, so the nearest sink is a
-``min`` over byte lookups) and computed once per view and sink set
-(``sink_distances``); only a view with no table, an adjacency list or
-one wider than the table, asks ``view.distance`` per sink.  The weight
-only chooses *which* augmenting path is found, so flow values stay exact,
-but a path need not be a shortest one.  Rows list their entries in the
-view's neighbor order and the queue order is fixed, so identical inputs
-always produce identical path systems.
+``min`` over byte lookups) and computed once per view and set of sinks
+that still take flow (``sink_distances``); only a view with no table, an
+adjacency list or one wider than the table, asks ``view.distance`` per
+sink.  The weight only chooses *which* augmenting path is found, so flow
+values stay exact, but a path need not be a shortest one.  Rows list
+their entries in the view's neighbor order and the queue order is fixed,
+so identical inputs always produce identical path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -89,9 +93,9 @@ Filler = Callable[[object, int], int]
 
 def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
     """The shared table h of the view's distances from a vertex to the
-    nearest of ``sinks``, and the function ``fill(view, x)`` that computes
-    h[x], stores it and returns it.  The key -1 (the source and sink nodes
-    of a net) holds 0.
+    nearest of ``sinks`` (for a flow net, the sinks that still take flow),
+    and the function ``fill(view, x)`` that computes h[x], stores it and
+    returns it.  The key -1 (the source and sink nodes of a net) holds 0.
 
     With the view's ``distance_table`` t, the distance from x to s is
     t[g(x) ^ g(s)], g(w) = w ^ (w >> 1), so the sinks are kept as gray
@@ -131,11 +135,13 @@ class UnitFlowNet:
     vertices that are neither are left out.
 
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
-    derived by ``_row`` when node u is first reached.  ``h[x]`` is the
-    view's distance from vertex x to the nearest sink, read from the
-    view's distance table as searches discover x and shared by every net
-    over the same view and sink set (``sink_distances``); the source and
-    the sink both map to the key -1 (node >> 1) and to 0.
+    derived by ``_row`` when node u is first reached.  ``live`` holds the
+    sinks that still take flow, and ``h[x]`` is the view's distance from
+    vertex x to the nearest of them, read from the view's distance table
+    as searches discover x and shared by every net over the same view and
+    live set (``sink_distances``); the source and the sink both map to the
+    key -1 (node >> 1) and to 0.  A search derives g from h, so h only
+    changes between searches.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -145,7 +151,12 @@ class UnitFlowNet:
         self.sinks = sinks
         self.blocked = blocked
         self.cap: dict[int, dict[int, int]] = {}
-        self.h, self._fill = sink_distances(view, sinks)
+        self._aim(frozenset(t for t, c in sinks.items() if c > 0))
+
+    def _aim(self, live: frozenset[int]) -> None:
+        """Steer later searches toward the sinks in ``live``."""
+        self.live = live
+        self.h, self._fill = sink_distances(self.view, live)
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row: its arcs at full capacity and its
@@ -222,7 +233,9 @@ class UnitFlowNet:
     def _augment_once(self) -> bool:
         """Push one unit along a residual path, if there is one.  Every such
         path crosses an entry between split nodes, and those hold at most
-        1, so one unit is all a path can carry."""
+        1, so one unit is all a path can carry.  No search scans the sink,
+        so the flow into a sink never falls here: the sink the path ends at
+        leaves ``live`` once it is full."""
         parent = self._search({})
         if _SNK not in parent:
             return False
@@ -235,6 +248,9 @@ class UnitFlowNet:
             cap[u][v] -= 1
             cap[v][u] += 1
             v = u
+        t = parent[_SNK]
+        if not cap[t][_SNK]:
+            self._aim(self.live - {t >> 1})
         return True
 
     def max_flow(self, limit: int | None = None) -> int:
@@ -255,16 +271,20 @@ class UnitFlowNet:
         w iff that smaller flow still has an augmenting path entering
         neither split node of w.  So P is cancelled, one search runs per
         interior vertex of P with that vertex blocked, and P is pushed
-        back: the net is left as it was found.
+        back: the net is left as it was found.  While P is cancelled its
+        sink takes flow again, so the searches are steered toward it too.
         """
         out: set[int] = set()
+        live = self.live
         for path in self.unit_paths():
             nodes = _nodes(path)
             self._push(nodes, -1)
+            self._aim(live | {path[-1]})
             for w in path[1:-1]:
                 if _SNK not in self._search({_in(w): _in(w), _out(w): _out(w)}):
                     out.add(w)
             self._push(nodes, 1)
+        self._aim(live)
         return out
 
     def unit_paths(self) -> list[tuple[int, ...]]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from aqpath.construct import construct, target_count
-from aqpath.cube import AugmentedCube, canonicalize_triple
+from aqpath.cube import AugmentedCube, PrefixView, RestrictedView, canonicalize_triple
 from aqpath.oracle import max_dpaths
 from aqpath.verify import check_family
 
@@ -211,6 +211,31 @@ def test_every_dispatch_case_builds_its_family(case, n, trip):
     assert fam.trace[0].case == case
     assert len(fam.paths) == target_count(n)
     assert check_family(AugmentedCube(n), trip, fam.paths) is None
+
+
+@pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
+def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
+    # the first four seeded triples of each kind at n = 20, each built from
+    # a few thousand neighbour rows of a 2^20-vertex cube
+    n = 20
+    rng = random.Random(3)
+    trips = []
+    while len(trips) < 4:
+        d = tuple(rng.sample(range(2**n), 3))
+        if (len({v >> (n - 1) for v in d}) == 1) == same_half:
+            trips.append(d)
+    queries = [0]
+    for cls in (AugmentedCube, PrefixView, RestrictedView):
+        def counted(self, x, _rows=cls.neighbors):
+            queries[0] += 1
+            assert queries[0] <= 5_000, "the construction floods the cube"
+            return _rows(self, x)
+        monkeypatch.setattr(cls, "neighbors", counted)
+    for d in trips:
+        queries[0] = 0
+        fam = construct(n, d)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(AugmentedCube(n), d, fam.paths) is None
 
 
 class UnlistedCube(AugmentedCube):

@@ -218,13 +218,14 @@ class UnlistedHalf(PrefixView):
     only a few thousand times, so a search that floods it fails fast."""
 
     rows = 0
+    limit = 5000
 
     def vertices(self):
         raise AssertionError("the view was listed")
 
     def neighbors(self, x):
         self.rows += 1
-        assert self.rows <= 5000, "the search floods the view"
+        assert self.rows <= self.limit, "the search floods the view"
         return super().neighbors(x)
 
 
@@ -261,6 +262,43 @@ def test_packing_in_a_huge_half_lists_no_vertex(demands, ticks):
             assert (seg[0], seg[-1]) == (u, v)
             assert all(half.is_adjacent(a, b) for a, b in zip(seg, seg[1:]))
     assert budget.used == ticks
+
+
+def test_a_fan_is_not_drawn_to_full_targets():
+    # once its near targets are full, a search heads for the others; steered
+    # toward the nearest target of all, this fan derives 51,713 rows
+    half = AugmentedCube(20).half_view(0)
+    rng = random.Random(5)
+    x = rng.randrange(2**19)
+    targets = set()
+    while len(targets) < 37:
+        t = rng.randrange(2**19)
+        if t != x:
+            targets.add(t)
+    net = UnitFlowNet(half, {x: 37}, dict.fromkeys(targets, 1), {x, *targets})
+    assert net.max_flow(limit=37) == 37
+    assert len(net.cap) <= 5_000
+
+
+def test_a_double_role_packing_in_a_huge_half_stays_local():
+    # three far terminals joined pairwise: each relaxation gives one
+    # terminal both roles, and its flows and spare-vertex searches must
+    # still head for sinks that take flow (about 8,500 rows)
+    half = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
+    half.limit = 20_000
+    a, b = int("110" + "0110" * 9, 2), int("011" + "1010" * 9, 2)
+    demands = [(0, a, 1), (a, b, 1), (0, b, 1)]
+    budget = Budget(None)
+    found = pack_segments(half, demands, budget)
+    assert found is not None
+    interiors = [w for segs in found for seg in segs for w in seg[1:-1]]
+    assert len(set(interiors)) == len(interiors)
+    assert not {0, a, b} & set(interiors)
+    for (u, v, c), segs in zip(demands, found):
+        assert [(seg[0], seg[-1]) for seg in segs] == [(u, v)] * c
+        for seg in segs:
+            assert all(half.is_adjacent(x, y) for x, y in zip(seg, seg[1:]))
+    assert budget.used == 2
 
 
 def test_a_far_search_reads_under_one_percent_of_the_rows():
@@ -396,6 +434,30 @@ def test_packing_verdicts_match_breadth_first_augmentation(name, monkeypatch):
     assert [g is None for g in got] == [w is None for w in want]
 
 
+@pytest.mark.parametrize("name", GRAPHS)
+def test_fans_match_breadth_first_augmentation(name, monkeypatch):
+    # fans up to past the source's degree, so some fall short
+    view = GRAPHS[name]()
+    rng = random.Random(f"fan/{name}")
+    verts = list(view.vertices())
+    cases = []
+    for _ in range(12):
+        x = rng.choice(verts)
+        k = rng.randint(2, min(len(verts) - 1, len(view.neighbors(x)) + 2))
+        cases.append((x, rng.sample([v for v in verts if v != x], k)))
+
+    def outcome(x, targets):
+        try:
+            return True, len(fan(view, x, targets))
+        except Insufficient as exc:
+            return False, exc.achieved
+
+    got = [outcome(x, s) for x, s in cases]
+    monkeypatch.setattr(UnitFlowNet, "_search", breadth_first_search)
+    assert got == [outcome(x, s) for x, s in cases]
+    assert {ok for ok, _ in got} == {True, False}
+
+
 # -- sink distances from the table, and the flow decomposition -----------
 
 
@@ -435,16 +497,29 @@ def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
      512, (0b1110011001, 0b1001100110, 0b1111111111)),
 ], ids=["wide-half", "adjlist", "restricted"])
 def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
+    # one unit at a time: each search is steered by the distance to the
+    # nearest sink whose sink arc still has capacity
     view = make()
     net = UnitFlowNet(view, {source: len(sinks)}, dict.fromkeys(sinks, 1),
                       {source, *sinks})
-    assert net.max_flow() == len(sinks)
-    assert len(net.h) > 10
-    for x, d in net.h.items():
-        want = 0 if x == -1 else min(view.distance(x, t) for t in sinks)
-        assert d == want
+
+    def nearest(h, live):
+        for x, d in h.items():
+            assert d == (0 if x == -1 else min(view.distance(x, t) for t in live))
+
+    seen = {}
+    for unit in range(len(sinks)):
+        live = [t for t in sinks if net.cap.get(2 * t, {-2: 1})[-2]]
+        assert len(live) == len(sinks) - unit  # every sink before the first push
+        h = net.h
+        nearest(h, live)
+        assert net.max_flow(limit=1) == 1
+        nearest(h, live)  # the entries this unit's search filled
+        seen.update(h)
+    assert net.max_flow() == 0
+    assert len(seen) > 10
     if isinstance(view, AdjListView):
-        assert set(net.h.values()) == {0}
+        assert set(seen.values()) == {0}
 
 
 @pytest.mark.parametrize("make, u, v", [
