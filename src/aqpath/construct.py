@@ -61,10 +61,10 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 PACK_BUDGET = 2_000_000
-# nothing is listed, so this bounds time only: a triple takes about 0.1 s
+# nothing is listed, so this bounds time only: a triple takes 0.06-0.08 s
 # at n = 20, the width of the cube's distance table; above it each sink
-# distance is computed per sink, and a triple takes 0.5 s at n = 24 and
-# 2 s at n = 32
+# distance is computed per sink, and a triple takes 0.5-0.6 s at n = 24
+# and 2-3 s at n = 32
 CONSTRUCT_MAX_N = 20
 
 

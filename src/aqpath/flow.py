@@ -14,12 +14,14 @@ The split-node encoding stays in this module: callers pass vertices and
 get vertex tuples back.
 
 The network is read from the view, not copied out of it: the residual row
-of a node is derived from the view's adjacency the first time a search or
-a push reaches it, so the cost follows the region the augmentations
-explore, not the size of the view.  The network keeps only residual
-capacities.  No arc has an antiparallel twin, so the flow on an arc u->v
-is the residual capacity of its reverse entry v->u, and the node encoding
-tells arcs from reverse entries.
+of a node is derived the first time a search reaches it, so the cost
+follows the region the augmentations explore, not the size of the view.
+Only an out-node's row asks the view for its neighbors; an in-node's row
+starts with its through or sink arc alone.  The network keeps only
+residual capacities.  No arc has an antiparallel twin, so the flow on an
+arc u->v is the residual capacity of its reverse entry v->u, which is
+written when flow first crosses the arc: a row holds no entry that no
+flow has used.  The node encoding tells arcs from reverse entries.
 
 Each augmenting path comes from one best-first search steered toward the
 sinks (Hart, Nilsson & Raphael 1968): a node's key is the number of
@@ -39,8 +41,9 @@ that still take flow (``sink_distances``); only a view with no table, an
 adjacency list or one wider than the table, asks ``view.distance`` per
 sink.  The weight only chooses *which* augmenting path is found, so flow
 values stay exact, but a path need not be a shortest one.  Rows list
-their entries in the view's neighbor order and the queue order is fixed,
-so identical inputs always produce identical path systems.
+their arcs in the view's neighbor order and their reverse entries in the
+order flow first crossed them, and the queue order is fixed, so
+identical inputs always produce identical path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -99,8 +102,9 @@ def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
 
     With the view's ``distance_table`` t, the distance from x to s is
     t[g(x) ^ g(s)], g(w) = w ^ (w >> 1), so the sinks are kept as gray
-    words and x's nearest one is a ``min`` over byte lookups.  A view with
-    no table is asked ``view.distance`` once per sink.
+    words and x's nearest one is a ``min`` over byte lookups, or one
+    lookup when there is one sink.  A view with no table is asked
+    ``view.distance`` once per sink.
     """
     key = frozenset(sinks)
     per_view = _TO_SINK.setdefault(view, {})
@@ -114,12 +118,19 @@ def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
                 return d
         else:
             gray = tuple(s ^ (s >> 1) for s in key)
-            lookup = table.__getitem__
+            if len(gray) == 1:
+                g0, = gray
 
-            def fill(view, x: int) -> int:
-                gx = x ^ (x >> 1)
-                d = h[x] = min(map(lookup, map(gx.__xor__, gray)), default=0)
-                return d
+                def fill(view, x: int) -> int:
+                    d = h[x] = table[x ^ (x >> 1) ^ g0]
+                    return d
+            else:
+                lookup = table.__getitem__
+
+                def fill(view, x: int) -> int:
+                    gx = x ^ (x >> 1)
+                    d = h[x] = min(map(lookup, map(gx.__xor__, gray)), default=0)
+                    return d
         got = per_view[key] = (h, fill)
     return got
 
@@ -135,7 +146,9 @@ class UnitFlowNet:
     vertices that are neither are left out.
 
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
-    derived by ``_row`` when node u is first reached.  ``live`` holds the
+    derived by ``_row`` when node u is first scanned and holds its arcs;
+    a reverse entry joins it when flow first crosses its arc, and a
+    missing entry carries no flow.  ``live`` holds the
     sinks that still take flow, and ``h[x]`` is the view's distance from
     vertex x to the nearest of them, read from the view's distance table
     as searches discover x and shared by every net over the same view and
@@ -150,7 +163,8 @@ class UnitFlowNet:
         self.sources = sources
         self.sinks = sinks
         self.blocked = blocked
-        self.cap: dict[int, dict[int, int]] = {}
+        # the sink is never scanned: its row holds only reverse entries
+        self.cap: dict[int, dict[int, int]] = {_SNK: {}}
         self._aim(frozenset(t for t, c in sinks.items() if c > 0))
 
     def _aim(self, live: frozenset[int]) -> None:
@@ -159,27 +173,24 @@ class UnitFlowNet:
         self.h, self._fill = sink_distances(self.view, live)
 
     def _row(self, u: int) -> dict[int, int]:
-        """Store and return node u's row: its arcs at full capacity and its
-        reverse entries at 0, in the view's neighbor order (the node
-        numbers ``_in`` and ``_out`` give are written out here)."""
-        blocked, sources, sinks = self.blocked, self.sources, self.sinks
+        """Store and return node u's row of the entries flow can use: an
+        out-node's arcs at full capacity, in the view's neighbor order, or
+        an in-node's through arc (a free vertex) and sink arc (a sink), so
+        only out-nodes query the view.  Every other entry is a reverse one,
+        written when flow first crosses its arc; the row is derived before
+        that, since a path only crosses nodes its search has scanned (the
+        node numbers ``_in`` and ``_out`` give are written out here)."""
         v = u // 2  # the vertex of a split node
         if u == _SRC:
-            row = {2 * s + 1: c for s, c in sources.items()}
-        elif u == _SNK:
-            row = {2 * t: 0 for t in sinks}
+            row = {2 * s + 1: c for s, c in self.sources.items()}
         elif u % 2:  # out-node of a free vertex or a source
+            blocked, sinks = self.blocked, self.sinks
             row = {2 * w: 1 for w in self.view.neighbors(v)
                    if w not in blocked or w in sinks}
-            # the reverse entry of the one arc into it
-            row[_SRC if v in blocked else 2 * v] = 0
         else:  # in-node of a free vertex or a sink
-            row = {2 * w + 1: 0 for w in self.view.neighbors(v)
-                   if w not in blocked or w in sources}
-            if v not in blocked:
-                row[2 * v + 1] = 1
-            if v in sinks:
-                row[_SNK] = sinks[v]
+            row = {} if v in self.blocked else {u + 1: 1}
+            if v in self.sinks:
+                row[_SNK] = self.sinks[v]
         self.cap[u] = row
         return row
 
@@ -240,13 +251,12 @@ class UnitFlowNet:
         if _SNK not in parent:
             return False
         cap = self.cap
-        if _SNK not in cap:  # reached, but never scanned
-            self._row(_SNK)
         v = _SNK
         while v != _SRC:  # every other node on the path was scanned
             u = parent[v]
             cap[u][v] -= 1
-            cap[v][u] += 1
+            row = cap[v]
+            row[u] = row.get(u, 0) + 1
             v = u
         t = parent[_SNK]
         if not cap[t][_SNK]:
@@ -289,45 +299,26 @@ class UnitFlowNet:
 
     def unit_paths(self) -> list[tuple[int, ...]]:
         """Decompose the current flow into unit source-to-sink paths, each
-        given as the tuple of vertices it visits."""
-        cap = self.cap
-        left: dict[int, dict[int, int]] = {}
-        none: dict[int, int] = {}  # the row of a node never reached
+        given as the tuple of vertices it visits, in sorted order.
 
-        def flow_out(u: int) -> dict[int, int]:  # not yet decomposed
-            row = left.get(u)
-            if row is None:  # the flow on an arc u->v is cap[v][u]
-                if u % 2 and u != _SRC:
-                    # an out-node feeds other vertices' in-nodes by unit
-                    # arcs, each carrying flow exactly when it is saturated
-                    row = {v: 1 for v, c in cap.get(u, none).items()
-                           if not c and not v % 2 and v != u - 1}
-                else:
-                    # the source feeds out-nodes; an in-node its own
-                    # out-node and the sink
-                    heads = cap.get(u, none) if u == _SRC else (u + 1, _SNK)
-                    row = {v: f for v in heads
-                           if (f := cap.get(v, none).get(u, 0)) > 0}
-                left[u] = row
-            return row
-
-        out: list[tuple[int, ...]] = []
-        while flow_out(_SRC):
-            verts: list[int] = []
-            cur = _SRC
-            while cur != _SNK:
-                row = flow_out(cur)
-                nxt = min(row)
-                row[nxt] -= 1
-                if not row[nxt]:
-                    del row[nxt]
-                if nxt % 2:  # an out-node: the path leaves that vertex
-                    verts.append(nxt // 2)
-                elif nxt == _SNK:
-                    verts.append(cur // 2)
-                cur = nxt
-            out.append(tuple(verts))
-        return out
+        The flow on an arc u->v is the reverse entry ``cap[v][u]``, and an
+        arc from one vertex to another carries at most one unit, so each
+        path is read back from the sink: a sink's in-node holds one positive
+        reverse entry per unit it takes, a free vertex's in-node exactly one
+        while a unit crosses it, and the walk stops at the first blocked
+        vertex, the path's source.
+        """
+        cap, blocked = self.cap, self.blocked
+        paths = []
+        for t in cap[_SNK]:  # the in-node of a sink
+            for u, c in cap[t].items():
+                if c > 0 and u % 2:  # a unit into t from out-node u
+                    path = [t // 2, u // 2]
+                    while path[-1] not in blocked:
+                        u = next(w for w, c in cap[u - 1].items() if c > 0)
+                        path.append(u // 2)
+                    paths.append(tuple(reversed(path)))
+        return sorted(paths)
 
 
 def _check_pair(view, u: int, v: int) -> None:

@@ -165,6 +165,21 @@ def test_oracle_commands_refuse_huge_cubes(monkeypatch, capsys):
         assert err.startswith("error: the oracle is limited to 65536 vertices")
 
 
+def test_gen_above_the_size_guard_exits_2(tmp_path, capsys, monkeypatch):
+    class UnlistedCube(AugmentedCube):
+        def vertices(self):
+            raise AssertionError("vertex list built before the size guard")
+
+    monkeypatch.setattr("aqpath.cli.AugmentedCube", UnlistedCube)
+    out_file = tmp_path / "aq17.txt"
+    for extra in ([], ["--out", str(out_file)]):
+        code, out, err = run(capsys, "gen", "--n", "17", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: gen is limited to 65536 vertices")
+    assert not out_file.exists()
+
+
 def test_construct_above_the_size_guard_exits_2(capsys, monkeypatch):
     module = importlib.import_module("aqpath.construct")
 

@@ -15,6 +15,7 @@ from aqpath.flow import (
     fan,
     linkage,
     min_vertex_cut,
+    sink_distances,
 )
 from aqpath.packing import Budget, pack_segments
 
@@ -522,6 +523,23 @@ def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
         assert set(seen.values()) == {0}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: AugmentedCube(8),
+    lambda: AugmentedCube(8).half_view(1),
+    lambda: RestrictedView(AugmentedCube(8), forbidden_vertices={3, 77, 200},
+                           forbidden_edges=[(0, 1), (8, 9)]),
+    lambda: random_graph(7),
+], ids=["AQ8", "half", "restricted", "adjlist"])
+def test_single_sink_distances_are_the_view_distance(make):
+    view = make()
+    verts = list(view.vertices())
+    for v in verts[::37]:
+        h, fill = sink_distances(view, (v,))
+        for x in verts:
+            want = 0 if isinstance(view, AdjListView) else view.distance(x, v)
+            assert fill(view, x) == h[x] == want
+
+
 @pytest.mark.parametrize("make, u, v", [
     (lambda: AugmentedCube(10).half_view(0), 0, 0b110011001),
     (lambda: AugmentedCube(40).half_view(0), 0, 0b110011001),
@@ -556,8 +574,9 @@ def decomposition_by_node_encoding(net):
     def flow_out(u):
         row = left.get(u)
         if row is None:
-            row = left[u] = {v: cap[v][u] for v in cap.get(u, ())
-                             if is_arc(u, v) and v in cap and cap[v][u] > 0}
+            # a missing reverse entry means no flow on the arc
+            row = left[u] = {v: cap[v].get(u, 0) for v in cap.get(u, ())
+                             if is_arc(u, v) and v in cap and cap[v].get(u, 0) > 0}
         return row
 
     out = []
@@ -596,3 +615,46 @@ def test_unit_paths_match_the_decomposition_by_node_encoding(name):
         assert net.unit_paths() == want
         assert len(want) == sum(c for c in (net.cap.get(-2) or {}).values())
     assert units > 12
+
+
+def test_unit_paths_survive_the_critical_searches():
+    # critical() cancels and pushes back each unit; the decomposition read
+    # afterwards is the one read before, and the reference's, in sorted order
+    rerouted = 0
+    for name, make in GRAPHS.items():
+        view = make()
+        rng = random.Random(f"critical/{name}")
+        verts = list(view.vertices())
+        for _ in range(12):
+            a, b, c, d = rng.sample(verts, 4)
+            # b is both a source and a sink
+            sources = {a: rng.randint(2, 7), b: rng.randint(1, 4)}
+            sinks = {b: rng.randint(1, 4), c: rng.randint(2, 7), d: rng.randint(0, 3)}
+            net = UnitFlowNet(view, sources, sinks, {a, b, c, d})
+            net.max_flow()
+            before = net.unit_paths()
+            assert before == sorted(before) == decomposition_by_node_encoding(net)
+            net.critical()
+            assert net.unit_paths() == before == decomposition_by_node_encoding(net)
+            # a reverse entry that a later augmenting path emptied again
+            rerouted += any(not f and v % 2 and v != u + 1
+                            for u, row in net.cap.items() if u >= 0 and not u % 2
+                            for v, f in row.items())
+    assert rerouted > 10
+
+
+@pytest.mark.parametrize("kind", ["bundle", "fan"])
+def test_only_out_node_rows_query_the_view(kind):
+    half = UnlistedHalf(AugmentedCube(10), (0,), prefix_bits=1)
+    x = 0b101100101
+    if kind == "bundle":
+        net = UnitFlowNet(half, {0: 9}, {x: 9}, {0, x})
+        assert net.max_flow() == 9
+    else:
+        targets = [x, 0b11110000, 0b100000011, 0b10101010, 0b111111111]
+        net = UnitFlowNet(half, {0: 5}, dict.fromkeys(targets, 1), {0, *targets})
+        assert net.max_flow() == 5
+    in_rows = sum(1 for u in net.cap if u >= 0 and not u % 2)
+    out_rows = sum(1 for u in net.cap if u >= 0 and u % 2)
+    assert in_rows > out_rows > 0
+    assert half.rows == out_rows
