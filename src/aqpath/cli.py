@@ -47,9 +47,7 @@ def cmd_gen(args) -> int:
     cube = AugmentedCube(args.n)
     # the text is built whole before it is written, and its one reader,
     # ``oracle --graph``, takes no larger graph
-    if cube.vertex_count > oracle.ORACLE_MAX_VERTICES:
-        raise ResourceGuard(f"gen is limited to {oracle.ORACLE_MAX_VERTICES} "
-                            f"vertices, AQ_{args.n} has {cube.vertex_count}")
+    oracle._guard_size(cube, what="gen")
     text = textio.render_graph(cube)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

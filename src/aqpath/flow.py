@@ -14,7 +14,7 @@ The split-node encoding stays in this module: callers pass vertices and
 get vertex tuples back.
 
 The network is read from the view, not copied out of it: the residual row
-of a node is derived the first time a search reaches it, so the cost
+of a node is derived the first time a search scans it, so the cost
 follows the region the augmentations explore, not the size of the view.
 Only an out-node's row asks the view for its neighbors; an in-node's row
 starts with its through or sink arc alone.  The network keeps only
@@ -148,13 +148,13 @@ class UnitFlowNet:
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
     derived by ``_row`` when node u is first scanned and holds its arcs;
     a reverse entry joins it when flow first crosses its arc, and a
-    missing entry carries no flow.  ``live`` holds the
-    sinks that still take flow, and ``h[x]`` is the view's distance from
-    vertex x to the nearest of them, read from the view's distance table
-    as searches discover x and shared by every net over the same view and
-    live set (``sink_distances``); the source and the sink both map to the
-    key -1 (node >> 1) and to 0.  A search derives g from h, so h only
-    changes between searches.
+    missing entry carries no flow.  ``live`` holds the sinks that still
+    take flow, and ``h[x]`` is the view's distance from vertex x to the
+    nearest of them, read from the view's distance table as searches
+    discover x and shared by every net over the same view and live set
+    (``sink_distances``); the source and the sink both map to the key -1
+    (node >> 1) and to 0.  A search derives g from h, so h only changes
+    between searches.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -315,7 +315,7 @@ class UnitFlowNet:
                 if c > 0 and u % 2:  # a unit into t from out-node u
                     path = [t // 2, u // 2]
                     while path[-1] not in blocked:
-                        u = next(w for w, c in cap[u - 1].items() if c > 0)
+                        u = next(w for w, f in cap[u - 1].items() if f > 0)
                         path.append(u // 2)
                     paths.append(tuple(reversed(path)))
         return sorted(paths)

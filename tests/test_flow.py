@@ -575,8 +575,8 @@ def decomposition_by_node_encoding(net):
         row = left.get(u)
         if row is None:
             # a missing reverse entry means no flow on the arc
-            row = left[u] = {v: cap[v].get(u, 0) for v in cap.get(u, ())
-                             if is_arc(u, v) and v in cap and cap[v].get(u, 0) > 0}
+            row = left[u] = {v: f for v in cap.get(u, ())
+                             if is_arc(u, v) and v in cap and (f := cap[v].get(u, 0)) > 0}
         return row
 
     out = []
