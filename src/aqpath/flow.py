@@ -102,9 +102,8 @@ def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
 
     With the view's ``distance_table`` t, the distance from x to s is
     t[g(x) ^ g(s)], g(w) = w ^ (w >> 1), so the sinks are kept as gray
-    words and x's nearest one is a ``min`` over byte lookups, or one
-    lookup when there is one sink.  A view with no table is asked
-    ``view.distance`` once per sink.
+    words and x's nearest one is a ``min`` over byte lookups.  A view with
+    no table is asked ``view.distance`` once per sink.
     """
     key = frozenset(sinks)
     per_view = _TO_SINK.setdefault(view, {})
@@ -118,19 +117,12 @@ def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
                 return d
         else:
             gray = tuple(s ^ (s >> 1) for s in key)
-            if len(gray) == 1:
-                g0, = gray
+            lookup = table.__getitem__
 
-                def fill(view, x: int) -> int:
-                    d = h[x] = table[x ^ (x >> 1) ^ g0]
-                    return d
-            else:
-                lookup = table.__getitem__
-
-                def fill(view, x: int) -> int:
-                    gx = x ^ (x >> 1)
-                    d = h[x] = min(map(lookup, map(gx.__xor__, gray)), default=0)
-                    return d
+            def fill(view, x: int) -> int:
+                gx = x ^ (x >> 1)
+                d = h[x] = min(map(lookup, map(gx.__xor__, gray)), default=0)
+                return d
         got = per_view[key] = (h, fill)
     return got
 
