@@ -2,13 +2,7 @@
 and the exact machinery to check them."""
 
 from .construct import ConstructionError, DPathFamily, TraceEntry, construct, target_count
-from .cube import (
-    AdjListView,
-    AugmentedCube,
-    CanonicalTriple,
-    RestrictedView,
-    canonicalize_triple,
-)
+from .cube import AdjListView, AugmentedCube, RestrictedView
 from .flow import Insufficient, connectivity, disjoint_paths, fan, linkage, min_vertex_cut
 from .oracle import (
     ResourceGuard,
@@ -29,7 +23,6 @@ __all__ = [
     "AdjListView",
     "AugmentedCube",
     "Budget",
-    "CanonicalTriple",
     "ConstructionError",
     "DPathFamily",
     "Insufficient",
@@ -41,7 +34,6 @@ __all__ = [
     "ViolationKind",
     "WitnessReport",
     "brute_small",
-    "canonicalize_triple",
     "check_family",
     "check_path",
     "common_neighbors",

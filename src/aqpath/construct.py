@@ -9,9 +9,10 @@ of D, where
 
 matches the counting ceiling, so the family is maximum.
 
-The builder works on a canonical relocation of the triple (XOR translation
-plus a role permutation; both recorded in the trace) and dispatches on how
-the triple meets the two-leading-bit decomposition:
+Each level reads the two leading bits of the triple once (``_normalize``):
+they give the XOR word that relocates the triple where its case expects it,
+the case, and the vertices playing x, y, z; the trace records all three.
+The cases by how the triple meets the two-leading-bit decomposition:
 
     B1/B2/B3.x   dimension-4 base cases
     E1.x         even n, all three in one quadrant: recurse two dimensions
@@ -48,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .cube import AugmentedCube, RestrictedView, canonicalize_triple
+from .cube import AugmentedCube, RestrictedView
 from .flow import Insufficient, disjoint_paths, fan, linkage
 from .oracle import ResourceGuard
 from .packing import Budget, SearchBudgetExceeded, pack_segments
@@ -150,50 +151,45 @@ def _construct_level(cube, trip):
 
 
 def _normalize(cube, trip):
-    """Canonical translation plus case- and role-selection for this level."""
+    """The translation word, the case and the roles (x, y, z) for this level.
+
+    The word is read from the two leading bits.  Across the halves it
+    moves the pair to half 0, so the lone vertex lands in half 1.  Inside
+    one half it clears bit 1 and moves the quadrant that holds all three
+    vertices, or the pair, to 00, so a lone vertex lands in 01.  Either way
+    the relocated triple, ascending, is the pair (ascending) and then the
+    lone vertex; the cases below may reorder it.
+    """
     n = cube.n
-    can = canonicalize_triple(cube, trip)
-    word = can.translation
-    h2w = 1 << (n - 2)
-    c2w = (1 << (n - 1)) - 1
-    if can.pattern == "one-quadrant":
-        vals = sorted(can.roles)
-        if n % 2 == 1:
-            return word, CASE_O1, _roles_avoiding_mate(vals, c2w)
+    h1w, h2w = 1 << (n - 1), 1 << (n - 2)
+    c2w = h1w - 1
+    a, b, c = trip
+    lead = a & b | a & c | b & c  # each bit as most of the triple has it
+    same_half = not (a ^ b | a ^ c) & h1w
+    word = lead & (h1w | h2w) if same_half else lead & h1w
+    x, y, z = xyz = tuple(sorted(v ^ word for v in trip))
+    if not same_half:
         if n == 4:
-            x = next(v for v in vals
-                     if any(v ^ w == 2 for w in vals) and any(v ^ w == 1 for w in vals))
-            word ^= x
-            return word, CASE_B1, (0, 2, 1)
-        c3w = (1 << (n - 2)) - 1
-        mate = _find_mate(vals, c3w)
-        if mate is not None:
-            x, y = mate
-            z = next(v for v in vals if v not in (x, y))
-            return word, CASE_E11, (x, y, z)
-        return word, CASE_E12, tuple(vals)
-    if can.pattern == "sibling-pair":
-        x0, y0, z0 = can.roles
-        if n % 2 == 1:
-            return word, CASE_O1, _roles_avoiding_mate(sorted(can.roles), c2w)
-        if n == 4:
-            return word, CASE_B2, (x0, y0, z0)
-        if z0 ^ c2w in (x0, y0):
-            x = z0 ^ c2w
-            y = y0 if x == x0 else x0
-            return word, CASE_E21, (x, y, z0)
-        return word, CASE_E22, (x0, y0, z0)
-    # cross-half
-    x0, y0, z0 = can.roles
-    if n == 4:
-        if x0 ^ y0 == c2w:
-            x = x0 if cube.quadrant(x0) == 0 else y0
-            y = y0 if x == x0 else x0
-            return word, CASE_B31, (x, y, z0)
-        return word, CASE_B32, (x0, y0, z0)
+            # x < y, so x is the one in quadrant 00 when y = x ^ c2w
+            return word, CASE_B31 if x ^ y == c2w else CASE_B32, xyz
+        return word, CASE_O2 if n % 2 else CASE_E3, xyz
     if n % 2 == 1:
-        return word, CASE_O2, (x0, y0, z0)
-    return word, CASE_E3, (x0, y0, z0)
+        return word, CASE_O1, _roles_avoiding_mate(xyz, c2w)
+    if z < h2w:  # all three in quadrant 00
+        if n == 4:
+            x = next(v for v in xyz
+                     if any(v ^ w == 2 for w in xyz) and any(v ^ w == 1 for w in xyz))
+            return word ^ x, CASE_B1, (0, 2, 1)
+        mate = _find_mate(xyz, h2w - 1)
+        if mate is not None:
+            z = next(v for v in xyz if v not in mate)
+            return word, CASE_E11, (*mate, z)
+        return word, CASE_E12, xyz
+    if n == 4:
+        return word, CASE_B2, xyz
+    if z ^ c2w in (x, y):  # z's mate is in the pair: it plays x
+        return word, CASE_E21, (z ^ c2w, x ^ y ^ z ^ c2w, z)
+    return word, CASE_E22, xyz
 
 
 def _find_mate(vals, mask):

@@ -30,15 +30,16 @@ Conventions
   cached ``bytes`` object, built on first use (1 KB at 10 bits, 1 MB at
   20); the flow and packing searches read sink distances from it.
 
-Every view (half, quadrant, diamond, restriction) answers adjacency with
-the parent cube's masks filtered by membership, and distance with the
-cube's value.  A prefix view filters once, per prefix: it keeps the mask
-words that stay inside it, and a row is those words applied to the vertex.
+The cube is the view of the empty prefix (``AugmentedCube`` is a
+``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
+restriction) answers adjacency with the cube's masks filtered by
+membership, and distance with the cube's value.  A prefix view filters
+once, per prefix: it keeps the mask words that stay inside it, and a row
+is those words applied to the vertex.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
@@ -169,53 +170,88 @@ def orbit_representatives(n: int) -> Iterable[tuple[int, int, int]]:
             yield (0, b, c)
 
 
-class AugmentedCube:
-    """Handle for the n-dimensional augmented cube (also usable as a view)."""
+class PrefixView:
+    """The subgraph a cube induces on the vertices whose leading
+    ``prefix_bits`` bits form one of ``prefixes``.
+
+    The empty prefix gives the whole cube (``AugmentedCube`` is that view).
+    One prefix gives a half or a quadrant, which is exactly the
+    lower-dimensional augmented cube on the remaining bits.  Two quadrant
+    prefixes give a diamond: both quadrants plus the perfect matching(s)
+    the cube places between them (one matching across halves or across
+    the diagonal, two between siblings of one half).  Membership is a
+    prefix test; adjacency is the parent's masks filtered by membership,
+    done once per prefix: ``_words[p]`` holds the mask words that keep a
+    vertex with prefix p inside the view, in the cube's mask order.  The
+    view keeps the cube's mask words, not the cube, so the cube holding
+    itself as its own view makes no reference cycle.
+    """
+
+    def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
+        self.bits = cube.n
+        self.mask_words = cube.mask_words
+        self.prefixes = frozenset(prefixes)
+        self.shift = shift = cube.n - prefix_bits
+        self.vertex_count = len(self.prefixes) << shift
+        self._words = {p: tuple(m for m in cube.words if p ^ (m >> shift) in self.prefixes)
+                       for p in self.prefixes}
+        self._nbrs: dict[int, tuple[int, ...]] = {}
+
+    def vertices(self) -> Sequence[int]:
+        blocks = [range(p << self.shift, (p + 1) << self.shift)
+                  for p in sorted(self.prefixes)]
+        return blocks[0] if len(blocks) == 1 else [v for b in blocks for v in b]
+
+    def __contains__(self, v: int) -> bool:
+        # every prefix is below 2**(n - shift) and a negative v shifts to a
+        # negative, so the prefix test alone keeps v inside the cube
+        return (v >> self.shift) in self.prefixes
+
+    def neighbors(self, x: int) -> tuple[int, ...]:
+        got = self._nbrs.get(x)
+        if got is None:
+            words = self._words.get(x >> self.shift)
+            if words is None:
+                raise ValueError(f"vertex {x} not in this view")
+            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, words)))
+        return got
+
+    def is_adjacent(self, x: int, y: int) -> bool:
+        # the mask test first: a non-adjacent pair costs one set lookup
+        return (x ^ y) in self.mask_words and x in self and y in self
+
+    # the cube's distance: a lower bound on hops inside the view
+    distance = staticmethod(distance)
+
+    @property
+    def distance_table(self) -> bytes | None:
+        return distance_table(self.bits)
+
+
+class AugmentedCube(PrefixView):
+    """The n-dimensional augmented cube: the view of the empty prefix, plus
+    its masks and its decomposition into halves, quadrants and diamonds."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.n = n
-        self.bits = n
-        self.vertex_count = 1 << n
         masks = [AdjacencyMask("h", d, hyper_word(n, d)) for d in range(1, n + 1)]
         masks += [AdjacencyMask("c", d, complement_word(n, d)) for d in range(1, n)]
         self.masks: tuple[AdjacencyMask, ...] = tuple(masks)
         self.words: tuple[int, ...] = tuple(m.word for m in masks)
         self.mask_words: frozenset[int] = frozenset(self.words)
         self.degree = len(self.masks)
-        self._nbrs: dict[int, tuple[int, ...]] = {}
+        super().__init__(self, (0,), prefix_bits=0)
 
     # -- basic queries -------------------------------------------------
 
     def edge_count(self) -> int:
         return self.degree * self.vertex_count // 2
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.vertex_count
-
     def check_vertex(self, v: int) -> None:
         if v not in self:
             raise ValueError(f"vertex {v} outside [0, 2^{self.n})")
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        got = self._nbrs.get(x)
-        if got is None:
-            self.check_vertex(x)
-            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, self.words)))
-        return got
-
-    def is_adjacent(self, x: int, y: int) -> bool:
-        return (x ^ y) in self.mask_words
-
-    distance = staticmethod(distance)
-
-    @property
-    def distance_table(self) -> bytes | None:
-        return distance_table(self.bits)
 
     def h_neighbor(self, x: int, d: int) -> int:
         self.check_vertex(x)
@@ -245,76 +281,22 @@ class AugmentedCube:
         self.check_vertex(x)
         return x >> (self.n - 2)
 
-    def half_view(self, bit: int) -> "PrefixView":
+    def half_view(self, bit: int) -> PrefixView:
         if self.n < 2:
             raise ValueError("half view needs dimension >= 2")
         return PrefixView(self, (bit,), prefix_bits=1)
 
-    def quadrant_view(self, quad: int) -> "PrefixView":
+    def quadrant_view(self, quad: int) -> PrefixView:
         if self.n < 3:
             raise ValueError("quadrant view needs dimension >= 3")
         return PrefixView(self, (quad,), prefix_bits=2)
 
-    def diamond_view(self, quad_a: int, quad_b: int) -> "PrefixView":
+    def diamond_view(self, quad_a: int, quad_b: int) -> PrefixView:
         if self.n < 3:
             raise ValueError("diamond view needs dimension >= 3")
         if quad_a == quad_b:
             raise ValueError("diamond needs two distinct quadrants")
         return PrefixView(self, (quad_a, quad_b), prefix_bits=2)
-
-
-class PrefixView:
-    """The subgraph a cube induces on the vertices whose leading
-    ``prefix_bits`` bits form one of ``prefixes``.
-
-    One prefix gives a half or a quadrant, which is exactly the
-    lower-dimensional augmented cube on the remaining bits.  Two quadrant
-    prefixes give a diamond: both quadrants plus the perfect matching(s)
-    the cube places between them (one matching across halves or across
-    the diagonal, two between siblings of one half).  Membership is a
-    prefix test; adjacency is the parent's masks filtered by membership,
-    done once per prefix: ``_words[p]`` holds the mask words that keep a
-    vertex with prefix p inside the view, in the cube's mask order.
-    """
-
-    def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
-        self.cube = cube
-        self.bits = cube.n
-        self.prefixes = frozenset(prefixes)
-        self.shift = shift = cube.n - prefix_bits
-        self.vertex_count = len(self.prefixes) << shift
-        self._words = {p: tuple(m for m in cube.words if p ^ (m >> shift) in self.prefixes)
-                       for p in self.prefixes}
-        self._nbrs: dict[int, tuple[int, ...]] = {}
-
-    def vertices(self) -> Sequence[int]:
-        blocks = [range(p << self.shift, (p + 1) << self.shift)
-                  for p in sorted(self.prefixes)]
-        return blocks[0] if len(blocks) == 1 else [v for b in blocks for v in b]
-
-    def __contains__(self, v: int) -> bool:
-        # every prefix is below 2**(n - shift) and a negative v shifts to a
-        # negative, so the prefix test alone keeps v inside the cube
-        return (v >> self.shift) in self.prefixes
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        got = self._nbrs.get(x)
-        if got is None:
-            words = self._words.get(x >> self.shift)
-            if words is None:
-                raise ValueError(f"vertex {x} not in this view")
-            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, words)))
-        return got
-
-    def is_adjacent(self, x: int, y: int) -> bool:
-        return x in self and y in self and self.cube.is_adjacent(x, y)
-
-    # the cube's distance: a lower bound on hops inside the view
-    distance = staticmethod(distance)
-
-    @property
-    def distance_table(self) -> bytes | None:
-        return distance_table(self.bits)
 
 
 class RestrictedView:
@@ -401,78 +383,3 @@ class AdjListView:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, ws in self._adj.items() for w in ws if u < w]
-
-
-# -- triple canonicalization ------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class CanonicalTriple:
-    """A triple relocated so the constructor's case patterns literally hold.
-
-    ``roles`` is the canonical (x, y, z); ``translation`` the XOR word that
-    was applied; ``perm[i]`` names which input position plays role i.
-    Pulling any path back through the translation restores original labels.
-    """
-
-    roles: tuple[int, int, int]
-    translation: int
-    perm: tuple[int, int, int]
-    pattern: str  # "one-quadrant" | "sibling-pair" | "cross-half"
-
-    def pull_back_path(self, path: Sequence[int]) -> tuple[int, ...]:
-        t = self.translation
-        return tuple(v ^ t for v in path)
-
-
-def canonicalize_triple(cube: AugmentedCube, triple: Sequence[int]) -> CanonicalTriple:
-    """Translate a triple into the dispatcher's canonical position.
-
-    Same half: everything moves to half 0; if all three share a quadrant the
-    quadrant becomes 00, otherwise the same-quadrant pair moves to 00 and the
-    lone vertex lands in 01.  Spanning halves: the pair's half becomes 0, the
-    lone vertex half 1.  Roles are x, y = pair (ascending), z = lone vertex;
-    in the one-quadrant pattern roles are simply ascending.
-    """
-    trip = tuple(triple)
-    if len(trip) != 3 or len(set(trip)) != 3:
-        raise ValueError("need three distinct vertices")
-    for v in trip:
-        cube.check_vertex(v)
-    n = cube.n
-    halves = [cube.half(v) for v in trip]
-    word = 0
-    if len(set(halves)) == 1:
-        if halves[0] == 1:
-            word ^= hyper_word(n, 1)
-        moved = [v ^ word for v in trip]
-        quads = [cube.quadrant(v) for v in moved]
-        if len(set(quads)) == 1:
-            if quads[0] == 0b01:
-                word ^= hyper_word(n, 2)
-            moved = [v ^ word for v in trip]
-            order = sorted(range(3), key=lambda i: moved[i])
-            pattern = "one-quadrant"
-        else:
-            pair_quad = next(q for q in quads if quads.count(q) == 2)
-            if pair_quad == 0b01:
-                word ^= hyper_word(n, 2)
-            moved = [v ^ word for v in trip]
-            pair = sorted(i for i in range(3) if quads[i] == pair_quad)
-            lone = next(i for i in range(3) if quads[i] != pair_quad)
-            pair.sort(key=lambda i: moved[i])
-            order = [pair[0], pair[1], lone]
-            pattern = "sibling-pair"
-    else:
-        lone_half = next(h for h in (0, 1) if halves.count(h) == 1)
-        if lone_half == 0:
-            word ^= hyper_word(n, 1)
-        moved = [v ^ word for v in trip]
-        pair = sorted((i for i in range(3) if halves[i] != lone_half),
-                      key=lambda i: moved[i])
-        lone = next(i for i in range(3) if halves[i] == lone_half)
-        order = [pair[0], pair[1], lone]
-        pattern = "cross-half"
-    roles = tuple(trip[i] ^ word for i in order)
-    return CanonicalTriple(roles=roles, translation=word,
-                           perm=tuple(order), pattern=pattern)

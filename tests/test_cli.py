@@ -127,11 +127,18 @@ def test_family_text_roundtrip():
     assert bits == 5
 
 
-def test_report_nmax_skips_large_sweeps(capsys):
+def test_report_nmax_skips_large_sweeps(capsys, monkeypatch):
+    report = importlib.import_module("aqpath.report")
+    # criteria 1 and 8 are whole AQ_4 sweeps that tests/test_acceptance.py runs
+    for k in (1, 8):
+        stub = report.CriterionResult(k, "stub", True, "")
+        monkeypatch.setattr(report, f"criterion_{k}", lambda stub=stub: stub)
     code, out, _ = run(capsys, "report", "--nmax", "4", "--samples", "50")
     assert code == 0
-    assert "SKIP" in out
+    for k in (2, 3, 4, 5, 6, 10):
+        assert f"CRITERION {k} SKIP" in out
     assert "CRITERION 7 PASS" in out
+    assert "CRITERION 9 PASS" in out
 
 
 @pytest.mark.parametrize("text", [

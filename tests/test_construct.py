@@ -5,7 +5,7 @@ import random
 import pytest
 
 from aqpath.construct import construct, target_count
-from aqpath.cube import AugmentedCube, PrefixView, RestrictedView, canonicalize_triple
+from aqpath.cube import AugmentedCube, PrefixView, RestrictedView
 from aqpath.oracle import max_dpaths
 from aqpath.verify import check_family
 
@@ -127,18 +127,120 @@ def test_determinism():
     assert a.trace == b.trace
 
 
+def oriented(path):
+    return tuple(path) if path[0] < path[-1] else tuple(reversed(path))
+
+
 def test_transform_soundness():
-    # a family built on the canonical relocation, pulled back, must match
-    # the family the public entry point returns for the original labels
+    # the family built on the relocation the trace records, pulled back,
+    # is the family the public entry point returns for the original labels
     cube = AugmentedCube(6)
     rng = random.Random(29)
     for _ in range(25):
         D = tuple(sorted(rng.sample(range(64), 3)))
-        can = canonicalize_triple(cube, D)
-        fam_c = construct(6, can.roles)
-        pulled = [can.pull_back_path(p) for p in fam_c.paths]
+        fam = construct(6, D)
+        t = fam.trace[0].translation
+        fam_c = construct(6, tuple(r ^ t for r in fam.trace[0].roles))
+        pulled = [tuple(v ^ t for v in p) for p in fam_c.paths]
         assert check_family(cube, D, pulled) is None
-        assert len(pulled) == len(construct(6, D).paths)
+        assert [oriented(p) for p in pulled] == fam.paths
+
+
+def reference_normalize(cube, trip):
+    """The dispatch as two steps: translate the triple into a canonical
+    position and name its pattern, then pick the case and the roles."""
+    n = cube.n
+    h1w, h2w, c2w = 1 << (n - 1), 1 << (n - 2), (1 << (n - 1)) - 1
+
+    def find_mate(vals, mask):
+        for u, v in itertools.combinations(sorted(vals), 2):
+            if u ^ v == mask:
+                return u, v
+        return None
+
+    def roles_avoiding_mate(vals, mask):
+        mate = find_mate(vals, mask)
+        if mate is None:
+            return tuple(sorted(vals))
+        x = next(v for v in vals if v not in mate)
+        rest = sorted(v for v in vals if v != x)
+        return (x, rest[0], rest[1])
+
+    # step 1: the canonical relocation
+    halves = [cube.half(v) for v in trip]
+    word = 0
+    if len(set(halves)) == 1:
+        if halves[0] == 1:
+            word ^= h1w
+        quads = [cube.quadrant(v ^ word) for v in trip]
+        if len(set(quads)) == 1:
+            if quads[0] == 0b01:
+                word ^= h2w
+            order = sorted(range(3), key=lambda i: trip[i] ^ word)
+            pattern = "one-quadrant"
+        else:
+            pair_quad = next(q for q in quads if quads.count(q) == 2)
+            if pair_quad == 0b01:
+                word ^= h2w
+            pair = sorted((i for i in range(3) if quads[i] == pair_quad),
+                          key=lambda i: trip[i] ^ word)
+            order = pair + [next(i for i in range(3) if quads[i] != pair_quad)]
+            pattern = "sibling-pair"
+    else:
+        lone_half = next(h for h in (0, 1) if halves.count(h) == 1)
+        if lone_half == 0:
+            word ^= h1w
+        pair = sorted((i for i in range(3) if halves[i] != lone_half),
+                      key=lambda i: trip[i] ^ word)
+        order = pair + [next(i for i in range(3) if halves[i] == lone_half)]
+        pattern = "cross-half"
+    roles = tuple(trip[i] ^ word for i in order)
+
+    # step 2: the case and its roles
+    if pattern == "one-quadrant":
+        vals = sorted(roles)
+        if n % 2 == 1:
+            return word, "O1", roles_avoiding_mate(vals, c2w)
+        if n == 4:
+            x = next(v for v in vals
+                     if any(v ^ w == 2 for w in vals) and any(v ^ w == 1 for w in vals))
+            return word ^ x, "B1", (0, 2, 1)
+        mate = find_mate(vals, (1 << (n - 2)) - 1)
+        if mate is not None:
+            x, y = mate
+            return word, "E1.1", (x, y, next(v for v in vals if v not in mate))
+        return word, "E1.2", tuple(vals)
+    x0, y0, z0 = roles
+    if pattern == "sibling-pair":
+        if n % 2 == 1:
+            return word, "O1", roles_avoiding_mate(sorted(roles), c2w)
+        if n == 4:
+            return word, "B2", roles
+        if z0 ^ c2w in (x0, y0):
+            x = z0 ^ c2w
+            return word, "E2.1", (x, y0 if x == x0 else x0, z0)
+        return word, "E2.2", roles
+    if n == 4:
+        if x0 ^ y0 == c2w:
+            x = x0 if cube.quadrant(x0) == 0 else y0
+            return word, "B3.1", (x, y0 if x == x0 else x0, z0)
+        return word, "B3.2", roles
+    return word, "O2" if n % 2 == 1 else "E3", roles
+
+
+def test_dispatch_matches_the_two_step_reference():
+    normalize = importlib.import_module("aqpath.construct")._normalize
+    for n in range(4, 21):
+        cube = AugmentedCube(n)
+        if n <= 5:
+            trips = itertools.permutations(range(1 << n), 3)
+        elif n == 6:
+            trips = itertools.combinations(range(1 << n), 3)
+        else:
+            rng = random.Random(n)
+            trips = (tuple(rng.sample(range(1 << n), 3)) for _ in range(5000))
+        for trip in trips:
+            assert normalize(cube, trip) == reference_normalize(cube, trip), (n, trip)
 
 
 def test_paths_oriented_from_smaller_endpoint():

@@ -1,18 +1,20 @@
+import gc
 import importlib
 import itertools
 import math
 import random
+import weakref
 from collections import deque
 
 import pytest
 
+from aqpath.construct import construct
 from aqpath.cube import (
     DISTANCE_TABLE_MAX_BITS,
     AdjListView,
     AugmentedCube,
     RestrictedView,
     automorphisms,
-    canonicalize_triple,
     complement_word,
     distance,
     distance_table,
@@ -204,6 +206,21 @@ def test_prefix_view_rows_are_the_filtered_cube_rows(n):
     assert not cube._nbrs  # the views never fill the parent's memo
 
 
+def test_the_cube_is_freed_without_the_cycle_collector():
+    # the cube is its own prefix view; it must not refer to itself, or it
+    # (and any table keyed on it) would live until the next collection
+    gc.disable()
+    try:
+        cube = AugmentedCube(6)
+        cube.neighbors(5)
+        views = [cube.half_view(0), cube.diamond_view(0b00, 0b11)]
+        refs = [weakref.ref(v) for v in [cube, *views]]
+        del cube, views
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
 def test_matching_structure():
     c4 = AugmentedCube(4)
     q00 = set(c4.quadrant_view(0b00).vertices())
@@ -216,34 +233,51 @@ def test_matching_structure():
             assert c4.is_adjacent(v, v ^ word)
 
 
-def test_canonicalize_identity_and_patterns():
-    c4 = AugmentedCube(4)
-    can = canonicalize_triple(c4, (0b0000, 0b0001, 0b0010))
-    assert can.translation == 0
-    assert can.pattern == "one-quadrant"
-    assert can.roles == (0, 1, 2)
+def relocated(entry):
+    """The triple a trace entry's builder was handed."""
+    return tuple(r ^ entry.translation for r in entry.roles)
 
-    can = canonicalize_triple(c4, (0b1000, 0b1010, 0b0001))
-    assert can.translation & 0b1000  # a leading-bit word moves the pair over
-    xs = [v ^ can.translation for v in (0b1000, 0b1010)]
-    assert all(v < 8 for v in xs)           # pair lands in half 0
-    assert (0b0001 ^ can.translation) >= 8  # lone vertex in half 1
-    assert can.pattern == "cross-half"
+
+def test_canonicalize_identity_and_patterns():
+    # the relocation ``construct`` records in its trace
+    (entry,) = construct(4, (0b0000, 0b0001, 0b0010)).trace
+    assert entry.translation == 0
+    assert entry.case == "B1"  # all three in one quadrant
+    assert entry.roles == (0, 2, 1)
+
+    (entry,) = construct(4, (0b1000, 0b1010, 0b0001)).trace
+    assert entry.translation & 0b1000  # a leading-bit word moves the pair over
+    x, y, z = relocated(entry)
+    assert x < 8 and y < 8  # pair lands in half 0
+    assert z >= 8           # lone vertex in half 1
+    assert entry.case in ("B3.1", "B3.2")  # the cross-half cases
 
 
 def test_canonicalize_rejects_duplicates():
     with pytest.raises(ValueError):
-        canonicalize_triple(AugmentedCube(4), (1, 1, 2))
+        construct(4, (1, 1, 2))
 
 
 def test_canonicalize_roles_cover_input():
-    c5 = AugmentedCube(5)
     trip = (7, 19, 28)
-    can = canonicalize_triple(c5, trip)
-    assert sorted(can.perm) == [0, 1, 2]
-    for i in range(3):
-        assert can.roles[i] == trip[can.perm[i]] ^ can.translation
-    assert can.pull_back_path(can.roles) == tuple(trip[i] for i in can.perm)
+    entry = construct(5, trip).trace[0]
+    assert sorted(entry.roles) == sorted(trip)
+    assert tuple(v ^ entry.translation for v in relocated(entry)) == entry.roles
+
+
+@pytest.mark.parametrize("view_of", [
+    lambda c: c,
+    lambda c: c.half_view(1),
+    lambda c: c.diamond_view(0b00, 0b11),
+    lambda c: RestrictedView(c, forbidden_vertices={3}),
+], ids=["cube", "half", "diamond", "restricted"])
+def test_no_edge_touches_a_non_vertex(view_of):
+    cube = AugmentedCube(4)
+    view = view_of(cube)
+    for x in (-1, -2, -16, -17, 16, 17, 31, 1 << 10):
+        for w in cube.words:
+            assert not view.is_adjacent(x, x ^ w)
+            assert not view.is_adjacent(x ^ w, x)
 
 
 def test_adjlist_view():

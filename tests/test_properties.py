@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqpath.construct import construct
-from aqpath.cube import AugmentedCube, canonicalize_triple
+from aqpath.cube import AugmentedCube
 from aqpath.report import (
     duality_suite,
     mask_automorphism_suite,
@@ -62,9 +62,10 @@ def test_canonicalization_round_trip_keeps_verdict(n, data):
     size = 1 << n
     trip = data.draw(st.sets(st.integers(0, size - 1), min_size=3, max_size=3))
     D = tuple(sorted(trip))
-    can = canonicalize_triple(cube, D)
-    fam = construct(n, can.roles)
-    pulled = [can.pull_back_path(p) for p in fam.paths]
+    entry = construct(n, D).trace[0]
+    t = entry.translation
+    fam = construct(n, tuple(r ^ t for r in entry.roles))
+    pulled = [tuple(v ^ t for v in p) for p in fam.paths]
     assert check_family(cube, D, pulled) is None
 
 

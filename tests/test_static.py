@@ -53,3 +53,9 @@ def test_the_constructor_runs_no_whole_cube_search():
                    for alias in node.names]
     assert from_oracle == ["ResourceGuard"]
     assert listed_views(tree) == []
+
+
+def test_every_exported_name_resolves_once():
+    assert len(aqpath.__all__) == len(set(aqpath.__all__))
+    for name in aqpath.__all__:
+        assert hasattr(aqpath, name), name
