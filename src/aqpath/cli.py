@@ -218,6 +218,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # checked with the arguments, before a command does any work
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError("budget must be >= 0")
         return args.fn(args)
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,9 @@ Conventions
   linear maps permuting the mask words, generated by swapping the last two
   bits and by reversing the path that w -> w ^ (w >> 1) makes of the mask
   words; with the translations they let the exhaustive sweeps visit one
-  triple per orbit (``orbit_representatives``).
+  triple per orbit (``orbit_representatives``), and those that send a
+  terminal set onto itself (``symmetries``) let the oracle skip work one
+  of them maps onto work already done.
 - The distance between u and v is the fewest mask words whose XOR is
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
@@ -40,8 +42,9 @@ is those words applied to the vertex.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class AdjacencyMask(NamedTuple):
@@ -129,12 +132,14 @@ def map_vertex(images: Sequence[int], v: int) -> int:
     return out
 
 
-def automorphisms(n: int) -> list[tuple[int, ...]]:
-    """The 8 linear automorphisms, each as the images of bits 0..n-1:
-    (rho sigma)^k and sigma (rho sigma)^k for k = 0..3.  Under
+@functools.cache
+def automorphisms(n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct linear automorphisms, each as the images of bits
+    0..n-1: (rho sigma)^k and sigma (rho sigma)^k for k = 0..3.  Under
     x = w ^ (w >> 1) the mask words become the unit vectors and the sums of
     neighbouring ones, the vertices and edges of a path; rho reverses that
-    path and sigma swaps the last two bits.  At n = 2 only 6 are distinct."""
+    path and sigma swaps the last two bits.  There are 8 for n >= 3, 6 at
+    n = 2 and 1 at n = 1.  Cached per n."""
 
     def rho(w: int) -> int:
         x = int(format(w ^ (w >> 1), f"0{n}b")[::-1], 2)
@@ -151,7 +156,24 @@ def automorphisms(n: int) -> list[tuple[int, ...]]:
     for _ in range(4):
         maps += [tuple(images), tuple(sigma(w) for w in images)]
         images = [rho(sigma(w)) for w in images]
-    return maps
+    return tuple(dict.fromkeys(maps))
+
+
+def symmetries(n: int, D: Sequence[int]
+               ) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every automorphism v -> map_vertex(g, v) ^ t of the n-cube that sends
+    the set D onto itself, as (g, t, perm) with D[i] sent to D[perm[i]].
+    Such a map sends D[0] into D, so t is g(D[0]) ^ d for some d in D:
+    at most 8 |D| candidates, each checked on D alone.  The maps fixing D
+    pointwise are those whose perm is the identity."""
+    where = {d: i for i, d in enumerate(D)}
+    for g in automorphisms(n):
+        moved = [map_vertex(g, d) for d in D]
+        for d in D:
+            t = moved[0] ^ d
+            perm = tuple(where.get(w ^ t, -1) for w in moved)
+            if -1 not in perm:
+                yield g, t, perm
 
 
 def orbit_representatives(n: int) -> Iterable[tuple[int, int, int]]:

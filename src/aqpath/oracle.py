@@ -7,14 +7,22 @@ splits into a profile (a, b, c) counting paths middled at each terminal;
 the pair demands that profile induces are packed exactly by the segment
 engine.  Profiles are scanned by decreasing total (then ascending
 lexicographically); the first feasible total is the maximum because
-dropping a path keeps a packing valid.
+dropping a path keeps a packing valid.  On a whole cube, an automorphism
+that permutes the terminals sends a packing for one profile to a packing
+for the permuted profile, so a refuted profile refutes its images under
+the triple's symmetries (``cube.symmetries``) and they are skipped.  The
+symmetries are found at the first refutation, so a call that refutes
+nothing pays nothing for them.
 
-``brute_small`` is the oracle's own referee: it enumerates every simple
-terminal-to-terminal path containing the third terminal and takes a
+``brute_small`` is the oracle's own referee: it enumerates the simple
+terminal-to-terminal paths containing the third terminal and takes a
 maximum pairwise-compatible subset.  Two such paths are compatible iff
 their interiors are disjoint and they do not reuse a terminal-terminal
-edge, so paths collapse to (interior set, direct-edge set) signatures and
-the subset search is a tiny clique problem.
+edge, so each path collapses to one mask of the interior vertices and
+direct edges it uses.  A path can always give way to one whose mask is a
+subset of its own, so only the inclusion-minimal masks matter: the
+enumeration abandons a path once its mask holds one already found, and
+the subset search is a tiny clique problem over the minimal masks.
 
 Also here: common-neighbor scans, the regular-graph counting bound, the
 closed-form ceiling for augmented cubes, and the extremal witness triple
@@ -27,9 +35,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .cube import AugmentedCube, orbit_representatives
+from .cube import AugmentedCube, orbit_representatives, symmetries
 from .packing import Budget, pack_segments
 
 DEFAULT_BUDGET = 2_000_000
@@ -118,6 +126,7 @@ def _assemble(profile: tuple[int, int, int],
 def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
                ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact maximum family size through the three terminals, with a witness."""
+    tracker = Budget(budget)
     _guard_size(view)
     trip = _terminals(D)
     for t in trip:
@@ -126,15 +135,35 @@ def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
     x, y, z = trip
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
-    tracker = Budget(budget)
+    perms = None  # the triple's permutations, found at the first refutation
+    refuted: set[tuple[int, ...]] = set()
     for m in range(ub, 0, -1):
         for profile in _profiles(m, tuple(d - m for d in degs)):
+            if profile in refuted:
+                continue
             a, b, c = profile
             demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
             segs = pack_segments(view, demands, budget=tracker)
             if segs is not None:
                 return m, _assemble(profile, segs)
+            if perms is None:
+                perms = _triple_perms(view, trip)
+            for perm in perms:
+                image = [0, 0, 0]
+                for i, j in enumerate(perm):
+                    image[j] = profile[i]
+                refuted.add(tuple(image))
     return 0, []
+
+
+def _triple_perms(view, trip: tuple[int, int, int]) -> set[tuple[int, ...]]:
+    """The permutations of ``trip`` that automorphisms of ``view`` fixing
+    the set induce, other than the identity; only on a whole cube, where
+    an automorphism sends a packing for a profile to one for the permuted
+    profile, so a refuted profile refutes its images."""
+    if type(view) is not AugmentedCube:
+        return set()
+    return {perm for _, _, perm in symmetries(view.n, trip)} - {(0, 1, 2)}
 
 
 def _terminals(D: Sequence[int]) -> tuple[int, int, int]:
@@ -148,27 +177,30 @@ def _terminals(D: Sequence[int]) -> tuple[int, int, int]:
 # -- independent small-scale referee -----------------------------------
 
 
-def _simple_paths(view, u: int, w: int, via: int) -> Iterable[tuple[int, ...]]:
-    """All simple u-w paths that visit ``via``."""
-    path = [u]
-    used = {u}
+def _path_masks(view, u: int, w: int, via: int, bit: dict[int, int],
+                direct: dict[tuple[int, int], int], found: list[int]) -> None:
+    """Append to ``found`` the mask of every simple u-w path that visits
+    ``via``, unless it holds a mask already there: ``bit[v]`` for each
+    interior vertex, ``direct[a, b]`` for each terminal-terminal edge.  A
+    path is abandoned as soon as its mask so far holds one in ``found``,
+    since every completion would too."""
+    on = {u}
 
-    def extend():
-        cur = path[-1]
+    def extend(cur: int, mask: int) -> None:
         for nxt in view.neighbors(cur):
+            step = mask | direct.get((cur, nxt), 0)
             if nxt == w:
-                if via in used:
-                    yield (*path, w)
-            elif nxt not in used and nxt != u:
-                path.append(nxt)
-                used.add(nxt)
-                yield from extend()
-                path.pop()
-                used.discard(nxt)
+                if via in on and not any(f & step == f for f in found):
+                    found.append(step)
+            elif nxt not in on:
+                step |= bit.get(nxt, 0)
+                if not any(f & step == f for f in found):
+                    on.add(nxt)
+                    extend(nxt, step)
+                    on.discard(nxt)
 
-    if via == w:
-        return
-    yield from extend()
+    if via != w:
+        extend(u, 0)
 
 
 def brute_small(view, D: Sequence[int]) -> int:
@@ -177,38 +209,34 @@ def brute_small(view, D: Sequence[int]) -> int:
     trip = _terminals(D)
     verts = sorted(view.vertices())
     x, y, z = trip
-    index = {v: i for i, v in enumerate(verts)}
-    direct_pairs = [(x, y), (y, z), (x, z)]
+    bit = {v: 1 << i for i, v in enumerate(verts) if v not in trip}
+    direct: dict[tuple[int, int], int] = {}
+    for i, (a, b) in enumerate([(x, y), (y, z), (x, z)], start=len(verts)):
+        direct[a, b] = direct[b, a] = 1 << i
+    found: list[int] = []
+    for u, w, via in [(x, y, z), (y, z, x), (x, z, y)]:
+        _path_masks(view, u, w, via, bit, direct, found)
 
-    sigs: set[tuple[int, int]] = set()
-    for (u, w, via) in [(x, y, z), (y, z, x), (x, z, y)]:
-        for p in _simple_paths(view, u, w, via):
-            imask = 0
-            for v in p:
-                if v not in trip:
-                    imask |= 1 << index[v]
-            edges = {frozenset(e) for e in zip(p, p[1:])}
-            dmask = 0
-            for bit, pair in enumerate(direct_pairs):
-                if frozenset(pair) in edges:
-                    dmask |= 1 << bit
-            sigs.add((imask, dmask))
-
-    order = sorted(sigs)
+    # every path's mask holds a minimal one, and a path can trade places
+    # with a path of that mask, so only the minimal masks matter
+    order: list[int] = []
+    for mask in sorted(found, key=int.bit_count):
+        if not any(kept & mask == kept for kept in order):
+            order.append(mask)
+    size = len(order)
     best = 0
 
-    def grow(start: int, imask: int, dmask: int, depth: int) -> None:
+    def grow(start: int, used: int, depth: int) -> None:
         nonlocal best
         best = max(best, depth)
-        for idx in range(start, len(order)):
-            if depth + (len(order) - idx) <= best:
+        for idx in range(start, size):
+            if depth + (size - idx) <= best:
                 break
-            si, sd = order[idx]
-            if si & imask or sd & dmask:
-                continue
-            grow(idx + 1, imask | si, dmask | sd, depth + 1)
+            mask = order[idx]
+            if not mask & used:
+                grow(idx + 1, used | mask, depth + 1)
 
-    grow(0, 0, 0, 0)
+    grow(0, 0, 0)
     return best
 
 

@@ -44,6 +44,16 @@ Feasibility is decided exactly, in three stages:
    saturation that admits a commitment also gives the child its spare
    set.  Flows are deterministic, so the search visits, ticks and returns
    exactly what it would without the caches, with far fewer flows.
+   On a whole cube (an ``AugmentedCube`` itself, not a sub-cube view) the
+   search also skips symmetric work (lex-leader pruning).  An automorphism
+   fixing every terminal (``cube.symmetries``) sends packings to packings.
+   The branched demand's segment sets are committed in increasing order
+   and every pruning step is sound, so the set the search returns is the
+   least that completes, and no such map sends it to a lower one.  A
+   segment of that demand is therefore skipped, after its tick, when a
+   map sends the committed segments with it appended to a set that sorts
+   lower: only subtrees a lower image dominates are cut, the same packing
+   is returned, and a refutation stays a refutation with fewer ticks.
 
 No stage lists the view: the free vertices are the view's vertices
 outside a small blocked set (the terminals, then the committed interiors
@@ -56,9 +66,11 @@ to an approximation.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from heapq import heappop, heappush
 from typing import Sequence
 
+from .cube import AugmentedCube, automorphisms, map_vertex, symmetries
 from .flow import UnitFlowNet, sink_distances
 
 
@@ -68,6 +80,8 @@ class SearchBudgetExceeded(RuntimeError):
 
 class Budget:
     def __init__(self, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError("budget must be >= 0")
         self.limit = limit
         self.used = 0
 
@@ -348,6 +362,33 @@ def _branch_blocked(view, leaf: Sequence[Demand],
     return None if net is None else blocked | net.critical()
 
 
+def _image_order(a: Segment, b: Segment, image: dict[int, int],
+                 b_moved: bool) -> int:
+    """-1, 0 or 1 as the image of ``a`` sorts below, equal to or above that
+    of ``b`` (``b`` itself unless ``b_moved``) in ``_seg_key`` order, for
+    segments between the same two terminals, which the map fixes, and
+    ``image`` holding every interior vertex's image."""
+    if len(a) != len(b):
+        return -1 if len(a) < len(b) else 1
+    for i in range(1, len(a) - 1):
+        x = image[a[i]]
+        y = image[b[i]] if b_moved else b[i]
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+def _terminal_fixers(view, terminals) -> list[tuple[tuple[int, ...], int]]:
+    """The automorphisms v -> map_vertex(g, v) ^ t of a whole cube that fix
+    every terminal, other than the identity, as (g, t); none elsewhere."""
+    if type(view) is not AugmentedCube:
+        return []
+    D = sorted(terminals)
+    identity = automorphisms(view.n)[0]
+    return [(g, t) for g, t, perm in symmetries(view.n, D)
+            if perm == tuple(range(len(D))) and (g, t) != (identity, 0)]
+
+
 def _dfs_pack(view, demands: Sequence[Demand], blocked: set[int], budget: Budget):
     """Complete search; segments of a branched pair are committed in strictly
     increasing (length, sequence) order, so no packing is seen twice."""
@@ -377,6 +418,8 @@ class _PackSearch:
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.joint_ok: dict[tuple[frozenset[int], tuple[int, ...]], bool] = {}
         self.avoid: dict[frozenset[int], set[int] | None] = {}
+        # (g, t, the images found so far) of each map fixing every terminal
+        self.maps = [(g, t, {}) for g, t in _terminal_fixers(view, blocked)]
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment chosen so far."""
@@ -437,6 +480,8 @@ class _PackSearch:
             avoid, cap = self.blocked, 0
         for seg in _enum_segments(self.view, u, v, avoid, cap, floor):
             self.budget.tick()
+            if di == 0 and self.maps and self.dominated(seg):
+                continue
             interior = seg[1:-1]
             self.blocked.update(interior)
             chosen[di].append(seg)
@@ -453,6 +498,26 @@ class _PackSearch:
                 return True
             chosen[di].pop()
             self.blocked.difference_update(interior)
+        return False
+
+    def dominated(self, seg: Segment) -> bool:
+        """Whether a map fixing the terminals sends the segments of demand 0,
+        ``seg`` appended, to a set that sorts below them in ``_seg_key``
+        order, so that no least packing starts with them."""
+        segs = self.chosen[0] + [seg]
+        for g, t, image in self.maps:
+            for s in segs:
+                for i in range(1, len(s) - 1):
+                    if s[i] not in image:
+                        image[s[i]] = map_vertex(g, s[i]) ^ t
+            moved = sorted(segs, key=cmp_to_key(
+                lambda a, b: _image_order(a, b, image, True)))
+            for a, s in zip(moved, segs):
+                order = _image_order(a, s, image, False)
+                if order:
+                    if order < 0:
+                        return True
+                    break
         return False
 
     def joint(self, key: frozenset[int]) -> bool:

@@ -98,6 +98,15 @@ def test_pi3_has_no_worker_option():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "4", "--triple", "0000,0001,0010"],
+    ["pi3", "--n", "4"],
+], ids=["oracle", "pi3"])
+def test_a_negative_budget_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-5")
+    assert (code, out, err) == (2, "", "error: budget must be >= 0\n")
+
+
 def test_pi3_sampled_needs_seed(capsys):
     code, _, _ = run(capsys, "pi3", "--n", "4", "--mode", "sampled")
     assert code == 2

@@ -21,6 +21,7 @@ from aqpath.cube import (
     hyper_word,
     map_vertex,
     orbit_representatives,
+    symmetries,
 )
 
 
@@ -431,3 +432,36 @@ def test_orbits_of_the_representatives_partition_the_triples(n):
         assert min(o) == r
     assert sum(map(len, orbits)) == math.comb(1 << n, 3)
     assert len(set().union(*orbits)) == math.comb(1 << n, 3)
+
+
+def test_automorphisms_are_listed_once_per_dimension():
+    assert automorphisms(6) is automorphisms(6)
+    assert isinstance(automorphisms(6), tuple)
+    assert [len(automorphisms(n)) for n in (1, 2, 3)] == [1, 6, 8]
+
+
+def set_preserving_maps(n, D):
+    """The reference for ``symmetries``: every one of the 8 * 2**n maps,
+    kept when it sends the set D onto itself."""
+    want, kept = set(D), []
+    for g in automorphisms(n):
+        moved = [map_vertex(g, d) for d in D]
+        kept += [(g, t) for t in range(1 << n) if {w ^ t for w in moved} == want]
+    return sorted(kept)
+
+
+def symmetry_cases():
+    for n in (4, 5):
+        for trip in orbit_representatives(n):
+            yield n, trip
+    rng = random.Random(8)
+    for _ in range(200):
+        yield 8, tuple(rng.sample(range(256), 3))
+
+
+def test_symmetries_are_exactly_the_maps_keeping_the_set():
+    for n, D in symmetry_cases():
+        got = list(symmetries(n, D))
+        assert sorted((g, t) for g, t, _ in got) == set_preserving_maps(n, D), D
+        for g, t, perm in got:
+            assert [map_vertex(g, d) ^ t for d in D] == [D[i] for i in perm]

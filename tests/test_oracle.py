@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from aqpath import report
 from aqpath.cube import AdjListView, AugmentedCube, automorphisms, map_vertex
 from aqpath.oracle import (
     ResourceGuard,
@@ -74,6 +75,88 @@ def test_max_dpaths_needs_three_distinct_terminals(D):
 def test_brute_small_needs_three_distinct_terminals(D):
     with pytest.raises(ValueError, match="three distinct"):
         brute_small(AugmentedCube(3), D)
+
+
+def simple_paths_reference(view, u, w, via):
+    """All simple u-w paths that visit ``via``."""
+    path = [u]
+    used = {u}
+
+    def extend():
+        cur = path[-1]
+        for nxt in view.neighbors(cur):
+            if nxt == w:
+                if via in used:
+                    yield (*path, w)
+            elif nxt not in used and nxt != u:
+                path.append(nxt)
+                used.add(nxt)
+                yield from extend()
+                path.pop()
+                used.discard(nxt)
+
+    if via == w:
+        return
+    yield from extend()
+
+
+def brute_reference(view, D):
+    """``brute_small`` as it was before it kept only minimal masks: every
+    path's (interior, direct-edge) signature, and a clique search over all
+    of them."""
+    trip = tuple(sorted(D))
+    verts = sorted(view.vertices())
+    x, y, z = trip
+    index = {v: i for i, v in enumerate(verts)}
+    direct_pairs = [(x, y), (y, z), (x, z)]
+
+    sigs = set()
+    for (u, w, via) in [(x, y, z), (y, z, x), (x, z, y)]:
+        for p in simple_paths_reference(view, u, w, via):
+            imask = 0
+            for v in p:
+                if v not in trip:
+                    imask |= 1 << index[v]
+            edges = {frozenset(e) for e in zip(p, p[1:])}
+            dmask = 0
+            for bit, pair in enumerate(direct_pairs):
+                if frozenset(pair) in edges:
+                    dmask |= 1 << bit
+            sigs.add((imask, dmask))
+
+    order = sorted(sigs)
+    best = 0
+
+    def grow(start, imask, dmask, depth):
+        nonlocal best
+        best = max(best, depth)
+        for idx in range(start, len(order)):
+            if depth + (len(order) - idx) <= best:
+                break
+            si, sd = order[idx]
+            if si & imask or sd & dmask:
+                continue
+            grow(idx + 1, imask | si, dmask | sd, depth + 1)
+
+    grow(0, 0, 0, 0)
+    return best
+
+
+def test_minimal_masks_give_the_full_enumeration_values():
+    # the inputs of acceptance criterion 8
+    cube3 = AugmentedCube(3)
+    cases = [(cube3, D) for D in itertools.combinations(range(8), 3)]
+    rng = random.Random(report.CORPUS_SEED)
+    for _ in range(200):
+        g = report.random_connected_graph(rng)
+        cases.append((g, tuple(sorted(rng.sample(list(g.vertices()), 3)))))
+    for view, D in cases:
+        assert brute_small(view, D) == brute_reference(view, D), D
+
+
+def test_max_dpaths_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=-5)
 
 
 def test_brute_size_guard():

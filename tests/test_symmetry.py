@@ -1,0 +1,116 @@
+"""The oracle's symmetry breaking changes work, never answers.
+
+The reference mode sees no symmetry: ``symmetries`` yields the identity
+alone, so ``max_dpaths`` skips no profile and the packing search skips no
+segment.  Both modes must return the same values, witnesses and packings,
+and the search with symmetry may only use fewer budget ticks.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from aqpath import oracle, packing
+from aqpath.cube import AugmentedCube, automorphisms, map_vertex
+from aqpath.oracle import max_dpaths
+from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
+
+
+# the least triple of the orbit where pi3(AQ_4) = 4 is attained: a map
+# swapping 1 and 2 fixes it as a set, and one map besides the identity
+# fixes it pointwise
+ARGMIN = (0, 1, 2)
+
+
+def identity_only(n, D):
+    yield automorphisms(n)[0], 0, tuple(range(len(D)))
+
+
+def without_symmetry(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "symmetries", identity_only)
+        mp.setattr(packing, "symmetries", identity_only)
+        return fn(*args)
+
+
+def counted_pack_segments(monkeypatch):
+    calls = []
+    pack = oracle.pack_segments
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return pack(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "pack_segments", counted)
+    return calls
+
+
+def test_every_dimension_four_triple_keeps_value_and_witness():
+    cube = AugmentedCube(4)
+    for D in itertools.combinations(range(16), 3):
+        assert max_dpaths(cube, D) == without_symmetry(max_dpaths, cube, D), D
+
+
+def test_the_argmin_orbit_refutes_two_profiles_not_three(monkeypatch):
+    cube = AugmentedCube(4)
+    calls = counted_pack_segments(monkeypatch)
+    assert max_dpaths(cube, ARGMIN)[0] == 4
+    with_symmetry = list(calls)
+    calls.clear()
+    without_symmetry(max_dpaths, cube, ARGMIN)
+    # three five-path profiles, then the first four-path one fits
+    assert len(calls) == 4
+    assert len(with_symmetry) == 3 and with_symmetry[-1] == calls[-1]
+
+
+def test_seeded_dimension_five_triples_keep_value_and_witness():
+    cube = AugmentedCube(5)
+    rng = random.Random(5)
+    for _ in range(100):
+        D = tuple(rng.sample(range(32), 3))
+        assert max_dpaths(cube, D) == without_symmetry(max_dpaths, cube, D), D
+
+
+def outcome(view, demands, limit):
+    budget = Budget(limit)
+    try:
+        found = pack_segments(view, demands, budget)
+    except SearchBudgetExceeded:
+        found = "budget"
+    return found, budget.used
+
+
+def seeded_demands(rng):
+    """Split-profile demands on AQ_4 and AQ_5: four images of ``ARGMIN``
+    with the largest total a profile allows (refuted on AQ_4 by
+    branch-and-bound), then four random triples with that total or one
+    less."""
+    for n in (4, 5):
+        deg = 2 * n - 1
+        for k in range(8):
+            m = 3 * deg // 4
+            if k < 4:
+                g, t = rng.choice(automorphisms(n)), rng.randrange(1 << n)
+                trip = [map_vertex(g, v) ^ t for v in ARGMIN]
+                rng.shuffle(trip)
+            else:
+                trip = rng.sample(range(1 << n), 3)
+                m -= rng.randint(0, 1)
+            cap = deg - m
+            a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
+                                  for b in range(cap + 1) if 0 <= m - a - b <= cap])
+            x, y, z = trip
+            yield n, [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
+
+
+def test_seeded_packings_match_with_no_more_ticks():
+    cubes = {n: AugmentedCube(n) for n in (4, 5)}
+    fewer = 0
+    for n, demands in seeded_demands(random.Random(15)):
+        found, used = outcome(cubes[n], demands, 2000)
+        ref, ref_used = without_symmetry(outcome, cubes[n], demands, 2000)
+        assert found == ref, demands
+        assert used <= ref_used, demands
+        fewer += used < ref_used
+    assert fewer == 3
