@@ -38,10 +38,12 @@ not enough long paths to attach to) or its family fails verification,
 never patched up by a second search.  Every triple of AQ_4 to AQ_7 has
 been built and verified this way.
 
-The flows and the packings read only the region their searches explore,
-so ``construct`` lists no vertex at any dimension; ``CONSTRUCT_MAX_N``
-bounds its time alone, and above it ``construct`` raises
-``oracle.ResourceGuard``.
+Every case is built from the flows ``disjoint_paths``, ``fan`` and
+``linkage``, with no search that needs a budget; E1.2 and E2.2 route their
+three prescribed pairs one flow path at a time (``_route_pairs``).  The
+flows read only the region their searches explore, so ``construct`` lists
+no vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone,
+and above it ``construct`` raises ``oracle.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import itertools
 from .cube import AugmentedCube, RestrictedView
 from .flow import Insufficient, disjoint_paths, fan, linkage
 from .oracle import ResourceGuard
-from .packing import Budget, SearchBudgetExceeded, pack_segments
 from .verify import check_family
 
 # dispatcher case labels (B = dimension-4 base, E = even step, O = odd step)
@@ -61,7 +62,6 @@ CASE_E11, CASE_E12 = "E1.1", "E1.2"
 CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
-PACK_BUDGET = 2_000_000
 # nothing is listed, so this bounds time only: a triple takes 0.06-0.08 s
 # at n = 20, the width of the cube's distance table; above it each sink
 # distance is computed per sink, and a triple takes 0.5-0.6 s at n = 24
@@ -118,7 +118,7 @@ def construct(n: int, triple) -> DPathFamily:
     want = target_count(n)
     try:
         paths, trace = _construct_level(cube, trip)
-    except (_CaseInfeasible, Insufficient, SearchBudgetExceeded) as exc:
+    except (_CaseInfeasible, Insufficient) as exc:
         raise ConstructionError(f"no family built for {trip} at n = {n}: "
                                 f"{exc}") from exc
     if len(paths) != want:
@@ -280,12 +280,17 @@ def _ladder(x, y, ps, xi, yi, k, fanm, mask):
     return paths
 
 
-def _pack_pairs(view, pairs):
-    segs = pack_segments(view, [(u, v, 1) for u, v in pairs],
-                         budget=Budget(PACK_BUDGET))
-    if segs is None:
-        raise _CaseInfeasible("prescribed linkage infeasible")
-    return [list(group[0]) for group in segs]
+def _route_pairs(view, pairs):
+    """Vertex-disjoint paths joining each pair in turn, each avoiding the
+    other pairs' ends and the paths already routed (else ``Insufficient``)."""
+    blocked = {v for pair in pairs for v in pair}
+    routed = []
+    for a, b in pairs:
+        free = RestrictedView(view, forbidden_vertices=blocked - {a, b})
+        (path,) = disjoint_paths(free, a, b, 1)
+        blocked.update(path)
+        routed.append(list(path))
+    return routed
 
 
 # -- dimension-4 base cases ---------------------------------------------
@@ -369,12 +374,12 @@ def _even_one_quadrant_generic(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w, c2w = (1 << n) - 1, (1 << (n - 1)) - 1
-    p1, p2, p3 = _pack_pairs(cube.quadrant_view(0b01),
-                             [(x ^ h2w, z ^ h2w), (y ^ h2w, z ^ c2w),
-                              (x ^ c2w, y ^ c2w)])
-    q1, q2, q3 = _pack_pairs(cube.half_view(1),
-                             [(x ^ h1w, z ^ h1w), (y ^ h1w, z ^ c1w),
-                              (x ^ c1w, y ^ c1w)])
+    p1, p2, p3 = _route_pairs(cube.quadrant_view(0b01),
+                              [(x ^ h2w, z ^ h2w), (y ^ h2w, z ^ c2w),
+                               (x ^ c2w, y ^ c2w)])
+    q1, q2, q3 = _route_pairs(cube.half_view(1),
+                              [(x ^ h1w, z ^ h1w), (y ^ h1w, z ^ c1w),
+                               (x ^ c1w, y ^ c1w)])
     psi_1 = [x] + p1 + [z] + _rev(p2) + [y]
     psi_2 = [y] + _rev(p3) + [x] + q1 + [z]
     psi_3 = [x] + q3 + [y] + q2 + [z]
@@ -410,9 +415,9 @@ def _even_pair_sibling_generic(cube, x, y, z):
     bundle = disjoint_paths(cube.quadrant_view(0b00), x, y, 2 * n - 5)
     ps, xi, yi, (f,), fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
                                     [x, y], n - 4, 1)
-    l1, l2, l3 = _pack_pairs(cube.half_view(1),
-                             [(x ^ h1w, z ^ c1w), (x ^ c1w, y ^ h1w),
-                              (y ^ c1w, z ^ h1w)])
+    l1, l2, l3 = _route_pairs(cube.half_view(1),
+                              [(x ^ h1w, z ^ c1w), (x ^ c1w, y ^ h1w),
+                               (y ^ c1w, z ^ h1w)])
     k = n // 2 - 2
     return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
         [x] + _cross(fanm, h2w, x, y) + [y],

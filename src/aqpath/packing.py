@@ -5,8 +5,7 @@ vertices (no terminal of any pair), interiors are pairwise disjoint across
 the whole packing, and segments between the same pair may include the
 direct edge at most once, so each unordered terminal pair appears in at
 most one demand.  This engine decides the pair demands a split profile
-induces (the exact D-path oracle) and the prescribed multi-pair linkages
-of the constructor.
+induces (the exact D-path oracle); the constructor does not use it.
 
 Feasibility is decided exactly, in three stages:
 

@@ -59,6 +59,8 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2(samples: int = AQ6_SAMPLES, seed: int = DEFAULT_SEED) -> CriterionResult:
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     total4 = 560
     rng = random.Random(seed)
     sample6 = (tuple(sorted(rng.sample(range(64), 3))) for _ in range(samples))
@@ -359,6 +361,13 @@ def run_all(nmax: int = 6, samples: int = AQ6_SAMPLES, seed: int = DEFAULT_SEED,
         (4, criterion_9),
         (6, criterion_10),
     ]
+    # a sweep that would check nothing is a usage error, not a pass
+    smallest = min(needs for needs, _ in plan)
+    if nmax < smallest:
+        raise ValueError(f"nmax must be >= {smallest}, the smallest dimension "
+                         f"a criterion needs; got {nmax}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     results = []
     for number, (needs, fn) in enumerate(plan, start=1):
         if needs > nmax:

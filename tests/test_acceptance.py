@@ -1,6 +1,8 @@
 """Acceptance gate: every shipped claim, one criterion per test, printed
 pass/fail lines.  Tolerances are exact unless a criterion states otherwise."""
 
+import pytest
+
 from aqpath import report
 
 
@@ -80,3 +82,17 @@ def test_criterion_02_counts_a_failed_construction(monkeypatch):
     res = report.criterion_2(samples=10)
     assert res.passed is False
     assert "1 violations" in res.detail
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": -5}, {"nmax": 3}],
+                         ids=["negative-samples", "nmax-below-four"])
+def test_run_all_rejects_sweeps_that_check_nothing(kwargs):
+    lines = []
+    with pytest.raises(ValueError):
+        report.run_all(emit=lines.append, **kwargs)
+    assert lines == []
+
+
+def test_criterion_02_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        report.criterion_2(samples=-5)

@@ -150,6 +150,17 @@ def test_report_nmax_skips_large_sweeps(capsys, monkeypatch):
     assert "CRITERION 9 PASS" in out
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("--samples", "-5"), "samples"),
+    (("--nmax", "3"), "nmax"),
+], ids=["negative-samples", "nmax-below-four"])
+def test_report_rejects_a_sweep_that_checks_nothing(capsys, argv, what):
+    code, out, err = run(capsys, "report", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and what in err
+
+
 @pytest.mark.parametrize("text", [
     "D\nP 0000 0001\n",
     "D 0000 0001\nP 0000 0001\nP 0000 0010 0001\n",

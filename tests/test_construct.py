@@ -5,7 +5,8 @@ import random
 import pytest
 
 from aqpath.construct import construct, target_count
-from aqpath.cube import AugmentedCube, PrefixView, RestrictedView
+from aqpath.cube import AugmentedCube, PrefixView, RestrictedView, orbit_representatives
+from aqpath.flow import Insufficient
 from aqpath.oracle import max_dpaths
 from aqpath.verify import check_family
 
@@ -313,6 +314,37 @@ def test_every_dispatch_case_builds_its_family(case, n, trip):
     assert fam.trace[0].case == case
     assert len(fam.paths) == target_count(n)
     assert check_family(AugmentedCube(n), trip, fam.paths) is None
+
+
+def test_every_dimension_eight_pair_routing_builds():
+    # E1.2 and E2.2 route three prescribed pairs one flow path at a time;
+    # every AQ_8 orbit representative whose top level is one of them builds
+    normalize = importlib.import_module("aqpath.construct")._normalize
+    cube = AugmentedCube(8)
+    routed = [d for d in orbit_representatives(8)
+              if normalize(cube, d)[1] in ("E1.2", "E2.2")]
+    assert len(routed) == 1164
+    for d in routed:
+        fam = construct(8, d)
+        assert len(fam.paths) == target_count(8)
+        assert check_family(cube, d, fam.paths) is None, d
+
+
+def test_routed_pairs_are_vertex_disjoint_or_insufficient():
+    module = importlib.import_module("aqpath.construct")
+    half = AugmentedCube(6).half_view(1)
+    pairs = [(32, 42), (33, 44), (34, 50)]
+    paths = module._route_pairs(half, pairs)
+    assert [(p[0], p[-1]) for p in paths] == pairs
+    seen = [v for p in paths for v in p]
+    assert len(seen) == len(set(seen))
+    for p in paths:
+        assert all(half.is_adjacent(a, b) for a, b in zip(p, p[1:]))
+    # a pair whose end is walled in by the other pairs' ends cannot be routed
+    walled = RestrictedView(half, forbidden_vertices=set(half.neighbors(32))
+                            - {33, 34})
+    with pytest.raises(Insufficient):
+        module._route_pairs(walled, pairs)
 
 
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])

@@ -42,16 +42,20 @@ def test_the_packing_search_lists_no_view():
     assert listed_views(parse_module("packing.py")) == []
 
 
+def imported_names(tree, module: str):
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module in (module, f"aqpath.{module}")
+            for alias in node.names]
+
+
 def test_the_constructor_runs_no_whole_cube_search():
     # every triple is built by its dispatch case or raises, so the
-    # constructor needs nothing from the oracle but its size guard and
-    # lists no view
+    # constructor needs nothing from the oracle but its size guard, runs
+    # no budgeted packing search and lists no view
     tree = parse_module("construct.py")
-    from_oracle = [alias.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom)
-                   and node.module in ("oracle", "aqpath.oracle")
-                   for alias in node.names]
-    assert from_oracle == ["ResourceGuard"]
+    assert imported_names(tree, "oracle") == ["ResourceGuard"]
+    assert imported_names(tree, "packing") == []
     assert listed_views(tree) == []
 
 
