@@ -247,6 +247,8 @@ def _triples(view, mode: str, seed: int | None, count: int | None):
     # the guards come before any vertex list is built
     _guard_size(view)
     if mode == "exhaustive":
+        if seed is not None or count is not None:
+            raise ValueError("exhaustive mode takes no seed or count")
         _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "exhaustive sweep")
         if isinstance(view, AugmentedCube):
             yield from orbit_representatives(view.n)

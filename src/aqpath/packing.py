@@ -4,55 +4,51 @@ A *segment* joins two prescribed terminals; its interior uses only free
 vertices (no terminal of any pair), interiors are pairwise disjoint across
 the whole packing, and segments between the same pair may include the
 direct edge at most once, so each unordered terminal pair appears in at
-most one demand.  This engine decides the pair demands a split profile
-induces (the exact D-path oracle); the constructor does not use it.
+most one demand.  The demands join at most three terminals: those of a
+split profile, the pair demands the exact D-path oracle decides.  So the
+live demands are one pair, two pairs sharing a terminal, or a triangle.
 
-Feasibility is decided exactly, in three stages:
+Feasibility is decided exactly, in two stages:
 
-1. arithmetic slot counts at each terminal;
-2. single-commodity flow relaxations (sources at first endpoints, sinks at
+1. single-commodity flow relaxations (sources at first endpoints, sinks at
    second endpoints, unit capacities on free vertices), each a
    ``aqpath.flow.UnitFlowNet`` over the view, saturated by ``_saturate``.  A
-   value below the total demand refutes the packing outright.  When the
-   integral flow decomposes into unit paths whose endpoints match the
-   demands exactly, that decomposition *is* a packing.  The relaxation is
-   not tight only when a terminal acts as both source and sink, so for
-   three-terminal demands all three orientations are tried;
-3. otherwise a branch-and-bound over segments.  Once every demand but a
-   single-source remainder is committed, that remainder is itself a flow
-   problem the relaxation answers exactly (one source cannot loop back to
-   itself), so the search only branches over the smallest demand: its
-   segment sets are enumerated shortest-first (then lexicographically) in
-   strictly increasing order so no packing is visited twice, pruned by
-   distance bounds, by interior budgets, and by the flow relaxation after
-   every commitment, and every branch ends in an exact flow.  Shortest
-   lengths come from a search steered by the view's distance to the far
-   endpoint (``_hops``), and a partial segment is dropped once that
-   distance exceeds the edges it has left, so the search reads only the
-   region around the segments it builds.  Branch segments route only
-   through the leaf's spare vertices, those whose removal alone keeps the
-   leaf feasible.  One saturated leaf relaxation finds them all: they are
-   the free vertices its flow does not need (``UnitFlowNet.critical``),
-   with no relaxation rebuilt per vertex.
+   value below the total demand refutes the packing, which also caps a
+   terminal's demands by its degree.  When the integral flow decomposes
+   into unit paths whose endpoints match the demands, that decomposition
+   *is* a packing.  Only a terminal that is both source and sink leaves
+   slack, so one pair, or two pairs oriented into their shared terminal,
+   are decided here; for a triangle all three orientations are tried;
+2. otherwise a branch-and-bound with one branched demand, the triangle's
+   smallest.  The other two, oriented out of the third terminal, form a
+   single-source leaf the relaxation decides exactly (one source cannot
+   loop back to itself), so every branch ends in an exact flow.  The
+   branched segment sets are enumerated shortest-first (then
+   lexicographically) in strictly increasing order, so no packing is
+   visited twice, pruned by distance bounds and by the relaxation after
+   every commitment.  Shortest lengths come from a search steered by the
+   view's distance to the far endpoint (``_hops``), and a partial segment
+   is dropped once that distance exceeds the edges it has left, so the
+   search reads only the region around the segments it builds.  Branch
+   segments route only through the leaf's spare vertices, those whose
+   removal alone keeps the leaf feasible: the free vertices one saturated
+   leaf flow does not need (``UnitFlowNet.critical``).
    Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
    both take {a, b}, and so may two shorter segments), and within one
    search those vertices fix the free set.  So every relaxation verdict is
-   cached for the length of the search under the committed set: the
-   leaf's feasibility and spare set under the set alone, the joint
-   relaxation under the set and the counts still owed.  A fresh leaf
-   saturation that admits a commitment also gives the child its spare
-   set.  Flows are deterministic, so the search visits, ticks and returns
-   exactly what it would without the caches, with far fewer flows.
+   cached for the search under the committed set: the leaf's feasibility
+   and spare set under the set alone, the joint relaxation under the set
+   and the segments still owed.  Flows are deterministic, so the caches
+   change no visit, tick or answer, only the number of flows.
    On a whole cube (an ``AugmentedCube`` itself, not a sub-cube view) the
    search also skips symmetric work (lex-leader pruning).  An automorphism
    fixing every terminal (``cube.symmetries``) sends packings to packings.
-   The branched demand's segment sets are committed in increasing order
-   and every pruning step is sound, so the set the search returns is the
-   least that completes, and no such map sends it to a lower one.  A
-   segment of that demand is therefore skipped, after its tick, when a
-   map sends the committed segments with it appended to a set that sorts
-   lower: only subtrees a lower image dominates are cut, the same packing
-   is returned, and a refutation stays a refutation with fewer ticks.
+   Segment sets are committed in increasing order and every pruning step
+   is sound, so the search returns the least set that completes, and no
+   such map sends it to a lower one.  A segment is therefore skipped,
+   after its tick, when a map sends the committed segments with it
+   appended to a set that sorts lower: the same packing is returned, and
+   a refutation stays a refutation with fewer ticks.
 
 No stage lists the view: the free vertices are the view's vertices
 outside a small blocked set (the terminals, then the committed interiors
@@ -98,7 +94,8 @@ def pack_segments(view, demands: Sequence[Demand],
                   budget: Budget | None = None) -> list[list[Segment]] | None:
     """Segments satisfying every demand, grouped per demand, or None.
 
-    The answer is exact: None means no packing exists.
+    The demands may join at most three terminals, each pair in at most
+    one demand.  The answer is exact: None means no packing exists.
     """
     if budget is None:
         budget = Budget(None)
@@ -117,18 +114,14 @@ def pack_segments(view, demands: Sequence[Demand],
         pairs.add(frozenset((u, v)))
         terminals.add(u)
         terminals.add(v)
+    if len(terminals) > 3:
+        raise ValueError(f"demands join {len(terminals)} terminals, at most 3")
     for t in terminals:
         if t not in view:
             raise ValueError(f"terminal {t} not in view")
     live = [(u, v, c) for (u, v, c) in demands if c > 0]
     if not live:
         return [[] for _ in demands]
-
-    # per-terminal slot counts: segments at t need that many distinct edges
-    for t in terminals:
-        need = sum(c for (u, v, c) in live if t in (u, v))
-        if need > len(view.neighbors(t)):
-            return None
 
     budget.tick()
     for oriented in _orientations(live):
@@ -140,45 +133,38 @@ def pack_segments(view, demands: Sequence[Demand],
             return _regroup(demands, oriented, segs)
 
     found = _dfs_pack(view, live, terminals, budget)
-    if found is None:
-        return None
-    return _regroup(demands, [d for d, _ in found], [s for _, s in found])
+    return None if found is None else _regroup(demands, *found)
 
 
 def _triangle(live: Sequence[Demand]):
-    """(sorted terminals, count per ordered pair) when three demands join
-    each two of three terminals, else None."""
+    """(sorted terminals, count per ordered pair) of three demands, which
+    on three terminals join each two of them."""
     terms = sorted({t for (u, v, _) in live for t in (u, v)})
     count: dict[tuple[int, int], int] = {}
     for u, v, c in live:
         count[(u, v)] = count[(v, u)] = c
-    if len(live) != 3 or len(terms) != 3 or len(count) != 6:
-        return None
     return terms, count
 
 
 def _orientations(live: Sequence[Demand]) -> list[list[Demand]]:
-    """Orientation variants.  For three demands on three terminals, each
-    variant leaves a different terminal with the source+sink double role
-    (the only source of slack in the relaxation)."""
-    tri = _triangle(live)
-    if tri is not None:
-        (x, y, z), c = tri
+    """Orientation variants.  For a triangle, each variant leaves a
+    different terminal with the source+sink double role (the only source
+    of slack in the relaxation)."""
+    if len(live) == 3:
+        (x, y, z), c = _triangle(live)
         return [
             [(x, y, c[x, y]), (y, z, c[y, z]), (x, z, c[x, z])],  # y double-role
             [(y, x, c[x, y]), (x, z, c[x, z]), (y, z, c[y, z])],  # x double-role
             [(x, y, c[x, y]), (z, y, c[y, z]), (x, z, c[x, z])],  # z double-role
         ]
     if len(live) == 2:
+        # orient both demands into the shared terminal: one pure sink, two
+        # pure sources, so this single variant is already exact
         (u1, v1, c1), (u2, v2, c2) = live
-        shared = {u1, v1} & {u2, v2}
-        if len(shared) == 1:
-            # orient both demands into the shared terminal: one pure sink,
-            # two pure sources, so this single variant is already exact
-            s = next(iter(shared))
-            o1 = (u1, v1, c1) if v1 == s else (v1, u1, c1)
-            o2 = (u2, v2, c2) if v2 == s else (v2, u2, c2)
-            return [[o1, o2]]
+        s, = {u1, v1} & {u2, v2}
+        o1 = (u1, v1, c1) if v1 == s else (v1, u1, c1)
+        o2 = (u2, v2, c2) if v2 == s else (v2, u2, c2)
+        return [[o1, o2]]
     return [list(live)]
 
 
@@ -234,10 +220,9 @@ def _classify(net, demands: Sequence[Demand]):
 # -- exhaustive branch and bound ----------------------------------------
 
 
-def _hops(view, u: int, v: int, blocked: set[int],
-          limit: int | None = None) -> int | None:
+def _hops(view, u: int, v: int, blocked: set[int]) -> int | None:
     """The fewest edges on a u-v path with no interior vertex in
-    ``blocked``, or None when there is none (of at most ``limit`` edges).
+    ``blocked``, or None when there is none.
 
     Best-first from u under g + h, g the edges from u and h the view's
     distance to v (``flow.sink_distances``), with stale queue entries
@@ -263,9 +248,8 @@ def _hops(view, u: int, v: int, blocked: set[int],
             hx = h.get(x)
             if hx is None:
                 hx = fill(view, x)
-            if limit is None or g + hx <= limit:
-                best[x] = g
-                heappush(heap, (g + hx, -g, x))
+            best[x] = g
+            heappush(heap, (g + hx, -g, x))
     return None
 
 
@@ -273,15 +257,15 @@ def _seg_key(seg: Segment) -> tuple[int, Segment]:
     return (len(seg), seg)
 
 
-def _enum_segments(view, u: int, v: int, blocked: set[int], max_interior: int,
+def _enum_segments(view, u: int, v: int, blocked: set[int],
                    floor: Segment | None):
     """u->v segments with no interior vertex in ``blocked``, shortest first
     and within a length lexicographically, strictly above ``floor`` in that
     same order."""
     floor_key = _seg_key(floor) if floor is not None else None
     # vertices on the segment
-    top = min(max_interior + 2, view.vertex_count - len(blocked) + 2)
-    shortest = _hops(view, u, v, blocked, limit=top - 1)
+    top = view.vertex_count - len(blocked) + 2
+    shortest = _hops(view, u, v, blocked)
     if shortest is None:
         return
     start = shortest
@@ -319,21 +303,14 @@ def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
                 used.discard(w)
 
 
-def _split_for_search(live: Sequence[Demand]):
-    """Reorder demands into (branch part, single-source leaf part).
-
-    For three demands on three terminals the smallest demand (u, v) is
-    branched and the other two are re-oriented out of the third terminal,
-    leaving a single-source leaf.  Otherwise everything but the final
-    demand is branched.
-    """
-    tri = _triangle(live)
-    if tri is not None:
-        terms, c = tri
-        c_uv, (u, v) = min((cnt, pair) for pair, cnt in c.items() if pair[0] < pair[1])
-        w = next(t for t in terms if t not in (u, v))
-        return [(u, v, c_uv)], [(w, u, c[w, u]), (w, v, c[w, v])]
-    return list(live[:-1]), [live[-1]]
+def _split_for_search(live: Sequence[Demand]) -> tuple[Demand, list[Demand]]:
+    """A triangle as (the branched demand, the single-source leaf): the
+    smallest demand (u, v) is branched and the other two are re-oriented
+    out of the third terminal."""
+    terms, c = _triangle(live)
+    c_uv, (u, v) = min((cnt, pair) for pair, cnt in c.items() if pair[0] < pair[1])
+    w = next(t for t in terms if t not in (u, v))
+    return (u, v, c_uv), [(w, u, c[w, u]), (w, v, c[w, v])]
 
 
 def _leaf_solve(view, leaf: Sequence[Demand], blocked: set[int]):
@@ -389,13 +366,13 @@ def _terminal_fixers(view, terminals) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _dfs_pack(view, demands: Sequence[Demand], blocked: set[int], budget: Budget):
-    """Complete search; segments of a branched pair are committed in strictly
+    """Complete search of a triangle: (oriented demands, their segments),
+    or None.  Segments of the branched pair are committed in strictly
     increasing (length, sequence) order, so no packing is seen twice."""
     search = _PackSearch(view, demands, blocked, budget)
-    if not search.rec(0):
+    if not search.rec():
         return None
-    return (list(zip(search.branch, search.chosen))
-            + list(zip(search.leaf, search.leaf_found)))
+    return [search.branch, *search.leaf], [search.chosen, *search.leaf_found]
 
 
 class _PackSearch:
@@ -411,42 +388,18 @@ class _PackSearch:
         self.view = view
         self.budget = budget
         self.branch, self.leaf = _split_for_search(demands)
-        self.chosen: list[list[Segment]] = [[] for _ in self.branch]
-        self.leaf_found: list[list[Segment]] = []
+        self.chosen: list[Segment] = []
+        self.leaf_found: list[list[Segment]] | None = None
         self.blocked = set(blocked)
         self.leaf_ok: dict[frozenset[int], bool] = {}
-        self.joint_ok: dict[tuple[frozenset[int], tuple[int, ...]], bool] = {}
+        self.joint_ok: dict[tuple[frozenset[int], int], bool] = {}
         self.avoid: dict[frozenset[int], set[int] | None] = {}
         # (g, t, the images found so far) of each map fixing every terminal
         self.maps = [(g, t, {}) for g, t in _terminal_fixers(view, blocked)]
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment chosen so far."""
-        return frozenset(w for segs in self.chosen for seg in segs
-                         for w in seg[1:-1])
-
-    def remaining(self, skip_current: int | None = None) -> list[Demand]:
-        out = []
-        for i, (u, v, c) in enumerate(self.branch):
-            left = c - len(self.chosen[i]) - (1 if i == skip_current else 0)
-            out.append((u, v, left))
-        out.extend(self.leaf)
-        return out
-
-    def interior_budget(self, di: int) -> int:
-        """Free vertices left once every other segment still owed takes a
-        shortest interior; any negative value means none can be placed."""
-        spare = self.view.vertex_count - len(self.blocked)
-        for u, v, left in self.remaining(skip_current=di):
-            if left <= 0:
-                continue
-            # a longer shortest segment would take the count below 0
-            shortest = _hops(self.view, u, v, self.blocked,
-                             limit=spare // left + 1)
-            if shortest is None:
-                return -1
-            spare -= left * max(0, shortest - 1)
-        return spare
+        return frozenset(w for seg in self.chosen for w in seg[1:-1])
 
     def branch_blocked(self, key: frozenset[int], net) -> set[int] | None:
         """``_branch_blocked`` for the current blocked set, read from the
@@ -457,33 +410,27 @@ class _PackSearch:
                 if net is None else self.blocked | net.critical())
         return self.avoid[key]
 
-    def rec(self, di: int, net=None) -> bool:
-        """Complete the packing from branch demand ``di`` on; ``net`` is the
-        saturated leaf relaxation over the current blocked set, if at hand."""
-        branch, chosen = self.branch, self.chosen
-        if di == len(branch):
-            solved = _leaf_solve(self.view, self.leaf, self.blocked)
-            if solved is None:
-                return False
-            self.leaf_found.extend(solved)
-            return True
-        u, v, need = branch[di]
-        if len(chosen[di]) == need:
-            return self.rec(di + 1, net)
-        cap = self.interior_budget(di)
-        if cap < 0:
-            return False
-        floor = chosen[di][-1] if chosen[di] else None
+    def rec(self, net=None) -> bool:
+        """Complete the packing; ``net`` is the saturated leaf relaxation
+        over the current blocked set, if at hand."""
+        u, v, need = self.branch
+        chosen = self.chosen
+        if len(chosen) == need:
+            self.leaf_found = _leaf_solve(self.view, self.leaf, self.blocked)
+            return self.leaf_found is not None
+        floor = chosen[-1] if chosen else None
         avoid = self.branch_blocked(self.committed(), net)
-        if avoid is None:  # no vertex is spare: only the direct edge is left
-            avoid, cap = self.blocked, 0
-        for seg in _enum_segments(self.view, u, v, avoid, cap, floor):
+        if avoid is None:
+            # only at the root, as a child is entered with a feasible leaf;
+            # no commitment frees a vertex, so none rescues the leaf
+            return False
+        for seg in _enum_segments(self.view, u, v, avoid, floor):
             self.budget.tick()
-            if di == 0 and self.maps and self.dominated(seg):
+            if self.maps and self.dominated(seg):
                 continue
             interior = seg[1:-1]
             self.blocked.update(interior)
-            chosen[di].append(seg)
+            chosen.append(seg)
             key = self.committed()
             # the leaf alone is an exact, junk-free necessary condition and
             # prunes far harder than the joint relaxation; it has one
@@ -493,17 +440,17 @@ class _PackSearch:
             if ok is None:
                 leaf_net = _saturate(self.view, self.leaf, self.blocked)
                 ok = self.leaf_ok[key] = leaf_net is not None
-            if ok and self.joint(key) and self.rec(di, leaf_net):
+            if ok and self.joint(key) and self.rec(leaf_net):
                 return True
-            chosen[di].pop()
+            chosen.pop()
             self.blocked.difference_update(interior)
         return False
 
     def dominated(self, seg: Segment) -> bool:
-        """Whether a map fixing the terminals sends the segments of demand 0,
+        """Whether a map fixing the terminals sends the branched segments,
         ``seg`` appended, to a set that sorts below them in ``_seg_key``
         order, so that no least packing starts with them."""
-        segs = self.chosen[0] + [seg]
+        segs = self.chosen + [seg]
         for g, t, image in self.maps:
             for s in segs:
                 for i in range(1, len(s) - 1):
@@ -520,11 +467,13 @@ class _PackSearch:
         return False
 
     def joint(self, key: frozenset[int]) -> bool:
-        """Whether the joint relaxation of every demand left saturates."""
-        left = self.remaining()
-        counts = tuple(c for _, _, c in left)
-        ok = self.joint_ok.get((key, counts))
+        """Whether the joint relaxation of every segment still owed
+        saturates."""
+        u, v, need = self.branch
+        owed = need - len(self.chosen)
+        ok = self.joint_ok.get((key, owed))
         if ok is None:
+            left = [(u, v, owed), *self.leaf]
             ok = _saturate(self.view, left, self.blocked) is not None
-            self.joint_ok[key, counts] = ok
+            self.joint_ok[key, owed] = ok
         return ok

@@ -6,7 +6,7 @@ fixed-width binary strings, each edge once with u < v, sorted.
 
 Family format: ``D <x> <y> <z>``, one ``P <v1> <v2> ...`` line per path,
 and optional ``# trace:`` comment lines carrying the constructor's case
-labels.
+labels.  In both formats a line starting with ``#`` is a comment.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def parse_graph(text: str) -> AdjListView:
         raise ValueError(f"bad graph header {lines[0]!r}") from exc
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "#":
+        if ln.startswith("#"):
             continue
+        parts = ln.split()
         if parts[0] != "E" or len(parts) != 3:
             raise ValueError(f"bad edge line {ln!r}")
         edges.append((parse_vertex(parts[1], bits), parse_vertex(parts[2], bits)))

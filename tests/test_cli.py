@@ -107,9 +107,33 @@ def test_a_negative_budget_is_a_usage_error(capsys, argv):
     assert (code, out, err) == (2, "", "error: budget must be >= 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "4", "--triple", "0000,0001,0010"],
+    ["pi3", "--n", "4"],
+], ids=["oracle", "pi3"])
+def test_an_exhausted_budget_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "100")
+    assert (code, out, err) == (2, "", "error: search budget 100 exhausted\n")
+
+
+def test_a_budget_that_suffices_prints_the_value(capsys):
+    code, out, _ = run(capsys, "oracle", "--n", "4", "--triple",
+                       "0000,0001,0010", "--budget", "3000")
+    assert (code, out) == (0, "PID 4\n")
+
+
 def test_pi3_sampled_needs_seed(capsys):
     code, _, _ = run(capsys, "pi3", "--n", "4", "--mode", "sampled")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--count", "5"], ["--seed", "3"],
+], ids=["count", "seed"])
+def test_pi3_exhaustive_rejects_sampling_options(capsys, argv):
+    code, out, err = run(capsys, "pi3", "--n", "4", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive mode takes no seed or count\n"
 
 
 def test_decimal_vertices_rejected(capsys):
@@ -174,6 +198,42 @@ def test_verify_rejects_broken_d_line(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "graph text must start with 'AQ n=<n>' or 'G n=<bits>'"),
+    ("H n=3\nE 000 001\n", "graph text must start with"),
+    ("AQ\nE 000 001\n", "bad graph header 'AQ'"),
+    ("AQ n=x\nE 000 001\n", "bad graph header 'AQ n=x'"),
+    ("AQ n=3\nE 000\n", "bad edge line 'E 000'"),
+], ids=["empty", "unknown-header", "no-size", "bad-size", "bad-edge"])
+def test_oracle_rejects_broken_graph_text(tmp_path, capsys, text, message):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "--graph", str(graph_file),
+                         "--triple", "000,011,101")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("P 0000 0001\nD 0000 0010 0001\n", "family text must declare D before paths"),
+    ("D 0000 0010 0001\nQ 0000 0001\n", "bad family line 'Q 0000 0001'"),
+    ("# trace: nothing\n", "family text has no D line"),
+], ids=["path-before-d", "unknown-kind", "no-d-line"])
+def test_verify_rejects_broken_family_text(tmp_path, capsys, text, message):
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--n", "4", "--family", str(fam_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_both_text_formats_skip_every_comment_line():
+    graph = parse_graph("G n=2\n#note\n# note\nE 00 01\n")
+    assert sorted(graph.edges()) == [(0, 1)]
+    assert parse_family("#note\nD 00 01 10\n# note\nP 01 00 10\n") == (
+        (0, 1, 2), [(1, 0, 2)], 2)
 
 
 def test_oracle_commands_refuse_huge_cubes(monkeypatch, capsys):

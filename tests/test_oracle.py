@@ -16,6 +16,7 @@ from aqpath.oracle import (
     regular_upper_bound,
     witness_triple,
 )
+from aqpath.packing import SearchBudgetExceeded
 from aqpath.verify import check_family
 
 
@@ -159,6 +160,12 @@ def test_max_dpaths_rejects_a_negative_budget():
         max_dpaths(AugmentedCube(4), (0, 1, 2), budget=-5)
 
 
+def test_max_dpaths_raises_when_the_budget_runs_out():
+    # the argmin orbit of pi3(AQ_4) needs a branch-and-bound refutation
+    with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
+        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=100)
+
+
 def test_brute_size_guard():
     cube = AugmentedCube(4)
     with pytest.raises(ResourceGuard):
@@ -214,6 +221,15 @@ def test_pi3_sampled_requires_seed():
     val, trip = pi3_exact(cube, "sampled", seed=3, count=25)
     assert val >= 4
     assert len(trip) == 3
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 3, "count": 5}, {"seed": 3}, {"count": 5},
+], ids=["seed-and-count", "seed", "count"])
+def test_pi3_exhaustive_takes_no_seed_or_count(kwargs):
+    # a sweep that ignored them would not be the one asked for
+    with pytest.raises(ValueError, match="exhaustive mode takes no seed or count"):
+        pi3_exact(AugmentedCube(4), "exhaustive", **kwargs)
 
 
 def test_pi3_exhaustive_guard():

@@ -8,7 +8,7 @@ from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
 from aqpath import packing
 from aqpath.packing import (Budget, _branch_blocked, _enum_segments, _hops,
-                            _saturate, pack_segments)
+                            _saturate, _split_for_search, pack_segments)
 from aqpath.textio import parse_graph, render_graph
 
 
@@ -29,6 +29,11 @@ def test_a_budget_is_never_negative():
         Budget(-5)
     Budget(0)
     Budget(None)
+
+
+def test_demands_on_four_terminals_are_rejected():
+    with pytest.raises(ValueError, match="4 terminals, at most 3"):
+        pack_segments(AugmentedCube(3), [(0, 1, 1), (2, 3, 1)])
 
 
 def test_one_demand_uses_the_direct_edge_once():
@@ -91,19 +96,27 @@ def test_an_infeasible_leaf_spares_nothing():
     leaf, blocked = [(0, 3, 3)], {0, 3}
     assert spare_vertices(ring, leaf, blocked) == set()
     assert spare_by_rebuild(ring, leaf, blocked) == set()
-
-
-def test_an_infeasible_leaf_still_tries_the_direct_edge():
-    # the relaxation pairs 0 with 3 and 2 with 1, so the search branches
-    # on 0-1 with a leaf (2 to 3, twice) that no free vertex can rescue;
-    # the direct edge 0-1 is still enumerated and ticks once
+    # 2 reaches 3 through 6 alone, as 5 leads only to the blocked 1
     view = AdjListView([(0, 1), (0, 4), (4, 3), (2, 5), (5, 1), (2, 6), (6, 3)],
                        bits=3)
     assert spare_vertices(view, [(2, 3, 2)], {0, 1, 2, 3}) == set()
-    budget = Budget(None)
-    assert pack_segments(view, [(0, 1, 1), (2, 3, 2)], budget) is None
-    assert budget.used == 2
 
+
+def test_an_infeasible_leaf_still_tries_the_direct_edge():
+    # the triangle branches on 0-1 (twice) beside the leaf 2 to 0 and 2 to
+    # 1 (twice each), which needs 3, 4 and 6; every 0-1 path with an
+    # interior crosses one of them and leaves the leaf infeasible, so the
+    # direct edge 0-1 is the one segment enumerated and ticks once
+    view = AdjListView([(0, 1), (0, 2), (0, 3), (0, 7), (1, 2), (1, 3),
+                        (1, 5), (2, 4), (2, 6), (3, 6), (4, 5), (4, 7)], bits=3)
+    demands = [(0, 1, 2), (1, 2, 2), (0, 2, 2)]
+    leaf = [(2, 0, 2), (2, 1, 2)]
+    assert _split_for_search(demands) == ((0, 1, 2), leaf)
+    assert spare_vertices(view, leaf, {0, 1, 2}) == {5, 7}
+    assert spare_by_rebuild(view, leaf, {0, 1, 2}) == {5, 7}
+    budget = Budget(None)
+    assert pack_segments(view, demands, budget) is None
+    assert budget.used == 2
 
 def test_spare_vertices_with_a_direct_terminal_edge():
     cube = AugmentedCube(4)
@@ -180,19 +193,16 @@ def test_shortest_hops_match_a_breadth_first_search(name):
             want = dist.get(u)
             seen.add(want)
             assert _hops(view, u, v, blocked) == want, (u, v)
-            limit = rng.randint(1, 6)
-            got = _hops(view, u, v, blocked, limit=limit)
-            assert got == (want if want is not None and want <= limit else None)
     assert 1 in seen and None in seen
 
 
-def enum_reference(view, u, v, free, max_interior, floor):
+def enum_reference(view, u, v, free, floor):
     """The reference for ``_enum_segments``: the same order, pruned with
     exact breadth-first distances over the free vertices."""
     dist = dist_through(view, v, free)
     if u not in dist:
         return
-    top = min(max_interior + 2, len(free) + 2)
+    top = len(free) + 2
     start = max(dist[u], 1)
     if floor is not None:
         start = max(start, len(floor) - 1)
@@ -232,12 +242,11 @@ def test_segments_come_in_the_order_exact_pruning_gives(name):
         # at most 7 free vertices keep the full enumeration small
         free = set(rng.sample([w for w in verts if w not in (u, v)], 7))
         blocked = set(verts) - free
-        for max_interior in (0, 1, 2, 20):
-            want = list(enum_reference(view, u, v, free, max_interior, None))
-            assert list(_enum_segments(view, u, v, blocked, max_interior, None)) == want
-            for floor in want[::3]:
-                assert (list(_enum_segments(view, u, v, blocked, max_interior, floor))
-                        == list(enum_reference(view, u, v, free, max_interior, floor)))
+        want = list(enum_reference(view, u, v, free, None))
+        assert list(_enum_segments(view, u, v, blocked, None)) == want
+        for floor in want[::3]:
+            assert (list(_enum_segments(view, u, v, blocked, floor))
+                    == list(enum_reference(view, u, v, free, floor)))
 
 
 # the m = 5 refutation at the value-4 orbit of pi3(AQ_4)
@@ -343,38 +352,17 @@ def tight_triangle(view, rng):
     return [(x, y, a), (y, z, b), (x, z, c)]
 
 
-def disjoint_pairs(view, rng, top=1):
-    """Three pairs on six terminals, the branched two owing up to ``top``
-    segments each."""
-    a, b, c, d, e, f = rng.sample(sorted(view.vertices()), 6)
-    return [(a, b, rng.randint(1, top)), (c, d, rng.randint(1, top)), (e, f, 1)]
-
-
 def exactness_cases():
     for seed in range(12):
         view = random_graph(seed)
         rng = random.Random(seed)
-        for _ in range(4):
+        for _ in range(12):
             yield f"parsed-{seed}", view, tight_triangle(view, rng)
-            yield f"parsed-{seed}", view, disjoint_pairs(view, rng)
-            yield f"parsed-{seed}", view, disjoint_pairs(view, rng, top=2)
-    # the search first commits {1, 2, 8, 10} as 7-2-6 and 5-10-8-1-9, still
-    # owing a 5-9 segment, and refutes that; it later commits the same set
-    # as 7-8-10-6, 5-1-9 and 5-2-9, which leads to the only packing, so a
-    # verdict keyed by the vertex set alone would miss it
-    view = AdjListView([
-        (0, 1), (0, 3), (0, 5), (0, 7), (0, 11), (1, 4), (1, 5), (1, 8),
-        (1, 9), (1, 11), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (3, 4),
-        (3, 6), (3, 7), (4, 6), (4, 9), (4, 10), (4, 11), (5, 6), (5, 7),
-        (5, 10), (5, 11), (6, 9), (6, 10), (7, 8), (7, 11), (8, 10),
-        (8, 11), (9, 11), (10, 11)], bits=4)
-    yield "repeated-cover", view, [(7, 6, 1), (5, 9, 2), (0, 3, 2)]
     cube = AugmentedCube(4)
     rng = random.Random(4)
     yield "AQ4", cube, REFUTED
-    for _ in range(6):
+    for _ in range(18):
         yield "AQ4", cube, tight_triangle(cube, rng)
-        yield "AQ4", cube, disjoint_pairs(cube, rng)
 
 
 def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
@@ -393,5 +381,3 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
             assert_packing(view, demands, found)
     # the caches only act inside the branch-and-bound
     assert len(searches) >= 5
-    assert any(len(live) == 3 and len({t for d in live for t in d[:2]}) == 6
-               for live in searches)
