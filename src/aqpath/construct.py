@@ -63,10 +63,9 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: a triple takes 0.06-0.08 s
-# at n = 20, the width of the cube's distance table; above it each sink
-# distance is computed per sink, and a triple takes 0.5-0.6 s at n = 24
-# and 2-3 s at n = 32
-CONSTRUCT_MAX_N = 20
+# at n = 20, the width of the cube's distance table, and 0.12-0.28 s at
+# n = 24, where sink distances are read from it in 20-bit chunks
+CONSTRUCT_MAX_N = 24
 
 
 class ConstructionError(RuntimeError):

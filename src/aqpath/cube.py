@@ -30,7 +30,13 @@ Conventions
   It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone,
   so ``distance_table(bits)`` holds it for every y below 2**bits in one
   cached ``bytes`` object, built on first use (1 KB at 10 bits, 1 MB at
-  20); the flow and packing searches read sink distances from it.
+  20); the flow and packing searches read sink distances from it.  A
+  wider y is read in 20-bit chunks: the distance is the sum of ceil(L/2)
+  over the runs of 1s in y, so the chunks' table values add up to it,
+  except that a run cut by a chunk boundary into two odd parts counts
+  one too many.  ``run_parity_table`` holds, per chunk, the parities of
+  its two edge runs; it is built only when a view wider than the table
+  first asks for it (``PrefixView.run_parities``).
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
@@ -121,6 +127,37 @@ def distance_table(bits: int) -> bytes | None:
             t = nxt
         got = _DISTANCE_TABLES[bits] = bytes(t[:1 << bits])
     return got
+
+
+_KEEP_TOP = bytes(x & 2 for x in range(256))
+_FLIP_BOTTOM = bytes(x ^ 1 for x in range(256))
+
+
+@functools.cache
+def run_parity_table() -> bytes:
+    """The table p over the chunks c < 2**DISTANCE_TABLE_MAX_BITS with bit
+    0 of p[c] set when the run of 1s starting at bit 0 of c has odd length
+    and bit 1 set when the run of 1s ending at the chunk's top bit does.
+
+    Reading a gray word y in chunks from the low end, with t the
+    ``distance_table`` of the chunk width: distance(0, w) is the sum of
+    t[c] over the chunks of y, less 1 at each boundary where the run
+    reaching it from below and the run starting above it (bit 0 of the
+    next chunk) both have odd length.  A chunk of all ones continues the
+    run below it, so the run reaching its top keeps that run's parity.
+
+    Each pass adds a bit below the chunk: c = 2m + b has m's top run
+    (unless m is all ones) and the bottom run 0 when b = 0, one more than
+    m's when b = 1.  Built once, on first use, and cached.
+    """
+    p = bytearray(b"\0")  # the empty word: both runs have length 0
+    for bits in range(1, DISTANCE_TABLE_MAX_BITS + 1):
+        nxt = bytearray(2 * len(p))
+        nxt[0::2] = p.translate(_KEEP_TOP)
+        nxt[1::2] = p.translate(_FLIP_BOTTOM)
+        nxt[-1] = 3 * (bits % 2)  # all ones: one run of length bits
+        p = nxt
+    return bytes(p)
 
 
 def map_vertex(images: Sequence[int], v: int) -> int:
@@ -249,6 +286,12 @@ class PrefixView:
     def distance_table(self) -> bytes | None:
         return distance_table(self.bits)
 
+    @property
+    def run_parities(self) -> bytes | None:
+        """``run_parity_table()`` when the view is wider than its
+        ``distance_table``, so distances are read in chunks, else None."""
+        return run_parity_table() if self.bits > DISTANCE_TABLE_MAX_BITS else None
+
 
 class AugmentedCube(PrefixView):
     """The n-dimensional augmented cube: the view of the empty prefix, plus
@@ -367,6 +410,10 @@ class RestrictedView:
     def distance_table(self) -> bytes | None:
         return self.base.distance_table
 
+    @property
+    def run_parities(self) -> bytes | None:
+        return self.base.run_parities
+
 
 class AdjListView:
     """Explicit small graph (text-format input, random test corpora)."""
@@ -401,7 +448,7 @@ class AdjListView:
         """No known bound on an arbitrary graph, so 0."""
         return 0
 
-    distance_table = None  # nothing to tabulate
+    distance_table = run_parities = None  # nothing to tabulate
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, ws in self._adj.items() for w in ws if u < w]

@@ -36,11 +36,14 @@ reaches a far sink after scanning little more than the region between,
 not the whole view; on a view with no distance (0 everywhere) the search
 is breadth-first.  Each distance is read from the view's
 ``distance_table`` (one byte per gray word, so the nearest sink is a
-``min`` over byte lookups) and computed once per view and set of sinks
-that still take flow (``sink_distances``); only a view with no table, an
-adjacency list or one wider than the table, asks ``view.distance`` per
-sink.  The weight only chooses *which* augmenting path is found, so flow
-values stay exact, but a path need not be a shortest one.  Rows list
+``min`` over byte lookups), in 20-bit chunks on a view wider than the
+table, and computed once per view and set of sinks that still take flow
+(``sink_distances``); only an adjacency list asks ``view.distance`` per
+sink.  When a sink fills, the table for the sinks left starts as a copy
+of the current one without the entries that sink attained, the only ones
+whose distance can grow.  The weight only chooses *which* augmenting
+path is found, so flow values stay exact, but a path need not be a
+shortest one.  Rows list
 their arcs in the view's neighbor order and their reverse entries in the
 order flow first crossed them, and the queue order is fixed, so
 identical inputs always produce identical path systems.
@@ -54,6 +57,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
+
+from .cube import DISTANCE_TABLE_MAX_BITS, distance_table
 
 _SRC = -1
 _SNK = -2
@@ -85,13 +90,18 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
     return nodes
 
 
-# view -> sink set -> (``UnitFlowNet.h``, its filler): the distances depend
-# on nothing else (views do not change), so all nets over one view and one
-# sink set fill one table, and it goes when the view does.  No filler
-# refers to the view, which would keep the key alive.
+# view -> sink set -> ``Distances``: the distances depend on nothing else
+# (views do not change), so all nets over one view and one sink set fill
+# one table, and it goes when the view does.  No filler refers to the
+# view, which would keep the key alive.
 _TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
 
 Filler = Callable[[object, int], int]
+# (h, its filler, the sinks in filler order, the entries each one attains)
+Distances = tuple[dict[int, int], Filler, tuple[int, ...], list[list[int]]]
+
+_CHUNK_BITS = DISTANCE_TABLE_MAX_BITS
+_CHUNK = (1 << _CHUNK_BITS) - 1
 
 
 def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
@@ -102,29 +112,105 @@ def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
 
     With the view's ``distance_table`` t, the distance from x to s is
     t[g(x) ^ g(s)], g(w) = w ^ (w >> 1), so the sinks are kept as gray
-    words and x's nearest one is a ``min`` over byte lookups.  A view with
-    no table is asked ``view.distance`` once per sink.
+    words and x's nearest one is a ``min`` over byte lookups.  A view
+    wider than its table (``run_parities`` set) reads each g(x) ^ g(s) in
+    20-bit chunks from the 20-bit table (``cube.run_parity_table``), so no
+    cube view is asked ``view.distance``; only a view with neither, an
+    adjacency list, is asked once per sink.
+
+    With two or more sinks, each entry is listed under the sink that
+    attains it, so when a flow net's sink fills, the table for the sinks
+    left is derived from this one instead of refilled (``_distances``).
     """
-    key = frozenset(sinks)
+    h, fill, _, _ = _distances(view, frozenset(sinks))
+    return h, fill
+
+
+def _distances(view, key: frozenset[int], parent: Distances | None = None,
+               gone: int | None = None) -> Distances:
+    """The view's shared table for the sink set ``key``.  If none is
+    cached and ``parent`` is the table for ``key`` plus the sink ``gone``,
+    the new one starts as a copy of it without the entries ``gone``
+    attains: dropping a sink raises no other entry."""
     per_view = _TO_SINK.setdefault(view, {})
     got = per_view.get(key)
     if got is None:
-        h = {-1: 0}
-        table = view.distance_table
-        if table is None:
-            def fill(view, x: int) -> int:
-                d = h[x] = min(map(view.distance, repeat(x), key), default=0)
-                return d
+        if parent is None or not key:
+            h, sinks, owned = {-1: 0}, tuple(key), [[] for _ in key]
         else:
-            gray = tuple(s ^ (s >> 1) for s in key)
-            lookup = table.__getitem__
+            parent_h, _, parent_sinks, parent_owned = parent
+            i = parent_sinks.index(gone)
+            h = parent_h.copy()
+            for x in parent_owned[i]:
+                h.pop(x, None)  # a fill lists x before it stores h[x]
+            sinks = parent_sinks[:i] + parent_sinks[i + 1:]
+            owned = [xs.copy() for xs in parent_owned[:i] + parent_owned[i + 1:]]
+        got = per_view[key] = (h, _filler(view, sinks, h, owned), sinks, owned)
+    return got
+
+
+def _filler(view, sinks: tuple[int, ...], h: dict[int, int],
+            owned: list[list[int]]) -> Filler:
+    """``fill(view, x)``: store in ``h`` x's distance to the nearest of
+    ``sinks``, list x under that sink in ``owned`` (with two or more
+    sinks: one sink leaves no entry when it goes), and return it.  x is
+    listed first, so a table copied from ``h`` meanwhile (``_distances``)
+    holds no entry that the owner lists copied after it miss."""
+    if not sinks:
+        def fill(view, x: int) -> int:
+            h[x] = 0
+            return 0
+        return fill
+    gray = tuple(s ^ (s >> 1) for s in sinks)
+    table = view.distance_table
+    if table is not None:
+        lookup = table.__getitem__
+        if len(gray) == 1:
+            g, = gray
 
             def fill(view, x: int) -> int:
-                gx = x ^ (x >> 1)
-                d = h[x] = min(map(lookup, map(gx.__xor__, gray)), default=0)
+                d = h[x] = lookup(x ^ (x >> 1) ^ g)
                 return d
-        got = per_view[key] = (h, fill)
-    return got
+            return fill
+
+        def fill(view, x: int) -> int:
+            gx = x ^ (x >> 1)
+            ds = [*map(lookup, map(gx.__xor__, gray))]
+            d = min(ds)
+            owned[ds.index(d)].append(x)
+            h[x] = d
+            return d
+        return fill
+    parities = view.run_parities
+    if parities is None:
+        def distances(view, x: int) -> list[int]:
+            return [*map(view.distance, repeat(x), sinks)]
+    else:
+        table = distance_table(_CHUNK_BITS)
+
+        def distances(view, x: int) -> list[int]:
+            gx = x ^ (x >> 1)
+            ds = []
+            for gs in gray:
+                y = gx ^ gs
+                d = odd = 0  # odd: the run reaching this chunk has odd length
+                while y:
+                    c = y & _CHUNK
+                    p = parities[c]
+                    d += table[c] - (odd & p)
+                    if c != _CHUNK:  # a chunk of all ones passes odd on
+                        odd = p >> 1
+                    y >>= _CHUNK_BITS
+                ds.append(d)
+            return ds
+
+    def fill(view, x: int) -> int:
+        ds = distances(view, x)
+        d = min(ds)
+        owned[ds.index(d)].append(x)
+        h[x] = d
+        return d
+    return fill
 
 
 class UnitFlowNet:
@@ -135,7 +221,9 @@ class UnitFlowNet:
     ``blocked`` must hold every terminal.  A terminal carries no through
     arc, so no path may cross it; a vertex may be both a source and a sink
     (it then has both roles but still cannot be an interior).  Blocked
-    vertices that are neither are left out.
+    vertices that are neither are left out.  The net keeps ``blocked`` as
+    a frozenset (a frozenset passed in is kept as is), so a caller that
+    later grows its own set does not change the net's answers.
 
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
     derived by ``_row`` when node u is first scanned and holds its arcs;
@@ -154,15 +242,20 @@ class UnitFlowNet:
         self.view = view
         self.sources = sources
         self.sinks = sinks
-        self.blocked = blocked
+        self.blocked = frozenset(blocked)
         # the sink is never scanned: its row holds only reverse entries
         self.cap: dict[int, dict[int, int]] = {_SNK: {}}
         self._aim(frozenset(t for t, c in sinks.items() if c > 0))
 
-    def _aim(self, live: frozenset[int]) -> None:
-        """Steer later searches toward the sinks in ``live``."""
+    def _aim(self, live: frozenset[int], gone: int | None = None) -> None:
+        """Steer later searches toward the sinks in ``live``.  ``gone`` is
+        the sink that just filled when ``live`` is the current set without
+        it: a table the view has not cached yet is then derived from the
+        current one."""
         self.live = live
-        self.h, self._fill = sink_distances(self.view, live)
+        parent = None if gone is None else self._dist
+        self._dist = _distances(self.view, live, parent, gone)
+        self.h, self._fill, _, _ = self._dist
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row of the entries flow can use: an
@@ -252,7 +345,7 @@ class UnitFlowNet:
             v = u
         t = parent[_SNK]
         if not cap[t][_SNK]:
-            self._aim(self.live - {t >> 1})
+            self._aim(self.live - {t >> 1}, t >> 1)
         return True
 
     def max_flow(self, limit: int | None = None) -> int:

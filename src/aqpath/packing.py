@@ -416,7 +416,8 @@ class _PackSearch:
         u, v, need = self.branch
         chosen = self.chosen
         if len(chosen) == need:
-            self.leaf_found = _leaf_solve(self.view, self.leaf, self.blocked)
+            self.leaf_found = (_leaf_solve(self.view, self.leaf, self.blocked)
+                               if net is None else _classify(net, self.leaf))
             return self.leaf_found is not None
         floor = chosen[-1] if chosen else None
         avoid = self.branch_blocked(self.committed(), net)
@@ -468,9 +469,12 @@ class _PackSearch:
 
     def joint(self, key: frozenset[int]) -> bool:
         """Whether the joint relaxation of every segment still owed
-        saturates."""
+        saturates.  With none owed it is the leaf relaxation, which the
+        caller has already seen saturate (a zero count adds nothing)."""
         u, v, need = self.branch
         owed = need - len(self.chosen)
+        if not owed:
+            return True
         ok = self.joint_ok.get((key, owed))
         if ok is None:
             left = [(u, v, owed), *self.leaf]

@@ -21,8 +21,10 @@ from aqpath.cube import (
     hyper_word,
     map_vertex,
     orbit_representatives,
+    run_parity_table,
     symmetries,
 )
+from aqpath.flow import sink_distances
 
 
 def reference_edges(n: int) -> set[frozenset[int]]:
@@ -339,6 +341,8 @@ def test_adjacency_list_views_have_no_distance():
     assert RestrictedView(g, forbidden_vertices={1}).distance(0, 2) == 0
     assert g.distance_table is None
     assert RestrictedView(g, forbidden_vertices={1}).distance_table is None
+    assert g.run_parities is None
+    assert RestrictedView(g, forbidden_vertices={1}).run_parities is None
 
 
 def test_the_distance_table_holds_every_distance():
@@ -355,9 +359,49 @@ def test_the_distance_table_holds_every_distance():
     assert distance_table(DISTANCE_TABLE_MAX_BITS + 1) is None
 
 
-def test_every_construct_runs_on_the_table():
-    construct = importlib.import_module("aqpath.construct")
-    assert construct.CONSTRUCT_MAX_N <= DISTANCE_TABLE_MAX_BITS
+def test_the_run_parity_table_holds_both_edge_runs():
+    bits = DISTANCE_TABLE_MAX_BITS
+    table = run_parity_table()
+    assert len(table) == 1 << bits
+    assert run_parity_table() is table  # built once
+
+    def runs(c):
+        low = len(format(c, f"0{bits}b")) - len(format(c, f"0{bits}b").rstrip("1"))
+        top = len(format(c, f"0{bits}b")) - len(format(c, f"0{bits}b").lstrip("1"))
+        return low % 2 | top % 2 << 1
+
+    rng = random.Random(bits)
+    # every pattern of the lowest and the highest 8 bits, and random chunks
+    edges = [lo | hi << bits - 8 | mid << 8
+             for lo in range(256) for hi in range(256)
+             for mid in (0, (1 << bits - 16) - 1)]
+    for c in edges + [rng.getrandbits(bits) for _ in range(20_000)]:
+        assert table[c] == runs(c)
+
+
+def test_the_widest_construct_reads_its_distances_in_chunks():
+    # construct is admitted above the table's width: its flows read each
+    # sink distance in 20-bit chunks
+    n = importlib.import_module("aqpath.construct").CONSTRUCT_MAX_N
+    assert n > DISTANCE_TABLE_MAX_BITS
+    cube = AugmentedCube(n)
+    assert cube.distance_table is None and cube.run_parities is not None
+    rng = random.Random(n)
+    sinks = rng.sample(range(1 << n), 5)
+
+    def from_gray(y):
+        w = 0
+        while y:
+            w ^= y
+            y >>= 1
+        return w
+
+    # every gray word offset from the first sink in the bits around the
+    # boundary at bit 20, and random vertices
+    near_boundary = [sinks[0] ^ from_gray(w << 14) for w in range(1 << n - 14)]
+    h, fill = sink_distances(cube, sinks)
+    for x in near_boundary + rng.sample(range(1 << n), 3000):
+        assert fill(cube, x) == h[x] == min(distance(x, s) for s in sinks)
 
 
 def test_cube_views_share_the_cube_table():
@@ -368,6 +412,13 @@ def test_cube_views_share_the_cube_table():
     assert cube.diamond_view(0b00, 0b11).distance_table is table
     assert RestrictedView(cube.half_view(0), forbidden_vertices={3}).distance_table is table
     assert AugmentedCube(DISTANCE_TABLE_MAX_BITS + 1).half_view(0).distance_table is None
+    # only a view wider than the table reads it in chunks
+    assert cube.run_parities is None
+    assert RestrictedView(cube.half_view(0)).run_parities is None
+    wide = AugmentedCube(DISTANCE_TABLE_MAX_BITS + 1)
+    assert wide.run_parities is run_parity_table()
+    assert wide.half_view(0).run_parities is run_parity_table()
+    assert RestrictedView(wide, forbidden_vertices={3}).run_parities is run_parity_table()
 
 
 def swap_last_two_bits(v):

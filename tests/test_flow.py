@@ -482,10 +482,55 @@ def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
     assert len(disjoint_paths(half, 0, far, 9)) == 9
     assert len(fan(half, 0, [far, 0b101010101, 0b011110000, 0b111111111])) == 4
     assert cube_distance_calls[0] == 0
-    # a view wider than the table is asked, so the count does register
+    # a view wider than the table reads it in chunks
     wide = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
     disjoint_paths(wide, 0, far, 1)
-    assert cube_distance_calls[0] > 0
+    fan(wide, 0, [far, 0b1011 << 20, 0b11 << 30, (1 << 38) - 1])
+    assert cube_distance_calls[0] == 0
+
+
+def from_gray(y):
+    """The w with w ^ (w >> 1) == y, for y below 2**64."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        y ^= y >> shift
+    return y
+
+
+def straddling_runs():
+    """Two runs of 1s, each cut by a different 20-bit chunk boundary into
+    parts of every length from 1 to 4."""
+    for lo, hi in itertools.combinations((20, 40, 60), 2):
+        for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+            yield ((1 << lo + b) - (1 << lo - a)) | ((1 << hi + d) - (1 << hi - c))
+
+
+WIDE_GRAY_WORDS = {  # (the words, how many)
+    # every word whose set bits lie in bits 12-27, across the first boundary
+    "bits-12-27": (lambda: (w << 12 for w in range(1 << 16)), 1 << 16),
+    # every run of 1s within 64 bits
+    "single-runs": (lambda: ((1 << hi) - (1 << lo)
+                             for lo, hi in itertools.combinations(range(65), 2)),
+                    65 * 64 // 2),
+    "straddling-pairs": (straddling_runs, 3 * 4 ** 4),
+    "seeded": (lambda: (random.Random(64).getrandbits(64) for _ in range(100_000)),
+               100_000),
+}
+
+
+@pytest.mark.parametrize("words, want", WIDE_GRAY_WORDS.values(), ids=WIDE_GRAY_WORDS)
+def test_wide_distances_are_read_in_chunks(words, want, cube_distance_calls):
+    # a vertex x at distance(x, 0) from the sink 0 has the gray word
+    # x ^ (x >> 1), read in 20-bit chunks above the table
+    view = AugmentedCube(64)
+    h, fill = sink_distances(view, (0,))
+    count = 0
+    for y in words():
+        x = from_gray(y)
+        assert x ^ (x >> 1) == y
+        assert fill(view, x) == h[x] == distance(x, 0)
+        count += 1
+    assert count == want
+    assert cube_distance_calls[0] == 0
 
 
 @pytest.mark.parametrize("make, source, sinks", [
@@ -496,11 +541,16 @@ def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
                             forbidden_vertices={513, 600, 700},
                             forbidden_edges=[(512, 1023)]),
      512, (0b1110011001, 0b1001100110, 0b1111111111)),
-], ids=["wide-half", "adjlist", "restricted"])
+    # the 17 targets of a cross-half fan at n = 10
+    (lambda: AugmentedCube(10).half_view(1),
+     0b1011001110, tuple(random.Random(17).sample(range(512, 1024), 17))),
+], ids=["wide-half", "adjlist", "restricted", "fan-17"])
 def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
     # one unit at a time: each search is steered by the distance to the
-    # nearest sink whose sink arc still has capacity
+    # nearest sink whose sink arc still has capacity; when a sink fills,
+    # the table for the sinks left is derived from the one before
     view = make()
+    assert source not in sinks
     net = UnitFlowNet(view, {source: len(sinks)}, dict.fromkeys(sinks, 1),
                       {source, *sinks})
 
@@ -509,11 +559,17 @@ def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
             assert d == (0 if x == -1 else min(view.distance(x, t) for t in live))
 
     seen = {}
+    carried = 0
     for unit in range(len(sinks)):
         live = [t for t in sinks if net.cap.get(2 * t, {-2: 1})[-2]]
         assert len(live) == len(sinks) - unit  # every sink before the first push
         h = net.h
         nearest(h, live)
+        carried += len(h) > 1  # entries kept from the table before
+        if unit:
+            net.critical()  # aims at one more sink and back
+            assert net.h is h
+            nearest(h, live)
         assert net.max_flow(limit=1) == 1
         nearest(h, live)  # the entries this unit's search filled
         seen.update(h)
@@ -521,6 +577,8 @@ def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
     assert len(seen) > 10
     if isinstance(view, AdjListView):
         assert set(seen.values()) == {0}
+    else:
+        assert carried > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -540,17 +598,25 @@ def test_single_sink_distances_are_the_view_distance(make):
             assert fill(view, x) == h[x] == want
 
 
-@pytest.mark.parametrize("make, u, v", [
-    (lambda: AugmentedCube(10).half_view(0), 0, 0b110011001),
-    (lambda: AugmentedCube(40).half_view(0), 0, 0b110011001),
-    (lambda: random_graph(7), 0, 9),
+@pytest.mark.parametrize("make, u, v, others", [
+    (lambda: AugmentedCube(10).half_view(0), 0, 0b110011001, ()),
+    (lambda: AugmentedCube(40).half_view(0), 0, 0b110011001, ()),
+    (lambda: random_graph(7), 0, 9, ()),
     (lambda: RestrictedView(AugmentedCube(40).half_view(0), forbidden_vertices={1}),
-     0, 0b110011001),
-], ids=["half", "wide-half", "adjlist", "restricted-wide-half"])
-def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v):
+     0, 0b110011001, ()),
+    # the tables derived as the fan's targets fill go with the view too
+    (lambda: AugmentedCube(10).half_view(0), 0, 0b110011001,
+     (0b101010101, 0b011110000, 0b111111111, 0b100000011)),
+    (lambda: AugmentedCube(40).half_view(0), 0, 0b110011001,
+     (0b1011 << 20, 0b11 << 30, (1 << 38) - 1)),
+], ids=["half", "wide-half", "adjlist", "restricted-wide-half", "fan-half",
+        "fan-wide-half"])
+def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v, others):
     view = make()
     assert disjoint_paths(view, u, v, 1)
     assert pack_segments(view, [(u, v, 1)]) is not None
+    if others:
+        assert len(fan(view, u, [v, *others])) == 1 + len(others)
     gone = weakref.ref(view)
     del view
     gc.collect()

@@ -281,6 +281,36 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
     assert len(calls) == 154
 
 
+def test_a_packing_found_at_full_depth_reuses_its_leaf_flow(monkeypatch):
+    calls = []
+    max_flow = UnitFlowNet.max_flow
+
+    def counted(net, limit=None):
+        calls.append(limit)
+        return max_flow(net, limit)
+
+    monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
+    demands = [(0, 10, 3), (10, 14, 4), (0, 14, 3)]
+    found = pack_segments(AugmentedCube(4), demands)
+    assert [len(segs) for segs in found] == [3, 4, 3]
+    # the leaf flow that admitted the last branched segment is classified,
+    # not recomputed, and a joint relaxation owing nothing is not run
+    assert len(calls) == 9
+
+
+def test_a_net_keeps_the_blocked_set_it_was_built_with():
+    cube = AugmentedCube(4)
+    blocked = {0, 1, 2}
+    net = _saturate(cube, [(1, 0, 4), (1, 2, 3)], blocked)
+    before = net.unit_paths()
+    assert (1, 3, 0) in before
+    blocked.add(3)  # as a branch-and-bound grows its set after a commitment
+    assert net.unit_paths() == before
+    assert 3 not in net.blocked
+    terminals = frozenset((0, 1))
+    assert UnitFlowNet(cube, {0: 1}, {1: 1}, terminals).blocked is terminals
+
+
 def minimal_interiors(view, u, v, free):
     """Every inclusion-minimal nonempty interior of a u-v segment through
     ``free``, as a bitmask over sorted(free): simple paths are grown one
