@@ -30,13 +30,15 @@ Conventions
   It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone,
   so ``distance_table(bits)`` holds it for every y below 2**bits in one
   cached ``bytes`` object, built on first use (1 KB at 10 bits, 1 MB at
-  20); the flow and packing searches read sink distances from it.  A
-  wider y is read in 20-bit chunks: the distance is the sum of ceil(L/2)
-  over the runs of 1s in y, so the chunks' table values add up to it,
-  except that a run cut by a chunk boundary into two odd parts counts
-  one too many.  ``run_parity_table`` holds, per chunk, the parities of
-  its two edge runs; it is built only when a view wider than the table
-  first asks for it (``PrefixView.run_parities``).
+  20).  A wider y is read in 20-bit chunks: the distance is the sum of
+  ceil(L/2) over the runs of 1s in y, so the chunks' table values add up
+  to it, except that a run cut by a chunk boundary into two odd parts
+  counts one too many.  ``run_parity_table`` holds, per chunk, the
+  parities of its two edge runs; it is built only when a reader wider
+  than the table is first made.  ``nearest_sink(bits, sinks)`` hides
+  both: it returns the function from x to its distance to the nearest
+  sink (and which one), and the flow and packing searches read every
+  sink distance through a view's ``nearest_sink``.
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class AdjacencyMask(NamedTuple):
@@ -158,6 +160,54 @@ def run_parity_table() -> bytes:
         nxt[-1] = 3 * (bits % 2)  # all ones: one run of length bits
         p = nxt
     return bytes(p)
+
+
+_CHUNK_BITS = DISTANCE_TABLE_MAX_BITS
+_CHUNK = (1 << _CHUNK_BITS) - 1
+
+
+def nearest_sink(bits: int, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
+    """The function ``nearest(x)`` giving (d, i): d the least
+    distance(x, s) over ``sinks``, for vertices below 2**bits, and i the
+    index in ``sinks`` of the first sink at distance d.  It holds the
+    sinks' gray words and looks each g(x) ^ g(s) up in
+    ``distance_table(bits)``; above ``DISTANCE_TABLE_MAX_BITS`` it reads
+    the word in chunks of that width with the boundary correction of
+    ``run_parity_table``."""
+    gray = tuple(s ^ (s >> 1) for s in sinks)
+    table = distance_table(bits)
+    if table is not None:
+        lookup = table.__getitem__
+        if len(gray) == 1:  # no list to build or search
+            g, = gray
+            return lambda x: (lookup(x ^ (x >> 1) ^ g), 0)
+
+        def nearest(x: int) -> tuple[int, int]:
+            gx = x ^ (x >> 1)
+            ds = [*map(lookup, map(gx.__xor__, gray))]
+            d = min(ds)
+            return d, ds.index(d)
+        return nearest
+    table = distance_table(_CHUNK_BITS)
+    parities = run_parity_table()
+
+    def nearest(x: int) -> tuple[int, int]:
+        gx = x ^ (x >> 1)
+        ds = []
+        for gs in gray:
+            y = gx ^ gs
+            d = odd = 0  # odd: the run reaching this chunk has odd length
+            while y:
+                c = y & _CHUNK
+                p = parities[c]
+                d += table[c] - (odd & p)
+                if c != _CHUNK:  # a chunk of all ones passes odd on
+                    odd = p >> 1
+                y >>= _CHUNK_BITS
+            ds.append(d)
+        d = min(ds)
+        return d, ds.index(d)
+    return nearest
 
 
 def map_vertex(images: Sequence[int], v: int) -> int:
@@ -282,15 +332,10 @@ class PrefixView:
     # the cube's distance: a lower bound on hops inside the view
     distance = staticmethod(distance)
 
-    @property
-    def distance_table(self) -> bytes | None:
-        return distance_table(self.bits)
-
-    @property
-    def run_parities(self) -> bytes | None:
-        """``run_parity_table()`` when the view is wider than its
-        ``distance_table``, so distances are read in chunks, else None."""
-        return run_parity_table() if self.bits > DISTANCE_TABLE_MAX_BITS else None
+    def nearest_sink(self, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
+        """x -> (the cube's distance from x to the nearest of ``sinks``,
+        that sink's index); the function does not refer to the view."""
+        return nearest_sink(self.bits, sinks)
 
 
 class AugmentedCube(PrefixView):
@@ -406,13 +451,8 @@ class RestrictedView:
         """The base's distance: a lower bound on hops with fewer edges."""
         return self.base.distance(x, y)
 
-    @property
-    def distance_table(self) -> bytes | None:
-        return self.base.distance_table
-
-    @property
-    def run_parities(self) -> bytes | None:
-        return self.base.run_parities
+    def nearest_sink(self, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
+        return self.base.nearest_sink(sinks)
 
 
 class AdjListView:
@@ -448,7 +488,9 @@ class AdjListView:
         """No known bound on an arbitrary graph, so 0."""
         return 0
 
-    distance_table = run_parities = None  # nothing to tabulate
+    def nearest_sink(self, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
+        """x -> (0, 0): every distance is 0 (see ``distance``)."""
+        return lambda x: (0, 0)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, ws in self._adj.items() for w in ws if u < w]

@@ -34,19 +34,17 @@ itself; the net switches to the sinks left between searches.  The
 distance is the cube's closed form (``aqpath.cube``), so a search
 reaches a far sink after scanning little more than the region between,
 not the whole view; on a view with no distance (0 everywhere) the search
-is breadth-first.  Each distance is read from the view's
-``distance_table`` (one byte per gray word, so the nearest sink is a
-``min`` over byte lookups), in 20-bit chunks on a view wider than the
-table, and computed once per view and set of sinks that still take flow
-(``sink_distances``); only an adjacency list asks ``view.distance`` per
-sink.  When a sink fills, the table for the sinks left starts as a copy
-of the current one without the entries that sink attained, the only ones
-whose distance can grow.  The weight only chooses *which* augmenting
-path is found, so flow values stay exact, but a path need not be a
-shortest one.  Rows list
-their arcs in the view's neighbor order and their reverse entries in the
-order flow first crossed them, and the queue order is fixed, so
-identical inputs always produce identical path systems.
+is breadth-first.  The distance to the nearest sink comes from the
+view's ``nearest_sink`` (byte lookups in the cube's distance table, at
+any width; see ``aqpath.cube``), computed once per view and set of sinks
+that still take flow (``sink_distances``).  When a sink fills, the table
+for the sinks left starts as a copy of the current one without the
+entries that sink attained, the only ones whose distance can grow.  The
+weight only chooses *which* augmenting path is found, so flow values
+stay exact, but a path need not be a shortest one.  Rows list their arcs
+in the view's neighbor order and their reverse entries in the order flow
+first crossed them, and the queue order is fixed, so identical inputs
+always produce identical path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -54,11 +52,8 @@ network rebuilt, the free vertices that every flow of its value must cross.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
-
-from .cube import DISTANCE_TABLE_MAX_BITS, distance_table
 
 _SRC = -1
 _SNK = -2
@@ -92,16 +87,15 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
 
 # view -> sink set -> ``Distances``: the distances depend on nothing else
 # (views do not change), so all nets over one view and one sink set fill
-# one table, and it goes when the view does.  No filler refers to the
-# view, which would keep the key alive.
+# one table, and it goes when the view does.  No filler (nor the
+# ``nearest_sink`` function it holds) refers to the view, which would keep
+# the key alive.
 _TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
 
 Filler = Callable[[object, int], int]
-# (h, its filler, the sinks in filler order, the entries each one attains)
-Distances = tuple[dict[int, int], Filler, tuple[int, ...], list[list[int]]]
-
-_CHUNK_BITS = DISTANCE_TABLE_MAX_BITS
-_CHUNK = (1 << _CHUNK_BITS) - 1
+# (h, its filler, the sinks in filler order, the entries each one attains,
+# whether it was derived from another table)
+Distances = tuple[dict[int, int], Filler, tuple[int, ...], list[list[int]], bool]
 
 
 def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
@@ -110,19 +104,15 @@ def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
     and the function ``fill(view, x)`` that computes h[x], stores it and
     returns it.  The key -1 (the source and sink nodes of a net) holds 0.
 
-    With the view's ``distance_table`` t, the distance from x to s is
-    t[g(x) ^ g(s)], g(w) = w ^ (w >> 1), so the sinks are kept as gray
-    words and x's nearest one is a ``min`` over byte lookups.  A view
-    wider than its table (``run_parities`` set) reads each g(x) ^ g(s) in
-    20-bit chunks from the 20-bit table (``cube.run_parity_table``), so no
-    cube view is asked ``view.distance``; only a view with neither, an
-    adjacency list, is asked once per sink.
+    x's nearest sink and its distance come from the view's
+    ``nearest_sink`` (table lookups for a cube view, 0 for an adjacency
+    list), so no search asks ``view.distance``.
 
-    With two or more sinks, each entry is listed under the sink that
-    attains it, so when a flow net's sink fills, the table for the sinks
-    left is derived from this one instead of refilled (``_distances``).
+    Each entry is listed under the sink that attains it, so when a flow
+    net's sink fills, the table for the sinks left is derived from this
+    one instead of refilled (``_distances``).
     """
-    h, fill, _, _ = _distances(view, frozenset(sinks))
+    h, fill, _, _, _ = _distances(view, frozenset(sinks))
     return h, fill
 
 
@@ -131,83 +121,47 @@ def _distances(view, key: frozenset[int], parent: Distances | None = None,
     """The view's shared table for the sink set ``key``.  If none is
     cached and ``parent`` is the table for ``key`` plus the sink ``gone``,
     the new one starts as a copy of it without the entries ``gone``
-    attains: dropping a sink raises no other entry."""
+    attains: dropping a sink raises no other entry.  A derived parent then
+    leaves the cache (the nets aimed at it keep it), so a net whose sinks
+    fill one by one leaves the first table and the last one cached, not a
+    copy per sink."""
     per_view = _TO_SINK.setdefault(view, {})
     got = per_view.get(key)
     if got is None:
         if parent is None or not key:
-            h, sinks, owned = {-1: 0}, tuple(key), [[] for _ in key]
+            h, sinks, owned, derived = {-1: 0}, tuple(key), [[] for _ in key], False
         else:
-            parent_h, _, parent_sinks, parent_owned = parent
+            parent_h, _, parent_sinks, parent_owned, parent_derived = parent
+            if parent_derived and per_view.get(key | {gone}) is parent:
+                del per_view[key | {gone}]
             i = parent_sinks.index(gone)
             h = parent_h.copy()
             for x in parent_owned[i]:
                 h.pop(x, None)  # a fill lists x before it stores h[x]
             sinks = parent_sinks[:i] + parent_sinks[i + 1:]
             owned = [xs.copy() for xs in parent_owned[:i] + parent_owned[i + 1:]]
-        got = per_view[key] = (h, _filler(view, sinks, h, owned), sinks, owned)
+            derived = True
+        got = per_view[key] = (h, _filler(view, sinks, h, owned), sinks, owned, derived)
     return got
 
 
 def _filler(view, sinks: tuple[int, ...], h: dict[int, int],
             owned: list[list[int]]) -> Filler:
     """``fill(view, x)``: store in ``h`` x's distance to the nearest of
-    ``sinks``, list x under that sink in ``owned`` (with two or more
-    sinks: one sink leaves no entry when it goes), and return it.  x is
-    listed first, so a table copied from ``h`` meanwhile (``_distances``)
+    ``sinks``, list x under that sink in ``owned`` (read only with two or
+    more sinks: the empty set's table is built afresh), and return it.  x
+    is listed first, so a table copied from ``h`` meanwhile (``_distances``)
     holds no entry that the owner lists copied after it miss."""
     if not sinks:
         def fill(view, x: int) -> int:
             h[x] = 0
             return 0
         return fill
-    gray = tuple(s ^ (s >> 1) for s in sinks)
-    table = view.distance_table
-    if table is not None:
-        lookup = table.__getitem__
-        if len(gray) == 1:
-            g, = gray
-
-            def fill(view, x: int) -> int:
-                d = h[x] = lookup(x ^ (x >> 1) ^ g)
-                return d
-            return fill
-
-        def fill(view, x: int) -> int:
-            gx = x ^ (x >> 1)
-            ds = [*map(lookup, map(gx.__xor__, gray))]
-            d = min(ds)
-            owned[ds.index(d)].append(x)
-            h[x] = d
-            return d
-        return fill
-    parities = view.run_parities
-    if parities is None:
-        def distances(view, x: int) -> list[int]:
-            return [*map(view.distance, repeat(x), sinks)]
-    else:
-        table = distance_table(_CHUNK_BITS)
-
-        def distances(view, x: int) -> list[int]:
-            gx = x ^ (x >> 1)
-            ds = []
-            for gs in gray:
-                y = gx ^ gs
-                d = odd = 0  # odd: the run reaching this chunk has odd length
-                while y:
-                    c = y & _CHUNK
-                    p = parities[c]
-                    d += table[c] - (odd & p)
-                    if c != _CHUNK:  # a chunk of all ones passes odd on
-                        odd = p >> 1
-                    y >>= _CHUNK_BITS
-                ds.append(d)
-            return ds
+    nearest = view.nearest_sink(sinks)
 
     def fill(view, x: int) -> int:
-        ds = distances(view, x)
-        d = min(ds)
-        owned[ds.index(d)].append(x)
+        d, i = nearest(x)
+        owned[i].append(x)
         h[x] = d
         return d
     return fill
@@ -255,7 +209,7 @@ class UnitFlowNet:
         self.live = live
         parent = None if gone is None else self._dist
         self._dist = _distances(self.view, live, parent, gone)
-        self.h, self._fill, _, _ = self._dist
+        self.h, self._fill, _, _, _ = self._dist
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row of the entries flow can use: an

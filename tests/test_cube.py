@@ -20,6 +20,7 @@ from aqpath.cube import (
     distance_table,
     hyper_word,
     map_vertex,
+    nearest_sink,
     orbit_representatives,
     run_parity_table,
     symmetries,
@@ -339,10 +340,8 @@ def test_adjacency_list_views_have_no_distance():
     g = AdjListView([(0, 1), (1, 2)], bits=2)
     assert g.distance(0, 2) == 0
     assert RestrictedView(g, forbidden_vertices={1}).distance(0, 2) == 0
-    assert g.distance_table is None
-    assert RestrictedView(g, forbidden_vertices={1}).distance_table is None
-    assert g.run_parities is None
-    assert RestrictedView(g, forbidden_vertices={1}).run_parities is None
+    assert g.nearest_sink((0, 2))(1) == (0, 0)
+    assert RestrictedView(g, forbidden_vertices={1}).nearest_sink((2,))(0) == (0, 0)
 
 
 def test_the_distance_table_holds_every_distance():
@@ -379,46 +378,84 @@ def test_the_run_parity_table_holds_both_edge_runs():
         assert table[c] == runs(c)
 
 
+def from_gray(y):
+    """The w with w ^ (w >> 1) == y, for y below 2**64."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        y ^= y >> shift
+    return y
+
+
+def straddling_runs():
+    """Two runs of 1s, each cut by a different 20-bit chunk boundary into
+    parts of every length from 1 to 4."""
+    for lo, hi in itertools.combinations((20, 40, 60), 2):
+        for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+            yield ((1 << lo + b) - (1 << lo - a)) | ((1 << hi + d) - (1 << hi - c))
+
+
+WIDE_GRAY_WORDS = {  # (the words, how many)
+    # every word whose set bits lie in bits 12-27, across the first boundary
+    "bits-12-27": (lambda: (w << 12 for w in range(1 << 16)), 1 << 16),
+    # every run of 1s within 64 bits
+    "single-runs": (lambda: ((1 << hi) - (1 << lo)
+                             for lo, hi in itertools.combinations(range(65), 2)),
+                    65 * 64 // 2),
+    "straddling-pairs": (straddling_runs, 3 * 4 ** 4),
+    "seeded": (lambda: (random.Random(64).getrandbits(64) for _ in range(100_000)),
+               100_000),
+}
+
+
+@pytest.mark.parametrize("words, want", WIDE_GRAY_WORDS.values(), ids=WIDE_GRAY_WORDS)
+def test_wide_distances_are_read_in_chunks(words, want):
+    # a vertex x at distance(x, 0) from the sink 0 has the gray word
+    # x ^ (x >> 1), read in 20-bit chunks above the table
+    nearest = nearest_sink(64, (0,))
+    count = 0
+    for y in words():
+        x = from_gray(y)
+        assert x ^ (x >> 1) == y
+        assert nearest(x) == (distance(x, 0), 0)
+        count += 1
+    assert count == want
+
+
 def test_the_widest_construct_reads_its_distances_in_chunks():
     # construct is admitted above the table's width: its flows read each
     # sink distance in 20-bit chunks
     n = importlib.import_module("aqpath.construct").CONSTRUCT_MAX_N
     assert n > DISTANCE_TABLE_MAX_BITS
     cube = AugmentedCube(n)
-    assert cube.distance_table is None and cube.run_parities is not None
+    assert distance_table(n) is None
     rng = random.Random(n)
     sinks = rng.sample(range(1 << n), 5)
-
-    def from_gray(y):
-        w = 0
-        while y:
-            w ^= y
-            y >>= 1
-        return w
-
     # every gray word offset from the first sink in the bits around the
     # boundary at bit 20, and random vertices
     near_boundary = [sinks[0] ^ from_gray(w << 14) for w in range(1 << n - 14)]
+    nearest = cube.nearest_sink(sinks)
     h, fill = sink_distances(cube, sinks)
     for x in near_boundary + rng.sample(range(1 << n), 3000):
-        assert fill(cube, x) == h[x] == min(distance(x, s) for s in sinks)
+        ds = [distance(x, s) for s in sinks]
+        assert nearest(x) == (min(ds), ds.index(min(ds)))
+        assert fill(cube, x) == h[x] == min(ds)
 
 
 def test_cube_views_share_the_cube_table():
-    cube = AugmentedCube(8)
-    table = distance_table(8)
-    assert cube.distance_table is table
-    assert cube.half_view(1).distance_table is table
-    assert cube.diamond_view(0b00, 0b11).distance_table is table
-    assert RestrictedView(cube.half_view(0), forbidden_vertices={3}).distance_table is table
-    assert AugmentedCube(DISTANCE_TABLE_MAX_BITS + 1).half_view(0).distance_table is None
-    # only a view wider than the table reads it in chunks
-    assert cube.run_parities is None
-    assert RestrictedView(cube.half_view(0)).run_parities is None
-    wide = AugmentedCube(DISTANCE_TABLE_MAX_BITS + 1)
-    assert wide.run_parities is run_parity_table()
-    assert wide.half_view(0).run_parities is run_parity_table()
-    assert RestrictedView(wide, forbidden_vertices={3}).run_parities is run_parity_table()
+    # every view reads the cube's distances; only a view wider than the
+    # table builds the run parities that its chunked reads need
+    run_parity_table.cache_clear()
+    for bits in (8, DISTANCE_TABLE_MAX_BITS + 1):
+        cube = AugmentedCube(bits)
+        views = (cube, cube.half_view(1), cube.diamond_view(0b00, 0b11),
+                 RestrictedView(cube.half_view(0), forbidden_vertices={3}))
+        rng = random.Random(bits)
+        for view in views:
+            for sinks in ((3, 77, 200), (200, 77, 3), (77, 6), (200,)):
+                nearest = view.nearest_sink(sinks)
+                for x in rng.sample(range(1 << bits), 200):
+                    ds = [distance(x, s) for s in sinks]
+                    assert nearest(x) == (min(ds), ds.index(min(ds)))
+        assert run_parity_table.cache_info().currsize == (bits > DISTANCE_TABLE_MAX_BITS)
 
 
 def swap_last_two_bits(v):

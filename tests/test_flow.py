@@ -17,6 +17,7 @@ from aqpath.flow import (
     min_vertex_cut,
     sink_distances,
 )
+from aqpath import flow
 from aqpath.packing import Budget, pack_segments
 
 
@@ -489,50 +490,6 @@ def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
     assert cube_distance_calls[0] == 0
 
 
-def from_gray(y):
-    """The w with w ^ (w >> 1) == y, for y below 2**64."""
-    for shift in (1, 2, 4, 8, 16, 32):
-        y ^= y >> shift
-    return y
-
-
-def straddling_runs():
-    """Two runs of 1s, each cut by a different 20-bit chunk boundary into
-    parts of every length from 1 to 4."""
-    for lo, hi in itertools.combinations((20, 40, 60), 2):
-        for a, b, c, d in itertools.product(range(1, 5), repeat=4):
-            yield ((1 << lo + b) - (1 << lo - a)) | ((1 << hi + d) - (1 << hi - c))
-
-
-WIDE_GRAY_WORDS = {  # (the words, how many)
-    # every word whose set bits lie in bits 12-27, across the first boundary
-    "bits-12-27": (lambda: (w << 12 for w in range(1 << 16)), 1 << 16),
-    # every run of 1s within 64 bits
-    "single-runs": (lambda: ((1 << hi) - (1 << lo)
-                             for lo, hi in itertools.combinations(range(65), 2)),
-                    65 * 64 // 2),
-    "straddling-pairs": (straddling_runs, 3 * 4 ** 4),
-    "seeded": (lambda: (random.Random(64).getrandbits(64) for _ in range(100_000)),
-               100_000),
-}
-
-
-@pytest.mark.parametrize("words, want", WIDE_GRAY_WORDS.values(), ids=WIDE_GRAY_WORDS)
-def test_wide_distances_are_read_in_chunks(words, want, cube_distance_calls):
-    # a vertex x at distance(x, 0) from the sink 0 has the gray word
-    # x ^ (x >> 1), read in 20-bit chunks above the table
-    view = AugmentedCube(64)
-    h, fill = sink_distances(view, (0,))
-    count = 0
-    for y in words():
-        x = from_gray(y)
-        assert x ^ (x >> 1) == y
-        assert fill(view, x) == h[x] == distance(x, 0)
-        count += 1
-    assert count == want
-    assert cube_distance_calls[0] == 0
-
-
 @pytest.mark.parametrize("make, source, sinks", [
     (lambda: UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1),
      0, (0b110011, 0b1011 << 20, 0b11 << 30)),
@@ -621,6 +578,19 @@ def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v, others):
     del view
     gc.collect()
     assert gone() is None
+
+
+def test_a_fan_keeps_its_first_and_last_tables_cached():
+    # each filled target derives the next table from the one before; a
+    # derived table leaves the view's cache once the next is derived
+    # from it, so the cache does not hold a copy per target
+    view = AugmentedCube(10).half_view(1)
+    targets = random.Random(17).sample(range(512, 1024), 17)
+    assert len(fan(view, 0b1011001110, targets)) == 17
+    cached = flow._TO_SINK[view]
+    assert frozenset(targets) in cached
+    assert len(cached) <= 3  # the 17 targets, the last one left, none
+    assert sum(table[4] for table in cached.values()) <= 1  # derived
 
 
 def decomposition_by_node_encoding(net):
