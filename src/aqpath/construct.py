@@ -62,10 +62,11 @@ CASE_E11, CASE_E12 = "E1.1", "E1.2"
 CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
-# nothing is listed, so this bounds time only: a triple takes 0.06-0.08 s
-# at n = 20, the width of the cube's distance table, and 0.12-0.28 s at
-# n = 24, where sink distances are read from it in 20-bit chunks
-CONSTRUCT_MAX_N = 24
+# nothing is listed, so this bounds time only: on a 2-core x86 box a
+# triple takes under 0.1 s at n = 20, the width of the cube's distance
+# table, and 0.2-0.35 s at n = 32, where sink distances are read from it
+# in 20-bit chunks
+CONSTRUCT_MAX_N = 32
 
 
 class ConstructionError(RuntimeError):

@@ -35,10 +35,10 @@ Conventions
   to it, except that a run cut by a chunk boundary into two odd parts
   counts one too many.  ``run_parity_table`` holds, per chunk, the
   parities of its two edge runs; it is built only when a reader wider
-  than the table is first made.  ``nearest_sink(bits, sinks)`` hides
-  both: it returns the function from x to its distance to the nearest
-  sink (and which one), and the flow and packing searches read every
-  sink distance through a view's ``nearest_sink``.
+  than the table is first made.  ``distance_to(bits, t)`` hides both: it
+  returns the function from x to its distance to t, and the flow and
+  packing searches read every sink distance through a view's
+  ``distance_to``.
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
@@ -166,48 +166,32 @@ _CHUNK_BITS = DISTANCE_TABLE_MAX_BITS
 _CHUNK = (1 << _CHUNK_BITS) - 1
 
 
-def nearest_sink(bits: int, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
-    """The function ``nearest(x)`` giving (d, i): d the least
-    distance(x, s) over ``sinks``, for vertices below 2**bits, and i the
-    index in ``sinks`` of the first sink at distance d.  It holds the
-    sinks' gray words and looks each g(x) ^ g(s) up in
+def distance_to(bits: int, t: int) -> Callable[[int], int]:
+    """The function ``dist(x)`` giving distance(x, t) for vertices below
+    2**bits.  It holds t's gray word and looks g(x) ^ g(t) up in
     ``distance_table(bits)``; above ``DISTANCE_TABLE_MAX_BITS`` it reads
     the word in chunks of that width with the boundary correction of
     ``run_parity_table``."""
-    gray = tuple(s ^ (s >> 1) for s in sinks)
+    gt = t ^ (t >> 1)
     table = distance_table(bits)
     if table is not None:
         lookup = table.__getitem__
-        if len(gray) == 1:  # no list to build or search
-            g, = gray
-            return lambda x: (lookup(x ^ (x >> 1) ^ g), 0)
-
-        def nearest(x: int) -> tuple[int, int]:
-            gx = x ^ (x >> 1)
-            ds = [*map(lookup, map(gx.__xor__, gray))]
-            d = min(ds)
-            return d, ds.index(d)
-        return nearest
+        return lambda x: lookup(x ^ (x >> 1) ^ gt)
     table = distance_table(_CHUNK_BITS)
     parities = run_parity_table()
 
-    def nearest(x: int) -> tuple[int, int]:
-        gx = x ^ (x >> 1)
-        ds = []
-        for gs in gray:
-            y = gx ^ gs
-            d = odd = 0  # odd: the run reaching this chunk has odd length
-            while y:
-                c = y & _CHUNK
-                p = parities[c]
-                d += table[c] - (odd & p)
-                if c != _CHUNK:  # a chunk of all ones passes odd on
-                    odd = p >> 1
-                y >>= _CHUNK_BITS
-            ds.append(d)
-        d = min(ds)
-        return d, ds.index(d)
-    return nearest
+    def dist(x: int) -> int:
+        y = x ^ (x >> 1) ^ gt
+        d = odd = 0  # odd: the run reaching this chunk has odd length
+        while y:
+            c = y & _CHUNK
+            p = parities[c]
+            d += table[c] - (odd & p)
+            if c != _CHUNK:  # a chunk of all ones passes odd on
+                odd = p >> 1
+            y >>= _CHUNK_BITS
+        return d
+    return dist
 
 
 def map_vertex(images: Sequence[int], v: int) -> int:
@@ -332,10 +316,10 @@ class PrefixView:
     # the cube's distance: a lower bound on hops inside the view
     distance = staticmethod(distance)
 
-    def nearest_sink(self, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
-        """x -> (the cube's distance from x to the nearest of ``sinks``,
-        that sink's index); the function does not refer to the view."""
-        return nearest_sink(self.bits, sinks)
+    def distance_to(self, t: int) -> Callable[[int], int]:
+        """x -> the cube's distance from x to t; the function does not
+        refer to the view."""
+        return distance_to(self.bits, t)
 
 
 class AugmentedCube(PrefixView):
@@ -451,8 +435,8 @@ class RestrictedView:
         """The base's distance: a lower bound on hops with fewer edges."""
         return self.base.distance(x, y)
 
-    def nearest_sink(self, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
-        return self.base.nearest_sink(sinks)
+    def distance_to(self, t: int) -> Callable[[int], int]:
+        return self.base.distance_to(t)
 
 
 class AdjListView:
@@ -488,9 +472,9 @@ class AdjListView:
         """No known bound on an arbitrary graph, so 0."""
         return 0
 
-    def nearest_sink(self, sinks: Sequence[int]) -> Callable[[int], tuple[int, int]]:
-        """x -> (0, 0): every distance is 0 (see ``distance``)."""
-        return lambda x: (0, 0)
+    def distance_to(self, t: int) -> Callable[[int], int]:
+        """x -> 0: every distance is 0 (see ``distance``)."""
+        return lambda x: 0
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u, ws in self._adj.items() for w in ws if u < w]

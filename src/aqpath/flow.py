@@ -23,28 +23,30 @@ arc u->v is the residual capacity of its reverse entry v->u, which is
 written when flow first crosses the arc: a row holds no entry that no
 flow has used.  The node encoding tells arcs from reverse entries.
 
-Each augmenting path comes from one best-first search steered toward the
-sinks (Hart, Nilsson & Raphael 1968): a node's key is the number of
-residual arcs from the source plus three times the view's distance from
-its vertex to the nearest sink that still takes flow, and equal keys
-leave the queue last in, first out.  An augmenting path can only end at
-a sink with residual capacity, so that distance still bounds the rest of
-the path from below, and a full sink stops drawing later searches toward
-itself; the net switches to the sinks left between searches.  The
-distance is the cube's closed form (``aqpath.cube``), so a search
-reaches a far sink after scanning little more than the region between,
-not the whole view; on a view with no distance (0 everywhere) the search
-is breadth-first.  The distance to the nearest sink comes from the
-view's ``nearest_sink`` (byte lookups in the cube's distance table, at
-any width; see ``aqpath.cube``), computed once per view and set of sinks
-that still take flow (``sink_distances``).  When a sink fills, the table
-for the sinks left starts as a copy of the current one without the
-entries that sink attained, the only ones whose distance can grow.  The
-weight only chooses *which* augmenting path is found, so flow values
-stay exact, but a path need not be a shortest one.  Rows list their arcs
-in the view's neighbor order and their reverse entries in the order flow
-first crossed them, and the queue order is fixed, so identical inputs
-always produce identical path systems.
+Each augmenting path comes from one best-first search steered toward one
+sink that still takes flow, the net's *aim* (Hart, Nilsson & Raphael
+1968): a node's key is the number of residual arcs from the source plus
+three times the view's distance from its vertex to the aim, and equal
+keys leave the queue last in, first out.  The aim is the first sink in
+the net's sink order that still takes flow.  It stays until it fills, or
+until a search aimed at it ends at another sink, which moves it behind
+the others; choosing it reads no distance.  A search still stops at the
+first sink it reaches, and the weight only chooses *which* augmenting
+path is found, so flow values stay exact under any aim, but a path need
+not be a shortest one.  Nor does a net that can fill its sinks flood the
+view: the difference between a flow that fills them and the current one
+splits into augmenting paths ending at every sink still short, the aim
+among them.  Only a net that cannot fill its sinks explores all it
+reaches, as its last, failing search must anyway.  The distance is the
+cube's closed form (``aqpath.cube``), so a search reaches a far sink
+after scanning little more than the region between, not the whole view;
+on a view with no distance (0 everywhere) the search is breadth-first.
+It comes from the view's ``distance_to`` (byte lookups in the cube's
+distance table, at any width), kept in one table per view and sink
+(``sink_distances``) that every net and search over the view shares.
+Rows list their arcs in the view's neighbor order and their reverse
+entries in the order flow first crossed them, and the queue order is
+fixed, so identical inputs always produce identical path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -85,86 +87,25 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
     return nodes
 
 
-# view -> sink set -> ``Distances``: the distances depend on nothing else
-# (views do not change), so all nets over one view and one sink set fill
-# one table, and it goes when the view does.  No filler (nor the
-# ``nearest_sink`` function it holds) refers to the view, which would keep
-# the key alive.
+# view -> sink -> ``sink_distances``: the distances depend on nothing else
+# (views do not change), so every net and search over one view fills one
+# table per sink, and it goes when the view does.  No reader refers to the
+# view, which would keep the key alive.
 _TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
 
-Filler = Callable[[object, int], int]
-# (h, its filler, the sinks in filler order, the entries each one attains,
-# whether it was derived from another table)
-Distances = tuple[dict[int, int], Filler, tuple[int, ...], list[list[int]], bool]
 
-
-def sink_distances(view, sinks: Iterable[int]) -> tuple[dict[int, int], Filler]:
-    """The shared table h of the view's distances from a vertex to the
-    nearest of ``sinks`` (for a flow net, the sinks that still take flow),
-    and the function ``fill(view, x)`` that computes h[x], stores it and
-    returns it.  The key -1 (the source and sink nodes of a net) holds 0.
-
-    x's nearest sink and its distance come from the view's
-    ``nearest_sink`` (table lookups for a cube view, 0 for an adjacency
-    list), so no search asks ``view.distance``.
-
-    Each entry is listed under the sink that attains it, so when a flow
-    net's sink fills, the table for the sinks left is derived from this
-    one instead of refilled (``_distances``).
-    """
-    h, fill, _, _, _ = _distances(view, frozenset(sinks))
-    return h, fill
-
-
-def _distances(view, key: frozenset[int], parent: Distances | None = None,
-               gone: int | None = None) -> Distances:
-    """The view's shared table for the sink set ``key``.  If none is
-    cached and ``parent`` is the table for ``key`` plus the sink ``gone``,
-    the new one starts as a copy of it without the entries ``gone``
-    attains: dropping a sink raises no other entry.  A derived parent then
-    leaves the cache (the nets aimed at it keep it), so a net whose sinks
-    fill one by one leaves the first table and the last one cached, not a
-    copy per sink."""
+def sink_distances(view, t: int) -> tuple[dict[int, int], Callable[[int], int]]:
+    """The view's shared table h of distances to the sink t and the reader
+    ``dist`` that computes a missing entry: a caller that finds no h[x]
+    stores ``h[x] = dist(x)``.  The key -1 (the source and sink nodes of a
+    net) holds 0.  ``dist`` is the view's ``distance_to(t)`` (table
+    lookups for a cube view, 0 for an adjacency list), so no search asks
+    ``view.distance``."""
     per_view = _TO_SINK.setdefault(view, {})
-    got = per_view.get(key)
+    got = per_view.get(t)
     if got is None:
-        if parent is None or not key:
-            h, sinks, owned, derived = {-1: 0}, tuple(key), [[] for _ in key], False
-        else:
-            parent_h, _, parent_sinks, parent_owned, parent_derived = parent
-            if parent_derived and per_view.get(key | {gone}) is parent:
-                del per_view[key | {gone}]
-            i = parent_sinks.index(gone)
-            h = parent_h.copy()
-            for x in parent_owned[i]:
-                h.pop(x, None)  # a fill lists x before it stores h[x]
-            sinks = parent_sinks[:i] + parent_sinks[i + 1:]
-            owned = [xs.copy() for xs in parent_owned[:i] + parent_owned[i + 1:]]
-            derived = True
-        got = per_view[key] = (h, _filler(view, sinks, h, owned), sinks, owned, derived)
+        got = per_view[t] = ({-1: 0}, view.distance_to(t))
     return got
-
-
-def _filler(view, sinks: tuple[int, ...], h: dict[int, int],
-            owned: list[list[int]]) -> Filler:
-    """``fill(view, x)``: store in ``h`` x's distance to the nearest of
-    ``sinks``, list x under that sink in ``owned`` (read only with two or
-    more sinks: the empty set's table is built afresh), and return it.  x
-    is listed first, so a table copied from ``h`` meanwhile (``_distances``)
-    holds no entry that the owner lists copied after it miss."""
-    if not sinks:
-        def fill(view, x: int) -> int:
-            h[x] = 0
-            return 0
-        return fill
-    nearest = view.nearest_sink(sinks)
-
-    def fill(view, x: int) -> int:
-        d, i = nearest(x)
-        owned[i].append(x)
-        h[x] = d
-        return d
-    return fill
 
 
 class UnitFlowNet:
@@ -182,13 +123,13 @@ class UnitFlowNet:
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
     derived by ``_row`` when node u is first scanned and holds its arcs;
     a reverse entry joins it when flow first crosses its arc, and a
-    missing entry carries no flow.  ``live`` holds the sinks that still
-    take flow, and ``h[x]`` is the view's distance from vertex x to the
-    nearest of them, read from the view's distance table as searches
-    discover x and shared by every net over the same view and live set
+    missing entry carries no flow.  ``_live`` lists the sinks that still
+    take flow, the aim ``aim`` first (None once all are full), and
+    ``h[x]`` is the view's distance from vertex x to the aim, filled as
+    searches discover x and shared by every net over the view
     (``sink_distances``); the source and the sink both map to the key -1
-    (node >> 1) and to 0.  A search derives g from h, so h only changes
-    between searches.
+    (node >> 1) and to 0.  A search derives g from h, so the aim only
+    changes between searches.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -199,17 +140,14 @@ class UnitFlowNet:
         self.blocked = frozenset(blocked)
         # the sink is never scanned: its row holds only reverse entries
         self.cap: dict[int, dict[int, int]] = {_SNK: {}}
-        self._aim(frozenset(t for t, c in sinks.items() if c > 0))
+        self._live = [t for t, c in sinks.items() if c > 0]
+        self._steer(self._live[0] if self._live else None)
 
-    def _aim(self, live: frozenset[int], gone: int | None = None) -> None:
-        """Steer later searches toward the sinks in ``live``.  ``gone`` is
-        the sink that just filled when ``live`` is the current set without
-        it: a table the view has not cached yet is then derived from the
-        current one."""
-        self.live = live
-        parent = None if gone is None else self._dist
-        self._dist = _distances(self.view, live, parent, gone)
-        self.h, self._fill, _, _, _ = self._dist
+    def _steer(self, t: int | None) -> None:
+        """Aim later searches at the sink t (None: no search runs)."""
+        self.aim = t
+        if t is not None:
+            self.h, self._dist = sink_distances(self.view, t)
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row of the entries flow can use: an
@@ -241,7 +179,7 @@ class UnitFlowNet:
         the source along the search tree, h: ``self.h``); ``buckets[k]``
         holds the nodes under key k, popped last in, first out.  Stops once
         the sink is found and returns ``parent``."""
-        cap, h, fill, view = self.cap, self.h, self._fill, self.view
+        cap, h, dist = self.cap, self.h, self._dist
         parent[_SRC] = _SRC
         buckets = [[_SRC]]
         top = 1  # len(buckets)
@@ -261,7 +199,7 @@ class UnitFlowNet:
                     parent[v] = u
                     hv = h.get(v >> 1)
                     if hv is None:
-                        hv = fill(view, v >> 1)
+                        hv = h[v >> 1] = dist(v >> 1)
                     k = g + 3 * hv
                     while top <= k:
                         buckets.append([])
@@ -283,9 +221,15 @@ class UnitFlowNet:
     def _augment_once(self) -> bool:
         """Push one unit along a residual path, if there is one.  Every such
         path crosses an entry between split nodes, and those hold at most
-        1, so one unit is all a path can carry.  No search scans the sink,
-        so the flow into a sink never falls here: the sink the path ends at
-        leaves ``live`` once it is full."""
+        1, so one unit is all a path can carry, and a path ends with the
+        sink arc of a sink that still takes flow: with none left, there is
+        no path to search for.  No search scans the sink, so the flow into
+        a sink never falls here: the sink the path ends at leaves ``_live``
+        once it is full, and an aim the path missed moves behind the
+        others."""
+        aim = self.aim
+        if aim is None:
+            return False
         parent = self._search({})
         if _SNK not in parent:
             return False
@@ -298,8 +242,14 @@ class UnitFlowNet:
             row[u] = row.get(u, 0) + 1
             v = u
         t = parent[_SNK]
+        live = self._live
+        if t >> 1 != aim:
+            live.append(live.pop(0))
         if not cap[t][_SNK]:
-            self._aim(self.live - {t >> 1}, t >> 1)
+            live.remove(t >> 1)
+        nxt = live[0] if live else None
+        if nxt != aim:
+            self._steer(nxt)
         return True
 
     def max_flow(self, limit: int | None = None) -> int:
@@ -321,19 +271,19 @@ class UnitFlowNet:
         neither split node of w.  So P is cancelled, one search runs per
         interior vertex of P with that vertex blocked, and P is pushed
         back: the net is left as it was found.  While P is cancelled its
-        sink takes flow again, so the searches are steered toward it too.
+        sink takes flow again, so the searches are aimed at it.
         """
         out: set[int] = set()
-        live = self.live
+        aim = self.aim
         for path in self.unit_paths():
             nodes = _nodes(path)
             self._push(nodes, -1)
-            self._aim(live | {path[-1]})
+            self._steer(path[-1])
             for w in path[1:-1]:
                 if _SNK not in self._search({_in(w): _in(w), _out(w): _out(w)}):
                     out.add(w)
             self._push(nodes, 1)
-        self._aim(live)
+        self._steer(aim)
         return out
 
     def unit_paths(self) -> list[tuple[int, ...]]:

@@ -231,7 +231,7 @@ def _hops(view, u: int, v: int, blocked: set[int]) -> int | None:
     popped its key is exact, and the search stays near the shortest paths.
     With no distance (0 everywhere) the search is breadth-first.
     """
-    h, fill = sink_distances(view, (v,))
+    h, dist = sink_distances(view, v)
     best = {u: 0}
     heap = [(0, 0, u)]  # (g + h, -g, vertex): deepest first on a tie
     while heap:
@@ -247,7 +247,7 @@ def _hops(view, u: int, v: int, blocked: set[int]) -> int | None:
                 continue
             hx = h.get(x)
             if hx is None:
-                hx = fill(view, x)
+                hx = h[x] = dist(x)
             best[x] = g
             heappush(heap, (g + hx, -g, x))
     return None
@@ -271,19 +271,19 @@ def _enum_segments(view, u: int, v: int, blocked: set[int],
     start = shortest
     if floor_key is not None:
         start = max(start, floor_key[0] - 1)
-    to_v, fill = sink_distances(view, (v,))
+    to_v, dist = sink_distances(view, v)
     for length in range(start, top):
-        for seg in _extend(view, [u], set(), v, blocked, to_v, fill, length):
+        for seg in _extend(view, [u], set(), v, blocked, to_v, dist, length):
             if floor_key is None or _seg_key(seg) > floor_key:
                 yield seg
 
 
 def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
-            to_v: dict[int, int], fill, length: int):
+            to_v: dict[int, int], dist, length: int):
     """Completions of ``path`` into segments ending at v with ``length``
     edges, in the view's neighbor order; ``used`` holds path's interior.  A
     vertex is entered only when its distance to v (memoised in ``to_v``,
-    computed by ``fill``; see ``flow.sink_distances``) fits the edges left
+    computed by ``dist``; see ``flow.sink_distances``) fits the edges left
     after it: a lower bound on the hops, so no completion is lost.  A
     module-level generator, so a search leaves no closure cycle behind."""
     room = length - len(path)  # edges still to place after this hop
@@ -294,11 +294,11 @@ def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
         elif room > 0 and w not in blocked and w not in used:
             d = to_v.get(w)
             if d is None:
-                d = fill(view, w)
+                d = to_v[w] = dist(w)
             if d <= room:
                 path.append(w)
                 used.add(w)
-                yield from _extend(view, path, used, v, blocked, to_v, fill, length)
+                yield from _extend(view, path, used, v, blocked, to_v, dist, length)
                 path.pop()
                 used.discard(w)
 

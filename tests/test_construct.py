@@ -347,17 +347,24 @@ def test_routed_pairs_are_vertex_disjoint_or_insufficient():
         module._route_pairs(walled, pairs)
 
 
-@pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
-def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
-    # the first four seeded triples of each kind at n = 20, each built from
-    # a few thousand neighbour rows of a 2^20-vertex cube
-    n = 20
+def first_seeded_triples(n, same_half):
+    """The first four ``random.Random(3)`` triples of AQ_n inside one half
+    (``same_half``) or spanning both."""
     rng = random.Random(3)
     trips = []
     while len(trips) < 4:
         d = tuple(rng.sample(range(2**n), 3))
         if (len({v >> (n - 1) for v in d}) == 1) == same_half:
             trips.append(d)
+    return trips
+
+
+@pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
+def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
+    # the first four seeded triples of each kind at n = 20, each built from
+    # a few thousand neighbour rows of a 2^20-vertex cube
+    n = 20
+    trips = first_seeded_triples(n, same_half)
     queries = [0]
     for cls in (AugmentedCube, PrefixView, RestrictedView):
         def counted(self, x, _rows=cls.neighbors):
@@ -367,6 +374,20 @@ def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
         monkeypatch.setattr(cls, "neighbors", counted)
     for d in trips:
         queries[0] = 0
+        fam = construct(n, d)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(AugmentedCube(n), d, fam.paths) is None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
+def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch):
+    # past the guard: the first four seeded triples of each kind at n = 40
+    # (0.4-0.9 s each on a 2-core x86 box, peak RSS 61-92 MB)
+    module = importlib.import_module("aqpath.construct")
+    n = 40
+    monkeypatch.setattr(module, "CONSTRUCT_MAX_N", n)
+    for d in first_seeded_triples(n, same_half):
         fam = construct(n, d)
         assert len(fam.paths) == target_count(n)
         assert check_family(AugmentedCube(n), d, fam.paths) is None

@@ -18,9 +18,9 @@ from aqpath.cube import (
     complement_word,
     distance,
     distance_table,
+    distance_to,
     hyper_word,
     map_vertex,
-    nearest_sink,
     orbit_representatives,
     run_parity_table,
     symmetries,
@@ -340,8 +340,8 @@ def test_adjacency_list_views_have_no_distance():
     g = AdjListView([(0, 1), (1, 2)], bits=2)
     assert g.distance(0, 2) == 0
     assert RestrictedView(g, forbidden_vertices={1}).distance(0, 2) == 0
-    assert g.nearest_sink((0, 2))(1) == (0, 0)
-    assert RestrictedView(g, forbidden_vertices={1}).nearest_sink((2,))(0) == (0, 0)
+    assert g.distance_to(2)(1) == 0
+    assert RestrictedView(g, forbidden_vertices={1}).distance_to(2)(0) == 0
 
 
 def test_the_distance_table_holds_every_distance():
@@ -410,12 +410,12 @@ WIDE_GRAY_WORDS = {  # (the words, how many)
 def test_wide_distances_are_read_in_chunks(words, want):
     # a vertex x at distance(x, 0) from the sink 0 has the gray word
     # x ^ (x >> 1), read in 20-bit chunks above the table
-    nearest = nearest_sink(64, (0,))
+    dist = distance_to(64, 0)
     count = 0
     for y in words():
         x = from_gray(y)
         assert x ^ (x >> 1) == y
-        assert nearest(x) == (distance(x, 0), 0)
+        assert dist(x) == distance(x, 0)
         count += 1
     assert count == want
 
@@ -430,14 +430,15 @@ def test_the_widest_construct_reads_its_distances_in_chunks():
     rng = random.Random(n)
     sinks = rng.sample(range(1 << n), 5)
     # every gray word offset from the first sink in the bits around the
-    # boundary at bit 20, and random vertices
-    near_boundary = [sinks[0] ^ from_gray(w << 14) for w in range(1 << n - 14)]
-    nearest = cube.nearest_sink(sinks)
-    h, fill = sink_distances(cube, sinks)
-    for x in near_boundary + rng.sample(range(1 << n), 3000):
-        ds = [distance(x, s) for s in sinks]
-        assert nearest(x) == (min(ds), ds.index(min(ds)))
-        assert fill(cube, x) == h[x] == min(ds)
+    # boundary at bit 20, and random vertices for every sink
+    t = sinks[0]
+    dist = cube.distance_to(t)
+    for x in (t ^ from_gray(w << 14) for w in range(1 << n - 14)):
+        assert dist(x) == distance(x, t)
+    for t in sinks:
+        _, dist = sink_distances(cube, t)
+        for x in rng.sample(range(1 << n), 600):
+            assert dist(x) == distance(x, t)
 
 
 def test_cube_views_share_the_cube_table():
@@ -450,11 +451,10 @@ def test_cube_views_share_the_cube_table():
                  RestrictedView(cube.half_view(0), forbidden_vertices={3}))
         rng = random.Random(bits)
         for view in views:
-            for sinks in ((3, 77, 200), (200, 77, 3), (77, 6), (200,)):
-                nearest = view.nearest_sink(sinks)
+            for t in (3, 77, 200, 6):
+                dist = view.distance_to(t)
                 for x in rng.sample(range(1 << bits), 200):
-                    ds = [distance(x, s) for s in sinks]
-                    assert nearest(x) == (min(ds), ds.index(min(ds)))
+                    assert dist(x) == distance(x, t)
         assert run_parity_table.cache_info().currsize == (bits > DISTANCE_TABLE_MAX_BITS)
 
 

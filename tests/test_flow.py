@@ -284,8 +284,8 @@ def test_a_fan_is_not_drawn_to_full_targets():
 
 def test_a_double_role_packing_in_a_huge_half_stays_local():
     # three far terminals joined pairwise: each relaxation gives one
-    # terminal both roles, and its flows and spare-vertex searches must
-    # still head for sinks that take flow (about 8,500 rows)
+    # terminal both roles, and its flows must still head for a sink that
+    # takes flow; the first relaxation's flow classifies
     half = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
     half.limit = 20_000
     a, b = int("110" + "0110" * 9, 2), int("011" + "1010" * 9, 2)
@@ -300,7 +300,7 @@ def test_a_double_role_packing_in_a_huge_half_stays_local():
         assert [(seg[0], seg[-1]) for seg in segs] == [(u, v)] * c
         for seg in segs:
             assert all(half.is_adjacent(x, y) for x, y in zip(seg, seg[1:]))
-    assert budget.used == 2
+    assert budget.used == 1
 
 
 def test_a_far_search_reads_under_one_percent_of_the_rows():
@@ -490,52 +490,61 @@ def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
     assert cube_distance_calls[0] == 0
 
 
-@pytest.mark.parametrize("make, source, sinks", [
+@pytest.mark.parametrize("make, source, sinks, misses", [
     (lambda: UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1),
-     0, (0b110011, 0b1011 << 20, 0b11 << 30)),
-    (lambda: random_graph(7), 0, (5, 9)),
+     0, (0b110011, 0b1011 << 20, 0b11 << 30), 0),
+    (lambda: random_graph(7), 0, (5, 9), 1),
     (lambda: RestrictedView(AugmentedCube(10).half_view(1),
                             forbidden_vertices={513, 600, 700},
                             forbidden_edges=[(512, 1023)]),
-     512, (0b1110011001, 0b1001100110, 0b1111111111)),
+     512, (0b1110011001, 0b1001100110, 0b1111111111), 1),
     # the 17 targets of a cross-half fan at n = 10
     (lambda: AugmentedCube(10).half_view(1),
-     0b1011001110, tuple(random.Random(17).sample(range(512, 1024), 17))),
+     0b1011001110, tuple(random.Random(17).sample(range(512, 1024), 17)), 1),
 ], ids=["wide-half", "adjlist", "restricted", "fan-17"])
-def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks):
+def test_heuristic_values_are_the_nearest_sink_distance(make, source, sinks, misses):
     # one unit at a time: each search is steered by the distance to the
-    # nearest sink whose sink arc still has capacity; when a sink fills,
-    # the table for the sinks left is derived from the one before
+    # net's aim, the first sink in the sink order that still takes flow; a
+    # search aimed at it that ends at another sink moves it behind the
+    # others, and critical() aims at the sink of each path it cancels and
+    # then back (``misses`` searches end at a sink they were not aimed at)
     view = make()
     assert source not in sinks
     net = UnitFlowNet(view, {source: len(sinks)}, dict.fromkeys(sinks, 1),
                       {source, *sinks})
 
-    def nearest(h, live):
+    def takes_flow(t):
+        return net.cap.get(2 * t, {-2: 1})[-2] > 0
+
+    def aimed(h, t):
         for x, d in h.items():
-            assert d == (0 if x == -1 else min(view.distance(x, t) for t in live))
+            assert d == (0 if x == -1 else view.distance(x, t))
 
     seen = {}
-    carried = 0
+    order = list(sinks)  # the sinks that take flow, the aim first
+    missed = 0
     for unit in range(len(sinks)):
-        live = [t for t in sinks if net.cap.get(2 * t, {-2: 1})[-2]]
-        assert len(live) == len(sinks) - unit  # every sink before the first push
-        h = net.h
-        nearest(h, live)
-        carried += len(h) > 1  # entries kept from the table before
+        t, h = net.aim, net.h
+        assert t == order[0] and takes_flow(t)
+        assert [s for s in sinks if takes_flow(s)] == sorted(order, key=sinks.index)
+        aimed(h, t)
         if unit:
-            net.critical()  # aims at one more sink and back
-            assert net.h is h
-            nearest(h, live)
+            net.critical()
+            assert net.aim == t and net.h is h
         assert net.max_flow(limit=1) == 1
-        nearest(h, live)  # the entries this unit's search filled
+        aimed(h, t)  # the entries this unit's search filled
         seen.update(h)
+        ended, = (s for s in order if not takes_flow(s))
+        if ended != t:
+            missed += 1
+            order.append(order.pop(0))
+        order.remove(ended)
+    assert net.aim is None
     assert net.max_flow() == 0
     assert len(seen) > 10
     if isinstance(view, AdjListView):
         assert set(seen.values()) == {0}
-    else:
-        assert carried > 0
+    assert missed == misses
 
 
 @pytest.mark.parametrize("make", [
@@ -549,10 +558,11 @@ def test_single_sink_distances_are_the_view_distance(make):
     view = make()
     verts = list(view.vertices())
     for v in verts[::37]:
-        h, fill = sink_distances(view, (v,))
+        h, dist = sink_distances(view, v)
+        assert sink_distances(view, v)[0] is h  # one table per view and sink
         for x in verts:
             want = 0 if isinstance(view, AdjListView) else view.distance(x, v)
-            assert fill(view, x) == h[x] == want
+            assert dist(x) == h.get(x, want) == want
 
 
 @pytest.mark.parametrize("make, u, v, others", [
@@ -561,7 +571,7 @@ def test_single_sink_distances_are_the_view_distance(make):
     (lambda: random_graph(7), 0, 9, ()),
     (lambda: RestrictedView(AugmentedCube(40).half_view(0), forbidden_vertices={1}),
      0, 0b110011001, ()),
-    # the tables derived as the fan's targets fill go with the view too
+    # the tables of the targets a fan aims at go with the view too
     (lambda: AugmentedCube(10).half_view(0), 0, 0b110011001,
      (0b101010101, 0b011110000, 0b111111111, 0b100000011)),
     (lambda: AugmentedCube(40).half_view(0), 0, 0b110011001,
@@ -580,17 +590,19 @@ def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v, others):
     assert gone() is None
 
 
-def test_a_fan_keeps_its_first_and_last_tables_cached():
-    # each filled target derives the next table from the one before; a
-    # derived table leaves the view's cache once the next is derived
-    # from it, so the cache does not hold a copy per target
+def test_a_fan_caches_one_table_per_aimed_target():
+    # each search reads the table of the one target it aims at; the view
+    # caches a table per target aimed at, none for a set of targets, and
+    # none is derived from another
     view = AugmentedCube(10).half_view(1)
     targets = random.Random(17).sample(range(512, 1024), 17)
     assert len(fan(view, 0b1011001110, targets)) == 17
     cached = flow._TO_SINK[view]
-    assert frozenset(targets) in cached
-    assert len(cached) <= 3  # the 17 targets, the last one left, none
-    assert sum(table[4] for table in cached.values()) <= 1  # derived
+    assert set(cached) <= set(targets)
+    assert len({id(h) for h, _ in cached.values()}) == len(cached)
+    for t, (h, dist) in cached.items():
+        assert h[-1] == 0
+        assert all(d == dist(x) == view.distance(x, t) for x, d in h.items() if x != -1)
 
 
 def decomposition_by_node_encoding(net):

@@ -302,6 +302,18 @@ def test_pinned_dimension_four_values_are_unchanged():
     assert pi3_exact(cube) == min(zip(map(int, PINNED_AQ4), pinned))
 
 
+def test_a_swept_view_answers_as_a_fresh_one():
+    # the sink-distance tables are shared by every call over one view, so
+    # the 105 pinned triples after a full sweep of the same view must get
+    # the value and witness a fresh view gives
+    shared = AugmentedCube(4)
+    pinned = [(0, b, c) for b, c in itertools.combinations(range(1, 16), 2)]
+    swept = [max_dpaths(shared, D) for D in pinned]
+    fresh = [max_dpaths(AugmentedCube(4), D) for D in pinned]
+    assert swept == fresh
+    assert [max_dpaths(shared, D) for D in pinned] == fresh
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_orbit_sweep_matches_the_pinned_sweep(n):
     cube = AugmentedCube(n)
