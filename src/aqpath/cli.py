@@ -67,13 +67,9 @@ def cmd_neighbors(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    cube = AugmentedCube(args.n)
+    # construct verifies its family; one that fails raises ConstructionError
     trip = _parse_triple(args.triple, args.n)
     fam = construct(args.n, trip)
-    bad = check_family(cube, trip, fam.paths)
-    if bad is not None:  # construct verifies internally; this is belt and braces
-        print(f"VIOLATION {bad}", file=sys.stderr)
-        return 1
     sys.stdout.write(textio.render_family(
         trip, fam.paths, args.n, trace=fam.trace if args.trace else None))
     print(f"OK {len(fam.paths)}", file=sys.stderr)  # keep stdout pipeable

@@ -14,9 +14,11 @@ they give the XOR word that relocates the triple where its case expects it,
 the case, and the vertices playing x, y, z; the trace records all three.
 The cases by how the triple meets the two-leading-bit decomposition:
 
-    B1/B2/B3.x   dimension-4 base cases
-    E1.x         even n, all three in one quadrant: recurse two dimensions
-                 down, then add three cross-quadrant paths
+    B1           n = 4, all three in one quadrant: one explicit family
+    B3.2         n = 4, across the halves with the pair not suffix mates:
+                 a bundle in one half and a fan in the other
+    E1.x         even n > 4, all three in one quadrant: recurse two
+                 dimensions down, then add three cross-quadrant paths
     E2.x, E3     even n, direct ladders within one half or across the halves
     O1           odd n, all in one half: recurse one dimension down, then
                  one extra path over the other half
@@ -28,7 +30,8 @@ assembler, ``_ladder``: a maximum bundle of x-y paths in one sub-cube is
 split into backbones and attachment paths, z fans out in the sibling
 sub-cube, and each rung runs along a backbone to the vertex next to x or y
 on an attachment path, over that vertex's matching edge across a mask word,
-and along the fan to z.  B2 and B3.2 share one bundle-and-fan base builder.
+and along the fan to z.  The even-step builders serve n = 4 as well, so
+only B1 and B3.2, which no general builder covers, keep a builder of their own.
 
 Every level ends at the verifier: the family must have the target count
 and pass ``verify.check_family``.  There is one code path.  If a
@@ -57,7 +60,7 @@ from .oracle import ResourceGuard
 from .verify import check_family
 
 # dispatcher case labels (B = dimension-4 base, E = even step, O = odd step)
-CASE_B1, CASE_B2, CASE_B31, CASE_B32 = "B1", "B2", "B3.1", "B3.2"
+CASE_B1, CASE_B32 = "B1", "B3.2"
 CASE_E11, CASE_E12 = "E1.1", "E1.2"
 CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
@@ -169,9 +172,8 @@ def _normalize(cube, trip):
     word = lead & (h1w | h2w) if same_half else lead & h1w
     x, y, z = xyz = tuple(sorted(v ^ word for v in trip))
     if not same_half:
-        if n == 4:
-            # x < y, so x is the one in quadrant 00 when y = x ^ c2w
-            return word, CASE_B31 if x ^ y == c2w else CASE_B32, xyz
+        if n == 4 and x ^ y != c2w:
+            return word, CASE_B32, xyz
         return word, CASE_O2 if n % 2 else CASE_E3, xyz
     if n % 2 == 1:
         return word, CASE_O1, _roles_avoiding_mate(xyz, c2w)
@@ -185,8 +187,6 @@ def _normalize(cube, trip):
             z = next(v for v in xyz if v not in mate)
             return word, CASE_E11, (*mate, z)
         return word, CASE_E12, xyz
-    if n == 4:
-        return word, CASE_B2, xyz
     if z ^ c2w in (x, y):  # z's mate is in the pair: it plays x
         return word, CASE_E21, (z ^ c2w, x ^ y ^ z ^ c2w, z)
     return word, CASE_E22, xyz
@@ -310,36 +310,16 @@ def _base_one_quadrant(cube, x, y, z):
 
 
 def _base_bundle(cube, x, y, z):
-    # B2 (x, y in quadrant 00, z in 01) and B3.2 (x, y in half 0, z in
-    # half 1): ``h`` is the leading bit that parts z's side from x's side,
-    # each side is a diamond of two quadrants, and the four bundle paths
-    # cross to z's side over h and over the complement word 1111
-    h = 0b1000 if cube.half(z) else 0b0100
-    qh = h >> 2  # the same bit among the quadrant labels
-    bundle = disjoint_paths(cube.diamond_view(0b00, 0b11 ^ qh), x, y, 4)
-    fanm = _fan_map(cube.diamond_view(qh, 0b11), z,
-                    [x ^ h, y ^ h, x ^ 0b1111, y ^ 0b1111])
+    # x, y in half 0, z in half 1: the four bundle paths cross to z's half
+    # over the leading bit h and over the complement word 1111
+    h = 0b1000
+    bundle = disjoint_paths(cube.half_view(0), x, y, 4)
+    fanm = _fan_map(cube.half_view(1), z, [x ^ h, y ^ h, x ^ 0b1111, y ^ 0b1111])
     return [
         _rev(bundle[0]) + _cross(fanm, h, x),
         list(bundle[1]) + _cross(fanm, h, y),
         _rev(bundle[2]) + _cross(fanm, 0b1111, x),
         list(bundle[3]) + _cross(fanm, 0b1111, y),
-    ]
-
-
-def _base_cross_half_mated(cube, x, y, z):
-    # y is x's whole-suffix mate across the sibling quadrants; z in half 1.
-    # All eight half-0 vertices are named and wired explicitly.
-    h1w, h2w = 0b1000, 0b0100
-    x3 = x ^ 0b0011
-    x1, x2 = sorted((x ^ 0b0010, x ^ 0b0001))
-    y1, y2, y3 = x1 ^ h2w, x2 ^ h2w, x ^ h2w
-    fanm = _fan_map(cube.half_view(1), z, [x ^ h1w, y ^ h1w, x2 ^ h1w, y2 ^ h1w])
-    return [
-        [y, x] + _cross(fanm, h1w, x),
-        [x, x3, y] + _cross(fanm, h1w, y),
-        [y, y3, x, x2] + _cross(fanm, h1w, x2),
-        [x, x1, y1, y, y2] + _cross(fanm, h1w, y2),
     ]
 
 
@@ -392,20 +372,18 @@ def _even_pair_sibling_mated(cube, x, y, z):
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
     bundle = disjoint_paths(cube.quadrant_view(0b00), x, y, 2 * n - 5)
-    # a pair with four shared neighbors forces five short bundle members, in
-    # which case one mid-band path is rerouted through x's own sibling image
-    # (otherwise unused) and tolerates a one-interior attachment on y's side
-    short = sum(1 for p in bundle if len(p) >= 4) < n - 3
-    n_long, n_flex, extra = (n - 4, 1, [x, y]) if short else (n - 3, 0, [y])
-    ps, xi, yi, fi, fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
-                                  extra, n_long, n_flex, -2)
+    # n - 4 attachment paths carry the ladder's rungs; one more member needs
+    # only an interior vertex f next to y, and its rung runs from x through
+    # x's own sibling image (otherwise unused), along the fan to f's image
+    ps, xi, yi, (f,), fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
+                                    [x, y], n - 4, 1, -2)
     k = n // 2 - 2
-    paths = _ladder(x, y, ps, xi, yi, k, fanm, h2w)
-    paths += [[x] + _cross(fanm, h2w, x, w) + [w, y] for w in fi]
-    paths.append([x] + fanm[y ^ h2w] + [y])        # x-z edge, fan back to y
-    paths.append(_rev(ps[2 * k]) + [x ^ h1w, z])   # z's complement is x^h
-    paths.append(_rev(ps[2 * k + 1]) + [x ^ c1w, z])
-    return paths
+    return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
+        [x] + _cross(fanm, h2w, x, f) + [f, y],
+        [x] + fanm[y ^ h2w] + [y],             # x-z edge, fan back to y
+        _rev(ps[2 * k]) + [x ^ h1w, z],        # z's complement is x^h
+        _rev(ps[2 * k + 1]) + [x ^ c1w, z],
+    ]
 
 
 def _even_pair_sibling_generic(cube, x, y, z):
@@ -476,8 +454,6 @@ def _odd_cross_half(cube, x, y, z):
 # follow the sub-family's)
 _CASES = {
     CASE_B1: (_base_one_quadrant, 0),
-    CASE_B2: (_base_bundle, 0),
-    CASE_B31: (_base_cross_half_mated, 0),
     CASE_B32: (_base_bundle, 0),
     CASE_E11: (_even_one_quadrant_mated, 2),
     CASE_E12: (_even_one_quadrant_generic, 2),

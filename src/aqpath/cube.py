@@ -43,9 +43,9 @@ Conventions
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
 restriction) answers adjacency with the cube's masks filtered by
-membership, and distance with the cube's value.  A prefix view filters
-once, per prefix: it keeps the mask words that stay inside it, and a row
-is those words applied to the vertex.
+membership, and distance (``distance_to``) with the cube's value.  A
+prefix view filters once, per prefix: it keeps the mask words that stay
+inside it, and a row is those words applied to the vertex.
 """
 
 from __future__ import annotations
@@ -313,12 +313,9 @@ class PrefixView:
         # the mask test first: a non-adjacent pair costs one set lookup
         return (x ^ y) in self.mask_words and x in self and y in self
 
-    # the cube's distance: a lower bound on hops inside the view
-    distance = staticmethod(distance)
-
     def distance_to(self, t: int) -> Callable[[int], int]:
-        """x -> the cube's distance from x to t; the function does not
-        refer to the view."""
+        """x -> the cube's distance from x to t, a lower bound on hops
+        inside the view; the function does not refer to the view."""
         return distance_to(self.bits, t)
 
 
@@ -431,11 +428,8 @@ class RestrictedView:
                 and frozenset((x, y)) not in self.forbidden_edges
                 and self.base.is_adjacent(x, y))
 
-    def distance(self, x: int, y: int) -> int:
-        """The base's distance: a lower bound on hops with fewer edges."""
-        return self.base.distance(x, y)
-
     def distance_to(self, t: int) -> Callable[[int], int]:
+        """The base's distances: a lower bound on hops with fewer edges."""
         return self.base.distance_to(t)
 
 
@@ -468,12 +462,8 @@ class AdjListView:
     def is_adjacent(self, x: int, y: int) -> bool:
         return x in self._adj and y in self._adj[x]
 
-    def distance(self, x: int, y: int) -> int:
-        """No known bound on an arbitrary graph, so 0."""
-        return 0
-
     def distance_to(self, t: int) -> Callable[[int], int]:
-        """x -> 0: every distance is 0 (see ``distance``)."""
+        """x -> 0: no known bound on an arbitrary graph."""
         return lambda x: 0
 
     def edges(self) -> list[tuple[int, int]]:

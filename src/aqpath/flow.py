@@ -99,8 +99,7 @@ def sink_distances(view, t: int) -> tuple[dict[int, int], Callable[[int], int]]:
     ``dist`` that computes a missing entry: a caller that finds no h[x]
     stores ``h[x] = dist(x)``.  The key -1 (the source and sink nodes of a
     net) holds 0.  ``dist`` is the view's ``distance_to(t)`` (table
-    lookups for a cube view, 0 for an adjacency list), so no search asks
-    ``view.distance``."""
+    lookups for a cube view, 0 for an adjacency list)."""
     per_view = _TO_SINK.setdefault(view, {})
     got = per_view.get(t)
     if got is None:

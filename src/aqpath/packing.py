@@ -80,8 +80,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self, cost: int = 1) -> None:
-        self.used += cost
+    def tick(self) -> None:
+        self.used += 1
         if self.limit is not None and self.used > self.limit:
             raise SearchBudgetExceeded(f"search budget {self.limit} exhausted")
 

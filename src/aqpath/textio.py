@@ -27,9 +27,8 @@ def parse_vertex(token: str, bits: int) -> int:
     return int(token, 2)
 
 
-def render_graph(view, bits: int | None = None) -> str:
-    if bits is None:
-        bits = view.bits
+def render_graph(view) -> str:
+    bits = view.bits
     kind = "AQ" if isinstance(view, AugmentedCube) else "G"
     n = view.n if kind == "AQ" else bits
     lines = [f"{kind} n={n}"]

@@ -87,8 +87,8 @@ def test_dimension_seven_certification_scale():
 
 def test_forced_short_bundle_builds_without_fallback():
     # the sibling-pair mate case where the pair shares four neighbors: every
-    # maximum bundle carries five short members, exercising the reroute
-    # through x's own sibling image
+    # maximum bundle carries five short members, and the E2.1 layout needs
+    # only n - 4 long ones
     fam = construct(6, (0b000001, 0b000010, 0b011110))
     assert len(fam.paths) == 7
     assert fam.trace[0].case == "E2.1"
@@ -215,16 +215,11 @@ def reference_normalize(cube, trip):
     if pattern == "sibling-pair":
         if n % 2 == 1:
             return word, "O1", roles_avoiding_mate(sorted(roles), c2w)
-        if n == 4:
-            return word, "B2", roles
         if z0 ^ c2w in (x0, y0):
             x = z0 ^ c2w
             return word, "E2.1", (x, y0 if x == x0 else x0, z0)
         return word, "E2.2", roles
-    if n == 4:
-        if x0 ^ y0 == c2w:
-            x = x0 if cube.quadrant(x0) == 0 else y0
-            return word, "B3.1", (x, y0 if x == x0 else x0, z0)
+    if n == 4 and x0 ^ y0 != c2w:
         return word, "B3.2", roles
     return word, "O2" if n % 2 == 1 else "E3", roles
 
@@ -298,8 +293,8 @@ def test_unverified_family_raises_construction_error(monkeypatch):
 
 @pytest.mark.parametrize("case, n, trip", [
     ("B1", 4, (0, 1, 2)),
-    ("B2", 4, (0, 1, 4)),
-    ("B3.1", 4, (0, 7, 8)),
+    ("E2.2", 4, (0, 1, 4)),
+    ("E3", 4, (0, 7, 8)),
     ("B3.2", 4, (0, 1, 8)),
     ("E1.1", 6, (0, 1, 14)),
     ("E1.2", 6, (0, 1, 2)),
@@ -308,12 +303,45 @@ def test_unverified_family_raises_construction_error(monkeypatch):
     ("E3", 6, (0, 1, 32)),
     ("O1", 5, (0, 1, 2)),
     ("O2", 5, (0, 1, 16)),
+    ("E2.1", 4, (0, 1, 6)),
 ])
 def test_every_dispatch_case_builds_its_family(case, n, trip):
     fam = construct(n, trip)
     assert fam.trace[0].case == case
     assert len(fam.paths) == target_count(n)
     assert check_family(AugmentedCube(n), trip, fam.paths) is None
+
+
+def test_every_triple_of_small_cubes_reaches_every_case():
+    # no entry of the case table outlives its last triple
+    module = importlib.import_module("aqpath.construct")
+    seen = set()
+    for n in (4, 5, 6):
+        cube = AugmentedCube(n)
+        seen.update(module._normalize(cube, trip)[1]
+                    for trip in itertools.combinations(range(1 << n), 3))
+    assert seen == set(module._CASES)
+
+
+def build_every_pair_sibling_mated_input(n):
+    # every input (x, y, x ^ c2w) of the E2.1 builder, x != y in quadrant 00
+    cube = AugmentedCube(n)
+    c2w = (1 << (n - 1)) - 1
+    for x, y in itertools.permutations(range(1 << (n - 2)), 2):
+        trip = (x, y, x ^ c2w)
+        fam = construct(n, trip)
+        assert (fam.trace[0].case, fam.trace[0].roles) == ("E2.1", trip)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(cube, trip, fam.paths) is None, trip
+
+
+def test_every_pair_sibling_mated_input_builds_at_dimension_six():
+    build_every_pair_sibling_mated_input(6)
+
+
+@pytest.mark.slow
+def test_every_pair_sibling_mated_input_builds_at_dimension_eight():
+    build_every_pair_sibling_mated_input(8)
 
 
 def test_every_dimension_eight_pair_routing_builds():
