@@ -55,7 +55,7 @@ import dataclasses
 import itertools
 
 from .cube import AugmentedCube, RestrictedView
-from .flow import Insufficient, disjoint_paths, fan, linkage
+from .flow import Insufficient, UnitFlowNet, disjoint_paths, fan, linkage
 from .oracle import ResourceGuard
 from .verify import check_family
 
@@ -67,8 +67,8 @@ CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: on a 2-core x86 box a
 # triple takes under 0.1 s at n = 20, the width of the cube's distance
-# table, and 0.2-0.35 s at n = 32, where sink distances are read from it
-# in 20-bit chunks
+# table, and 0.15-0.25 s at n = 32, where sink distances are counted in
+# closed form
 CONSTRUCT_MAX_N = 32
 
 
@@ -281,13 +281,17 @@ def _ladder(x, y, ps, xi, yi, k, fanm, mask):
 
 
 def _route_pairs(view, pairs):
-    """Vertex-disjoint paths joining each pair in turn, each avoiding the
-    other pairs' ends and the paths already routed (else ``Insufficient``)."""
+    """Vertex-disjoint paths joining each pair in turn, each one flow path
+    over ``view`` blocked at the other pairs' ends and the paths already
+    routed (else ``Insufficient``); the pairs share the view's memoised
+    rows and sink distances."""
     blocked = {v for pair in pairs for v in pair}
     routed = []
     for a, b in pairs:
-        free = RestrictedView(view, forbidden_vertices=blocked - {a, b})
-        (path,) = disjoint_paths(free, a, b, 1)
+        net = UnitFlowNet(view, {a: 1}, {b: 1}, blocked)
+        if not net.max_flow(limit=1):
+            raise Insufficient(0, 1)
+        (path,) = net.unit_paths()
         blocked.update(path)
         routed.append(list(path))
     return routed

@@ -27,18 +27,14 @@ Conventions
 - The distance between u and v is the fewest mask words whose XOR is
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
-  It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone,
-  so ``distance_table(bits)`` holds it for every y below 2**bits in one
-  cached ``bytes`` object, built on first use (1 KB at 10 bits, 1 MB at
-  20).  A wider y is read in 20-bit chunks: the distance is the sum of
-  ceil(L/2) over the runs of 1s in y, so the chunks' table values add up
-  to it, except that a run cut by a chunk boundary into two odd parts
-  counts one too many.  ``run_parity_table`` holds, per chunk, the
-  parities of its two edge runs; it is built only when a reader wider
-  than the table is first made.  ``distance_to(bits, t)`` hides both: it
-  returns the function from x to its distance to t, and the flow and
-  packing searches read every sink distance through a view's
-  ``distance_to``.
+  It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone:
+  the sum of ceil(L/2) over the runs of 1s in y.  ``distance_table(bits)``
+  holds it for every y below 2**bits in one cached ``bytes`` object,
+  built on first use (1 KB at 10 bits, 1 MB at 20); a wider y is counted
+  in a few integer operations, with nothing tabulated.
+  ``distance_to(bits, t)`` hides both: it returns the function from x to
+  its distance to t, and the flow and packing searches read every sink
+  distance through a view's ``distance_to``.
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
@@ -131,66 +127,29 @@ def distance_table(bits: int) -> bytes | None:
     return got
 
 
-_KEEP_TOP = bytes(x & 2 for x in range(256))
-_FLIP_BOTTOM = bytes(x ^ 1 for x in range(256))
-
-
-@functools.cache
-def run_parity_table() -> bytes:
-    """The table p over the chunks c < 2**DISTANCE_TABLE_MAX_BITS with bit
-    0 of p[c] set when the run of 1s starting at bit 0 of c has odd length
-    and bit 1 set when the run of 1s ending at the chunk's top bit does.
-
-    Reading a gray word y in chunks from the low end, with t the
-    ``distance_table`` of the chunk width: distance(0, w) is the sum of
-    t[c] over the chunks of y, less 1 at each boundary where the run
-    reaching it from below and the run starting above it (bit 0 of the
-    next chunk) both have odd length.  A chunk of all ones continues the
-    run below it, so the run reaching its top keeps that run's parity.
-
-    Each pass adds a bit below the chunk: c = 2m + b has m's top run
-    (unless m is all ones) and the bottom run 0 when b = 0, one more than
-    m's when b = 1.  Built once, on first use, and cached.
-    """
-    p = bytearray(b"\0")  # the empty word: both runs have length 0
-    for bits in range(1, DISTANCE_TABLE_MAX_BITS + 1):
-        nxt = bytearray(2 * len(p))
-        nxt[0::2] = p.translate(_KEEP_TOP)
-        nxt[1::2] = p.translate(_FLIP_BOTTOM)
-        nxt[-1] = 3 * (bits % 2)  # all ones: one run of length bits
-        p = nxt
-    return bytes(p)
-
-
-_CHUNK_BITS = DISTANCE_TABLE_MAX_BITS
-_CHUNK = (1 << _CHUNK_BITS) - 1
-
-
 def distance_to(bits: int, t: int) -> Callable[[int], int]:
     """The function ``dist(x)`` giving distance(x, t) for vertices below
-    2**bits.  It holds t's gray word and looks g(x) ^ g(t) up in
-    ``distance_table(bits)``; above ``DISTANCE_TABLE_MAX_BITS`` it reads
-    the word in chunks of that width with the boundary correction of
-    ``run_parity_table``."""
+    2**bits, read from the gray word y = g(x) ^ g(t), g(w) = w ^ (w >> 1).
+
+    Up to ``DISTANCE_TABLE_MAX_BITS`` it looks y up in
+    ``distance_table(bits)``.  Above, it counts: a run of 1s of length L
+    in y holds ceil(L/2) bits at positions of its lowest bit's parity.
+    Adding to y the lowest bits of its runs that sit at even positions
+    carries each of those runs away, so y & that sum keeps the runs whose
+    lowest bit is odd; XOR with y's even-position bits leaves, in every
+    run, exactly the bits of its lowest bit's parity.
+    """
     gt = t ^ (t >> 1)
     table = distance_table(bits)
     if table is not None:
         lookup = table.__getitem__
         return lambda x: lookup(x ^ (x >> 1) ^ gt)
-    table = distance_table(_CHUNK_BITS)
-    parities = run_parity_table()
+    even = (4 ** ((bits + 1) // 2) - 1) // 3  # bits 0, 2, 4, ... below bits
 
     def dist(x: int) -> int:
         y = x ^ (x >> 1) ^ gt
-        d = odd = 0  # odd: the run reaching this chunk has odd length
-        while y:
-            c = y & _CHUNK
-            p = parities[c]
-            d += table[c] - (odd & p)
-            if c != _CHUNK:  # a chunk of all ones passes odd on
-                odd = p >> 1
-            y >>= _CHUNK_BITS
-        return d
+        ye = y & even
+        return (ye ^ (y & (y + (ye & ~(y << 1))))).bit_count()
     return dist
 
 
@@ -337,9 +296,6 @@ class AugmentedCube(PrefixView):
 
     # -- basic queries -------------------------------------------------
 
-    def edge_count(self) -> int:
-        return self.degree * self.vertex_count // 2
-
     def check_vertex(self, v: int) -> None:
         if v not in self:
             raise ValueError(f"vertex {v} outside [0, 2^{self.n})")
@@ -360,17 +316,6 @@ class AugmentedCube(PrefixView):
         return None
 
     # -- decomposition -------------------------------------------------
-
-    def half(self, x: int) -> int:
-        self.check_vertex(x)
-        return (x >> (self.n - 1)) & 1
-
-    def quadrant(self, x: int) -> int:
-        """Two leading bits as an integer 0b00..0b11."""
-        if self.n < 2:
-            raise ValueError("quadrants need dimension >= 2")
-        self.check_vertex(x)
-        return x >> (self.n - 2)
 
     def half_view(self, bit: int) -> PrefixView:
         if self.n < 2:

@@ -41,9 +41,10 @@ reaches, as its last, failing search must anyway.  The distance is the
 cube's closed form (``aqpath.cube``), so a search reaches a far sink
 after scanning little more than the region between, not the whole view;
 on a view with no distance (0 everywhere) the search is breadth-first.
-It comes from the view's ``distance_to`` (byte lookups in the cube's
-distance table, at any width), kept in one table per view and sink
-(``sink_distances``) that every net and search over the view shares.
+It comes from the view's ``distance_to`` (a byte lookup in the cube's
+distance table up to 20 bits, a few integer operations above), kept in
+one table per view and sink (``sink_distances``) that every net and
+search over the view shares.
 Rows list their arcs in the view's neighbor order and their reverse
 entries in the order flow first crossed them, and the queue order is
 fixed, so identical inputs always produce identical path systems.

@@ -168,12 +168,12 @@ def reference_normalize(cube, trip):
         return (x, rest[0], rest[1])
 
     # step 1: the canonical relocation
-    halves = [cube.half(v) for v in trip]
+    halves = [v >> (n - 1) for v in trip]
     word = 0
     if len(set(halves)) == 1:
         if halves[0] == 1:
             word ^= h1w
-        quads = [cube.quadrant(v ^ word) for v in trip]
+        quads = [(v ^ word) >> (n - 2) for v in trip]
         if len(set(quads)) == 1:
             if quads[0] == 0b01:
                 word ^= h2w

@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from aqpath.construct import construct
+from aqpath.construct import construct, target_count
 from aqpath.cube import (
     DISTANCE_TABLE_MAX_BITS,
     AdjListView,
@@ -22,7 +22,6 @@ from aqpath.cube import (
     hyper_word,
     map_vertex,
     orbit_representatives,
-    run_parity_table,
     symmetries,
 )
 from aqpath.flow import sink_distances
@@ -48,11 +47,14 @@ def reference_edges(n: int) -> set[frozenset[int]]:
 
 
 def test_vertex_and_edge_counts():
+    def edge_count(cube):
+        return sum(len(cube.neighbors(v)) for v in cube.vertices()) // 2
+
     assert AugmentedCube(1).vertex_count == 2
-    assert AugmentedCube(1).edge_count() == 1
-    assert AugmentedCube(2).edge_count() == 6  # complete graph on four vertices
+    assert edge_count(AugmentedCube(1)) == 1
+    assert edge_count(AugmentedCube(2)) == 6  # complete graph on four vertices
     assert AugmentedCube(4).vertex_count == 16
-    assert AugmentedCube(4).edge_count() == 56
+    assert edge_count(AugmentedCube(4)) == 56
     with pytest.raises(ValueError):
         AugmentedCube(0)
 
@@ -124,12 +126,12 @@ def test_degree_regularity():
 
 
 def test_quadrant_and_half():
+    # a vertex lies in the half of its leading bit and in the quadrant of
+    # its two leading bits, and in no other
     c = AugmentedCube(4)
-    assert c.quadrant(0b0111) == 0b01 and c.half(0b0111) == 0
-    assert c.quadrant(0b1010) == 0b10 and c.half(0b1010) == 1
-    assert c.quadrant(0b0001) == 0b00 and c.half(0b0001) == 0
-    with pytest.raises(ValueError):
-        AugmentedCube(1).quadrant(0)
+    for v in c.vertices():
+        assert [b for b in (0, 1) if v in c.half_view(b)] == [v >> 3]
+        assert [q for q in range(4) if v in c.quadrant_view(q)] == [v >> 2]
 
 
 def test_translate_examples():
@@ -356,79 +358,70 @@ def test_the_distance_table_holds_every_distance():
     assert distance_table(DISTANCE_TABLE_MAX_BITS + 1) is None
 
 
-def test_the_run_parity_table_holds_both_edge_runs():
-    bits = DISTANCE_TABLE_MAX_BITS
-    table = run_parity_table()
-    assert len(table) == 1 << bits
-    assert run_parity_table() is table  # built once
-
-    def runs(c):
-        low = len(format(c, f"0{bits}b")) - len(format(c, f"0{bits}b").rstrip("1"))
-        top = len(format(c, f"0{bits}b")) - len(format(c, f"0{bits}b").lstrip("1"))
-        return low % 2 | top % 2 << 1
-
-    rng = random.Random(bits)
-    # every pattern of the lowest and the highest 8 bits, and random chunks
-    edges = [lo | hi << bits - 8 | mid << 8
-             for lo in range(256) for hi in range(256)
-             for mid in (0, (1 << bits - 16) - 1)]
-    for c in edges + [rng.getrandbits(bits) for _ in range(20_000)]:
-        assert table[c] == runs(c)
-
-
 def from_gray(y):
-    """The w with w ^ (w >> 1) == y, for y below 2**64."""
-    for shift in (1, 2, 4, 8, 16, 32):
+    """The w with w ^ (w >> 1) == y, for y below 2**128."""
+    for shift in (1, 2, 4, 8, 16, 32, 64):
         y ^= y >> shift
     return y
 
 
 def straddling_runs():
-    """Two runs of 1s, each cut by a different 20-bit chunk boundary into
-    parts of every length from 1 to 4."""
+    """Two runs of 1s, each split by a different multiple of 20 bits (the
+    table's width) into parts of every length from 1 to 4."""
     for lo, hi in itertools.combinations((20, 40, 60), 2):
         for a, b, c, d in itertools.product(range(1, 5), repeat=4):
             yield ((1 << lo + b) - (1 << lo - a)) | ((1 << hi + d) - (1 << hi - c))
 
 
-WIDE_GRAY_WORDS = {  # (the words, how many)
-    # every word whose set bits lie in bits 12-27, across the first boundary
-    "bits-12-27": (lambda: (w << 12 for w in range(1 << 16)), 1 << 16),
+def seeded_widths():
+    """At every width from 21 to 128 bits, seeded words, the all-ones word
+    and the top bit alone."""
+    for bits in range(DISTANCE_TABLE_MAX_BITS + 1, 129):
+        rng = random.Random(bits)
+        for _ in range(100):
+            yield bits, rng.getrandbits(bits)
+        yield bits, (1 << bits) - 1
+        yield bits, 1 << bits - 1
+
+
+WIDE_GRAY_WORDS = {  # (the widths and words, how many)
+    # every word whose set bits lie in bits 12-27, across bit 20
+    "bits-12-27": (lambda: ((64, w << 12) for w in range(1 << 16)), 1 << 16),
     # every run of 1s within 64 bits
-    "single-runs": (lambda: ((1 << hi) - (1 << lo)
+    "single-runs": (lambda: ((64, (1 << hi) - (1 << lo))
                              for lo, hi in itertools.combinations(range(65), 2)),
                     65 * 64 // 2),
-    "straddling-pairs": (straddling_runs, 3 * 4 ** 4),
-    "seeded": (lambda: (random.Random(64).getrandbits(64) for _ in range(100_000)),
+    "straddling-pairs": (lambda: ((64, y) for y in straddling_runs()), 3 * 4 ** 4),
+    "seeded": (lambda: ((64, random.Random(64).getrandbits(64)) for _ in range(100_000)),
                100_000),
+    "seeded-widths": (seeded_widths, 108 * 102),
 }
 
 
 @pytest.mark.parametrize("words, want", WIDE_GRAY_WORDS.values(), ids=WIDE_GRAY_WORDS)
-def test_wide_distances_are_read_in_chunks(words, want):
+def test_wide_distances_follow_the_closed_form(words, want):
     # a vertex x at distance(x, 0) from the sink 0 has the gray word
-    # x ^ (x >> 1), read in 20-bit chunks above the table
-    dist = distance_to(64, 0)
+    # x ^ (x >> 1), counted in closed form above the table
     count = 0
-    for y in words():
+    for bits, y in words():
         x = from_gray(y)
         assert x ^ (x >> 1) == y
-        assert dist(x) == distance(x, 0)
+        assert distance_to(bits, 0)(x) == distance(x, 0)
         count += 1
     assert count == want
 
 
-def test_the_widest_construct_reads_its_distances_in_chunks():
-    # construct is admitted above the table's width: its flows read each
-    # sink distance in 20-bit chunks
+def test_the_widest_construct_reads_its_distances_in_closed_form():
+    # construct is admitted above the table's width: its flows count each
+    # sink distance in closed form
     n = importlib.import_module("aqpath.construct").CONSTRUCT_MAX_N
     assert n > DISTANCE_TABLE_MAX_BITS
     cube = AugmentedCube(n)
     assert distance_table(n) is None
     rng = random.Random(n)
     sinks = rng.sample(range(1 << n), 5)
-    # every gray word offset from the first sink in the bits around the
-    # boundary at bit 20, and random vertices for every sink
+    # every gray word offset from the first sink in the bits around bit
+    # 20, and random vertices for every sink
     t = sinks[0]
     dist = cube.distance_to(t)
     for x in (t ^ from_gray(w << 14) for w in range(1 << n - 14)):
@@ -439,10 +432,12 @@ def test_the_widest_construct_reads_its_distances_in_chunks():
             assert dist(x) == distance(x, t)
 
 
-def test_cube_views_share_the_cube_table():
-    # every view reads the cube's distances; only a view wider than the
-    # table builds the run parities that its chunked reads need
-    run_parity_table.cache_clear()
+def test_cube_views_share_the_cube_table(monkeypatch):
+    # every view reads the cube's distances: the views of a cube within
+    # the table's width share its one table, and a wider cube builds none
+    tables = {}
+    monkeypatch.setattr(importlib.import_module("aqpath.cube"), "_DISTANCE_TABLES",
+                        tables)
     for bits in (8, DISTANCE_TABLE_MAX_BITS + 1):
         cube = AugmentedCube(bits)
         views = (cube, cube.half_view(1), cube.diamond_view(0b00, 0b11),
@@ -453,7 +448,23 @@ def test_cube_views_share_the_cube_table():
                 dist = view.distance_to(t)
                 for x in rng.sample(range(1 << bits), 200):
                     assert dist(x) == distance(x, t)
-        assert run_parity_table.cache_info().currsize == (bits > DISTANCE_TABLE_MAX_BITS)
+        assert list(tables) == [8]
+
+
+def test_a_construct_above_the_table_width_tabulates_nothing(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(importlib.import_module("aqpath.cube"), "_DISTANCE_TABLES",
+                        tables)
+    # one triple inside a half and one across the halves
+    n = 24
+    rng = random.Random(n)
+    kinds = {}
+    while len(kinds) < 2:
+        d = tuple(rng.sample(range(1 << n), 3))
+        kinds.setdefault(len({v >> (n - 1) for v in d}), d)
+    for d in kinds.values():
+        assert len(construct(n, d).paths) == target_count(n)
+    assert tables == {}
 
 
 def swap_last_two_bits(v):

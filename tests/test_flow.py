@@ -483,7 +483,7 @@ def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
     assert len(disjoint_paths(half, 0, far, 9)) == 9
     assert len(fan(half, 0, [far, 0b101010101, 0b011110000, 0b111111111])) == 4
     assert cube_distance_calls[0] == 0
-    # a view wider than the table reads it in chunks
+    # a view wider than the table counts them in closed form, not by the loop
     wide = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
     disjoint_paths(wide, 0, far, 1)
     fan(wide, 0, [far, 0b1011 << 20, 0b11 << 30, (1 << 38) - 1])

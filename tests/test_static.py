@@ -1,6 +1,7 @@
 """Static checks over the library source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import aqpath
@@ -63,3 +64,20 @@ def test_every_exported_name_resolves_once():
     assert len(aqpath.__all__) == len(set(aqpath.__all__))
     for name in aqpath.__all__:
         assert hasattr(aqpath, name), name
+
+
+# the names the benchmark's span tracer (perfbench/tracer.py) wraps where
+# callers look them up, by module
+TRACED_NAMES = {
+    "aqpath.construct": ("construct", "disjoint_paths", "fan", "linkage", "check_family"),
+    "aqpath.oracle": ("max_dpaths", "pack_segments"),
+}
+
+
+def test_the_traced_boundaries_stay_bound():
+    for module, names in TRACED_NAMES.items():
+        owner = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(owner, name, None)), f"{module}.{name}"
+    flow = importlib.import_module("aqpath.flow")
+    assert callable(getattr(flow.UnitFlowNet, "max_flow", None))
