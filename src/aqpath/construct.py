@@ -51,8 +51,8 @@ and above it ``construct`` raises ``oracle.ResourceGuard``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+from typing import NamedTuple
 
 from .cube import AugmentedCube, RestrictedView
 from .flow import Insufficient, UnitFlowNet, disjoint_paths, fan, linkage
@@ -86,16 +86,14 @@ def target_count(n: int) -> int:
     return 3 * n // 2 - 2 if n % 2 == 0 else 3 * (n - 1) // 2 - 1
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     dimension: int
     case: str
     translation: int
     roles: tuple[int, int, int]  # vertices playing x, y, z, in this level's labels
 
 
-@dataclasses.dataclass
-class DPathFamily:
+class DPathFamily(NamedTuple):
     n: int
     terminals: tuple[int, int, int]
     paths: list[tuple[int, ...]]

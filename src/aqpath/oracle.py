@@ -32,10 +32,9 @@ kept for regression).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cube import AugmentedCube, orbit_representatives, symmetries
 from .packing import Budget, pack_segments
@@ -319,8 +318,7 @@ def max_common(view, arity: int) -> tuple[int, tuple[int, ...]]:
 # -- extremal witness triple --------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     n: int
     triple: tuple[int, int, int]
     shared: tuple[int, int, int, int]

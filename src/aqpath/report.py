@@ -8,10 +8,9 @@ the shipped claims.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import flow, oracle
 from .construct import ConstructionError, construct, target_count
@@ -24,8 +23,7 @@ AQ6_SAMPLES = 10_000
 CORPUS_SEED = 20240801
 
 
-@dataclasses.dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool | None  # None = skipped at this nmax

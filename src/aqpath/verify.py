@@ -9,9 +9,8 @@ referee both sides.
 
 from __future__ import annotations
 
-import dataclasses
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class ViolationKind(Enum):
@@ -23,8 +22,7 @@ class ViolationKind(Enum):
     WRONG_GRAPH = "WrongGraph"
 
 
-@dataclasses.dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     detail: str
     paths: tuple[int, ...] = ()
@@ -66,7 +64,7 @@ def check_family(view, terminals: Sequence[int],
     for i, p in enumerate(paths):
         bad = check_path(view, p)
         if bad is not None:
-            return dataclasses.replace(bad, paths=(i,))
+            return bad._replace(paths=(i,))
     for i, p in enumerate(paths):
         missing = D - set(p)
         if missing:

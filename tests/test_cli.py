@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +320,11 @@ def test_report_prints_fail_for_a_failed_construction(capsys, monkeypatch):
     assert "CRITERION 3 FAIL" in out
     assert "CRITERION 10 FAIL" in out
     assert err == ""
+
+
+def test_python_m_aqpath_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "aqpath", "bounds", "--n", "6"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "BOUND 6 7\nTARGET 6 7\n"

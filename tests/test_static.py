@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import aqpath
@@ -23,6 +25,39 @@ def test_the_library_starts_no_process():
     for path in sources:
         for name in imported_modules(path):
             assert name.split(".")[0] not in PROCESS_MODULES, (path.name, name)
+
+
+# modules that cost a cold start several milliseconds and that the library
+# has no use for: dataclasses pulls in inspect, ast, dis and tokenize
+COLD_START_MODULES = {"dataclasses", "inspect"}
+
+# run in a fresh interpreter: import the checkout's library and its command
+# line, and print every module the imports added
+COLD_START_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import aqpath, aqpath.cli
+print(aqpath.__file__)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_no_library_module_imports_dataclasses():
+    for path in sorted(Path(aqpath.__file__).parent.glob("*.py")):
+        for name in imported_modules(path):
+            assert name.split(".")[0] != "dataclasses", (path.name, name)
+
+
+def test_a_cold_import_loads_no_dataclasses_or_inspect():
+    src = Path(aqpath.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-I", "-c", COLD_START_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    origin, added = proc.stdout.splitlines()
+    assert Path(origin).parent == Path(aqpath.__file__).parent
+    added = set(added.split())
+    assert {"aqpath", "aqpath.cli"} <= added
+    assert added.isdisjoint(COLD_START_MODULES), added & COLD_START_MODULES
 
 
 def listed_views(tree):

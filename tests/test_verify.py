@@ -89,3 +89,32 @@ def test_missing_terminal_reported_before_overlap():
 def test_terminals_must_be_three_distinct_vertices(terminals, paths):
     with pytest.raises(ValueError):
         check_family(CUBE, terminals, paths)
+
+
+def test_a_broken_member_is_named():
+    fam = base_family()
+    fam[1] = [0b0000, 0b0101, 0b0010, 0b0001]  # 0000 and 0101 are not adjacent
+    bad = check_family(CUBE, BASE_D, fam)
+    assert bad.kind is ViolationKind.NOT_A_PATH
+    assert bad.paths == (1,)
+    assert str(bad) == "NotAPath: 0 and 5 not adjacent paths=[1]"
+
+
+def test_a_shared_interior_vertex_names_both_members():
+    fam = base_family()
+    assert fam[1] == [0b0000, 0b0011, 0b0010, 0b0001]
+    fam[3] = [0b0001, 0b1110, 0b1111, 0b0000, 0b0011, 0b0010]  # reuses 0011
+    bad = check_family(CUBE, BASE_D, fam)
+    assert bad.kind is ViolationKind.VERTEX_OVERLAP
+    assert bad.paths == (1, 3)
+    assert str(bad) == "VertexOverlap: vertex 3 shared paths=[1, 3]"
+
+
+def test_a_shared_edge_names_both_members():
+    fam = base_family()
+    assert fam[0] == [0b0001, 0b0000, 0b0010]
+    fam[2] = [0b0010, 0b0110, 0b0100, 0b0000, 0b0001]  # reuses edge 0000-0001
+    bad = check_family(CUBE, BASE_D, fam)
+    assert bad.kind is ViolationKind.EDGE_OVERLAP
+    assert bad.paths == (0, 2)
+    assert str(bad) == "EdgeOverlap: edge 0-1 shared paths=[0, 2]"
