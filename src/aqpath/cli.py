@@ -36,10 +36,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _fmt(v: int, bits: int) -> str:
-    return textio.format_vertex(v, bits)
-
-
 # -- command implementations ----------------------------------------------
 
 
@@ -62,7 +58,7 @@ def cmd_neighbors(args) -> int:
     v = textio.parse_vertex(args.v, args.n)
     for w in cube.neighbors(v):
         mask = cube.mask_between(v, w)
-        print(f"{_fmt(w, args.n)} {mask.label}")
+        print(f"{textio.format_vertex(w, args.n)} {mask.label}")
     return 0
 
 
@@ -109,7 +105,7 @@ def cmd_pi3(args) -> int:
     cube = AugmentedCube(args.n)
     value, argmin = oracle.pi3_exact(cube, mode=args.mode, seed=args.seed,
                                      count=args.count, budget=args.budget)
-    trip = ",".join(_fmt(v, args.n) for v in argmin)
+    trip = ",".join(textio.format_vertex(v, args.n) for v in argmin)
     print(f"PI3 AQ{args.n} {value} {trip}")
     return 0
 
@@ -122,27 +118,28 @@ def cmd_bounds(args) -> int:
 
 def cmd_witness(args) -> int:
     w = oracle.witness_triple(args.n)
-    cube = AugmentedCube(args.n)
     bits = args.n
     if args.printed_variant:
         x, y, _ = w.triple
-        variant = (x, y, w.uncorrected_third)
-        common = sorted(oracle.common_neighbors(cube, variant))
-        print(f"WITNESS n={args.n} D=" + ",".join(_fmt(v, bits) for v in variant))
-        print("COMMON " + " ".join(_fmt(v, bits) for v in common))
+        triple = (x, y, w.uncorrected_third)
+        common = sorted(oracle.common_neighbors(AugmentedCube(args.n), triple))
+    else:
+        triple, common = w.triple, sorted(w.shared)
+    print(f"WITNESS n={args.n} D="
+          + ",".join(textio.format_vertex(v, bits) for v in triple))
+    print("COMMON " + " ".join(textio.format_vertex(v, bits) for v in common))
+    if args.printed_variant:
         print(f"DEVIATION the third vertex needs the complemented suffix; "
               f"this variant shares only {len(common)} neighbors, not 4")
         return 1
-    print(f"WITNESS n={args.n} D=" + ",".join(_fmt(v, bits) for v in w.triple))
-    print("COMMON " + " ".join(_fmt(v, bits) for v in sorted(w.shared)))
     for (u, v, label) in w.certificate:
-        print(f"CERT {_fmt(u, bits)} {_fmt(v, bits)} {label}")
+        print(f"CERT {textio.format_vertex(u, bits)} "
+              f"{textio.format_vertex(v, bits)} {label}")
     return 0
 
 
 def cmd_report(args) -> int:
-    results = report.run_all(nmax=args.nmax, samples=args.samples,
-                             seed=args.seed, emit=print)
+    results = report.run_all(nmax=args.nmax, emit=print)
     return 0 if all(r.passed is not False for r in results) else 1
 
 
@@ -203,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the acceptance sweep")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--samples", type=int, default=report.AQ6_SAMPLES)
-    p.add_argument("--seed", type=int, default=report.DEFAULT_SEED)
     p.set_defaults(fn=cmd_report)
 
     return ap

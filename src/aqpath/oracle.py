@@ -301,6 +301,9 @@ def max_common(view, arity: int) -> tuple[int, tuple[int, ...]]:
     if arity not in (2, 3):
         raise ValueError("arity must be 2 or 3")
     _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "shared-neighbor scan")
+    if view.vertex_count < arity:
+        raise ValueError(f"no {arity}-vertex groups to scan, "
+                         f"the view has {view.vertex_count}")
     verts = sorted(view.vertices())
     if isinstance(view, AugmentedCube):
         groups = ((verts[0], *rest)

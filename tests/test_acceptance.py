@@ -18,14 +18,15 @@ def test_criterion_01_exact_base_value():
 
 
 def test_criterion_02_constructive_even_case():
-    res = _run(report.criterion_2, samples=report.AQ6_SAMPLES,
-               seed=report.DEFAULT_SEED)
-    assert "0 violations" in res.detail
+    res = _run(report.criterion_2)
+    assert res.detail == ("AQ_4 all 560 triples + AQ_6 all 142 orbit "
+                          "representatives: 0 violations")
 
 
 def test_criterion_03_constructive_odd_case():
     res = _run(report.criterion_3)
-    assert "pi3(AQ_5)=5" in res.detail
+    assert res.detail == ("AQ_5 all 38 orbit representatives: 0 violations; "
+                          "pi3(AQ_5)=5")
 
 
 def test_criterion_04_witness_tightness():
@@ -45,7 +46,7 @@ def test_criterion_07_bound_arithmetic():
 
 
 def test_criterion_08_oracle_self_consistency():
-    _run(report.criterion_8, graphs=200, seed=report.CORPUS_SEED)
+    _run(report.criterion_8)
 
 
 def test_criterion_09_documented_deviation_regression():
@@ -53,7 +54,7 @@ def test_criterion_09_documented_deviation_regression():
 
 
 def test_criterion_10_property_suites():
-    _run(report.criterion_10, cases=120, seed=5)
+    _run(report.criterion_10)
 
 
 def test_criterion_04_fails_when_the_budget_runs_out(monkeypatch):
@@ -72,27 +73,23 @@ def test_criterion_04_fails_when_the_budget_runs_out(monkeypatch):
 
 def test_criterion_02_counts_a_failed_construction(monkeypatch):
     construct = report.construct
+    # one AQ_4 triple and one AQ_6 orbit representative
+    failing = {(4, (0, 1, 2)), (6, list(report.orbit_representatives(6))[-1])}
 
-    def fails_once(n, D):
-        if (n, tuple(D)) == (4, (0, 1, 2)):
+    def fails_twice(n, D):
+        if (n, tuple(D)) in failing:
             raise report.ConstructionError("forced")
         return construct(n, D)
 
-    monkeypatch.setattr(report, "construct", fails_once)
-    res = report.criterion_2(samples=10)
+    monkeypatch.setattr(report, "construct", fails_twice)
+    res = report.criterion_2()
     assert res.passed is False
-    assert "1 violations" in res.detail
+    assert res.detail.endswith(": 2 violations")
 
 
-@pytest.mark.parametrize("kwargs", [{"samples": -5}, {"nmax": 3}],
-                         ids=["negative-samples", "nmax-below-four"])
+@pytest.mark.parametrize("kwargs", [{"nmax": 3}], ids=["nmax-below-four"])
 def test_run_all_rejects_sweeps_that_check_nothing(kwargs):
     lines = []
     with pytest.raises(ValueError):
         report.run_all(emit=lines.append, **kwargs)
     assert lines == []
-
-
-def test_criterion_02_rejects_negative_samples():
-    with pytest.raises(ValueError, match="samples"):
-        report.criterion_2(samples=-5)

@@ -102,6 +102,14 @@ def test_pi3_has_no_worker_option():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option", ["--samples", "--seed"])
+def test_report_has_no_sampling_option(option):
+    # the constructive criteria sweep whole orbit sets; nothing is sampled
+    with pytest.raises(SystemExit) as exc:
+        main(["report", option, "10"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--n", "4", "--triple", "0000,0001,0010"],
     ["pi3", "--n", "4"],
@@ -170,7 +178,7 @@ def test_report_nmax_skips_large_sweeps(capsys, monkeypatch):
     for k in (1, 8):
         stub = report.CriterionResult(k, "stub", True, "")
         monkeypatch.setattr(report, f"criterion_{k}", lambda stub=stub: stub)
-    code, out, _ = run(capsys, "report", "--nmax", "4", "--samples", "50")
+    code, out, _ = run(capsys, "report", "--nmax", "4")
     assert code == 0
     for k in (2, 3, 4, 5, 6, 10):
         assert f"CRITERION {k} SKIP" in out
@@ -179,9 +187,8 @@ def test_report_nmax_skips_large_sweeps(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (("--samples", "-5"), "samples"),
     (("--nmax", "3"), "nmax"),
-], ids=["negative-samples", "nmax-below-four"])
+], ids=["nmax-below-four"])
 def test_report_rejects_a_sweep_that_checks_nothing(capsys, argv, what):
     code, out, err = run(capsys, "report", *argv)
     assert code == 2
@@ -314,7 +321,7 @@ def test_report_prints_fail_for_a_failed_construction(capsys, monkeypatch):
         stub = report.CriterionResult(k, "stub", True, "")
         monkeypatch.setattr(report, f"criterion_{k}", lambda stub=stub: stub)
     monkeypatch.setattr(report.oracle, "pi3_exact", lambda *a, **kw: (5, (0, 1, 2)))
-    code, out, err = run(capsys, "report", "--nmax", "6", "--samples", "10")
+    code, out, err = run(capsys, "report", "--nmax", "6")
     assert code == 1
     assert "CRITERION 2 FAIL" in out
     assert "CRITERION 3 FAIL" in out

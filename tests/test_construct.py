@@ -75,7 +75,8 @@ def test_dimension_six_sample():
 
 
 def test_dimension_seven_certification_scale():
-    # the odd step certified at the same scale as the even sweeps
+    # seeded triples in any position, most of them not orbit representatives,
+    # beside the complete orbit sweeps below
     cube = AugmentedCube(7)
     rng = random.Random(17)
     for _ in range(10_000):
@@ -83,6 +84,27 @@ def test_dimension_seven_certification_scale():
         fam = construct(7, D)
         assert len(fam.paths) == 8
         assert check_family(cube, D, fam.paths) is None
+
+
+def build_every_orbit_representative(n, orbits):
+    # an automorphism carries a verified family for a representative onto
+    # every triple of its orbit, so this certifies every triple of AQ_n
+    cube = AugmentedCube(n)
+    reps = list(orbit_representatives(n))
+    assert len(reps) == orbits
+    for d in reps:
+        fam = construct(n, d)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(cube, d, fam.paths) is None, d
+
+
+def test_every_dimension_seven_orbit_representative_builds():
+    build_every_orbit_representative(7, 557)
+
+
+@pytest.mark.slow
+def test_every_dimension_eight_orbit_representative_builds():
+    build_every_orbit_representative(8, 2173)
 
 
 def test_forced_short_bundle_builds_without_fallback():

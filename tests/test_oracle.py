@@ -196,6 +196,13 @@ def test_max_common_values():
     assert max_common(AugmentedCube(3), 2)[0] <= 4
 
 
+def test_max_common_needs_as_many_vertices_as_its_arity():
+    # AQ_1 has one pair and no triple
+    assert max_common(AugmentedCube(1), 2) == (0, (0, 1))
+    with pytest.raises(ValueError, match="no 3-vertex groups to scan"):
+        max_common(AugmentedCube(1), 3)
+
+
 def test_witness_triple_structure():
     for n in (4, 5, 6):
         w = witness_triple(n)
