@@ -103,8 +103,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_pi3(args) -> int:
     cube = AugmentedCube(args.n)
-    value, argmin = oracle.pi3_exact(cube, mode=args.mode, seed=args.seed,
-                                     count=args.count, budget=args.budget)
+    value, argmin = oracle.pi3_exact(cube, budget=args.budget)
     trip = ",".join(textio.format_vertex(v, args.n) for v in argmin)
     print(f"PI3 AQ{args.n} {value} {trip}")
     return 0
@@ -139,8 +138,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_report(args) -> int:
-    results = report.run_all(nmax=args.nmax, emit=print)
-    return 0 if all(r.passed is not False for r in results) else 1
+    results = report.run_all(emit=print)
+    return 0 if all(r.passed for r in results) else 1
 
 
 # -- argument plumbing ------------------------------------------------------
@@ -182,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi3", help="minimum over triples, exact")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_pi3)
 
@@ -199,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("report", help="run the acceptance sweep")
-    p.add_argument("--nmax", type=int, default=6)
     p.set_defaults(fn=cmd_report)
 
     return ap

@@ -66,9 +66,7 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: on a 2-core x86 box a
-# triple takes under 0.1 s at n = 20, the width of the cube's distance
-# table, and 0.15-0.25 s at n = 32, where sink distances are counted in
-# closed form
+# triple takes under 0.1 s at n = 20 and 0.15-0.25 s at n = 32
 CONSTRUCT_MAX_N = 32
 
 

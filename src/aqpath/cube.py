@@ -28,13 +28,10 @@ Conventions
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
   It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone:
-  the sum of ceil(L/2) over the runs of 1s in y.  ``distance_table(bits)``
-  holds it for every y below 2**bits in one cached ``bytes`` object,
-  built on first use (1 KB at 10 bits, 1 MB at 20); a wider y is counted
-  in a few integer operations, with nothing tabulated.
-  ``distance_to(bits, t)`` hides both: it returns the function from x to
-  its distance to t, and the flow and packing searches read every sink
-  distance through a view's ``distance_to``.
+  the sum of ceil(L/2) over the runs of 1s in y, counted in a few integer
+  operations at any width.  ``distance_to(bits, t)`` returns the function
+  from x to its distance to t, and the flow and packing searches read
+  every sink distance through a view's ``distance_to``.
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
@@ -93,57 +90,17 @@ def distance(u: int, v: int) -> int:
     return d
 
 
-# widest table ``distance_table`` builds: 2**20 bytes
-DISTANCE_TABLE_MAX_BITS = 20
-_DISTANCE_TABLES: dict[int, bytes] = {}
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
-
-
-def distance_table(bits: int) -> bytes | None:
-    """The table t with t[w ^ (w >> 1)] == distance(0, w) for every
-    w < 2**bits, or None above ``DISTANCE_TABLE_MAX_BITS``.
-
-    ``distance`` clears the lowest set bit of y and the bit above it, so
-    t[y] = t[y >> 1] for even y and t[y >> 2] + 1 for odd y.  Each pass
-    doubles the table with slice copies: entry 2i is t[i], and entries 2i
-    and 2i + 1 of the odd half are both t[i] + 1.  Built once per width
-    and cached; two threads that first ask at once may both build it,
-    which only wastes the second build.
-    """
-    if bits > DISTANCE_TABLE_MAX_BITS:
-        return None
-    got = _DISTANCE_TABLES.get(bits)
-    if got is None:
-        t = bytearray(b"\0\1")
-        while len(t) < 1 << bits:
-            size = len(t)
-            odd = t[:size // 2].translate(_PLUS_ONE)
-            nxt = bytearray(2 * size)
-            nxt[0::2] = t
-            nxt[1::4] = odd
-            nxt[3::4] = odd
-            t = nxt
-        got = _DISTANCE_TABLES[bits] = bytes(t[:1 << bits])
-    return got
-
-
 def distance_to(bits: int, t: int) -> Callable[[int], int]:
     """The function ``dist(x)`` giving distance(x, t) for vertices below
     2**bits, read from the gray word y = g(x) ^ g(t), g(w) = w ^ (w >> 1).
 
-    Up to ``DISTANCE_TABLE_MAX_BITS`` it looks y up in
-    ``distance_table(bits)``.  Above, it counts: a run of 1s of length L
-    in y holds ceil(L/2) bits at positions of its lowest bit's parity.
-    Adding to y the lowest bits of its runs that sit at even positions
-    carries each of those runs away, so y & that sum keeps the runs whose
-    lowest bit is odd; XOR with y's even-position bits leaves, in every
-    run, exactly the bits of its lowest bit's parity.
+    A run of 1s of length L in y holds ceil(L/2) bits at positions of its
+    lowest bit's parity.  Adding to y the lowest bits of its runs that sit
+    at even positions carries each of those runs away, so y & that sum
+    keeps the runs whose lowest bit is odd; XOR with y's even-position
+    bits leaves, in every run, exactly the bits of its lowest bit's parity.
     """
     gt = t ^ (t >> 1)
-    table = distance_table(bits)
-    if table is not None:
-        lookup = table.__getitem__
-        return lambda x: lookup(x ^ (x >> 1) ^ gt)
     even = (4 ** ((bits + 1) // 2) - 1) // 3  # bits 0, 2, 4, ... below bits
 
     def dist(x: int) -> int:

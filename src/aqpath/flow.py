@@ -41,10 +41,9 @@ reaches, as its last, failing search must anyway.  The distance is the
 cube's closed form (``aqpath.cube``), so a search reaches a far sink
 after scanning little more than the region between, not the whole view;
 on a view with no distance (0 everywhere) the search is breadth-first.
-It comes from the view's ``distance_to`` (a byte lookup in the cube's
-distance table up to 20 bits, a few integer operations above), kept in
-one table per view and sink (``sink_distances``) that every net and
-search over the view shares.
+It comes from the view's ``distance_to`` (a few integer operations at
+any width), kept in one table per view and sink (``sink_distances``)
+that every net and search over the view shares.
 Rows list their arcs in the view's neighbor order and their reverse
 entries in the order flow first crossed them, and the queue order is
 fixed, so identical inputs always produce identical path systems.
@@ -99,8 +98,8 @@ def sink_distances(view, t: int) -> tuple[dict[int, int], Callable[[int], int]]:
     """The view's shared table h of distances to the sink t and the reader
     ``dist`` that computes a missing entry: a caller that finds no h[x]
     stores ``h[x] = dist(x)``.  The key -1 (the source and sink nodes of a
-    net) holds 0.  ``dist`` is the view's ``distance_to(t)`` (table
-    lookups for a cube view, 0 for an adjacency list)."""
+    net) holds 0.  ``dist`` is the view's ``distance_to(t)`` (the cube's
+    closed form for a cube view, 0 for an adjacency list)."""
     per_view = _TO_SINK.setdefault(view, {})
     got = per_view.get(t)
     if got is None:

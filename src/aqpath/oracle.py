@@ -33,7 +33,6 @@ kept for regression).
 from __future__ import annotations
 
 import itertools
-import random
 from typing import NamedTuple, Sequence
 
 from .cube import AugmentedCube, orbit_representatives, symmetries
@@ -242,38 +241,24 @@ def brute_small(view, D: Sequence[int]) -> int:
 # -- triple sweeps ------------------------------------------------------
 
 
-def _triples(view, mode: str, seed: int | None, count: int | None):
+def _triples(view):
     # the guards come before any vertex list is built
     _guard_size(view)
-    if mode == "exhaustive":
-        if seed is not None or count is not None:
-            raise ValueError("exhaustive mode takes no seed or count")
-        _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "exhaustive sweep")
-        if isinstance(view, AugmentedCube):
-            yield from orbit_representatives(view.n)
-        else:
-            yield from itertools.combinations(sorted(view.vertices()), 3)
-    elif mode == "sampled":
-        if seed is None or count is None:
-            raise ValueError("sampled mode needs an explicit seed and count")
-        verts = sorted(view.vertices())
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield tuple(sorted(rng.sample(verts, 3)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "exhaustive sweep")
+    if isinstance(view, AugmentedCube):
+        return orbit_representatives(view.n)
+    return itertools.combinations(sorted(view.vertices()), 3)
 
 
-def pi3_exact(view, mode: str = "exhaustive", seed: int | None = None,
-              count: int | None = None, budget: int | None = DEFAULT_BUDGET
+def pi3_exact(view, *, budget: int | None = DEFAULT_BUDGET
               ) -> tuple[int, tuple[int, int, int]]:
-    """Minimum of max_dpaths over terminal triples, with the argmin triple
-    (lexicographically smallest on ties).  An exhaustive sweep of a cube
-    covers one triple per automorphism orbit; the least minimiser is its
-    orbit's representative, so value and argmin are those of every triple.
+    """Minimum of max_dpaths over every terminal triple, with the argmin
+    triple (lexicographically smallest on ties).  A cube's sweep covers one
+    triple per automorphism orbit; the least minimiser is its orbit's
+    representative, so value and argmin are those of every triple.
     """
-    best = min(((max_dpaths(view, D, budget)[0], D)
-                for D in _triples(view, mode, seed, count)), default=None)
+    best = min(((max_dpaths(view, D, budget)[0], D) for D in _triples(view)),
+               default=None)
     if best is None:
         raise ValueError("no triples to sweep")
     return best

@@ -4,8 +4,8 @@ The same checks back the ``report`` CLI command and the acceptance test
 module, so CI needs no orchestration script.  Every sweep is fixed and
 deterministic.  The constructive criteria cover every triple of their
 cubes: a cube automorphism carries a verified family for an orbit's
-representative onto every triple of that orbit.  Only the dimension cap
-``nmax`` and criterion 4's search budget are parameters.
+representative onto every triple of that orbit.  Only criterion 4's
+search budget is a parameter.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ SUITE_SEED = 5
 class CriterionResult(NamedTuple):
     number: int
     title: str
-    passed: bool | None  # None = skipped at this nmax
+    passed: bool
     detail: str
 
     @property
     def status(self) -> str:
-        if self.passed is None:
-            return "SKIP"
         return "PASS" if self.passed else "FAIL"
 
     def line(self) -> str:
@@ -47,7 +45,7 @@ class CriterionResult(NamedTuple):
 
 def criterion_1() -> CriterionResult:
     cube = AugmentedCube(4)
-    val, argmin = oracle.pi3_exact(cube, "exhaustive")
+    val, argmin = oracle.pi3_exact(cube)
     reps = sum(1 for _ in orbit_representatives(4))
     return CriterionResult(
         1, "exact base value", val == 4,
@@ -67,7 +65,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     reps = list(orbit_representatives(5))
     bad = _violations(5, reps)
-    val, argmin = oracle.pi3_exact(AugmentedCube(5), "exhaustive")
+    val, argmin = oracle.pi3_exact(AugmentedCube(5))
     ok = bad == 0 and val == 5
     return CriterionResult(
         3, "constructive odd case", ok,
@@ -340,39 +338,15 @@ def _mutate(rng, cube, D, paths, kind) -> ViolationKind:
 # -- the sweep ------------------------------------------------------------
 
 
-def run_all(nmax: int = 6,
-            emit: Callable[[str], None] | None = None) -> list[CriterionResult]:
-    """Run every criterion up to dimension nmax, emitting one line each."""
-    plan: list[tuple[int, Callable[[], CriterionResult]]] = [
-        (4, criterion_1),
-        (6, criterion_2),
-        (5, criterion_3),
-        (6, criterion_4),
-        (6, criterion_5),
-        (5, criterion_6),
-        (4, criterion_7),
-        (4, criterion_8),
-        (4, criterion_9),
-        (6, criterion_10),
-    ]
-    # a sweep that would check nothing is a usage error, not a pass
-    smallest = min(needs for needs, _ in plan)
-    if nmax < smallest:
-        raise ValueError(f"nmax must be >= {smallest}, the smallest dimension "
-                         f"a criterion needs; got {nmax}")
+def run_all(emit: Callable[[str], None] | None = None) -> list[CriterionResult]:
+    """Run every criterion, emitting one line each and a summary."""
     results = []
-    for number, (needs, fn) in enumerate(plan, start=1):
-        if needs > nmax:
-            res = CriterionResult(number, "skipped", None,
-                                  f"needs sweeps up to n={needs}, nmax={nmax}")
-        else:
-            res = fn()
-        results.append(res)
+    for fn in (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
+               criterion_6, criterion_7, criterion_8, criterion_9, criterion_10):
+        results.append(fn())
         if emit:
-            emit(res.line())
+            emit(results[-1].line())
     if emit:
         passed = sum(1 for r in results if r.passed)
-        ran = sum(1 for r in results if r.passed is not None)
-        emit(f"SUMMARY {passed}/{ran} criteria passed"
-             + (f" ({len(results) - ran} skipped)" if ran < len(results) else ""))
+        emit(f"SUMMARY {passed}/{len(results)} criteria passed")
     return results

@@ -1,12 +1,14 @@
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from aqpath.cli import main
+from aqpath.cli import build_parser, main
 from aqpath.construct import construct
 from aqpath.cube import AugmentedCube
 from aqpath.textio import parse_family, parse_graph, render_family, render_graph
@@ -91,7 +93,7 @@ def test_witness_printed_variant_exits_one(capsys):
 
 
 def test_pi3_output(capsys):
-    code, out, _ = run(capsys, "pi3", "--n", "4", "--mode", "exhaustive")
+    code, out, _ = run(capsys, "pi3", "--n", "4")
     assert code == 0
     assert out == "PI3 AQ4 4 0000,0001,0010\n"
 
@@ -102,9 +104,10 @@ def test_pi3_has_no_worker_option():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("option", ["--samples", "--seed"])
+@pytest.mark.parametrize("option", ["--samples", "--seed", "--nmax"])
 def test_report_has_no_sampling_option(option):
-    # the constructive criteria sweep whole orbit sets; nothing is sampled
+    # the constructive criteria sweep whole orbit sets; nothing is sampled,
+    # and every criterion runs
     with pytest.raises(SystemExit) as exc:
         main(["report", option, "10"])
     assert exc.value.code == 2
@@ -134,18 +137,17 @@ def test_a_budget_that_suffices_prints_the_value(capsys):
     assert (code, out) == (0, "PID 4\n")
 
 
-def test_pi3_sampled_needs_seed(capsys):
-    code, _, _ = run(capsys, "pi3", "--n", "4", "--mode", "sampled")
-    assert code == 2
-
-
 @pytest.mark.parametrize("argv", [
-    ["--count", "5"], ["--seed", "3"],
-], ids=["count", "seed"])
+    ["--count", "5"], ["--seed", "3"], ["--mode", "sampled"],
+], ids=["count", "seed", "mode"])
 def test_pi3_exhaustive_rejects_sampling_options(capsys, argv):
-    code, out, err = run(capsys, "pi3", "--n", "4", *argv)
-    assert (code, out) == (2, "")
-    assert err == "error: exhaustive mode takes no seed or count\n"
+    # pi3 sweeps every triple; a sampled minimum is only an upper bound
+    with pytest.raises(SystemExit) as exc:
+        main(["pi3", "--n", "4", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv)}" in err
 
 
 def test_decimal_vertices_rejected(capsys):
@@ -170,30 +172,6 @@ def test_family_text_roundtrip():
     assert terminals == fam.terminals
     assert paths == fam.paths
     assert bits == 5
-
-
-def test_report_nmax_skips_large_sweeps(capsys, monkeypatch):
-    report = importlib.import_module("aqpath.report")
-    # criteria 1 and 8 are whole AQ_4 sweeps that tests/test_acceptance.py runs
-    for k in (1, 8):
-        stub = report.CriterionResult(k, "stub", True, "")
-        monkeypatch.setattr(report, f"criterion_{k}", lambda stub=stub: stub)
-    code, out, _ = run(capsys, "report", "--nmax", "4")
-    assert code == 0
-    for k in (2, 3, 4, 5, 6, 10):
-        assert f"CRITERION {k} SKIP" in out
-    assert "CRITERION 7 PASS" in out
-    assert "CRITERION 9 PASS" in out
-
-
-@pytest.mark.parametrize("argv, what", [
-    (("--nmax", "3"), "nmax"),
-], ids=["nmax-below-four"])
-def test_report_rejects_a_sweep_that_checks_nothing(capsys, argv, what):
-    code, out, err = run(capsys, "report", *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and what in err
 
 
 @pytest.mark.parametrize("text", [
@@ -255,8 +233,7 @@ def test_oracle_commands_refuse_huge_cubes(monkeypatch, capsys):
     monkeypatch.setattr("aqpath.cli.AugmentedCube", HugeCube)
     triple = ",".join(format(v, "040b") for v in (0, 1, 2))
     for argv in (["oracle", "--n", "40", "--triple", triple],
-                 ["pi3", "--n", "40", "--mode", "sampled", "--seed", "1",
-                  "--count", "1"]):
+                 ["pi3", "--n", "40"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -321,7 +298,7 @@ def test_report_prints_fail_for_a_failed_construction(capsys, monkeypatch):
         stub = report.CriterionResult(k, "stub", True, "")
         monkeypatch.setattr(report, f"criterion_{k}", lambda stub=stub: stub)
     monkeypatch.setattr(report.oracle, "pi3_exact", lambda *a, **kw: (5, (0, 1, 2)))
-    code, out, err = run(capsys, "report", "--nmax", "6")
+    code, out, err = run(capsys, "report")
     assert code == 1
     assert "CRITERION 2 FAIL" in out
     assert "CRITERION 3 FAIL" in out
@@ -335,3 +312,28 @@ def test_python_m_aqpath_runs_the_cli():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "BOUND 6 7\nTARGET 6 7\n"
+
+
+def readme_commands():
+    """Every ``aqpath ...`` command in README's ``sh`` blocks, a piped
+    line split into its commands."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.splitlines():
+            for part in line.split("|"):
+                words = shlex.split(part, comments=True)
+                if words[:1] == ["aqpath"]:
+                    yield words[1:]
+
+
+def test_every_readme_command_parses():
+    # an option removed from the command line but left in the docs fails here
+    parser = build_parser()
+    seen = set()
+    for argv in readme_commands():
+        try:
+            seen.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: aqpath {shlex.join(argv)}")
+    assert seen == {"gen", "neighbors", "construct", "verify", "oracle", "pi3",
+                    "bounds", "witness", "report"}

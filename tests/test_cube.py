@@ -8,16 +8,14 @@ from collections import deque
 
 import pytest
 
-from aqpath.construct import construct, target_count
+from aqpath.construct import construct
 from aqpath.cube import (
-    DISTANCE_TABLE_MAX_BITS,
     AdjListView,
     AugmentedCube,
     RestrictedView,
     automorphisms,
     complement_word,
     distance,
-    distance_table,
     distance_to,
     hyper_word,
     map_vertex,
@@ -344,18 +342,18 @@ def test_adjacency_list_views_have_no_distance():
     assert RestrictedView(g, forbidden_vertices={1}).distance_to(2)(0) == 0
 
 
-def test_the_distance_table_holds_every_distance():
-    for bits in range(17):
-        table = distance_table(bits)
-        assert len(table) == 1 << bits
+def test_the_closed_form_holds_every_distance():
+    # every word at widths 1-16 (wider ones: WIDE_GRAY_WORDS below), and
+    # every pair of words at widths 1-8
+    for bits in range(1, 17):
+        dist = distance_to(bits, 0)
         for w in range(1 << bits):
-            assert table[w ^ (w >> 1)] == distance(0, w)
-    table = distance_table(20)
-    rng = random.Random(20)
-    for w in (rng.getrandbits(20) for _ in range(100_000)):
-        assert table[w ^ (w >> 1)] == distance(0, w)
-    assert distance_table(20) is table  # built once per width
-    assert distance_table(DISTANCE_TABLE_MAX_BITS + 1) is None
+            assert dist(w) == distance(0, w)
+    for bits in range(1, 9):
+        for t in range(1 << bits):
+            dist = distance_to(bits, t)
+            for x in range(1 << bits):
+                assert dist(x) == distance(x, t)
 
 
 def from_gray(y):
@@ -366,17 +364,17 @@ def from_gray(y):
 
 
 def straddling_runs():
-    """Two runs of 1s, each split by a different multiple of 20 bits (the
-    table's width) into parts of every length from 1 to 4."""
+    """Two runs of 1s, each split by a different one of bits 20, 40 and 60
+    into parts of every length from 1 to 4."""
     for lo, hi in itertools.combinations((20, 40, 60), 2):
         for a, b, c, d in itertools.product(range(1, 5), repeat=4):
             yield ((1 << lo + b) - (1 << lo - a)) | ((1 << hi + d) - (1 << hi - c))
 
 
 def seeded_widths():
-    """At every width from 21 to 128 bits, seeded words, the all-ones word
+    """At every width from 17 to 128 bits, seeded words, the all-ones word
     and the top bit alone."""
-    for bits in range(DISTANCE_TABLE_MAX_BITS + 1, 129):
+    for bits in range(17, 129):
         rng = random.Random(bits)
         for _ in range(100):
             yield bits, rng.getrandbits(bits)
@@ -385,7 +383,7 @@ def seeded_widths():
 
 
 WIDE_GRAY_WORDS = {  # (the widths and words, how many)
-    # every word whose set bits lie in bits 12-27, across bit 20
+    # every word whose set bits lie in bits 12-27
     "bits-12-27": (lambda: ((64, w << 12) for w in range(1 << 16)), 1 << 16),
     # every run of 1s within 64 bits
     "single-runs": (lambda: ((64, (1 << hi) - (1 << lo))
@@ -394,14 +392,14 @@ WIDE_GRAY_WORDS = {  # (the widths and words, how many)
     "straddling-pairs": (lambda: ((64, y) for y in straddling_runs()), 3 * 4 ** 4),
     "seeded": (lambda: ((64, random.Random(64).getrandbits(64)) for _ in range(100_000)),
                100_000),
-    "seeded-widths": (seeded_widths, 108 * 102),
+    "seeded-widths": (seeded_widths, 112 * 102),
 }
 
 
 @pytest.mark.parametrize("words, want", WIDE_GRAY_WORDS.values(), ids=WIDE_GRAY_WORDS)
 def test_wide_distances_follow_the_closed_form(words, want):
     # a vertex x at distance(x, 0) from the sink 0 has the gray word
-    # x ^ (x >> 1), counted in closed form above the table
+    # x ^ (x >> 1), whose distance is counted in closed form
     count = 0
     for bits, y in words():
         x = from_gray(y)
@@ -412,16 +410,14 @@ def test_wide_distances_follow_the_closed_form(words, want):
 
 
 def test_the_widest_construct_reads_its_distances_in_closed_form():
-    # construct is admitted above the table's width: its flows count each
-    # sink distance in closed form
+    # the flows of the widest admitted construct count each sink distance
+    # in closed form
     n = importlib.import_module("aqpath.construct").CONSTRUCT_MAX_N
-    assert n > DISTANCE_TABLE_MAX_BITS
     cube = AugmentedCube(n)
-    assert distance_table(n) is None
     rng = random.Random(n)
     sinks = rng.sample(range(1 << n), 5)
-    # every gray word offset from the first sink in the bits around bit
-    # 20, and random vertices for every sink
+    # every gray word offset from the first sink in bits 14 and up, and
+    # random vertices for every sink
     t = sinks[0]
     dist = cube.distance_to(t)
     for x in (t ^ from_gray(w << 14) for w in range(1 << n - 14)):
@@ -432,13 +428,9 @@ def test_the_widest_construct_reads_its_distances_in_closed_form():
             assert dist(x) == distance(x, t)
 
 
-def test_cube_views_share_the_cube_table(monkeypatch):
-    # every view reads the cube's distances: the views of a cube within
-    # the table's width share its one table, and a wider cube builds none
-    tables = {}
-    monkeypatch.setattr(importlib.import_module("aqpath.cube"), "_DISTANCE_TABLES",
-                        tables)
-    for bits in (8, DISTANCE_TABLE_MAX_BITS + 1):
+def test_cube_views_share_the_cube_table():
+    # every view reads the cube's distances, at any width
+    for bits in (8, 21):
         cube = AugmentedCube(bits)
         views = (cube, cube.half_view(1), cube.diamond_view(0b00, 0b11),
                  RestrictedView(cube.half_view(0), forbidden_vertices={3}))
@@ -448,23 +440,6 @@ def test_cube_views_share_the_cube_table(monkeypatch):
                 dist = view.distance_to(t)
                 for x in rng.sample(range(1 << bits), 200):
                     assert dist(x) == distance(x, t)
-        assert list(tables) == [8]
-
-
-def test_a_construct_above_the_table_width_tabulates_nothing(monkeypatch):
-    tables = {}
-    monkeypatch.setattr(importlib.import_module("aqpath.cube"), "_DISTANCE_TABLES",
-                        tables)
-    # one triple inside a half and one across the halves
-    n = 24
-    rng = random.Random(n)
-    kinds = {}
-    while len(kinds) < 2:
-        d = tuple(rng.sample(range(1 << n), 3))
-        kinds.setdefault(len({v >> (n - 1) for v in d}), d)
-    for d in kinds.values():
-        assert len(construct(n, d).paths) == target_count(n)
-    assert tables == {}
 
 
 def swap_last_two_bits(v):

@@ -461,12 +461,12 @@ def test_fans_match_breadth_first_augmentation(name, monkeypatch):
     assert {ok for ok, _ in got} == {True, False}
 
 
-# -- sink distances from the table, and the flow decomposition -----------
+# -- sink distances in closed form, and the flow decomposition ----------
 
 
 @pytest.fixture
 def cube_distance_calls(monkeypatch):
-    """The number of calls to the closed-form ``cube.distance``."""
+    """The number of calls to the reference loop ``cube.distance``."""
     calls = [0]
 
     def counted(u, v):
@@ -477,13 +477,13 @@ def cube_distance_calls(monkeypatch):
     return calls
 
 
-def test_flows_on_a_half_read_distances_from_the_table(cube_distance_calls):
+def test_flows_on_a_half_count_distances_in_closed_form(cube_distance_calls):
     half = AugmentedCube(10).half_view(0)
     far = int("110011001", 2)
     assert len(disjoint_paths(half, 0, far, 9)) == 9
     assert len(fan(half, 0, [far, 0b101010101, 0b011110000, 0b111111111])) == 4
     assert cube_distance_calls[0] == 0
-    # a view wider than the table counts them in closed form, not by the loop
+    # and so does a wide one: neither calls the loop
     wide = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
     disjoint_paths(wide, 0, far, 1)
     fan(wide, 0, [far, 0b1011 << 20, 0b11 << 30, (1 << 38) - 1])

@@ -221,28 +221,27 @@ def test_printed_variant_fails_adjacency():
     assert len(common_neighbors(cube, (x, y, w.uncorrected_third))) < 4
 
 
-def test_pi3_sampled_requires_seed():
-    cube = AugmentedCube(4)
-    with pytest.raises(ValueError):
-        pi3_exact(cube, "sampled")
-    val, trip = pi3_exact(cube, "sampled", seed=3, count=25)
-    assert val >= 4
-    assert len(trip) == 3
+@pytest.mark.parametrize("args", [("exhaustive",), ("sampled",), (1000,)],
+                         ids=["exhaustive", "sampled", "budget"])
+def test_pi3_takes_no_positional_mode_or_budget(args):
+    # the budget is keyword-only, so an old positional mode never reaches it
+    with pytest.raises(TypeError):
+        pi3_exact(AugmentedCube(4), *args)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"seed": 3, "count": 5}, {"seed": 3}, {"count": 5},
 ], ids=["seed-and-count", "seed", "count"])
 def test_pi3_exhaustive_takes_no_seed_or_count(kwargs):
-    # a sweep that ignored them would not be the one asked for
-    with pytest.raises(ValueError, match="exhaustive mode takes no seed or count"):
-        pi3_exact(AugmentedCube(4), "exhaustive", **kwargs)
+    # every sweep is exhaustive; nothing is sampled
+    with pytest.raises(TypeError):
+        pi3_exact(AugmentedCube(4), **kwargs)
 
 
 def test_pi3_exhaustive_guard():
     big = AugmentedCube(7)
     with pytest.raises(ResourceGuard):
-        pi3_exact(big, "exhaustive")
+        pi3_exact(big)
 
 
 class HugeCube(AugmentedCube):
@@ -252,12 +251,12 @@ class HugeCube(AugmentedCube):
 
 def test_pi3_exhaustive_guard_comes_before_the_vertex_list():
     with pytest.raises(ResourceGuard):
-        pi3_exact(HugeCube(40), "exhaustive")
+        pi3_exact(HugeCube(40))
 
 
 def test_oracle_size_guard_comes_before_the_vertex_list():
     with pytest.raises(ResourceGuard, match="limited to 65536 vertices"):
-        pi3_exact(HugeCube(40), "sampled", seed=1, count=1)
+        pi3_exact(HugeCube(40))
     with pytest.raises(ResourceGuard, match="limited to 65536 vertices"):
         max_dpaths(HugeCube(40), (0, 1, 2))
 
@@ -277,8 +276,8 @@ def test_pi3_reads_text_graphs(tmp_path):
 
     cube = AugmentedCube(3)
     g = parse_graph(render_graph(cube))
-    val, trip = pi3_exact(g, "exhaustive")
-    ref_val, ref_trip = pi3_exact(cube, "exhaustive")
+    val, trip = pi3_exact(g)
+    ref_val, ref_trip = pi3_exact(cube)
     assert val == ref_val
 
     # pinning is only used on native cubes; the parsed copy sweeps everything
@@ -326,11 +325,11 @@ def test_orbit_sweep_matches_the_pinned_sweep(n):
     cube = AugmentedCube(n)
     pinned = min((max_dpaths(cube, (0, b, c))[0], (0, b, c))
                  for b, c in itertools.combinations(range(1, 1 << n), 2))
-    assert pi3_exact(cube, "exhaustive") == pinned
+    assert pi3_exact(cube) == pinned
 
 
 def test_dimension_six_value_is_exhaustive():
-    assert pi3_exact(AugmentedCube(6), "exhaustive") == (7, (0, 3, 5))
+    assert pi3_exact(AugmentedCube(6)) == (7, (0, 3, 5))
 
 
 def test_max_dpaths_is_invariant_under_automorphisms():

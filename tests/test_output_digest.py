@@ -40,7 +40,7 @@ def construct_digest(n, count):
 
 
 # (n, triples of each kind) -> digest: the benchmark's dimensions, and
-# both sides of the cube's distance-table width (20 bits)
+# wide cubes up to the widest construct admits (n = 32)
 CONSTRUCT_DIGESTS = {
     (8, 8): "341999248b3993b5a92f7715c47b5db91e23617597f74545b501c447d499a8bb",
     (10, 8): "b2a52c8df7eb18a973b33af1786b474ef9ef029aa2ed2e01fb3651ccbf2376f3",
