@@ -2,8 +2,8 @@
 
 Vertices on the command line are binary strings of length n (decimal is
 rejected so nobody trips over the bit order).  Exit status: 0 on success,
-1 on a failed verification, a refuted claim, or a family the constructor
-could not build, 2 for usage and resource-guard errors.
+1 on a failed verification, a disproved claim, or a family the
+constructor could not build, 2 for usage and resource-guard errors.
 """
 
 from __future__ import annotations

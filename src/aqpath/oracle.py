@@ -7,12 +7,15 @@ splits into a profile (a, b, c) counting paths middled at each terminal;
 the pair demands that profile induces are packed exactly by the segment
 engine.  Profiles are scanned by decreasing total (then ascending
 lexicographically); the first feasible total is the maximum because
-dropping a path keeps a packing valid.  On a whole cube, an automorphism
-that permutes the terminals sends a packing for one profile to a packing
-for the permuted profile, so a refuted profile refutes its images under
-the triple's symmetries (``cube.symmetries``) and they are skipped.  The
-symmetries are found at the first refutation, so a call that refutes
-nothing pays nothing for them.
+dropping a path keeps a packing valid.  Profiles follow the cube's
+lex-leader rule (``aqpath.cube``): an automorphism that permutes the
+terminals (``cube.symmetries``) sends a packing for one profile to a
+packing for the permuted profile, and on a whole cube every terminal has
+the same cap, so a profile with a lower image is skipped: that image was
+scanned first and found infeasible.  The first profile scanned at each
+total is the least of its orbit, so the permutations are found only at
+the first infeasible profile, and a call that meets none pays nothing
+for them.
 
 ``brute_small`` is the oracle's own referee: it enumerates the simple
 terminal-to-terminal paths containing the third terminal and takes a
@@ -133,11 +136,13 @@ def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
     x, y, z = trip
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
-    perms = None  # the triple's permutations, found at the first refutation
-    refuted: set[tuple[int, ...]] = set()
+    perms = None  # the triple's permutations, found when first needed
     for m in range(ub, 0, -1):
         for profile in _profiles(m, tuple(d - m for d in degs)):
-            if profile in refuted:
+            # the permutations form a group, so the images under their
+            # inverses, read here, are the images under them
+            if perms and any((profile[i], profile[j], profile[k]) < profile
+                             for i, j, k in perms):
                 continue
             a, b, c = profile
             demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
@@ -145,23 +150,8 @@ def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
             if segs is not None:
                 return m, _assemble(profile, segs)
             if perms is None:
-                perms = _triple_perms(view, trip)
-            for perm in perms:
-                image = [0, 0, 0]
-                for i, j in enumerate(perm):
-                    image[j] = profile[i]
-                refuted.add(tuple(image))
+                perms = {perm for _, _, perm in symmetries(view, trip)}
     return 0, []
-
-
-def _triple_perms(view, trip: tuple[int, int, int]) -> set[tuple[int, ...]]:
-    """The permutations of ``trip`` that automorphisms of ``view`` fixing
-    the set induce, other than the identity; only on a whole cube, where
-    an automorphism sends a packing for a profile to one for the permuted
-    profile, so a refuted profile refutes its images."""
-    if type(view) is not AugmentedCube:
-        return set()
-    return {perm for _, _, perm in symmetries(view.n, trip)} - {(0, 1, 2)}
 
 
 def _terminals(D: Sequence[int]) -> tuple[int, int, int]:

@@ -40,15 +40,14 @@ Feasibility is decided exactly, in two stages:
    and spare set under the set alone, the joint relaxation under the set
    and the segments still owed.  Flows are deterministic, so the caches
    change no visit, tick or answer, only the number of flows.
-   On a whole cube (an ``AugmentedCube`` itself, not a sub-cube view) the
-   search also skips symmetric work (lex-leader pruning).  An automorphism
-   fixing every terminal (``cube.symmetries``) sends packings to packings.
-   Segment sets are committed in increasing order and every pruning step
-   is sound, so the search returns the least set that completes, and no
-   such map sends it to a lower one.  A segment is therefore skipped,
-   after its tick, when a map sends the committed segments with it
-   appended to a set that sorts lower: the same packing is returned, and
-   a refutation stays a refutation with fewer ticks.
+   The search also follows the cube's lex-leader rule (``aqpath.cube``).
+   An automorphism fixing every terminal (``cube.symmetries``) sends
+   packings to packings.  Segment sets are committed in increasing order
+   and every pruning step is sound, so the search returns the least set
+   that completes, and no such map sends it to a lower one.  A segment is
+   therefore skipped, after its tick, when a map sends the committed
+   segments with it appended to a set that sorts lower: the same packing
+   is returned, and a refutation stays a refutation with fewer ticks.
 
 No stage lists the view: the free vertices are the view's vertices
 outside a small blocked set (the terminals, then the committed interiors
@@ -61,11 +60,10 @@ to an approximation.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .cube import AugmentedCube, automorphisms, map_vertex, symmetries
+from .cube import map_vertex, symmetries
 from .flow import UnitFlowNet, sink_distances
 
 
@@ -313,58 +311,6 @@ def _split_for_search(live: Sequence[Demand]) -> tuple[Demand, list[Demand]]:
     return (u, v, c_uv), [(w, u, c[w, u]), (w, v, c[w, v])]
 
 
-def _leaf_solve(view, leaf: Sequence[Demand], blocked: set[int]):
-    """Exact decision for single-source demands: the relaxation cannot loop
-    a unit back into its source, and saturation forces the sink split."""
-    net = _saturate(view, leaf, blocked)
-    return None if net is None else _classify(net, leaf)
-
-
-def _branch_blocked(view, leaf: Sequence[Demand],
-                    blocked: set[int]) -> set[int] | None:
-    """What a branch segment may not cross: ``blocked`` and every free
-    vertex whose removal alone makes the leaf infeasible, so the free
-    vertices outside it are the leaf's spare vertices.  None when the leaf
-    is infeasible already, which spares no vertex.
-
-    Leaf feasibility is monotone in the free set, so a branch segment may
-    never route through a vertex that is not spare; jointly critical
-    combinations are still caught by the per-commitment leaf check.  One
-    saturated relaxation answers for every vertex: a feasible leaf spares
-    all but the vertices every saturating flow crosses
-    (``UnitFlowNet.critical``).
-    """
-    net = _saturate(view, leaf, blocked)
-    return None if net is None else blocked | net.critical()
-
-
-def _image_order(a: Segment, b: Segment, image: dict[int, int],
-                 b_moved: bool) -> int:
-    """-1, 0 or 1 as the image of ``a`` sorts below, equal to or above that
-    of ``b`` (``b`` itself unless ``b_moved``) in ``_seg_key`` order, for
-    segments between the same two terminals, which the map fixes, and
-    ``image`` holding every interior vertex's image."""
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    for i in range(1, len(a) - 1):
-        x = image[a[i]]
-        y = image[b[i]] if b_moved else b[i]
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
-def _terminal_fixers(view, terminals) -> list[tuple[tuple[int, ...], int]]:
-    """The automorphisms v -> map_vertex(g, v) ^ t of a whole cube that fix
-    every terminal, other than the identity, as (g, t); none elsewhere."""
-    if type(view) is not AugmentedCube:
-        return []
-    D = sorted(terminals)
-    identity = automorphisms(view.n)[0]
-    return [(g, t) for g, t, perm in symmetries(view.n, D)
-            if perm == tuple(range(len(D))) and (g, t) != (identity, 0)]
-
-
 def _dfs_pack(view, demands: Sequence[Demand], blocked: set[int], budget: Budget):
     """Complete search of a triangle: (oriented demands, their segments),
     or None.  Segments of the branched pair are committed in strictly
@@ -395,36 +341,45 @@ class _PackSearch:
         self.joint_ok: dict[tuple[frozenset[int], int], bool] = {}
         self.avoid: dict[frozenset[int], set[int] | None] = {}
         # (g, t, the images found so far) of each map fixing every terminal
-        self.maps = [(g, t, {}) for g, t in _terminal_fixers(view, blocked)]
+        D = sorted(blocked)
+        self.maps = [(g, t, {}) for g, t, perm in symmetries(view, D)
+                     if perm == tuple(range(len(D)))]
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment chosen so far."""
         return frozenset(w for seg in self.chosen for w in seg[1:-1])
 
-    def branch_blocked(self, key: frozenset[int], net) -> set[int] | None:
-        """``_branch_blocked`` for the current blocked set, read from the
-        saturated leaf ``net`` over it when the caller has one."""
-        if key not in self.avoid:
-            self.avoid[key] = (
-                _branch_blocked(self.view, self.leaf, self.blocked)
-                if net is None else self.blocked | net.critical())
-        return self.avoid[key]
-
     def rec(self, net=None) -> bool:
         """Complete the packing; ``net`` is the saturated leaf relaxation
-        over the current blocked set, if at hand."""
+        over the current blocked set, if at hand.  The leaf has one source,
+        which no unit can loop back into, so saturation decides it exactly
+        and forces the split between its sinks."""
         u, v, need = self.branch
         chosen = self.chosen
         if len(chosen) == need:
-            self.leaf_found = (_leaf_solve(self.view, self.leaf, self.blocked)
-                               if net is None else _classify(net, self.leaf))
+            if net is None:
+                net = _saturate(self.view, self.leaf, self.blocked)
+            self.leaf_found = None if net is None else _classify(net, self.leaf)
             return self.leaf_found is not None
-        floor = chosen[-1] if chosen else None
-        avoid = self.branch_blocked(self.committed(), net)
+        # a branch segment may not cross ``blocked`` nor any free vertex
+        # whose removal alone makes the leaf infeasible.  Leaf feasibility
+        # is monotone in the free set, so a segment through such a vertex
+        # never completes; jointly critical combinations are still caught
+        # by the per-commitment leaf check.  One saturated leaf answers
+        # for every vertex: a feasible leaf spares all but the vertices
+        # every saturating flow crosses (``UnitFlowNet.critical``).
+        key = self.committed()
+        if key not in self.avoid:
+            if net is None:
+                net = _saturate(self.view, self.leaf, self.blocked)
+            self.avoid[key] = (None if net is None
+                               else self.blocked | net.critical())
+        avoid = self.avoid[key]
         if avoid is None:
             # only at the root, as a child is entered with a feasible leaf;
             # no commitment frees a vertex, so none rescues the leaf
             return False
+        floor = chosen[-1] if chosen else None
         for seg in _enum_segments(self.view, u, v, avoid, floor):
             self.budget.tick()
             if self.maps and self.dominated(seg):
@@ -434,8 +389,7 @@ class _PackSearch:
             chosen.append(seg)
             key = self.committed()
             # the leaf alone is an exact, junk-free necessary condition and
-            # prunes far harder than the joint relaxation; it has one
-            # source, so saturation decides it (``_leaf_solve``)
+            # prunes far harder than the joint relaxation
             leaf_net = None
             ok = self.leaf_ok.get(key)
             if ok is None:
@@ -450,21 +404,17 @@ class _PackSearch:
     def dominated(self, seg: Segment) -> bool:
         """Whether a map fixing the terminals sends the branched segments,
         ``seg`` appended, to a set that sorts below them in ``_seg_key``
-        order, so that no least packing starts with them."""
+        order, so that no least packing starts with them.  The segments
+        before ``seg`` were checked here first, so their images are known."""
         segs = self.chosen + [seg]
+        keys = [_seg_key(s) for s in segs]
         for g, t, image in self.maps:
-            for s in segs:
-                for i in range(1, len(s) - 1):
-                    if s[i] not in image:
-                        image[s[i]] = map_vertex(g, s[i]) ^ t
-            moved = sorted(segs, key=cmp_to_key(
-                lambda a, b: _image_order(a, b, image, True)))
-            for a, s in zip(moved, segs):
-                order = _image_order(a, s, image, False)
-                if order:
-                    if order < 0:
-                        return True
-                    break
+            for w in seg:
+                if w not in image:
+                    image[w] = map_vertex(g, w) ^ t
+            moved = [_seg_key(tuple([image[w] for w in s])) for s in segs]
+            if sorted(moved) < keys:
+                return True
         return False
 
     def joint(self, key: frozenset[int]) -> bool:

@@ -89,7 +89,8 @@ def _violations(n: int, triples) -> int:
     return bad
 
 
-def criterion_4(budget: int = oracle.DEFAULT_BUDGET) -> CriterionResult:
+def criterion_4() -> CriterionResult:
+    budget = oracle.DEFAULT_BUDGET
     got = []
     for n, want in ((4, 4), (5, 5), (6, 7)):
         w = oracle.witness_triple(n)

@@ -64,7 +64,8 @@ def test_criterion_04_fails_when_the_budget_runs_out(monkeypatch):
         return max_dpaths(view, D, budget)
 
     monkeypatch.setattr(report.oracle, "max_dpaths", exhausted_at_six)
-    res = report.criterion_4(budget=1234)
+    monkeypatch.setattr(report.oracle, "DEFAULT_BUDGET", 1234)
+    res = report.criterion_4()
     assert res.passed is False
     assert res.detail == "n=6: search budget 1234 exhausted"
 

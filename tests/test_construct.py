@@ -154,19 +154,27 @@ def oriented(path):
     return tuple(path) if path[0] < path[-1] else tuple(reversed(path))
 
 
+def transform_cases():
+    """Every AQ_4 triple, then 25 seeded triples each of AQ_5 and AQ_6."""
+    for D in itertools.combinations(range(16), 3):
+        yield 4, D
+    for n, seed in ((5, 31), (6, 29)):
+        rng = random.Random(seed)
+        for _ in range(25):
+            yield n, tuple(sorted(rng.sample(range(1 << n), 3)))
+
+
 def test_transform_soundness():
     # the family built on the relocation the trace records, pulled back,
     # is the family the public entry point returns for the original labels
-    cube = AugmentedCube(6)
-    rng = random.Random(29)
-    for _ in range(25):
-        D = tuple(sorted(rng.sample(range(64), 3)))
-        fam = construct(6, D)
+    cubes = {n: AugmentedCube(n) for n in (4, 5, 6)}
+    for n, D in transform_cases():
+        fam = construct(n, D)
         t = fam.trace[0].translation
-        fam_c = construct(6, tuple(r ^ t for r in fam.trace[0].roles))
+        fam_c = construct(n, tuple(r ^ t for r in fam.trace[0].roles))
         pulled = [tuple(v ^ t for v in p) for p in fam_c.paths]
-        assert check_family(cube, D, pulled) is None
-        assert [oriented(p) for p in pulled] == fam.paths
+        assert check_family(cubes[n], D, pulled) is None, D
+        assert [oriented(p) for p in pulled] == fam.paths, D
 
 
 def reference_normalize(cube, trip):

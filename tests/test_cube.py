@@ -12,6 +12,7 @@ from aqpath.construct import construct
 from aqpath.cube import (
     AdjListView,
     AugmentedCube,
+    PrefixView,
     RestrictedView,
     automorphisms,
     complement_word,
@@ -513,12 +514,13 @@ def test_automorphisms_are_listed_once_per_dimension():
 
 
 def set_preserving_maps(n, D):
-    """The reference for ``symmetries``: every one of the 8 * 2**n maps,
-    kept when it sends the set D onto itself."""
+    """The reference for ``symmetries``: every one of the 8 * 2**n maps
+    but the identity, kept when it sends the set D onto itself."""
     want, kept = set(D), []
     for g in automorphisms(n):
         moved = [map_vertex(g, d) for d in D]
         kept += [(g, t) for t in range(1 << n) if {w ^ t for w in moved} == want]
+    kept.remove((automorphisms(n)[0], 0))
     return sorted(kept)
 
 
@@ -532,8 +534,21 @@ def symmetry_cases():
 
 
 def test_symmetries_are_exactly_the_maps_keeping_the_set():
+    cubes = {n: AugmentedCube(n) for n in (4, 5, 8)}
     for n, D in symmetry_cases():
-        got = list(symmetries(n, D))
+        got = list(symmetries(cubes[n], D))
         assert sorted((g, t) for g, t, _ in got) == set_preserving_maps(n, D), D
         for g, t, perm in got:
             assert [map_vertex(g, d) ^ t for d in D] == [D[i] for i in perm]
+
+
+def test_only_a_whole_cube_yields_symmetries():
+    cube = AugmentedCube(4)
+    D = (0, 1, 2)
+    assert len(list(symmetries(cube, D))) == 3
+    # the empty-prefix view is the whole cube's graph, but not a cube
+    others = [cube.half_view(0), cube.quadrant_view(0), RestrictedView(cube),
+              PrefixView(cube, (0,), 0),
+              AdjListView([(0, 1), (1, 2), (0, 2)], bits=2)]
+    for view in others:
+        assert list(symmetries(view, D)) == [], type(view).__name__

@@ -249,11 +249,6 @@ class HugeCube(AugmentedCube):
         raise AssertionError("vertex list built before the size guard")
 
 
-def test_pi3_exhaustive_guard_comes_before_the_vertex_list():
-    with pytest.raises(ResourceGuard):
-        pi3_exact(HugeCube(40))
-
-
 def test_oracle_size_guard_comes_before_the_vertex_list():
     with pytest.raises(ResourceGuard, match="limited to 65536 vertices"):
         pi3_exact(HugeCube(40))

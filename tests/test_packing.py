@@ -7,8 +7,8 @@ import pytest
 from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
 from aqpath import packing
-from aqpath.packing import (Budget, _branch_blocked, _enum_segments, _hops,
-                            _saturate, _split_for_search, pack_segments)
+from aqpath.packing import (Budget, _enum_segments, _hops, _saturate,
+                            _split_for_search, pack_segments)
 from aqpath.textio import parse_graph, render_graph
 
 
@@ -48,9 +48,12 @@ def spare_by_rebuild(view, leaf, blocked):
 
 
 def spare_vertices(view, leaf, blocked):
-    """The free vertices ``_branch_blocked`` leaves to branch segments."""
-    fence = _branch_blocked(view, leaf, blocked)
-    return set() if fence is None else set(view.vertices()) - fence
+    """The free vertices the search leaves to branch segments: those one
+    saturated leaf flow does not need."""
+    net = _saturate(view, leaf, blocked)
+    if net is None:
+        return set()
+    return set(view.vertices()) - blocked - net.critical()
 
 
 def random_graph(seed):

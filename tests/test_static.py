@@ -95,6 +95,26 @@ def test_the_constructor_runs_no_whole_cube_search():
     assert listed_views(tree) == []
 
 
+def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
+    # ``cube.symmetries`` alone decides which views have symmetries and
+    # leaves out the identity, so the packing search needs nothing else
+    # from the cube than the maps it applies
+    tree = parse_module("packing.py")
+    assert sorted(imported_names(tree, "cube")) == ["map_vertex", "symmetries"]
+
+
+# the gate needs an interpreter with pytest and nothing else
+TEST_IMPORT_ROOTS = set(sys.stdlib_module_names) | {"pytest", "aqpath"}
+
+
+def test_the_tests_import_only_the_standard_library_pytest_and_aqpath():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(tests) >= 10
+    for path in tests:
+        for name in imported_modules(path):
+            assert name.split(".")[0] in TEST_IMPORT_ROOTS, (path.name, name)
+
+
 def test_every_exported_name_resolves_once():
     assert len(aqpath.__all__) == len(set(aqpath.__all__))
     for name in aqpath.__all__:

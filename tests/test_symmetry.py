@@ -1,9 +1,9 @@
 """The oracle's symmetry breaking changes work, never answers.
 
-The reference mode sees no symmetry: ``symmetries`` yields the identity
-alone, so ``max_dpaths`` skips no profile and the packing search skips no
-segment.  Both modes must return the same values, witnesses and packings,
-and the search with symmetry may only use fewer budget ticks.
+The reference mode sees no symmetry: ``symmetries`` yields nothing, so
+``max_dpaths`` skips no profile and the packing search skips no segment.
+Both modes must return the same values, witnesses and packings, and the
+search with symmetry may only use fewer budget ticks.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import pytest
 
 from aqpath import oracle, packing
 from aqpath.cube import AugmentedCube, automorphisms, map_vertex
+from aqpath.flow import UnitFlowNet
 from aqpath.oracle import max_dpaths
 from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
 
@@ -23,14 +24,14 @@ from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
 ARGMIN = (0, 1, 2)
 
 
-def identity_only(n, D):
-    yield automorphisms(n)[0], 0, tuple(range(len(D)))
+def no_symmetries(view, D):
+    return iter(())
 
 
 def without_symmetry(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "symmetries", identity_only)
-        mp.setattr(packing, "symmetries", identity_only)
+        mp.setattr(oracle, "symmetries", no_symmetries)
+        mp.setattr(packing, "symmetries", no_symmetries)
         return fn(*args)
 
 
@@ -46,10 +47,36 @@ def counted_pack_segments(monkeypatch):
     return calls
 
 
+def counted_work(mp):
+    """Count, from here on, the budget ticks, the ``pack_segments`` calls
+    of ``max_dpaths`` and the max-flows."""
+    work = {"ticks": 0, "packings": 0, "max_flows": 0}
+
+    def counting(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            work[key] += 1
+            return fn(*args, **kwargs)
+        mp.setattr(owner, name, counted)
+
+    counting(Budget, "tick", "ticks")
+    counting(oracle, "pack_segments", "packings")
+    counting(UnitFlowNet, "max_flow", "max_flows")
+    return work
+
+
 def test_every_dimension_four_triple_keeps_value_and_witness():
     cube = AugmentedCube(4)
-    for D in itertools.combinations(range(16), 3):
-        assert max_dpaths(cube, D) == without_symmetry(max_dpaths, cube, D), D
+    triples = list(itertools.combinations(range(16), 3))
+    with pytest.MonkeyPatch.context() as mp:
+        work = counted_work(mp)
+        found = [max_dpaths(cube, D) for D in triples]
+    # the work with symmetry, pinned exactly: a change to how symmetry is
+    # broken that changes any of it must say so
+    assert work == {"ticks": 92_477, "packings": 944, "max_flows": 12_629}
+    for D, got in zip(triples, found):
+        assert got == without_symmetry(max_dpaths, cube, D), D
 
 
 def test_the_argmin_orbit_refutes_two_profiles_not_three(monkeypatch):
