@@ -2,10 +2,9 @@
 and the exact machinery to check them."""
 
 from .construct import ConstructionError, DPathFamily, TraceEntry, construct, target_count
-from .cube import AdjListView, AugmentedCube, RestrictedView
+from .cube import AdjListView, AugmentedCube, ResourceGuard, RestrictedView
 from .flow import Insufficient, connectivity, disjoint_paths, fan, linkage, min_vertex_cut
 from .oracle import (
-    ResourceGuard,
     WitnessReport,
     brute_small,
     common_neighbors,

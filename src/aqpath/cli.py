@@ -13,9 +13,8 @@ import sys
 
 from . import oracle, report, textio
 from .construct import ConstructionError, construct, target_count
-from .cube import AugmentedCube
-from .oracle import ResourceGuard
-from .packing import SearchBudgetExceeded
+from .cube import AugmentedCube, ResourceGuard, guard_size
+from .packing import DEFAULT_BUDGET, SearchBudgetExceeded
 from .verify import check_family
 
 
@@ -43,7 +42,7 @@ def cmd_gen(args) -> int:
     cube = AugmentedCube(args.n)
     # the text is built whole before it is written, and its one reader,
     # ``oracle --graph``, takes no larger graph
-    oracle._guard_size(cube, what="gen")
+    guard_size(cube, oracle.ORACLE_MAX_VERTICES, "gen")
     text = textio.render_graph(cube)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -176,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="graph text file ('-' for stdin)")
     p.add_argument("--n", type=int)
     p.add_argument("--triple", required=True, metavar="X,Y,Z")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("pi3", help="minimum over triples, exact")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_pi3)
 
     p = sub.add_parser("bounds", help="counting ceiling next to the built count")
@@ -204,9 +203,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        # checked with the arguments, before a command does any work
-        if getattr(args, "budget", 0) < 0:
-            raise ValueError("budget must be >= 0")
         return args.fn(args)
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,20 +33,20 @@ on an attachment path, over that vertex's matching edge across a mask word,
 and along the fan to z.  The even-step builders serve n = 4 as well, so
 only B1 and B3.2, which no general builder covers, keep a builder of their own.
 
-Every level ends at the verifier: the family must have the target count
-and pass ``verify.check_family``.  There is one code path.  If a
-transcription cannot be realized on some triple (named vertices colliding,
-not enough long paths to attach to) or its family fails verification,
-``construct`` raises ``ConstructionError``; shortfall is never silent and
-never patched up by a second search.  Every triple of AQ_4 to AQ_7 has
-been built and verified this way.
+The whole family ends at the verifier, once per call: it must have the
+target count and pass ``verify.check_family``.  A sub-family lies in
+quadrant 00 or half 0, an induced sub-cube, so that check referees its
+paths too.  If a transcription cannot be realized on some triple (named
+vertices colliding, not enough long paths to attach to) or the family
+fails the check, ``construct`` raises ``ConstructionError``; shortfall is
+never silent and never patched up by a second search.
 
 Every case is built from the flows ``disjoint_paths``, ``fan`` and
 ``linkage``, with no search that needs a budget; E1.2 and E2.2 route their
 three prescribed pairs one flow path at a time (``_route_pairs``).  The
 flows read only the region their searches explore, so ``construct`` lists
 no vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone,
-and above it ``construct`` raises ``oracle.ResourceGuard``.
+and above it ``construct`` raises ``cube.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .cube import AugmentedCube, RestrictedView
+from .cube import AugmentedCube, ResourceGuard, RestrictedView
 from .flow import Insufficient, UnitFlowNet, disjoint_paths, fan, linkage
-from .oracle import ResourceGuard
 from .verify import check_family
 
 # dispatcher case labels (B = dimension-4 base, E = even step, O = odd step)
@@ -104,8 +103,7 @@ class DPathFamily(NamedTuple):
 
 def construct(n: int, triple) -> DPathFamily:
     """target_count(n) internally disjoint paths through the triple."""
-    if n < 4:
-        raise ValueError("construction defined for n >= 4")
+    want = target_count(n)  # ValueError below n = 4
     if n > CONSTRUCT_MAX_N:
         raise ResourceGuard(f"construct is limited to n <= {CONSTRUCT_MAX_N}")
     cube = AugmentedCube(n)
@@ -114,7 +112,6 @@ def construct(n: int, triple) -> DPathFamily:
         raise ValueError("need three distinct vertices")
     for v in trip:
         cube.check_vertex(v)
-    want = target_count(n)
     try:
         paths, trace = _construct_level(cube, trip)
     except (_CaseInfeasible, Insufficient) as exc:
@@ -140,13 +137,15 @@ def construct(n: int, triple) -> DPathFamily:
 
 
 def _construct_level(cube, trip):
+    """This level's paths and trace, the sub-family's first; unverified."""
     word, case, xyz = _normalize(cube, trip)
     builder, down = _CASES[case]
-    sub = construct(cube.n - down, xyz) if down else None
-    paths = (list(sub.paths) if sub else []) + builder(cube, *xyz)
+    paths, trace = (_construct_level(AugmentedCube(cube.n - down), xyz)
+                    if down else ([], []))
+    paths += builder(cube, *xyz)
     pulled = [[v ^ word for v in p] for p in paths]
     entry = TraceEntry(cube.n, case, word, tuple(v ^ word for v in xyz))
-    return pulled, [entry] + (sub.trace if sub else [])
+    return pulled, [entry] + trace
 
 
 def _normalize(cube, trip):

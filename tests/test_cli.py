@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,14 @@ def test_witness_printed_variant_exits_one(capsys):
     code, out, _ = run(capsys, "witness", "--n", "4")
     assert code == 0
     assert "COMMON 0011 0100 1000 1111" in out
+
+
+def test_witness_above_the_cube_width_guard_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "witness", "--n", "100000")
+    assert time.perf_counter() - t0 < 1.0  # the cube is refused unbuilt
+    assert (code, out) == (2, "")
+    assert err == "error: the cube is limited to n <= 4096\n"
 
 
 def test_pi3_output(capsys):

@@ -473,3 +473,19 @@ def test_construct_guard_comes_before_the_vertex_list(monkeypatch):
         construct(top + 1, (0, 1, 2))
     with pytest.raises(Reached):  # the largest admitted n gets past the guard
         construct(top, (0, 1, 2))
+
+
+def test_a_recursing_construct_verifies_its_family_once(monkeypatch):
+    # the sub-families lie in induced sub-cubes of AQ_9 (half 0, then
+    # quadrants 00), so one referee call on the whole family checks them
+    module = importlib.import_module("aqpath.construct")
+    calls = []
+
+    def counted(view, D, paths):
+        calls.append(view.n)
+        return check_family(view, D, paths)
+
+    monkeypatch.setattr(module, "check_family", counted)
+    fam = construct(9, (0, 1, 2))
+    assert [e.case for e in fam.trace] == ["O1", "E1.2", "E1.2", "B1"]
+    assert calls == [9]

@@ -10,9 +10,11 @@ import pytest
 
 from aqpath.construct import construct
 from aqpath.cube import (
+    CUBE_MAX_N,
     AdjListView,
     AugmentedCube,
     PrefixView,
+    ResourceGuard,
     RestrictedView,
     automorphisms,
     complement_word,
@@ -56,6 +58,12 @@ def test_vertex_and_edge_counts():
     assert edge_count(AugmentedCube(4)) == 56
     with pytest.raises(ValueError):
         AugmentedCube(0)
+
+
+def test_the_cube_width_is_capped():
+    assert AugmentedCube(CUBE_MAX_N).degree == 2 * CUBE_MAX_N - 1
+    with pytest.raises(ResourceGuard, match=f"n <= {CUBE_MAX_N}"):
+        AugmentedCube(CUBE_MAX_N + 1)
 
 
 def test_complete_small_cubes():

@@ -19,7 +19,7 @@ from aqpath.flow import (
     sink_distances,
 )
 from aqpath import flow
-from aqpath.packing import Budget, pack_segments
+from aqpath.packing import DEFAULT_BUDGET, Budget, pack_segments
 
 
 def k4():
@@ -252,7 +252,7 @@ def test_a_far_pair_in_a_huge_half_lists_no_vertex():
 ], ids=["unit-pairs", "triangle", "searched"])
 def test_packing_in_a_huge_half_lists_no_vertex(demands, ticks):
     half = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
-    budget = Budget(None)
+    budget = Budget(DEFAULT_BUDGET)
     found = pack_segments(half, demands, budget)
     assert found is not None
     terminals = {t for u, v, _ in demands for t in (u, v)}
@@ -291,7 +291,7 @@ def test_a_double_role_packing_in_a_huge_half_stays_local():
     half.limit = 20_000
     a, b = int("110" + "0110" * 9, 2), int("011" + "1010" * 9, 2)
     demands = [(0, a, 1), (a, b, 1), (0, b, 1)]
-    budget = Budget(None)
+    budget = Budget(DEFAULT_BUDGET)
     found = pack_segments(half, demands, budget)
     assert found is not None
     interiors = [w for segs in found for seg in segs for w in seg[1:-1]]

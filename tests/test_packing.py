@@ -7,8 +7,8 @@ import pytest
 from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
 from aqpath import packing
-from aqpath.packing import (Budget, _enum_segments, _hops, _saturate,
-                            _split_for_search, pack_segments)
+from aqpath.packing import (Budget, SearchBudgetExceeded, _enum_segments, _hops,
+                            _saturate, _split_for_search, pack_segments)
 from aqpath.textio import parse_graph, render_graph
 
 
@@ -28,7 +28,8 @@ def test_a_budget_is_never_negative():
     with pytest.raises(ValueError, match="budget must be >= 0"):
         Budget(-5)
     Budget(0)
-    Budget(None)
+    with pytest.raises(TypeError):  # no budget is unbounded
+        Budget(None)
 
 
 def test_demands_on_four_terminals_are_rejected():
@@ -117,7 +118,7 @@ def test_an_infeasible_leaf_still_tries_the_direct_edge():
     assert _split_for_search(demands) == ((0, 1, 2), leaf)
     assert spare_vertices(view, leaf, {0, 1, 2}) == {5, 7}
     assert spare_by_rebuild(view, leaf, {0, 1, 2}) == {5, 7}
-    budget = Budget(None)
+    budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(view, demands, budget) is None
     assert budget.used == 2
 
@@ -256,6 +257,12 @@ def test_segments_come_in_the_order_exact_pruning_gives(name):
 REFUTED = [(0, 1, 4), (1, 2, 3), (0, 2, 3)]
 
 
+def test_a_search_without_a_budget_takes_the_default(monkeypatch):
+    monkeypatch.setattr(packing, "DEFAULT_BUDGET", 100)
+    with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
+        pack_segments(AugmentedCube(4), REFUTED)
+
+
 def test_a_refutation_leaves_no_cyclic_garbage():
     cube = AugmentedCube(4)
     gc.collect()
@@ -276,7 +283,7 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
         return max_flow(net, limit)
 
     monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
-    budget = Budget(None)
+    budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(AugmentedCube(4), REFUTED, budget) is None
     # the caches keep the search tree and save flows; a map fixing the
     # three terminals prunes the subtrees it sends onto earlier ones

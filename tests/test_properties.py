@@ -3,11 +3,7 @@
 import itertools
 
 from aqpath.cube import AugmentedCube
-from aqpath.report import (
-    duality_suite,
-    mask_automorphism_suite,
-    verifier_fuzz_suite,
-)
+from aqpath.report import _paths_internally_disjoint
 
 _CUBES = {n: AugmentedCube(n) for n in range(2, 7)}
 
@@ -37,16 +33,11 @@ def test_translation_preserves_adjacency():
             assert all((x ^ t, y ^ t) in base for (x, y) in base)
 
 
-def test_mask_automorphism_suite_clean():
-    assert mask_automorphism_suite(cases=150, seed=5) == 0
-
-
-def test_duality_suite_clean():
-    assert duality_suite(cases=100, seed=6) == 0
-
-
-def test_verifier_fuzz_suite_clean():
-    assert verifier_fuzz_suite(cases=100, seed=7) == 0
+def test_the_duality_referee_refuses_a_walk_that_repeats_a_vertex():
+    # every step of this 0-7 walk is an edge of AQ_3, but it visits 1 twice
+    cube = AugmentedCube(3)
+    assert not _paths_internally_disjoint(cube, 0, 7, [[0, 1, 3, 2, 1, 5, 7]])
+    assert _paths_internally_disjoint(cube, 0, 7, [[0, 1, 3, 2, 5, 7]])
 
 
 def test_quadrant_pinning_is_sound_for_sweeps():

@@ -87,11 +87,12 @@ def imported_names(tree, module: str):
 
 def test_the_constructor_runs_no_whole_cube_search():
     # every triple is built by its dispatch case or raises, so the
-    # constructor needs nothing from the oracle but its size guard, runs
-    # no budgeted packing search and lists no view
+    # constructor needs nothing from the oracle or the packing search
+    # (within the package, only the cube, the flows and the verifier) and
+    # lists no view
     tree = parse_module("construct.py")
-    assert imported_names(tree, "oracle") == ["ResourceGuard"]
-    assert imported_names(tree, "packing") == []
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} == {"cube", "flow", "verify"}
     assert listed_views(tree) == []
 
 
