@@ -1,21 +1,21 @@
 """Exact ground truth at desk scale.
 
 ``max_dpaths`` computes the maximum number of internally disjoint paths
-through three prescribed terminals on any small view.  A path through
-three terminals has exactly one of them between the other two, so a family
-splits into a profile (a, b, c) counting paths middled at each terminal;
-the pair demands that profile induces are packed exactly by the segment
-engine.  Profiles are scanned by decreasing total (then ascending
-lexicographically); the first feasible total is the maximum because
-dropping a path keeps a packing valid.  Profiles follow the cube's
-lex-leader rule (``aqpath.cube``): an automorphism that permutes the
-terminals (``cube.symmetries``) sends a packing for one profile to a
-packing for the permuted profile, and on a whole cube every terminal has
-the same cap, so a profile with a lower image is skipped: that image was
-scanned first and found infeasible.  The first profile scanned at each
-total is the least of its orbit, so the permutations are found only at
-the first infeasible profile, and a call that meets none pays nothing
-for them.
+through three prescribed terminals x, y, z on any small view.  A path
+through them has one terminal between the other two, so a family splits
+into a profile (a, b, c) counting paths middled at x, y and z; the pair
+demands that profile induces, a + b segments x-y, b + c y-z and a + c x-z,
+are packed exactly by the segment engine.  Profiles are scanned by
+decreasing total (then ascending lexicographically); the first feasible
+total is the maximum because dropping a path keeps a packing valid.
+Profiles follow the cube's lex-leader rule (``aqpath.cube``): an
+automorphism that permutes the terminals (``cube.symmetries``) sends a
+packing for one profile to a packing for the permuted profile, and on a
+whole cube every terminal has the same cap, so a profile with a lower
+image is skipped: that image was scanned first and found infeasible.  The
+first profile scanned at each total is the least of its orbit, so the
+permutations are found only at the first infeasible profile, and a call
+that meets none pays nothing for them.
 
 ``brute_small`` is the oracle's own referee: it enumerates the simple
 terminal-to-terminal paths containing the third terminal and takes a
@@ -61,11 +61,11 @@ def regular_upper_bound(k: int, r: int) -> int:
 
 
 def cube_upper_bound(n: int) -> int:
-    """floor((6n - 3)/4) - 1: the counting ceiling for the n-cube's degree
+    """floor((6n - 7)/4): the counting ceiling for the n-cube's degree
     2n-1 with four shared neighbors attainable."""
     if n < 4:
         raise ValueError("bound defined for n >= 4")
-    return (6 * n - 3) // 4 - 1
+    return regular_upper_bound(2 * n - 1, 4)
 
 
 def _slot_bound(view, D: Sequence[int]) -> int:
@@ -122,7 +122,6 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
     for t in trip:
         if t not in view:
             raise ValueError(f"terminal {t} not in view")
-    x, y, z = trip
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
     perms = None  # the triple's permutations, found when first needed
@@ -134,8 +133,8 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
                              for i, j, k in perms):
                 continue
             a, b, c = profile
-            demands = [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
-            segs = pack_segments(view, demands, budget=tracker)
+            segs = pack_segments(view, trip, (a + b, b + c, a + c),
+                                 budget=tracker)
             if segs is not None:
                 return m, _assemble(profile, segs)
             if perms is None:

@@ -1,12 +1,12 @@
 """Exact packing of interior-disjoint terminal-to-terminal segments.
 
-A *segment* joins two prescribed terminals; its interior uses only free
-vertices (no terminal of any pair), interiors are pairwise disjoint across
-the whole packing, and segments between the same pair may include the
-direct edge at most once, so each unordered terminal pair appears in at
-most one demand.  The demands join at most three terminals: those of a
-split profile, the pair demands the exact D-path oracle decides.  So the
-live demands are one pair, two pairs sharing a terminal, or a triangle.
+A *segment* joins two of three prescribed terminals x, y, z; its interior
+uses only free vertices (no terminal), interiors are pairwise disjoint
+across the whole packing, and segments between the same pair may include
+the direct edge at most once.  A call asks for a count of segments per
+pair x-y, y-z and x-z: the triangle of pair demands that a split profile
+of the exact D-path oracle induces.  So the live demands (positive counts)
+are one pair, two pairs sharing a terminal, or a triangle.
 
 Feasibility is decided exactly, in two stages:
 
@@ -92,60 +92,42 @@ Demand = tuple[int, int, int]  # (u, v, count)
 Segment = tuple[int, ...]
 
 
-def pack_segments(view, demands: Sequence[Demand],
+def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
                   budget: Budget | None = None) -> list[list[Segment]] | None:
-    """Segments satisfying every demand, grouped per demand, or None.
-
-    The demands may join at most three terminals, each pair in at most
-    one demand.  The answer is exact: None means no packing exists.
+    """For trip = (x, y, z), ``counts[i]`` segments for the i-th of the
+    pairs x-y, y-z and x-z, as three sorted lists whose segments run from
+    the pair's first terminal to its second; or None, which is exact: no
+    packing exists.  No interior holds a terminal, even one counted 0.
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
-    demands = [(u, v, c) for (u, v, c) in demands]
-    terminals: set[int] = set()
-    pairs: set[frozenset[int]] = set()
-    for u, v, c in demands:
-        if u == v:
-            raise ValueError("segment endpoints must differ")
-        if c < 0:
-            raise ValueError("negative demand")
-        # segments are grouped per unordered pair, and a repeated pair
-        # could use its direct edge once per demand
-        if frozenset((u, v)) in pairs:
-            raise ValueError(f"terminal pair {u}-{v} in more than one demand")
-        pairs.add(frozenset((u, v)))
-        terminals.add(u)
-        terminals.add(v)
-    if len(terminals) > 3:
-        raise ValueError(f"demands join {len(terminals)} terminals, at most 3")
-    for t in terminals:
+    x, y, z = trip
+    if len({x, y, z}) != 3:
+        raise ValueError("need three distinct terminals")
+    if min(counts) < 0:
+        raise ValueError("negative demand")
+    for t in trip:
         if t not in view:
             raise ValueError(f"terminal {t} not in view")
-    live = [(u, v, c) for (u, v, c) in demands if c > 0]
+    pairs = zip(((x, y), (y, z), (x, z)), counts, strict=True)
+    live = [(u, v, c) for (u, v), c in pairs if c > 0]
     if not live:
-        return [[] for _ in demands]
+        return [[], [], []]
 
     budget.tick()
     for oriented in _orientations(live):
-        net = _saturate(view, oriented, terminals)
+        net = _saturate(view, oriented, set(trip))
         if net is None:
             return None
         segs = _classify(net, oriented)
         if segs is not None:
-            return _regroup(demands, oriented, segs)
+            return _regroup(trip, oriented, segs)
 
-    found = _dfs_pack(view, live, terminals, budget)
-    return None if found is None else _regroup(demands, *found)
-
-
-def _triangle(live: Sequence[Demand]):
-    """(sorted terminals, count per ordered pair) of three demands, which
-    on three terminals join each two of them."""
-    terms = sorted({t for (u, v, _) in live for t in (u, v)})
-    count: dict[tuple[int, int], int] = {}
-    for u, v, c in live:
-        count[(u, v)] = count[(v, u)] = c
-    return terms, count
+    search = _PackSearch(view, trip, counts, budget)
+    if not search.rec():
+        return None
+    return _regroup(trip, [search.branch, *search.leaf],
+                    [search.chosen, *search.leaf_found])
 
 
 def _orientations(live: Sequence[Demand]) -> list[list[Demand]]:
@@ -153,11 +135,11 @@ def _orientations(live: Sequence[Demand]) -> list[list[Demand]]:
     different terminal with the source+sink double role (the only source
     of slack in the relaxation)."""
     if len(live) == 3:
-        (x, y, z), c = _triangle(live)
+        (x, y, a), (_, z, b), (_, _, c) = live
         return [
-            [(x, y, c[x, y]), (y, z, c[y, z]), (x, z, c[x, z])],  # y double-role
-            [(y, x, c[x, y]), (x, z, c[x, z]), (y, z, c[y, z])],  # x double-role
-            [(x, y, c[x, y]), (z, y, c[y, z]), (x, z, c[x, z])],  # z double-role
+            live,  # y double-role
+            [(y, x, a), (x, z, c), (y, z, b)],  # x double-role
+            [(x, y, a), (z, y, b), (x, z, c)],  # z double-role
         ]
     if len(live) == 2:
         # orient both demands into the shared terminal: one pure sink, two
@@ -170,20 +152,13 @@ def _orientations(live: Sequence[Demand]) -> list[list[Demand]]:
     return [list(live)]
 
 
-def _regroup(demands, oriented, live_segs):
-    """Map per-oriented-pair segments back onto the caller's demand list."""
-    found: dict[frozenset[int], list[Segment]] = {}
-    for (u, v, _), segs in zip(oriented, live_segs):
-        found[frozenset((u, v))] = segs
-    out: list[list[Segment]] = []
-    for u, v, c in demands:
-        if c == 0:
-            out.append([])
-            continue
-        segs = found[frozenset((u, v))]
-        fixed = [s if s[0] == u else tuple(reversed(s)) for s in segs]
-        out.append(sorted(fixed))
-    return out
+def _regroup(trip, oriented, segs) -> list[list[Segment]]:
+    """Per-oriented-pair segments as one sorted list per pair of ``trip``."""
+    found = {frozenset((u, v)): s for (u, v, _), s in zip(oriented, segs)}
+    x, y, z = trip
+    return [sorted(s if s[0] == u else tuple(reversed(s))
+                   for s in found.get(frozenset((u, v)), ()))
+            for u, v in ((x, y), (y, z), (x, z))]
 
 
 def _saturate(view, demands: Sequence[Demand], blocked: set[int]) -> UnitFlowNet | None:
@@ -305,49 +280,40 @@ def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
                 used.discard(w)
 
 
-def _split_for_search(live: Sequence[Demand]) -> tuple[Demand, list[Demand]]:
+def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
     """A triangle as (the branched demand, the single-source leaf): the
     smallest demand (u, v) is branched and the other two are re-oriented
     out of the third terminal."""
-    terms, c = _triangle(live)
-    c_uv, (u, v) = min((cnt, pair) for pair, cnt in c.items() if pair[0] < pair[1])
-    w = next(t for t in terms if t not in (u, v))
-    return (u, v, c_uv), [(w, u, c[w, u]), (w, v, c[w, v])]
-
-
-def _dfs_pack(view, demands: Sequence[Demand], blocked: set[int], budget: Budget):
-    """Complete search of a triangle: (oriented demands, their segments),
-    or None.  Segments of the branched pair are committed in strictly
-    increasing (length, sequence) order, so no packing is seen twice."""
-    search = _PackSearch(view, demands, blocked, budget)
-    if not search.rec():
-        return None
-    return [search.branch, *search.leaf], [search.chosen, *search.leaf_found]
+    x, y, z = trip
+    a, b, c = counts
+    return min([((x, y, a), [(z, x, c), (z, y, b)]),
+                ((y, z, b), [(x, y, a), (x, z, c)]),
+                ((x, z, c), [(y, x, a), (y, z, b)])],
+               key=lambda split: (split[0][2], split[0][:2]))
 
 
 class _PackSearch:
-    """The state of one ``_dfs_pack`` call, with its relaxation caches keyed
-    by the interior vertices committed so far (see the module docstring).
-    ``blocked`` holds the terminals and those interiors.  The caches hold
-    booleans and vertex sets, never networks, and nothing here refers back
-    to itself, so all of it is freed on return.
+    """The state of one triangle's branch-and-bound, with its relaxation
+    caches keyed by the interior vertices committed so far (see the module
+    docstring).  ``blocked`` holds the terminals and those interiors.  The
+    caches hold booleans and vertex sets, never networks, and nothing here
+    refers back to itself, so all of it is freed on return.
     """
 
-    def __init__(self, view, demands: Sequence[Demand], blocked: set[int],
+    def __init__(self, view, trip: Sequence[int], counts: Sequence[int],
                  budget: Budget) -> None:
         self.view = view
         self.budget = budget
-        self.branch, self.leaf = _split_for_search(demands)
+        self.branch, self.leaf = _split_for_search(trip, counts)
         self.chosen: list[Segment] = []
         self.leaf_found: list[list[Segment]] | None = None
-        self.blocked = set(blocked)
+        self.blocked = set(trip)
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.joint_ok: dict[tuple[frozenset[int], int], bool] = {}
         self.avoid: dict[frozenset[int], set[int] | None] = {}
         # (g, t, the images found so far) of each map fixing every terminal
-        D = sorted(blocked)
-        self.maps = [(g, t, {}) for g, t, perm in symmetries(view, D)
-                     if perm == tuple(range(len(D)))]
+        self.maps = [(g, t, {}) for g, t, perm in symmetries(view, trip)
+                     if perm == (0, 1, 2)]
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment chosen so far."""

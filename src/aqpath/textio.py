@@ -39,8 +39,14 @@ def render_graph(view) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor comments."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def parse_graph(text: str) -> AdjListView:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = _content_lines(text)
     if not lines or not lines[0].split()[0] in ("AQ", "G"):
         raise ValueError("graph text must start with 'AQ n=<n>' or 'G n=<bits>'")
     head = lines[0].split()
@@ -48,10 +54,10 @@ def parse_graph(text: str) -> AdjListView:
         bits = int(head[1].removeprefix("n="))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"bad graph header {lines[0]!r}") from exc
+    if bits < 1:
+        raise ValueError(f"graph width must be >= 1, got {bits}")
     edges = []
     for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
         parts = ln.split()
         if parts[0] != "E" or len(parts) != 3:
             raise ValueError(f"bad edge line {ln!r}")
@@ -77,10 +83,7 @@ def parse_family(text: str) -> tuple[tuple[int, ...], list[tuple[int, ...]], int
     terminals = None
     paths: list[tuple[int, ...]] = []
     bits = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _content_lines(text):
         parts = ln.split()
         if parts[0] == "D":
             if terminals is not None:

@@ -1,4 +1,5 @@
 import importlib
+import io
 import os
 import re
 import shlex
@@ -232,6 +233,33 @@ def test_both_text_formats_skip_every_comment_line():
     assert sorted(graph.edges()) == [(0, 1)]
     assert parse_family("#note\nD 00 01 10\n# note\nP 01 00 10\n") == (
         (0, 1, 2), [(1, 0, 2)], 2)
+
+
+@pytest.mark.parametrize("head", ["G n=-1", "AQ n=-3", "G n=0"])
+def test_a_graph_width_below_one_is_rejected(head):
+    with pytest.raises(ValueError, match="graph width must be >= 1"):
+        parse_graph(head + "\n")
+
+
+def test_a_graph_may_open_with_a_comment():
+    graph = parse_graph("# c\n\nG n=3\nE 000 001\n")
+    assert sorted(graph.edges()) == [(0, 1)]
+
+
+def test_oracle_reads_a_commented_graph_from_stdin(monkeypatch, capsys):
+    code, out, _ = run(capsys, "gen", "--n", "3")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("# AQ_3 from gen\n" + out))
+    code, out, err = run(capsys, "oracle", "--graph", "-", "--triple", "000,011,101")
+    assert (code, out, err) == (0, "PID 2\n", "")
+    assert run(capsys, "oracle", "--n", "3", "--triple", "000,011,101")[1] == out
+
+
+def test_oracle_rejects_a_negative_width_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("G n=-1\n"))
+    code, out, err = run(capsys, "oracle", "--graph", "-", "--triple", "0,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: graph width must be >= 1, got -1\n"
 
 
 def test_oracle_commands_refuse_huge_cubes(monkeypatch, capsys):

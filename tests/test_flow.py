@@ -244,22 +244,26 @@ def test_a_far_pair_in_a_huge_half_lists_no_vertex():
     assert all(half.is_adjacent(a, b) for a, b in zip(path, path[1:]))
 
 
-@pytest.mark.parametrize("demands, ticks", [
-    ([(0, 1, 1), (0, 2, 1)], 1),
+def triangle_pairs(trip):
+    x, y, z = trip
+    return [(x, y), (y, z), (x, z)]
+
+
+@pytest.mark.parametrize("trip, counts, ticks", [
+    ((0, 1, 2), (1, 0, 1), 1),
     # the flow relaxations leave these two to the branch-and-bound
-    ([(0, 3, 2), (3, 5, 3), (0, 5, 2)], 3),
-    ([(0, 1, 3), (1, 2, 4), (0, 2, 3)], 4),
+    ((0, 3, 5), (2, 3, 2), 3),
+    ((0, 1, 2), (3, 4, 3), 4),
 ], ids=["unit-pairs", "triangle", "searched"])
-def test_packing_in_a_huge_half_lists_no_vertex(demands, ticks):
+def test_packing_in_a_huge_half_lists_no_vertex(trip, counts, ticks):
     half = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
     budget = Budget(DEFAULT_BUDGET)
-    found = pack_segments(half, demands, budget)
+    found = pack_segments(half, trip, counts, budget)
     assert found is not None
-    terminals = {t for u, v, _ in demands for t in (u, v)}
     interiors = [w for segs in found for seg in segs for w in seg[1:-1]]
     assert len(set(interiors)) == len(interiors)
-    assert not terminals & set(interiors)
-    for (u, v, c), segs in zip(demands, found):
+    assert not set(trip) & set(interiors)
+    for (u, v), c, segs in zip(triangle_pairs(trip), counts, found):
         assert len(segs) == c
         for seg in segs:
             assert (seg[0], seg[-1]) == (u, v)
@@ -290,15 +294,14 @@ def test_a_double_role_packing_in_a_huge_half_stays_local():
     half = UnlistedHalf(AugmentedCube(40), (0,), prefix_bits=1)
     half.limit = 20_000
     a, b = int("110" + "0110" * 9, 2), int("011" + "1010" * 9, 2)
-    demands = [(0, a, 1), (a, b, 1), (0, b, 1)]
     budget = Budget(DEFAULT_BUDGET)
-    found = pack_segments(half, demands, budget)
+    found = pack_segments(half, (0, a, b), (1, 1, 1), budget)
     assert found is not None
     interiors = [w for segs in found for seg in segs for w in seg[1:-1]]
     assert len(set(interiors)) == len(interiors)
     assert not {0, a, b} & set(interiors)
-    for (u, v, c), segs in zip(demands, found):
-        assert [(seg[0], seg[-1]) for seg in segs] == [(u, v)] * c
+    for (u, v), segs in zip(triangle_pairs((0, a, b)), found):
+        assert [(seg[0], seg[-1]) for seg in segs] == [(u, v)]
         for seg in segs:
             assert all(half.is_adjacent(x, y) for x, y in zip(seg, seg[1:]))
     assert budget.used == 1
@@ -430,10 +433,10 @@ def test_packing_verdicts_match_breadth_first_augmentation(name, monkeypatch):
         a = rng.randint(0, dx)
         c = min(dy - a, dz - (dx - a))
         if c >= 0:
-            cases.append([(x, y, a), (x, z, dx - a), (y, z, c)])
-    got = [pack_segments(view, d) for d in cases]
+            cases.append(((x, y, z), (a, c, dx - a)))
+    got = [pack_segments(view, *case) for case in cases]
     monkeypatch.setattr(UnitFlowNet, "_search", breadth_first_search)
-    want = [pack_segments(view, d) for d in cases]
+    want = [pack_segments(view, *case) for case in cases]
     assert [g is None for g in got] == [w is None for w in want]
 
 
@@ -582,7 +585,8 @@ def test_single_sink_distances_are_the_view_distance(make):
 def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v, others):
     view = make()
     assert disjoint_paths(view, u, v, 1)
-    assert pack_segments(view, [(u, v, 1)]) is not None
+    w = next(t for t in view.neighbors(u) if t != v)
+    assert pack_segments(view, (u, v, w), (1, 0, 0)) is not None
     if others:
         assert len(fan(view, u, [v, *others])) == 1 + len(others)
     gone = weakref.ref(view)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from aqpath import report
+from aqpath import oracle, report
 from aqpath.cube import AdjListView, AugmentedCube, automorphisms, map_vertex
 from aqpath.oracle import (
     ResourceGuard,
@@ -164,6 +164,26 @@ def test_max_dpaths_raises_when_the_budget_runs_out():
     # the argmin orbit of pi3(AQ_4) needs a branch-and-bound refutation
     with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
         max_dpaths(AugmentedCube(4), (0, 1, 2), budget=100)
+
+
+def test_the_oracle_packs_the_sorted_triple_with_two_pairs_or_more(monkeypatch):
+    # a profile (a, b, c) of total m >= 1 asks for (a + b, b + c, a + c),
+    # so only a direct caller can send one pair alone
+    calls = []
+    pack = oracle.pack_segments
+
+    def recorded(view, trip, counts, budget=None):
+        calls.append((trip, counts))
+        return pack(view, trip, counts, budget)
+
+    monkeypatch.setattr(oracle, "pack_segments", recorded)
+    cube = AugmentedCube(4)
+    for D in itertools.combinations(range(16), 3):
+        calls.clear()
+        max_dpaths(cube, D[::-1])
+        assert calls, D
+        for trip, counts in calls:
+            assert trip == D and sum(c > 0 for c in counts) >= 2, (D, counts)
 
 
 def test_brute_size_guard():

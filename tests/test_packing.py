@@ -12,16 +12,15 @@ from aqpath.packing import (Budget, SearchBudgetExceeded, _enum_segments, _hops,
 from aqpath.textio import parse_graph, render_graph
 
 
-@pytest.mark.parametrize("demands", [
-    [(0, 1, 1), (1, 0, 1)],
-    [(0, 1, 1), (0, 1, 1)],
-    [(0, 1, 0), (1, 0, 2)],
-], ids=["reversed", "repeated", "zero-count"])
-def test_a_terminal_pair_in_two_demands_is_rejected(demands):
-    # either demand alone may take the direct edge 0-1, so together they
-    # would use it twice
-    with pytest.raises(ValueError, match="more than one demand"):
-        pack_segments(AugmentedCube(3), demands)
+@pytest.mark.parametrize("trip, counts, message", [
+    ((0, 1, 0), (1, 1, 1), "three distinct terminals"),
+    ((0, 1, 2), (1, -1, 1), "negative demand"),
+    ((0, 1, 8), (1, 1, 1), "terminal 8 not in view"),
+    ((0, 1, 2), (1, 1), "shorter than argument 1"),
+], ids=["repeated", "negative", "outside", "two-counts"])
+def test_a_triangle_outside_the_contract_is_rejected(trip, counts, message):
+    with pytest.raises(ValueError, match=message):
+        pack_segments(AugmentedCube(3), trip, counts)
 
 
 def test_a_budget_is_never_negative():
@@ -32,14 +31,12 @@ def test_a_budget_is_never_negative():
         Budget(None)
 
 
-def test_demands_on_four_terminals_are_rejected():
-    with pytest.raises(ValueError, match="4 terminals, at most 3"):
-        pack_segments(AugmentedCube(3), [(0, 1, 1), (2, 3, 1)])
-
-
 def test_one_demand_uses_the_direct_edge_once():
-    segs, = pack_segments(AugmentedCube(3), [(0, 1, 2)])
+    segs, none_yz, none_xz = pack_segments(AugmentedCube(3), (0, 1, 2), (2, 0, 0))
     assert len(segs) == 2 and segs.count((0, 1)) == 1
+    assert none_yz == none_xz == []
+    # the third terminal is blocked even with no segment of its own
+    assert not any(2 in seg for seg in segs)
 
 
 def spare_by_rebuild(view, leaf, blocked):
@@ -113,13 +110,13 @@ def test_an_infeasible_leaf_still_tries_the_direct_edge():
     # direct edge 0-1 is the one segment enumerated and ticks once
     view = AdjListView([(0, 1), (0, 2), (0, 3), (0, 7), (1, 2), (1, 3),
                         (1, 5), (2, 4), (2, 6), (3, 6), (4, 5), (4, 7)], bits=3)
-    demands = [(0, 1, 2), (1, 2, 2), (0, 2, 2)]
+    trip, counts = (0, 1, 2), (2, 2, 2)
     leaf = [(2, 0, 2), (2, 1, 2)]
-    assert _split_for_search(demands) == ((0, 1, 2), leaf)
+    assert _split_for_search(trip, counts) == ((0, 1, 2), leaf)
     assert spare_vertices(view, leaf, {0, 1, 2}) == {5, 7}
     assert spare_by_rebuild(view, leaf, {0, 1, 2}) == {5, 7}
     budget = Budget(packing.DEFAULT_BUDGET)
-    assert pack_segments(view, demands, budget) is None
+    assert pack_segments(view, trip, counts, budget) is None
     assert budget.used == 2
 
 def test_spare_vertices_with_a_direct_terminal_edge():
@@ -254,13 +251,13 @@ def test_segments_come_in_the_order_exact_pruning_gives(name):
 
 
 # the m = 5 refutation at the value-4 orbit of pi3(AQ_4)
-REFUTED = [(0, 1, 4), (1, 2, 3), (0, 2, 3)]
+REFUTED = ((0, 1, 2), (4, 3, 3))
 
 
 def test_a_search_without_a_budget_takes_the_default(monkeypatch):
     monkeypatch.setattr(packing, "DEFAULT_BUDGET", 100)
     with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
-        pack_segments(AugmentedCube(4), REFUTED)
+        pack_segments(AugmentedCube(4), *REFUTED)
 
 
 def test_a_refutation_leaves_no_cyclic_garbage():
@@ -268,7 +265,7 @@ def test_a_refutation_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        assert pack_segments(cube, REFUTED) is None
+        assert pack_segments(cube, *REFUTED) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -284,7 +281,7 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
 
     monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
     budget = Budget(packing.DEFAULT_BUDGET)
-    assert pack_segments(AugmentedCube(4), REFUTED, budget) is None
+    assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
     # the caches keep the search tree and save flows; a map fixing the
     # three terminals prunes the subtrees it sends onto earlier ones
     assert budget.used == 1306
@@ -300,8 +297,7 @@ def test_a_packing_found_at_full_depth_reuses_its_leaf_flow(monkeypatch):
         return max_flow(net, limit)
 
     monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
-    demands = [(0, 10, 3), (10, 14, 4), (0, 14, 3)]
-    found = pack_segments(AugmentedCube(4), demands)
+    found = pack_segments(AugmentedCube(4), (0, 10, 14), (3, 4, 3))
     assert [len(segs) for segs in found] == [3, 4, 3]
     # the leaf flow that admitted the last branched segment is classified,
     # not recomputed, and a joint relaxation owing nothing is not run
@@ -341,12 +337,18 @@ def minimal_interiors(view, u, v, free):
     return found
 
 
-def packing_exists(view, demands):
+def triangle_demands(trip, counts):
+    """The (u, v, count) demands of a triangle, in ``pack_segments``' order."""
+    x, y, z = trip
+    return [(u, v, c) for (u, v), c in zip(((x, y), (y, z), (x, z)), counts)]
+
+
+def packing_exists(view, trip, counts):
     """Exhaustive decision: each segment may shrink to a minimal interior
     and stay disjoint from the rest, so minimal interiors and the direct
     edge (once per pair) are all that need trying."""
-    terminals = {t for u, v, _ in demands for t in (u, v)}
-    free = set(view.vertices()) - terminals
+    demands = triangle_demands(trip, counts)
+    free = set(view.vertices()) - set(trip)
     options = [minimal_interiors(view, u, v, free) for u, v, _ in demands]
     edges = [v in view.neighbors(u) for u, v, _ in demands]
     slots = [i for i, (_, _, c) in enumerate(demands) for _ in range(c)]
@@ -368,10 +370,10 @@ def packing_exists(view, demands):
     return place(0, 0, False)
 
 
-def assert_packing(view, demands, found):
-    terminals = {t for u, v, _ in demands for t in (u, v)}
+def assert_packing(view, trip, counts, found):
+    terminals = set(trip)
     taken: set[int] = set()
-    for (u, v, c), segs in zip(demands, found):
+    for (u, v, c), segs in zip(triangle_demands(trip, counts), found):
         assert len(set(segs)) == len(segs) == c
         for seg in segs:
             assert (seg[0], seg[-1]) == (u, v)
@@ -389,7 +391,7 @@ def tight_triangle(view, rng):
     a = rng.randint(0, max(0, min(dx, dy) - 1))
     b = max(0, min(dy - a, dz))
     c = max(0, min(dx - a, dz - b))
-    return [(x, y, a), (y, z, b), (x, z, c)]
+    return (x, y, z), (a, b, c)
 
 
 def exactness_cases():
@@ -397,27 +399,28 @@ def exactness_cases():
         view = random_graph(seed)
         rng = random.Random(seed)
         for _ in range(12):
-            yield f"parsed-{seed}", view, tight_triangle(view, rng)
+            yield f"parsed-{seed}", view, *tight_triangle(view, rng)
     cube = AugmentedCube(4)
     rng = random.Random(4)
-    yield "AQ4", cube, REFUTED
+    yield "AQ4", cube, *REFUTED
     for _ in range(18):
-        yield "AQ4", cube, tight_triangle(cube, rng)
+        yield "AQ4", cube, *tight_triangle(cube, rng)
 
 
 def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
     searches = []
-    dfs_pack = packing._dfs_pack
 
-    def counted(view, live, blocked, budget):
-        searches.append(live)
-        return dfs_pack(view, live, blocked, budget)
+    class CountedSearch(packing._PackSearch):
+        def __init__(self, view, trip, counts, budget):
+            searches.append((trip, counts))
+            super().__init__(view, trip, counts, budget)
 
-    monkeypatch.setattr(packing, "_dfs_pack", counted)
-    for name, view, demands in exactness_cases():
-        found = pack_segments(view, demands)
-        assert (found is not None) == packing_exists(view, demands), (name, demands)
+    monkeypatch.setattr(packing, "_PackSearch", CountedSearch)
+    for name, view, trip, counts in exactness_cases():
+        found = pack_segments(view, trip, counts)
+        assert (found is not None) == packing_exists(view, trip, counts), (
+            name, trip, counts)
         if found is not None:
-            assert_packing(view, demands, found)
+            assert_packing(view, trip, counts, found)
     # the caches only act inside the branch-and-bound
     assert len(searches) >= 5

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -137,3 +138,11 @@ def test_the_traced_boundaries_stay_bound():
             assert callable(getattr(owner, name, None)), f"{module}.{name}"
     flow = importlib.import_module("aqpath.flow")
     assert callable(getattr(flow.UnitFlowNet, "max_flow", None))
+
+
+def test_the_packing_budget_stays_the_fourth_parameter():
+    # the tracer reads a packing's ticks from its ``budget`` keyword or its
+    # fourth positional argument; anywhere else it would count 0 ticks
+    packing = importlib.import_module("aqpath.packing")
+    params = list(inspect.signature(packing.pack_segments).parameters)
+    assert params[3:] == ["budget"]

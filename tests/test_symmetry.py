@@ -40,7 +40,7 @@ def counted_pack_segments(monkeypatch):
     pack = oracle.pack_segments
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[2])  # the pair counts: the triple is fixed
         return pack(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "pack_segments", counted)
@@ -99,17 +99,17 @@ def test_seeded_dimension_five_triples_keep_value_and_witness():
         assert max_dpaths(cube, D) == without_symmetry(max_dpaths, cube, D), D
 
 
-def outcome(view, demands, limit):
+def outcome(view, trip, counts, limit):
     budget = Budget(limit)
     try:
-        found = pack_segments(view, demands, budget)
+        found = pack_segments(view, trip, counts, budget)
     except SearchBudgetExceeded:
         found = "budget"
     return found, budget.used
 
 
-def seeded_demands(rng):
-    """Split-profile demands on AQ_4 and AQ_5: four images of ``ARGMIN``
+def seeded_triangles(rng):
+    """Split-profile triangles on AQ_4 and AQ_5: four images of ``ARGMIN``
     with the largest total a profile allows (refuted on AQ_4 by
     branch-and-bound), then four random triples with that total or one
     less."""
@@ -127,17 +127,16 @@ def seeded_demands(rng):
             cap = deg - m
             a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
                                   for b in range(cap + 1) if 0 <= m - a - b <= cap])
-            x, y, z = trip
-            yield n, [(x, y, a + b), (y, z, b + c), (x, z, a + c)]
+            yield n, tuple(trip), (a + b, b + c, a + c)
 
 
 def test_seeded_packings_match_with_no_more_ticks():
     cubes = {n: AugmentedCube(n) for n in (4, 5)}
     fewer = 0
-    for n, demands in seeded_demands(random.Random(15)):
-        found, used = outcome(cubes[n], demands, 2000)
-        ref, ref_used = without_symmetry(outcome, cubes[n], demands, 2000)
-        assert found == ref, demands
-        assert used <= ref_used, demands
+    for n, trip, counts in seeded_triangles(random.Random(15)):
+        found, used = outcome(cubes[n], trip, counts, 2000)
+        ref, ref_used = without_symmetry(outcome, cubes[n], trip, counts, 2000)
+        assert found == ref, (trip, counts)
+        assert used <= ref_used, (trip, counts)
         fewer += used < ref_used
     assert fewer == 3
