@@ -86,12 +86,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.graph:
+    if args.graph is not None:
         view = textio.parse_graph(_read_text(args.graph))
         bits = view.bits
     else:
-        if args.n is None:
-            raise ValueError("oracle needs --graph or --n")
         view = AugmentedCube(args.n)
         bits = args.n
     trip = _parse_triple(args.triple, bits)
@@ -172,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="exact maximum for one triple")
-    p.add_argument("--graph", help="graph text file ('-' for stdin)")
-    p.add_argument("--n", type=int)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="graph text file ('-' for stdin)")
+    source.add_argument("--n", type=int)
     p.add_argument("--triple", required=True, metavar="X,Y,Z")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_oracle)

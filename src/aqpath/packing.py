@@ -33,6 +33,15 @@ Feasibility is decided exactly, in two stages:
    segments route only through the leaf's spare vertices, those whose
    removal alone keeps the leaf feasible: the free vertices one saturated
    leaf flow does not need (``UnitFlowNet.critical``).
+   The order also caps every segment's length by counting.  At a node
+   owing k segments, the one being chosen included, let S be the spare
+   vertices.  Each of the k segments has at least as many interior
+   vertices as the one being chosen, the interiors are pairwise disjoint,
+   and all lie in S: the blocked set only grows below the node, and so
+   does the set of critical vertices, since a flow saturating the leaf
+   under a larger blocked set also saturates it under a smaller one.  So a
+   segment with more than |S| // k interior vertices completes no packing
+   and is never listed.
    Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
    both take {a, b}, and so may two shorter segments), and within one
    search those vertices fix the free set.  So every relaxation verdict is
@@ -235,13 +244,20 @@ def _seg_key(seg: Segment) -> tuple[int, Segment]:
 
 
 def _enum_segments(view, u: int, v: int, blocked: set[int],
-                   floor: Segment | None):
+                   floor: Segment | None, owed: int = 1):
     """u->v segments with no interior vertex in ``blocked``, shortest first
     and within a length lexicographically, strictly above ``floor`` in that
-    same order."""
+    same order, and with at most |S| // ``owed`` interior vertices, S the
+    view's vertices outside ``blocked``.
+
+    The search asks for ``owed`` segments, this one included, and commits
+    them in increasing order, so every later one has at least as many
+    interior vertices as this one.  Their interiors are pairwise disjoint
+    and, as the avoided set only grows down the search, all lie in S: a
+    longer segment completes no packing."""
     floor_key = _seg_key(floor) if floor is not None else None
-    # vertices on the segment
-    top = view.vertex_count - len(blocked) + 2
+    # edges on the segment: one more than its interior vertices
+    top = (view.vertex_count - len(blocked)) // owed + 2
     shortest = _hops(view, u, v, blocked)
     if shortest is None:
         return
@@ -350,7 +366,8 @@ class _PackSearch:
             # no commitment frees a vertex, so none rescues the leaf
             return False
         floor = chosen[-1] if chosen else None
-        for seg in _enum_segments(self.view, u, v, avoid, floor):
+        owed = need - len(chosen)
+        for seg in _enum_segments(self.view, u, v, avoid, floor, owed):
             self.budget.tick()
             if self.maps and self.dominated(seg):
                 continue

@@ -1,8 +1,8 @@
 """Line-oriented text formats.
 
-Graph format: a header ``AQ n=<n>`` (native cube) or ``G n=<bits>``
-(arbitrary graph), then one line ``E <u> <v>`` per edge with vertices as
-fixed-width binary strings, each edge once with u < v, sorted.
+Graph format: a header ``AQ n=<n>`` (edges of the native cube) or
+``G n=<bits>`` (arbitrary graph), then one line ``E <u> <v>`` per edge with
+vertices as fixed-width binary strings, each edge once with u < v, sorted.
 
 Family format: ``D <x> <y> <z>``, one ``P <v1> <v2> ...`` line per path,
 and optional ``# trace:`` comment lines carrying the constructor's case
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .cube import AdjListView, AugmentedCube
+from .cube import AdjListView, AugmentedCube, distance
 
 
 def format_vertex(v: int, bits: int) -> str:
@@ -51,8 +51,10 @@ def parse_graph(text: str) -> AdjListView:
         raise ValueError("graph text must start with 'AQ n=<n>' or 'G n=<bits>'")
     head = lines[0].split()
     try:
+        if len(head) != 2 or not head[1].startswith("n="):
+            raise ValueError
         bits = int(head[1].removeprefix("n="))
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad graph header {lines[0]!r}") from exc
     if bits < 1:
         raise ValueError(f"graph width must be >= 1, got {bits}")
@@ -61,7 +63,14 @@ def parse_graph(text: str) -> AdjListView:
         parts = ln.split()
         if parts[0] != "E" or len(parts) != 3:
             raise ValueError(f"bad edge line {ln!r}")
-        edges.append((parse_vertex(parts[1], bits), parse_vertex(parts[2], bits)))
+        edge = (parse_vertex(parts[1], bits), parse_vertex(parts[2], bits))
+        # u < v and strictly above the previous edge: once each, sorted
+        if edge[0] >= edge[1] or edges and edge <= edges[-1]:
+            raise ValueError(
+                f"edge {ln!r} is out of order (each edge once, u < v, sorted)")
+        if head[0] == "AQ" and distance(*edge) != 1:
+            raise ValueError(f"edge {ln!r} is not an edge of AQ_{bits}")
+        edges.append(edge)
     return AdjListView(edges, bits=bits)
 
 

@@ -205,7 +205,16 @@ def test_verify_rejects_broken_d_line(tmp_path, capsys, text):
     ("AQ\nE 000 001\n", "bad graph header 'AQ'"),
     ("AQ n=x\nE 000 001\n", "bad graph header 'AQ n=x'"),
     ("AQ n=3\nE 000\n", "bad edge line 'E 000'"),
-], ids=["empty", "unknown-header", "no-size", "bad-size", "bad-edge"])
+    ("G n=3 junk\nE 000 001\n", "bad graph header 'G n=3 junk'"),
+    ("G 3\nE 000 001\n", "bad graph header 'G 3'"),
+    ("AQ n=3\nE 000 101\n", "edge 'E 000 101' is not an edge of AQ_3"),
+    ("G n=2\nE 01 00\n", "edge 'E 01 00' is out of order"),
+    ("G n=2\nE 00 00\n", "edge 'E 00 00' is out of order"),
+    ("G n=2\nE 00 01\nE 00 01\n", "edge 'E 00 01' is out of order"),
+    ("G n=2\nE 00 10\nE 00 01\n", "edge 'E 00 01' is out of order"),
+], ids=["empty", "unknown-header", "no-size", "bad-size", "bad-edge",
+        "trailing-header-token", "no-size-key", "not-a-cube-edge",
+        "descending-edge", "loop", "repeated-edge", "unsorted-edges"])
 def test_oracle_rejects_broken_graph_text(tmp_path, capsys, text, message):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text(text, encoding="utf-8")
@@ -253,6 +262,28 @@ def test_oracle_reads_a_commented_graph_from_stdin(monkeypatch, capsys):
     code, out, err = run(capsys, "oracle", "--graph", "-", "--triple", "000,011,101")
     assert (code, out, err) == (0, "PID 2\n", "")
     assert run(capsys, "oracle", "--n", "3", "--triple", "000,011,101")[1] == out
+
+
+def test_an_augmented_cube_header_takes_every_cube_edge():
+    # 000-111 is the complement edge of AQ_3, so a native header keeps it
+    assert parse_graph("AQ n=3\nE 000 111\n").edges() == [(0, 7)]
+    cube = AugmentedCube(4)
+    assert parse_graph(render_graph(cube)).edges() == [
+        (u, w) for u in cube.vertices() for w in cube.neighbors(u) if u < w]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graph", "-", "--n", "5"],
+    [],
+], ids=["both", "neither"])
+def test_oracle_takes_exactly_one_graph_source(monkeypatch, capsys, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("AQ n=3\nE 000 001\n"))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *argv, "--triple", "000,001,010"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--graph" in err and "--n" in err
 
 
 def test_oracle_rejects_a_negative_width_from_stdin(monkeypatch, capsys):

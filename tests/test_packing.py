@@ -197,13 +197,14 @@ def test_shortest_hops_match_a_breadth_first_search(name):
     assert 1 in seen and None in seen
 
 
-def enum_reference(view, u, v, free, floor):
+def enum_reference(view, u, v, free, floor, owed=1):
     """The reference for ``_enum_segments``: the same order, pruned with
-    exact breadth-first distances over the free vertices."""
+    exact breadth-first distances over the free vertices, and no segment
+    with more than len(free) // owed interior vertices."""
     dist = dist_through(view, v, free)
     if u not in dist:
         return
-    top = len(free) + 2
+    top = len(free) // owed + 2
     start = max(dist[u], 1)
     if floor is not None:
         start = max(start, len(floor) - 1)
@@ -248,6 +249,15 @@ def test_segments_come_in_the_order_exact_pruning_gives(name):
         for floor in want[::3]:
             assert (list(_enum_segments(view, u, v, blocked, floor))
                     == list(enum_reference(view, u, v, free, floor)))
+        for owed in (2, 3):
+            # owing more segments caps the interior, never reorders
+            capped = [s for s in want if len(s) - 2 <= len(free) // owed]
+            assert (list(_enum_segments(view, u, v, blocked, None, owed))
+                    == list(enum_reference(view, u, v, free, None, owed))
+                    == capped)
+            for floor in capped[::3]:
+                assert (list(_enum_segments(view, u, v, blocked, floor, owed))
+                        == list(enum_reference(view, u, v, free, floor, owed)))
 
 
 # the m = 5 refutation at the value-4 orbit of pi3(AQ_4)
@@ -283,9 +293,10 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
     # the caches keep the search tree and save flows; a map fixing the
-    # three terminals prunes the subtrees it sends onto earlier ones
-    assert budget.used == 1306
-    assert len(calls) == 154
+    # three terminals prunes the subtrees it sends onto earlier ones, and
+    # the length cap the segments still owed set prunes the rest
+    assert budget.used == 112
+    assert len(calls) == 72
 
 
 def test_a_packing_found_at_full_depth_reuses_its_leaf_flow(monkeypatch):

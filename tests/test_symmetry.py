@@ -1,9 +1,10 @@
-"""The oracle's symmetry breaking changes work, never answers.
+"""The oracle's symmetry breaking and length cap change work, never answers.
 
-The reference mode sees no symmetry: ``symmetries`` yields nothing, so
+One reference mode sees no symmetry: ``symmetries`` yields nothing, so
 ``max_dpaths`` skips no profile and the packing search skips no segment.
-Both modes must return the same values, witnesses and packings, and the
-search with symmetry may only use fewer budget ticks.
+The other caps no segment's length: ``_enum_segments`` is always told that
+one segment is owed.  Each mode must return the same values, witnesses and
+packings as the search, which may only use fewer budget ticks.
 """
 
 import itertools
@@ -32,6 +33,17 @@ def without_symmetry(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "symmetries", no_symmetries)
         mp.setattr(packing, "symmetries", no_symmetries)
+        return fn(*args)
+
+
+def without_length_cap(fn, *args):
+    enum = packing._enum_segments
+
+    def uncapped(view, u, v, blocked, floor, owed=1):
+        return enum(view, u, v, blocked, floor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_enum_segments", uncapped)
         return fn(*args)
 
 
@@ -74,7 +86,7 @@ def test_every_dimension_four_triple_keeps_value_and_witness():
         found = [max_dpaths(cube, D) for D in triples]
     # the work with symmetry, pinned exactly: a change to how symmetry is
     # broken that changes any of it must say so
-    assert work == {"ticks": 92_477, "packings": 944, "max_flows": 12_629}
+    assert work == {"ticks": 11_161, "packings": 944, "max_flows": 7_495}
     for D, got in zip(triples, found):
         assert got == without_symmetry(max_dpaths, cube, D), D
 
@@ -140,3 +152,33 @@ def test_seeded_packings_match_with_no_more_ticks():
         assert used <= ref_used, (trip, counts)
         fewer += used < ref_used
     assert fewer == 3
+
+
+def ticked(fn, *args):
+    """The result of ``fn(*args)`` and the budget ticks it took."""
+    with pytest.MonkeyPatch.context() as mp:
+        work = counted_work(mp)
+        return fn(*args), work["ticks"]
+
+
+def test_the_length_cap_keeps_every_pinned_value_and_witness():
+    cube = AugmentedCube(4)
+    for D in [(0, b, c) for b, c in itertools.combinations(range(1, 16), 2)]:
+        found, used = ticked(max_dpaths, cube, D)
+        ref, ref_used = without_length_cap(ticked, max_dpaths, cube, D)
+        assert found == ref, D
+        assert used <= ref_used, D
+        if D == ARGMIN:
+            assert used < ref_used
+
+
+def test_seeded_packings_match_the_uncapped_search():
+    cubes = {n: AugmentedCube(n) for n in (4, 5)}
+    fewer = 0
+    for n, trip, counts in seeded_triangles(random.Random(15)):
+        found, used = outcome(cubes[n], trip, counts, 2000)
+        ref, ref_used = without_length_cap(outcome, cubes[n], trip, counts, 2000)
+        assert found == ref, (trip, counts)
+        assert used <= ref_used, (trip, counts)
+        fewer += used < ref_used
+    assert fewer == 4
