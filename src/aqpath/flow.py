@@ -50,11 +50,14 @@ fixed, so identical inputs always produce identical path systems.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
+``UnitFlowNet.amended`` copies a net with more vertices blocked or more
+demand, keeping the flow that still fits, so a caller that grows a
+saturated net's constraints re-augments only the units they displace.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 from weakref import WeakKeyDictionary
 
 _SRC = -1
@@ -259,7 +262,7 @@ class UnitFlowNet:
             total += 1
         return total
 
-    def critical(self) -> set[int]:
+    def critical(self, known: Collection[int] = frozenset()) -> set[int]:
         """The free vertices that every flow of the current value crosses.
 
         A vertex on no unit path is not one of them: the flow already
@@ -271,19 +274,117 @@ class UnitFlowNet:
         interior vertex of P with that vertex blocked, and P is pushed
         back: the net is left as it was found.  While P is cancelled its
         sink takes flow again, so the searches are aimed at it.
+
+        A vertex in ``known`` is taken as critical without a search when a
+        unit path crosses it: the caller vouches that every flow of this
+        value crosses it (as when it was critical to the same demands
+        under fewer blocked vertices).  A path with no other interior
+        vertex is not cancelled at all.
         """
         out: set[int] = set()
         aim = self.aim
         for path in self.unit_paths():
+            todo = []
+            for w in path[1:-1]:
+                if w in known:
+                    out.add(w)
+                else:
+                    todo.append(w)
+            if not todo:
+                continue
             nodes = _nodes(path)
             self._push(nodes, -1)
             self._steer(path[-1])
-            for w in path[1:-1]:
+            for w in todo:
                 if _SNK not in self._search({_in(w): _in(w), _out(w): _out(w)}):
                     out.add(w)
             self._push(nodes, 1)
         self._steer(aim)
         return out
+
+    def amended(self, blocked=(), demand=None) -> tuple[UnitFlowNet, int]:
+        """A copy of the net with the free vertices ``blocked`` blocked too
+        and, for ``demand`` = (u, v, k), k more units of capacity at the
+        terminal u as a source and at v, already a sink, as a sink; and
+        the number of units it is short.  Every unit that crossed a newly
+        blocked vertex is cancelled, the rest of the flow is kept, and the
+        copy is short of the units lost and the k added.  So when this net
+        carried its full demand, pushing that many units more
+        (``max_flow(limit=short)``) carries the copy's full demand iff its
+        network admits one, and a caller re-augments only those units
+        instead of all of them.
+
+        The copy takes every row this net has derived, so it lists no more
+        of the view than this net did; this net is left as it was.  A
+        blocked vertex keeps no through arc, so no search crosses it, and
+        the sinks of the cancelled units (then v) take flow again after
+        those that already did, in the net's sink order.  A unit that runs
+        around a cycle is cancelled too, and loses no value."""
+        gone = frozenset(blocked)
+        sources, sinks = self.sources, self.sinks
+        if demand is not None:
+            u, v, k = demand
+            if v not in sinks:  # rows derived so far have no arc into it
+                raise ValueError(f"{v} is not a sink of the net")
+            sources = {**sources, u: sources.get(u, 0) + k}
+            sinks = {**sinks, v: sinks[v] + k}
+        net = UnitFlowNet(self.view, sources, sinks, self.blocked | gone)
+        cap = net.cap = {x: row.copy() for x, row in self.cap.items()}
+        hit = set()
+        short = 0
+        for w in gone:
+            if not cap.get(_out(w), {}).get(_in(w)):
+                continue  # no unit crosses w, or one cancelled already did
+            nodes = self._unit(w)
+            net._push(nodes, -1)
+            if nodes[-1] == _SNK:
+                hit.add(nodes[-2] // 2)
+                short += 1
+        for w in gone:
+            if _in(w) in cap:  # its entries are all 0 now
+                cap[_in(w)] = {}
+                cap.pop(_out(w), None)
+        if demand is not None:
+            short += k
+            if _SRC in cap:
+                cap[_SRC][_out(u)] = cap[_SRC].get(_out(u), 0) + k
+            if _in(v) in cap:
+                cap[_in(v)][_SNK] += k
+            hit.add(v)
+        live = net._live = self._live + [t for t in sinks
+                                         if t in hit and t not in self._live]
+        net._steer(live[0] if live else None)
+        return net, short
+
+    def _unit(self, w: int) -> list[int]:
+        """The split nodes, in flow order, of the unit crossing the free
+        vertex w: from the source to the sink, or from w's in-node around a
+        cycle back to it.  Forward, an out-node's one arc with no residual
+        capacity carries the unit; backward, an in-node's one positive
+        entry is the reverse entry of the arc the unit came in on (its
+        through arc has none left)."""
+        cap, blocked = self.cap, self.blocked
+        nodes = [_in(w), _out(w)]
+        x = w
+        while True:
+            v = next(k for k, f in cap[_out(x)].items() if not f)
+            nodes.append(v)
+            x = v // 2
+            if x == w:
+                return nodes
+            if x in blocked:  # a sink
+                nodes.append(_SNK)
+                break
+            nodes.append(_out(x))
+        rev = []  # back from w: out-node, in-node, ..., the source's out-node
+        x = w
+        while True:
+            u = next(k for k, f in cap[_in(x)].items() if f > 0)
+            rev.append(u)
+            x = u // 2
+            if x in blocked:  # the source
+                return [_SRC, *reversed(rev), *nodes]
+            rev.append(_in(x))
 
     def unit_paths(self) -> list[tuple[int, ...]]:
         """Decompose the current flow into unit source-to-sink paths, each

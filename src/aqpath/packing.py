@@ -46,9 +46,25 @@ Feasibility is decided exactly, in two stages:
    both take {a, b}, and so may two shorter segments), and within one
    search those vertices fix the free set.  So every relaxation verdict is
    cached for the search under the committed set: the leaf's feasibility
-   and spare set under the set alone, the joint relaxation under the set
-   and the segments still owed.  Flows are deterministic, so the caches
-   change no visit, tick or answer, only the number of flows.
+   and spare set under the set alone, the joint relaxation (the leaf with
+   the segments still owed asked of the branched pair besides) under the
+   set and the segments still owed.
+   A child node differs from its parent only by the committed segment's
+   interior, so no relaxation below the root is built from scratch.  The
+   child's leaf flow is the parent's copied with the units through that
+   interior cancelled, and only those are pushed again
+   (``UnitFlowNet.amended``); the joint relaxation starts from the
+   child's saturated leaf flow, which it admits, and pushes only the owed
+   segments.  A flow is maximum iff no augmenting path is left, whatever
+   flow the augmentation started from, so each verdict is exact.  The
+   child's spare set searches for no vertex already critical to the
+   parent, as critical vertices stay critical when the blocked set grows
+   (see the length cap).  Verdicts and spare sets depend on the network
+   alone, not on the flow found, so neither the caches nor the repairs
+   change a visit, tick or answer, only the number and size of flows.  A
+   repaired flow does depend on the nodes above it, so the leaf that
+   completes a packing, whose flow gives the leaf's segments, is
+   saturated afresh over the final blocked set.
    The search also follows the cube's lex-leader rule (``aqpath.cube``).
    An automorphism fixing every terminal (``cube.symmetries``) sends
    packings to packings.  Segment sets are committed in increasing order
@@ -86,6 +102,8 @@ DEFAULT_BUDGET = 2_000_000
 
 class Budget:
     def __init__(self, limit: int):
+        if type(limit) is not int:  # a bool is not a budget
+            raise ValueError(f"budget must be an integer, not {limit!r}")
         if limit < 0:
             raise ValueError("budget must be >= 0")
         self.limit = limit
@@ -113,12 +131,16 @@ def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
     x, y, z = trip
     if len({x, y, z}) != 3:
         raise ValueError("need three distinct terminals")
+    if len(counts) != 3:
+        raise ValueError(f"need three counts, not {len(counts)}")
+    if any(type(c) is not int for c in counts):
+        raise ValueError(f"counts must be integers, not {counts!r}")
     if min(counts) < 0:
         raise ValueError("negative demand")
     for t in trip:
         if t not in view:
             raise ValueError(f"terminal {t} not in view")
-    pairs = zip(((x, y), (y, z), (x, z)), counts, strict=True)
+    pairs = zip(((x, y), (y, z), (x, z)), counts)
     live = [(u, v, c) for (u, v), c in pairs if c > 0]
     if not live:
         return [[], [], []]
@@ -312,7 +334,8 @@ class _PackSearch:
     """The state of one triangle's branch-and-bound, with its relaxation
     caches keyed by the interior vertices committed so far (see the module
     docstring).  ``blocked`` holds the terminals and those interiors.  The
-    caches hold booleans and vertex sets, never networks, and nothing here
+    caches hold booleans and vertex sets, never networks; a node's leaf
+    network lives only while its subtree is searched, and nothing here
     refers back to itself, so all of it is freed on return.
     """
 
@@ -335,16 +358,19 @@ class _PackSearch:
         """The interior vertices of every segment chosen so far."""
         return frozenset(w for seg in self.chosen for w in seg[1:-1])
 
-    def rec(self, net=None) -> bool:
+    def rec(self, net=None, known=frozenset()) -> bool:
         """Complete the packing; ``net`` is the saturated leaf relaxation
-        over the current blocked set, if at hand.  The leaf has one source,
-        which no unit can loop back into, so saturation decides it exactly
-        and forces the split between its sinks."""
+        over the current blocked set, if at hand, and ``known`` the avoided
+        set of the parent node, whose critical vertices stay critical here.
+        The leaf has one source, which no unit can loop back into, so
+        saturation decides it exactly and forces the split between its
+        sinks."""
         u, v, need = self.branch
         chosen = self.chosen
         if len(chosen) == need:
-            if net is None:
-                net = _saturate(self.view, self.leaf, self.blocked)
+            # the witness comes from a fresh flow over the blocked set: a
+            # repaired one depends on the nodes the search passed through
+            net = _saturate(self.view, self.leaf, self.blocked)
             self.leaf_found = None if net is None else _classify(net, self.leaf)
             return self.leaf_found is not None
         # a branch segment may not cross ``blocked`` nor any free vertex
@@ -359,7 +385,7 @@ class _PackSearch:
             if net is None:
                 net = _saturate(self.view, self.leaf, self.blocked)
             self.avoid[key] = (None if net is None
-                               else self.blocked | net.critical())
+                               else self.blocked | net.critical(known))
         avoid = self.avoid[key]
         if avoid is None:
             # only at the root, as a child is entered with a feasible leaf;
@@ -372,7 +398,6 @@ class _PackSearch:
             if self.maps and self.dominated(seg):
                 continue
             interior = seg[1:-1]
-            self.blocked.update(interior)
             chosen.append(seg)
             key = self.committed()
             # the leaf alone is an exact, junk-free necessary condition and
@@ -380,9 +405,12 @@ class _PackSearch:
             leaf_net = None
             ok = self.leaf_ok.get(key)
             if ok is None:
-                leaf_net = _saturate(self.view, self.leaf, self.blocked)
+                if net is None:  # this node's verdicts were all cached
+                    net = _saturate(self.view, self.leaf, self.blocked)
+                leaf_net = self.repaired(net, interior)
                 ok = self.leaf_ok[key] = leaf_net is not None
-            if ok and self.joint(key) and self.rec(leaf_net):
+            self.blocked.update(interior)
+            if ok and self.joint(key, leaf_net) and self.rec(leaf_net, avoid):
                 return True
             chosen.pop()
             self.blocked.difference_update(interior)
@@ -404,17 +432,36 @@ class _PackSearch:
                 return True
         return False
 
-    def joint(self, key: frozenset[int]) -> bool:
+    def joint(self, key: frozenset[int], leaf_net: UnitFlowNet | None) -> bool:
         """Whether the joint relaxation of every segment still owed
-        saturates.  With none owed it is the leaf relaxation, which the
-        caller has already seen saturate (a zero count adds nothing)."""
+        saturates, from ``leaf_net``, the saturated leaf over the current
+        blocked set, if at hand.  With none owed it is the leaf relaxation,
+        which the caller has already seen saturate (a zero count adds
+        nothing)."""
         u, v, need = self.branch
         owed = need - len(self.chosen)
         if not owed:
             return True
         ok = self.joint_ok.get((key, owed))
         if ok is None:
-            left = [(u, v, owed), *self.leaf]
-            ok = _saturate(self.view, left, self.blocked) is not None
+            if leaf_net is None:
+                left = [(u, v, owed), *self.leaf]
+                ok = _saturate(self.view, left, self.blocked) is not None
+            else:
+                ok = self.repaired(leaf_net, owed=owed) is not None
             self.joint_ok[key, owed] = ok
         return ok
+
+    def repaired(self, net: UnitFlowNet, interior: Segment = (),
+                 owed: int = 0) -> UnitFlowNet | None:
+        """``net``, a saturated leaf relaxation, with ``interior`` blocked
+        too and, when ``owed``, that many branched segments asked besides
+        (the joint relaxation), saturated again: only the units that
+        crossed ``interior`` and the owed ones are pushed, and ``net`` is
+        left as it was (``UnitFlowNet.amended``).  None when they do not
+        all fit, exactly when a fresh ``_saturate`` would answer None."""
+        u, v, _ = self.branch
+        child, short = net.amended(interior, (u, v, owed) if owed else None)
+        if short and child.max_flow(limit=short) < short:
+            return None
+        return child

@@ -19,7 +19,7 @@ from aqpath.flow import (
     sink_distances,
 )
 from aqpath import flow
-from aqpath.packing import DEFAULT_BUDGET, Budget, pack_segments
+from aqpath.packing import DEFAULT_BUDGET, Budget, _saturate, pack_segments
 
 
 def k4():
@@ -711,3 +711,111 @@ def test_only_out_node_rows_query_the_view(kind):
     out_rows = sum(1 for u in net.cap if u >= 0 and u % 2)
     assert in_rows > out_rows > 0
     assert half.rows == out_rows
+
+
+# -- amending a saturated net: more vertices blocked, more demand --------
+
+
+def resaturated(net, blocked=(), demand=None):
+    """What the packing search does with a saturated relaxation: the
+    amended copy, pushed by the units it is short, or None when they do
+    not fit."""
+    child, short = net.amended(blocked, demand)
+    if short and child.max_flow(limit=short) < short:
+        return None
+    return child
+
+
+def rows_of(net):
+    return {u: dict(row) for u, row in net.cap.items()}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_an_amended_leaf_matches_a_fresh_one(n):
+    # seeded single-source leaves, each committing up to three interiors in
+    # turn as a branch does; the repair decides and spares exactly what a
+    # fresh flow over the grown blocked set does, critical vertices known
+    # from the parent included, and so does the joint relaxation pushed
+    # onto it; neither touches the net it came from
+    cube = AugmentedCube(n)
+    rng = random.Random(f"repair/{n}")
+    seen = dict.fromkeys(("failed", "lost", "kept", "joint", "no joint"), 0)
+    for _ in range(60):
+        s, x, y = rng.sample(range(1 << n), 3)
+        total = cube.degree - rng.randint(0, 2)
+        cut = rng.randint(1, total - 1)
+        leaf = [(s, x, cut), (s, y, total - cut)]
+        blocked = {s, x, y}
+        net = _saturate(cube, leaf, blocked)
+        known = frozenset()
+        while net is not None and len(blocked) < 3 + 4:
+            crit = net.critical(known)
+            assert crit == net.critical()
+            # one or two free vertices, most of them on the flow
+            on_flow = sorted({w for p in net.unit_paths() for w in p[1:-1]})
+            free = [w for w in range(1 << n) if w not in blocked]
+            pool = on_flow if rng.random() < 0.8 else free
+            interior = rng.sample(pool, min(len(pool), rng.choice((1, 2))))
+            rows, paths = rows_of(net), net.unit_paths()
+            child = resaturated(net, interior)
+            blocked |= set(interior)
+            fresh = _saturate(cube, leaf, blocked)
+            assert (child is None) == (fresh is None), (leaf, blocked)
+            if child is None:
+                seen["failed"] += 1
+            else:
+                got = child.unit_paths()
+                assert len(got) == total
+                assert all(not blocked & set(p[1:-1]) for p in got)
+                assert child.critical(crit) == child.critical() == fresh.critical()
+                seen["lost" if set(interior) & set(on_flow) else "kept"] += 1
+                # the joint relaxation: k segments x-y besides the leaf
+                k = rng.randint(1, 3)
+                child_rows = rows_of(child)
+                joint = resaturated(child, demand=(x, y, k))
+                ref = _saturate(cube, [(x, y, k), *leaf], blocked)
+                assert (joint is None) == (ref is None), (leaf, blocked, k)
+                seen["no joint" if joint is None else "joint"] += 1
+                if joint is not None:
+                    assert len(joint.unit_paths()) == total + k
+                assert rows_of(child) == child_rows
+            assert rows_of(net) == rows
+            assert net.unit_paths() == paths
+            net, known = child, crit
+    assert min(seen.values()) > 0, seen
+
+
+def test_more_demand_needs_a_sink_already_there():
+    net = _saturate(AugmentedCube(4), [(0, 1, 2)], {0, 1, 2})
+    with pytest.raises(ValueError, match="2 is not a sink"):
+        net.amended(demand=(1, 2, 1))
+
+
+def test_blocking_a_vertex_cancels_a_cycle_through_it():
+    # 0 -> 2 -> 1 carries the unit; a circulation 3 -> 4 -> 5 -> 3 through
+    # vertices the flow may use loses no value when it is cancelled, and
+    # the copy keeps no flow through the blocked vertex
+    view = AdjListView([(0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (3, 5), (1, 5)],
+                       bits=3)
+    net = UnitFlowNet(view, {0: 2}, {1: 2}, {0, 1})
+    assert net.max_flow(limit=1) == 1
+    assert net.unit_paths() == [(0, 2, 1)]
+    cycle = [6, 7, 8, 9, 10, 11, 6]  # the split nodes of 3, 4, 5 and back
+    for u, v in zip(cycle, cycle[1:]):  # as an augmenting path writes it
+        row = net.cap.get(u) or net._row(u)
+        row[v] -= 1
+        net.cap[v] = net.cap.get(v) or net._row(v)
+        net.cap[v][u] = net.cap[v].get(u, 0) + 1
+    rows = rows_of(net)
+    child, short = net.amended([4])
+    assert short == 0
+    assert all(not child.cap.get(2 * w + 1, {}).get(2 * w) for w in (3, 4, 5))
+    assert child.unit_paths() == [(0, 2, 1)]
+    assert child.max_flow() == 1
+    assert child.unit_paths() == [(0, 2, 1), (0, 3, 5, 1)]
+    assert rows_of(net) == rows
+    # the unit path is lost, and no other avoids the blocked vertices
+    child, short = net.amended([2, 5])
+    assert short == 1
+    assert child.max_flow() == 0
+    assert child.unit_paths() == []

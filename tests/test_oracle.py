@@ -160,6 +160,13 @@ def test_max_dpaths_rejects_a_negative_budget():
         max_dpaths(AugmentedCube(4), (0, 1, 2), budget=-5)
 
 
+@pytest.mark.parametrize("budget", [True, 1.5, None], ids=["bool", "fraction", "none"])
+def test_max_dpaths_takes_only_an_integer_budget(budget):
+    # True would otherwise act as a one-tick budget
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=budget)
+
+
 def test_max_dpaths_raises_when_the_budget_runs_out():
     # the argmin orbit of pi3(AQ_4) needs a branch-and-bound refutation
     with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):

@@ -16,8 +16,12 @@ from aqpath.textio import parse_graph, render_graph
     ((0, 1, 0), (1, 1, 1), "three distinct terminals"),
     ((0, 1, 2), (1, -1, 1), "negative demand"),
     ((0, 1, 8), (1, 1, 1), "terminal 8 not in view"),
-    ((0, 1, 2), (1, 1), "shorter than argument 1"),
-], ids=["repeated", "negative", "outside", "two-counts"])
+    ((0, 1, 2), (1, 1), "need three counts, not 2"),
+    ((0, 1, 2), (1, 1, 1, 0), "need three counts, not 4"),
+    ((0, 1, 2), (1.5, 1, 1), "counts must be integers"),
+    ((0, 1, 2), (1, True, 1), "counts must be integers"),
+], ids=["repeated", "negative", "outside", "two-counts", "four-counts",
+        "fractional", "bool"])
 def test_a_triangle_outside_the_contract_is_rejected(trip, counts, message):
     with pytest.raises(ValueError, match=message):
         pack_segments(AugmentedCube(3), trip, counts)
@@ -27,8 +31,10 @@ def test_a_budget_is_never_negative():
     with pytest.raises(ValueError, match="budget must be >= 0"):
         Budget(-5)
     Budget(0)
-    with pytest.raises(TypeError):  # no budget is unbounded
-        Budget(None)
+    # no budget is unbounded, and none is a bool or a fraction
+    for limit in (None, True, False, 2.0, "5"):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            Budget(limit)
 
 
 def test_one_demand_uses_the_direct_edge_once():
@@ -294,12 +300,15 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
     assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
     # the caches keep the search tree and save flows; a map fixing the
     # three terminals prunes the subtrees it sends onto earlier ones, and
-    # the length cap the segments still owed set prunes the rest
+    # the length cap the segments still owed set prunes the rest.  A child
+    # repairs its parent's leaf flow, with no flow at all when the
+    # committed segment crossed no unit of it, and pushes only the owed
+    # segments onto that for the joint relaxation
     assert budget.used == 112
-    assert len(calls) == 72
+    assert len(calls) == 67
 
 
-def test_a_packing_found_at_full_depth_reuses_its_leaf_flow(monkeypatch):
+def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeypatch):
     calls = []
     max_flow = UnitFlowNet.max_flow
 
@@ -310,9 +319,28 @@ def test_a_packing_found_at_full_depth_reuses_its_leaf_flow(monkeypatch):
     monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
     found = pack_segments(AugmentedCube(4), (0, 10, 14), (3, 4, 3))
     assert [len(segs) for segs in found] == [3, 4, 3]
-    # the leaf flow that admitted the last branched segment is classified,
-    # not recomputed, and a joint relaxation owing nothing is not run
+    # three orientations, the root leaf, the repairs of the leaf as the
+    # three branched segments are committed (those crossing no unit of it
+    # push nothing), the joint relaxations while segments are owed, and
+    # one fresh leaf flow for the witness, so the witness does not depend
+    # on the path the search took
     assert len(calls) == 9
+
+
+def test_the_joint_relaxation_prunes_what_the_leaf_alone_does_not(monkeypatch):
+    # a node whose leaf still saturates, yet not with the branched segments
+    # it owes asked besides: the joint relaxation drops it untried
+    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[11],
+                          forbidden_edges=[(15, 13), (2, 6), (0, 15), (15, 8)])
+    trip, counts = (12, 13, 6), (3, 3, 3)
+    assert not packing_exists(view, trip, counts)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert pack_segments(view, trip, counts, budget) is None
+    assert budget.used == 11
+    monkeypatch.setattr(packing._PackSearch, "joint", lambda search, key, net: True)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert pack_segments(view, trip, counts, budget) is None
+    assert budget.used == 12
 
 
 def test_a_net_keeps_the_blocked_set_it_was_built_with():

@@ -1,10 +1,15 @@
-"""The oracle's symmetry breaking and length cap change work, never answers.
+"""The oracle's symmetry breaking, length cap and repaired relaxations
+change work, never answers.
 
 One reference mode sees no symmetry: ``symmetries`` yields nothing, so
 ``max_dpaths`` skips no profile and the packing search skips no segment.
-The other caps no segment's length: ``_enum_segments`` is always told that
+Another caps no segment's length: ``_enum_segments`` is always told that
 one segment is owed.  Each mode must return the same values, witnesses and
-packings as the search, which may only use fewer budget ticks.
+packings as the search, which may only use fewer budget ticks.  The third
+saturates every relaxation of the search afresh and searches for every
+critical vertex, where the search repairs its parent's leaf flow, derives
+the joint relaxation from the leaf's and inherits its parent's critical
+vertices; it must match the search tick for tick.
 """
 
 import itertools
@@ -47,6 +52,23 @@ def without_length_cap(fn, *args):
         return fn(*args)
 
 
+def with_fresh_relaxations(fn, *args):
+    critical = UnitFlowNet.critical
+
+    def fresh(search, net, interior=(), owed=0):
+        u, v, _ = search.branch
+        return packing._saturate(search.view, [(u, v, owed), *search.leaf],
+                                 search.blocked.union(interior))
+
+    def searched(net, known=frozenset()):
+        return critical(net)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing._PackSearch, "repaired", fresh)
+        mp.setattr(UnitFlowNet, "critical", searched)
+        return fn(*args)
+
+
 def counted_pack_segments(monkeypatch):
     calls = []
     pack = oracle.pack_segments
@@ -86,7 +108,7 @@ def test_every_dimension_four_triple_keeps_value_and_witness():
         found = [max_dpaths(cube, D) for D in triples]
     # the work with symmetry, pinned exactly: a change to how symmetry is
     # broken that changes any of it must say so
-    assert work == {"ticks": 11_161, "packings": 944, "max_flows": 7_495}
+    assert work == {"ticks": 11_161, "packings": 944, "max_flows": 7_215}
     for D, got in zip(triples, found):
         assert got == without_symmetry(max_dpaths, cube, D), D
 
@@ -182,3 +204,30 @@ def test_seeded_packings_match_the_uncapped_search():
         assert used <= ref_used, (trip, counts)
         fewer += used < ref_used
     assert fewer == 4
+
+
+def max_flows(fn, *args):
+    """The max-flows ``fn(*args)`` runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        work = counted_work(mp)
+        fn(*args)
+        return work["max_flows"]
+
+
+def test_repaired_relaxations_keep_every_pinned_value_witness_and_tick():
+    cube = AugmentedCube(4)
+    for D in [(0, b, c) for b, c in itertools.combinations(range(1, 16), 2)]:
+        found, used = ticked(max_dpaths, cube, D)
+        assert (found, used) == with_fresh_relaxations(ticked, max_dpaths, cube, D), D
+    # the reference does rebuild: on the argmin it runs more max-flows, as
+    # a repair that cancels no unit runs none
+    assert max_flows(max_dpaths, cube, ARGMIN) < with_fresh_relaxations(
+        max_flows, max_dpaths, cube, ARGMIN)
+
+
+def test_seeded_packings_match_with_fresh_relaxations():
+    cubes = {n: AugmentedCube(n) for n in (4, 5)}
+    for n, trip, counts in seeded_triangles(random.Random(15)):
+        got = outcome(cubes[n], trip, counts, 2000)
+        assert got == with_fresh_relaxations(outcome, cubes[n], trip, counts, 2000), (
+            trip, counts)
