@@ -26,27 +26,29 @@ The cases by how the triple meets the two-leading-bit decomposition:
 
 The case table ``_CASES`` maps each label to its builder and to the number
 of dimensions the case recurses down first.  All direct ladders share one
-assembler, ``_ladder``: a maximum bundle of x-y paths in one sub-cube is
-split into backbones and attachment paths, z fans out in the sibling
-sub-cube, and each rung runs along a backbone to the vertex next to x or y
-on an attachment path, over that vertex's matching edge across a mask word,
-and along the fan to z.  The even-step builders serve n = 4 as well, so
-only B1 and B3.2, which no general builder covers, keep a builder of their own.
+assembler, ``_ladder``: ``_backbones`` routes just the x-y paths a ladder
+keeps whole in one sub-cube, the neighbours of x and y that none takes are
+the rung vertices, z fans out in the sibling sub-cube, and each rung runs
+along a backbone to a rung vertex, over that vertex's matching edge across
+a mask word, and along the fan to z.  The even-step builders serve n = 4
+as well, so only B1 and B3.2, which no general builder covers, keep a
+builder of their own.
 
 The whole family ends at the verifier, once per call: it must have the
 target count and pass ``verify.check_family``.  A sub-family lies in
 quadrant 00 or half 0, an induced sub-cube, so that check referees its
 paths too.  If a transcription cannot be realized on some triple (named
-vertices colliding, not enough long paths to attach to) or the family
+vertices colliding, too few disjoint paths or rung vertices) or the family
 fails the check, ``construct`` raises ``ConstructionError``; shortfall is
 never silent and never patched up by a second search.
 
-Every case is built from the flows ``disjoint_paths``, ``fan`` and
-``linkage``, with no search that needs a budget; E1.2 and E2.2 route their
-three prescribed pairs one flow path at a time (``_route_pairs``).  The
-flows read only the region their searches explore, so ``construct`` lists
-no vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone,
-and above it ``construct`` raises ``cube.ResourceGuard``.
+Every case is built from unit flows with no search that needs a budget:
+the ladders' backbones, ``fan``, ``linkage``, B3.2's bundle
+(``disjoint_paths``), and E1.2 and E2.2's three prescribed pairs, routed
+one flow path at a time (``_route_pairs``).  The flows read only the
+region their searches explore, so ``construct`` lists no vertex at any
+dimension; ``CONSTRUCT_MAX_N`` bounds its time alone, and above it
+``construct`` raises ``cube.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: on a 2-core x86 box a
-# triple takes under 0.1 s at n = 20 and 0.15-0.25 s at n = 32
-CONSTRUCT_MAX_N = 32
+# seeded triple takes 0.6-0.9 s at n = 64 (at most 102 MB peak RSS), and
+# the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.9 s (79 MB)
+CONSTRUCT_MAX_N = 64
 
 
 class ConstructionError(RuntimeError):
@@ -229,45 +232,48 @@ def _cross(fanm, mask, w, then=None):
     return path if then is None else path + fanm[then ^ mask][1:]
 
 
-def _rungs(bundle, fan_view, z, mask, extra, n_long, n_flex=0, flex_end=1):
-    """Split an x-y bundle for a ladder and fan from z across ``mask``.
+def _backbones(view, x, y, k):
+    """k internally disjoint x-y paths of the view (the backbones), each
+    meeting N(x) and N(y) only next to its ends, and rung vertices none
+    takes: k - 2 next to x (``xi``), k - 2 next to y (``yi``) and ``f`` next
+    to y; else ``Insufficient``.
 
-    Attachment paths lend their end edges to other members, so the first
-    ``n_long`` need distinct neighbors at both ends (>= 4 vertices) and any
-    flex slot needs at least one interior vertex.  Backbones are the other
-    members, used whole and of any shape.  Returns the backbones, the
-    vertices next to x (``xi``) and next to y (``yi``) on each attachment
-    path, the ``flex_end`` vertex of each flex path, and the fan map onto
-    the images of all of those and of ``extra``.
+    The direct edge and the common neighbours give the first backbones with
+    no search; one flow from N(x) to N(y), with x, y and both neighbourhoods
+    blocked, routes just the rest.  A common neighbour left over goes to the
+    short side.  AQ_k is (2k - 1)-connected, so a full bundle of 2k - 1
+    paths ends once at every neighbour of x and of y: the flow has room for
+    all it is asked, and for k >= 4 at most one common neighbour is left.
     """
-    paths = [list(p) for p in bundle]
-    qs = []
-    for p in paths:
-        if len(qs) < n_long and len(p) >= 4:
-            qs.append(p)
-    if len(qs) < n_long:
-        raise _CaseInfeasible("not enough long attachment paths")
-    ps = [p for p in paths if p not in qs]
-    flex = []
-    for p in list(ps):
-        if len(flex) == n_flex:
-            break
-        if len(p) >= 3:
-            flex.append(p)
-            ps.remove(p)
-    if len(flex) < n_flex:
-        raise _CaseInfeasible("not enough non-direct attachment paths")
-    xi = [q[1] for q in qs]
-    yi = [q[-2] for q in qs]
-    fi = [q[flex_end] for q in flex]
-    fanm = _fan_map(fan_view, z, [w ^ mask for w in xi + yi + fi + extra])
-    return ps, xi, yi, fi, fanm
+    nx, ny = view.neighbors(x), view.neighbors(y)
+    sx, sy = set(nx), set(ny)
+    common = [w for w in nx if w in sy]
+    ps = [[x, y]] if y in sx else []
+    take = min(len(common), k - len(ps))
+    ps += [[x, w, y] for w in common[:take]]
+    only_x = [w for w in nx if w != y and w not in sy]
+    only_y = [w for w in ny if w != x and w not in sx]
+    net = UnitFlowNet(view, dict.fromkeys(only_x, 1), dict.fromkeys(only_y, 1),
+                      sx | sy | {x, y})
+    got = len(ps) + net.max_flow(limit=k - len(ps))
+    if got < k:
+        raise Insufficient(got, k)
+    routed = net.unit_paths()
+    ps += [[x, *p, y] for p in routed]
+    taken = {v for p in routed for v in p}
+    xi = [w for w in only_x if w not in taken]
+    yi = [w for w in only_y if w not in taken]
+    for w in common[take:]:
+        (xi if len(xi) < k - 2 else yi).append(w)
+    if len(xi) < k - 2 or len(yi) < k - 1:
+        raise Insufficient(len(xi) + len(yi), 2 * k - 3, "rung vertices")
+    return ps, xi[:k - 2], yi[:k - 2], yi[k - 2]
 
 
 def _ladder(x, y, ps, xi, yi, k, fanm, mask):
     """k rungs from x's side and k from y's side, each a backbone extended by
     one rung vertex and its crossing to z; then one bridged rung x..z..y
-    through each remaining attachment path's two rung vertices."""
+    through each remaining pair xi[i], yi[i] of rung vertices."""
     paths = [_rev(ps[i]) + [xi[i]] + _cross(fanm, mask, xi[i]) for i in range(k)]
     paths += [ps[k + i] + [yi[i]] + _cross(fanm, mask, yi[i]) for i in range(k)]
     paths += [[x, xi[i]] + _cross(fanm, mask, xi[i], yi[i]) + [yi[i], y]
@@ -370,12 +376,10 @@ def _even_pair_sibling_mated(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
-    bundle = disjoint_paths(cube.quadrant_view(0b00), x, y, 2 * n - 5)
-    # n - 4 attachment paths carry the ladder's rungs; one more member needs
-    # only an interior vertex f next to y, and its rung runs from x through
-    # x's own sibling image (otherwise unused), along the fan to f's image
-    ps, xi, yi, (f,), fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
-                                    [x, y], n - 4, 1, -2)
+    ps, xi, yi, f = _backbones(cube.quadrant_view(0b00), x, y, n - 2)
+    # f's rung runs from x through x's own sibling image (otherwise unused),
+    # along the fan to f's image, and on to y
+    fanm = _fan_map(cube.quadrant_view(0b01), z, [w ^ h2w for w in xi + yi + [f, x, y]])
     k = n // 2 - 2
     return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
         [x] + _cross(fanm, h2w, x, f) + [f, y],
@@ -389,16 +393,15 @@ def _even_pair_sibling_generic(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
-    bundle = disjoint_paths(cube.quadrant_view(0b00), x, y, 2 * n - 5)
-    ps, xi, yi, (f,), fanm = _rungs(bundle, cube.quadrant_view(0b01), z, h2w,
-                                    [x, y], n - 4, 1)
+    ps, xi, yi, f = _backbones(cube.quadrant_view(0b00), x, y, n - 2)
+    fanm = _fan_map(cube.quadrant_view(0b01), z, [w ^ h2w for w in xi + yi + [f, x, y]])
     l1, l2, l3 = _route_pairs(cube.half_view(1),
                               [(x ^ h1w, z ^ c1w), (x ^ c1w, y ^ h1w),
                                (y ^ c1w, z ^ h1w)])
     k = n // 2 - 2
     return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
         [x] + _cross(fanm, h2w, x, y) + [y],
-        _rev(ps[2 * k]) + [f] + _cross(fanm, h2w, f),
+        ps[2 * k] + [f] + _cross(fanm, h2w, f),
         _rev(ps[2 * k + 1]) + l1 + [z],
         [x] + l2 + [y] + l3 + [z],
     ]
@@ -407,12 +410,11 @@ def _even_pair_sibling_generic(cube, x, y, z):
 def _even_cross_half(cube, x, y, z):
     n = cube.n
     h1w = 1 << (n - 1)
-    bundle = disjoint_paths(cube.half_view(0), x, y, 2 * n - 3)
-    ps, xi, yi, (f,), fanm = _rungs(bundle, cube.half_view(1), z, h1w,
-                                    [x, y], n - 3, 1)
+    ps, xi, yi, f = _backbones(cube.half_view(0), x, y, n - 1)
+    fanm = _fan_map(cube.half_view(1), z, [w ^ h1w for w in xi + yi + [f, x, y]])
     k = n // 2 - 2
     return _ladder(x, y, ps, xi, yi, k, fanm, h1w) + [
-        _rev(ps[2 * k]) + [f] + _cross(fanm, h1w, f),
+        ps[2 * k] + [f] + _cross(fanm, h1w, f),
         _rev(ps[2 * k + 1]) + _cross(fanm, h1w, x),
         ps[2 * k + 2] + _cross(fanm, h1w, y),
     ]
@@ -440,10 +442,8 @@ def _odd_same_half(cube, x, y, z):
 def _odd_cross_half(cube, x, y, z):
     n = cube.n
     h1w = 1 << (n - 1)
-    bundle = disjoint_paths(cube.half_view(0), x, y, 2 * n - 3)
-    # the ladder takes n - 1 backbones: one bundle member is deliberately spare
-    ps, xi, yi, _, fanm = _rungs(bundle, cube.half_view(1), z, h1w, [x, y],
-                                 n - 3)
+    ps, xi, yi, _ = _backbones(cube.half_view(0), x, y, n - 1)
+    fanm = _fan_map(cube.half_view(1), z, [w ^ h1w for w in xi + yi + [x, y]])
     paths = _ladder(x, y, ps, xi, yi, (n - 1) // 2, fanm, h1w)
     paths.append([x] + _cross(fanm, h1w, x, y) + [y])
     return paths

@@ -283,6 +283,8 @@ class AugmentedCube(PrefixView):
     # -- basic queries -------------------------------------------------
 
     def check_vertex(self, v: int) -> None:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"vertex {v!r} is not an integer")
         if v not in self:
             raise ValueError(f"vertex {v} outside [0, 2^{self.n})")
 

@@ -144,7 +144,11 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
 
 def _terminals(D: Sequence[int]) -> tuple[int, int, int]:
     """D as an ascending triple; it must be three distinct vertices."""
-    trip = tuple(sorted(D))
+    trip = tuple(D)
+    for t in trip:
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"terminal {t!r} is not an integer")
+    trip = tuple(sorted(trip))
     if len(trip) != 3 or len(set(trip)) != 3:
         raise ValueError("need three distinct terminals")
     return trip

@@ -43,6 +43,12 @@ def test_construct_rejects_bad_input():
         construct(4, (0, 1, 99))
 
 
+@pytest.mark.parametrize("trip", [(False, True, 2), (0, 1.0, 2)])
+def test_construct_takes_integer_vertices_only(trip):
+    with pytest.raises(ValueError, match="not an integer"):
+        construct(4, trip)
+
+
 def test_dimension_four_exhaustive():
     cube = AugmentedCube(4)
     for D in itertools.combinations(range(16), 3):
@@ -388,6 +394,46 @@ def test_every_dimension_eight_pair_routing_builds():
         assert check_family(cube, d, fam.paths) is None, d
 
 
+@pytest.mark.parametrize("m", range(3, 10))
+def test_backbones_are_disjoint_and_leave_the_rung_vertices(m):
+    # every ladder asks for m backbones in an AQ_m; by vertex transitivity
+    # the pairs (0, b) cover every pair
+    backbones = importlib.import_module("aqpath.construct")._backbones
+    cube = AugmentedCube(m)
+    n0 = set(cube.neighbors(0))
+    for b in range(1, 1 << m):
+        ends = n0 | set(cube.neighbors(b))
+        if m == 3 and b == 0b011:
+            # adjacent with four common neighbours, which are all the other
+            # neighbours of either end: three backbones take two of them,
+            # so only two of the three rung vertices are left
+            with pytest.raises(Insufficient):
+                backbones(cube, 0, b, m)
+            continue
+        ps, xi, yi, f = backbones(cube, 0, b, m)
+        assert len(ps) == m
+        inner = [v for p in ps for v in p[1:-1]]
+        assert len(inner) == len(set(inner)), b
+        for p in ps:
+            assert (p[0], p[-1]) == (0, b)
+            assert all(cube.is_adjacent(u, v) for u, v in zip(p, p[1:]))
+            assert not ends & set(p[2:-2]), (b, p)
+        spare = xi + yi + [f]
+        assert len(spare) == len(set(spare)) == 2 * m - 3
+        assert not set(spare) & set(inner)
+        assert len(xi) == len(yi) == m - 2
+        assert n0 >= set(xi) and set(cube.neighbors(b)) >= {*yi, f}
+
+
+def test_backbones_raise_when_the_pair_is_walled_in():
+    backbones = importlib.import_module("aqpath.construct")._backbones
+    cube = AugmentedCube(5)
+    walled = RestrictedView(cube, forbidden_vertices=set(cube.neighbors(0))
+                            - {1, 2})
+    with pytest.raises(Insufficient):
+        backbones(walled, 0, 0b10101, 5)
+
+
 def test_routed_pairs_are_vertex_disjoint_or_insufficient():
     module = importlib.import_module("aqpath.construct")
     half = AugmentedCube(6).half_view(1)
@@ -407,12 +453,14 @@ def test_routed_pairs_are_vertex_disjoint_or_insufficient():
 
 def first_seeded_triples(n, same_half):
     """The first four ``random.Random(3)`` triples of AQ_n inside one half
-    (``same_half``) or spanning both."""
+    (``same_half``) or spanning both; drawn with ``getrandbits`` from n = 63
+    on, where ``sample`` cannot take the range."""
     rng = random.Random(3)
     trips = []
     while len(trips) < 4:
-        d = tuple(rng.sample(range(2**n), 3))
-        if (len({v >> (n - 1) for v in d}) == 1) == same_half:
+        d = (tuple(rng.sample(range(2**n), 3)) if n < 63
+             else tuple(rng.getrandbits(n) for _ in range(3)))
+        if len(set(d)) == 3 and (len({v >> (n - 1) for v in d}) == 1) == same_half:
             trips.append(d)
     return trips
 
@@ -420,14 +468,14 @@ def first_seeded_triples(n, same_half):
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
     # the first four seeded triples of each kind at n = 20, each built from
-    # a few thousand neighbour rows of a 2^20-vertex cube
+    # a few hundred neighbour rows of a 2^20-vertex cube (at most 345)
     n = 20
     trips = first_seeded_triples(n, same_half)
     queries = [0]
     for cls in (AugmentedCube, PrefixView, RestrictedView):
         def counted(self, x, _rows=cls.neighbors):
             queries[0] += 1
-            assert queries[0] <= 5_000, "the construction floods the cube"
+            assert queries[0] <= 500, "the construction floods the cube"
             return _rows(self, x)
         monkeypatch.setattr(cls, "neighbors", counted)
     for d in trips:
@@ -439,13 +487,25 @@ def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
-def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch):
-    # past the guard: the first four seeded triples of each kind at n = 40
-    # (0.4-0.9 s each on a 2-core x86 box, peak RSS 61-92 MB)
-    module = importlib.import_module("aqpath.construct")
+def test_construct_at_dimension_forty_builds_and_verifies(same_half):
+    # the first four seeded triples of each kind at n = 40 (0.24-0.27 s
+    # each on a 2-core x86 box, peak RSS 26-30 MB)
     n = 40
-    monkeypatch.setattr(module, "CONSTRUCT_MAX_N", n)
     for d in first_seeded_triples(n, same_half):
+        fam = construct(n, d)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(AugmentedCube(n), d, fam.paths) is None
+
+
+@pytest.mark.slow
+def test_construct_at_the_widest_admitted_dimension_builds_and_verifies():
+    # n = 64: the first four seeded triples of each kind, 0.6-0.9 s and at
+    # most 102 MB each on a 2-core x86 box, and the far pair, whose bundled
+    # pair lies n/2 apart (0.9 s, 79 MB)
+    n = 64
+    alt = int("10" * (n // 2), 2)
+    trips = first_seeded_triples(n, False) + first_seeded_triples(n, True)
+    for d in trips + [(0, alt >> 1, alt)]:
         fam = construct(n, d)
         assert len(fam.paths) == target_count(n)
         assert check_family(AugmentedCube(n), d, fam.paths) is None

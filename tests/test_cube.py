@@ -91,6 +91,13 @@ def test_h_neighbor_examples():
         c.h_neighbor(0, 0)
 
 
+@pytest.mark.parametrize("v", [False, True, 1.0, "1", None])
+def test_check_vertex_takes_integers_only(v):
+    # a bool or a float passes the prefix test, so the type is checked first
+    with pytest.raises(ValueError, match="not an integer"):
+        AugmentedCube(4).check_vertex(v)
+
+
 def test_c_neighbor_examples():
     c = AugmentedCube(4)
     assert c.c_neighbor(0b0000, 1) == 0b1111
@@ -424,16 +431,17 @@ def test_the_widest_construct_reads_its_distances_in_closed_form():
     n = importlib.import_module("aqpath.construct").CONSTRUCT_MAX_N
     cube = AugmentedCube(n)
     rng = random.Random(n)
-    sinks = rng.sample(range(1 << n), 5)
-    # every gray word offset from the first sink in bits 14 and up, and
+    sinks = [rng.getrandbits(n) for _ in range(5)]
+    # every gray word offset from the first sink in the top 18 bits, and
     # random vertices for every sink
     t = sinks[0]
     dist = cube.distance_to(t)
-    for x in (t ^ from_gray(w << 14) for w in range(1 << n - 14)):
+    for x in (t ^ from_gray(w << n - 18) for w in range(1 << 18)):
         assert dist(x) == distance(x, t)
     for t in sinks:
         _, dist = sink_distances(cube, t)
-        for x in rng.sample(range(1 << n), 600):
+        for _ in range(600):
+            x = rng.getrandbits(n)
             assert dist(x) == distance(x, t)
 
 

@@ -72,6 +72,12 @@ def test_max_dpaths_needs_three_distinct_terminals(D):
         max_dpaths(AugmentedCube(4), D)
 
 
+@pytest.mark.parametrize("D", [(0, 1.0, 2), (False, True, 2)])
+def test_max_dpaths_takes_integer_terminals_only(D):
+    with pytest.raises(ValueError, match="not an integer"):
+        max_dpaths(AugmentedCube(4), D)
+
+
 @pytest.mark.parametrize("D", [(0, 1, 2, 2), (0, 1, 1), (0, 1)])
 def test_brute_small_needs_three_distinct_terminals(D):
     with pytest.raises(ValueError, match="three distinct"):

@@ -40,13 +40,13 @@ def construct_digest(n, count):
 
 
 # (n, triples of each kind) -> digest: the benchmark's dimensions, and
-# wide cubes up to the widest construct admits (n = 32)
+# wide cubes up to n = 32
 CONSTRUCT_DIGESTS = {
-    (8, 8): "341999248b3993b5a92f7715c47b5db91e23617597f74545b501c447d499a8bb",
-    (10, 8): "b2a52c8df7eb18a973b33af1786b474ef9ef029aa2ed2e01fb3651ccbf2376f3",
-    (21, 1): "1580db15fe7dbb255eda6e481616d3b66d4d3a556cd873a84273b2335e331726",
-    (24, 1): "29c2c579307ad1571eada348979efe9c836e1e9a28890b3aeefcf82692fe7187",
-    (32, 1): "ab7007081b35e82f0c1346c2ce6e5a9c7491c5a4e8300e850cb4e9cc4fe26a0f",
+    (8, 8): "1affbf33f17ac2ae1c031e629e0dcfc0a35dc84968ff429490bfbe68a202b956",
+    (10, 8): "235ea834d88180220f65a1de5364251d9bfec4d95b538521d21c41165a7506fc",
+    (21, 1): "9c0844dc54b67160b45f906c48247bfb371cb9bb53b868b1efa0e99e6176c373",
+    (24, 1): "fd4d815ed6e0f6c35cc6fb1403a2911805b09fdd65a28a51f5ebfc967b637216",
+    (32, 1): "fd935213505f3a29616607f2bf31b71cdf49c052b297c0cd9697756f16c08bd9",
 }
 
 
