@@ -7,7 +7,10 @@ of D, where
     target_count(n) = 3n/2 - 2        (n even)
                     = 3(n-1)/2 - 1    (n odd)
 
-matches the counting ceiling, so the family is maximum.
+is the cube-wide counting ceiling (``oracle.cube_upper_bound``), so the
+family is maximum at the orbit of ``oracle.witness_triple(n)``, which
+meets it; at all but 2 or 3 orbits each of AQ_5 to AQ_8 the exact oracle
+finds one path more.
 
 Each level reads the two leading bits of the triple once (``_normalize``):
 they give the XOR word that relocates the triple where its case expects it,
@@ -42,13 +45,14 @@ vertices colliding, too few disjoint paths or rung vertices) or the family
 fails the check, ``construct`` raises ``ConstructionError``; shortfall is
 never silent and never patched up by a second search.
 
-Every case is built from unit flows with no search that needs a budget:
-the ladders' backbones, ``fan``, ``linkage``, B3.2's bundle
-(``disjoint_paths``), and E1.2 and E2.2's three prescribed pairs, routed
-one flow path at a time (``_route_pairs``).  The flows read only the
-region their searches explore, so ``construct`` lists no vertex at any
-dimension; ``CONSTRUCT_MAX_N`` bounds its time alone, and above it
-``construct`` raises ``cube.ResourceGuard``.
+No case runs a search that needs a budget.  The ladders' backbones, the
+fans and E1.2 and E2.2's three prescribed pairs (``_route_pairs``, one
+pair at a time) are walked by closer steps and repaired by a unit flow
+seeded with the walks only where a walk falls short (``flow.route``);
+``linkage`` and B3.2's bundle (``disjoint_paths``) are unit flows.  Walks
+and flows read only the vertices they reach, so ``construct`` lists no
+vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone, and
+above it ``construct`` raises ``cube.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import itertools
 from typing import NamedTuple
 
 from .cube import AugmentedCube, ResourceGuard, RestrictedView
-from .flow import Insufficient, UnitFlowNet, disjoint_paths, fan, linkage
+from .flow import Insufficient, disjoint_paths, fan, linkage, route
 from .verify import check_family
 
 # dispatcher case labels (B = dimension-4 base, E = even step, O = odd step)
@@ -67,8 +71,8 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: on a 2-core x86 box a
-# seeded triple takes 0.6-0.9 s at n = 64 (at most 102 MB peak RSS), and
-# the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.9 s (79 MB)
+# seeded triple takes 0.34-0.52 s at n = 64 (at most 66 MB peak RSS), and
+# the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.07 s (16 MB)
 CONSTRUCT_MAX_N = 64
 
 
@@ -239,11 +243,13 @@ def _backbones(view, x, y, k):
     to y; else ``Insufficient``.
 
     The direct edge and the common neighbours give the first backbones with
-    no search; one flow from N(x) to N(y), with x, y and both neighbourhoods
-    blocked, routes just the rest.  A common neighbour left over goes to the
-    short side.  AQ_k is (2k - 1)-connected, so a full bundle of 2k - 1
-    paths ends once at every neighbour of x and of y: the flow has room for
-    all it is asked, and for k >= 4 at most one common neighbour is left.
+    no search; paths from N(x) to N(y) avoiding x, y and both neighbourhoods
+    route just the rest, each walked from a neighbour of x toward y, with a
+    flow for any the walks miss (``flow.route``).  A common neighbour left
+    over goes to the short side.  AQ_k is (2k - 1)-connected, so a full
+    bundle of 2k - 1 paths ends once at every neighbour of x and of y: the
+    flow has room for all it is asked, and for k >= 4 at most one common
+    neighbour is left.
     """
     nx, ny = view.neighbors(x), view.neighbors(y)
     sx, sy = set(nx), set(ny)
@@ -253,12 +259,10 @@ def _backbones(view, x, y, k):
     ps += [[x, w, y] for w in common[:take]]
     only_x = [w for w in nx if w != y and w not in sy]
     only_y = [w for w in ny if w != x and w not in sx]
-    net = UnitFlowNet(view, dict.fromkeys(only_x, 1), dict.fromkeys(only_y, 1),
-                      sx | sy | {x, y})
-    got = len(ps) + net.max_flow(limit=k - len(ps))
-    if got < k:
-        raise Insufficient(got, k)
-    routed = net.unit_paths()
+    routed = route(view, dict.fromkeys(only_x, 1), only_y, sx | sy | {x, y},
+                   [(w, y) for w in only_x], k - len(ps))
+    if len(ps) + len(routed) < k:
+        raise Insufficient(len(ps) + len(routed), k)
     ps += [[x, *p, y] for p in routed]
     taken = {v for p in routed for v in p}
     xi = [w for w in only_x if w not in taken]
@@ -282,17 +286,18 @@ def _ladder(x, y, ps, xi, yi, k, fanm, mask):
 
 
 def _route_pairs(view, pairs):
-    """Vertex-disjoint paths joining each pair in turn, each one flow path
-    over ``view`` blocked at the other pairs' ends and the paths already
-    routed (else ``Insufficient``); the pairs share the view's memoised
-    rows and sink distances."""
+    """Vertex-disjoint paths joining each pair in turn, each walked, or one
+    flow path where the walk falls short (``flow.route``), over ``view``
+    blocked at the other pairs' ends and the paths already routed (else
+    ``Insufficient``); the pairs share the view's memoised rows and sink
+    distances."""
     blocked = {v for pair in pairs for v in pair}
     routed = []
     for a, b in pairs:
-        net = UnitFlowNet(view, {a: 1}, {b: 1}, blocked)
-        if not net.max_flow(limit=1):
+        got = route(view, {a: 1}, [b], blocked, [(a, b)], 1)
+        if not got:
             raise Insufficient(0, 1)
-        (path,) = net.unit_paths()
+        (path,) = got
         blocked.update(path)
         routed.append(list(path))
     return routed

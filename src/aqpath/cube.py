@@ -130,6 +130,28 @@ def distance_to(bits: int, t: int) -> Callable[[int], int]:
     return dist
 
 
+def closer_words(y: int) -> Iterator[int]:
+    """Mask words w with distance(x ^ w, t) = distance(x, t) - 1, for the
+    gray word y = g(x) ^ g(t) != 0, lazily, run by run from y's lowest bit.
+
+    The gray image of the word (2 << q) - 1 is bit q alone, and that of
+    1 << (q + 1) the bits q and q + 1.  Clearing one bit at an even offset
+    of a run of odd length L leaves two runs of even length, and clearing
+    a pair anywhere in it an odd and an even one, so either costs (L - 1)/2
+    instead of (L + 1)/2; in a run of even length, clearing a pair at an
+    even offset leaves two of even length.  So there is always one."""
+    while y:
+        low = y & -y
+        run = y & ~(y + low)  # the carry clears just the lowest run
+        y ^= run
+        q, size = low.bit_length() - 1, run.bit_count()
+        if size % 2:
+            yield from [(2 << (q + i)) - 1 for i in range(0, size, 2)]
+            yield from [1 << (q + i) for i in range(1, size)]
+        else:
+            yield from [1 << (q + i) for i in range(1, size, 2)]
+
+
 def map_vertex(images: Sequence[int], v: int) -> int:
     """The image of v under the linear map sending bit i to ``images[i]``."""
     out = 0

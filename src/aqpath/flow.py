@@ -48,6 +48,14 @@ Rows list their arcs in the view's neighbor order and their reverse
 entries in the order flow first crossed them, and the queue order is
 fixed, so identical inputs always produce identical path systems.
 
+``fan``, and the backbones and prescribed pairs of ``aqpath.construct``,
+walk before they flow (``route``): ``descend`` steps from a source toward
+its target by ``cube.closer_words``, one closer each step, and only the
+units no walk delivers are left to a net, seeded with the walks
+(``UnitFlowNet.seed``) and augmented.  A flow augmented from any flow
+reaches the maximum, so walking changes which paths are found, never how
+many; a view with no distance is not walked.
+
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
 ``UnitFlowNet.amended`` copies a net with more vertices blocked or more
@@ -57,11 +65,15 @@ saturated net's constraints re-augments only the units they displace.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Container, Iterable
 from weakref import WeakKeyDictionary
+
+from .cube import closer_words
 
 _SRC = -1
 _SNK = -2
+# equal-distance steps a walk may take in all, each when no closer one is free
+_SIDEWAYS = 2
 
 
 class Insufficient(RuntimeError):
@@ -108,6 +120,39 @@ def sink_distances(view, t: int) -> tuple[dict[int, int], Callable[[int], int]]:
     if got is None:
         got = per_view[t] = ({-1: 0}, view.distance_to(t))
     return got
+
+
+def descend(view, x: int, t: int, avoid: Container[int],
+            stop: Container[int] | None = None) -> tuple[int, ...] | None:
+    """A path of the view from x toward t to the first vertex of ``stop``
+    (default: t alone) it reaches, the others outside ``avoid``; or None.
+    Each step takes the first of ``cube.closer_words`` the view has and
+    ``avoid`` leaves free, else (``_SIDEWAYS`` times in all) the first
+    neighbour as far from t.  A view whose distance (read as in
+    ``sink_distances``) is 0 away from t, an adjacency list, is not walked."""
+    dist = sink_distances(view, t)[1]
+    d = dist(x)
+    if not d:
+        return None
+    stop = (t,) if stop is None else stop
+    gt, path, sideways = t ^ (t >> 1), [x], _SIDEWAYS
+    while True:
+        v = path[-1]
+        for u in (v ^ w for w in closer_words(v ^ (v >> 1) ^ gt)):
+            if (u in stop or u not in avoid) and view.is_adjacent(v, u):
+                d -= 1
+                break
+        else:
+            if not sideways:
+                return None
+            sideways -= 1
+            u = next((u for u in view.neighbors(v) if dist(u) == d
+                      and (u in stop or u not in avoid) and u not in path), None)
+            if u is None:
+                return None
+        path.append(u)
+        if u in stop:
+            return tuple(path)
 
 
 class UnitFlowNet:
@@ -213,12 +258,24 @@ class UnitFlowNet:
                 break
         return parent
 
+    def seed(self, path: tuple[int, ...]) -> None:
+        """Push one unit along ``path``, a residual path of vertices from a
+        source to a sink; the aim leaves a sink the unit fills."""
+        nodes = _nodes(path)
+        for u in nodes[:-1]:
+            if u not in self.cap:
+                self._row(u)
+        self._push(nodes, 1)
+        if not self.cap[_in(path[-1])][_SNK]:
+            self._live.remove(path[-1])
+            self._steer(self._live[0] if self._live else None)
+
     def _push(self, nodes: list[int], units: int) -> None:
         """Move ``units`` of flow along consecutive nodes (-1 cancels)."""
         cap = self.cap
         for u, v in zip(nodes, nodes[1:]):
             cap[u][v] -= units
-            cap[v][u] += units
+            cap[v][u] = cap[v].get(u, 0) + units
 
     def _augment_once(self) -> bool:
         """Push one unit along a residual path, if there is one.  Every such
@@ -410,6 +467,35 @@ class UnitFlowNet:
         return sorted(paths)
 
 
+def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
+          walks: Iterable[tuple[int, int]], want: int) -> list[tuple[int, ...]]:
+    """The unit paths, in sorted order, of ``want`` units of the net
+    ``UnitFlowNet(view, sources, dict.fromkeys(sinks, 1), blocked)``, or of
+    a maximum flow when it has fewer.  Each (x, t) of ``walks`` first
+    walks from the source x to t if t is a sink no walk has reached, else
+    toward t to the first such sink (``descend``), avoiding ``blocked`` and
+    the walks before, until ``want`` of them arrive.  Short of that, the
+    net is seeded with the walks and augmented: a flow augmented from any
+    flow until no augmenting path is left is a maximum one, so walking
+    first loses no unit."""
+    avoid, free, walked = set(blocked), set(sinks), []
+    for x, t in walks:
+        if len(walked) == want:
+            break
+        p = descend(view, x, t, avoid, (t,) if t in free else free)
+        if p is not None:
+            walked.append(p)
+            avoid.update(p)
+            free.remove(p[-1])
+    if len(walked) == want:
+        return sorted(walked)
+    net = UnitFlowNet(view, sources, dict.fromkeys(sinks, 1), blocked)
+    for p in walked:
+        net.seed(p)
+    net.max_flow(limit=want - len(walked))
+    return net.unit_paths()
+
+
 def _check_pair(view, u: int, v: int) -> None:
     if u == v:
         raise ValueError("endpoints must differ")
@@ -471,11 +557,11 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
     for t in [x, *S]:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = UnitFlowNet(view, {x: len(S)}, {t: 1 for t in S}, frozenset([x, *S]))
-    got = net.max_flow(limit=len(S))
-    if got < len(S):
-        raise Insufficient(got, len(S), "fan paths")
-    return {p[-1]: p for p in net.unit_paths()}
+    walks = [(x, t) for t in sorted(S, key=view.distance_to(x))]  # nearest first
+    got = route(view, {x: len(S)}, S, {x, *S}, walks, len(S))
+    if len(got) < len(S):
+        raise Insufficient(len(got), len(S), "fan paths")
+    return {p[-1]: p for p in got}
 
 
 def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tuple[int, ...]]:

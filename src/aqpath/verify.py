@@ -37,6 +37,8 @@ def check_path(view, path: Sequence[int]) -> Violation | None:
     if len(path) == 0:
         return Violation(ViolationKind.NOT_A_PATH, "empty vertex sequence")
     for v in path:
+        if not isinstance(v, int) or isinstance(v, bool):
+            return Violation(ViolationKind.WRONG_GRAPH, f"vertex {v!r} is not an integer")
         if v not in view:
             return Violation(ViolationKind.WRONG_GRAPH, f"vertex {v} not in view")
     if len(set(path)) != len(path):
@@ -54,7 +56,10 @@ def check_path(view, path: Sequence[int]) -> Violation | None:
 def check_family(view, terminals: Sequence[int],
                  paths: Sequence[Sequence[int]]) -> Violation | None:
     """Full family check; None means Accept(len(paths)).  The terminals must
-    be three distinct vertices (ValueError otherwise)."""
+    be three distinct integers (ValueError otherwise)."""
+    for t in terminals:
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"terminal {t!r} is not an integer")
     D = set(terminals)
     if len(D) != 3 or len(terminals) != 3:
         raise ValueError("need three distinct terminals")

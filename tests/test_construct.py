@@ -5,8 +5,9 @@ import random
 import pytest
 
 from aqpath.construct import construct, target_count
-from aqpath.cube import AugmentedCube, PrefixView, RestrictedView, orbit_representatives
-from aqpath.flow import Insufficient
+from aqpath.cube import (AugmentedCube, PrefixView, RestrictedView, distance,
+                         orbit_representatives)
+from aqpath.flow import Insufficient, UnitFlowNet, descend
 from aqpath.oracle import max_dpaths
 from aqpath.verify import check_family
 
@@ -381,7 +382,8 @@ def test_every_pair_sibling_mated_input_builds_at_dimension_eight():
 
 
 def test_every_dimension_eight_pair_routing_builds():
-    # E1.2 and E2.2 route three prescribed pairs one flow path at a time;
+    # E1.2 and E2.2 route three prescribed pairs one path at a time, each
+    # walked or, where the walk falls short, found by a flow;
     # every AQ_8 orbit representative whose top level is one of them builds
     normalize = importlib.import_module("aqpath.construct")._normalize
     cube = AugmentedCube(8)
@@ -434,6 +436,43 @@ def test_backbones_raise_when_the_pair_is_walled_in():
         backbones(walled, 0, 0b10101, 5)
 
 
+def test_backbones_a_walk_cannot_reach_come_from_the_seeded_flow(monkeypatch):
+    # every vertex two steps from y that is nearer x than y is forbidden:
+    # 11 of the 13 walks from x's neighbours toward y get stuck, and the
+    # net seeded with the two that arrive must route the third backbone
+    module = importlib.import_module("aqpath.construct")
+    flow = importlib.import_module("aqpath.flow")
+    half = AugmentedCube(8).half_view(0)
+    x, y = 0, 85
+    ny = set(half.neighbors(y))
+    ring = {w for u in ny for w in half.neighbors(u)} - ny - {y}
+    view = RestrictedView(half, forbidden_vertices={
+        w for w in ring if distance(x, w) < distance(x, y)})
+    walks, seeded, seed = [], [], UnitFlowNet.seed
+
+    def walk(*args):
+        walks.append(descend(*args))
+        return walks[-1]
+
+    def counted(net, path):
+        seeded.append(path)
+        seed(net, path)
+
+    monkeypatch.setattr(flow, "descend", walk)
+    monkeypatch.setattr(UnitFlowNet, "seed", counted)
+    ps, xi, yi, f = module._backbones(view, x, y, 3)
+    assert walks.count(None) == 11 and len(seeded) == 2
+    assert len(ps) == 3
+    ends = set(half.neighbors(x)) | ny
+    inner = [v for p in ps for v in p[1:-1]]
+    assert len(inner) == len(set(inner))
+    for p in ps:
+        assert (p[0], p[-1]) == (x, y)
+        assert all(view.is_adjacent(u, v) for u, v in zip(p, p[1:]))
+        assert not ends & set(p[2:-2])
+    assert not set(xi + yi + [f]) & set(inner)
+
+
 def test_routed_pairs_are_vertex_disjoint_or_insufficient():
     module = importlib.import_module("aqpath.construct")
     half = AugmentedCube(6).half_view(1)
@@ -468,14 +507,14 @@ def first_seeded_triples(n, same_half):
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
     # the first four seeded triples of each kind at n = 20, each built from
-    # a few hundred neighbour rows of a 2^20-vertex cube (at most 345)
+    # a few hundred neighbour rows of a 2^20-vertex cube (at most 252)
     n = 20
     trips = first_seeded_triples(n, same_half)
     queries = [0]
     for cls in (AugmentedCube, PrefixView, RestrictedView):
         def counted(self, x, _rows=cls.neighbors):
             queries[0] += 1
-            assert queries[0] <= 500, "the construction floods the cube"
+            assert queries[0] <= 300, "the construction floods the cube"
             return _rows(self, x)
         monkeypatch.setattr(cls, "neighbors", counted)
     for d in trips:
@@ -488,8 +527,8 @@ def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_forty_builds_and_verifies(same_half):
-    # the first four seeded triples of each kind at n = 40 (0.24-0.27 s
-    # each on a 2-core x86 box, peak RSS 26-30 MB)
+    # the first four seeded triples of each kind at n = 40 (0.08-0.13 s
+    # each on a 2-core x86 box, peak RSS 24 MB)
     n = 40
     for d in first_seeded_triples(n, same_half):
         fam = construct(n, d)
@@ -499,9 +538,9 @@ def test_construct_at_dimension_forty_builds_and_verifies(same_half):
 
 @pytest.mark.slow
 def test_construct_at_the_widest_admitted_dimension_builds_and_verifies():
-    # n = 64: the first four seeded triples of each kind, 0.6-0.9 s and at
-    # most 102 MB each on a 2-core x86 box, and the far pair, whose bundled
-    # pair lies n/2 apart (0.9 s, 79 MB)
+    # n = 64: the first four seeded triples of each kind, 0.34-0.52 s and
+    # at most 66 MB each on a 2-core x86 box, and the far pair, whose
+    # bundled pair lies n/2 apart (0.07 s, 16 MB)
     n = 64
     alt = int("10" * (n // 2), 2)
     trips = first_seeded_triples(n, False) + first_seeded_triples(n, True)

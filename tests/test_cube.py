@@ -17,6 +17,7 @@ from aqpath.cube import (
     ResourceGuard,
     RestrictedView,
     automorphisms,
+    closer_words,
     complement_word,
     distance,
     distance_to,
@@ -370,6 +371,20 @@ def test_the_closed_form_holds_every_distance():
             dist = distance_to(bits, t)
             for x in range(1 << bits):
                 assert dist(x) == distance(x, t)
+
+
+def test_closer_words_shorten_the_distance_by_exactly_one():
+    # every nonzero difference w = x ^ t at widths 1-12: the gray word of w
+    # has at least one closer word, and each is a mask word of the cube
+    for n in range(1, 13):
+        masks = AugmentedCube(n).mask_words
+        for w in range(1, 1 << n):
+            words = list(closer_words(w ^ (w >> 1)))
+            assert words, w
+            assert len(set(words)) == len(words)
+            for m in words:
+                assert m in masks
+                assert distance(w ^ m, 0) == distance(w, 0) - 1
 
 
 def from_gray(y):

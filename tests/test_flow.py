@@ -12,6 +12,7 @@ from aqpath.flow import (
     Insufficient,
     UnitFlowNet,
     connectivity,
+    descend,
     disjoint_paths,
     fan,
     linkage,
@@ -307,6 +308,33 @@ def test_a_double_role_packing_in_a_huge_half_stays_local():
     assert budget.used == 1
 
 
+def test_a_fan_whose_walk_falls_short_is_finished_by_the_seeded_net(monkeypatch):
+    # the neighbours of t nearer x than t are forbidden, so the walk to t
+    # gets stuck; the net seeded with the walks to the other four targets
+    # must route it
+    half = AugmentedCube(8).half_view(0)
+    x, t = 62, 103
+    view = RestrictedView(half, forbidden_vertices={
+        u for u in half.neighbors(t) if distance(x, u) < distance(x, t)})
+    targets = [t, 1, 2, 90, 121]
+    assert descend(view, x, t, {x, *targets}) is None
+    seeded, seed = [], UnitFlowNet.seed
+
+    def counted(net, path):
+        seeded.append(path)
+        seed(net, path)
+
+    monkeypatch.setattr(UnitFlowNet, "seed", counted)
+    got = fan(view, x, targets)
+    assert sorted(p[-1] for p in seeded) == [1, 2, 90, 121]
+    assert sorted(got) == sorted(targets)
+    inner = [v for p in got.values() for v in p[1:-1]]
+    assert len(inner) == len(set(inner)) and not set(inner) & {x, *targets}
+    for s, p in got.items():
+        assert (p[0], p[-1]) == (x, s)
+        assert all(view.is_adjacent(a, b) for a, b in zip(p, p[1:]))
+
+
 def test_a_far_search_reads_under_one_percent_of_the_rows():
     half = AugmentedCube(16).half_view(0)
     u, v = 0, int("110" + "0110" * 3, 2)
@@ -462,6 +490,50 @@ def test_fans_match_breadth_first_augmentation(name, monkeypatch):
     monkeypatch.setattr(UnitFlowNet, "_search", breadth_first_search)
     assert got == [outcome(x, s) for x, s in cases]
     assert {ok for ok, _ in got} == {True, False}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_a_net_seeded_with_walks_reaches_the_maximum(name, monkeypatch):
+    # fan-shaped nets up to past the source's degree: each target is
+    # walked to in turn, avoiding the walks before it, and the net seeded
+    # with those walks is pushed to a maximum flow; an adjacency list has
+    # no distance, so nothing is walked on it
+    view = GRAPHS[name]()
+    rng = random.Random(f"seed/{name}")
+    verts = list(view.vertices())
+    cases, seeded = [], []
+    for _ in range(12):
+        x = rng.choice(verts)
+        k = rng.randint(2, min(len(verts) - 1, len(view.neighbors(x)) + 2))
+        cases.append((x, rng.sample([v for v in verts if v != x], k)))
+
+    def net(x, targets):
+        return UnitFlowNet(view, {x: len(targets)}, dict.fromkeys(targets, 1),
+                           {x, *targets})
+
+    for x, targets in cases:
+        avoid, walked = {x, *targets}, []
+        for t in targets:
+            p = descend(view, x, t, avoid)
+            if p is not None:
+                walked.append(p)
+                avoid.update(p)
+        repaired = net(x, targets)
+        for p in walked:
+            repaired.seed(p)
+        value = len(walked) + repaired.max_flow()
+        paths = repaired.unit_paths()
+        assert len(paths) == value
+        assert len({p[-1] for p in paths}) == value
+        inner = [v for p in paths for v in p[1:-1]]
+        assert len(inner) == len(set(inner))
+        seeded.append((len(walked), value, net(x, targets).max_flow()))
+    monkeypatch.setattr(UnitFlowNet, "_search", breadth_first_search)
+    reference = [net(x, targets).max_flow() for x, targets in cases]
+    assert [v for _, v, _ in seeded] == [f for _, _, f in seeded] == reference
+    walked = sum(w for w, _, _ in seeded)
+    assert walked == 0 if name == "adjlist" else walked > 0
+    assert any(v < len(t) for v, (_, t) in zip(reference, cases))
 
 
 # -- sink distances in closed form, and the flow decomposition ----------

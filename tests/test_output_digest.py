@@ -42,11 +42,11 @@ def construct_digest(n, count):
 # (n, triples of each kind) -> digest: the benchmark's dimensions, and
 # wide cubes up to n = 32
 CONSTRUCT_DIGESTS = {
-    (8, 8): "1affbf33f17ac2ae1c031e629e0dcfc0a35dc84968ff429490bfbe68a202b956",
-    (10, 8): "235ea834d88180220f65a1de5364251d9bfec4d95b538521d21c41165a7506fc",
-    (21, 1): "9c0844dc54b67160b45f906c48247bfb371cb9bb53b868b1efa0e99e6176c373",
-    (24, 1): "fd4d815ed6e0f6c35cc6fb1403a2911805b09fdd65a28a51f5ebfc967b637216",
-    (32, 1): "fd935213505f3a29616607f2bf31b71cdf49c052b297c0cd9697756f16c08bd9",
+    (8, 8): "43ae0d437c585c5ca6469db8091368abe9eb51049afdcacb9c655e5d1d251641",
+    (10, 8): "f56f14f9d1280abe687ea5109359fa2fc9a55fa4710eda28617062f6c44ab00e",
+    (21, 1): "eddb717dbfec88cb8952c146a9c73a751ac3da5e8820961626a7fbb528bfe8d7",
+    (24, 1): "ab723e367e6b877c63d973d5c6d2a4031adbbdeb8ab4339ba6bbb24519f2c204",
+    (32, 1): "6bcbd49810d4923cf35217b93c88835e3ca5c4984a929ae07b7b512e9500d125",
 }
 
 

@@ -118,3 +118,21 @@ def test_a_shared_edge_names_both_members():
     assert bad.kind is ViolationKind.EDGE_OVERLAP
     assert bad.paths == (0, 2)
     assert str(bad) == "EdgeOverlap: edge 0-1 shared paths=[0, 2]"
+
+
+@pytest.mark.parametrize("vertex", [False, 0.0, "0"], ids=["bool", "float", "str"])
+def test_a_path_vertex_that_is_not_an_integer_is_the_wrong_graph(vertex):
+    # False would pass as vertex 0, and a float or str would fail in ``>>``
+    fam = base_family()
+    assert fam[0] == [0b0001, 0b0000, 0b0010]
+    fam[0] = [0b0001, vertex, 0b0010]
+    bad = check_family(CUBE, BASE_D, fam)
+    assert bad.kind is ViolationKind.WRONG_GRAPH
+    assert bad.paths == (0,)
+    assert str(bad) == f"WrongGraph: vertex {vertex!r} is not an integer paths=[0]"
+
+
+@pytest.mark.parametrize("terminal", [False, 0.0, "0"], ids=["bool", "float", "str"])
+def test_a_terminal_that_is_not_an_integer_is_refused(terminal):
+    with pytest.raises(ValueError, match="is not an integer"):
+        check_family(CUBE, (terminal, 0b0010, 0b0001), base_family())
