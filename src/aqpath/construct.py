@@ -29,13 +29,13 @@ The cases by how the triple meets the two-leading-bit decomposition:
 
 The case table ``_CASES`` maps each label to its builder and to the number
 of dimensions the case recurses down first.  All direct ladders share one
-assembler, ``_ladder``: ``_backbones`` routes just the x-y paths a ladder
-keeps whole in one sub-cube, the neighbours of x and y that none takes are
-the rung vertices, z fans out in the sibling sub-cube, and each rung runs
-along a backbone to a rung vertex, over that vertex's matching edge across
-a mask word, and along the fan to z.  The even-step builders serve n = 4
-as well, so only B1 and B3.2, which no general builder covers, keep a
-builder of their own.
+assembler, ``_ladder``: ``_backbones`` takes just the x-y paths a ladder
+keeps whole in one sub-cube from ``disjoint_paths``, the neighbours of x
+and y that none takes are the rung vertices, z fans out in the sibling
+sub-cube, and each rung runs along a backbone to a rung vertex, over that
+vertex's matching edge across a mask word, and along the fan to z.  The
+even-step builders serve n = 4 as well, so only B1 and B3.2, which no
+general builder covers, keep a builder of their own.
 
 The whole family ends at the verifier, once per call: it must have the
 target count and pass ``verify.check_family``.  A sub-family lies in
@@ -45,14 +45,14 @@ vertices colliding, too few disjoint paths or rung vertices) or the family
 fails the check, ``construct`` raises ``ConstructionError``; shortfall is
 never silent and never patched up by a second search.
 
-No case runs a search that needs a budget.  The ladders' backbones, the
-fans and E1.2 and E2.2's three prescribed pairs (``_route_pairs``, one
-pair at a time) are walked by closer steps and repaired by a unit flow
-seeded with the walks only where a walk falls short (``flow.route``);
-``linkage`` and B3.2's bundle (``disjoint_paths``) are unit flows.  Walks
-and flows read only the vertices they reach, so ``construct`` lists no
-vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone, and
-above it ``construct`` raises ``cube.ResourceGuard``.
+No case runs a search that needs a budget.  Every path it asks of
+``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, the
+linkages, and E1.2 and E2.2's three prescribed pairs, ``_route_pairs``,
+one pair at a time) is walked by closer steps and repaired by a unit flow
+seeded with the walks only where a walk falls short (``flow.route``).
+Walks and flows read only the vertices they reach, so ``construct`` lists
+no vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone,
+and above it ``construct`` raises ``cube.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -237,41 +237,29 @@ def _cross(fanm, mask, w, then=None):
 
 
 def _backbones(view, x, y, k):
-    """k internally disjoint x-y paths of the view (the backbones), each
-    meeting N(x) and N(y) only next to its ends, and rung vertices none
-    takes: k - 2 next to x (``xi``), k - 2 next to y (``yi``) and ``f`` next
-    to y; else ``Insufficient``.
-
-    The direct edge and the common neighbours give the first backbones with
-    no search; paths from N(x) to N(y) avoiding x, y and both neighbourhoods
-    route just the rest, each walked from a neighbour of x toward y, with a
-    flow for any the walks miss (``flow.route``).  A common neighbour left
-    over goes to the short side.  AQ_k is (2k - 1)-connected, so a full
-    bundle of 2k - 1 paths ends once at every neighbour of x and of y: the
-    flow has room for all it is asked, and for k >= 4 at most one common
-    neighbour is left.
+    """k internally disjoint x-y paths of the view (the backbones, from
+    ``disjoint_paths``, so each meets N(x) and N(y) only next to its ends)
+    and rung vertices, the neighbours of x and y that are no backbone's
+    second or second-to-last vertex: k - 2 next to x (``xi``), k - 2 next
+    to y (``yi``) and ``f`` next to y, a common neighbour left over going
+    to the short side; else ``Insufficient``, counting the backbones or
+    the short side.  AQ_k is (2k - 1)-connected, so 2k - 1 paths end once
+    at every neighbour of x and of y: the bundle has room for all it is
+    asked, and for k >= 4 at most one common neighbour is left.
     """
+    ps = disjoint_paths(view, x, y, k)
     nx, ny = view.neighbors(x), view.neighbors(y)
     sx, sy = set(nx), set(ny)
-    common = [w for w in nx if w in sy]
-    ps = [[x, y]] if y in sx else []
-    take = min(len(common), k - len(ps))
-    ps += [[x, w, y] for w in common[:take]]
-    only_x = [w for w in nx if w != y and w not in sy]
-    only_y = [w for w in ny if w != x and w not in sx]
-    routed = route(view, dict.fromkeys(only_x, 1), only_y, sx | sy | {x, y},
-                   [(w, y) for w in only_x], k - len(ps))
-    if len(ps) + len(routed) < k:
-        raise Insufficient(len(ps) + len(routed), k)
-    ps += [[x, *p, y] for p in routed]
-    taken = {v for p in routed for v in p}
-    xi = [w for w in only_x if w not in taken]
-    yi = [w for w in only_y if w not in taken]
-    for w in common[take:]:
-        (xi if len(xi) < k - 2 else yi).append(w)
-    if len(xi) < k - 2 or len(yi) < k - 1:
-        raise Insufficient(len(xi) + len(yi), 2 * k - 3, "rung vertices")
-    return ps, xi[:k - 2], yi[:k - 2], yi[k - 2]
+    taken = {p[1] for p in ps} | {p[-2] for p in ps}
+    xi = [w for w in nx if w not in taken and w not in sy]
+    yi = [w for w in ny if w not in taken and w not in sx]
+    for w in nx:
+        if w in sy and w not in taken:
+            (xi if len(xi) < k - 2 else yi).append(w)
+    for side, need in ((xi, k - 2), (yi, k - 1)):
+        if len(side) < need:
+            raise Insufficient(len(side), need, "rung vertices")
+    return [list(p) for p in ps], xi[:k - 2], yi[:k - 2], yi[k - 2]
 
 
 def _ladder(x, y, ps, xi, yi, k, fanm, mask):

@@ -48,13 +48,16 @@ Rows list their arcs in the view's neighbor order and their reverse
 entries in the order flow first crossed them, and the queue order is
 fixed, so identical inputs always produce identical path systems.
 
-``fan``, and the backbones and prescribed pairs of ``aqpath.construct``,
-walk before they flow (``route``): ``descend`` steps from a source toward
-its target by ``cube.closer_words``, one closer each step, and only the
-units no walk delivers are left to a net, seeded with the walks
-(``UnitFlowNet.seed``) and augmented.  A flow augmented from any flow
-reaches the maximum, so walking changes which paths are found, never how
-many; a view with no distance is not walked.
+Every path-system call walks before it flows (``route``): the bundles of
+``disjoint_paths`` (``min_vertex_cut`` counts them, the constructor's
+ladders take them), ``fan``, ``linkage`` and the constructor's prescribed
+pairs.  ``descend`` steps from a source toward its target by
+``cube.closer_words``, one closer each step, and only the units no walk
+delivers are left to a net, seeded with the walks (``UnitFlowNet.seed``)
+and augmented.  A flow augmented from any flow reaches the maximum, so
+walking changes which paths are found, never how many; a view with no
+distance is not walked.  Only ``route``, ``UnitFlowNet.amended`` and the
+packing engine build a net.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -496,38 +499,46 @@ def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
     return net.unit_paths()
 
 
-def _check_pair(view, u: int, v: int) -> None:
+def _bundle(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
+    """``disjoint_paths``' first k paths, or a maximum bundle if fewer."""
     if u == v:
         raise ValueError("endpoints must differ")
     for t in (u, v):
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
+    nu, nv = view.neighbors(u), view.neighbors(v)
+    su, sv = set(nu), set(nv)
+    ps = [(u, v)] if v in su else []
+    ps += [(u, w, v) for w in nu if w in sv][:k - len(ps)]
+    only_u = [w for w in nu if w != v and w not in sv]
+    routed = route(view, dict.fromkeys(only_u, 1),
+                   [w for w in nv if w != u and w not in su], su | sv | {u, v},
+                   [(w, v) for w in only_u], k - len(ps))
+    return ps + [(u, *p, v) for p in routed]
 
 
 def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     """Exactly k internally disjoint u-v paths, or Insufficient with the max.
 
-    The direct edge, when present, counts as one path.
+    First the direct edge, if any, then (u, w, v) for each common neighbour
+    w in ``view.neighbors(u)`` order, then, sorted, paths from N(u) - N(v)
+    to N(v) - N(u) that avoid N(u), N(v), u and v, each neighbour of u
+    walked toward v (``route``): so every path meets N(u) and N(v) only
+    next to its ends.  Cut at the last vertex in N(u) and the first after
+    it in N(v), any maximum family takes this shape, so the count is exact.
     """
-    _check_pair(view, u, v)
     if k < 1:
         raise ValueError("k must be positive")
-    cap = max(len(view.neighbors(u)), len(view.neighbors(v)), k)
-    net = UnitFlowNet(view, {u: cap}, {v: cap}, frozenset((u, v)))
-    got = net.max_flow(limit=k)
-    if got < k:
-        got += net.max_flow()  # keep going to report the true maximum
-        raise Insufficient(got, k)
-    return net.unit_paths()
+    paths = _bundle(view, u, v, k)
+    if len(paths) < k:
+        raise Insufficient(len(paths), k)
+    return paths
 
 
 def min_vertex_cut(view, u: int, v: int) -> int:
     """Maximum internally disjoint u-v path count (= cut size when u !~ v;
     for adjacent pairs this is the usual delete-edge cut plus one)."""
-    _check_pair(view, u, v)
-    cap = max(len(view.neighbors(u)), len(view.neighbors(v)), 1)
-    net = UnitFlowNet(view, {u: cap}, {v: cap}, frozenset((u, v)))
-    return net.max_flow()
+    return len(_bundle(view, u, v, len(view.neighbors(u))))
 
 
 def connectivity(view) -> int:
@@ -576,8 +587,7 @@ def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tup
     for t in A + B:
         if t not in view:
             raise ValueError(f"vertex {t} not in view")
-    net = UnitFlowNet(view, {a: 1 for a in A}, {b: 1 for b in B}, frozenset(A + B))
-    got = net.max_flow(limit=len(A))
-    if got < len(A):
-        raise Insufficient(got, len(A), "linkage paths")
-    return {p[0]: p for p in net.unit_paths()}
+    got = route(view, dict.fromkeys(A, 1), B, {*A, *B}, zip(A, B), len(A))
+    if len(got) < len(A):
+        raise Insufficient(len(got), len(A), "linkage paths")
+    return {p[0]: p for p in got}

@@ -436,6 +436,19 @@ def test_backbones_raise_when_the_pair_is_walled_in():
         backbones(walled, 0, 0b10101, 5)
 
 
+def test_backbones_report_the_side_short_of_rung_vertices():
+    # y keeps 4 of its 17 neighbours: the three backbones leave it one
+    # rung vertex where two are needed, while x has plenty
+    backbones = importlib.import_module("aqpath.construct")._backbones
+    half = AugmentedCube(10).half_view(0)
+    x, y = 248, 413
+    view = RestrictedView(half, forbidden_vertices={
+        w for w in half.neighbors(y) if distance(x, w) < distance(x, y)})
+    with pytest.raises(Insufficient) as exc:
+        backbones(view, x, y, 3)
+    assert (exc.value.achieved, exc.value.required) == (1, 2)
+
+
 def test_backbones_a_walk_cannot_reach_come_from_the_seeded_flow(monkeypatch):
     # every vertex two steps from y that is nearer x than y is forbidden:
     # 11 of the 13 walks from x's neighbours toward y get stuck, and the

@@ -415,12 +415,29 @@ GRAPHS = {
 
 @pytest.mark.parametrize("name", GRAPHS)
 def test_cut_values_match_the_reference(name):
+    # the bundle is a maximum one whose paths meet N(u) and N(v) only next
+    # to their ends, and a linkage pairs both sides (on an adjacency list,
+    # which has no distance to walk by, the flow alone pairs them)
     view = GRAPHS[name]()
     rng = random.Random(f"cut/{name}")
     verts = list(view.vertices())
     for _ in range(12):
-        u, v = rng.sample(verts, 2)
-        assert min_vertex_cut(view, u, v) == reference_cut(view, u, v)
+        u, v, a, b = rng.sample(verts, 4)
+        cut = min_vertex_cut(view, u, v)
+        assert cut == reference_cut(view, u, v)
+        if cut:
+            paths = disjoint_paths(view, u, v, cut)
+            assert len(paths) == cut
+            assert_internally_disjoint(view, u, v, paths)
+            nu, nv = set(view.neighbors(u)), set(view.neighbors(v))
+            for p in paths:
+                assert not nu & set(p[2:-1]) and not nv & set(p[1:-2]), p
+        got = linkage(view, [u, a], [v, b])
+        assert sorted(got) == sorted([u, a])
+        assert sorted(p[-1] for p in got.values()) == sorted([v, b])
+        seen = [w for p in got.values() for w in p]
+        assert len(seen) == len(set(seen))
+        assert all(view.is_adjacent(x, y) for p in got.values() for x, y in zip(p, p[1:]))
 
 
 @pytest.mark.parametrize("name", ["AQ4", "AQ5", "half", "diamond",

@@ -44,7 +44,7 @@ def construct_digest(n, count):
 CONSTRUCT_DIGESTS = {
     (8, 8): "43ae0d437c585c5ca6469db8091368abe9eb51049afdcacb9c655e5d1d251641",
     (10, 8): "f56f14f9d1280abe687ea5109359fa2fc9a55fa4710eda28617062f6c44ab00e",
-    (21, 1): "eddb717dbfec88cb8952c146a9c73a751ac3da5e8820961626a7fbb528bfe8d7",
+    (21, 1): "5ff002c1d57541ed58a41c5edcc40421ddec4eb09ee34aebf4b67e52a874ed18",
     (24, 1): "ab723e367e6b877c63d973d5c6d2a4031adbbdeb8ab4339ba6bbb24519f2c204",
     (32, 1): "6bcbd49810d4923cf35217b93c88835e3ca5c4984a929ae07b7b512e9500d125",
 }

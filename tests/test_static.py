@@ -105,6 +105,33 @@ def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
     assert sorted(imported_names(tree, "cube")) == ["map_vertex", "symmetries"]
 
 
+def calls_by_function(tree, name):
+    """The qualified names of the functions that call ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_router_the_repair_and_the_packer_build_a_net():
+    # every path system walks before it flows (``flow.route``); a net built
+    # anywhere else would be a second bundle or linkage routine
+    built = {(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
+             for fn in calls_by_function(parse_module(path.name), "UnitFlowNet")}
+    assert built == {("flow.py", "route"), ("flow.py", "UnitFlowNet.amended"),
+                     ("packing.py", "_saturate")}
+
+
 # the gate needs an interpreter with pytest and nothing else
 TEST_IMPORT_ROOTS = set(sys.stdlib_module_names) | {"pytest", "aqpath"}
 
