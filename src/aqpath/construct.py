@@ -71,8 +71,9 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: on a 2-core x86 box a
-# seeded triple takes 0.34-0.52 s at n = 64 (at most 66 MB peak RSS), and
-# the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.07 s (16 MB)
+# seeded triple takes 0.06-0.14 s (cross-half) or 0.14-0.44 s (same-half)
+# at n = 64, at most 39 MB peak RSS, and the far pair (0, alt >> 1, alt),
+# alt = 0b1010..., 0.04 s (15 MB)
 CONSTRUCT_MAX_N = 64
 
 

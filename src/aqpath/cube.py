@@ -275,8 +275,10 @@ class PrefixView:
         return got
 
     def is_adjacent(self, x: int, y: int) -> bool:
-        # the mask test first: a non-adjacent pair costs one set lookup
-        return (x ^ y) in self.mask_words and x in self and y in self
+        # the mask test first: a non-adjacent pair costs one set lookup;
+        # then both prefix tests of ``__contains__``, inline
+        return ((x ^ y) in self.mask_words and (x >> self.shift) in self.prefixes
+                and (y >> self.shift) in self.prefixes)
 
     def distance_to(self, t: int) -> Callable[[int], int]:
         """x -> the cube's distance from x to t, a lower bound on hops

@@ -54,10 +54,12 @@ ladders take them), ``fan``, ``linkage`` and the constructor's prescribed
 pairs.  ``descend`` steps from a source toward its target by
 ``cube.closer_words``, one closer each step, and only the units no walk
 delivers are left to a net, seeded with the walks (``UnitFlowNet.seed``)
-and augmented.  A flow augmented from any flow reaches the maximum, so
-walking changes which paths are found, never how many; a view with no
-distance is not walked.  Only ``route``, ``UnitFlowNet.amended`` and the
-packing engine build a net.
+and augmented.  Seeding asks the view for nothing: what a walk writes into
+the row of an out-node no search has scanned waits as a pending entry, and
+joins the row when a search derives it.  A flow augmented from any flow
+reaches the maximum, so walking changes which paths are found, never how
+many; a view with no distance is not walked.  Only ``route``,
+``UnitFlowNet.amended`` and the packing engine build a net.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -134,21 +136,22 @@ def descend(view, x: int, t: int, avoid: Container[int],
     neighbour as far from t.  A view whose distance (read as in
     ``sink_distances``) is 0 away from t, an adjacency list, is not walked."""
     dist = sink_distances(view, t)[1]
-    d = dist(x)
-    if not d:
+    if not dist(x):
         return None
     stop = (t,) if stop is None else stop
+    adjacent = view.is_adjacent
     gt, path, sideways = t ^ (t >> 1), [x], _SIDEWAYS
     while True:
         v = path[-1]
-        for u in (v ^ w for w in closer_words(v ^ (v >> 1) ^ gt)):
-            if (u in stop or u not in avoid) and view.is_adjacent(v, u):
-                d -= 1
+        for w in closer_words(v ^ (v >> 1) ^ gt):
+            u = v ^ w
+            if (u in stop or u not in avoid) and adjacent(v, u):
                 break
         else:
             if not sideways:
                 return None
             sideways -= 1
+            d = dist(v)
             u = next((u for u in view.neighbors(v) if dist(u) == d
                       and (u in stop or u not in avoid) and u not in path), None)
             if u is None:
@@ -173,13 +176,16 @@ class UnitFlowNet:
     ``cap[u][v]`` is the residual capacity of u->v.  The row ``cap[u]`` is
     derived by ``_row`` when node u is first scanned and holds its arcs;
     a reverse entry joins it when flow first crosses its arc, and a
-    missing entry carries no flow.  ``_live`` lists the sinks that still
-    take flow, the aim ``aim`` first (None once all are full), and
-    ``h[x]`` is the view's distance from vertex x to the aim, filled as
-    searches discover x and shared by every net over the view
-    (``sink_distances``); the source and the sink both map to the key -1
-    (node >> 1) and to 0.  A search derives g from h, so the aim only
-    changes between searches.
+    missing entry carries no flow.  Flow pushed through a row not yet
+    derived (by ``seed``, into out-nodes) is kept in ``_pending[u]`` as
+    changes to the entries, which ``_row`` adds in when it derives the
+    row, so every row reads as if it had been derived first.  ``_live``
+    lists the sinks that still take flow, the aim ``aim`` first (None
+    once all are full), and ``h[x]`` is the view's distance from vertex x
+    to the aim, filled as searches discover x and shared by every net
+    over the view (``sink_distances``); the source and the sink both map
+    to the key -1 (node >> 1) and to 0.  A search derives g from h, so
+    the aim only changes between searches.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -190,6 +196,7 @@ class UnitFlowNet:
         self.blocked = frozenset(blocked)
         # the sink is never scanned: its row holds only reverse entries
         self.cap: dict[int, dict[int, int]] = {_SNK: {}}
+        self._pending: dict[int, dict[int, int]] = {}
         self._live = [t for t, c in sinks.items() if c > 0]
         self._steer(self._live[0] if self._live else None)
 
@@ -204,9 +211,10 @@ class UnitFlowNet:
         out-node's arcs at full capacity, in the view's neighbor order, or
         an in-node's through arc (a free vertex) and sink arc (a sink), so
         only out-nodes query the view.  Every other entry is a reverse one,
-        written when flow first crosses its arc; the row is derived before
-        that, since a path only crosses nodes its search has scanned (the
-        node numbers ``_in`` and ``_out`` give are written out here)."""
+        written when flow first crosses its arc: by an augmenting path
+        after the row is derived, or by a seed before, and then added in
+        from ``_pending`` in the order written (the node numbers ``_in``
+        and ``_out`` give are written out here)."""
         v = u // 2  # the vertex of a split node
         if u == _SRC:
             row = {2 * s + 1: c for s, c in self.sources.items()}
@@ -218,6 +226,9 @@ class UnitFlowNet:
             row = {} if v in self.blocked else {u + 1: 1}
             if v in self.sinks:
                 row[_SNK] = self.sinks[v]
+        if u in self._pending:
+            for w, c in self._pending.pop(u).items():
+                row[w] = row.get(w, 0) + c
         self.cap[u] = row
         return row
 
@@ -263,9 +274,12 @@ class UnitFlowNet:
 
     def seed(self, path: tuple[int, ...]) -> None:
         """Push one unit along ``path``, a residual path of vertices from a
-        source to a sink; the aim leaves a sink the unit fills."""
+        source to a sink; the aim leaves a sink the unit fills.  Only the
+        source's row and the in-nodes' rows are derived, none of which asks
+        the view: what the unit writes into an out-node's row waits in
+        ``_pending`` until a search scans that node."""
         nodes = _nodes(path)
-        for u in nodes[:-1]:
+        for u in nodes[::2]:  # the source and the in-nodes
             if u not in self.cap:
                 self._row(u)
         self._push(nodes, 1)
@@ -274,11 +288,14 @@ class UnitFlowNet:
             self._steer(self._live[0] if self._live else None)
 
     def _push(self, nodes: list[int], units: int) -> None:
-        """Move ``units`` of flow along consecutive nodes (-1 cancels)."""
-        cap = self.cap
+        """Move ``units`` of flow along consecutive nodes (-1 cancels); a
+        row not yet derived takes the change in ``_pending``."""
+        cap, pending = self.cap, self._pending
         for u, v in zip(nodes, nodes[1:]):
-            cap[u][v] -= units
-            cap[v][u] = cap[v].get(u, 0) + units
+            row = cap[u] if u in cap else pending.setdefault(u, {})
+            row[v] = row.get(v, 0) - units
+            row = cap[v] if v in cap else pending.setdefault(v, {})
+            row[u] = row.get(u, 0) + units
 
     def _augment_once(self) -> bool:
         """Push one unit along a residual path, if there is one.  Every such
@@ -374,12 +391,13 @@ class UnitFlowNet:
         network admits one, and a caller re-augments only those units
         instead of all of them.
 
-        The copy takes every row this net has derived, so it lists no more
-        of the view than this net did; this net is left as it was.  A
-        blocked vertex keeps no through arc, so no search crosses it, and
-        the sinks of the cancelled units (then v) take flow again after
-        those that already did, in the net's sink order.  A unit that runs
-        around a cycle is cancelled too, and loses no value."""
+        The copy takes every row this net has derived and every pending
+        entry, so it lists no more of the view than this net did; this net
+        is left as it was.  A blocked vertex keeps no through arc, so no
+        search crosses it, and the sinks of the cancelled units (then v)
+        take flow again after those that already did, in the net's sink
+        order.  A unit that runs around a cycle is cancelled too, and
+        loses no value."""
         gone = frozenset(blocked)
         sources, sinks = self.sources, self.sinks
         if demand is not None:
@@ -390,10 +408,11 @@ class UnitFlowNet:
             sinks = {**sinks, v: sinks[v] + k}
         net = UnitFlowNet(self.view, sources, sinks, self.blocked | gone)
         cap = net.cap = {x: row.copy() for x, row in self.cap.items()}
+        net._pending = {x: row.copy() for x, row in self._pending.items()}
         hit = set()
         short = 0
         for w in gone:
-            if not cap.get(_out(w), {}).get(_in(w)):
+            if cap.get(_in(w), {}).get(_out(w), 1):
                 continue  # no unit crosses w, or one cancelled already did
             nodes = self._unit(w)
             net._push(nodes, -1)
@@ -404,6 +423,7 @@ class UnitFlowNet:
             if _in(w) in cap:  # its entries are all 0 now
                 cap[_in(w)] = {}
                 cap.pop(_out(w), None)
+                net._pending.pop(_out(w), None)
         if demand is not None:
             short += k
             if _SRC in cap:
@@ -420,14 +440,16 @@ class UnitFlowNet:
         """The split nodes, in flow order, of the unit crossing the free
         vertex w: from the source to the sink, or from w's in-node around a
         cycle back to it.  Forward, an out-node's one arc with no residual
-        capacity carries the unit; backward, an in-node's one positive
-        entry is the reverse entry of the arc the unit came in on (its
-        through arc has none left)."""
-        cap, blocked = self.cap, self.blocked
+        capacity carries the unit (its pending entry, if the row is not
+        derived, is -1 and the other is +1); backward, an in-node's one
+        positive entry is the reverse entry of the arc the unit came in on
+        (its through arc has none left)."""
+        cap, pending, blocked = self.cap, self._pending, self.blocked
         nodes = [_in(w), _out(w)]
         x = w
         while True:
-            v = next(k for k, f in cap[_out(x)].items() if not f)
+            row = cap.get(_out(x)) or pending[_out(x)]  # neither is empty
+            v = next(k for k, f in row.items() if f < 1)
             nodes.append(v)
             x = v // 2
             if x == w:

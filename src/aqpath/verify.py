@@ -47,8 +47,9 @@ def check_path(view, path: Sequence[int]) -> Violation | None:
             if v in seen:
                 return Violation(ViolationKind.NOT_SIMPLE, f"vertex {v} repeats")
             seen.add(v)
+    adjacent = view.is_adjacent
     for a, b in zip(path, path[1:]):
-        if not view.is_adjacent(a, b):
+        if not adjacent(a, b):
             return Violation(ViolationKind.NOT_A_PATH, f"{a} and {b} not adjacent")
     return None
 
@@ -75,17 +76,28 @@ def check_family(view, terminals: Sequence[int],
         if missing:
             return Violation(ViolationKind.MISSING_TERMINAL,
                              f"terminal {min(missing)} absent", (i,))
-    interiors = [set(p) - D for p in paths]
-    edge_sets = [{frozenset(e) for e in zip(p, p[1:])} for p in paths]
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            shared = interiors[i] & interiors[j]
-            if shared:
-                return Violation(ViolationKind.VERTEX_OVERLAP,
-                                 f"vertex {min(shared)} shared", (i, j))
-            shared_e = edge_sets[i] & edge_sets[j]
-            if shared_e:
-                e = min(tuple(sorted(fe)) for fe in shared_e)
-                return Violation(ViolationKind.EDGE_OVERLAP,
-                                 f"edge {e[0]}-{e[1]} shared", (i, j))
-    return None
+    # The least pair (i, j) of members sharing an interior vertex or an
+    # edge: an element's first owner i is the least member holding it, so
+    # the least pair is (first owner, later holder) for some element.  An
+    # edge with an interior end shares that vertex too, so only edges
+    # between two terminals need owners.
+    owner: dict = {}
+    least = None
+    for j, p in enumerate(paths):
+        keys = [v for v in p if v not in D]
+        keys += [frozenset(e) for e in zip(p, p[1:]) if D.issuperset(e)]
+        for key in keys:
+            i = owner.setdefault(key, j)
+            if i != j and (least is None or (i, j) < least):
+                least = (i, j)
+    if least is None:
+        return None
+    i, j = least
+    shared = (set(paths[i]) - D) & (set(paths[j]) - D)
+    if shared:
+        return Violation(ViolationKind.VERTEX_OVERLAP,
+                         f"vertex {min(shared)} shared", least)
+    shared_e = ({frozenset(e) for e in zip(paths[i], paths[i][1:])}
+                & {frozenset(e) for e in zip(paths[j], paths[j][1:])})
+    e = min(tuple(sorted(fe)) for fe in shared_e)
+    return Violation(ViolationKind.EDGE_OVERLAP, f"edge {e[0]}-{e[1]} shared", least)

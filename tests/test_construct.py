@@ -517,19 +517,26 @@ def first_seeded_triples(n, same_half):
     return trips
 
 
-@pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
-def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
-    # the first four seeded triples of each kind at n = 20, each built from
-    # a few hundred neighbour rows of a 2^20-vertex cube (at most 252)
-    n = 20
-    trips = first_seeded_triples(n, same_half)
+def count_neighbour_queries(monkeypatch, cap):
+    """A one-item list counting the views' neighbour queries, which fails
+    once the count passes ``cap``; a caller resets it per triple."""
     queries = [0]
     for cls in (AugmentedCube, PrefixView, RestrictedView):
         def counted(self, x, _rows=cls.neighbors):
             queries[0] += 1
-            assert queries[0] <= 300, "the construction floods the cube"
+            assert queries[0] <= cap, "the construction floods the cube"
             return _rows(self, x)
         monkeypatch.setattr(cls, "neighbors", counted)
+    return queries
+
+
+@pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
+def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
+    # the first four seeded triples of each kind at n = 20, each built from
+    # a few dozen neighbour rows of a 2^20-vertex cube (at most 51)
+    n = 20
+    trips = first_seeded_triples(n, same_half)
+    queries = count_neighbour_queries(monkeypatch, cap=100)
     for d in trips:
         queries[0] = 0
         fam = construct(n, d)
@@ -539,11 +546,14 @@ def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
-def test_construct_at_dimension_forty_builds_and_verifies(same_half):
-    # the first four seeded triples of each kind at n = 40 (0.08-0.13 s
-    # each on a 2-core x86 box, peak RSS 24 MB)
+def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch):
+    # the first four seeded triples of each kind at n = 40 (0.03-0.11 s
+    # each on a 2-core x86 box, peak RSS 18 MB), each built from at most
+    # 462 neighbour rows
     n = 40
+    queries = count_neighbour_queries(monkeypatch, cap=600)
     for d in first_seeded_triples(n, same_half):
+        queries[0] = 0
         fam = construct(n, d)
         assert len(fam.paths) == target_count(n)
         assert check_family(AugmentedCube(n), d, fam.paths) is None
@@ -551,9 +561,9 @@ def test_construct_at_dimension_forty_builds_and_verifies(same_half):
 
 @pytest.mark.slow
 def test_construct_at_the_widest_admitted_dimension_builds_and_verifies():
-    # n = 64: the first four seeded triples of each kind, 0.34-0.52 s and
-    # at most 66 MB each on a 2-core x86 box, and the far pair, whose
-    # bundled pair lies n/2 apart (0.07 s, 16 MB)
+    # n = 64: the first four seeded triples of each kind, 0.06-0.44 s and
+    # at most 39 MB each on a 2-core x86 box, and the far pair, whose
+    # bundled pair lies n/2 apart (0.04 s, 15 MB)
     n = 64
     alt = int("10" * (n // 2), 2)
     trips = first_seeded_triples(n, False) + first_seeded_triples(n, True)

@@ -553,6 +553,123 @@ def test_a_net_seeded_with_walks_reaches_the_maximum(name, monkeypatch):
     assert any(v < len(t) for v, (_, t) in zip(reference, cases))
 
 
+# -- lazy seeding: out-node rows wait until a search scans them -----------
+
+
+SEEDED = {**GRAPHS, "half12": lambda: AugmentedCube(12).half_view(0)}
+
+
+def seeded_cases(view, rng, count=12):
+    """Fan- and linkage-shaped nets (sources, sinks, blocked, walks) with
+    their walks, taken as ``route`` takes them: to each sink in turn, or on
+    to the first free sink, avoiding the terminals and the walks before."""
+    verts = list(view.vertices())
+    cases = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            x = rng.choice(verts)
+            k = rng.randint(2, min(len(verts) - 1, len(view.neighbors(x)) + 2))
+            sinks = rng.sample([v for v in verts if v != x], k)
+            sources, pairs = {x: k}, [(x, t) for t in sinks]
+        else:
+            ends = rng.sample(verts, 2 * rng.randint(1, 4))
+            sources, sinks = dict.fromkeys(ends[::2], 1), ends[1::2]
+            pairs = list(zip(ends[::2], sinks))
+        blocked = {*sources, *sinks}
+        avoid, free, walked = set(blocked), set(sinks), []
+        for x, t in pairs:
+            p = descend(view, x, t, avoid, (t,) if t in free else free)
+            if p is not None:
+                walked.append(p)
+                avoid.update(p)
+                free.remove(p[-1])
+        cases.append((sources, sinks, blocked, walked))
+    return cases
+
+
+def lazy_and_eager(view, sources, sinks, blocked, walked):
+    """Two nets seeded with the same walks: one as ``seed`` does it, which
+    must ask the view for no neighbours, and a reference whose walked rows
+    were all derived before seeding, so that nothing waits in
+    ``_pending``."""
+    lazy, eager = (UnitFlowNet(view, sources, dict.fromkeys(sinks, 1), blocked)
+                   for _ in range(2))
+    view.neighbors = None  # a neighbour query fails while the lazy net seeds
+    try:
+        for p in walked:
+            lazy.seed(p)
+    finally:
+        del view.neighbors
+    for p in walked:
+        for u in flow._nodes(p)[:-1]:
+            if u not in eager.cap:
+                eager._row(u)
+        eager.seed(p)
+    assert not eager._pending
+    return lazy, eager
+
+
+def rows_in_order(net, dead=()):
+    """Every row of the net with its entries in order, the rows still
+    pending derived first (the view must answer their neighbour queries),
+    leaving out the arcs into the in-nodes of the vertices ``dead``."""
+    for u in list(net._pending):
+        net._row(u)
+    dead = {2 * w for w in dead}
+    return {u: [(v, c) for v, c in row.items() if v not in dead]
+            for u, row in net.cap.items()}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_lazy_seeding_matches_eager_seeding(name):
+    # seeding derives no out-node row, so it asks the view for no
+    # neighbours; once max-flowed, the net finds the unit paths the
+    # reference does, and every row it derived lists its entries in the
+    # reference's order, as do the rows still pending once derived
+    view = SEEDED[name]()
+    walked = left = 0
+    for sources, sinks, blocked, walks in seeded_cases(view, random.Random(f"lazy/{name}")):
+        lazy, eager = lazy_and_eager(view, sources, sinks, blocked, walks)
+        assert lazy.max_flow() == eager.max_flow()
+        assert lazy.unit_paths() == eager.unit_paths()
+        for u, row in lazy.cap.items():
+            assert list(row.items()) == list(eager.cap[u].items())
+        walked += len(walks)
+        left += len(lazy._pending)
+        assert rows_in_order(lazy) == rows_in_order(eager)
+    assert walked == 0 if name == "adjlist" else walked > 0 and left > 0
+
+
+@pytest.mark.parametrize("name", ["AQ5", "AQ6", "half", "restricted", "half12"])
+def test_amending_a_seeded_net_matches_amending_an_eagerly_seeded_one(name):
+    # the copy takes the pending entries along with the rows: blocking
+    # walked interiors (some of whose rows are still pending) and adding
+    # demand gives the shortfall, the repaired flow and the rows that the
+    # eagerly seeded net gives, and leaves both nets as they were.  A row
+    # the copy derives lacks the arcs into the newly blocked vertices that
+    # the reference derived before blocking them; their in-nodes have no
+    # entries, so no search leaves them and the searches do not differ
+    view = SEEDED[name]()
+    rng = random.Random(f"amend-seeded/{name}")
+    cancelled = 0
+    for sources, sinks, blocked, walks in seeded_cases(view, rng, 16):
+        inner = sorted({w for p in walks for w in p[1:-1]})
+        gone = rng.sample(inner, min(len(inner), rng.randint(1, 3)))
+        x = next(iter(sources))
+        demand = (x, rng.choice(sinks), 1) if rng.random() < 0.5 else None
+        lazy, eager = lazy_and_eager(view, sources, sinks, blocked, walks)
+        pending = {u: dict(row) for u, row in lazy._pending.items()}
+        got, want = lazy.amended(gone, demand), eager.amended(gone, demand)
+        assert got[1] == want[1]
+        cancelled += want[1] - (demand is not None)
+        assert lazy._pending == pending
+        assert got[0].max_flow() == want[0].max_flow()
+        assert got[0].unit_paths() == want[0].unit_paths()
+        assert rows_in_order(got[0], gone) == rows_in_order(want[0], gone)
+        assert rows_in_order(lazy) == rows_in_order(eager)
+    assert cancelled > 0
+
+
 # -- sink distances in closed form, and the flow decomposition ----------
 
 
