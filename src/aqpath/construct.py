@@ -48,11 +48,14 @@ never silent and never patched up by a second search.
 No case runs a search that needs a budget.  Every path it asks of
 ``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, the
 linkages, and E1.2 and E2.2's three prescribed pairs, ``_route_pairs``,
-one pair at a time) is walked by closer steps and repaired by a unit flow
-seeded with the walks only where a walk falls short (``flow.route``).
-Walks and flows read only the vertices they reach, so ``construct`` lists
-no vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds its time alone,
-and above it ``construct`` raises ``cube.ResourceGuard``.
+one pair at a time) is walked by closer steps (``flow.route``): a fan's
+walk leaves z by whichever free neighbour it arrives from, and a bundle's
+stuck walk is retried toward each free neighbour of the far end.  A unit
+flow, seeded with the walks, repairs only where a walk still falls short,
+about one triple in 300 at n = 10 and none of the seeded triples tested
+at n = 20 to 128.  Walks and flows read only the vertices they reach, so
+``construct`` lists no vertex at any dimension; ``CONSTRUCT_MAX_N`` bounds
+its time alone, and above it ``construct`` raises ``cube.ResourceGuard``.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ CASE_E11, CASE_E12 = "E1.1", "E1.2"
 CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
-# nothing is listed, so this bounds time only: on a 2-core x86 box a
-# seeded triple takes 0.06-0.14 s (cross-half) or 0.14-0.44 s (same-half)
-# at n = 64, at most 39 MB peak RSS, and the far pair (0, alt >> 1, alt),
-# alt = 0b1010..., 0.04 s (15 MB)
-CONSTRUCT_MAX_N = 64
+# nothing is listed, so this bounds time only: on a 2-core x86 box, in a
+# fresh process, a seeded triple of either kind takes 0.11-0.31 s at
+# n = 128 and the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.12-0.19
+# s, each at 17 MB peak RSS
+CONSTRUCT_MAX_N = 128
 
 
 class ConstructionError(RuntimeError):

@@ -52,11 +52,16 @@ Every path-system call walks before it flows (``route``): the bundles of
 ``disjoint_paths`` (``min_vertex_cut`` counts them, the constructor's
 ladders take them), ``fan``, ``linkage`` and the constructor's prescribed
 pairs.  ``descend`` steps from a source toward its target by
-``cube.closer_words``, one closer each step, and only the units no walk
-delivers are left to a net, seeded with the walks (``UnitFlowNet.seed``)
-and augmented.  Seeding asks the view for nothing: what a walk writes into
-the row of an out-node no search has scanned waits as a pending entry, and
-joins the row when a search derives it.  A flow augmented from any flow
+``cube.closer_words``, one closer each step.  A fan's source, which sends
+a unit to every target, leaves by the first of its free neighbours (closer
+steps first, then the others nearest the target) from which a walk
+arrives, so a late walk is not lost because its first closer step is
+taken; and a bundle's walk that gets stuck short of the free sinks is
+retried toward each of them.  Only the units no walk delivers are left to
+a net, seeded with the walks (``UnitFlowNet.seed``) and augmented.
+Seeding asks the view for nothing: what a walk writes into the row of an
+out-node no search has scanned waits as a pending entry, and joins the
+row when a search derives it.  A flow augmented from any flow
 reaches the maximum, so walking changes which paths are found, never how
 many; a view with no distance is not walked.  Only ``route``,
 ``UnitFlowNet.amended`` and the packing engine build a net.
@@ -492,22 +497,69 @@ class UnitFlowNet:
         return sorted(paths)
 
 
+def _hops(x: int, t: int, dist: Callable[[int], int], nbrs: set[int]):
+    """x's neighbours ``nbrs`` in the order a walk from x toward t tries
+    them as its first hop: the closer steps in ``cube.closer_words`` order,
+    then the others nearest t first; each part is listed only once reached."""
+    first = []
+    for w in closer_words(x ^ (x >> 1) ^ t ^ (t >> 1)):
+        if x ^ w in nbrs:
+            first.append(x ^ w)
+            yield x ^ w
+    yield from sorted(nbrs.difference(first), key=lambda u: (dist(u), u))
+
+
+def _leave(view, x: int, t: int, avoid: Container[int], stop: Container[int],
+           nbrs: set[int]) -> tuple[int, ...] | None:
+    """A walk from x toward t to the first vertex of ``stop``: ``descend``
+    from the first free neighbour of x, in ``_hops`` order, from which it
+    arrives, leaving x by the last of its neighbours ``nbrs`` the walk
+    crosses; or None.  A view with no distance is not walked."""
+    dist = sink_distances(view, t)[1]
+    for u in _hops(x, t, dist, nbrs) if dist(x) else ():
+        if u in stop:
+            q = (u,)
+        elif u not in avoid:
+            q = descend(view, u, t, avoid, stop)
+        else:
+            continue
+        if q is not None:
+            return (x, *q[max(i for i, v in enumerate(q) if v in nbrs):])
+    return None
+
+
 def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
           walks: Iterable[tuple[int, int]], want: int) -> list[tuple[int, ...]]:
     """The unit paths, in sorted order, of ``want`` units of the net
     ``UnitFlowNet(view, sources, dict.fromkeys(sinks, 1), blocked)``, or of
     a maximum flow when it has fewer.  Each (x, t) of ``walks`` first
     walks from the source x to t if t is a sink no walk has reached, else
-    toward t to the first such sink (``descend``), avoiding ``blocked`` and
-    the walks before, until ``want`` of them arrive.  Short of that, the
-    net is seeded with the walks and augmented: a flow augmented from any
-    flow until no augmenting path is left is a maximum one, so walking
-    first loses no unit."""
+    toward t to the first such sink, avoiding ``blocked`` and the walks
+    before, until ``want`` of them arrive:
+    - a source that sends one unit walks by ``descend``;
+    - a source that sends more (a fan's) leaves by a chosen free neighbour
+      (``_leave``), its neighbour set read once per call;
+    - a walk toward the free sinks that gets stuck (a bundle's) is retried
+      toward each of them, nearest x first.
+    Short of ``want``, the net is seeded with the walks and augmented: a
+    flow augmented from any flow until no augmenting path is left is a
+    maximum one, so walking first loses no unit."""
     avoid, free, walked = set(blocked), set(sinks), []
+    nbrs = {x: set(view.neighbors(x)) for x, c in sources.items() if c > 1}
     for x, t in walks:
         if len(walked) == want:
             break
-        p = descend(view, x, t, avoid, (t,) if t in free else free)
+        stop = (t,) if t in free else free
+        if x in nbrs:
+            p = _leave(view, x, t, avoid, stop, nbrs[x])
+        else:
+            p = descend(view, x, t, avoid, stop)
+        if p is None and stop is free:
+            near = view.distance_to(x)
+            for s in sorted((s for s in sinks if s in free), key=near):
+                p = descend(view, x, s, avoid, free)
+                if p is not None:
+                    break
         if p is not None:
             walked.append(p)
             avoid.update(p)
@@ -545,7 +597,8 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     First the direct edge, if any, then (u, w, v) for each common neighbour
     w in ``view.neighbors(u)`` order, then, sorted, paths from N(u) - N(v)
     to N(v) - N(u) that avoid N(u), N(v), u and v, each neighbour of u
-    walked toward v (``route``): so every path meets N(u) and N(v) only
+    walked toward v, or toward each free neighbour of v where that walk
+    gets stuck (``route``): so every path meets N(u) and N(v) only
     next to its ends.  Cut at the last vertex in N(u) and the first after
     it in N(v), any maximum family takes this shape, so the count is exact.
     """

@@ -451,8 +451,9 @@ def test_backbones_report_the_side_short_of_rung_vertices():
 
 def test_backbones_a_walk_cannot_reach_come_from_the_seeded_flow(monkeypatch):
     # every vertex two steps from y that is nearer x than y is forbidden:
-    # 11 of the 13 walks from x's neighbours toward y get stuck, and the
-    # net seeded with the two that arrive must route the third backbone
+    # all 13 walks from x's neighbours toward y get stuck, the walks aimed
+    # at the free neighbours of y instead bring two units, and the net
+    # seeded with them must route the third backbone
     module = importlib.import_module("aqpath.construct")
     flow = importlib.import_module("aqpath.flow")
     half = AugmentedCube(8).half_view(0)
@@ -463,9 +464,9 @@ def test_backbones_a_walk_cannot_reach_come_from_the_seeded_flow(monkeypatch):
         w for w in ring if distance(x, w) < distance(x, y)})
     walks, seeded, seed = [], [], UnitFlowNet.seed
 
-    def walk(*args):
-        walks.append(descend(*args))
-        return walks[-1]
+    def walk(view, u, t, avoid, stop=None):
+        walks.append((t, descend(view, u, t, avoid, stop)))
+        return walks[-1][1]
 
     def counted(net, path):
         seeded.append(path)
@@ -474,7 +475,8 @@ def test_backbones_a_walk_cannot_reach_come_from_the_seeded_flow(monkeypatch):
     monkeypatch.setattr(flow, "descend", walk)
     monkeypatch.setattr(UnitFlowNet, "seed", counted)
     ps, xi, yi, f = module._backbones(view, x, y, 3)
-    assert walks.count(None) == 11 and len(seeded) == 2
+    assert [p is None for t, p in walks if t == y] == [True] * 13
+    assert len([p for t, p in walks if t != y and p]) == len(seeded) == 2
     assert len(ps) == 3
     ends = set(half.neighbors(x)) | ny
     inner = [v for p in ps for v in p[1:-1]]
@@ -530,15 +532,37 @@ def count_neighbour_queries(monkeypatch, cap):
     return queries
 
 
+def far_pair(n):
+    """The E3 triple (0, alt >> 1, alt), alt = 0b1010... of n bits, whose
+    bundled pair lies n/2 apart."""
+    alt = int("10" * (n // 2), 2)
+    return (0, alt >> 1, alt)
+
+
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
     # the first four seeded triples of each kind at n = 20, each built from
-    # a few dozen neighbour rows of a 2^20-vertex cube (at most 51)
+    # a few neighbour rows of a 2^20-vertex cube (at most 18)
     n = 20
     trips = first_seeded_triples(n, same_half)
-    queries = count_neighbour_queries(monkeypatch, cap=100)
+    queries = count_neighbour_queries(monkeypatch, cap=30)
     for d in trips:
         queries[0] = 0
+        fam = construct(n, d)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(AugmentedCube(n), d, fam.paths) is None
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_wide_triples_are_walked_without_a_flow_net(n, monkeypatch):
+    # every fan, bundle and prescribed pair of the first seeded triples of
+    # each kind and of the far pair is walked: no unit is left to a net
+    def no_net(*args):
+        raise AssertionError("a net was built")
+
+    monkeypatch.setattr(importlib.import_module("aqpath.flow"), "UnitFlowNet", no_net)
+    trips = first_seeded_triples(n, False) + first_seeded_triples(n, True)
+    for d in trips + [far_pair(n)]:
         fam = construct(n, d)
         assert len(fam.paths) == target_count(n)
         assert check_family(AugmentedCube(n), d, fam.paths) is None
@@ -547,11 +571,11 @@ def test_construct_at_dimension_twenty_stays_local(same_half, monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch):
-    # the first four seeded triples of each kind at n = 40 (0.03-0.11 s
-    # each on a 2-core x86 box, peak RSS 18 MB), each built from at most
-    # 462 neighbour rows
+    # the first four seeded triples of each kind at n = 40 (16-18 ms
+    # each on a 2-core x86 box, peak RSS 15 MB), each built from at most
+    # 54 neighbour rows
     n = 40
-    queries = count_neighbour_queries(monkeypatch, cap=600)
+    queries = count_neighbour_queries(monkeypatch, cap=100)
     for d in first_seeded_triples(n, same_half):
         queries[0] = 0
         fam = construct(n, d)
@@ -560,14 +584,16 @@ def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch
 
 
 @pytest.mark.slow
-def test_construct_at_the_widest_admitted_dimension_builds_and_verifies():
-    # n = 64: the first four seeded triples of each kind, 0.06-0.44 s and
-    # at most 39 MB each on a 2-core x86 box, and the far pair, whose
-    # bundled pair lies n/2 apart (0.04 s, 15 MB)
-    n = 64
-    alt = int("10" * (n // 2), 2)
+@pytest.mark.parametrize("n, cap", [(64, 100), (128, 250)])
+def test_construct_at_the_widest_dimensions_builds_and_verifies(n, cap, monkeypatch):
+    # the first four seeded triples of each kind and the far pair: at
+    # n = 64, 0.02-0.08 s each on a 2-core x86 box and at most 93
+    # neighbour rows; at n = 128, the widest admitted, 0.11-0.31 s, peak
+    # RSS 17 MB and at most 221 rows
     trips = first_seeded_triples(n, False) + first_seeded_triples(n, True)
-    for d in trips + [(0, alt >> 1, alt)]:
+    queries = count_neighbour_queries(monkeypatch, cap=cap)
+    for d in trips + [far_pair(n)]:
+        queries[0] = 0
         fam = construct(n, d)
         assert len(fam.paths) == target_count(n)
         assert check_family(AugmentedCube(n), d, fam.paths) is None

@@ -309,14 +309,16 @@ def test_a_double_role_packing_in_a_huge_half_stays_local():
 
 
 def test_a_fan_whose_walk_falls_short_is_finished_by_the_seeded_net(monkeypatch):
-    # the neighbours of t nearer x than t are forbidden, so the walk to t
-    # gets stuck; the net seeded with the walks to the other four targets
-    # must route it
+    # every vertex two steps from t that is nearer x than t is forbidden,
+    # so no walk reaches t, whichever neighbour of x it leaves by; the net
+    # seeded with the walks to the other three targets must route it
     half = AugmentedCube(8).half_view(0)
-    x, t = 62, 103
+    x, t = 62, 84
+    nt = set(half.neighbors(t))
+    ring = {w for u in nt for w in half.neighbors(u)} - nt - {t}
     view = RestrictedView(half, forbidden_vertices={
-        u for u in half.neighbors(t) if distance(x, u) < distance(x, t)})
-    targets = [t, 1, 2, 90, 121]
+        w for w in ring if distance(x, w) < distance(x, t)})
+    targets = [t, 1, 2, 121]
     assert descend(view, x, t, {x, *targets}) is None
     seeded, seed = [], UnitFlowNet.seed
 
@@ -326,13 +328,62 @@ def test_a_fan_whose_walk_falls_short_is_finished_by_the_seeded_net(monkeypatch)
 
     monkeypatch.setattr(UnitFlowNet, "seed", counted)
     got = fan(view, x, targets)
-    assert sorted(p[-1] for p in seeded) == [1, 2, 90, 121]
+    assert sorted(p[-1] for p in seeded) == [1, 2, 121]
+    assert_fan(view, x, targets, got)
+
+
+def assert_fan(view, x, targets, got):
     assert sorted(got) == sorted(targets)
     inner = [v for p in got.values() for v in p[1:-1]]
     assert len(inner) == len(set(inner)) and not set(inner) & {x, *targets}
     for s, p in got.items():
         assert (p[0], p[-1]) == (x, s)
         assert all(view.is_adjacent(a, b) for a, b in zip(p, p[1:]))
+
+
+def no_net(*args):
+    raise AssertionError("a net was built")
+
+
+def test_a_fan_walk_leaves_by_the_first_hop_that_arrives(monkeypatch):
+    # the neighbours of t nearer x than t are forbidden, so the walk to t
+    # by x's first closer step gets stuck, and a net used to route it;
+    # leaving x by another free neighbour, a walk arrives, and every fan
+    # path meets the neighbours of x only next to x
+    half = AugmentedCube(8).half_view(0)
+    x, t = 62, 103
+    view = RestrictedView(half, forbidden_vertices={
+        u for u in half.neighbors(t) if distance(x, u) < distance(x, t)})
+    targets = [t, 1, 2, 90, 121]
+    assert descend(view, x, t, {x, *targets}) is None
+    monkeypatch.setattr(flow, "UnitFlowNet", no_net)
+    got = fan(view, x, targets)
+    assert_fan(view, x, targets, got)
+    nx = set(view.neighbors(x))
+    assert all(not nx & set(p[2:]) for p in got.values())
+
+
+def test_a_stuck_bundle_walk_is_finished_by_a_walk_aimed_at_a_free_sink(monkeypatch):
+    # the neighbours of v nearer u than v are forbidden: a walk from a
+    # neighbour of u toward v gets stuck before N(v), and a net used to
+    # route its unit; aimed at a free neighbour of v instead, it arrives
+    half = AugmentedCube(8).half_view(0)
+    u, v = 0, 26
+    view = RestrictedView(half, forbidden_vertices={
+        w for w in half.neighbors(v) if distance(u, w) < distance(u, v)})
+    walks = []
+
+    def walk(view, x, t, avoid, stop=None):
+        walks.append((t, descend(view, x, t, avoid, stop)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(flow, "descend", walk)
+    monkeypatch.setattr(flow, "UnitFlowNet", no_net)
+    paths = disjoint_paths(view, u, v, 3)
+    assert len(paths) == 3
+    assert_internally_disjoint(view, u, v, paths)
+    assert (v, None) in walks
+    assert any(t != v and p is not None for t, p in walks)
 
 
 def test_a_far_search_reads_under_one_percent_of_the_rows():

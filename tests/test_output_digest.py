@@ -42,11 +42,11 @@ def construct_digest(n, count):
 # (n, triples of each kind) -> digest: the benchmark's dimensions, and
 # wide cubes up to n = 32
 CONSTRUCT_DIGESTS = {
-    (8, 8): "43ae0d437c585c5ca6469db8091368abe9eb51049afdcacb9c655e5d1d251641",
-    (10, 8): "f56f14f9d1280abe687ea5109359fa2fc9a55fa4710eda28617062f6c44ab00e",
-    (21, 1): "5ff002c1d57541ed58a41c5edcc40421ddec4eb09ee34aebf4b67e52a874ed18",
-    (24, 1): "ab723e367e6b877c63d973d5c6d2a4031adbbdeb8ab4339ba6bbb24519f2c204",
-    (32, 1): "6bcbd49810d4923cf35217b93c88835e3ca5c4984a929ae07b7b512e9500d125",
+    (8, 8): "4d7299f8c4054644900cbba622e979c2b183a89f7c448b6c26c0e85ab20502cc",
+    (10, 8): "902cafc2bae5f0a0c58b06ebbaede4f845468b2e04b01c6a1bf341652b9bbec0",
+    (21, 1): "4279bce9beec37e6a37756464005e47488489181c5fd5529da82fe7a2d36e417",
+    (24, 1): "250095ed3d7f06225a8b30ab31d40e94e362fd3c5705d7994a23f521ed388a9a",
+    (32, 1): "0306794f7bd53bea851cdfc74ddd72d0131d7042a10f88f56af87bad2341e7c3",
 }
 
 

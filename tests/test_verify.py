@@ -221,8 +221,10 @@ def mutate(rng, view, D, fam):
     elif kind == 4:  # a vertex repeated
         k = rng.randrange(len(p))
         p.insert(k + rng.choice((1, 2)), p[k])
-    elif kind == 5 and inner:  # a vertex that is not an int, or a bool
-        k = rng.choice(inner)
+    elif kind == 5 and (ints := [k for k in inner if type(p[k]) is int]):
+        # a vertex that is not an int, or a bool, in place of one that an
+        # earlier fault left a plain int
+        k = rng.choice(ints)
         p[k] = rng.choice((float(p[k]), str(p[k]), bool(p[k] % 2), None))
     elif kind == 6:  # a member's vertices as an int subclass
         fam[i] = [Tagged(v) if type(v) is int else v for v in p]
