@@ -206,10 +206,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ResourceGuard, SearchBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ResourceGuard, SearchBudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

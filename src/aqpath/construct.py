@@ -63,7 +63,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .cube import AugmentedCube, ResourceGuard, RestrictedView
+from .cube import AugmentedCube, ResourceGuard, RestrictedView, check_vertices
 from .flow import Insufficient, disjoint_paths, fan, linkage, route
 from .verify import check_family
 
@@ -89,8 +89,8 @@ class _CaseInfeasible(Exception):
 
 
 def target_count(n: int) -> int:
-    if n < 4:
-        raise ValueError("construction defined for n >= 4")
+    if type(n) is not int or n < 4:  # a bool is not a dimension
+        raise ValueError(f"construction defined for integers n >= 4, not {n!r}")
     return 3 * n // 2 - 2 if n % 2 == 0 else 3 * (n - 1) // 2 - 1
 
 
@@ -119,10 +119,9 @@ def construct(n: int, triple) -> DPathFamily:
         raise ResourceGuard(f"construct is limited to n <= {CONSTRUCT_MAX_N}")
     cube = AugmentedCube(n)
     trip = tuple(triple)
+    check_vertices(cube, trip)
     if len(trip) != 3 or len(set(trip)) != 3:
         raise ValueError("need three distinct vertices")
-    for v in trip:
-        cube.check_vertex(v)
     try:
         paths, trace = _construct_level(cube, trip)
     except (_CaseInfeasible, Insufficient) as exc:

@@ -68,6 +68,17 @@ def guard_size(view, limit: int, what: str) -> None:
                             f"the view has {view.vertex_count}")
 
 
+def check_vertices(view, vertices: Iterable[int], what: str = "vertex") -> None:
+    """Raise ``ValueError`` unless every item is an int of the view: the
+    type first, as a bool or a float equal to a vertex passes the view's
+    membership test."""
+    for v in vertices:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{what} {v!r} is not an integer")
+        if v not in view:
+            raise ValueError(f"{what} {v} not in view")
+
+
 class AdjacencyMask(NamedTuple):
     kind: str  # "h" (single bit) or "c" (suffix run)
     level: int
@@ -132,14 +143,20 @@ def distance_to(bits: int, t: int) -> Callable[[int], int]:
 
 def closer_words(y: int) -> Iterator[int]:
     """Mask words w with distance(x ^ w, t) = distance(x, t) - 1, for the
-    gray word y = g(x) ^ g(t) != 0, lazily, run by run from y's lowest bit.
+    gray word y = g(x) ^ g(t) != 0, lazily, run by run from y's lowest bit:
+    a nonempty subset of them, the words whose gray image lies inside one
+    run of y and shortens it.
 
     The gray image of the word (2 << q) - 1 is bit q alone, and that of
     1 << (q + 1) the bits q and q + 1.  Clearing one bit at an even offset
     of a run of odd length L leaves two runs of even length, and clearing
     a pair anywhere in it an odd and an even one, so either costs (L - 1)/2
     instead of (L + 1)/2; in a run of even length, clearing a pair at an
-    even offset leaves two of even length.  So there is always one."""
+    even offset leaves two of even length.  So there is always one.  A pair
+    that reaches from a run into the gap beside it, joining it to the next
+    run, can be closer too and is not yielded: for x ^ t = 249 in AQ_8 the
+    closer words are 1, 2, 4, 7 and 255, and this yields 1, 7 and 255.  So
+    ``flow.descend`` may step sideways while such a word is free."""
     while y:
         low = y & -y
         run = y & ~(y + low)  # the carry clears just the lowest run
@@ -291,8 +308,8 @@ class AugmentedCube(PrefixView):
     its masks and its decomposition into halves, quadrants and diamonds."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
+        if type(n) is not int or n < 1:  # a bool is not a dimension
+            raise ValueError(f"dimension must be an integer >= 1, not {n!r}")
         if n > CUBE_MAX_N:
             raise ResourceGuard(f"the cube is limited to n <= {CUBE_MAX_N}")
         self.n = n
@@ -306,18 +323,12 @@ class AugmentedCube(PrefixView):
 
     # -- basic queries -------------------------------------------------
 
-    def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"vertex {v!r} is not an integer")
-        if v not in self:
-            raise ValueError(f"vertex {v} outside [0, 2^{self.n})")
-
     def h_neighbor(self, x: int, d: int) -> int:
-        self.check_vertex(x)
+        check_vertices(self, (x,))
         return x ^ hyper_word(self.n, d)
 
     def c_neighbor(self, x: int, d: int) -> int:
-        self.check_vertex(x)
+        check_vertices(self, (x,))
         return x ^ complement_word(self.n, d)
 
     def mask_between(self, x: int, y: int) -> AdjacencyMask | None:

@@ -78,7 +78,7 @@ from __future__ import annotations
 from typing import Callable, Collection, Container, Iterable
 from weakref import WeakKeyDictionary
 
-from .cube import closer_words
+from .cube import check_vertices, closer_words
 
 _SRC = -1
 _SNK = -2
@@ -573,14 +573,14 @@ def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
     return net.unit_paths()
 
 
-def _bundle(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
-    """``disjoint_paths``' first k paths, or a maximum bundle if fewer."""
+def _bundle(view, u: int, v: int, k: int | None = None) -> list[tuple[int, ...]]:
+    """``disjoint_paths``' first k paths (by default one per neighbour of
+    u), or a maximum bundle if fewer."""
+    check_vertices(view, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
-    for t in (u, v):
-        if t not in view:
-            raise ValueError(f"vertex {t} not in view")
     nu, nv = view.neighbors(u), view.neighbors(v)
+    k = len(nu) if k is None else k
     su, sv = set(nu), set(nv)
     ps = [(u, v)] if v in su else []
     ps += [(u, w, v) for w in nu if w in sv][:k - len(ps)]
@@ -613,7 +613,7 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
 def min_vertex_cut(view, u: int, v: int) -> int:
     """Maximum internally disjoint u-v path count (= cut size when u !~ v;
     for adjacent pairs this is the usual delete-edge cut plus one)."""
-    return len(_bundle(view, u, v, len(view.neighbors(u))))
+    return len(_bundle(view, u, v))
 
 
 def connectivity(view) -> int:
@@ -635,14 +635,13 @@ def connectivity(view) -> int:
 def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """Paths from x to every target, pairwise sharing only x, interiors
     avoiding the target set.  Keyed by target."""
+    targets = list(targets)
+    check_vertices(view, [x, *targets])
     S = sorted(set(targets))
     if not S:
         raise ValueError("empty target set")
     if x in S:
         raise ValueError("source may not be a target")
-    for t in [x, *S]:
-        if t not in view:
-            raise ValueError(f"vertex {t} not in view")
     walks = [(x, t) for t in sorted(S, key=view.distance_to(x))]  # nearest first
     got = route(view, {x: len(S)}, S, {x, *S}, walks, len(S))
     if len(got) < len(S):
@@ -653,15 +652,13 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
 def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """Fully vertex-disjoint paths pairing A with B (pairing chosen by the
     flow, not the caller).  Keyed by the A endpoint."""
-    A = sorted(set(side_a))
-    B = sorted(set(side_b))
+    A, B = list(side_a), list(side_b)
+    check_vertices(view, A + B)
+    A, B = sorted(set(A)), sorted(set(B))
     if len(A) != len(B) or not A:
         raise ValueError("sides must be nonempty and equal-sized")
     if set(A) & set(B):
         raise ValueError("sides must be disjoint")
-    for t in A + B:
-        if t not in view:
-            raise ValueError(f"vertex {t} not in view")
     got = route(view, dict.fromkeys(A, 1), B, {*A, *B}, zip(A, B), len(A))
     if len(got) < len(A):
         raise Insufficient(len(got), len(A), "linkage paths")

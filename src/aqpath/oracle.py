@@ -38,7 +38,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .cube import AugmentedCube, guard_size, orbit_representatives, symmetries
+from .cube import (AugmentedCube, check_vertices, guard_size, orbit_representatives,
+                   symmetries)
 from .cube import ResourceGuard  # re-exported: callers catch oracle.ResourceGuard
 from .packing import DEFAULT_BUDGET, Budget, pack_segments
 
@@ -55,8 +56,8 @@ EXHAUSTIVE_MAX_VERTICES = 64
 def regular_upper_bound(k: int, r: int) -> int:
     """Ceiling floor((3k - r)/4) for a k-regular graph whose triples share
     at most r common neighbors."""
-    if k < 1 or not 0 <= r <= k:
-        raise ValueError("need k >= 1 and 0 <= r <= k")
+    if type(k) is not int or type(r) is not int or k < 1 or not 0 <= r <= k:
+        raise ValueError(f"need integers k >= 1 and 0 <= r <= k, not {k!r}, {r!r}")
     return (3 * k - r) // 4
 
 
@@ -118,10 +119,7 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
     """Exact maximum family size through the three terminals, with a witness."""
     tracker = Budget(budget)
     guard_size(view, ORACLE_MAX_VERTICES, "the oracle")
-    trip = _terminals(D)
-    for t in trip:
-        if t not in view:
-            raise ValueError(f"terminal {t} not in view")
+    trip = _terminals(view, D)
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
     perms = None  # the triple's permutations, found when first needed
@@ -142,12 +140,10 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
     return 0, []
 
 
-def _terminals(D: Sequence[int]) -> tuple[int, int, int]:
-    """D as an ascending triple; it must be three distinct vertices."""
+def _terminals(view, D: Sequence[int]) -> tuple[int, int, int]:
+    """D as an ascending triple; it must be three distinct vertices of the view."""
     trip = tuple(D)
-    for t in trip:
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValueError(f"terminal {t!r} is not an integer")
+    check_vertices(view, trip, "terminal")
     trip = tuple(sorted(trip))
     if len(trip) != 3 or len(set(trip)) != 3:
         raise ValueError("need three distinct terminals")
@@ -186,7 +182,7 @@ def _path_masks(view, u: int, w: int, via: int, bit: dict[int, int],
 def brute_small(view, D: Sequence[int]) -> int:
     """Exact maximum by full path enumeration; guarded to 14 vertices."""
     guard_size(view, 14, "brute enumeration")
-    trip = _terminals(D)
+    trip = _terminals(view, D)
     verts = sorted(view.vertices())
     x, y, z = trip
     bit = {v: 1 << i for i, v in enumerate(verts) if v not in trip}
@@ -253,6 +249,7 @@ def common_neighbors(view, vertices: Sequence[int]) -> set[int]:
     vs = list(vertices)
     if not vs:
         raise ValueError("need at least one vertex")
+    check_vertices(view, vs)
     acc = set(view.neighbors(vs[0]))
     for v in vs[1:]:
         acc &= set(view.neighbors(v))

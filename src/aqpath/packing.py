@@ -88,7 +88,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .cube import map_vertex, symmetries
+from .cube import check_vertices, map_vertex, symmetries
 from .flow import UnitFlowNet, sink_distances
 
 
@@ -129,6 +129,7 @@ def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
     x, y, z = trip
+    check_vertices(view, trip, "terminal")
     if len({x, y, z}) != 3:
         raise ValueError("need three distinct terminals")
     if len(counts) != 3:
@@ -137,9 +138,6 @@ def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
         raise ValueError(f"counts must be integers, not {counts!r}")
     if min(counts) < 0:
         raise ValueError("negative demand")
-    for t in trip:
-        if t not in view:
-            raise ValueError(f"terminal {t} not in view")
     pairs = zip(((x, y), (y, z), (x, z)), counts)
     live = [(u, v, c) for (u, v), c in pairs if c > 0]
     if not live:

@@ -568,6 +568,34 @@ def test_wide_triples_are_walked_without_a_flow_net(n, monkeypatch):
         assert check_family(AugmentedCube(n), d, fam.paths) is None
 
 
+@pytest.mark.parametrize("n, cap", [(20, 30), (32, 50)])
+def test_a_forced_repair_seeds_its_net_lazily(n, cap, monkeypatch):
+    # the fifth fan walk of each triple is refused, so ``route`` seeds a
+    # net with the other walks: a seeded unit's rows wait until a search
+    # reaches them, so the repair reads a few neighbour rows (at most 20
+    # at n = 20 and 34 at n = 32), where seeding them eagerly read 187-665
+    flow = importlib.import_module("aqpath.flow")
+    leave, net_class = flow._leave, flow.UnitFlowNet
+    leaves, nets = [0], [0]
+
+    def refuse_the_fifth(*args):
+        leaves[0] += 1
+        return None if leaves[0] == 5 else leave(*args)
+
+    def counted(*args):
+        nets[0] += 1
+        return net_class(*args)
+
+    monkeypatch.setattr(flow, "_leave", refuse_the_fifth)
+    monkeypatch.setattr(flow, "UnitFlowNet", counted)
+    queries = count_neighbour_queries(monkeypatch, cap=cap)
+    for d in first_seeded_triples(n, False):
+        leaves[0] = nets[0] = queries[0] = 0
+        fam = construct(n, d)
+        assert nets[0] == 1
+        assert check_family(AugmentedCube(n), d, fam.paths) is None
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch):

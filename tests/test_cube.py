@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from aqpath.construct import construct
+from aqpath.construct import construct, target_count
 from aqpath.cube import (
     CUBE_MAX_N,
     AdjListView,
@@ -17,6 +17,7 @@ from aqpath.cube import (
     ResourceGuard,
     RestrictedView,
     automorphisms,
+    check_vertices,
     closer_words,
     complement_word,
     distance,
@@ -26,7 +27,11 @@ from aqpath.cube import (
     orbit_representatives,
     symmetries,
 )
-from aqpath.flow import sink_distances
+from aqpath.flow import (disjoint_paths, fan, linkage, min_vertex_cut,
+                         sink_distances)
+from aqpath.oracle import (brute_small, common_neighbors, cube_upper_bound,
+                           max_dpaths, regular_upper_bound, witness_triple)
+from aqpath.packing import pack_segments
 
 
 def reference_edges(n: int) -> set[frozenset[int]]:
@@ -92,11 +97,54 @@ def test_h_neighbor_examples():
         c.h_neighbor(0, 0)
 
 
-@pytest.mark.parametrize("v", [False, True, 1.0, "1", None])
-def test_check_vertex_takes_integers_only(v):
-    # a bool or a float passes the prefix test, so the type is checked first
-    with pytest.raises(ValueError, match="not an integer"):
-        AugmentedCube(4).check_vertex(v)
+AQ3 = AugmentedCube(3)
+AQ3_LIST = AdjListView([(u, w) for u in AQ3.vertices() for w in AQ3.neighbors(u)
+                        if u < w], bits=3)
+PAST = object()  # the first vertex past the view
+
+# every public entry point that takes vertices, as (view, call) placing the
+# vertex v beside the vertices 0 and 1 of the view, which a bool or a float
+# may equal: the type is checked before distinctness
+ON_A_VIEW = {
+    "max_dpaths": lambda g, v: max_dpaths(g, (0, 1, v)),
+    "brute_small": lambda g, v: brute_small(g, (0, 1, v)),
+    "pack_segments": lambda g, v: pack_segments(g, (0, 1, v), (1, 1, 1)),
+    "disjoint_paths": lambda g, v: disjoint_paths(g, 1, v, 1),
+    "min_vertex_cut": lambda g, v: min_vertex_cut(g, 1, v),
+    "fan": lambda g, v: fan(g, 0, [1, v]),
+    "linkage": lambda g, v: linkage(g, [0, v], [1, 2]),
+    "common_neighbors": lambda g, v: common_neighbors(g, [0, v]),
+}
+ENTRY_POINTS = [
+    pytest.param(AQ3, lambda g, v: check_vertices(g, [0, v]), id="check_vertices"),
+    pytest.param(AugmentedCube(4), lambda g, v: construct(4, (0, 1, v)), id="construct"),
+    pytest.param(AQ3, lambda g, v: g.h_neighbor(v, 1), id="h_neighbor"),
+    pytest.param(AQ3, lambda g, v: g.c_neighbor(v, 1), id="c_neighbor"),
+] + [pytest.param(g, call, id=f"{name}-{kind}")
+     for name, call in ON_A_VIEW.items()
+     for kind, g in (("cube", AQ3), ("adjlist", AQ3_LIST))]
+
+
+@pytest.mark.parametrize("bad", [False, True, 1.0, "1", None, -1, PAST],
+                         ids=["False", "True", "1.0", "str", "None", "-1", "past"])
+@pytest.mark.parametrize("view, call", ENTRY_POINTS)
+def test_every_entry_point_takes_integer_vertices_of_the_view_only(view, call, bad):
+    # a bool or a float passes a view's membership test, so the type is
+    # checked first; a vertex outside the view is refused, not answered for
+    v = view.vertex_count if bad is PAST else bad
+    with pytest.raises(ValueError, match=r"(is not an integer|not in view)$"):
+        call(view, v)
+
+
+@pytest.mark.parametrize("n", [True, 6.0, 7.5], ids=["bool", "whole-float", "fraction"])
+@pytest.mark.parametrize("call", [
+    AugmentedCube, target_count, cube_upper_bound, lambda n: regular_upper_bound(n, 4),
+    witness_triple, lambda n: construct(n, (0, 1, 2))],
+    ids=["AugmentedCube", "target_count", "cube_upper_bound", "regular_upper_bound",
+         "witness_triple", "construct"])
+def test_every_dimension_is_an_integer(call, n):
+    with pytest.raises(ValueError):
+        call(n)
 
 
 def test_c_neighbor_examples():
@@ -385,6 +433,11 @@ def test_closer_words_shorten_the_distance_by_exactly_one():
             for m in words:
                 assert m in masks
                 assert distance(w ^ m, 0) == distance(w, 0) - 1
+    # a subset, not all: 2 and 4 join the run at bit 0 of the gray word
+    # 0b10000101 to the run at bit 2, and are closer too
+    w, masks = 249, AugmentedCube(8).words
+    assert list(closer_words(w ^ (w >> 1))) == [1, 7, 255]
+    assert sorted(m for m in masks if distance(w ^ m, 0) == 2) == [1, 2, 4, 7, 255]
 
 
 def from_gray(y):

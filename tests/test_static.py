@@ -100,13 +100,16 @@ def test_the_constructor_runs_no_whole_cube_search():
 def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
     # ``cube.symmetries`` alone decides which views have symmetries and
     # leaves out the identity, so the packing search needs nothing else
-    # from the cube than the maps it applies
+    # from the cube than the maps it applies and the vertex check every
+    # entry point shares
     tree = parse_module("packing.py")
-    assert sorted(imported_names(tree, "cube")) == ["map_vertex", "symmetries"]
+    assert sorted(imported_names(tree, "cube")) == ["check_vertices", "map_vertex",
+                                                     "symmetries"]
 
 
-def calls_by_function(tree, name):
-    """The qualified names of the functions that call ``name``."""
+def calls_by_function(tree, name, keep=lambda call: True):
+    """The qualified names of the functions that call ``name``, counting
+    only the calls ``keep`` accepts."""
     found = []
 
     def visit(node, scope):
@@ -115,7 +118,8 @@ def calls_by_function(tree, name):
                 visit(child, scope + [child.name])
                 continue
             if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)
+                    ) and keep(child):
                 found.append(".".join(scope))
             visit(child, scope)
 
@@ -130,6 +134,19 @@ def test_only_the_router_the_repair_and_the_packer_build_a_net():
              for fn in calls_by_function(parse_module(path.name), "UnitFlowNet")}
     assert built == {("flow.py", "route"), ("flow.py", "UnitFlowNet.amended"),
                      ("packing.py", "_saturate")}
+
+
+def test_only_the_vertex_check_and_the_referee_test_for_a_bool():
+    # ``cube.check_vertices`` is the one vertex check of every entry point;
+    # the referee keeps its own, so a second copy elsewhere would drift
+    def of_bool(call):
+        return any(isinstance(node, ast.Name) and node.id == "bool"
+                   for node in ast.walk(call.args[1]))
+
+    found = {(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
+             for fn in calls_by_function(parse_module(path.name), "isinstance", of_bool)}
+    assert {(name, fn) for name, fn in found if name != "verify.py"} == {
+        ("cube.py", "check_vertices")}
 
 
 # the gate needs an interpreter with pytest and nothing else
