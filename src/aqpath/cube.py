@@ -271,6 +271,7 @@ class PrefixView:
         self._words = {p: tuple(m for m in cube.words if p ^ (m >> shift) in self.prefixes)
                        for p in self.prefixes}
         self._nbrs: dict[int, tuple[int, ...]] = {}
+        self.to_sink: dict = {}  # ``flow.sink_distances``' tables, by sink
 
     def vertices(self) -> Sequence[int]:
         blocks = [range(p << self.shift, (p + 1) << self.shift)
@@ -297,6 +298,12 @@ class PrefixView:
         return ((x ^ y) in self.mask_words and (x >> self.shift) in self.prefixes
                 and (y >> self.shift) in self.prefixes)
 
+    def is_walk(self, path: Sequence[int]) -> bool:
+        """Whether the ints of ``path`` lie in the view along its edges."""
+        shift = self.shift
+        return ({v >> shift for v in path} <= self.prefixes
+                and {a ^ b for a, b in zip(path, path[1:])} <= self.mask_words)
+
     def distance_to(self, t: int) -> Callable[[int], int]:
         """x -> the cube's distance from x to t, a lower bound on hops
         inside the view; the function does not refer to the view."""
@@ -313,13 +320,18 @@ class AugmentedCube(PrefixView):
         if n > CUBE_MAX_N:
             raise ResourceGuard(f"the cube is limited to n <= {CUBE_MAX_N}")
         self.n = n
-        masks = [AdjacencyMask("h", d, hyper_word(n, d)) for d in range(1, n + 1)]
-        masks += [AdjacencyMask("c", d, complement_word(n, d)) for d in range(1, n)]
-        self.masks: tuple[AdjacencyMask, ...] = tuple(masks)
-        self.words: tuple[int, ...] = tuple(m.word for m in masks)
+        # hyper(1..n), then complement(1..n-1): the order of ``masks``
+        self.words: tuple[int, ...] = (*(1 << i for i in range(n - 1, -1, -1)),
+                                       *((2 << i) - 1 for i in range(n - 1, 0, -1)))
         self.mask_words: frozenset[int] = frozenset(self.words)
-        self.degree = len(self.masks)
+        self.degree = len(self.words)
         super().__init__(self, (0,), prefix_bits=0)
+
+    @functools.cached_property
+    def masks(self) -> tuple[AdjacencyMask, ...]:
+        """The mask words as named records, built on first use."""
+        return tuple(AdjacencyMask("h" if i < self.n else "c", i % self.n + 1, w)
+                     for i, w in enumerate(self.words))
 
     # -- basic queries -------------------------------------------------
 
@@ -368,6 +380,7 @@ class RestrictedView:
         self.forbidden_vertices = frozenset(forbidden_vertices)
         self.forbidden_edges = frozenset(frozenset(e) for e in forbidden_edges)
         self._nbrs: dict[int, tuple[int, ...]] = {}
+        self.to_sink: dict = {}
 
     def vertices(self) -> list[int]:
         return [v for v in self.base.vertices() if v not in self.forbidden_vertices]
@@ -396,6 +409,10 @@ class RestrictedView:
                 and frozenset((x, y)) not in self.forbidden_edges
                 and self.base.is_adjacent(x, y))
 
+    def is_walk(self, path: Sequence[int]) -> bool:
+        return (self.base.is_walk(path) and self.forbidden_vertices.isdisjoint(path)
+                and self.forbidden_edges.isdisjoint(map(frozenset, zip(path, path[1:]))))
+
     def distance_to(self, t: int) -> Callable[[int], int]:
         """The base's distances: a lower bound on hops with fewer edges."""
         return self.base.distance_to(t)
@@ -417,6 +434,7 @@ class AdjListView:
         self.bits = bits
         self._adj = {v: tuple(sorted(ws)) for v, ws in sorted(adj.items())}
         self.vertex_count = len(self._adj)
+        self.to_sink: dict = {}
 
     def vertices(self) -> list[int]:
         return list(self._adj)
@@ -429,6 +447,9 @@ class AdjListView:
 
     def is_adjacent(self, x: int, y: int) -> bool:
         return x in self._adj and y in self._adj[x]
+
+    def is_walk(self, path: Sequence[int]) -> bool:
+        return path[0] in self._adj and all(map(self.is_adjacent, path, path[1:]))
 
     def distance_to(self, t: int) -> Callable[[int], int]:
         """x -> 0: no known bound on an arbitrary graph."""

@@ -42,7 +42,7 @@ cube's closed form (``aqpath.cube``), so a search reaches a far sink
 after scanning little more than the region between, not the whole view;
 on a view with no distance (0 everywhere) the search is breadth-first.
 It comes from the view's ``distance_to`` (a few integer operations at
-any width), kept in one table per view and sink (``sink_distances``)
+any width), kept on the view in one table per sink (``sink_distances``)
 that every net and search over the view shares.
 Rows list their arcs in the view's neighbor order and their reverse
 entries in the order flow first crossed them, and the queue order is
@@ -56,9 +56,10 @@ pairs.  ``descend`` steps from a source toward its target by
 a unit to every target, leaves by the first of its free neighbours (closer
 steps first, then the others nearest the target) from which a walk
 arrives, so a late walk is not lost because its first closer step is
-taken; and a bundle's walk that gets stuck short of the free sinks is
-retried toward each of them.  Only the units no walk delivers are left to
-a net, seeded with the walks (``UnitFlowNet.seed``) and augmented.
+taken, and it tries no neighbour a kept walk took; and a bundle's walk
+that gets stuck short of the free sinks is retried toward each of them.
+Only the units no walk delivers are left to a net, seeded with the walks
+(``UnitFlowNet.seed``) and augmented.
 Seeding asks the view for nothing: what a walk writes into the row of an
 out-node no search has scanned waits as a pending entry, and joins the
 row when a search derives it.  A flow augmented from any flow
@@ -76,7 +77,6 @@ saturated net's constraints re-augments only the units they displace.
 from __future__ import annotations
 
 from typing import Callable, Collection, Container, Iterable
-from weakref import WeakKeyDictionary
 
 from .cube import check_vertices, closer_words
 
@@ -112,23 +112,17 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
     return nodes
 
 
-# view -> sink -> ``sink_distances``: the distances depend on nothing else
-# (views do not change), so every net and search over one view fills one
-# table per sink, and it goes when the view does.  No reader refers to the
-# view, which would keep the key alive.
-_TO_SINK: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def sink_distances(view, t: int) -> tuple[dict[int, int], Callable[[int], int]]:
     """The view's shared table h of distances to the sink t and the reader
     ``dist`` that computes a missing entry: a caller that finds no h[x]
     stores ``h[x] = dist(x)``.  The key -1 (the source and sink nodes of a
     net) holds 0.  ``dist`` is the view's ``distance_to(t)`` (the cube's
-    closed form for a cube view, 0 for an adjacency list)."""
-    per_view = _TO_SINK.setdefault(view, {})
-    got = per_view.get(t)
+    closed form for a cube view, 0 for an adjacency list).  It depends on
+    nothing else, so the tables live in the view's ``to_sink``, shared by
+    every net and search over it, and go when the view does."""
+    got = view.to_sink.get(t)
     if got is None:
-        got = per_view[t] = ({-1: 0}, view.distance_to(t))
+        got = view.to_sink[t] = ({-1: 0}, view.distance_to(t))
     return got
 
 
@@ -497,24 +491,32 @@ class UnitFlowNet:
         return sorted(paths)
 
 
-def _hops(x: int, t: int, dist: Callable[[int], int], nbrs: set[int]):
-    """x's neighbours ``nbrs`` in the order a walk from x toward t tries
-    them as its first hop: the closer steps in ``cube.closer_words`` order,
-    then the others nearest t first; each part is listed only once reached."""
-    first = []
+def _hops(x: int, t: int, dist: Callable[[int], int], nbrs: dict[int, None]):
+    """x's free neighbours ``nbrs``, ascending, in the order a walk from x
+    toward t tries them as its first hop: the closer steps in
+    ``cube.closer_words`` order, then the others nearest t first, from
+    three buckets (each lies within one of x's distance); each part is
+    listed only once reached."""
+    first = set()
     for w in closer_words(x ^ (x >> 1) ^ t ^ (t >> 1)):
         if x ^ w in nbrs:
-            first.append(x ^ w)
+            first.add(x ^ w)
             yield x ^ w
-    yield from sorted(nbrs.difference(first), key=lambda u: (dist(u), u))
+    d = dist(x) - 1
+    buckets: tuple[list[int], ...] = ([], [], [])  # d - 1, d, d + 1
+    for u in nbrs:
+        if u not in first:
+            buckets[dist(u) - d].append(u)
+    for bucket in buckets:
+        yield from bucket
 
 
 def _leave(view, x: int, t: int, avoid: Container[int], stop: Container[int],
-           nbrs: set[int]) -> tuple[int, ...] | None:
+           nbrs: dict[int, None]) -> tuple[int, ...] | None:
     """A walk from x toward t to the first vertex of ``stop``: ``descend``
-    from the first free neighbour of x, in ``_hops`` order, from which it
-    arrives, leaving x by the last of its neighbours ``nbrs`` the walk
-    crosses; or None.  A view with no distance is not walked."""
+    from the first of x's free neighbours ``nbrs``, in ``_hops`` order,
+    from which it arrives, leaving x by the last of them the walk crosses;
+    or None.  A view with no distance is not walked."""
     dist = sink_distances(view, t)[1]
     for u in _hops(x, t, dist, nbrs) if dist(x) else ():
         if u in stop:
@@ -538,14 +540,15 @@ def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
     before, until ``want`` of them arrive:
     - a source that sends one unit walks by ``descend``;
     - a source that sends more (a fan's) leaves by a chosen free neighbour
-      (``_leave``), its neighbour set read once per call;
+      (``_leave``), its neighbour row read once per call and trimmed of
+      every kept walk;
     - a walk toward the free sinks that gets stuck (a bundle's) is retried
       toward each of them, nearest x first.
     Short of ``want``, the net is seeded with the walks and augmented: a
     flow augmented from any flow until no augmenting path is left is a
     maximum one, so walking first loses no unit."""
     avoid, free, walked = set(blocked), set(sinks), []
-    nbrs = {x: set(view.neighbors(x)) for x, c in sources.items() if c > 1}
+    nbrs = {x: dict.fromkeys(view.neighbors(x)) for x, c in sources.items() if c > 1}
     for x, t in walks:
         if len(walked) == want:
             break
@@ -564,6 +567,9 @@ def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
             walked.append(p)
             avoid.update(p)
             free.remove(p[-1])
+            for row in nbrs.values():
+                for v in p:
+                    row.pop(v, None)
     if len(walked) == want:
         return sorted(walked)
     net = UnitFlowNet(view, sources, dict.fromkeys(sinks, 1), blocked)

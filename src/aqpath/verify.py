@@ -5,6 +5,8 @@ member visits all three terminals, the pairwise vertex intersections are
 exactly the terminal set, and no edge is used twice.  Uses only adjacency
 queries and set arithmetic -- no flow and no constructor code -- so it can
 referee both sides.
+A sound family is accepted in bulk (``view.is_walk`` and set counts); any
+other is scanned vertex by vertex, and that scan alone names the fault.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ def check_path(view, path: Sequence[int]) -> Violation | None:
     """Simplicity and adjacency only; None means the path stands."""
     if len(path) == 0:
         return Violation(ViolationKind.NOT_A_PATH, "empty vertex sequence")
+    if set(map(type, path)) == {int} and len(set(path)) == len(path) and view.is_walk(path):
+        return None
     for v in path:
         if not isinstance(v, int) or isinstance(v, bool):
             return Violation(ViolationKind.WRONG_GRAPH, f"vertex {v!r} is not an integer")
@@ -76,6 +80,15 @@ def check_family(view, terminals: Sequence[int],
         if missing:
             return Violation(ViolationKind.MISSING_TERMINAL,
                              f"terminal {min(missing)} absent", (i,))
+    # every path is simple and holds D: the family stands when no interior
+    # vertex and no terminal-terminal edge repeats
+    tt = []
+    for p in paths:
+        a, b, c = sorted(map(p.index, D))
+        tt += [frozenset(p[i:i + 2]) for i, j in ((a, b), (b, c)) if j == i + 1]
+    if (len(set(tt)) == len(tt)
+            and len(set().union(*paths)) == 3 + sum(map(len, paths)) - 3 * len(paths)):
+        return None
     # The least pair (i, j) of members sharing an interior vertex or an
     # edge: an element's first owner i is the least member holding it, so
     # the least pair is (first owner, later holder) for some element.  An

@@ -596,6 +596,29 @@ def test_a_forced_repair_seeds_its_net_lazily(n, cap, monkeypatch):
         assert check_family(AugmentedCube(n), d, fam.paths) is None
 
 
+@pytest.mark.parametrize("n, cap", [(64, 2800), (128, 10000)])
+def test_a_fan_pays_per_free_hop(n, cap, monkeypatch):
+    # a fan's source tries only its free neighbours as first hops, ordered
+    # by three distance buckets, so (0, 1, all ones) reads 2,505 distances
+    # at n = 64 and 9,129 at n = 128; sorting every neighbour by distance
+    # per fan unit read 7,996 and 32,380.  A cap may only tighten
+    reads = [0]
+
+    def counted(self, t, _reader=PrefixView.distance_to):
+        dist = _reader(self, t)
+
+        def read(x):
+            reads[0] += 1
+            return dist(x)
+        return read
+
+    monkeypatch.setattr(PrefixView, "distance_to", counted)
+    d = (0, 1, (1 << n) - 1)
+    fam = construct(n, d)
+    assert reads[0] <= cap
+    assert check_family(AugmentedCube(n), d, fam.paths) is None
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("same_half", [False, True], ids=["cross-half", "same-half"])
 def test_construct_at_dimension_forty_builds_and_verifies(same_half, monkeypatch):

@@ -854,12 +854,12 @@ def test_the_shared_distances_do_not_keep_a_view_alive(make, u, v, others):
 
 def test_a_fan_caches_one_table_per_aimed_target():
     # each search reads the table of the one target it aims at; the view
-    # caches a table per target aimed at, none for a set of targets, and
+    # keeps a table per target aimed at, none for a set of targets, and
     # none is derived from another
     view = AugmentedCube(10).half_view(1)
     targets = random.Random(17).sample(range(512, 1024), 17)
     assert len(fan(view, 0b1011001110, targets)) == 17
-    cached = flow._TO_SINK[view]
+    cached = view.to_sink
     assert set(cached) <= set(targets)
     assert len({id(h) for h, _ in cached.values()}) == len(cached)
     for t, (h, dist) in cached.items():

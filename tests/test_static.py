@@ -107,6 +107,16 @@ def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
                                                      "symmetries"]
 
 
+def test_the_referee_imports_no_library_module():
+    # the referee accepts in bulk by asking the view (``is_walk``), never a
+    # cube or flow helper, so it stays independent of what it referees
+    tree = parse_module("verify.py")
+    assert not any(isinstance(node, ast.ImportFrom) and node.level
+                   for node in ast.walk(tree))
+    assert all(name.split(".")[0] != "aqpath" for name in imported_modules(
+        Path(aqpath.__file__).parent / "verify.py"))
+
+
 def calls_by_function(tree, name, keep=lambda call: True):
     """The qualified names of the functions that call ``name``, counting
     only the calls ``keep`` accepts."""

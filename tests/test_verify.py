@@ -3,7 +3,7 @@ import random
 import pytest
 
 from aqpath.construct import construct
-from aqpath.cube import AugmentedCube
+from aqpath.cube import AdjListView, AugmentedCube, RestrictedView
 from aqpath.verify import Violation, ViolationKind, check_family, check_path
 
 
@@ -143,9 +143,31 @@ def test_a_terminal_that_is_not_an_integer_is_refused(terminal):
 # -- the one-pass overlap scan against the pairwise one ------------------
 
 
+def plain_check_path(view, path):
+    """``check_path`` as it was before it accepted in bulk: every vertex
+    tested in turn, then every step."""
+    if len(path) == 0:
+        return Violation(ViolationKind.NOT_A_PATH, "empty vertex sequence")
+    for v in path:
+        if not isinstance(v, int) or isinstance(v, bool):
+            return Violation(ViolationKind.WRONG_GRAPH, f"vertex {v!r} is not an integer")
+        if v not in view:
+            return Violation(ViolationKind.WRONG_GRAPH, f"vertex {v} not in view")
+    seen = set()
+    for v in path:
+        if v in seen:
+            return Violation(ViolationKind.NOT_SIMPLE, f"vertex {v} repeats")
+        seen.add(v)
+    for a, b in zip(path, path[1:]):
+        if not view.is_adjacent(a, b):
+            return Violation(ViolationKind.NOT_A_PATH, f"{a} and {b} not adjacent")
+    return None
+
+
 def pairwise_check_family(view, terminals, paths):
-    """``check_family`` as it was when it compared every pair of members'
-    interior vertex sets and edge sets in turn."""
+    """``check_family`` as it was when it checked every member vertex by
+    vertex and compared every pair of members' interior vertex sets and
+    edge sets in turn."""
     for t in terminals:
         if not isinstance(t, int) or isinstance(t, bool):
             raise ValueError(f"terminal {t!r} is not an integer")
@@ -156,7 +178,7 @@ def pairwise_check_family(view, terminals, paths):
         if t not in view:
             return Violation(ViolationKind.WRONG_GRAPH, f"terminal {t} not in view")
     for i, p in enumerate(paths):
-        bad = check_path(view, p)
+        bad = plain_check_path(view, p)
         if bad is not None:
             return bad._replace(paths=(i,))
     for i, p in enumerate(paths):
@@ -263,3 +285,118 @@ def test_the_one_pass_referee_names_the_pairwise_violation():
     for kind in (ViolationKind.VERTEX_OVERLAP, ViolationKind.EDGE_OVERLAP):
         assert seen.get((kind, True)), (kind, seen)
     assert seen.get(None), seen
+
+
+# -- the bulk acceptance against the per-vertex referee ------------------
+
+
+def walk_to(p, a, w):
+    """The member p cut after its vertex a and led on to w."""
+    return p[:p.index(a) + 1] + [w]
+
+
+def referee_views(rng, n, D, paths):
+    """(name, view, D, family, outside, detour) for AQ_n, a half of AQ_{n+1}
+    holding AQ_n's family moved into it, AQ_n minus a few vertices and
+    edges the family does not use, and AQ_n as an adjacency list.
+    ``outside(p)`` is a member p led out of the view with every step along
+    a mask word, and ``detour(p)`` p led along an edge the view lacks or
+    the family does not use."""
+    cube = AugmentedCube(n)
+    top = 1 << n
+    used = {v for p in paths for v in p}
+    edges = [(v, w) for v in range(top) for w in cube.neighbors(v) if v < w]
+    off = [e for e in edges if not set(e) & used]
+    (a, g), (b, h) = rng.sample([(v, w) for v in sorted(used) for w in cube.neighbors(v)
+                                 if w not in used], 2)
+    gone = [g, *rng.sample(sorted(set(range(top)) - used - {h}), 2)]
+    cut = [(b, h), *rng.sample(off, 2)]
+
+    def splice(p, edge):
+        k = rng.randrange(1, len(p))
+        return p[:k] + list(edge) + p[k:]
+
+    def shifted(p):
+        return [v | top for v in p]
+
+    yield ("cube", cube, D, paths, shifted, lambda p: splice(p, rng.choice(off)))
+    yield ("half", AugmentedCube(n + 1).half_view(1), tuple(shifted(D)),
+           list(map(shifted, paths)), lambda p: [v ^ top for v in p],
+           lambda p: splice(p, shifted(rng.choice(off))))
+    restricted = RestrictedView(cube, gone, cut)
+    yield ("restricted", restricted, D, paths,
+           lambda p: walk_to(p, a, g) if a in p else p[:1] + [g],
+           lambda p: walk_to(p, b, h) if b in p else p[:1] + [b])
+    yield ("adjlist", AdjListView(edges, bits=n), D, paths, shifted,
+           lambda p: splice(p, rng.choice(off)))
+
+
+CORRUPTIONS = ("True", "1.0", "negative", "outside", "repeat", "non-adjacent",
+               "shared-interior", "shared-edge", "missing-terminal", "detour")
+
+
+def corrupt(rng, kind, view, D, fam, outside, detour):
+    """The family (a list of vertex lists) with one fault of ``kind``, or
+    None where the family offers no place for it."""
+    fam = [list(p) for p in fam]
+    i = rng.randrange(len(fam))
+    p = fam[i]
+    inner = [k for k, v in enumerate(p) if v not in D]
+    if kind == "shared-edge":  # two members cut short between the same terminals
+        cuts = [(k, q) for k, m in enumerate(fam) if (q := shortcut(view, D, m))]
+        if len(cuts) < 2:
+            return None
+        for k, q in rng.sample(cuts, 2):
+            fam[k] = q
+    elif kind == "missing-terminal":
+        fam[i] = p[1:] if rng.random() < 0.5 else p[:-1]
+    elif kind == "repeat":
+        k = rng.randrange(len(p))
+        p.insert(k + rng.choice((1, 2)), p[k])
+    elif kind == "negative":  # every step still along a mask word
+        fam[i] = [~v for v in p]
+    elif kind in ("outside", "detour"):
+        fam[i] = (outside if kind == "outside" else detour)(p)
+    elif not inner:
+        return None
+    elif kind == "shared-interior":  # a member copied, reversed, to another place
+        fam.insert(rng.randrange(len(fam) + 1), p[::-1])
+    else:
+        k = rng.choice(inner)
+        p[k] = {"True": True, "1.0": 1.0, "non-adjacent": p[k - 1] ^ 0b101}[kind]
+    return fam
+
+
+def test_the_bulk_referee_gives_the_per_vertex_verdict():
+    # corrupted families of construct(6..10, .) on four kinds of view: the
+    # referee names the violation the per-vertex referee names, kind,
+    # detail and members alike, for the whole family, for each member and
+    # for its first vertex alone, and accepts every clean family by its
+    # bulk test
+    rng = random.Random("bulk referee")
+    seen = {}
+    for n in range(6, 11):
+        for _ in range(4):
+            x, z = rng.sample(range(1 << n), 2)
+            y = x ^ rng.choice(AugmentedCube(n).words) if rng.random() < 0.5 else z ^ 0b11
+            paths = [list(p) for p in construct(n, (x, y, z)).paths]
+            for name, view, D, fam, outside, detour in referee_views(rng, n, (x, y, z), paths):
+                assert all(view.is_walk(p) for p in fam), name
+                assert check_family(view, D, fam) is None
+                assert pairwise_check_family(view, D, fam) is None
+                for kind in CORRUPTIONS:
+                    bad = corrupt(rng, kind, view, D, fam, outside, detour)
+                    if bad is None:
+                        continue
+                    got = check_family(view, D, bad)
+                    assert got == pairwise_check_family(view, D, bad), (name, kind, D, bad)
+                    for p in bad:
+                        for q in (p, p[:1]):
+                            assert check_path(view, q) == plain_check_path(view, q), (name, q)
+                    seen.setdefault((name, kind), set()).add(got and got.kind)
+    # every fault was placed and caught on every view, and the verdicts
+    # span every kind of violation
+    assert len(seen) == 4 * len(CORRUPTIONS)
+    for key, kinds in seen.items():
+        assert kinds - {None}, key
+    assert set().union(*seen.values()) >= set(ViolationKind)
