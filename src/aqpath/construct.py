@@ -67,7 +67,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .cube import AugmentedCube, ResourceGuard, RestrictedView, check_vertices
+from .cube import AugmentedCube, ResourceGuard, RestrictedView, check_triple
 from .flow import Insufficient, disjoint_paths, fan, linkage, route
 from .verify import check_family
 
@@ -122,10 +122,7 @@ def construct(n: int, triple) -> DPathFamily:
     if n > CONSTRUCT_MAX_N:
         raise ResourceGuard(f"construct is limited to n <= {CONSTRUCT_MAX_N}")
     cube = AugmentedCube(n)
-    trip = tuple(triple)
-    check_vertices(cube, trip)
-    if len(trip) != 3 or len(set(trip)) != 3:
-        raise ValueError("need three distinct vertices")
+    trip = check_triple(cube, triple)
     try:
         paths, trace = _construct_level(cube, trip)
     except (_CaseInfeasible, Insufficient) as exc:

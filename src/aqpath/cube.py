@@ -34,15 +34,20 @@ Conventions
   It is a function of the gray word y = w ^ (w >> 1) of w = u ^ v alone:
   the sum of ceil(L/2) over the runs of 1s in y, counted in a few integer
   operations at any width.  ``distance_to(bits, t)`` returns the function
-  from x to its distance to t, and the flow and packing searches read
-  every sink distance through a view's ``distance_to``.
+  from x to its distance to t.  The flow and packing searches read every
+  sink distance from the view's one table per sink (``sink_distances``),
+  which computes an entry from the view's ``distance_to`` on its first
+  read; a walk (``flow.descend``) reads ``distance_to`` directly.
+- Every entry point that takes a terminal triple reads and checks it once
+  (``check_triple``): three distinct int vertices of the view.
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
 ``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
 restriction) answers adjacency with the cube's masks filtered by
 membership, and distance (``distance_to``) with the cube's value.  A
-prefix view filters once, per prefix: it keeps the mask words that stay
-inside it, and a row is those words applied to the vertex.
+prefix view filters once: it keeps the mask words that stay inside it,
+the same for each of its one or two prefixes, and a row is those words
+applied to the vertex.
 """
 
 from __future__ import annotations
@@ -77,6 +82,42 @@ def check_vertices(view, vertices: Iterable[int], what: str = "vertex") -> None:
             raise ValueError(f"{what} {v!r} is not an integer")
         if v not in view:
             raise ValueError(f"{what} {v} not in view")
+
+
+def check_triple(view, D: Iterable[int], what: str = "vertex") -> tuple[int, ...]:
+    """``D`` as a tuple, read once, after ``check_vertices``; ``ValueError``
+    unless it holds three distinct items."""
+    trip = tuple(D)
+    check_vertices(view, trip, what)
+    if len(trip) != 3 or len(set(trip)) != 3:
+        plural = "vertices" if what == "vertex" else what + "s"
+        raise ValueError(f"need three distinct {plural}")
+    return trip
+
+
+class _SinkTable(dict):
+    """Distances to one sink by vertex, each computed on its first read."""
+
+    __slots__ = ("dist",)
+
+    def __init__(self, dist: Callable[[int], int]):
+        self.dist = dist
+
+    def __missing__(self, x: int) -> int:
+        d = self[x] = self.dist(x)
+        return d
+
+
+def sink_distances(view, t: int) -> dict[int, int]:
+    """The view's one table of distances to the sink t: ``h[x]`` is
+    ``view.distance_to(t)(x)`` (the closed form on a cube view, 0 on an
+    adjacency list), computed and stored on the first read.  It depends on
+    nothing else, so the tables live in the view's ``to_sink``, shared by
+    every net and search over it, and go when the view does."""
+    got = view.to_sink.get(t)
+    if got is None:
+        got = view.to_sink[t] = _SinkTable(view.distance_to(t))
+    return got
 
 
 class AdjacencyMask(NamedTuple):
@@ -247,7 +288,7 @@ def orbit_representatives(n: int) -> Iterable[tuple[int, int, int]]:
 
 class PrefixView:
     """The subgraph a cube induces on the vertices whose leading
-    ``prefix_bits`` bits form one of ``prefixes``.
+    ``prefix_bits`` bits form one of ``prefixes``, one or two of them.
 
     The empty prefix gives the whole cube (``AugmentedCube`` is that view).
     One prefix gives a half or a quadrant, which is exactly the
@@ -256,22 +297,24 @@ class PrefixView:
     the cube places between them (one matching across halves or across
     the diagonal, two between siblings of one half).  Membership is a
     prefix test; adjacency is the parent's masks filtered by membership,
-    done once per prefix: ``_words[p]`` holds the mask words that keep a
-    vertex with prefix p inside the view, in the cube's mask order.  The
-    view keeps the cube's mask words, not the cube, so the cube holding
-    itself as its own view makes no reference cycle.
+    done once: ``_words`` holds the mask words that keep a vertex of the
+    view inside it, in the cube's mask order.  With one or two prefixes P,
+    p ^ s lies in P for p in P exactly when s is some p ^ q, q in P, so
+    these words are the same for every prefix.  The view keeps the cube's
+    mask words, not the cube, so the cube holding itself as its own view
+    makes no reference cycle.
     """
 
     def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
         self.bits = cube.n
         self.mask_words = cube.mask_words
-        self.prefixes = frozenset(prefixes)
+        self.prefixes = P = frozenset(prefixes)
         self.shift = shift = cube.n - prefix_bits
-        self.vertex_count = len(self.prefixes) << shift
-        self._words = {p: tuple(m for m in cube.words if p ^ (m >> shift) in self.prefixes)
-                       for p in self.prefixes}
+        self.vertex_count = len(P) << shift
+        moves = {p ^ q for p in P for q in P}
+        self._words = tuple(m for m in cube.words if m >> shift in moves)
         self._nbrs: dict[int, tuple[int, ...]] = {}
-        self.to_sink: dict = {}  # ``flow.sink_distances``' tables, by sink
+        self.to_sink: dict = {}  # ``sink_distances``' tables, by sink
 
     def vertices(self) -> Sequence[int]:
         blocks = [range(p << self.shift, (p + 1) << self.shift)
@@ -286,10 +329,9 @@ class PrefixView:
     def neighbors(self, x: int) -> tuple[int, ...]:
         got = self._nbrs.get(x)
         if got is None:
-            words = self._words.get(x >> self.shift)
-            if words is None:
+            if x >> self.shift not in self.prefixes:
                 raise ValueError(f"vertex {x} not in this view")
-            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, words)))
+            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, self._words)))
         return got
 
     def is_adjacent(self, x: int, y: int) -> bool:

@@ -41,9 +41,10 @@ reaches, as its last, failing search must anyway.  The distance is the
 cube's closed form (``aqpath.cube``), so a search reaches a far sink
 after scanning little more than the region between, not the whole view;
 on a view with no distance (0 everywhere) the search is breadth-first.
-It comes from the view's ``distance_to`` (a few integer operations at
-any width), kept on the view in one table per sink (``sink_distances``)
-that every net and search over the view shares.
+It is read from the view's one table per sink (``cube.sink_distances``),
+which every net and search over the view shares and which computes an
+entry from the view's ``distance_to`` (a few integer operations at any
+width) on its first read.
 Rows list their arcs in the view's neighbor order and their reverse
 entries in the order flow first crossed them, and the queue order is
 fixed, so identical inputs always produce identical path systems.
@@ -65,7 +66,9 @@ out-node no search has scanned waits as a pending entry, and joins the
 row when a search derives it.  A flow augmented from any flow
 reaches the maximum, so walking changes which paths are found, never how
 many; a view with no distance is not walked.  Only ``route``,
-``UnitFlowNet.amended`` and the packing engine build a net.
+``UnitFlowNet.amended`` and the packing engine build a net.  Only
+``route`` seeds one, and only the packing engine amends one, never a
+seeded one.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -78,7 +81,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Container, Iterable
 
-from .cube import check_vertices, closer_words
+from .cube import check_vertices, closer_words, sink_distances
 
 _SRC = -1
 _SNK = -2
@@ -112,29 +115,15 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
     return nodes
 
 
-def sink_distances(view, t: int) -> tuple[dict[int, int], Callable[[int], int]]:
-    """The view's shared table h of distances to the sink t and the reader
-    ``dist`` that computes a missing entry: a caller that finds no h[x]
-    stores ``h[x] = dist(x)``.  The key -1 (the source and sink nodes of a
-    net) holds 0.  ``dist`` is the view's ``distance_to(t)`` (the cube's
-    closed form for a cube view, 0 for an adjacency list).  It depends on
-    nothing else, so the tables live in the view's ``to_sink``, shared by
-    every net and search over it, and go when the view does."""
-    got = view.to_sink.get(t)
-    if got is None:
-        got = view.to_sink[t] = ({-1: 0}, view.distance_to(t))
-    return got
-
-
 def descend(view, x: int, t: int, avoid: Container[int],
             stop: Container[int] | None = None) -> tuple[int, ...] | None:
     """A path of the view from x toward t to the first vertex of ``stop``
     (default: t alone) it reaches, the others outside ``avoid``; or None.
     Each step takes the first of ``cube.closer_words`` the view has and
     ``avoid`` leaves free, else (``_SIDEWAYS`` times in all) the first
-    neighbour as far from t.  A view whose distance (read as in
-    ``sink_distances``) is 0 away from t, an adjacency list, is not walked."""
-    dist = sink_distances(view, t)[1]
+    neighbour as far from t.  A view whose ``distance_to`` is 0 away from
+    t, an adjacency list, is not walked."""
+    dist = view.distance_to(t)
     if not dist(x):
         return None
     stop = (t,) if stop is None else stop
@@ -181,10 +170,8 @@ class UnitFlowNet:
     row, so every row reads as if it had been derived first.  ``_live``
     lists the sinks that still take flow, the aim ``aim`` first (None
     once all are full), and ``h[x]`` is the view's distance from vertex x
-    to the aim, filled as searches discover x and shared by every net
-    over the view (``sink_distances``); the source and the sink both map
-    to the key -1 (node >> 1) and to 0.  A search derives g from h, so
-    the aim only changes between searches.
+    to the aim, from the table every net over the view shares
+    (``cube.sink_distances``).  The aim only changes between searches.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -203,7 +190,7 @@ class UnitFlowNet:
         """Aim later searches at the sink t (None: no search runs)."""
         self.aim = t
         if t is not None:
-            self.h, self._dist = sink_distances(self.view, t)
+            self.h = sink_distances(self.view, t)
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row of the entries flow can use: an
@@ -234,14 +221,14 @@ class UnitFlowNet:
     def _search(self, parent: dict[int, int]) -> dict[int, int]:
         """Best-first search of the residual network from the source,
         recording each node's predecessor in ``parent``; nodes already in
-        ``parent`` are never entered, so seeding it blocks them.  A node is
-        queued once, when discovered, under g + 3h (g: residual arcs from
-        the source along the search tree, h: ``self.h``); ``buckets[k]``
-        holds the nodes under key k, popped last in, first out.  Stops once
-        the sink is found and returns ``parent``."""
-        cap, h, dist = self.cap, self.h, self._dist
+        ``parent`` are never entered, so seeding it blocks them.  A node v
+        is queued once, when discovered, as (g, v) under g + 3h (g: residual
+        arcs from the source along the search tree, h: ``self.h``);
+        ``buckets[k]`` holds the nodes under key k, popped last in, first
+        out.  Stops once the sink is found and returns ``parent``."""
+        cap, h = self.cap, self.h
         parent[_SRC] = _SRC
-        buckets = [[_SRC]]
+        buckets = [[(0, _SRC)]]
         top = 1  # len(buckets)
         f = 0  # no queued node has a smaller key
         while f < top:
@@ -249,26 +236,21 @@ class UnitFlowNet:
             if not bucket:
                 f += 1
                 continue
-            u = bucket.pop()
-            row = cap.get(u)
-            if row is None:
-                row = self._row(u)
-            g = f - 3 * h[u >> 1] + 1  # arcs from the source to u's successors
+            g, u = bucket.pop()
+            row = cap[u] if u in cap else self._row(u)
+            g += 1  # arcs from the source to u's successors
             for v, c in row.items():
                 if c > 0 and v not in parent:
                     parent[v] = u
-                    hv = h.get(v >> 1)
-                    if hv is None:
-                        hv = h[v >> 1] = dist(v >> 1)
-                    k = g + 3 * hv
+                    if v == _SNK:
+                        return parent
+                    k = g + 3 * h[v >> 1]
                     while top <= k:
                         buckets.append([])
                         top += 1
-                    buckets[k].append(v)
+                    buckets[k].append((g, v))
                     if k < f:
                         f = k
-            if _SNK in parent:
-                break
         return parent
 
     def seed(self, path: tuple[int, ...]) -> None:
@@ -390,9 +372,11 @@ class UnitFlowNet:
         network admits one, and a caller re-augments only those units
         instead of all of them.
 
-        The copy takes every row this net has derived and every pending
-        entry, so it lists no more of the view than this net did; this net
-        is left as it was.  A blocked vertex keeps no through arc, so no
+        The net must not be seeded (``seed``): nothing of its flow waits in
+        ``_pending``, and the out-node of every vertex a unit crosses has
+        its row derived.  The copy takes every row this net has derived,
+        so it lists no more of the view than this net did; this net is
+        left as it was.  A blocked vertex keeps no through arc, so no
         search crosses it, and the sinks of the cancelled units (then v)
         take flow again after those that already did, in the net's sink
         order.  A unit that runs around a cycle is cancelled too, and
@@ -407,7 +391,6 @@ class UnitFlowNet:
             sinks = {**sinks, v: sinks[v] + k}
         net = UnitFlowNet(self.view, sources, sinks, self.blocked | gone)
         cap = net.cap = {x: row.copy() for x, row in self.cap.items()}
-        net._pending = {x: row.copy() for x, row in self._pending.items()}
         hit = set()
         short = 0
         for w in gone:
@@ -422,7 +405,6 @@ class UnitFlowNet:
             if _in(w) in cap:  # its entries are all 0 now
                 cap[_in(w)] = {}
                 cap.pop(_out(w), None)
-                net._pending.pop(_out(w), None)
         if demand is not None:
             short += k
             if _SRC in cap:
@@ -438,17 +420,16 @@ class UnitFlowNet:
     def _unit(self, w: int) -> list[int]:
         """The split nodes, in flow order, of the unit crossing the free
         vertex w: from the source to the sink, or from w's in-node around a
-        cycle back to it.  Forward, an out-node's one arc with no residual
-        capacity carries the unit (its pending entry, if the row is not
-        derived, is -1 and the other is +1); backward, an in-node's one
-        positive entry is the reverse entry of the arc the unit came in on
-        (its through arc has none left)."""
-        cap, pending, blocked = self.cap, self._pending, self.blocked
+        cycle back to it, in a net no seed touched (see ``amended``).
+        Forward, an out-node's one arc with no residual capacity carries
+        the unit; backward, an in-node's one positive entry is the reverse
+        entry of the arc the unit came in on (its through arc has none
+        left)."""
+        cap, blocked = self.cap, self.blocked
         nodes = [_in(w), _out(w)]
         x = w
         while True:
-            row = cap.get(_out(x)) or pending[_out(x)]  # neither is empty
-            v = next(k for k, f in row.items() if f < 1)
+            v = next(k for k, f in cap[_out(x)].items() if f < 1)
             nodes.append(v)
             x = v // 2
             if x == w:
@@ -517,7 +498,7 @@ def _leave(view, x: int, t: int, avoid: Container[int], stop: Container[int],
     from the first of x's free neighbours ``nbrs``, in ``_hops`` order,
     from which it arrives, leaving x by the last of them the walk crosses;
     or None.  A view with no distance is not walked."""
-    dist = sink_distances(view, t)[1]
+    dist = view.distance_to(t)
     for u in _hops(x, t, dist, nbrs) if dist(x) else ():
         if u in stop:
             q = (u,)

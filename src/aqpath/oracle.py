@@ -38,8 +38,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .cube import (AugmentedCube, check_vertices, guard_size, orbit_representatives,
-                   symmetries)
+from .cube import (AugmentedCube, check_triple, check_vertices, guard_size,
+                   orbit_representatives, symmetries)
 from .cube import ResourceGuard  # re-exported: callers catch oracle.ResourceGuard
 from .packing import DEFAULT_BUDGET, Budget, pack_segments
 
@@ -119,7 +119,7 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
     """Exact maximum family size through the three terminals, with a witness."""
     tracker = Budget(budget)
     guard_size(view, ORACLE_MAX_VERTICES, "the oracle")
-    trip = _terminals(view, D)
+    trip = tuple(sorted(check_triple(view, D, "terminal")))
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
     perms = None  # the triple's permutations, found when first needed
@@ -138,16 +138,6 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
             if perms is None:
                 perms = {perm for _, _, perm in symmetries(view, trip)}
     return 0, []
-
-
-def _terminals(view, D: Sequence[int]) -> tuple[int, int, int]:
-    """D as an ascending triple; it must be three distinct vertices of the view."""
-    trip = tuple(D)
-    check_vertices(view, trip, "terminal")
-    trip = tuple(sorted(trip))
-    if len(trip) != 3 or len(set(trip)) != 3:
-        raise ValueError("need three distinct terminals")
-    return trip
 
 
 # -- independent small-scale referee -----------------------------------
@@ -182,7 +172,7 @@ def _path_masks(view, u: int, w: int, via: int, bit: dict[int, int],
 def brute_small(view, D: Sequence[int]) -> int:
     """Exact maximum by full path enumeration; guarded to 14 vertices."""
     guard_size(view, 14, "brute enumeration")
-    trip = _terminals(view, D)
+    trip = tuple(sorted(check_triple(view, D, "terminal")))
     verts = sorted(view.vertices())
     x, y, z = trip
     bit = {v: 1 << i for i, v in enumerate(verts) if v not in trip}

@@ -29,7 +29,9 @@ Feasibility is decided exactly, in two stages:
    every commitment.  Shortest lengths come from a search steered by the
    view's distance to the far endpoint (``_hops``), and a partial segment
    is dropped once that distance exceeds the edges it has left, so the
-   search reads only the region around the segments it builds.  Branch
+   search reads only the region around the segments it builds.  Both read
+   the distance from the view's table for that endpoint
+   (``cube.sink_distances``), which the flows share.  Branch
    segments route only through the leaf's spare vertices, those whose
    removal alone keeps the leaf feasible: the free vertices one saturated
    leaf flow does not need (``UnitFlowNet.critical``).
@@ -88,8 +90,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .cube import check_vertices, map_vertex, symmetries
-from .flow import UnitFlowNet, sink_distances
+from .cube import check_triple, map_vertex, sink_distances, symmetries
+from .flow import UnitFlowNet
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -128,10 +130,7 @@ def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
-    x, y, z = trip
-    check_vertices(view, trip, "terminal")
-    if len({x, y, z}) != 3:
-        raise ValueError("need three distinct terminals")
+    x, y, z = trip = check_triple(view, trip, "terminal")
     if len(counts) != 3:
         raise ValueError(f"need three counts, not {len(counts)}")
     if any(type(c) is not int for c in counts):
@@ -231,13 +230,13 @@ def _hops(view, u: int, v: int, blocked: set[int]) -> int | None:
     ``blocked``, or None when there is none.
 
     Best-first from u under g + h, g the edges from u and h the view's
-    distance to v (``flow.sink_distances``), with stale queue entries
+    distance to v (``cube.sink_distances``), with stale queue entries
     skipped.  Each view keeps a subset of the cube's edges, so h never
     overestimates and drops by at most one per edge: the first time v is
     popped its key is exact, and the search stays near the shortest paths.
     With no distance (0 everywhere) the search is breadth-first.
     """
-    h, dist = sink_distances(view, v)
+    h = sink_distances(view, v)
     best = {u: 0}
     heap = [(0, 0, u)]  # (g + h, -g, vertex): deepest first on a tie
     while heap:
@@ -251,11 +250,8 @@ def _hops(view, u: int, v: int, blocked: set[int]) -> int | None:
         for x in view.neighbors(w):
             if x != v and x in blocked or best.get(x, g + 1) <= g:
                 continue
-            hx = h.get(x)
-            if hx is None:
-                hx = h[x] = dist(x)
             best[x] = g
-            heappush(heap, (g + hx, -g, x))
+            heappush(heap, (g + h[x], -g, x))
     return None
 
 
@@ -284,36 +280,32 @@ def _enum_segments(view, u: int, v: int, blocked: set[int],
     start = shortest
     if floor_key is not None:
         start = max(start, floor_key[0] - 1)
-    to_v, dist = sink_distances(view, v)
+    to_v = sink_distances(view, v)
     for length in range(start, top):
-        for seg in _extend(view, [u], set(), v, blocked, to_v, dist, length):
+        for seg in _extend(view, [u], set(), v, blocked, to_v, length):
             if floor_key is None or _seg_key(seg) > floor_key:
                 yield seg
 
 
 def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
-            to_v: dict[int, int], dist, length: int):
+            to_v: dict[int, int], length: int):
     """Completions of ``path`` into segments ending at v with ``length``
     edges, in the view's neighbor order; ``used`` holds path's interior.  A
-    vertex is entered only when its distance to v (memoised in ``to_v``,
-    computed by ``dist``; see ``flow.sink_distances``) fits the edges left
-    after it: a lower bound on the hops, so no completion is lost.  A
-    module-level generator, so a search leaves no closure cycle behind."""
+    vertex is entered only when its distance to v (``to_v``, the view's
+    table, ``cube.sink_distances``) fits the edges left after it: a lower
+    bound on the hops, so no completion is lost.  A module-level
+    generator, so a search leaves no closure cycle behind."""
     room = length - len(path)  # edges still to place after this hop
     for w in view.neighbors(path[-1]):
         if w == v:
             if room == 0:
                 yield (*path, v)
-        elif room > 0 and w not in blocked and w not in used:
-            d = to_v.get(w)
-            if d is None:
-                d = to_v[w] = dist(w)
-            if d <= room:
-                path.append(w)
-                used.add(w)
-                yield from _extend(view, path, used, v, blocked, to_v, dist, length)
-                path.pop()
-                used.discard(w)
+        elif room > 0 and w not in blocked and w not in used and to_v[w] <= room:
+            path.append(w)
+            used.add(w)
+            yield from _extend(view, path, used, v, blocked, to_v, length)
+            path.pop()
+            used.discard(w)
 
 
 def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:

@@ -25,10 +25,10 @@ from aqpath.cube import (
     hyper_word,
     map_vertex,
     orbit_representatives,
+    sink_distances,
     symmetries,
 )
-from aqpath.flow import (disjoint_paths, fan, linkage, min_vertex_cut,
-                         sink_distances)
+from aqpath.flow import disjoint_paths, fan, linkage, min_vertex_cut
 from aqpath.oracle import (brute_small, common_neighbors, cube_upper_bound,
                            max_dpaths, regular_upper_bound, witness_triple)
 from aqpath.packing import pack_segments
@@ -134,6 +134,29 @@ def test_every_entry_point_takes_integer_vertices_of_the_view_only(view, call, b
     v = view.vertex_count if bad is PAST else bad
     with pytest.raises(ValueError, match=r"(is not an integer|not in view)$"):
         call(view, v)
+
+
+# every public entry point that takes a terminal triple D, as (view, call)
+ON_A_TRIPLE = {
+    "construct": (AugmentedCube(4), lambda g, D: construct(4, D)),
+    "max_dpaths": (AugmentedCube(4), max_dpaths),
+    "brute_small": (AQ3, brute_small),
+    "pack_segments": (AQ3, lambda g, D: pack_segments(g, D, (1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", ON_A_TRIPLE)
+def test_every_triple_entry_point_reads_its_triple_once(name):
+    # a one-shot iterable gives the answer its tuple gives, and two or
+    # four vertices are refused, as a tuple or as an iterable
+    view, call = ON_A_TRIPLE[name]
+    D = (0, 3, 5)
+    want = call(view, D)
+    assert want and call(view, iter(D)) == want
+    for bad in ((0, 3), (0, 3, 5, 6)):
+        for arg in (bad, iter(bad)):
+            with pytest.raises(ValueError, match="three distinct"):
+                call(view, arg)
 
 
 @pytest.mark.parametrize("n", [True, 6.0, 7.5], ids=["bool", "whole-float", "fraction"])
@@ -263,7 +286,7 @@ def test_prefix_view_rows_are_the_filtered_cube_rows(n):
     for view in prefix_views(cube):
         for x in range(1 << n):
             if x in view:
-                # the filter every view ran before it kept words per prefix
+                # the filter every view ran before it kept one word tuple
                 want = tuple(w for w in reference.neighbors(x) if w in view)
                 assert view.neighbors(x) == want
             else:
@@ -507,10 +530,10 @@ def test_the_widest_construct_reads_its_distances_in_closed_form():
     for x in (t ^ from_gray(w << n - 18) for w in range(1 << 18)):
         assert dist(x) == distance(x, t)
     for t in sinks:
-        _, dist = sink_distances(cube, t)
+        h = sink_distances(cube, t)
         for _ in range(600):
             x = rng.getrandbits(n)
-            assert dist(x) == distance(x, t)
+            assert h[x] == distance(x, t)
 
 
 def test_cube_views_share_the_cube_table():

@@ -14,14 +14,16 @@ from aqpath.textio import parse_graph, render_graph
 
 @pytest.mark.parametrize("trip, counts, message", [
     ((0, 1, 0), (1, 1, 1), "three distinct terminals"),
+    ((0, 1), (1, 1, 1), "three distinct terminals"),
+    ((0, 1, 2, 3), (1, 1, 1), "three distinct terminals"),
     ((0, 1, 2), (1, -1, 1), "negative demand"),
     ((0, 1, 8), (1, 1, 1), "terminal 8 not in view"),
     ((0, 1, 2), (1, 1), "need three counts, not 2"),
     ((0, 1, 2), (1, 1, 1, 0), "need three counts, not 4"),
     ((0, 1, 2), (1.5, 1, 1), "counts must be integers"),
     ((0, 1, 2), (1, True, 1), "counts must be integers"),
-], ids=["repeated", "negative", "outside", "two-counts", "four-counts",
-        "fractional", "bool"])
+], ids=["repeated", "two-terminals", "four-terminals", "negative", "outside",
+        "two-counts", "four-counts", "fractional", "bool"])
 def test_a_triangle_outside_the_contract_is_rejected(trip, counts, message):
     with pytest.raises(ValueError, match=message):
         pack_segments(AugmentedCube(3), trip, counts)

@@ -100,11 +100,24 @@ def test_the_constructor_runs_no_whole_cube_search():
 def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
     # ``cube.symmetries`` alone decides which views have symmetries and
     # leaves out the identity, so the packing search needs nothing else
-    # from the cube than the maps it applies and the vertex check every
-    # entry point shares
+    # from the cube than the maps it applies, the triple check every
+    # entry point shares and the distance tables the flows share too
     tree = parse_module("packing.py")
-    assert sorted(imported_names(tree, "cube")) == ["check_vertices", "map_vertex",
-                                                     "symmetries"]
+    assert sorted(imported_names(tree, "cube")) == ["check_triple", "map_vertex",
+                                                     "sink_distances", "symmetries"]
+
+
+def test_the_cube_alone_owns_the_distance_tables_and_the_triple_check():
+    # ``cube.sink_distances`` is the one reader of a view's tables, and
+    # ``cube.check_triple`` the one check of a terminal triple: a second
+    # copy of either elsewhere would drift
+    for path in Path(aqpath.__file__).parent.glob("*.py"):
+        tree = parse_module(path.name)
+        touched = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "to_sink"]
+        assert path.name == "cube.py" or not touched, (path.name, touched)
+    for name in ("construct.py", "oracle.py", "packing.py"):
+        assert calls_by_function(parse_module(name), "check_triple"), name
 
 
 def test_the_referee_imports_no_library_module():
