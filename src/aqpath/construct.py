@@ -29,13 +29,16 @@ The cases by how the triple meets the two-leading-bit decomposition:
 
 The case table ``_CASES`` maps each label to its builder and to the number
 of dimensions down to the next level, if any.  All direct ladders share one
-assembler, ``_ladder``: ``_backbones`` takes just the x-y paths a ladder
+assembler, ``_ladder``, which builds everything they have in common and
+hands back what is left: ``_backbones`` takes just the x-y paths a ladder
 keeps whole in one sub-cube from ``disjoint_paths``, the neighbours of x
 and y that none takes are the rung vertices, z fans out in the sibling
 sub-cube, and each rung runs along a backbone to a rung vertex, over that
-vertex's matching edge across a mask word, and along the fan to z.  The
-even-step builders serve n = 4 as well, so only B1 and B3.2, which no
-general builder covers, keep a builder of their own.
+vertex's matching edge across a mask word, and along the fan to z.  E2.1,
+E2.2, E3 and O2 then add only their own few paths from the backbones the
+rungs leave, the last rung vertex f and the fan.  The even-step builders
+serve n = 4 as well, so only B1 and B3.2, which no general builder covers,
+keep a builder of their own.
 
 The levels run in one loop (``_construct_level``) with one level's cube
 alive at a time: each path is pulled to the top cube's labels and oriented
@@ -50,8 +53,8 @@ fails the check, ``construct`` raises ``ConstructionError``; shortfall is
 never silent and never patched up by a second search.
 
 No case runs a search that needs a budget.  Every path it asks of
-``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, the
-linkages, and E1.2 and E2.2's three prescribed pairs, ``_route_pairs``,
+``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, O1's
+linkage, and the prescribed pairs of E1.1, E1.2 and E2.2, ``_route_pairs``,
 one pair at a time) is walked by closer steps (``flow.route``): a fan's
 walk leaves z by whichever free neighbour it arrives from, and a bundle's
 stuck walk is retried toward each free neighbour of the far end.  A unit
@@ -64,7 +67,6 @@ its time alone, and above it ``construct`` raises ``cube.ResourceGuard``.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .cube import AugmentedCube, ResourceGuard, RestrictedView, check_triple
@@ -186,31 +188,21 @@ def _normalize(cube, trip):
             x = next(v for v in xyz
                      if any(v ^ w == 2 for w in xyz) and any(v ^ w == 1 for w in xyz))
             return word ^ x, CASE_B1, (0, 2, 1)
-        mate = _find_mate(xyz, h2w - 1)
-        if mate is not None:
-            z = next(v for v in xyz if v not in mate)
-            return word, CASE_E11, (*mate, z)
+        z, x, y = _roles_avoiding_mate(xyz, h2w - 1)
+        if x ^ y == h2w - 1:  # the pair is suffix mates
+            return word, CASE_E11, (x, y, z)
         return word, CASE_E12, xyz
     if z ^ c2w in (x, y):  # z's mate is in the pair: it plays x
         return word, CASE_E21, (z ^ c2w, x ^ y ^ z ^ c2w, z)
     return word, CASE_E22, xyz
 
 
-def _find_mate(vals, mask):
-    for u, v in itertools.combinations(sorted(vals), 2):
-        if u ^ v == mask:
-            return u, v
-    return None
-
-
 def _roles_avoiding_mate(vals, mask):
-    """Pick x so that x ^ mask is not a terminal; y, z ascending."""
-    mate = _find_mate(vals, mask)
-    if mate is None:
-        return tuple(sorted(vals))
-    x = next(v for v in vals if v not in mate)
-    rest = sorted(v for v in vals if v != x)
-    return (x, rest[0], rest[1])
+    """Pick x, the first of the ascending ``vals`` whose mate ``x ^ mask``
+    is not a terminal (at most two are mates, so the third is x if they
+    are); y, z ascending."""
+    x = next(v for v in vals if v ^ mask not in vals)
+    return (x, *(v for v in vals if v != x))
 
 
 # -- shared assembly helpers -------------------------------------------
@@ -264,15 +256,23 @@ def _backbones(view, x, y, k):
     return [list(p) for p in ps], xi[:k - 2], yi[:k - 2], yi[k - 2]
 
 
-def _ladder(x, y, ps, xi, yi, k, fanm, mask):
-    """k rungs from x's side and k from y's side, each a backbone extended by
-    one rung vertex and its crossing to z; then one bridged rung x..z..y
-    through each remaining pair xi[i], yi[i] of rung vertices."""
-    paths = [_rev(ps[i]) + [xi[i]] + _cross(fanm, mask, xi[i]) for i in range(k)]
-    paths += [ps[k + i] + [yi[i]] + _cross(fanm, mask, yi[i]) for i in range(k)]
-    paths += [[x, xi[i]] + _cross(fanm, mask, xi[i], yi[i]) + [yi[i], y]
+def _ladder(home, sibling, mask, x, y, z, size, k, fan_f=True):
+    """One ladder: ``size`` backbones of x and y in ``home``
+    (``_backbones``) and z's fan in ``sibling`` to the images across
+    ``mask`` of the rung vertices, x and y, and of f unless ``fan_f`` is
+    false.  The rungs are k from x's side and k from y's side, each a
+    backbone extended by one rung vertex and its crossing to z, then one
+    bridged rung x..z..y through each remaining pair xi[i], yi[i] of rung
+    vertices.  Returns the rungs, the backbones they leave, f and the fan
+    map, for the case's own paths."""
+    ps, xi, yi, f = _backbones(home, x, y, size)
+    ends = xi + yi + [x, y] + ([f] if fan_f else [])
+    fanm = _fan_map(sibling, z, [w ^ mask for w in ends])
+    rungs = [_rev(ps[i]) + [xi[i]] + _cross(fanm, mask, xi[i]) for i in range(k)]
+    rungs += [ps[k + i] + [yi[i]] + _cross(fanm, mask, yi[i]) for i in range(k)]
+    rungs += [[x, xi[i]] + _cross(fanm, mask, xi[i], yi[i]) + [yi[i], y]
               for i in range(k, len(yi))]
-    return paths
+    return rungs, ps[2 * k:], f, fanm
 
 
 def _route_pairs(view, pairs):
@@ -332,22 +332,19 @@ def _even_one_quadrant_mated(cube, x, y, z):
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w, c2w = (1 << n) - 1, (1 << (n - 1)) - 1
     a = z ^ (c1w ^ h2w)  # the one neighbor of z's complement inside quadrant 10
-    ends = {x ^ h1w, y ^ h1w, z ^ h1w, a}
-    if len(ends) != 4:
-        raise _CaseInfeasible("quadrant-10 linkage endpoints collide")
-    lk = linkage(cube.quadrant_view(0b10), [x ^ h1w, y ^ h1w], [z ^ h1w, a])
+    if len({x ^ h1w, y ^ h1w, z ^ h1w, a}) != 4:
+        raise _CaseInfeasible("quadrant-10 pair endpoints collide")
+    # x's image runs to z's, next to z; y's to a, next to z's complement,
+    # which is next to z: the third path is x..z..y
+    ph, phy = _route_pairs(cube.quadrant_view(0b10), [(x ^ h1w, z ^ h1w), (y ^ h1w, a)])
     dia = RestrictedView(cube.diamond_view(0b01, 0b11),
                          forbidden_vertices={x ^ h2w, y ^ h2w, z ^ c1w})
-    lk2 = linkage(dia, [x ^ c1w, y ^ c1w], [z ^ c2w, z ^ h2w])
-    px, py = list(lk2[x ^ c1w]), list(lk2[y ^ c1w])
-    ph, phy = list(lk[x ^ h1w]), list(lk[y ^ h1w])
-    psi_a = [y, x ^ h2w, x] + px + [z]
-    psi_b = [x, y ^ h2w, y] + py + [z]
-    if ph[-1] == z ^ h1w:
-        psi_c = [x] + ph + [z, z ^ c1w] + _rev(phy) + [y]
-    else:
-        psi_c = [x] + ph + [z ^ c1w, z] + _rev(phy) + [y]
-    return [psi_a, psi_b, psi_c]
+    py, px = _route_pairs(dia, [(y ^ c1w, z ^ h2w), (x ^ c1w, z ^ c2w)])
+    return [
+        [y, x ^ h2w, x] + px + [z],
+        [x, y ^ h2w, y] + py + [z],
+        [x] + ph + [z, z ^ c1w] + _rev(phy) + [y],
+    ]
 
 
 def _even_one_quadrant_generic(cube, x, y, z):
@@ -371,16 +368,15 @@ def _even_pair_sibling_mated(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
-    ps, xi, yi, f = _backbones(cube.quadrant_view(0b00), x, y, n - 2)
+    rungs, (p, q), f, fanm = _ladder(cube.quadrant_view(0b00), cube.quadrant_view(0b01),
+                                     h2w, x, y, z, n - 2, n // 2 - 2)
     # f's rung runs from x through x's own sibling image (otherwise unused),
     # along the fan to f's image, and on to y
-    fanm = _fan_map(cube.quadrant_view(0b01), z, [w ^ h2w for w in xi + yi + [f, x, y]])
-    k = n // 2 - 2
-    return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
+    return rungs + [
         [x] + _cross(fanm, h2w, x, f) + [f, y],
         [x] + fanm[y ^ h2w] + [y],             # x-z edge, fan back to y
-        _rev(ps[2 * k]) + [x ^ h1w, z],        # z's complement is x^h
-        _rev(ps[2 * k + 1]) + [x ^ c1w, z],
+        _rev(p) + [x ^ h1w, z],                # z's complement is x^h
+        _rev(q) + [x ^ c1w, z],
     ]
 
 
@@ -388,30 +384,27 @@ def _even_pair_sibling_generic(cube, x, y, z):
     n = cube.n
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w = (1 << n) - 1
-    ps, xi, yi, f = _backbones(cube.quadrant_view(0b00), x, y, n - 2)
-    fanm = _fan_map(cube.quadrant_view(0b01), z, [w ^ h2w for w in xi + yi + [f, x, y]])
+    rungs, (p, q), f, fanm = _ladder(cube.quadrant_view(0b00), cube.quadrant_view(0b01),
+                                     h2w, x, y, z, n - 2, n // 2 - 2)
     l1, l2, l3 = _route_pairs(cube.half_view(1),
                               [(x ^ h1w, z ^ c1w), (x ^ c1w, y ^ h1w),
                                (y ^ c1w, z ^ h1w)])
-    k = n // 2 - 2
-    return _ladder(x, y, ps, xi, yi, k, fanm, h2w) + [
+    return rungs + [
         [x] + _cross(fanm, h2w, x, y) + [y],
-        ps[2 * k] + [f] + _cross(fanm, h2w, f),
-        _rev(ps[2 * k + 1]) + l1 + [z],
+        p + [f] + _cross(fanm, h2w, f),
+        _rev(q) + l1 + [z],
         [x] + l2 + [y] + l3 + [z],
     ]
 
 
 def _even_cross_half(cube, x, y, z):
-    n = cube.n
-    h1w = 1 << (n - 1)
-    ps, xi, yi, f = _backbones(cube.half_view(0), x, y, n - 1)
-    fanm = _fan_map(cube.half_view(1), z, [w ^ h1w for w in xi + yi + [f, x, y]])
-    k = n // 2 - 2
-    return _ladder(x, y, ps, xi, yi, k, fanm, h1w) + [
-        ps[2 * k] + [f] + _cross(fanm, h1w, f),
-        _rev(ps[2 * k + 1]) + _cross(fanm, h1w, x),
-        ps[2 * k + 2] + _cross(fanm, h1w, y),
+    h1w = 1 << (cube.n - 1)
+    rungs, (p, q, r), f, fanm = _ladder(cube.half_view(0), cube.half_view(1),
+                                        h1w, x, y, z, cube.n - 1, cube.n // 2 - 2)
+    return rungs + [
+        p + [f] + _cross(fanm, h1w, f),
+        _rev(q) + _cross(fanm, h1w, x),
+        r + _cross(fanm, h1w, y),
     ]
 
 
@@ -435,13 +428,10 @@ def _odd_same_half(cube, x, y, z):
 
 
 def _odd_cross_half(cube, x, y, z):
-    n = cube.n
-    h1w = 1 << (n - 1)
-    ps, xi, yi, _ = _backbones(cube.half_view(0), x, y, n - 1)
-    fanm = _fan_map(cube.half_view(1), z, [w ^ h1w for w in xi + yi + [x, y]])
-    paths = _ladder(x, y, ps, xi, yi, (n - 1) // 2, fanm, h1w)
-    paths.append([x] + _cross(fanm, h1w, x, y) + [y])
-    return paths
+    h1w = 1 << (cube.n - 1)
+    rungs, _, _, fanm = _ladder(cube.half_view(0), cube.half_view(1), h1w,
+                                x, y, z, cube.n - 1, (cube.n - 1) // 2, fan_f=False)
+    return rungs + [[x] + _cross(fanm, h1w, x, y) + [y]]
 
 
 # case -> (builder, dimensions down to the next level, 0 at the last; a

@@ -88,7 +88,7 @@ caller passes a ``Budget``; running out raises, never an approximation.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cube import check_triple, map_vertex, sink_distances, symmetries
 from .flow import UnitFlowNet
@@ -121,7 +121,7 @@ Demand = tuple[int, int, int]  # (u, v, count)
 Segment = tuple[int, ...]
 
 
-def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
+def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
                   budget: Budget | None = None) -> list[list[Segment]] | None:
     """For trip = (x, y, z), ``counts[i]`` segments for the i-th of the
     pairs x-y, y-z and x-z, as three sorted lists whose segments run from
@@ -131,6 +131,7 @@ def pack_segments(view, trip: Sequence[int], counts: Sequence[int],
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
     x, y, z = trip = check_triple(view, trip, "terminal")
+    counts = tuple(counts)  # read once: the counts may be a one-shot iterable
     if len(counts) != 3:
         raise ValueError(f"need three counts, not {len(counts)}")
     if any(type(c) is not int for c in counts):

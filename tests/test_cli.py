@@ -167,6 +167,35 @@ def test_decimal_vertices_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("triple, message", [
+    ("0000,0001", "three comma-separated"),
+    ("0000,0001,0001", "must be distinct"),
+], ids=["two-vertices", "repeated-vertex"])
+def test_a_malformed_triple_exits_2(capsys, triple, message):
+    code, out, err = run(capsys, "construct", "--n", "4", "--triple", triple)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_gen_writes_to_a_file_what_it_prints(tmp_path, capsys):
+    _, printed, _ = run(capsys, "gen", "--n", "3")
+    graph_file = tmp_path / "aq3.txt"
+    code, out, _ = run(capsys, "gen", "--n", "3", "--out", str(graph_file))
+    assert code == 0
+    assert out == ""
+    assert graph_file.read_text(encoding="utf-8") == printed
+
+
+def test_verify_refuses_a_family_of_another_width(tmp_path, capsys):
+    fam = construct(4, (0, 2, 1))
+    fam_file = tmp_path / "family.txt"
+    fam_file.write_text(render_family((0, 2, 1), fam.paths, 4), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--n", "5", "--family", str(fam_file))
+    assert code == 1
+    assert out == "VIOLATION WrongGraph: family uses 4-bit vertices, --n 5\n"
+
+
 def test_byte_identical_reruns(capsys):
     _, a, _ = run(capsys, "construct", "--n", "6", "--triple",
                "000001,001010,111100", "--trace")

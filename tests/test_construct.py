@@ -361,6 +361,22 @@ def test_every_triple_of_small_cubes_reaches_every_case():
     assert seen == set(module._CASES)
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_every_one_quadrant_mated_input_builds(n):
+    # every input (x, x ^ m, z) of the E1.1 builder, m the suffix mask and
+    # x < x ^ m: its prescribed pairs are routed as given whichever side
+    # of quadrant 00 z lies in
+    cube = AugmentedCube(n)
+    m = (1 << (n - 2)) - 1
+    for x, z in itertools.permutations(range(1 << (n - 2)), 2):
+        if x < x ^ m != z:
+            trip = (x, x ^ m, z)
+            fam = construct(n, trip)
+            assert (fam.trace[0].case, fam.trace[0].roles) == ("E1.1", trip)
+            assert len(fam.paths) == target_count(n)
+            assert check_family(cube, trip, fam.paths) is None, trip
+
+
 def build_every_pair_sibling_mated_input(n):
     # every input (x, y, x ^ c2w) of the E2.1 builder, x != y in quadrant 00
     cube = AugmentedCube(n)
@@ -504,6 +520,30 @@ def test_routed_pairs_are_vertex_disjoint_or_insufficient():
                             - {33, 34})
     with pytest.raises(Insufficient):
         module._route_pairs(walled, pairs)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_odd_same_half_takes_either_pairing_of_its_linkage(monkeypatch, n):
+    # O1 joins x's two images to y's and z's across the halves and lets the
+    # flow pick the pairing; forced to the crossed one (x ^ h to z ^ h), it
+    # still builds a verified family for every O1 orbit representative
+    module = importlib.import_module("aqpath.construct")
+    crossed = []
+
+    def crossed_linkage(view, side_a, side_b):
+        (a0, a1), (b0, b1) = side_a, side_b
+        crossed.append((a0, b1))
+        return {p[0]: tuple(p) for p in module._route_pairs(view, [(a0, b1), (a1, b0)])}
+
+    monkeypatch.setattr(module, "linkage", crossed_linkage)
+    cube = AugmentedCube(n)
+    odd = [d for d in orbit_representatives(n) if module._normalize(cube, d)[1] == "O1"]
+    assert odd
+    for d in odd:
+        fam = construct(n, d)
+        assert len(fam.paths) == target_count(n)
+        assert check_family(cube, d, fam.paths) is None, d
+    assert len(crossed) == len(odd)
 
 
 def first_seeded_triples(n, same_half):

@@ -22,11 +22,21 @@ from aqpath.textio import parse_graph, render_graph
     ((0, 1, 2), (1, 1, 1, 0), "need three counts, not 4"),
     ((0, 1, 2), (1.5, 1, 1), "counts must be integers"),
     ((0, 1, 2), (1, True, 1), "counts must be integers"),
+    ((0, 1, 2), iter([1, 1]), "need three counts, not 2"),
+    ((0, 1, 2), iter([1, -1, 1]), "negative demand"),
 ], ids=["repeated", "two-terminals", "four-terminals", "negative", "outside",
-        "two-counts", "four-counts", "fractional", "bool"])
+        "two-counts", "four-counts", "fractional", "bool", "two-count-iterator",
+        "negative-iterator"])
 def test_a_triangle_outside_the_contract_is_rejected(trip, counts, message):
     with pytest.raises(ValueError, match=message):
         pack_segments(AugmentedCube(3), trip, counts)
+
+
+def test_counts_are_read_once():
+    # a one-shot iterable of counts answers as the tuple of its items does
+    cube = AugmentedCube(3)
+    assert (pack_segments(cube, (0, 1, 2), iter([1, 1, 1]))
+            == pack_segments(cube, (0, 1, 2), (1, 1, 1)))
 
 
 def test_a_budget_is_never_negative():

@@ -159,6 +159,25 @@ def test_only_the_router_the_repair_and_the_packer_build_a_net():
                      ("packing.py", "_saturate")}
 
 
+LADDER_BUILDERS = ["_even_pair_sibling_mated", "_even_pair_sibling_generic",
+                   "_even_cross_half", "_odd_cross_half"]
+
+
+def test_the_ladder_cases_share_one_assembler():
+    # ``construct._ladder`` builds the backbones, z's fan and the rungs of
+    # every ladder, so a builder that asks for either itself holds a second
+    # copy of the recipe
+    tree = parse_module("construct.py")
+    assert sorted(calls_by_function(tree, "_ladder")) == sorted(LADDER_BUILDERS)
+    for helper in ("_backbones", "_fan_map"):
+        assert not set(calls_by_function(tree, helper)) & set(LADDER_BUILDERS), helper
+
+
+def test_only_the_odd_same_half_case_lets_a_flow_pick_its_pairing():
+    # every other prescribed pair is routed as given (``_route_pairs``)
+    assert calls_by_function(parse_module("construct.py"), "linkage") == ["_odd_same_half"]
+
+
 def test_only_the_vertex_check_and_the_referee_test_for_a_bool():
     # ``cube.check_vertices`` is the one vertex check of every entry point;
     # the referee keeps its own, so a second copy elsewhere would drift
