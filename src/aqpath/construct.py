@@ -47,10 +47,10 @@ once, and the deepest level's paths come first.
 The whole family ends at the verifier, once per call: it must have the
 target count and pass ``verify.check_family``.  A sub-family lies in
 quadrant 00 or half 0, an induced sub-cube, so that check referees its
-paths too.  If a transcription cannot be realized on some triple (named
-vertices colliding, too few disjoint paths or rung vertices) or the family
-fails the check, ``construct`` raises ``ConstructionError``; shortfall is
-never silent and never patched up by a second search.
+paths too.  If a transcription cannot be realized on some triple (too
+few disjoint paths or rung vertices) or the family fails the check,
+``construct`` raises ``ConstructionError``; shortfall is never silent and
+never patched up by a second search.
 
 No case runs a search that needs a budget.  Every path it asks of
 ``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, O1's
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cube import AugmentedCube, ResourceGuard, RestrictedView, check_triple
+from .cube import AugmentedCube, ResourceGuard, check_triple
 from .flow import Insufficient, disjoint_paths, fan, linkage, route
 from .verify import check_family
 
@@ -88,10 +88,6 @@ CONSTRUCT_MAX_N = 128
 
 class ConstructionError(RuntimeError):
     """The constructor could not deliver the guaranteed count (a bug signal)."""
-
-
-class _CaseInfeasible(Exception):
-    """A literal case transcription does not fit this triple."""
 
 
 def target_count(n: int) -> int:
@@ -127,7 +123,7 @@ def construct(n: int, triple) -> DPathFamily:
     trip = check_triple(cube, triple)
     try:
         paths, trace = _construct_level(cube, trip)
-    except (_CaseInfeasible, Insufficient) as exc:
+    except Insufficient as exc:
         raise ConstructionError(f"no family built for {trip} at n = {n}: "
                                 f"{exc}") from exc
     if len(paths) != want:
@@ -178,16 +174,23 @@ def _normalize(cube, trip):
     word = lead & (h1w | h2w) if same_half else lead & h1w
     x, y, z = xyz = tuple(sorted(v ^ word for v in trip))
     if not same_half:
+        # B3.2's fan targets x ^ h1w, y ^ h1w, x ^ c1w, y ^ c1w collide only
+        # if x ^ y = h1w ^ c1w = c2w, and that pair goes to E3
         if n == 4 and x ^ y != c2w:
             return word, CASE_B32, xyz
         return word, CASE_O2 if n % 2 else CASE_E3, xyz
     if n % 2 == 1:
+        # x's mate x ^ c2w is no terminal, so O1's linkage sides are
+        # disjoint: x ^ c1w = y ^ h1w (or z ^ h1w) only if y (or z) is it
         return word, CASE_O1, _roles_avoiding_mate(xyz, c2w)
     if z < h2w:  # all three in quadrant 00
         if n == 4:
             x = next(v for v in xyz
                      if any(v ^ w == 2 for w in xyz) and any(v ^ w == 1 for w in xyz))
             return word ^ x, CASE_B1, (0, 2, 1)
+        # z's suffix mate is no terminal, so E1.1's quadrant-10 ends x ^ h1w,
+        # y ^ h1w, z ^ h1w and z ^ c1w ^ h2w are distinct: the last equals
+        # x ^ h1w (or y ^ h1w) only if x (or y) is z ^ (h2w - 1)
         z, x, y = _roles_avoiding_mate(xyz, h2w - 1)
         if x ^ y == h2w - 1:  # the pair is suffix mates
             return word, CASE_E11, (x, y, z)
@@ -208,17 +211,12 @@ def _roles_avoiding_mate(vals, mask):
 # -- shared assembly helpers -------------------------------------------
 
 
-def _rev(p):
-    return list(reversed(p))
-
-
 def _fan_map(view, z, targets):
-    """Fan paths keyed by target; a target equal to z maps to the trivial
-    stub so degenerate attachments assemble uniformly."""
-    want = [t for t in targets if t != z]
-    if len(set(want)) != len(want):
-        raise _CaseInfeasible("fan targets collide")
-    got = {t: list(p) for t, p in fan(view, z, want).items()} if want else {}
+    """Fan paths keyed by target, which the roles make distinct (see
+    ``_normalize`` and ``_ladder``); a target equal to z maps to the
+    trivial stub so degenerate attachments assemble uniformly."""
+    paths = fan(view, z, [t for t in targets if t != z])
+    got = {t: list(p) for t, p in paths.items()}
     got[z] = [z]
     return got
 
@@ -226,7 +224,7 @@ def _fan_map(view, z, targets):
 def _cross(fanm, mask, w, then=None):
     """From w's image across ``mask`` along its fan path to z; given
     ``then``, on from z along the fan path to then's image."""
-    path = _rev(fanm[w ^ mask])
+    path = fanm[w ^ mask][::-1]
     return path if then is None else path + fanm[then ^ mask][1:]
 
 
@@ -266,22 +264,25 @@ def _ladder(home, sibling, mask, x, y, z, size, k, fan_f=True):
     vertices.  Returns the rungs, the backbones they leave, f and the fan
     map, for the case's own paths."""
     ps, xi, yi, f = _backbones(home, x, y, size)
+    # the ends are distinct, and so are z's fan targets: ``_backbones``
+    # puts a common neighbour on one side only, and if x ~ y the bundle's
+    # first path is the edge x-y, so x and y are taken
     ends = xi + yi + [x, y] + ([f] if fan_f else [])
     fanm = _fan_map(sibling, z, [w ^ mask for w in ends])
-    rungs = [_rev(ps[i]) + [xi[i]] + _cross(fanm, mask, xi[i]) for i in range(k)]
+    rungs = [ps[i][::-1] + [xi[i]] + _cross(fanm, mask, xi[i]) for i in range(k)]
     rungs += [ps[k + i] + [yi[i]] + _cross(fanm, mask, yi[i]) for i in range(k)]
     rungs += [[x, xi[i]] + _cross(fanm, mask, xi[i], yi[i]) + [yi[i], y]
               for i in range(k, len(yi))]
     return rungs, ps[2 * k:], f, fanm
 
 
-def _route_pairs(view, pairs):
+def _route_pairs(view, pairs, avoid=()):
     """Vertex-disjoint paths joining each pair in turn, each walked, or one
     flow path where the walk falls short (``flow.route``), over ``view``
-    blocked at the other pairs' ends and the paths already routed (else
-    ``Insufficient``); the pairs share the view's memoised rows and sink
-    distances."""
-    blocked = {v for pair in pairs for v in pair}
+    blocked at ``avoid``, the other pairs' ends and the paths already
+    routed (else ``Insufficient``); the pairs share the view's memoised
+    rows and sink distances."""
+    blocked = {*avoid, *(v for pair in pairs for v in pair)}
     routed = []
     for a, b in pairs:
         got = route(view, {a: 1}, [b], blocked, [(a, b)], 1)
@@ -313,13 +314,13 @@ def _base_bundle(cube, x, y, z):
     # x, y in half 0, z in half 1: the four bundle paths cross to z's half
     # over the leading bit h and over the complement word 1111
     h = 0b1000
-    bundle = disjoint_paths(cube.half_view(0), x, y, 4)
+    bundle = [list(p) for p in disjoint_paths(cube.half_view(0), x, y, 4)]
     fanm = _fan_map(cube.half_view(1), z, [x ^ h, y ^ h, x ^ 0b1111, y ^ 0b1111])
     return [
-        _rev(bundle[0]) + _cross(fanm, h, x),
-        list(bundle[1]) + _cross(fanm, h, y),
-        _rev(bundle[2]) + _cross(fanm, 0b1111, x),
-        list(bundle[3]) + _cross(fanm, 0b1111, y),
+        bundle[0][::-1] + _cross(fanm, h, x),
+        bundle[1] + _cross(fanm, h, y),
+        bundle[2][::-1] + _cross(fanm, 0b1111, x),
+        bundle[3] + _cross(fanm, 0b1111, y),
     ]
 
 
@@ -332,18 +333,16 @@ def _even_one_quadrant_mated(cube, x, y, z):
     h1w, h2w = 1 << (n - 1), 1 << (n - 2)
     c1w, c2w = (1 << n) - 1, (1 << (n - 1)) - 1
     a = z ^ (c1w ^ h2w)  # the one neighbor of z's complement inside quadrant 10
-    if len({x ^ h1w, y ^ h1w, z ^ h1w, a}) != 4:
-        raise _CaseInfeasible("quadrant-10 pair endpoints collide")
     # x's image runs to z's, next to z; y's to a, next to z's complement,
     # which is next to z: the third path is x..z..y
     ph, phy = _route_pairs(cube.quadrant_view(0b10), [(x ^ h1w, z ^ h1w), (y ^ h1w, a)])
-    dia = RestrictedView(cube.diamond_view(0b01, 0b11),
-                         forbidden_vertices={x ^ h2w, y ^ h2w, z ^ c1w})
-    py, px = _route_pairs(dia, [(y ^ c1w, z ^ h2w), (x ^ c1w, z ^ c2w)])
+    py, px = _route_pairs(cube.diamond_view(0b01, 0b11),
+                          [(y ^ c1w, z ^ h2w), (x ^ c1w, z ^ c2w)],
+                          (x ^ h2w, y ^ h2w, z ^ c1w))
     return [
         [y, x ^ h2w, x] + px + [z],
         [x, y ^ h2w, y] + py + [z],
-        [x] + ph + [z, z ^ c1w] + _rev(phy) + [y],
+        [x] + ph + [z, z ^ c1w] + phy[::-1] + [y],
     ]
 
 
@@ -357,8 +356,8 @@ def _even_one_quadrant_generic(cube, x, y, z):
     q1, q2, q3 = _route_pairs(cube.half_view(1),
                               [(x ^ h1w, z ^ h1w), (y ^ h1w, z ^ c1w),
                                (x ^ c1w, y ^ c1w)])
-    psi_1 = [x] + p1 + [z] + _rev(p2) + [y]
-    psi_2 = [y] + _rev(p3) + [x] + q1 + [z]
+    psi_1 = [x] + p1 + [z] + p2[::-1] + [y]
+    psi_2 = [y] + p3[::-1] + [x] + q1 + [z]
     psi_3 = [x] + q3 + [y] + q2 + [z]
     return [psi_1, psi_2, psi_3]
 
@@ -375,8 +374,8 @@ def _even_pair_sibling_mated(cube, x, y, z):
     return rungs + [
         [x] + _cross(fanm, h2w, x, f) + [f, y],
         [x] + fanm[y ^ h2w] + [y],             # x-z edge, fan back to y
-        _rev(p) + [x ^ h1w, z],                # z's complement is x^h
-        _rev(q) + [x ^ c1w, z],
+        p[::-1] + [x ^ h1w, z],                # z's complement is x^h
+        q[::-1] + [x ^ c1w, z],
     ]
 
 
@@ -392,7 +391,7 @@ def _even_pair_sibling_generic(cube, x, y, z):
     return rungs + [
         [x] + _cross(fanm, h2w, x, y) + [y],
         p + [f] + _cross(fanm, h2w, f),
-        _rev(q) + l1 + [z],
+        q[::-1] + l1 + [z],
         [x] + l2 + [y] + l3 + [z],
     ]
 
@@ -403,7 +402,7 @@ def _even_cross_half(cube, x, y, z):
                                         h1w, x, y, z, cube.n - 1, cube.n // 2 - 2)
     return rungs + [
         p + [f] + _cross(fanm, h1w, f),
-        _rev(q) + _cross(fanm, h1w, x),
+        q[::-1] + _cross(fanm, h1w, x),
         r + _cross(fanm, h1w, y),
     ]
 
@@ -414,17 +413,10 @@ def _even_cross_half(cube, x, y, z):
 def _odd_same_half(cube, x, y, z):
     n = cube.n
     h1w, c1w = 1 << (n - 1), (1 << n) - 1
-    side_a = [x ^ h1w, x ^ c1w]
-    side_b = [y ^ h1w, z ^ h1w]
-    if set(side_a) & set(side_b):
-        raise _CaseInfeasible("cross-half linkage endpoints collide")
-    lk = linkage(cube.half_view(1), side_a, side_b)
-    ph, pc = list(lk[x ^ h1w]), list(lk[x ^ c1w])
-    if ph[-1] == y ^ h1w:
-        psi = [y] + _rev(ph) + [x] + pc + [z]
-    else:
-        psi = [y] + _rev(pc) + [x] + ph + [z]
-    return [psi]
+    # x's two images are both next to x, so either may reach y's or z's
+    lk = linkage(cube.half_view(1), [x ^ h1w, x ^ c1w], [y ^ h1w, z ^ h1w])
+    to = {p[-1]: p for p in lk.values()}
+    return [[y, *to[y ^ h1w][::-1], x, *to[z ^ h1w], z]]
 
 
 def _odd_cross_half(cube, x, y, z):

@@ -13,6 +13,7 @@ import pytest
 from aqpath.cli import build_parser, main
 from aqpath.construct import construct
 from aqpath.cube import AugmentedCube
+from aqpath.flow import Insufficient
 from aqpath.textio import parse_family, parse_graph, render_family, render_graph
 
 
@@ -372,7 +373,7 @@ def test_construct_failure_exits_1_without_a_traceback(capsys, monkeypatch):
     module = importlib.import_module("aqpath.construct")
 
     def infeasible(cube, triple):
-        raise module._CaseInfeasible("forced")
+        raise Insufficient(0, 1)
 
     monkeypatch.setattr(module, "_construct_level", infeasible)
     code, out, err = run(capsys, "construct", "--n", "4",
@@ -387,7 +388,7 @@ def test_report_prints_fail_for_a_failed_construction(capsys, monkeypatch):
     module = importlib.import_module("aqpath.construct")
 
     def infeasible(cube, triple):
-        raise module._CaseInfeasible("forced")
+        raise Insufficient(0, 1)
 
     # every construction fails; the other sweeps are stubbed to keep it quick
     monkeypatch.setattr(module, "_construct_level", infeasible)

@@ -302,7 +302,7 @@ def test_count_never_exceeds_oracle():
 def test_failed_case_raises_construction_error(monkeypatch, n, trip):
     # the package attribute ``aqpath.construct`` is the function, not the module
     module = importlib.import_module("aqpath.construct")
-    forced = module._CaseInfeasible("forced")
+    forced = Insufficient(0, 1)
 
     def infeasible(cube, triple):
         raise forced
@@ -326,6 +326,19 @@ def test_unverified_family_raises_construction_error(monkeypatch):
 
     monkeypatch.setitem(module._CASES, "B1", (truncated, down))
     with pytest.raises(module.ConstructionError, match="verification"):
+        construct(6, (0, 1, 2))
+
+
+def test_short_family_raises_construction_error(monkeypatch):
+    # a level that builds one path too few fails the count before the referee
+    module = importlib.import_module("aqpath.construct")
+    builder, down = module._CASES["B1"]
+
+    def short(cube, x, y, z):
+        return builder(cube, x, y, z)[:-1]
+
+    monkeypatch.setitem(module._CASES, "B1", (short, down))
+    with pytest.raises(module.ConstructionError, match="paths built"):
         construct(6, (0, 1, 2))
 
 

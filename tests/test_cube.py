@@ -227,6 +227,12 @@ def test_translate_examples():
             == c.is_adjacent(0b0000 ^ t, 0b0111 ^ t))
 
 
+def test_mask_between_names_only_the_cube_words():
+    cube = AugmentedCube(4)
+    assert cube.mask_between(0, 0b0111).label == "c2"
+    assert cube.mask_between(0, 0b0110) is None
+
+
 def test_masks_distinct_and_shaped():
     for n in (1, 2, 5, 9):
         cube = AugmentedCube(n)
@@ -270,6 +276,10 @@ def test_diamond_edge_inventory():
 
     assert edge_count(vertical) == 6 + 6 + 4
     assert edge_count(sibling) == 6 + 6 + 8
+    with pytest.raises(ValueError, match="dimension >= 3"):
+        AugmentedCube(2).diamond_view(0, 1)
+    with pytest.raises(ValueError, match="two distinct quadrants"):
+        c4.diamond_view(1, 1)
 
 
 def prefix_views(cube):
@@ -428,6 +438,13 @@ def test_adjacency_list_views_have_no_distance():
     g = AdjListView([(0, 1), (1, 2)], bits=2)
     assert g.distance_to(2)(0) == g.distance_to(2)(1) == 0
     assert RestrictedView(g, forbidden_vertices={1}).distance_to(2)(0) == 0
+
+
+def test_a_restricted_view_has_no_row_for_a_forbidden_vertex():
+    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[3])
+    assert 3 not in view.neighbors(1)
+    with pytest.raises(ValueError, match="not in this view"):
+        view.neighbors(3)
 
 
 def test_the_closed_form_holds_every_distance():

@@ -72,6 +72,8 @@ def test_disjoint_paths_validates_input():
         disjoint_paths(g, 0, 0, 1)
     with pytest.raises(ValueError):
         disjoint_paths(g, 0, 9, 1)
+    with pytest.raises(ValueError, match="k must be positive"):
+        disjoint_paths(AugmentedCube(4), 0, 1, 0)
 
 
 def test_fan_of_neighbors_is_single_edges():
@@ -106,6 +108,11 @@ def test_fan_on_diamond_view():
 def test_fan_rejects_source_in_targets():
     with pytest.raises(ValueError):
         fan(AugmentedCube(3), 0, [0, 1])
+
+
+def test_fan_rejects_an_empty_target_set():
+    with pytest.raises(ValueError, match="empty target set"):
+        fan(AugmentedCube(4), 0, [])
 
 
 def test_fan_rejects_targets_outside_the_view():
@@ -143,10 +150,18 @@ def test_linkage_validates_sides():
         linkage(cube, [0], [1, 2])
 
 
+def test_linkage_reports_a_cut_side():
+    # in half 0 of AQ_4 the vertices 1, 2, 3, 4 and 7 cut 0 off from 6
+    view = RestrictedView(AugmentedCube(4).half_view(0), forbidden_vertices={1, 2, 3, 4, 7})
+    with pytest.raises(Insufficient, match="only 0 of 1 linkage paths"):
+        linkage(view, [0], [6])
+
+
 def test_connectivity_values():
     assert connectivity(AugmentedCube(2)) == 3
     assert connectivity(AugmentedCube(3)) == 4
     assert connectivity(AugmentedCube(4)) == 7
+    assert connectivity(AdjListView([], bits=1, vertices=[0])) == 0  # one vertex
 
 
 def test_diamond_connectivity():

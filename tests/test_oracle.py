@@ -220,6 +220,8 @@ def test_common_neighbors_example():
     cube = AugmentedCube(4)
     got = common_neighbors(cube, [0b0000, 0b0111])
     assert got == {0b0011, 0b0100, 0b1000, 0b1111}
+    with pytest.raises(ValueError, match="at least one vertex"):
+        common_neighbors(cube, [])
 
 
 def test_max_common_values():
@@ -228,6 +230,12 @@ def test_max_common_values():
         assert max_common(cube, 2)[0] == 4
         assert max_common(cube, 3)[0] == 4
     assert max_common(AugmentedCube(3), 2)[0] <= 4
+    with pytest.raises(ValueError, match="arity must be 2 or 3"):
+        max_common(AugmentedCube(4), 4)
+    # a listed graph pins no vertex: the 4-cycle 0-1-2-3 with the chord 0-2
+    g = AdjListView([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], bits=2)
+    assert max_common(g, 2) == (2, (0, 2))
+    assert max_common(g, 3) == (1, (0, 1, 3))
 
 
 def test_max_common_needs_as_many_vertices_as_its_arity():
@@ -270,6 +278,11 @@ def test_pi3_exhaustive_takes_no_seed_or_count(kwargs):
     # every sweep is exhaustive; nothing is sampled
     with pytest.raises(TypeError):
         pi3_exact(AugmentedCube(4), **kwargs)
+
+
+def test_pi3_needs_a_triple_to_sweep():
+    with pytest.raises(ValueError, match="no triples to sweep"):
+        pi3_exact(AdjListView([(0, 1)], bits=1))
 
 
 def test_pi3_exhaustive_guard():

@@ -57,6 +57,10 @@ def test_one_demand_uses_the_direct_edge_once():
     assert not any(2 in seg for seg in segs)
 
 
+def test_no_demand_packs_nothing():
+    assert pack_segments(AugmentedCube(4), (0, 1, 2), (0, 0, 0)) == [[], [], []]
+
+
 def spare_by_rebuild(view, leaf, blocked):
     # the reference: one relaxation per free vertex, left out in turn
     return {w for w in view.vertices() if w not in blocked

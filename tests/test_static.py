@@ -97,6 +97,21 @@ def test_the_constructor_runs_no_whole_cube_search():
     assert listed_views(tree) == []
 
 
+def test_the_constructor_reads_one_view_kind_and_fails_one_way():
+    # the cases route on the cube's own sub-cube views, passing what a
+    # route must avoid as blocked vertices, and a case that cannot be
+    # built raises the flows' ``Insufficient``, so construct wraps one
+    # signal and needs no view class and no exception of its own but the
+    # error it raises
+    tree = parse_module("construct.py")
+    assert sorted(imported_names(tree, "cube")) == ["AugmentedCube", "ResourceGuard",
+                                                    "check_triple"]
+    module = importlib.import_module("aqpath.construct")
+    assert [name for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__] == ["ConstructionError"]
+
+
 def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
     # ``cube.symmetries`` alone decides which views have symmetries and
     # leaves out the identity, so the packing search needs nothing else

@@ -24,6 +24,11 @@ def test_check_path_single_edge():
     assert check_path(CUBE, [0b0101]) is None  # single vertex is a legal path
 
 
+def test_check_path_empty():
+    bad = check_path(CUBE, [])
+    assert bad.kind is ViolationKind.NOT_A_PATH
+
+
 def test_check_path_repeated_vertex():
     bad = check_path(CUBE, [0, 1, 0])
     assert bad.kind is ViolationKind.NOT_SIMPLE
@@ -37,6 +42,12 @@ def test_check_path_non_adjacent():
 def test_check_path_outside_view():
     bad = check_path(CUBE, [0, 933])
     assert bad.kind is ViolationKind.WRONG_GRAPH
+
+
+def test_a_terminal_outside_the_view_is_the_wrong_graph():
+    bad = check_family(AugmentedCube(3), (0, 1, 9), [])
+    assert bad.kind is ViolationKind.WRONG_GRAPH
+    assert bad.detail == "terminal 9 not in view"
 
 
 def test_vertex_overlap_detected():
