@@ -210,16 +210,17 @@ def _saturate(view, demands: Sequence[Demand], blocked: set[int]) -> UnitFlowNet
 def _classify(net, demands: Sequence[Demand]):
     """Turn a saturating flow into per-demand segments, or None if any unit
     loops back to its own source terminal or pairs endpoints no demand
-    names (possible only through double roles or between distinct pairs)."""
-    want = {(u, v): c for (u, v, c) in demands}
-    got: dict[tuple[int, int], list[Segment]] = {p: [] for p in want}
+    names (possible only through double roles or between distinct pairs).
+    Otherwise each demand gets exactly its count: the flow fills every
+    source and sink, a terminal with one demand as a source or as a sink
+    fixes that demand's count, and every orientation here leaves at most
+    one demand without such a terminal, which the total then fixes."""
+    got: dict[tuple[int, int], list[Segment]] = {(u, v): [] for (u, v, _) in demands}
     for seg in net.unit_paths():
         key = (seg[0], seg[-1])
-        if key not in want:
+        if key not in got:
             return None
         got[key].append(seg)
-    if any(len(got[p]) != want[p] for p in want):
-        return None
     return [got[(u, v)] for (u, v, _) in demands]
 
 

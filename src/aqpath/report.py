@@ -1,11 +1,17 @@
-"""Acceptance sweep: every shipped claim gets one pass/fail line.
+"""Acceptance sweep: each of nine shipped claims gets one pass/fail line.
 
-The same checks back the ``report`` CLI command and the acceptance test
-module, so CI needs no orchestration script.  Every sweep is fixed and
-deterministic, and no criterion takes a parameter.  The constructive
-criteria cover every triple of their cubes: a cube automorphism carries a
-verified family for an orbit's representative onto every triple of that
-orbit.
+Criteria 1-7 and 9 check the paper's claims: the exact value of pi3 on
+AQ_4 and AQ_5, the constructive even and odd cases, the witness, the
+shared-neighbour ceilings, the connectivity, the bound arithmetic and the
+corrected witness vertex.  Criterion 8 checks that the oracle those
+claims rest on is exact.  The same checks back the ``report`` CLI command
+and the acceptance test module, so CI needs no orchestration script.
+Every sweep is fixed and deterministic, and no criterion takes a
+parameter.  The constructive criteria cover every triple of their cubes:
+a cube automorphism carries a verified family for an orbit's
+representative onto every triple of that orbit.  The library's property
+tests (the cube's masks and translations, cut duality of the flows, the
+referee against mutated families) run in the test suite, not here.
 """
 
 from __future__ import annotations
@@ -16,15 +22,12 @@ from typing import Callable, NamedTuple
 
 from . import flow, oracle
 from .construct import ConstructionError, construct, target_count
-from .cube import AdjListView, AugmentedCube, RestrictedView, orbit_representatives
+from .cube import AdjListView, AugmentedCube, orbit_representatives
 from .packing import SearchBudgetExceeded
-from .verify import ViolationKind, check_family, check_path
 
 CORPUS_GRAPHS = 200
 CORPUS_SEED = 20240801
 GRAPH_MAX_VERTICES = 12
-SUITE_CASES = 120
-SUITE_SEED = 5
 
 
 class CriterionResult(NamedTuple):
@@ -166,44 +169,6 @@ def criterion_9() -> CriterionResult:
         f"uncorrected shares only {len(printed)}")
 
 
-def criterion_10() -> CriterionResult:
-    m = mask_automorphism_suite()
-    d = duality_suite()
-    f = verifier_fuzz_suite()
-    ok = m == 0 and d == 0 and f == 0
-    return CriterionResult(
-        10, "property suites", ok,
-        f"mask/automorphism: {m}, cut duality: {d}, verifier fuzz: {f} "
-        f"violations ({SUITE_CASES} cases each)")
-
-
-# -- property suites (seeded, shared with the test suite) ----------------
-
-
-def mask_automorphism_suite() -> int:
-    rng = random.Random(SUITE_SEED)
-    bad = 0
-    for _ in range(SUITE_CASES):
-        n = rng.randint(2, 6)
-        cube = AugmentedCube(n)
-        size = 1 << n
-        x, y, t = (rng.randrange(size) for _ in range(3))
-        if cube.is_adjacent(x, y) != cube.is_adjacent(x ^ t, y ^ t):
-            bad += 1
-        if len(cube.neighbors(x)) != 2 * n - 1:
-            bad += 1
-        d = rng.randint(1, n)
-        if cube.h_neighbor(cube.h_neighbor(x, d), d) != x:
-            bad += 1
-        if n >= 2:
-            d = rng.randint(1, n - 1)
-            if cube.c_neighbor(cube.c_neighbor(x, d), d) != x:
-                bad += 1
-        if cube.is_adjacent(x, y) != ((x ^ y) in cube.mask_words):
-            bad += 1
-    return bad
-
-
 def random_connected_graph(rng: random.Random) -> AdjListView:
     while True:
         nv = rng.randint(6, GRAPH_MAX_VERTICES)
@@ -211,8 +176,6 @@ def random_connected_graph(rng: random.Random) -> AdjListView:
         edges = [(i, j) for i in range(nv) for j in range(i + 1, nv)
                  if rng.random() < p]
         g = AdjListView(edges, bits=max(4, nv.bit_length()), vertices=range(nv))
-        if g.vertex_count != nv:
-            continue
         seen = {0}
         stack = [0]
         while stack:
@@ -225,109 +188,6 @@ def random_connected_graph(rng: random.Random) -> AdjListView:
             return g
 
 
-def duality_suite() -> int:
-    rng = random.Random(SUITE_SEED + 1)
-    bad = 0
-    for _ in range(SUITE_CASES):
-        g = random_connected_graph(rng)
-        u, v = rng.sample(list(g.vertices()), 2)
-        cut = flow.min_vertex_cut(g, u, v)
-        try:
-            paths = flow.disjoint_paths(g, u, v, cut)
-        except flow.Insufficient:
-            bad += 1
-            continue
-        if len(paths) != cut or not _paths_internally_disjoint(g, u, v, paths):
-            bad += 1
-        try:
-            flow.disjoint_paths(g, u, v, cut + 1)
-            bad += 1
-        except flow.Insufficient as exc:
-            if exc.achieved != cut:
-                bad += 1
-        # avoid-set soundness on a random restriction
-        others = [w for w in g.vertices() if w not in (u, v)]
-        if others:
-            hide = set(rng.sample(others, min(len(others), rng.randint(1, 3))))
-            sub = RestrictedView(g, forbidden_vertices=hide)
-            try:
-                for p in flow.disjoint_paths(sub, u, v, 1):
-                    if hide & set(p):
-                        bad += 1
-            except flow.Insufficient:
-                pass
-    return bad
-
-
-def _paths_internally_disjoint(g, u, v, paths) -> bool:
-    seen: set[int] = set()
-    edges: set[frozenset[int]] = set()
-    for p in paths:
-        if check_path(g, p) is not None or p[0] != u or p[-1] != v:
-            return False
-        for e in map(frozenset, zip(p, p[1:])):
-            if e in edges:
-                return False
-            edges.add(e)
-        inner = set(p[1:-1])
-        if inner & seen:
-            return False
-        seen |= inner
-    return True
-
-
-def verifier_fuzz_suite() -> int:
-    rng = random.Random(SUITE_SEED + 2)
-    bad = 0
-    for _ in range(SUITE_CASES):
-        n = rng.choice((4, 5))
-        cube = AugmentedCube(n)
-        D = tuple(sorted(rng.sample(range(1 << n), 3)))
-        try:
-            fam = construct(n, D)
-        except ConstructionError:
-            bad += 1
-            continue
-        # construct referees the family before it returns it
-        paths = [list(p) for p in fam.paths]
-        kind = rng.choice(("drop-endpoint", "duplicate-path", "stutter", "teleport"))
-        want = _mutate(rng, cube, D, paths, kind)
-        got = check_family(cube, D, paths)
-        if got is None or got.kind is not want:
-            bad += 1
-    return bad
-
-
-def _mutate(rng, cube, D, paths, kind) -> ViolationKind:
-    """Break an accepted family in place; returns the violation the checker
-    must report for this mutation class."""
-    if kind == "drop-endpoint":
-        p = rng.choice(paths)
-        p.pop(0 if rng.random() < 0.5 else -1)
-        return ViolationKind.MISSING_TERMINAL
-    if kind == "duplicate-path":
-        src = max(paths, key=len)  # longest; a copy collides the hardest
-        i = paths.index(src)
-        j = (i + 1) % len(paths)
-        paths[j] = list(src)
-        return (ViolationKind.VERTEX_OVERLAP if len(src) > 3
-                else ViolationKind.EDGE_OVERLAP)
-    if kind == "stutter":
-        p = max(paths, key=len)
-        pos = rng.randrange(len(p) - 1)
-        p[pos + 1:pos + 1] = [p[pos + 1], p[pos]]
-        return ViolationKind.NOT_SIMPLE
-    # teleport: swap one interior vertex for a non-adjacent outsider
-    p = max(paths, key=len)
-    pos = rng.randrange(1, len(p) - 1)
-    on_paths = set().union(*map(set, paths))
-    for w in cube.vertices():
-        if w not in on_paths and not cube.is_adjacent(p[pos - 1], w):
-            p[pos] = w
-            return ViolationKind.NOT_A_PATH
-    raise AssertionError("no teleport target available")
-
-
 # -- the sweep ------------------------------------------------------------
 
 
@@ -335,7 +195,7 @@ def run_all(emit: Callable[[str], None] | None = None) -> list[CriterionResult]:
     """Run every criterion, emitting one line each and a summary."""
     results = []
     for fn in (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-               criterion_6, criterion_7, criterion_8, criterion_9, criterion_10):
+               criterion_6, criterion_7, criterion_8, criterion_9):
         results.append(fn())
         if emit:
             emit(results[-1].line())

@@ -51,10 +51,6 @@ def test_criterion_09_documented_deviation_regression():
     _run(report.criterion_9)
 
 
-def test_criterion_10_property_suites():
-    _run(report.criterion_10)
-
-
 def test_criterion_04_fails_when_the_budget_runs_out(monkeypatch):
     max_dpaths = report.oracle.max_dpaths
 

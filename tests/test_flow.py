@@ -18,9 +18,11 @@ from aqpath.flow import (
     fan,
     linkage,
     min_vertex_cut,
+    route,
 )
-from aqpath import flow
+from aqpath import flow, report
 from aqpath.packing import DEFAULT_BUDGET, Budget, _saturate, pack_segments
+from aqpath.verify import check_path
 
 
 def k4():
@@ -180,6 +182,31 @@ def test_duality_exhaustive_small_cubes():
             with pytest.raises(Insufficient) as exc:
                 disjoint_paths(cube, u, v, cut + 1)
             assert exc.value.achieved == cut
+
+
+def test_duality_on_random_graphs():
+    # 120 seeded connected graphs of 6 to 12 vertices: the paths reach the
+    # cut, one more is refused at the cut, and a random restriction's paths
+    # avoid what it hides
+    rng = random.Random(6)
+    for _ in range(120):
+        g = report.random_connected_graph(rng)
+        u, v = rng.sample(list(g.vertices()), 2)
+        cut = min_vertex_cut(g, u, v)
+        paths = disjoint_paths(g, u, v, cut)
+        assert len(paths) == cut
+        assert_internally_disjoint(g, u, v, paths)
+        with pytest.raises(Insufficient) as exc:
+            disjoint_paths(g, u, v, cut + 1)
+        assert exc.value.achieved == cut
+        others = [w for w in g.vertices() if w not in (u, v)]
+        hide = set(rng.sample(others, min(len(others), rng.randint(1, 3))))
+        sub = RestrictedView(g, forbidden_vertices=hide)
+        try:
+            for p in disjoint_paths(sub, u, v, 1):
+                assert not hide & set(p)
+        except Insufficient:
+            pass
 
 
 def test_avoid_sets_are_honoured():
@@ -376,6 +403,16 @@ def test_a_fan_walk_leaves_by_the_first_hop_that_arrives(monkeypatch):
     assert_fan(view, x, targets, got)
     nx = set(view.neighbors(x))
     assert all(not nx & set(p[2:]) for p in got.values())
+
+
+def test_a_fan_walk_passes_over_a_free_target_met_as_a_first_hop():
+    # the far target 21 comes first, so the walk toward it meets the target
+    # 1, still free, as a first hop of 0 and leaves by another neighbour
+    cube = AugmentedCube(5)
+    got = route(cube, {0: 2}, [21, 1], {0, 1, 21}, [(0, 21), (0, 1)], 2)
+    assert got == [(0, 1), (0, 7, 5, 21)]
+    assert all(check_path(cube, p) is None for p in got)
+    assert_fan(cube, 0, [1, 21], {p[-1]: p for p in got})
 
 
 def test_a_stuck_bundle_walk_is_finished_by_a_walk_aimed_at_a_free_sink(monkeypatch):

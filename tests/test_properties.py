@@ -1,9 +1,9 @@
-"""Invariant suites: translation symmetry, cut duality, referee soundness."""
+"""Invariant suites: neighbour flips, adjacency by mask, translation symmetry
+and the sweeps' quadrant pinning."""
 
 import itertools
 
 from aqpath.cube import AugmentedCube
-from aqpath.report import _paths_internally_disjoint
 
 _CUBES = {n: AugmentedCube(n) for n in range(2, 7)}
 
@@ -31,13 +31,6 @@ def test_translation_preserves_adjacency():
         base = {(x, y) for x in range(size) for y in cube.neighbors(x)}
         for t in range(size):
             assert all((x ^ t, y ^ t) in base for (x, y) in base)
-
-
-def test_the_duality_referee_refuses_a_walk_that_repeats_a_vertex():
-    # every step of this 0-7 walk is an edge of AQ_3, but it visits 1 twice
-    cube = AugmentedCube(3)
-    assert not _paths_internally_disjoint(cube, 0, 7, [[0, 1, 3, 2, 1, 5, 7]])
-    assert _paths_internally_disjoint(cube, 0, 7, [[0, 1, 3, 2, 5, 7]])
 
 
 def test_quadrant_pinning_is_sound_for_sweeps():

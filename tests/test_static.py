@@ -247,3 +247,18 @@ def test_the_packing_budget_stays_the_fourth_parameter():
     packing = importlib.import_module("aqpath.packing")
     params = list(inspect.signature(packing.pack_segments).parameters)
     assert params[3:] == ["budget"]
+
+
+def test_the_report_sweeps_every_criterion_once_in_order():
+    # ``run_all`` names each ``criterion_<k>`` the module defines, k = 1..N
+    # with no gap, so a removed or renumbered one cannot drop out unseen
+    tree = parse_module("report.py")
+    defined = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("criterion_")]
+    run_all, = (node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "run_all")
+    swept = [node.id for node in ast.walk(run_all)
+             if isinstance(node, ast.Name) and node.id.startswith("criterion_")]
+    want = [f"criterion_{k}" for k in range(1, len(defined) + 1)]
+    assert sorted(defined) == sorted(want)
+    assert swept == want

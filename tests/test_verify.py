@@ -151,6 +151,52 @@ def test_a_terminal_that_is_not_an_integer_is_refused(terminal):
         check_family(CUBE, (terminal, 0b0010, 0b0001), base_family())
 
 
+def broken(rng, cube, D, paths, kind) -> ViolationKind:
+    """Break an accepted family in place by one fault of class ``kind``;
+    returns the violation the checker must report for it."""
+    if kind == "drop-endpoint":
+        p = rng.choice(paths)
+        p.pop(0 if rng.random() < 0.5 else -1)
+        return ViolationKind.MISSING_TERMINAL
+    if kind == "duplicate-path":
+        src = max(paths, key=len)  # longest; a copy collides the hardest
+        i = paths.index(src)
+        paths[(i + 1) % len(paths)] = list(src)
+        return (ViolationKind.VERTEX_OVERLAP if len(src) > 3
+                else ViolationKind.EDGE_OVERLAP)
+    if kind == "stutter":
+        p = max(paths, key=len)
+        pos = rng.randrange(len(p) - 1)
+        p[pos + 1:pos + 1] = [p[pos + 1], p[pos]]
+        return ViolationKind.NOT_SIMPLE
+    # teleport: swap one interior vertex for a non-adjacent outsider
+    p = max(paths, key=len)
+    pos = rng.randrange(1, len(p) - 1)
+    on_paths = set().union(*map(set, paths))
+    for w in cube.vertices():
+        if w not in on_paths and not cube.is_adjacent(p[pos - 1], w):
+            p[pos] = w
+            return ViolationKind.NOT_A_PATH
+    raise AssertionError("no teleport target available")
+
+
+def test_one_fault_of_each_class_gets_its_verdict():
+    # 120 seeded triples of AQ_4 and AQ_5, each family broken by one fault
+    rng = random.Random(7)
+    drawn = set()
+    for _ in range(120):
+        n = rng.choice((4, 5))
+        cube = AugmentedCube(n)
+        D = tuple(sorted(rng.sample(range(1 << n), 3)))
+        paths = [list(p) for p in construct(n, D).paths]
+        kind = rng.choice(("drop-endpoint", "duplicate-path", "stutter", "teleport"))
+        drawn.add(kind)
+        want = broken(rng, cube, D, paths, kind)
+        got = check_family(cube, D, paths)
+        assert got is not None and got.kind is want, (n, D, kind, got)
+    assert len(drawn) == 4
+
+
 # -- the one-pass overlap scan against the pairwise one ------------------
 
 
