@@ -56,8 +56,7 @@ def cmd_neighbors(args) -> int:
     cube = AugmentedCube(args.n)
     v = textio.parse_vertex(args.v, args.n)
     for w in cube.neighbors(v):
-        mask = cube.mask_between(v, w)
-        print(f"{textio.format_vertex(w, args.n)} {mask.label}")
+        print(f"{textio.format_vertex(w, args.n)} {cube.mask_label(v, w)}")
     return 0
 
 

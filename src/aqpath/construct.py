@@ -40,9 +40,12 @@ rungs leave, the last rung vertex f and the fan.  The even-step builders
 serve n = 4 as well, so only B1 and B3.2, which no general builder covers,
 keep a builder of their own.
 
-The levels run in one loop (``_construct_level``) with one level's cube
-alive at a time: each path is pulled to the top cube's labels and oriented
-once, and the deepest level's paths come first.
+The levels run in one loop (``_construct_level``) over one cube: the top
+level is the ``AugmentedCube`` that ``construct`` builds, and each level
+below it is quadrant 00 (E1.x) or half 0 (O1) of the level above, a
+prefix view of that same cube whose labels are the lower cube's.  Each
+path is pulled to the top cube's labels and oriented once, and the
+deepest level's paths come first.
 
 The whole family ends at the verifier, once per call: it must have the
 target count and pass ``verify.check_family``.  A sub-family lies in
@@ -152,7 +155,7 @@ def _construct_level(cube, trip):
         levels.append([t[::-1] if t[0] > t[-1] else t for t in pulled])
         if not down:
             return [p for level in reversed(levels) for p in level], trace
-        cube, trip = AugmentedCube(cube.n - down), xyz
+        cube, trip = cube.quadrant_view(0) if down == 2 else cube.half_view(0), xyz
 
 
 def _normalize(cube, trip):

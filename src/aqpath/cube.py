@@ -42,11 +42,14 @@ Conventions
   (``check_triple``): three distinct int vertices of the view.
 
 The cube is the view of the empty prefix (``AugmentedCube`` is a
-``PrefixView``).  Every view (the cube, a half, a quadrant, a diamond, a
-restriction) answers adjacency with the cube's masks filtered by
-membership, and distance (``distance_to``) with the cube's value.  A
-prefix view filters once: it keeps the mask words that stay inside it,
-the same for each of its one or two prefixes, and a row is those words
+``PrefixView`` that also names its mask words: ``mask_label`` reads the
+label off the word).  Every view (the cube, a half, a quadrant, a
+diamond, a restriction) answers adjacency with the cube's masks filtered
+by membership, and distance (``distance_to``) with the cube's value.
+Every sub-cube is a prefix view of one cube, taken from the view it lies
+in (``half_view``, ``quadrant_view``, ``diamond_view``), and filters its
+parent's words once: it keeps the mask words that stay inside it, the
+same for each of its one or two prefixes, and a row is those words
 applied to the vertex.
 """
 
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # the cube holds 2n - 1 mask words of up to n bits, O(n^2) bits in all: on
 # a 2-core Xeon n = 4,096 builds in 0.016 s at 17 MB peak RSS, n = 32,768
@@ -118,16 +121,6 @@ def sink_distances(view, t: int) -> dict[int, int]:
     if got is None:
         got = view.to_sink[t] = _SinkTable(view.distance_to(t))
     return got
-
-
-class AdjacencyMask(NamedTuple):
-    kind: str  # "h" (single bit) or "c" (suffix run)
-    level: int
-    word: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}{self.level}"
 
 
 def hyper_word(n: int, d: int) -> int:
@@ -292,58 +285,61 @@ class PrefixView:
 
     The empty prefix gives the whole cube (``AugmentedCube`` is that view).
     One prefix gives a half or a quadrant, which is exactly the
-    lower-dimensional augmented cube on the remaining bits.  Two quadrant
-    prefixes give a diamond: both quadrants plus the perfect matching(s)
-    the cube places between them (one matching across halves or across
-    the diagonal, two between siblings of one half).  Membership is a
-    prefix test; adjacency is the parent's masks filtered by membership,
-    done once: ``_words`` holds the mask words that keep a vertex of the
+    lower-dimensional augmented cube on the remaining ``n`` bits, so it
+    decomposes in turn: ``half_view``, ``quadrant_view`` and
+    ``diamond_view`` take prefixes relative to the view and return views
+    of the same cube.  Two quadrant prefixes give a diamond: both quadrants
+    plus the perfect matching(s) the cube places between them (one
+    matching across halves or across the diagonal, two between siblings of
+    one half); it has no halves or quadrants.  Membership is a prefix
+    test; adjacency is the parent view's words filtered by membership,
+    done once: ``words`` holds the mask words that keep a vertex of the
     view inside it, in the cube's mask order.  With one or two prefixes P,
     p ^ s lies in P for p in P exactly when s is some p ^ q, q in P, so
     these words are the same for every prefix.  The view keeps the cube's
-    mask words, not the cube, so the cube holding itself as its own view
+    mask words, not its parent, so the cube holding itself as its own view
     makes no reference cycle.
     """
 
-    def __init__(self, cube: AugmentedCube, prefixes: Iterable[int], prefix_bits: int):
-        self.bits = cube.n
-        self.mask_words = cube.mask_words
+    def __init__(self, parent: PrefixView, prefixes: Iterable[int], prefix_bits: int):
+        self.bits = parent.bits
+        self.mask_words = parent.mask_words
         self.prefixes = P = frozenset(prefixes)
-        self.shift = shift = cube.n - prefix_bits
-        self.vertex_count = len(P) << shift
+        self.n = n = parent.bits - prefix_bits
+        self.vertex_count = len(P) << n
         moves = {p ^ q for p in P for q in P}
-        self._words = tuple(m for m in cube.words if m >> shift in moves)
+        self.words = tuple(m for m in parent.words if m >> n in moves)
         self._nbrs: dict[int, tuple[int, ...]] = {}
         self.to_sink: dict = {}  # ``sink_distances``' tables, by sink
 
     def vertices(self) -> Sequence[int]:
-        blocks = [range(p << self.shift, (p + 1) << self.shift)
+        blocks = [range(p << self.n, (p + 1) << self.n)
                   for p in sorted(self.prefixes)]
         return blocks[0] if len(blocks) == 1 else [v for b in blocks for v in b]
 
     def __contains__(self, v: int) -> bool:
-        # every prefix is below 2**(n - shift) and a negative v shifts to a
+        # every prefix is below 2**(bits - n) and a negative v shifts to a
         # negative, so the prefix test alone keeps v inside the cube
-        return (v >> self.shift) in self.prefixes
+        return (v >> self.n) in self.prefixes
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         got = self._nbrs.get(x)
         if got is None:
-            if x >> self.shift not in self.prefixes:
+            if x >> self.n not in self.prefixes:
                 raise ValueError(f"vertex {x} not in this view")
-            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, self._words)))
+            got = self._nbrs[x] = tuple(sorted(map(x.__xor__, self.words)))
         return got
 
     def is_adjacent(self, x: int, y: int) -> bool:
         # the mask test first: a non-adjacent pair costs one set lookup;
         # then both prefix tests of ``__contains__``, inline
-        return ((x ^ y) in self.mask_words and (x >> self.shift) in self.prefixes
-                and (y >> self.shift) in self.prefixes)
+        return ((x ^ y) in self.mask_words and (x >> self.n) in self.prefixes
+                and (y >> self.n) in self.prefixes)
 
     def is_walk(self, path: Sequence[int]) -> bool:
         """Whether the ints of ``path`` lie in the view along its edges."""
-        shift = self.shift
-        return ({v >> shift for v in path} <= self.prefixes
+        n = self.n
+        return ({v >> n for v in path} <= self.prefixes
                 and {a ^ b for a, b in zip(path, path[1:])} <= self.mask_words)
 
     def distance_to(self, t: int) -> Callable[[int], int]:
@@ -351,31 +347,50 @@ class PrefixView:
         inside the view; the function does not refer to the view."""
         return distance_to(self.bits, t)
 
+    # -- decomposition -------------------------------------------------
+
+    def _sub_view(self, subs: Iterable[int], extra: int) -> PrefixView:
+        """The view of the ``extra``-bit prefixes ``subs`` below this one."""
+        if len(self.prefixes) != 1:
+            raise ValueError("a diamond has no halves or quadrants")
+        (p,) = self.prefixes
+        return PrefixView(self, [p << extra | s for s in subs],
+                          self.bits - self.n + extra)
+
+    def half_view(self, bit: int) -> PrefixView:
+        if self.n < 2:
+            raise ValueError("half view needs dimension >= 2")
+        return self._sub_view((bit,), 1)
+
+    def quadrant_view(self, quad: int) -> PrefixView:
+        if self.n < 3:
+            raise ValueError("quadrant view needs dimension >= 3")
+        return self._sub_view((quad,), 2)
+
+    def diamond_view(self, quad_a: int, quad_b: int) -> PrefixView:
+        if self.n < 3:
+            raise ValueError("diamond view needs dimension >= 3")
+        if quad_a == quad_b:
+            raise ValueError("diamond needs two distinct quadrants")
+        return self._sub_view((quad_a, quad_b), 2)
+
 
 class AugmentedCube(PrefixView):
     """The n-dimensional augmented cube: the view of the empty prefix, plus
-    its masks and its decomposition into halves, quadrants and diamonds."""
+    its mask words and their labels."""
 
     def __init__(self, n: int):
         if type(n) is not int or n < 1:  # a bool is not a dimension
             raise ValueError(f"dimension must be an integer >= 1, not {n!r}")
         if n > CUBE_MAX_N:
             raise ResourceGuard(f"the cube is limited to n <= {CUBE_MAX_N}")
-        self.n = n
-        # hyper(1..n), then complement(1..n-1): the order of ``masks``
+        self.bits = n
+        # hyper(1..n), then complement(1..n-1): labels h1..hn, c1..c(n-1)
         self.words: tuple[int, ...] = (*(1 << i for i in range(n - 1, -1, -1)),
                                        *((2 << i) - 1 for i in range(n - 1, 0, -1)))
         self.mask_words: frozenset[int] = frozenset(self.words)
         self.degree = len(self.words)
         super().__init__(self, (0,), prefix_bits=0)
-
-    @functools.cached_property
-    def masks(self) -> tuple[AdjacencyMask, ...]:
-        """The mask words as named records, built on first use."""
-        return tuple(AdjacencyMask("h" if i < self.n else "c", i % self.n + 1, w)
-                     for i, w in enumerate(self.words))
-
-    # -- basic queries -------------------------------------------------
 
     def h_neighbor(self, x: int, d: int) -> int:
         check_vertices(self, (x,))
@@ -385,31 +400,14 @@ class AugmentedCube(PrefixView):
         check_vertices(self, (x,))
         return x ^ complement_word(self.n, d)
 
-    def mask_between(self, x: int, y: int) -> AdjacencyMask | None:
+    def mask_label(self, x: int, y: int) -> str | None:
+        """The label of the mask word x ^ y, ``h{d}`` for hyper(d) and
+        ``c{d}`` for complement(d), or None if x ^ y is no mask word: both
+        kinds of word at level d have bit length n - d + 1."""
         w = x ^ y
-        for m in self.masks:
-            if m.word == w:
-                return m
-        return None
-
-    # -- decomposition -------------------------------------------------
-
-    def half_view(self, bit: int) -> PrefixView:
-        if self.n < 2:
-            raise ValueError("half view needs dimension >= 2")
-        return PrefixView(self, (bit,), prefix_bits=1)
-
-    def quadrant_view(self, quad: int) -> PrefixView:
-        if self.n < 3:
-            raise ValueError("quadrant view needs dimension >= 3")
-        return PrefixView(self, (quad,), prefix_bits=2)
-
-    def diamond_view(self, quad_a: int, quad_b: int) -> PrefixView:
-        if self.n < 3:
-            raise ValueError("diamond view needs dimension >= 3")
-        if quad_a == quad_b:
-            raise ValueError("diamond needs two distinct quadrants")
-        return PrefixView(self, (quad_a, quad_b), prefix_bits=2)
+        if w not in self.mask_words:
+            return None
+        return f"{'c' if w & (w - 1) else 'h'}{self.n - w.bit_length() + 1}"
 
 
 class RestrictedView:

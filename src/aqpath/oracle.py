@@ -305,10 +305,10 @@ def witness_triple(n: int) -> WitnessReport:
     cert = []
     for t in (x, y, z):
         for w in (a, b, c, d):
-            m = cube.mask_between(t, w)
-            if m is None:
+            label = cube.mask_label(t, w)
+            if label is None:
                 raise AssertionError(f"witness certificate broken at {t},{w}")
-            cert.append((t, w, m.label))
+            cert.append((t, w, label))
     return WitnessReport(n=n, triple=(x, y, z), shared=(a, b, c, d),
                          certificate=tuple(cert),
                          uncorrected_third=0b101 << (n - 3))

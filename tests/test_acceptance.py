@@ -1,6 +1,8 @@
 """Acceptance gate: every shipped claim, one criterion per test, printed
 pass/fail lines.  Tolerances are exact unless a criterion states otherwise."""
 
+import pytest
+
 from aqpath import report
 
 
@@ -81,3 +83,51 @@ def test_criterion_02_counts_a_failed_construction(monkeypatch):
     assert res.passed is False
     assert res.detail.endswith(": 2 violations")
 
+
+
+def test_criterion_04_fails_on_a_wrong_value(monkeypatch):
+    max_dpaths = report.oracle.max_dpaths
+
+    def one_short_at_five(view, D, budget):
+        value, paths = max_dpaths(view, D, budget)
+        return (value - 1 if view.n == 5 else value), paths
+
+    monkeypatch.setattr(report.oracle, "max_dpaths", one_short_at_five)
+    res = report.criterion_4()
+    assert res.passed is False
+    assert res.detail == "n=5: got 4, want 5"
+
+
+@pytest.mark.parametrize("off, shown", [((4, 2), "n=4 pairs:3"),
+                                        ((5, 3), "n=5 triples:3")])
+def test_criterion_05_fails_on_an_off_maximum(monkeypatch, off, shown):
+    # one pair maximum or one triple maximum below 4
+    max_common = report.oracle.max_common
+
+    def one_off(view, k):
+        value, group = max_common(view, k)
+        return (value - 1 if (view.n, k) == off else value), group
+
+    monkeypatch.setattr(report.oracle, "max_common", one_off)
+    res = report.criterion_5()
+    assert res.passed is False
+    assert shown in res.detail
+
+
+@pytest.mark.parametrize("wrong", ["AQ_3", "random graph"])
+def test_criterion_08_counts_one_mismatch(monkeypatch, wrong):
+    # the brute force disagrees on the first AQ_3 triple, or on the first
+    # random graph
+    brute_small = report.oracle.brute_small
+    seen = []
+
+    def off_once(view, D):
+        value = brute_small(view, D)
+        kind = "AQ_3" if isinstance(view, report.AugmentedCube) else "random graph"
+        seen.append(kind)
+        return value + 1 if kind == wrong and seen.count(kind) == 1 else value
+
+    monkeypatch.setattr(report.oracle, "brute_small", off_once)
+    res = report.criterion_8()
+    assert res.passed is False
+    assert res.detail == "AQ_3 all 56 triples + 200 random graphs: 1 mismatches"

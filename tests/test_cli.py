@@ -59,6 +59,14 @@ def test_verify_flags_broken_family(tmp_path, capsys):
     assert out.startswith("VIOLATION MissingTerminal")
 
 
+def test_verify_accepts_an_empty_family(tmp_path, capsys):
+    fam_file = tmp_path / "empty.txt"
+    fam_file.write_text("D 0000 0001 0010\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--n", "4", "--family", str(fam_file))
+    assert code == 0
+    assert out == "OK 0\n"
+
+
 def test_gen_oracle_pipe(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--n", "3")
     assert code == 0

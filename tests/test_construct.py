@@ -1,7 +1,6 @@
 import importlib
 import itertools
 import random
-import weakref
 
 import pytest
 
@@ -744,22 +743,20 @@ def test_a_recursing_construct_verifies_its_family_once(monkeypatch):
     assert calls == [9]
 
 
-def test_construct_keeps_at_most_three_level_cubes_alive(monkeypatch):
-    # (0, 1, 2) at n = 64 runs 31 E1.x levels; the top cube, the current
-    # level's and the next are the most alive at once, never one per level
-    module = importlib.import_module("aqpath.construct")
-    alive, peak = weakref.WeakSet(), [0]
+def test_construct_builds_one_cube_per_call(monkeypatch):
+    # (0, 1, 2) at n = 64 runs 31 E1.x levels, each quadrant 00 of the
+    # level above: a prefix view of the one cube, never a cube of its own
+    built = []
+    init = AugmentedCube.__init__
 
-    class CountedCube(AugmentedCube):
-        def __init__(self, n):
-            super().__init__(n)
-            alive.add(self)
-            peak[0] = max(peak[0], len(alive))
+    def counted(cube, n):
+        built.append(n)
+        init(cube, n)
 
-    monkeypatch.setattr(module, "AugmentedCube", CountedCube)
+    monkeypatch.setattr(AugmentedCube, "__init__", counted)
     fam = construct(64, (0, 1, 2))
     assert len(fam.trace) == 31
-    assert peak[0] <= 3
+    assert built == [64]
 
 
 @pytest.mark.slow

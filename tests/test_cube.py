@@ -182,9 +182,12 @@ def test_c_neighbor_examples():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_cube_rows_apply_the_mask_words(n):
     cube = AugmentedCube(n)
-    assert cube.words == tuple(m.word for m in cube.masks)
+    assert cube.words == (*(hyper_word(n, d) for d in range(1, n + 1)),
+                          *(complement_word(n, d) for d in range(1, n)))
+    assert [cube.mask_label(0, w) for w in cube.words] == [
+        *(f"h{d}" for d in range(1, n + 1)), *(f"c{d}" for d in range(1, n))]
     for x in cube.vertices():
-        assert cube.neighbors(x) == tuple(sorted(x ^ m.word for m in cube.masks))
+        assert cube.neighbors(x) == tuple(sorted(x ^ w for w in cube.words))
 
 
 def test_neighbors_examples():
@@ -227,22 +230,26 @@ def test_translate_examples():
             == c.is_adjacent(0b0000 ^ t, 0b0111 ^ t))
 
 
-def test_mask_between_names_only_the_cube_words():
+def test_mask_label_names_only_the_cube_words():
     cube = AugmentedCube(4)
-    assert cube.mask_between(0, 0b0111).label == "c2"
-    assert cube.mask_between(0, 0b0110) is None
+    assert cube.mask_label(0, 0b0111) == "c2"
+    assert cube.mask_label(0b1010, 0b1010 ^ 0b0111) == "c2"
+    assert cube.mask_label(0, 0b0110) is None
+    assert cube.mask_label(5, 5) is None
 
 
 def test_masks_distinct_and_shaped():
     for n in (1, 2, 5, 9):
         cube = AugmentedCube(n)
-        words = [m.word for m in cube.masks]
-        assert len(set(words)) == 2 * n - 1
-        for m in cube.masks:
-            if m.kind == "h":
-                assert bin(m.word).count("1") == 1
+        assert len(set(cube.words)) == 2 * n - 1
+        for w in cube.words:
+            label = cube.mask_label(0, w)
+            kind, level = label[0], int(label[1:])
+            if kind == "h":
+                assert bin(w).count("1") == 1
             else:
-                assert bin(m.word).count("1") == n - m.level + 1 >= 2
+                assert kind == "c"
+                assert bin(w).count("1") == n - level + 1 >= 2
 
 
 def test_half_view_is_one_dimension_down():
@@ -280,6 +287,29 @@ def test_diamond_edge_inventory():
         AugmentedCube(2).diamond_view(0, 1)
     with pytest.raises(ValueError, match="two distinct quadrants"):
         c4.diamond_view(1, 1)
+    wide = AugmentedCube(8).diamond_view(0b00, 0b01)
+    for take in (lambda v: v.half_view(0), lambda v: v.quadrant_view(0),
+                 lambda v: v.diamond_view(0, 1)):
+        with pytest.raises(ValueError, match="a diamond has no halves or quadrants"):
+            take(wide)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_a_quadrant_decomposes_as_the_cube_two_dimensions_down(n):
+    # a level of the constructor is quadrant 00 of the level above, a view
+    # of one cube; it and its halves, quadrants and diamonds have the
+    # vertices and rows of the lower cube and of that cube's own views
+    quadrant, lower = AugmentedCube(n).quadrant_view(0), AugmentedCube(n - 2)
+    assert quadrant.n == lower.n == n - 2
+    assert quadrant.words == lower.words
+    # AQ_2 has halves but no quadrants or diamonds
+    subs = itertools.islice(zip(prefix_views(quadrant), prefix_views(lower)),
+                            2 if n == 4 else None)
+    for view, want in [(quadrant, lower), *subs]:
+        assert list(view.vertices()) == list(want.vertices())
+        assert view.n == want.n and view.words == want.words
+        for x in want.vertices():
+            assert view.neighbors(x) == want.neighbors(x)
 
 
 def prefix_views(cube):

@@ -253,7 +253,23 @@ def test_witness_triple_structure():
         assert len(w.certificate) == 12
         for u, v, label in w.certificate:
             assert cube.is_adjacent(u, v)
-            assert cube.mask_between(u, v).label == label
+            assert cube.mask_label(u, v) == label
+
+
+def test_a_broken_witness_certificate_raises(monkeypatch):
+    # the certificate names a mask word for every (terminal, shared) pair;
+    # one pair with none is a broken witness, never a shorter certificate
+    w = witness_triple(4)
+    broken = (w.triple[1], w.shared[2])
+    mask_label = AugmentedCube.mask_label
+
+    def loses_one(cube, x, y):
+        return None if (x, y) == broken else mask_label(cube, x, y)
+
+    monkeypatch.setattr(AugmentedCube, "mask_label", loses_one)
+    with pytest.raises(AssertionError, match=f"witness certificate broken at "
+                                             f"{broken[0]},{broken[1]}$"):
+        witness_triple(4)
 
 
 def test_printed_variant_fails_adjacency():

@@ -112,6 +112,14 @@ def test_the_constructor_reads_one_view_kind_and_fails_one_way():
             and obj.__module__ == module.__name__] == ["ConstructionError"]
 
 
+def test_one_cube_per_construct_call_and_its_views_from_the_cube_module():
+    # every level and sub-cube a case reads is a prefix view of the cube
+    # ``construct`` builds, taken by the views' own decomposition methods
+    assert calls_by_function(parse_module("construct.py"), "AugmentedCube") == ["construct"]
+    assert {path.name for path in Path(aqpath.__file__).parent.glob("*.py")
+            if calls_by_function(parse_module(path.name), "PrefixView")} == {"cube.py"}
+
+
 def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
     # ``cube.symmetries`` alone decides which views have symmetries and
     # leaves out the identity, so the packing search needs nothing else

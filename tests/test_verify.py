@@ -19,6 +19,12 @@ def test_accepts_base_family():
     assert check_family(CUBE, BASE_D, base_family()) is None
 
 
+def test_an_empty_family_is_accepted_by_the_one_pass_referee():
+    # no path holds the terminals, so the bulk count (3 + 0 - 0) misses the
+    # empty union and the one-pass referee finds no pair to name
+    assert check_family(AugmentedCube(4), (0, 1, 2), []) is None
+
+
 def test_check_path_single_edge():
     assert check_path(CUBE, [0b0000, 0b1000]) is None
     assert check_path(CUBE, [0b0101]) is None  # single vertex is a legal path
