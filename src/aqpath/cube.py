@@ -349,10 +349,14 @@ class PrefixView:
 
     # -- decomposition -------------------------------------------------
 
-    def _sub_view(self, subs: Iterable[int], extra: int) -> PrefixView:
-        """The view of the ``extra``-bit prefixes ``subs`` below this one."""
+    def _sub_view(self, subs: Sequence[int], extra: int) -> PrefixView:
+        """The view of the ``extra``-bit prefixes ``subs`` below this one;
+        ``ValueError`` unless each is an int (not a bool) below 2**extra."""
         if len(self.prefixes) != 1:
             raise ValueError("a diamond has no halves or quadrants")
+        for s in subs:  # a bool is not an index
+            if type(s) is not int or not 0 <= s < 1 << extra:
+                raise ValueError(f"sub-view index {s!r} not in range({1 << extra})")
         (p,) = self.prefixes
         return PrefixView(self, [p << extra | s for s in subs],
                           self.bits - self.n + extra)
@@ -389,16 +393,7 @@ class AugmentedCube(PrefixView):
         self.words: tuple[int, ...] = (*(1 << i for i in range(n - 1, -1, -1)),
                                        *((2 << i) - 1 for i in range(n - 1, 0, -1)))
         self.mask_words: frozenset[int] = frozenset(self.words)
-        self.degree = len(self.words)
         super().__init__(self, (0,), prefix_bits=0)
-
-    def h_neighbor(self, x: int, d: int) -> int:
-        check_vertices(self, (x,))
-        return x ^ hyper_word(self.n, d)
-
-    def c_neighbor(self, x: int, d: int) -> int:
-        check_vertices(self, (x,))
-        return x ^ complement_word(self.n, d)
 
     def mask_label(self, x: int, y: int) -> str | None:
         """The label of the mask word x ^ y, ``h{d}`` for hyper(d) and

@@ -64,8 +64,8 @@ def regular_upper_bound(k: int, r: int) -> int:
 def cube_upper_bound(n: int) -> int:
     """floor((6n - 7)/4): the counting ceiling for the n-cube's degree
     2n-1 with four shared neighbors attainable."""
-    if n < 4:
-        raise ValueError("bound defined for n >= 4")
+    if type(n) is not int or n < 4:  # a bool is not a dimension
+        raise ValueError(f"bound defined for integers n >= 4, not {n!r}")
     return regular_upper_bound(2 * n - 1, 4)
 
 
@@ -291,8 +291,8 @@ def witness_triple(n: int) -> WitnessReport:
     four listed shared neighbors and is kept only so the discrepancy stays
     pinned by a regression test.
     """
-    if n < 4:
-        raise ValueError("witness defined for n >= 4")
+    if type(n) is not int or n < 4:  # a bool is not a dimension
+        raise ValueError(f"witness defined for integers n >= 4, not {n!r}")
     cube = AugmentedCube(n)
     low = (1 << (n - 3)) - 1  # all-ones suffix of length n-3
     x = 0

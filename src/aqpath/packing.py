@@ -10,31 +10,33 @@ are one pair, two pairs sharing a terminal, or a triangle.
 
 Feasibility is decided exactly, in two stages:
 
-1. single-commodity flow relaxations (sources at first endpoints, sinks at
-   second endpoints, unit capacities on free vertices), each a
-   ``aqpath.flow.UnitFlowNet`` over the view, saturated by ``_saturate``.  A
-   value below the total demand refutes the packing, which also caps a
-   terminal's demands by its degree.  When the integral flow decomposes
-   into unit paths whose endpoints match the demands, that decomposition
-   *is* a packing.  Only a terminal that is both source and sink leaves
-   slack, so one pair, or two pairs oriented into their shared terminal,
-   are decided here; for a triangle all three orientations are tried;
-2. otherwise a branch-and-bound with one branched demand, the triangle's
-   smallest.  The other two, oriented out of the third terminal, form a
+1. for a triangle (three positive counts), single-commodity flow
+   relaxations (sources at first endpoints, sinks at second endpoints,
+   unit capacities on free vertices), each a ``aqpath.flow.UnitFlowNet``
+   over the view, saturated by ``_saturate``.  A value below the total
+   demand refutes the packing, which also caps a terminal's demands by its
+   degree.  When the integral flow decomposes into unit paths whose
+   endpoints match the demands, that decomposition *is* a packing.  Only a
+   terminal that is both source and sink leaves slack, so each of the three
+   orientations, one per terminal in that double role, is tried;
+2. otherwise a branch-and-bound with one branched demand, the smallest.
+   The other two, oriented out of the third terminal, form a
    single-source leaf the relaxation decides exactly (one source cannot
-   loop back to itself), so every branch ends in an exact flow.  The
-   branched segment sets are enumerated shortest-first (then
-   lexicographically) in strictly increasing order, so no packing is
-   visited twice, pruned by distance bounds and by the relaxation after
-   every commitment.  Shortest lengths come from a search steered by the
-   view's distance to the far endpoint (``_hops``), and a partial segment
-   is dropped once that distance exceeds the edges it has left, so the
-   search reads only the region around the segments it builds.  Both read
-   the distance from the view's table for that endpoint
-   (``cube.sink_distances``), which the flows share.  Branch
-   segments route only through the leaf's spare vertices, those whose
-   removal alone keeps the leaf feasible: the free vertices one saturated
-   leaf flow does not need (``UnitFlowNet.critical``).
+   loop back to itself), so every branch ends in an exact flow.  A pair
+   or a wedge (two pairs sharing a terminal) branches on a zero count, so
+   its one leaf, oriented out of the shared terminal, decides it at once
+   and no segment is enumerated.  The branched segment sets are
+   enumerated shortest-first (then lexicographically) in strictly
+   increasing order, so no packing is visited twice, pruned by distance
+   bounds and by the relaxation after every commitment.  Shortest
+   lengths come from a search steered by the view's distance to the far
+   endpoint (``_hops``), and a partial segment is dropped once that
+   distance exceeds the edges it has left, so the search reads only the
+   region around the segments it builds.  Both read the distance from the
+   view's table for that endpoint (``cube.sink_distances``), which the
+   flows share.  Branch segments route only through the leaf's spare
+   vertices, those whose removal alone keeps the leaf feasible: the free
+   vertices one saturated leaf flow does not need (``UnitFlowNet.critical``).
    The order also caps every segment's length by counting.  At a node
    owing k segments, the one being chosen included, let S be the spare
    vertices.  Each of the k segments has at least as many interior
@@ -127,10 +129,12 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
     pairs x-y, y-z and x-z, as three sorted lists whose segments run from
     the pair's first terminal to its second; or None, which is exact: no
     packing exists.  No interior holds a terminal, even one counted 0.
+    A triangle goes to the branch-and-bound only when the relaxations
+    leave it open; a pair or a wedge goes there at once.
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
-    x, y, z = trip = check_triple(view, trip, "terminal")
+    trip = check_triple(view, trip, "terminal")
     counts = tuple(counts)  # read once: the counts may be a one-shot iterable
     if len(counts) != 3:
         raise ValueError(f"need three counts, not {len(counts)}")
@@ -138,19 +142,18 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
         raise ValueError(f"counts must be integers, not {counts!r}")
     if min(counts) < 0:
         raise ValueError("negative demand")
-    pairs = zip(((x, y), (y, z), (x, z)), counts)
-    live = [(u, v, c) for (u, v), c in pairs if c > 0]
-    if not live:
+    if not any(counts):
         return [[], [], []]
 
     budget.tick()
-    for oriented in _orientations(live):
-        net = _saturate(view, oriented, set(trip))
-        if net is None:
-            return None
-        segs = _classify(net, oriented)
-        if segs is not None:
-            return _regroup(trip, oriented, segs)
+    if min(counts) > 0:
+        for oriented in _orientations(trip, counts):
+            net = _saturate(view, oriented, set(trip))
+            if net is None:
+                return None
+            segs = _classify(net, oriented)
+            if segs is not None:
+                return _regroup(trip, oriented, segs)
 
     search = _PackSearch(view, trip, counts, budget)
     if not search.rec():
@@ -159,26 +162,16 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
                     [search.chosen, *search.leaf_found])
 
 
-def _orientations(live: Sequence[Demand]) -> list[list[Demand]]:
-    """Orientation variants.  For a triangle, each variant leaves a
-    different terminal with the source+sink double role (the only source
-    of slack in the relaxation)."""
-    if len(live) == 3:
-        (x, y, a), (_, z, b), (_, _, c) = live
-        return [
-            live,  # y double-role
-            [(y, x, a), (x, z, c), (y, z, b)],  # x double-role
-            [(x, y, a), (z, y, b), (x, z, c)],  # z double-role
-        ]
-    if len(live) == 2:
-        # orient both demands into the shared terminal: one pure sink, two
-        # pure sources, so this single variant is already exact
-        (u1, v1, c1), (u2, v2, c2) = live
-        s, = {u1, v1} & {u2, v2}
-        o1 = (u1, v1, c1) if v1 == s else (v1, u1, c1)
-        o2 = (u2, v2, c2) if v2 == s else (v2, u2, c2)
-        return [[o1, o2]]
-    return [list(live)]
+def _orientations(trip: Sequence[int], counts: Sequence[int]) -> list[list[Demand]]:
+    """The triangle's three orientation variants, each leaving a different
+    terminal with the source+sink double role (the only source of slack in
+    the relaxation)."""
+    (x, y, z), (a, b, c) = trip, counts
+    return [
+        [(x, y, a), (y, z, b), (x, z, c)],  # y double-role
+        [(y, x, a), (x, z, c), (y, z, b)],  # x double-role
+        [(x, y, a), (z, y, b), (x, z, c)],  # z double-role
+    ]
 
 
 def _regroup(trip, oriented, segs) -> list[list[Segment]]:
@@ -311,9 +304,10 @@ def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
 
 
 def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
-    """A triangle as (the branched demand, the single-source leaf): the
+    """The demands as (the branched demand, the single-source leaf): the
     smallest demand (u, v) is branched and the other two are re-oriented
-    out of the third terminal."""
+    out of the third terminal.  With a zero count that demand is branched,
+    so a pair or a wedge is its leaf alone."""
     x, y, z = trip
     a, b, c = counts
     return min([((x, y, a), [(z, x, c), (z, y, b)]),
@@ -323,7 +317,7 @@ def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
 
 
 class _PackSearch:
-    """The state of one triangle's branch-and-bound, with its relaxation
+    """The state of one call's branch-and-bound, with its relaxation
     caches keyed by the interior vertices committed so far (see the module
     docstring).  ``blocked`` holds the terminals and those interiors.  The
     caches hold booleans and vertex sets, never networks; a node's leaf

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import random
+import re
 import weakref
 from collections import deque
 
@@ -67,7 +68,7 @@ def test_vertex_and_edge_counts():
 
 
 def test_the_cube_width_is_capped():
-    assert AugmentedCube(CUBE_MAX_N).degree == 2 * CUBE_MAX_N - 1
+    assert len(AugmentedCube(CUBE_MAX_N).words) == 2 * CUBE_MAX_N - 1
     with pytest.raises(ResourceGuard, match=f"n <= {CUBE_MAX_N}"):
         AugmentedCube(CUBE_MAX_N + 1)
 
@@ -86,15 +87,14 @@ def test_mask_adjacency_matches_doubling_construction(n):
     assert built == reference_edges(n)
 
 
-def test_h_neighbor_examples():
-    c = AugmentedCube(4)
-    assert c.h_neighbor(0b0000, 1) == 0b1000
-    assert c.h_neighbor(0b0010, 3) == 0b0000
-    assert c.h_neighbor(0b0000, 4) == 0b0001
+def test_hyper_word_examples():
+    assert 0b0000 ^ hyper_word(4, 1) == 0b1000
+    assert 0b0010 ^ hyper_word(4, 3) == 0b0000
+    assert 0b0000 ^ hyper_word(4, 4) == 0b0001
     with pytest.raises(ValueError):
-        c.h_neighbor(0, 5)
+        hyper_word(4, 5)
     with pytest.raises(ValueError):
-        c.h_neighbor(0, 0)
+        hyper_word(4, 0)
 
 
 AQ3 = AugmentedCube(3)
@@ -118,8 +118,6 @@ ON_A_VIEW = {
 ENTRY_POINTS = [
     pytest.param(AQ3, lambda g, v: check_vertices(g, [0, v]), id="check_vertices"),
     pytest.param(AugmentedCube(4), lambda g, v: construct(4, (0, 1, v)), id="construct"),
-    pytest.param(AQ3, lambda g, v: g.h_neighbor(v, 1), id="h_neighbor"),
-    pytest.param(AQ3, lambda g, v: g.c_neighbor(v, 1), id="c_neighbor"),
 ] + [pytest.param(g, call, id=f"{name}-{kind}")
      for name, call in ON_A_VIEW.items()
      for kind, g in (("cube", AQ3), ("adjlist", AQ3_LIST))]
@@ -159,24 +157,25 @@ def test_every_triple_entry_point_reads_its_triple_once(name):
                 call(view, arg)
 
 
-@pytest.mark.parametrize("n", [True, 6.0, 7.5], ids=["bool", "whole-float", "fraction"])
+@pytest.mark.parametrize("n", [True, 6.0, 7.5, None, "6"],
+                         ids=["bool", "whole-float", "fraction", "None", "str"])
 @pytest.mark.parametrize("call", [
     AugmentedCube, target_count, cube_upper_bound, lambda n: regular_upper_bound(n, 4),
     witness_triple, lambda n: construct(n, (0, 1, 2))],
     ids=["AugmentedCube", "target_count", "cube_upper_bound", "regular_upper_bound",
          "witness_triple", "construct"])
 def test_every_dimension_is_an_integer(call, n):
-    with pytest.raises(ValueError):
+    # the message names the dimension given, not a value derived from it
+    with pytest.raises(ValueError, match=re.escape(f"not {n!r}")):
         call(n)
 
 
-def test_c_neighbor_examples():
-    c = AugmentedCube(4)
-    assert c.c_neighbor(0b0000, 1) == 0b1111
-    assert c.c_neighbor(0b0001, 1) == 0b1110
-    assert c.c_neighbor(0b0010, 2) == 0b0101
+def test_complement_word_examples():
+    assert 0b0000 ^ complement_word(4, 1) == 0b1111
+    assert 0b0001 ^ complement_word(4, 1) == 0b1110
+    assert 0b0010 ^ complement_word(4, 2) == 0b0101
     with pytest.raises(ValueError):
-        c.c_neighbor(0, 4)  # level n coincides with the single-bit flip
+        complement_word(4, 4)  # level n coincides with the single-bit flip
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -221,6 +220,20 @@ def test_quadrant_and_half():
     for v in c.vertices():
         assert [b for b in (0, 1) if v in c.half_view(b)] == [v >> 3]
         assert [q for q in range(4) if v in c.quadrant_view(q)] == [v >> 2]
+
+
+@pytest.mark.parametrize("take", [
+    lambda c: c.half_view(2), lambda c: c.quadrant_view(-1),
+    lambda c: c.diamond_view(0, 5), lambda c: c.half_view(True)],
+    ids=["half-2", "quadrant-minus-1", "diamond-0-5", "half-True"])
+def test_a_sub_view_index_names_a_sub_cube(take):
+    # an index past the last sub-cube or below the first would give a view
+    # of vertices outside the cube, and a bool is not an index
+    c = AugmentedCube(4)
+    with pytest.raises(ValueError, match=r"sub-view index .* not in range\([24]\)"):
+        take(c)
+    assert c.half_view(1).vertices() == range(8, 16)
+    assert c.diamond_view(0, 3).vertices() == [*range(4), *range(12, 16)]
 
 
 def test_translate_examples():

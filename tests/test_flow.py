@@ -235,7 +235,7 @@ def test_network_cost_follows_the_explored_region():
     cube = AugmentedCube(16)
     u, v = 0, 1
     assert cube.is_adjacent(u, v)
-    net = UnitFlowNet(cube, {u: cube.degree}, {v: cube.degree}, {u, v})
+    net = UnitFlowNet(cube, {u: len(cube.words)}, {v: len(cube.words)}, {u, v})
     assert net.max_flow(limit=1) == 1
     assert len(net.cap) < 100
 
@@ -1024,7 +1024,7 @@ def test_an_amended_leaf_matches_a_fresh_one(n):
     seen = dict.fromkeys(("failed", "lost", "kept", "joint", "no joint"), 0)
     for _ in range(60):
         s, x, y = rng.sample(range(1 << n), 3)
-        total = cube.degree - rng.randint(0, 2)
+        total = len(cube.words) - rng.randint(0, 2)
         cut = rng.randint(1, total - 1)
         leaf = [(s, x, cut), (s, y, total - cut)]
         blocked = {s, x, y}

@@ -396,7 +396,7 @@ def ceiling_gaps(n):
     bound), the value ``max_dpaths`` starts its scan from."""
     cube = AugmentedCube(n)
     return [D for D in orbit_representatives(n)
-            if max_dpaths(cube, D)[0] != min(cube.degree, oracle._slot_bound(cube, D))]
+            if max_dpaths(cube, D)[0] != min(len(cube.words), oracle._slot_bound(cube, D))]
 
 
 # observed, not proved: on AQ_5 to AQ_7 every orbit meets its ceiling,

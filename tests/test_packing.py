@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from collections import deque
 
@@ -6,7 +7,8 @@ import pytest
 
 from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
-from aqpath import packing
+from aqpath import oracle, packing, report
+from aqpath.oracle import max_dpaths
 from aqpath.packing import (Budget, SearchBudgetExceeded, _enum_segments, _hops,
                             _saturate, _split_for_search, pack_segments)
 from aqpath.textio import parse_graph, render_graph
@@ -449,12 +451,27 @@ def tight_triangle(view, rng):
     return (x, y, z), (a, b, c)
 
 
+def pair_or_wedge(view, rng, zeros):
+    """Three terminals with ``zeros`` counts 0 (one: a wedge, two: a pair)
+    and the others up to their terminals' smaller degree."""
+    trip = rng.sample(sorted(view.vertices()), 3)
+    live = rng.sample(range(3), 3 - zeros)
+    counts = [0, 0, 0]
+    for i in live:
+        u, v = [(0, 1), (1, 2), (0, 2)][i]
+        top = min(len(view.neighbors(trip[u])), len(view.neighbors(trip[v])))
+        counts[i] = rng.randint(1, max(1, top))
+    return tuple(trip), tuple(counts)
+
+
 def exactness_cases():
     for seed in range(12):
         view = random_graph(seed)
         rng = random.Random(seed)
         for _ in range(12):
             yield f"parsed-{seed}", view, *tight_triangle(view, rng)
+        for zeros in (1, 2):
+            yield f"parsed-{seed}", view, *pair_or_wedge(view, rng, zeros)
     cube = AugmentedCube(4)
     rng = random.Random(4)
     yield "AQ4", cube, *REFUTED
@@ -471,11 +488,75 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
             super().__init__(view, trip, counts, budget)
 
     monkeypatch.setattr(packing, "_PackSearch", CountedSearch)
+    verdicts = set()
     for name, view, trip, counts in exactness_cases():
         found = pack_segments(view, trip, counts)
         assert (found is not None) == packing_exists(view, trip, counts), (
             name, trip, counts)
         if found is not None:
             assert_packing(view, trip, counts, found)
-    # the caches only act inside the branch-and-bound
-    assert len(searches) >= 5
+        verdicts.add((counts.count(0), found is not None))
+    # pairs and wedges, packed and refuted, are among the cases; the
+    # caches only act inside a triangle's branch-and-bound
+    assert {(1, True), (1, False), (2, True), (2, False)} <= verdicts
+    assert sum(min(counts) > 0 for _, counts in searches) >= 5
+
+
+@pytest.mark.parametrize("trip, counts, packed", [
+    ((0, 1, 2), (2, 0, 0), True), ((0, 5, 10), (0, 3, 3), True),
+    ((0, 5, 10), (0, 4, 4), False)], ids=["pair", "wedge", "refuted-wedge"])
+def test_a_pair_or_a_wedge_is_decided_by_one_leaf_flow(monkeypatch, trip, counts, packed):
+    # the zero count is branched, so the branch-and-bound's single-source
+    # leaf decides the call at its root: one flow, the call's one tick and
+    # no segment enumerated
+    calls = []
+    max_flow = UnitFlowNet.max_flow
+
+    def counted(net, limit=None):
+        calls.append(limit)
+        return max_flow(net, limit)
+
+    def enumerated(*args):
+        raise AssertionError("a segment was enumerated")
+
+    monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
+    monkeypatch.setattr(packing, "_enum_segments", enumerated)
+    cube = AugmentedCube(4)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    found = pack_segments(cube, trip, counts, budget)
+    assert (found is not None) == packed == packing_exists(cube, trip, counts)
+    if packed:
+        assert_packing(cube, trip, counts, found)
+    assert len(calls) == budget.used == 1
+
+
+def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
+    # over pi3(AQ_4)'s 105 pinned triples and the inputs of acceptance
+    # criterion 8 (AQ_3's 56 triples and 200 random graphs), every pack the
+    # oracle asks for with three positive counts, and only those, runs the
+    # orientation relaxations; AQ_4's are all triangles
+    relaxed, shapes = [], []
+    orientations, pack = packing._orientations, oracle.pack_segments
+
+    def seen(trip, counts):
+        relaxed.append(tuple(counts))
+        return orientations(trip, counts)
+
+    def packed(view, trip, counts, budget=None):
+        shapes.append(counts.count(0))
+        return pack(view, trip, counts, budget)
+
+    monkeypatch.setattr(packing, "_orientations", seen)
+    monkeypatch.setattr(oracle, "pack_segments", packed)
+    cube = AugmentedCube(4)
+    for b, c in itertools.combinations(range(1, 16), 2):
+        max_dpaths(cube, (0, b, c))
+    assert shapes.count(0) == len(shapes) == len(relaxed)
+    for D in itertools.combinations(range(8), 3):
+        max_dpaths(AugmentedCube(3), D)
+    rng = random.Random(report.CORPUS_SEED)
+    for _ in range(report.CORPUS_GRAPHS):
+        g = report.random_connected_graph(rng)
+        max_dpaths(g, rng.sample(list(g.vertices()), 3))
+    assert min(map(min, relaxed)) > 0
+    assert shapes.count(0) == len(relaxed) < len(shapes)

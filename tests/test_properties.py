@@ -1,20 +1,11 @@
-"""Invariant suites: neighbour flips, adjacency by mask, translation symmetry
-and the sweeps' quadrant pinning."""
+"""Invariant suites: adjacency by mask, translation symmetry and the sweeps'
+quadrant pinning."""
 
 import itertools
 
 from aqpath.cube import AugmentedCube
 
 _CUBES = {n: AugmentedCube(n) for n in range(2, 7)}
-
-
-def test_neighbor_flips_are_involutions():
-    for n, cube in _CUBES.items():
-        for x in range(1 << n):
-            for d in range(1, n + 1):
-                assert cube.h_neighbor(cube.h_neighbor(x, d), d) == x
-            for d in range(1, n):
-                assert cube.c_neighbor(cube.c_neighbor(x, d), d) == x
 
 
 def test_adjacency_iff_mask_difference():

@@ -130,6 +130,27 @@ def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
                                                      "sink_distances", "symmetries"]
 
 
+def test_every_public_name_of_the_cube_has_a_reader():
+    # a name ``AugmentedCube`` defines that neither the library (outside the
+    # class) nor the benchmark reads is one only tests read: it goes
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    sources = [*Path(aqpath.__file__).parent.glob("*.py"), *perfbench.glob("*.py")]
+    assert len(sources) > len(list(perfbench.glob("*.py"))) > 0
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    cube, = (node for tree in trees for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "AugmentedCube")
+    defined = {node.name for node in cube.body if isinstance(node, ast.FunctionDef)}
+    defined |= {node.attr for node in ast.walk(cube)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    public = {name for name in defined if not name.startswith("_")}
+    inside = {id(node) for node in ast.walk(cube)}  # the trees keep every id live
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    assert {"bits", "words", "mask_words", "mask_label"} <= public
+    assert public <= read, public - read
+
+
 def test_the_cube_alone_owns_the_distance_tables_and_the_triple_check():
     # ``cube.sink_distances`` is the one reader of a view's tables, and
     # ``cube.check_triple`` the one check of a terminal triple: a second
