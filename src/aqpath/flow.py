@@ -116,9 +116,9 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
 
 
 def descend(view, x: int, t: int, avoid: Container[int],
-            stop: Container[int] | None = None) -> tuple[int, ...] | None:
+            stop: Container[int]) -> tuple[int, ...] | None:
     """A path of the view from x toward t to the first vertex of ``stop``
-    (default: t alone) it reaches, the others outside ``avoid``; or None.
+    it reaches, the others outside ``avoid``; or None.
     Each step takes the first of ``cube.closer_words`` the view has and
     ``avoid`` leaves free, else (``_SIDEWAYS`` times in all) the first
     neighbour as far from t.  A view whose ``distance_to`` is 0 away from
@@ -126,7 +126,6 @@ def descend(view, x: int, t: int, avoid: Container[int],
     dist = view.distance_to(t)
     if not dist(x):
         return None
-    stop = (t,) if stop is None else stop
     adjacent = view.is_adjacent
     gt, path, sideways = t ^ (t >> 1), [x], _SIDEWAYS
     while True:

@@ -146,10 +146,10 @@ def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
 def _path_masks(view, u: int, w: int, via: int, bit: dict[int, int],
                 direct: dict[tuple[int, int], int], found: list[int]) -> None:
     """Append to ``found`` the mask of every simple u-w path that visits
-    ``via``, unless it holds a mask already there: ``bit[v]`` for each
-    interior vertex, ``direct[a, b]`` for each terminal-terminal edge.  A
-    path is abandoned as soon as its mask so far holds one in ``found``,
-    since every completion would too."""
+    ``via``, a third vertex, unless it holds a mask already there:
+    ``bit[v]`` for each interior vertex, ``direct[a, b]`` for each
+    terminal-terminal edge.  A path is abandoned as soon as its mask so
+    far holds one in ``found``, since every completion would too."""
     on = {u}
 
     def extend(cur: int, mask: int) -> None:
@@ -165,8 +165,7 @@ def _path_masks(view, u: int, w: int, via: int, bit: dict[int, int],
                     extend(nxt, step)
                     on.discard(nxt)
 
-    if via != w:
-        extend(u, 0)
+    extend(u, 0)
 
 
 def brute_small(view, D: Sequence[int]) -> int:

@@ -46,6 +46,21 @@ Feasibility is decided exactly, in two stages:
    under a larger blocked set also saturates it under a smaller one.  So a
    segment with more than |S| // k interior vertices completes no packing
    and is never listed.
+   A triangle's root leaf is always feasible (the root lemma), as the
+   triangle gets here only after all three orientations saturate.  Write
+   (a, b, c) for the counts of x-y, y-z and x-z, and take the split that
+   branches x-y: its leaf sends c units from z to x and b from z to y.
+   One source with k_p units for the sink p and k_q for q saturates iff
+   k_p <= r({p}), k_q <= r({q}) and k_p + k_q <= r({p, q}), r(S) the most
+   interior-disjoint paths from the source to S (max-flow min-cut with
+   sink capacities).  In the y-double orientation z is only a sink and
+   takes b + c units, at most b of them from y: so r({x, y}) >= b + c and
+   r({x}) >= c.  In the x-double one z again takes b + c, at most c from
+   x: r({y}) >= b.  The other two splits follow alike from the two
+   orientations in which the leaf's source has no double role.  Every net
+   blocks the same terminals, carries at most one unit over a direct
+   terminal edge and runs over an undirected view, so a unit's path,
+   reversed if need be, serves the leaf.
    Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
    both take {a, b}, and so may two shorter segments), and within one
    search those vertices fix the free set.  So every relaxation verdict is
@@ -319,10 +334,12 @@ def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
 class _PackSearch:
     """The state of one call's branch-and-bound, with its relaxation
     caches keyed by the interior vertices committed so far (see the module
-    docstring).  ``blocked`` holds the terminals and those interiors.  The
-    caches hold booleans and vertex sets, never networks; a node's leaf
-    network lives only while its subtree is searched, and nothing here
-    refers back to itself, so all of it is freed on return.
+    docstring).  ``blocked`` holds the terminals and those interiors, and
+    ``avoid`` the set a node's branch segments avoid: ``blocked`` and the
+    leaf's critical vertices, never None, as every node's leaf is feasible
+    (``rec``).  The caches hold booleans and vertex sets, never networks;
+    a node's leaf network lives only while its subtree is searched, and
+    nothing here refers back to itself, so all of it is freed on return.
     """
 
     def __init__(self, view, trip: Sequence[int], counts: Sequence[int],
@@ -335,7 +352,7 @@ class _PackSearch:
         self.blocked = set(trip)
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.joint_ok: dict[tuple[frozenset[int], int], bool] = {}
-        self.avoid: dict[frozenset[int], set[int] | None] = {}
+        self.avoid: dict[frozenset[int], set[int]] = {}
         # (g, t, the images found so far) of each map fixing every terminal
         self.maps = [(g, t, {}) for g, t, perm in symmetries(view, trip)
                      if perm == (0, 1, 2)]
@@ -350,7 +367,10 @@ class _PackSearch:
         set of the parent node, whose critical vertices stay critical here.
         The leaf has one source, which no unit can loop back into, so
         saturation decides it exactly and forces the split between its
-        sinks."""
+        sinks.  Every node that branches has a feasible leaf: a triangle's
+        root by the root lemma (module docstring), a child as it is entered
+        only when its leaf saturates (a pair or a wedge owes no branched
+        segment, so its root returns at the leaf)."""
         u, v, need = self.branch
         chosen = self.chosen
         if len(chosen) == need:
@@ -370,13 +390,8 @@ class _PackSearch:
         if key not in self.avoid:
             if net is None:
                 net = _saturate(self.view, self.leaf, self.blocked)
-            self.avoid[key] = (None if net is None
-                               else self.blocked | net.critical(known))
+            self.avoid[key] = self.blocked | net.critical(known)
         avoid = self.avoid[key]
-        if avoid is None:
-            # only at the root, as a child is entered with a feasible leaf;
-            # no commitment frees a vertex, so none rescues the leaf
-            return False
         floor = chosen[-1] if chosen else None
         owed = need - len(chosen)
         for seg in _enum_segments(self.view, u, v, avoid, floor, owed):

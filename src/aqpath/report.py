@@ -191,15 +191,13 @@ def random_connected_graph(rng: random.Random) -> AdjListView:
 # -- the sweep ------------------------------------------------------------
 
 
-def run_all(emit: Callable[[str], None] | None = None) -> list[CriterionResult]:
+def run_all(emit: Callable[[str], None]) -> list[CriterionResult]:
     """Run every criterion, emitting one line each and a summary."""
     results = []
     for fn in (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                criterion_6, criterion_7, criterion_8, criterion_9):
         results.append(fn())
-        if emit:
-            emit(results[-1].line())
-    if emit:
-        passed = sum(1 for r in results if r.passed)
-        emit(f"SUMMARY {passed}/{len(results)} criteria passed")
+        emit(results[-1].line())
+    passed = sum(1 for r in results if r.passed)
+    emit(f"SUMMARY {passed}/{len(results)} criteria passed")
     return results

@@ -361,7 +361,7 @@ def test_a_fan_whose_walk_falls_short_is_finished_by_the_seeded_net(monkeypatch)
     view = RestrictedView(half, forbidden_vertices={
         w for w in ring if distance(x, w) < distance(x, t)})
     targets = [t, 1, 2, 121]
-    assert descend(view, x, t, {x, *targets}) is None
+    assert descend(view, x, t, {x, *targets}, (t,)) is None
     seeded, seed = [], UnitFlowNet.seed
 
     def counted(net, path):
@@ -397,7 +397,7 @@ def test_a_fan_walk_leaves_by_the_first_hop_that_arrives(monkeypatch):
     view = RestrictedView(half, forbidden_vertices={
         u for u in half.neighbors(t) if distance(x, u) < distance(x, t)})
     targets = [t, 1, 2, 90, 121]
-    assert descend(view, x, t, {x, *targets}) is None
+    assert descend(view, x, t, {x, *targets}, (t,)) is None
     monkeypatch.setattr(flow, "UnitFlowNet", no_net)
     got = fan(view, x, targets)
     assert_fan(view, x, targets, got)
@@ -634,7 +634,7 @@ def test_a_net_seeded_with_walks_reaches_the_maximum(name, monkeypatch):
     for x, targets in cases:
         avoid, walked = {x, *targets}, []
         for t in targets:
-            p = descend(view, x, t, avoid)
+            p = descend(view, x, t, avoid, (t,))
             if p is not None:
                 walked.append(p)
                 avoid.update(p)

@@ -361,6 +361,44 @@ def test_the_joint_relaxation_prunes_what_the_leaf_alone_does_not(monkeypatch):
     assert budget.used == 12
 
 
+def test_a_node_entered_with_cached_verdicts_saturates_its_leaf_afresh(monkeypatch):
+    # A = x-a-y < B = x-d1-d2-y < C = x-a-d3-y < E = x-e1-e2-y <
+    # D = x-d1-d2-d3-y, and [A, D] commits K = {a, d1, d2, d3}, the interior
+    # of [B, C].  Besides four pipes, the leaf sends one unit from z to x
+    # (by z-v-e1 or z-w-u1) and one to y (by z-v-e2 or z-w-u2), so neither
+    # e1 nor e2 is critical, but with E committed both units need w.  A
+    # cycle at x lets the joint relaxations pass.  [A, D] is entered and
+    # refuted first, so [B, C] is entered with its verdicts cached and no
+    # net, and E, listed at no node before, needs a fresh leaf flow there
+    x, y, z, d1, a, d2, d3, e1, e2, v, w, u1, u2, p1, p2, q1, q2, c1, c2 = range(19)
+    view = AdjListView([
+        (x, a), (a, y), (x, d1), (d1, d2), (d2, y), (d2, d3), (d3, y), (a, d3),
+        (x, e1), (e1, e2), (e2, y), (z, v), (v, e1), (v, e2),
+        (z, w), (w, u1), (u1, x), (w, u2), (u2, y),
+        (z, p1), (p1, x), (z, p2), (p2, x), (z, q1), (q1, y), (z, q2), (q2, y),
+        (x, c1), (c1, c2), (c2, x)], bits=5, vertices=range(19))
+    trip, counts, K = (x, y, z), (3, 3, 3), frozenset({a, d1, d2, d3})
+    searches, leaf_flows = [], []
+    saturate = packing._saturate
+
+    class RecordedSearch(packing._PackSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def watched(view, demands, blocked):
+        if searches and list(demands) == searches[-1].leaf:
+            leaf_flows.append((set(blocked), K in searches[-1].avoid))
+        return saturate(view, demands, blocked)
+
+    monkeypatch.setattr(packing, "_PackSearch", RecordedSearch)
+    monkeypatch.setattr(packing, "_saturate", watched)
+    assert pack_segments(view, trip, counts) is None
+    assert not packing_exists(view, trip, counts)
+    # the root's leaf, then [B, C]'s fresh one, after K's spare set was cached
+    assert leaf_flows == [({x, y, z}, False), ({x, y, z} | K, True)]
+
+
 def test_a_net_keeps_the_blocked_set_it_was_built_with():
     cube = AugmentedCube(4)
     blocked = {0, 1, 2}
@@ -560,3 +598,47 @@ def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
         max_dpaths(g, rng.sample(list(g.vertices()), 3))
     assert min(map(min, relaxed)) > 0
     assert shapes.count(0) == len(relaxed) < len(shapes)
+
+
+def lemma_views(rng):
+    """AQ_4, AQ_5, seeded restrictions of each, and random connected graphs."""
+    for n in (4, 5):
+        cube = AugmentedCube(n)
+        yield "cube", cube
+        verts = sorted(cube.vertices())
+        for _ in range(6):
+            yield "restricted", RestrictedView(
+                cube, forbidden_vertices=rng.sample(verts, rng.randint(1, 4)),
+                forbidden_edges=[(v, rng.choice(cube.neighbors(v)))
+                                 for v in rng.sample(verts, 4)])
+    for _ in range(40):
+        yield "graph", report.random_connected_graph(rng)
+
+
+def test_a_triangle_reaches_the_search_with_every_split_leaf_feasible():
+    # the root lemma: once all three orientations saturate and none
+    # classifies, every single-source leaf the search could split off
+    # saturates too, so ``rec`` needs no exit for an infeasible root
+    rng = random.Random(44)
+    met = {"cube": 0, "restricted": 0, "graph": 0}
+    for kind, view in lemma_views(rng):
+        verts = sorted(view.vertices())
+        for _ in range(200):
+            trip = tuple(rng.sample(verts, 3))
+            degs = [len(view.neighbors(t)) for t in trip]
+            counts = a, b, c = tuple(rng.randint(1, min(degs)) for _ in range(3))
+            # a terminal asked for more segments than it has edges is
+            # refuted by an orientation where it has one role
+            if any(d < s for d, s in zip(degs, (a + c, a + b, b + c))):
+                continue
+            oriented = packing._orientations(trip, counts)
+            nets = [_saturate(view, o, set(trip)) for o in oriented]
+            if None in nets or any(packing._classify(net, o) is not None
+                                   for net, o in zip(nets, oriented)):
+                continue
+            met[kind] += 1
+            x, y, z = trip
+            for leaf in ([(z, x, c), (z, y, b)], [(x, y, a), (x, z, c)],
+                         [(y, x, a), (y, z, b)]):
+                assert _saturate(view, leaf, set(trip)) is not None, (trip, counts)
+    assert sum(met.values()) >= 150 and min(met.values()) >= 15, met
