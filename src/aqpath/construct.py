@@ -83,9 +83,9 @@ CASE_E21, CASE_E22, CASE_E3 = "E2.1", "E2.2", "E3"
 CASE_O1, CASE_O2 = "O1", "O2"
 
 # nothing is listed, so this bounds time only: on a 2-core x86 box, in a
-# fresh process, a seeded triple of either kind takes 0.11-0.31 s at
-# n = 128 and the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.12-0.19
-# s, each at 17 MB peak RSS
+# fresh process, a seeded triple of either kind takes 0.05-0.12 s at
+# n = 128 and the far pair (0, alt >> 1, alt), alt = 0b1010..., 0.08-0.12
+# s, each at 16 MB peak RSS
 CONSTRUCT_MAX_N = 128
 
 
@@ -151,7 +151,9 @@ def _construct_level(cube, trip):
         builder, down = _CASES[case]
         trace.append(TraceEntry(cube.n, case, word, tuple(v ^ word for v in xyz)))
         pull ^= word
-        pulled = [tuple(v ^ pull for v in p) for p in builder(cube, *xyz)]
+        paths = builder(cube, *xyz)
+        # no pull word: the builder's ints are kept, not copied
+        pulled = (tuple(v ^ pull for v in p) for p in paths) if pull else map(tuple, paths)
         levels.append([t[::-1] if t[0] > t[-1] else t for t in pulled])
         if not down:
             return [p for level in reversed(levels) for p in level], trace

@@ -190,7 +190,11 @@ def closer_words(y: int) -> Iterator[int]:
     that reaches from a run into the gap beside it, joining it to the next
     run, can be closer too and is not yielded: for x ^ t = 249 in AQ_8 the
     closer words are 1, 2, 4, 7 and 255, and this yields 1, 7 and 255.  So
-    ``flow.descend`` may step sideways while such a word is free."""
+    ``flow.descend`` may step sideways while such a word is free.
+    The first word is 2 * low - 1 for a lowest run of odd length and
+    2 * low for an even one (low = y & -y); ``flow.descend`` reads it so,
+    in closed form, and starts this generator only when that word is
+    blocked or leaves the view; ``flow._hops`` lists them all from here."""
     while y:
         low = y & -y
         run = y & ~(y + low)  # the carry clears just the lowest run

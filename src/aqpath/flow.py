@@ -53,12 +53,16 @@ Every path-system call walks before it flows (``route``): the bundles of
 ``disjoint_paths`` (``min_vertex_cut`` counts them, the constructor's
 ladders take them), ``fan``, ``linkage`` and the constructor's prescribed
 pairs.  ``descend`` steps from a source toward its target by
-``cube.closer_words``, one closer each step.  A fan's source, which sends
-a unit to every target, leaves by the first of its free neighbours (closer
-steps first, then the others nearest the target) from which a walk
-arrives, so a late walk is not lost because its first closer step is
-taken, and it tries no neighbour a kept walk took; and a bundle's walk
-that gets stuck short of the free sinks is retried toward each of them.
+``cube.closer_words``, one closer each step; it reads a step's first
+closer word in closed form and starts the generator only where that word
+is blocked, so most steps cost a few integer operations, a lookup and an
+adjacency test.  A fan's source, which sends a unit to every target,
+leaves by the first of its free neighbours (closer steps first, then the
+others nearest the target) from which a walk arrives, handing the walk
+the distance it ordered them by, so a late walk is not lost because its
+first closer step is taken, and it tries no neighbour a kept walk took;
+and a bundle's walk that gets stuck short of the free sinks is retried
+toward each of them.
 Only the units no walk delivers are left to a net, seeded with the walks
 (``UnitFlowNet.seed``) and augmented.
 Seeding asks the view for nothing: what a walk writes into the row of an
@@ -116,33 +120,44 @@ def _nodes(path: tuple[int, ...]) -> list[int]:
 
 
 def descend(view, x: int, t: int, avoid: Container[int],
-            stop: Container[int]) -> tuple[int, ...] | None:
+            stop: Container[int], dist: Callable[[int], int] | None = None
+            ) -> tuple[int, ...] | None:
     """A path of the view from x toward t to the first vertex of ``stop``
     it reaches, the others outside ``avoid``; or None.
     Each step takes the first of ``cube.closer_words`` the view has and
     ``avoid`` leaves free, else (``_SIDEWAYS`` times in all) the first
-    neighbour as far from t.  A view whose ``distance_to`` is 0 away from
-    t, an adjacency list, is not walked."""
-    dist = view.distance_to(t)
+    neighbour as far from t.  The first word is read in closed form, from
+    the lowest run of the gray word y, and the generator starts only when
+    that word is blocked or leaves the view (or y = 0), so the tries keep
+    their order.  ``dist`` is ``view.distance_to(t)`` if the caller has
+    it.  A view whose ``distance_to`` is 0 away from t, an adjacency list,
+    is not walked."""
+    if dist is None:
+        dist = view.distance_to(t)
     if not dist(x):
         return None
     adjacent = view.is_adjacent
     gt, path, sideways = t ^ (t >> 1), [x], _SIDEWAYS
     while True:
         v = path[-1]
-        for w in closer_words(v ^ (v >> 1) ^ gt):
-            u = v ^ w
-            if (u in stop or u not in avoid) and adjacent(v, u):
-                break
-        else:
-            if not sideways:
-                return None
-            sideways -= 1
-            d = dist(v)
-            u = next((u for u in view.neighbors(v) if dist(u) == d
-                      and (u in stop or u not in avoid) and u not in path), None)
-            if u is None:
-                return None
+        y = v ^ (v >> 1) ^ gt
+        low = y & -y
+        # closer_words(y)'s first word: 2 * low - 1 if y's lowest run is odd
+        u = v ^ (2 * low - (y & ~(y + low)).bit_count() % 2)
+        if not (y and (u in stop or u not in avoid) and adjacent(v, u)):
+            for w in closer_words(y):
+                u = v ^ w
+                if (u in stop or u not in avoid) and adjacent(v, u):
+                    break
+            else:
+                if not sideways:
+                    return None
+                sideways -= 1
+                d = dist(v)
+                u = next((u for u in view.neighbors(v) if dist(u) == d
+                          and (u in stop or u not in avoid) and u not in path), None)
+                if u is None:
+                    return None
         path.append(u)
         if u in stop:
             return tuple(path)
@@ -496,13 +511,14 @@ def _leave(view, x: int, t: int, avoid: Container[int], stop: Container[int],
     """A walk from x toward t to the first vertex of ``stop``: ``descend``
     from the first of x's free neighbours ``nbrs``, in ``_hops`` order,
     from which it arrives, leaving x by the last of them the walk crosses;
-    or None.  A view with no distance is not walked."""
+    or None.  Each walk takes the distance ``_hops`` reads, so a target's
+    distance is built once.  A view with no distance is not walked."""
     dist = view.distance_to(t)
     for u in _hops(x, t, dist, nbrs) if dist(x) else ():
         if u in stop:
             q = (u,)
         elif u not in avoid:
-            q = descend(view, u, t, avoid, stop)
+            q = descend(view, u, t, avoid, stop, dist)
         else:
             continue
         if q is not None:

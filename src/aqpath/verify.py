@@ -5,8 +5,9 @@ member visits all three terminals, the pairwise vertex intersections are
 exactly the terminal set, and no edge is used twice.  Uses only adjacency
 queries and set arithmetic -- no flow and no constructor code -- so it can
 referee both sides.
-A sound family is accepted in bulk (``view.is_walk`` and set counts); any
-other is scanned vertex by vertex, and that scan alone names the fault.
+A sound family is accepted in bulk, in one pass that builds each path's
+vertex set once (``view.is_walk`` and set counts); any other is scanned
+vertex by vertex, and that scan alone names the fault.
 """
 
 from __future__ import annotations
@@ -71,6 +72,23 @@ def check_family(view, terminals: Sequence[int],
     for t in D:
         if t not in view:
             return Violation(ViolationKind.WRONG_GRAPH, f"terminal {t} not in view")
+    # a sound family passes in one pass, one vertex set per path: every
+    # path is simple and holds D, and no interior vertex and no
+    # terminal-terminal edge repeats
+    seen: set[int] = set()
+    tt = []
+    for p in paths:
+        s = set(p) if set(map(type, p)) == {int} else set()
+        if len(s) != len(p) or not s >= D or not view.is_walk(p):
+            break
+        seen |= s
+        a, b, c = sorted(map(p.index, D))
+        tt += [frozenset(p[i:i + 2]) for i, j in ((a, b), (b, c)) if j == i + 1]
+    else:
+        if (len(set(tt)) == len(tt)
+                and len(seen) == 3 + sum(map(len, paths)) - 3 * len(paths)):
+            return None
+    # a fault: the scan below finds the first one
     for i, p in enumerate(paths):
         bad = check_path(view, p)
         if bad is not None:
@@ -80,15 +98,6 @@ def check_family(view, terminals: Sequence[int],
         if missing:
             return Violation(ViolationKind.MISSING_TERMINAL,
                              f"terminal {min(missing)} absent", (i,))
-    # every path is simple and holds D: the family stands when no interior
-    # vertex and no terminal-terminal edge repeats
-    tt = []
-    for p in paths:
-        a, b, c = sorted(map(p.index, D))
-        tt += [frozenset(p[i:i + 2]) for i, j in ((a, b), (b, c)) if j == i + 1]
-    if (len(set(tt)) == len(tt)
-            and len(set().union(*paths)) == 3 + sum(map(len, paths)) - 3 * len(paths)):
-        return None
     # The least pair (i, j) of members sharing an interior vertex or an
     # edge: an element's first owner i is the least member holding it, so
     # the least pair is (first owner, later holder) for some element.  An

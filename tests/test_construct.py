@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -649,16 +650,20 @@ def test_a_forced_repair_seeds_its_net_lazily(n, cap, monkeypatch):
         assert check_family(AugmentedCube(n), d, fam.paths) is None
 
 
-@pytest.mark.parametrize("n, cap", [(64, 2800), (128, 10000)])
-def test_a_fan_pays_per_free_hop(n, cap, monkeypatch):
+@pytest.mark.parametrize("n, cap, tables", [(64, 2505, 186), (128, 9129, 378)])
+def test_a_fan_pays_per_free_hop(n, cap, tables, monkeypatch):
     # a fan's source tries only its free neighbours as first hops, ordered
     # by three distance buckets, so (0, 1, all ones) reads 2,505 distances
     # at n = 64 and 9,129 at n = 128; sorting every neighbour by distance
-    # per fan unit read 7,996 and 32,380.  A cap may only tighten
-    reads = [0]
+    # per fan unit read 7,996 and 32,380.  Each first hop's walk takes the
+    # distance its ordering read, so 186 and 378 distance functions are
+    # built (307 and 627 when each walk built its own).  A cap may only
+    # tighten
+    reads, built = [0], [0]
 
     def counted(self, t, _reader=PrefixView.distance_to):
         dist = _reader(self, t)
+        built[0] += 1
 
         def read(x):
             reads[0] += 1
@@ -669,7 +674,27 @@ def test_a_fan_pays_per_free_hop(n, cap, monkeypatch):
     d = (0, 1, (1 << n) - 1)
     fam = construct(n, d)
     assert reads[0] <= cap
+    assert built[0] <= tables
     assert check_family(AugmentedCube(n), d, fam.paths) is None
+
+
+def test_a_walk_starts_closer_words_only_past_a_blocked_first_word(monkeypatch):
+    # ROADMAP item 2's count: the first seeded cross-half triple at n = 64
+    # emits 4,526 vertices, and its walks start ``cube.closer_words`` 901
+    # times, where the first closer word of a step is blocked, leaves the
+    # view or is missing; starting it on every step made 4,058 calls.  The
+    # pin may only move to a smaller exact count
+    flow = importlib.import_module("aqpath.flow")
+    words, calls = flow.closer_words, [0]
+
+    def counted(y):
+        calls[0] += 1
+        return words(y)
+
+    monkeypatch.setattr(flow, "closer_words", counted)
+    fam = construct(64, first_seeded_triples(64, False)[0])
+    assert sum(map(len, fam.paths)) == 4526
+    assert calls[0] == 901
 
 
 @pytest.mark.slow
@@ -757,6 +782,33 @@ def test_construct_builds_one_cube_per_call(monkeypatch):
     fam = construct(64, (0, 1, 2))
     assert len(fam.trace) == 31
     assert built == [64]
+
+
+# sha256 of the paths, one repr line each, of the first seeded cross-half
+# triple and of (0, 1, all ones) at n = 512
+WIDE_DIGESTS = {
+    "cross-half": "61488d7821516a4514aedbb4d4f1252028d9439764e5a6dc3a8837ada66cbea8",
+    "complement": "9d2a32e59ccc605c9da6cfdfbe98daa00ee8cc23b415492c3cc489871057d807",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", WIDE_DIGESTS)
+def test_families_past_the_guard_are_unchanged(kind, monkeypatch):
+    # walks are longest here: the cross-half family holds 265,568 vertices
+    # (its construct call takes 1.3-1.5 s at 64 MB peak RSS on a 2-core
+    # x86 box, in a fresh process)
+    module = importlib.import_module("aqpath.construct")
+    monkeypatch.setattr(module, "CONSTRUCT_MAX_N", 512)
+    n = 512
+    d = first_seeded_triples(n, False)[0] if kind == "cross-half" else (0, 1, (1 << n) - 1)
+    fam = construct(n, d)
+    assert len(fam.paths) == target_count(n)
+    assert check_family(AugmentedCube(n), d, fam.paths) is None
+    h = hashlib.sha256()
+    for p in fam.paths:
+        h.update(f"{p}\n".encode())
+    assert h.hexdigest() == WIDE_DIGESTS[kind]
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib
 import itertools
@@ -7,8 +8,8 @@ from collections import deque
 
 import pytest
 
-from aqpath.cube import (AdjListView, AugmentedCube, PrefixView, RestrictedView, distance,
-                         sink_distances)
+from aqpath.cube import (AdjListView, AugmentedCube, PrefixView, RestrictedView,
+                         closer_words, distance, sink_distances)
 from aqpath.flow import (
     Insufficient,
     UnitFlowNet,
@@ -436,6 +437,78 @@ def test_a_stuck_bundle_walk_is_finished_by_a_walk_aimed_at_a_free_sink(monkeypa
     assert_internally_disjoint(view, u, v, paths)
     assert (v, None) in walks
     assert any(t != v and p is not None for t, p in walks)
+
+
+def reference_descend(view, x, t, avoid, stop, outcomes):
+    """``descend`` with every step iterating ``cube.closer_words``, the
+    walk its closed-form first word must reproduce; ``outcomes`` counts
+    how each step went: the first closer word, a later one, a sideways
+    step, or none closer at y = 0 (the walk stands on t, not a stop)."""
+    dist = view.distance_to(t)
+    if not dist(x):
+        return None
+    path, sideways = [x], flow._SIDEWAYS
+    while True:
+        v = path[-1]
+        y = v ^ (v >> 1) ^ t ^ (t >> 1)
+        if not y:
+            outcomes["y = 0"] += 1
+        for i, w in enumerate(closer_words(y)):
+            u = v ^ w
+            if (u in stop or u not in avoid) and view.is_adjacent(v, u):
+                outcomes["later" if i else "first"] += 1
+                break
+        else:
+            if not sideways:
+                return None
+            sideways -= 1
+            d = dist(v)
+            u = next((u for u in view.neighbors(v) if dist(u) == d
+                      and (u in stop or u not in avoid) and u not in path), None)
+            if u is None:
+                return None
+            outcomes["sideways"] += 1
+        path.append(u)
+        if u in stop:
+            return tuple(path)
+
+
+def edge_restricted_cube(n, share, seed):
+    """AQ_n without a seeded ``share`` of its edges."""
+    cube, rng = AugmentedCube(n), random.Random(seed)
+    return RestrictedView(cube, forbidden_edges=[
+        (v, w) for v in cube.vertices() for w in cube.neighbors(v)
+        if v < w and rng.random() < share])
+
+
+WALK_VIEWS = {
+    "cube": lambda: AugmentedCube(8),
+    "half": lambda: AugmentedCube(9).half_view(1),
+    "quadrant": lambda: AugmentedCube(10).quadrant_view(2),
+    "diamond": lambda: AugmentedCube(9).diamond_view(0, 3),
+    "restricted": lambda: edge_restricted_cube(8, 0.25, 5),
+}
+
+
+@pytest.mark.parametrize("name", WALK_VIEWS)
+def test_a_walk_takes_the_reference_walks_steps(name):
+    # seeded walks toward t with avoid sets of 10-40% of the view, which
+    # block many first words, and both stop shapes: t alone, or a set of
+    # free sinks that may leave t out; the walk must return the reference's
+    # path, or None, whether or not the caller hands it the distance, and
+    # every kind of step must occur
+    view = WALK_VIEWS[name]()
+    rng = random.Random(f"walk/{name}")
+    verts = list(view.vertices())
+    outcomes = collections.Counter()
+    for _ in range(300):
+        x, t = rng.sample(verts, 2)
+        avoid = set(rng.sample(verts, int(len(verts) * rng.uniform(0.1, 0.4)))) - {x}
+        stop = (t,) if rng.random() < 0.5 else set(rng.sample(verts, rng.randint(1, 4)))
+        want = reference_descend(view, x, t, avoid, stop, outcomes)
+        assert descend(view, x, t, avoid, stop) == want
+        assert descend(view, x, t, avoid, stop, view.distance_to(t)) == want
+    assert set(outcomes) == {"first", "later", "sideways", "y = 0"}
 
 
 def test_a_far_search_reads_under_one_percent_of_the_rows():
