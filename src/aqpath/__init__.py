@@ -3,7 +3,7 @@ and the exact machinery to check them."""
 
 from .construct import ConstructionError, DPathFamily, TraceEntry, construct, target_count
 from .cube import AdjListView, AugmentedCube, ResourceGuard, RestrictedView
-from .flow import Insufficient, connectivity, disjoint_paths, fan, linkage, min_vertex_cut
+from .flow import Insufficient, connectivity, disjoint_paths, fan, min_vertex_cut
 from .oracle import (
     WitnessReport,
     brute_small,
@@ -41,7 +41,6 @@ __all__ = [
     "cube_upper_bound",
     "disjoint_paths",
     "fan",
-    "linkage",
     "max_common",
     "max_dpaths",
     "min_vertex_cut",

@@ -56,9 +56,9 @@ few disjoint paths or rung vertices) or the family fails the check,
 never patched up by a second search.
 
 No case runs a search that needs a budget.  Every path it asks of
-``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, O1's
-linkage, and the prescribed pairs of E1.1, E1.2 and E2.2, ``_route_pairs``,
-one pair at a time) is walked by closer steps (``flow.route``): a fan's
+``aqpath.flow`` (the bundles of the ladders and of B3.2, the fans, and
+the prescribed pairs of E1.1, E1.2, E2.2 and O1, ``_route_pairs``, one
+pair at a time) is walked by closer steps (``flow.route``): a fan's
 walk leaves z by whichever free neighbour it arrives from, and a bundle's
 stuck walk is retried toward each free neighbour of the far end.  A unit
 flow, seeded with the walks, repairs only where a walk still falls short,
@@ -73,7 +73,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cube import AugmentedCube, ResourceGuard, check_triple
-from .flow import Insufficient, disjoint_paths, fan, linkage, route
+from .flow import Insufficient, disjoint_paths, fan, route
 from .verify import check_family
 
 # dispatcher case labels (B = dimension-4 base, E = even step, O = odd step)
@@ -185,8 +185,9 @@ def _normalize(cube, trip):
             return word, CASE_B32, xyz
         return word, CASE_O2 if n % 2 else CASE_E3, xyz
     if n % 2 == 1:
-        # x's mate x ^ c2w is no terminal, so O1's linkage sides are
-        # disjoint: x ^ c1w = y ^ h1w (or z ^ h1w) only if y (or z) is it
+        # x's mate x ^ c2w is no terminal, so the four ends of O1's two
+        # pairs are distinct: x ^ c1w = y ^ h1w (or z ^ h1w) only if y (or
+        # z) is it
         return word, CASE_O1, _roles_avoiding_mate(xyz, c2w)
     if z < h2w:  # all three in quadrant 00
         if n == 4:
@@ -418,10 +419,10 @@ def _even_cross_half(cube, x, y, z):
 def _odd_same_half(cube, x, y, z):
     n = cube.n
     h1w, c1w = 1 << (n - 1), (1 << n) - 1
-    # x's two images are both next to x, so either may reach y's or z's
-    lk = linkage(cube.half_view(1), [x ^ h1w, x ^ c1w], [y ^ h1w, z ^ h1w])
-    to = {p[-1]: p for p in lk.values()}
-    return [[y, *to[y ^ h1w][::-1], x, *to[z ^ h1w], z]]
+    # the half AQ_{n-1}, n - 1 >= 4, is 2-linked (Jung 1970: it is
+    # (2n - 3)-connected and not planar), so paths for this pairing exist
+    py, pz = _route_pairs(cube.half_view(1), [(x ^ h1w, y ^ h1w), (x ^ c1w, z ^ h1w)])
+    return [[y, *py[::-1], x, *pz, z]]
 
 
 def _odd_cross_half(cube, x, y, z):

@@ -2,14 +2,14 @@
 
 One network, ``UnitFlowNet(view, sources, sinks, blocked)``, serves every
 path-system operation: internally disjoint path bundles between two
-vertices, fans from a vertex onto a set, linkages between two equal-size
-sets, and the relaxations of the packing engine (``aqpath.packing``).
+vertices, fans from a vertex onto a set, the constructor's prescribed
+pairs, and the relaxations of the packing engine (``aqpath.packing``).
 Every vertex of the view outside ``blocked`` is free; the caller lists the
 terminals (and any vertex a path may not cross) in ``blocked``, never the
 free ones, so no network lists its view.  Each free vertex is split into
 an in-node and an out-node joined by a capacity-1 arc; terminals get
-source/sink arcs instead of a through arc, so fan targets and linkage
-endpoints can never be crossed as interiors.
+source/sink arcs instead of a through arc, so fan targets and pair ends
+can never be crossed as interiors.
 The split-node encoding stays in this module: callers pass vertices and
 get vertex tuples back.
 
@@ -51,8 +51,8 @@ fixed, so identical inputs always produce identical path systems.
 
 Every path-system call walks before it flows (``route``): the bundles of
 ``disjoint_paths`` (``min_vertex_cut`` counts them, the constructor's
-ladders take them), ``fan``, ``linkage`` and the constructor's prescribed
-pairs.  ``descend`` steps from a source toward its target by
+ladders take them), ``fan`` and the constructor's prescribed pairs.
+``descend`` steps from a source toward its target by
 ``cube.closer_words``, one closer each step; it reads a step's first
 closer word in closed form and starts the generator only where that word
 is blocked, so most steps cost a few integer operations, a lookup and an
@@ -649,19 +649,3 @@ def fan(view, x: int, targets: Iterable[int]) -> dict[int, tuple[int, ...]]:
     if len(got) < len(S):
         raise Insufficient(len(got), len(S), "fan paths")
     return {p[-1]: p for p in got}
-
-
-def linkage(view, side_a: Iterable[int], side_b: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Fully vertex-disjoint paths pairing A with B (pairing chosen by the
-    flow, not the caller).  Keyed by the A endpoint."""
-    A, B = list(side_a), list(side_b)
-    check_vertices(view, A + B)
-    A, B = sorted(set(A)), sorted(set(B))
-    if len(A) != len(B) or not A:
-        raise ValueError("sides must be nonempty and equal-sized")
-    if set(A) & set(B):
-        raise ValueError("sides must be disjoint")
-    got = route(view, dict.fromkeys(A, 1), B, {*A, *B}, zip(A, B), len(A))
-    if len(got) < len(A):
-        raise Insufficient(len(got), len(A), "linkage paths")
-    return {p[0]: p for p in got}

@@ -10,6 +10,7 @@ from aqpath.cube import (AugmentedCube, PrefixView, RestrictedView, distance,
                          orbit_representatives)
 from aqpath.flow import Insufficient, UnitFlowNet, descend
 from aqpath.oracle import max_dpaths
+from aqpath.textio import render_family
 from aqpath.verify import check_family
 
 
@@ -94,25 +95,59 @@ def test_dimension_seven_certification_scale():
         assert check_family(cube, D, fam.paths) is None
 
 
-def build_every_orbit_representative(n, orbits):
+# n -> (orbit representatives, sha256 of their rendered families and
+# traces, flow nets built): the odd dimensions pin O1's pair routing, and a
+# net pin may only fall
+ORBIT_PINS = {
+    5: (38, "8a60245086e9fb8e5a637d326a7324cccb9c8becf1f732943b8d12a8dff19003", 1),
+    7: (557, "2100f9494caf91e63e8d7d470b59d5ae7de4e2fbc5f2311cbe61b1a22669e782", 7),
+    8: (2173, "7c3724ea885b89a1673f5a0006a425770917651216fb7073517303a6576dfe56", 13),
+    9: (8639, "1da0eb68c4156ee72f6bdc92aa4a61ec59e96eb57b302579cff28a886a759a17", 21),
+}
+
+
+def build_every_orbit_representative(n, monkeypatch):
     # an automorphism carries a verified family for a representative onto
     # every triple of its orbit, so this certifies every triple of AQ_n
+    orbits, digest, nets = ORBIT_PINS[n]
+    built = [0]
+    init = UnitFlowNet.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(UnitFlowNet, "__init__", counted)
     cube = AugmentedCube(n)
     reps = list(orbit_representatives(n))
     assert len(reps) == orbits
+    h = hashlib.sha256()
     for d in reps:
         fam = construct(n, d)
         assert len(fam.paths) == target_count(n)
         assert check_family(cube, d, fam.paths) is None, d
+        h.update(render_family(fam.terminals, fam.paths, n, fam.trace).encode())
+    assert h.hexdigest() == digest
+    assert built[0] == nets
 
 
-def test_every_dimension_seven_orbit_representative_builds():
-    build_every_orbit_representative(7, 557)
+def test_every_dimension_five_orbit_representative_builds(monkeypatch):
+    build_every_orbit_representative(5, monkeypatch)
+
+
+def test_every_dimension_seven_orbit_representative_builds(monkeypatch):
+    build_every_orbit_representative(7, monkeypatch)
 
 
 @pytest.mark.slow
-def test_every_dimension_eight_orbit_representative_builds():
-    build_every_orbit_representative(8, 2173)
+def test_every_dimension_eight_orbit_representative_builds(monkeypatch):
+    build_every_orbit_representative(8, monkeypatch)
+
+
+@pytest.mark.slow
+def test_every_dimension_nine_orbit_representative_builds(monkeypatch):
+    # 8,639 representatives, about 3.3 s on a 2-core x86 box
+    build_every_orbit_representative(9, monkeypatch)
 
 
 def test_forced_short_bundle_builds_without_fallback():
@@ -535,28 +570,21 @@ def test_routed_pairs_are_vertex_disjoint_or_insufficient():
         module._route_pairs(walled, pairs)
 
 
-@pytest.mark.parametrize("n", [5, 7])
-def test_odd_same_half_takes_either_pairing_of_its_linkage(monkeypatch, n):
-    # O1 joins x's two images to y's and z's across the halves and lets the
-    # flow pick the pairing; forced to the crossed one (x ^ h to z ^ h), it
-    # still builds a verified family for every O1 orbit representative
+def test_odd_same_half_routes_one_fixed_pairing(monkeypatch):
+    # (0, 1, 2) at n = 5 runs O1 and then B1, so O1's is the only pair
+    # routing: where it fails, construct raises after that one call and
+    # tries no swapped pairing
     module = importlib.import_module("aqpath.construct")
-    crossed = []
+    calls = []
 
-    def crossed_linkage(view, side_a, side_b):
-        (a0, a1), (b0, b1) = side_a, side_b
-        crossed.append((a0, b1))
-        return {p[0]: tuple(p) for p in module._route_pairs(view, [(a0, b1), (a1, b0)])}
+    def refused(view, pairs, avoid=()):
+        calls.append((view.n, pairs))
+        raise Insufficient(0, 1)
 
-    monkeypatch.setattr(module, "linkage", crossed_linkage)
-    cube = AugmentedCube(n)
-    odd = [d for d in orbit_representatives(n) if module._normalize(cube, d)[1] == "O1"]
-    assert odd
-    for d in odd:
-        fam = construct(n, d)
-        assert len(fam.paths) == target_count(n)
-        assert check_family(cube, d, fam.paths) is None, d
-    assert len(crossed) == len(odd)
+    monkeypatch.setattr(module, "_route_pairs", refused)
+    with pytest.raises(module.ConstructionError):
+        construct(5, (0, 1, 2))
+    assert calls == [(4, [(16, 17), (31, 18)])]
 
 
 def first_seeded_triples(n, same_half):

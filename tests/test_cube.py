@@ -29,7 +29,7 @@ from aqpath.cube import (
     sink_distances,
     symmetries,
 )
-from aqpath.flow import disjoint_paths, fan, linkage, min_vertex_cut
+from aqpath.flow import disjoint_paths, fan, min_vertex_cut
 from aqpath.oracle import (brute_small, common_neighbors, cube_upper_bound,
                            max_dpaths, regular_upper_bound, witness_triple)
 from aqpath.packing import pack_segments
@@ -112,7 +112,6 @@ ON_A_VIEW = {
     "disjoint_paths": lambda g, v: disjoint_paths(g, 1, v, 1),
     "min_vertex_cut": lambda g, v: min_vertex_cut(g, 1, v),
     "fan": lambda g, v: fan(g, 0, [1, v]),
-    "linkage": lambda g, v: linkage(g, [0, v], [1, 2]),
     "common_neighbors": lambda g, v: common_neighbors(g, [0, v]),
 }
 ENTRY_POINTS = [

@@ -17,7 +17,6 @@ from aqpath.flow import (
     descend,
     disjoint_paths,
     fan,
-    linkage,
     min_vertex_cut,
     route,
 )
@@ -121,43 +120,6 @@ def test_fan_rejects_an_empty_target_set():
 def test_fan_rejects_targets_outside_the_view():
     with pytest.raises(ValueError, match="vertex 99 not in view"):
         fan(AugmentedCube(3), 0, [1, 99])
-
-
-def test_linkage_matched_sets():
-    cube = AugmentedCube(4)
-    A = [0b0000, 0b0001]
-    B = [0b1000, 0b1001]  # the leading-bit matching partners
-    got = linkage(cube, A, B)
-    assert set(got) == set(A)
-    used = set()
-    for a, p in got.items():
-        assert p[0] == a and p[-1] in B
-        assert not (set(p) & used)
-        used |= set(p)
-
-
-def test_linkage_in_half_view():
-    cube = AugmentedCube(4)
-    h0 = cube.half_view(0)
-    A = [0, 1, 2, 3]
-    B = [4, 5, 6, 7]
-    got = linkage(h0, A, B)
-    assert sorted(p[-1] for p in got.values()) == B
-
-
-def test_linkage_validates_sides():
-    cube = AugmentedCube(3)
-    with pytest.raises(ValueError):
-        linkage(cube, [0, 1], [1, 2])
-    with pytest.raises(ValueError):
-        linkage(cube, [0], [1, 2])
-
-
-def test_linkage_reports_a_cut_side():
-    # in half 0 of AQ_4 the vertices 1, 2, 3, 4 and 7 cut 0 off from 6
-    view = RestrictedView(AugmentedCube(4).half_view(0), forbidden_vertices={1, 2, 3, 4, 7})
-    with pytest.raises(Insufficient, match="only 0 of 1 linkage paths"):
-        linkage(view, [0], [6])
 
 
 def test_connectivity_values():
@@ -592,13 +554,13 @@ GRAPHS = {
 @pytest.mark.parametrize("name", GRAPHS)
 def test_cut_values_match_the_reference(name):
     # the bundle is a maximum one whose paths meet N(u) and N(v) only next
-    # to their ends, and a linkage pairs both sides (on an adjacency list,
-    # which has no distance to walk by, the flow alone pairs them)
+    # to their ends (on an adjacency list, which has no distance to walk
+    # by, the flow alone routes it from its many sources)
     view = GRAPHS[name]()
     rng = random.Random(f"cut/{name}")
     verts = list(view.vertices())
     for _ in range(12):
-        u, v, a, b = rng.sample(verts, 4)
+        u, v = rng.sample(verts, 2)
         cut = min_vertex_cut(view, u, v)
         assert cut == reference_cut(view, u, v)
         if cut:
@@ -608,12 +570,6 @@ def test_cut_values_match_the_reference(name):
             nu, nv = set(view.neighbors(u)), set(view.neighbors(v))
             for p in paths:
                 assert not nu & set(p[2:-1]) and not nv & set(p[1:-2]), p
-        got = linkage(view, [u, a], [v, b])
-        assert sorted(got) == sorted([u, a])
-        assert sorted(p[-1] for p in got.values()) == sorted([v, b])
-        seen = [w for p in got.values() for w in p]
-        assert len(seen) == len(set(seen))
-        assert all(view.is_adjacent(x, y) for p in got.values() for x, y in zip(p, p[1:]))
 
 
 @pytest.mark.parametrize("name", ["AQ4", "AQ5", "half", "diamond",
@@ -736,7 +692,8 @@ SEEDED = {**GRAPHS, "half12": lambda: AugmentedCube(12).half_view(0)}
 
 
 def seeded_cases(view, rng, count=12):
-    """Fan- and linkage-shaped nets (sources, sinks, blocked, walks) with
+    """Fan-shaped nets, and nets of one to four unit sources and as many
+    sinks, the shape of a bundle's (sources, sinks, blocked, walks), with
     their walks, taken as ``route`` takes them: to each sink in turn, or on
     to the first free sink, avoiding the terminals and the walks before."""
     verts = list(view.vertices())

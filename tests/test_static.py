@@ -196,7 +196,7 @@ def calls_by_function(tree, name, keep=lambda call: True):
 
 def test_only_the_router_the_repair_and_the_packer_build_a_net():
     # every path system walks before it flows (``flow.route``); a net built
-    # anywhere else would be a second bundle or linkage routine
+    # anywhere else would be a second bundle, fan or pair router
     built = {(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
              for fn in calls_by_function(parse_module(path.name), "UnitFlowNet")}
     assert built == {("flow.py", "route"), ("flow.py", "UnitFlowNet.amended"),
@@ -217,9 +217,20 @@ def test_the_ladder_cases_share_one_assembler():
         assert not set(calls_by_function(tree, helper)) & set(LADDER_BUILDERS), helper
 
 
-def test_only_the_odd_same_half_case_lets_a_flow_pick_its_pairing():
-    # every other prescribed pair is routed as given (``_route_pairs``)
-    assert calls_by_function(parse_module("construct.py"), "linkage") == ["_odd_same_half"]
+def test_the_constructor_asks_the_flow_layer_for_bundles_fans_and_routed_pairs():
+    # a fourth name would be a second way to the same paths
+    imported = {alias.name for node in ast.walk(parse_module("construct.py"))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "flow" for alias in node.names}
+    assert imported == {"Insufficient", "disjoint_paths", "fan", "route"}
+
+
+def test_every_prescribed_pair_is_routed_as_given():
+    # E1.1, E1.2, E2.2 and O1 route their pairs through one router, and no
+    # case lets a flow pick its pairing
+    assert set(calls_by_function(parse_module("construct.py"), "_route_pairs")) == {
+        "_even_one_quadrant_mated", "_even_one_quadrant_generic",
+        "_even_pair_sibling_generic", "_odd_same_half"}
 
 
 def test_only_the_vertex_check_and_the_referee_test_for_a_bool():
@@ -256,7 +267,7 @@ def test_every_exported_name_resolves_once():
 # the names the benchmark's span tracer (perfbench/tracer.py) wraps where
 # callers look them up, by module
 TRACED_NAMES = {
-    "aqpath.construct": ("construct", "disjoint_paths", "fan", "linkage", "check_family"),
+    "aqpath.construct": ("construct", "disjoint_paths", "fan", "check_family"),
     "aqpath.oracle": ("max_dpaths", "pack_segments"),
 }
 
