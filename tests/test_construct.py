@@ -587,6 +587,30 @@ def test_odd_same_half_routes_one_fixed_pairing(monkeypatch):
     assert calls == [(4, [(16, 17), (31, 18)])]
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_odd_same_half_joins_x_images_to_y_and_z_as_paired(monkeypatch, n):
+    # every O1 orbit representative first routes x ^ h to y ^ h and x ^ c
+    # to z ^ h on the far half, in that pairing, and builds a verified family
+    module = importlib.import_module("aqpath.construct")
+    route_pairs, calls = module._route_pairs, []
+
+    def recorded(view, pairs, avoid=()):
+        calls.append((view.n, pairs))
+        return route_pairs(view, pairs, avoid)
+
+    monkeypatch.setattr(module, "_route_pairs", recorded)
+    cube = AugmentedCube(n)
+    h, c = 1 << (n - 1), (1 << n) - 1
+    odd = [d for d in orbit_representatives(n) if module._normalize(cube, d)[1] == "O1"]
+    assert odd
+    for d in odd:
+        x, y, z = module._normalize(cube, d)[2]
+        calls.clear()
+        fam = construct(n, d)
+        assert check_family(cube, d, fam.paths) is None, d
+        assert calls[0] == (n - 1, [(x ^ h, y ^ h), (x ^ c, z ^ h)]), d
+
+
 def first_seeded_triples(n, same_half):
     """The first four ``random.Random(3)`` triples of AQ_n inside one half
     (``same_half``) or spanning both; drawn with ``getrandbits`` from n = 63

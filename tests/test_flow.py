@@ -572,6 +572,54 @@ def test_cut_values_match_the_reference(name):
                 assert not nu & set(p[2:-1]) and not nv & set(p[1:-2]), p
 
 
+def reaches(view, a, b, blocked):
+    """Whether breadth-first search from a reaches b through no vertex of
+    ``blocked``."""
+    seen, queue = {a}, deque([a])
+    while queue:
+        for w in view.neighbors(queue.popleft()):
+            if w == b:
+                return True
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                queue.append(w)
+    return False
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", GRAPHS)
+def test_routed_pairs_match_the_reference(name, k):
+    # the constructor routes its prescribed pairs (E1.1, E1.2, E2.2, O1)
+    # in turn, each blocked at every end and the paths before it: a pair is
+    # routed exactly when the reference finds a path past those, and on an
+    # adjacency list, which has no distance to walk by, the flow alone
+    # routes it
+    route_pairs = importlib.import_module("aqpath.construct")._route_pairs
+    view = GRAPHS[name]()
+    rng = random.Random(f"pairs/{name}/{k}")
+    verts = list(view.vertices())
+    for _ in range(12):
+        ends = rng.sample(verts, 2 * k)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        try:
+            got = route_pairs(view, pairs)
+        except Insufficient:
+            got = None
+        blocked, want = set(ends), []
+        for a, b in pairs:
+            if not reaches(view, a, b, blocked):
+                assert got is None, (pairs, want)
+                break
+            (p,) = route_pairs(view, [(a, b)], blocked)
+            assert (p[0], p[-1]) == (a, b)
+            assert all(view.is_adjacent(u, v) for u, v in zip(p, p[1:]))
+            assert not blocked & set(p[1:-1])
+            want.append(p)
+            blocked.update(p)
+        else:
+            assert got == want
+
+
 @pytest.mark.parametrize("name", ["AQ4", "AQ5", "half", "diamond",
                                   "restricted", "adjlist"])
 def test_connectivity_matches_the_reference(name):
