@@ -27,20 +27,21 @@ Each augmenting path comes from one best-first search steered toward one
 sink that still takes flow, the net's *aim* (Hart, Nilsson & Raphael
 1968): a node's key is the number of residual arcs from the source plus
 three times the view's distance from its vertex to the aim, and equal
-keys leave the queue last in, first out.  The aim is the first sink in
-the net's sink order that still takes flow.  It stays until it fills, or
-until a search aimed at it ends at another sink, which moves it behind
-the others; choosing it reads no distance.  A search still stops at the
-first sink it reaches, and the weight only chooses *which* augmenting
-path is found, so flow values stay exact under any aim, but a path need
-not be a shortest one.  Nor does a net that can fill its sinks flood the
-view: the difference between a flow that fills them and the current one
-splits into augmenting paths ending at every sink still short, the aim
-among them.  Only a net that cannot fill its sinks explores all it
-reaches, as its last, failing search must anyway.  The distance is the
-cube's closed form (``aqpath.cube``), so a search reaches a far sink
-after scanning little more than the region between, not the whole view;
-on a view with no distance (0 everywhere) the search is breadth-first.
+keys leave the queue last in, first out.  The aim is the first of the
+sinks that still take flow (``UnitFlowNet._live[0]``), read when a
+search starts.  It stays until it fills, or until a search aimed at it
+ends at another sink, which moves it behind the others; choosing it
+reads no distance.  A search still stops at the first sink it reaches,
+and the weight only chooses *which* augmenting path is found, so flow
+values stay exact under any aim, but a path need not be a shortest one.
+Nor does a net that can fill its sinks flood the view: the difference
+between a flow that fills them and the current one splits into
+augmenting paths ending at every sink still short, the aim among them.
+Only a net that cannot fill its sinks explores all it reaches, as its
+last, failing search must anyway.  The distance is the cube's closed
+form (``aqpath.cube``), so a search reaches a far sink after scanning
+little more than the region between, not the whole view; on a view with
+no distance (0 everywhere) the search is breadth-first.
 It is read from the view's one table per sink (``cube.sink_distances``),
 which every net and search over the view shares and which computes an
 entry from the view's ``distance_to`` (a few integer operations at any
@@ -128,10 +129,10 @@ def descend(view, x: int, t: int, avoid: Container[int],
     ``avoid`` leaves free, else (``_SIDEWAYS`` times in all) the first
     neighbour as far from t.  The first word is read in closed form, from
     the lowest run of the gray word y, and the generator starts only when
-    that word is blocked or leaves the view (or y = 0), so the tries keep
-    their order.  ``dist`` is ``view.distance_to(t)`` if the caller has
-    it.  A view whose ``distance_to`` is 0 away from t, an adjacency list,
-    is not walked."""
+    that word is blocked or leaves the view (or y = 0), past that word, so
+    the tries keep their order and none is made twice.  ``dist`` is
+    ``view.distance_to(t)`` if the caller has it.  A view whose
+    ``distance_to`` is 0 away from t, an adjacency list, is not walked."""
     if dist is None:
         dist = view.distance_to(t)
     if not dist(x):
@@ -145,7 +146,9 @@ def descend(view, x: int, t: int, avoid: Container[int],
         # closer_words(y)'s first word: 2 * low - 1 if y's lowest run is odd
         u = v ^ (2 * low - (y & ~(y + low)).bit_count() % 2)
         if not (y and (u in stop or u not in avoid) and adjacent(v, u)):
-            for w in closer_words(y):
+            words = closer_words(y)
+            next(words, None)  # u, refused just now
+            for w in words:
                 u = v ^ w
                 if (u in stop or u not in avoid) and adjacent(v, u):
                     break
@@ -182,10 +185,8 @@ class UnitFlowNet:
     derived (by ``seed``, into out-nodes) is kept in ``_pending[u]`` as
     changes to the entries, which ``_row`` adds in when it derives the
     row, so every row reads as if it had been derived first.  ``_live``
-    lists the sinks that still take flow, the aim ``aim`` first (None
-    once all are full), and ``h[x]`` is the view's distance from vertex x
-    to the aim, from the table every net over the view shares
-    (``cube.sink_distances``).  The aim only changes between searches.
+    lists the sinks that still take flow, the aim first: a search reads
+    it when it starts, so the aim only changes between searches.
     """
 
     def __init__(self, view, sources: dict[int, int], sinks: dict[int, int],
@@ -198,13 +199,6 @@ class UnitFlowNet:
         self.cap: dict[int, dict[int, int]] = {_SNK: {}}
         self._pending: dict[int, dict[int, int]] = {}
         self._live = [t for t, c in sinks.items() if c > 0]
-        self._steer(self._live[0] if self._live else None)
-
-    def _steer(self, t: int | None) -> None:
-        """Aim later searches at the sink t (None: no search runs)."""
-        self.aim = t
-        if t is not None:
-            self.h = sink_distances(self.view, t)
 
     def _row(self, u: int) -> dict[int, int]:
         """Store and return node u's row of the entries flow can use: an
@@ -237,10 +231,12 @@ class UnitFlowNet:
         recording each node's predecessor in ``parent``; nodes already in
         ``parent`` are never entered, so seeding it blocks them.  A node v
         is queued once, when discovered, as (g, v) under g + 3h (g: residual
-        arcs from the source along the search tree, h: ``self.h``);
+        arcs from the source along the search tree, h: the view's distance
+        to the aim ``_live[0]``, from the table every net over the view
+        shares, ``cube.sink_distances``);
         ``buckets[k]`` holds the nodes under key k, popped last in, first
         out.  Stops once the sink is found and returns ``parent``."""
-        cap, h = self.cap, self.h
+        cap, h = self.cap, sink_distances(self.view, self._live[0])
         parent[_SRC] = _SRC
         buckets = [[(0, _SRC)]]
         top = 1  # len(buckets)
@@ -269,7 +265,7 @@ class UnitFlowNet:
 
     def seed(self, path: tuple[int, ...]) -> None:
         """Push one unit along ``path``, a residual path of vertices from a
-        source to a sink; the aim leaves a sink the unit fills.  Only the
+        source to a sink; a sink the unit fills leaves ``_live``.  Only the
         source's row and the in-nodes' rows are derived, none of which asks
         the view: what the unit writes into an out-node's row waits in
         ``_pending`` until a search scans that node."""
@@ -280,7 +276,6 @@ class UnitFlowNet:
         self._push(nodes, 1)
         if not self.cap[_in(path[-1])][_SNK]:
             self._live.remove(path[-1])
-            self._steer(self._live[0] if self._live else None)
 
     def _push(self, nodes: list[int], units: int) -> None:
         """Move ``units`` of flow along consecutive nodes (-1 cancels); a
@@ -301,8 +296,8 @@ class UnitFlowNet:
         a sink never falls here: the sink the path ends at leaves ``_live``
         once it is full, and an aim the path missed moves behind the
         others."""
-        aim = self.aim
-        if aim is None:
+        live = self._live
+        if not live:
             return False
         parent = self._search({})
         if _SNK not in parent:
@@ -316,14 +311,10 @@ class UnitFlowNet:
             row[u] = row.get(u, 0) + 1
             v = u
         t = parent[_SNK]
-        live = self._live
-        if t >> 1 != aim:
+        if t >> 1 != live[0]:
             live.append(live.pop(0))
         if not cap[t][_SNK]:
             live.remove(t >> 1)
-        nxt = live[0] if live else None
-        if nxt != aim:
-            self._steer(nxt)
         return True
 
     def max_flow(self, limit: int | None = None) -> int:
@@ -345,7 +336,8 @@ class UnitFlowNet:
         neither split node of w.  So P is cancelled, one search runs per
         interior vertex of P with that vertex blocked, and P is pushed
         back: the net is left as it was found.  While P is cancelled its
-        sink takes flow again, so the searches are aimed at it.
+        sink takes flow again, so it is put first in ``_live``, where the
+        searches read their aim, and taken off before P is pushed back.
 
         A vertex in ``known`` is taken as critical without a search when a
         unit path crosses it: the caller vouches that every flow of this
@@ -354,7 +346,6 @@ class UnitFlowNet:
         vertex is not cancelled at all.
         """
         out: set[int] = set()
-        aim = self.aim
         for path in self.unit_paths():
             todo = []
             for w in path[1:-1]:
@@ -366,12 +357,12 @@ class UnitFlowNet:
                 continue
             nodes = _nodes(path)
             self._push(nodes, -1)
-            self._steer(path[-1])
+            self._live.insert(0, path[-1])
             for w in todo:
                 if _SNK not in self._search({_in(w): _in(w), _out(w): _out(w)}):
                     out.add(w)
+            del self._live[0]
             self._push(nodes, 1)
-        self._steer(aim)
         return out
 
     def amended(self, blocked=(), demand=None) -> tuple[UnitFlowNet, int]:
@@ -426,9 +417,7 @@ class UnitFlowNet:
             if _in(v) in cap:
                 cap[_in(v)][_SNK] += k
             hit.add(v)
-        live = net._live = self._live + [t for t in sinks
-                                         if t in hit and t not in self._live]
-        net._steer(live[0] if live else None)
+        net._live = self._live + [t for t in sinks if t in hit and t not in self._live]
         return net, short
 
     def _unit(self, w: int) -> list[int]:

@@ -105,7 +105,7 @@ caller passes a ``Budget``; running out raises, never an approximation.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .cube import check_triple, map_vertex, sink_distances, symmetries
 from .flow import UnitFlowNet
@@ -198,7 +198,7 @@ def _regroup(trip, oriented, segs) -> list[list[Segment]]:
             for u, v in ((x, y), (y, z), (x, z))]
 
 
-def _saturate(view, demands: Sequence[Demand], blocked: set[int]) -> UnitFlowNet | None:
+def _saturate(view, demands: Sequence[Demand], blocked) -> UnitFlowNet | None:
     """The relaxation network with a maximum flow pushed through it, or
     None when that flow falls short of the total demand.  Each demand adds
     its count to the source capacity of its first and the sink capacity of
@@ -235,7 +235,7 @@ def _classify(net, demands: Sequence[Demand]):
 # -- exhaustive branch and bound ----------------------------------------
 
 
-def _hops(view, u: int, v: int, blocked: set[int]) -> int | None:
+def _hops(view, u: int, v: int, blocked: Collection[int]) -> int | None:
     """The fewest edges on a u-v path with no interior vertex in
     ``blocked``, or None when there is none.
 
@@ -269,7 +269,7 @@ def _seg_key(seg: Segment) -> tuple[int, Segment]:
     return (len(seg), seg)
 
 
-def _enum_segments(view, u: int, v: int, blocked: set[int],
+def _enum_segments(view, u: int, v: int, blocked: Collection[int],
                    floor: Segment | None, owed: int = 1):
     """u->v segments with no interior vertex in ``blocked``, shortest first
     and within a length lexicographically, strictly above ``floor`` in that
@@ -297,7 +297,7 @@ def _enum_segments(view, u: int, v: int, blocked: set[int],
                 yield seg
 
 
-def _extend(view, path: list[int], used: set[int], v: int, blocked: set[int],
+def _extend(view, path: list[int], used: set[int], v: int, blocked: Collection[int],
             to_v: dict[int, int], length: int):
     """Completions of ``path`` into segments ending at v with ``length``
     edges, in the view's neighbor order; ``used`` holds path's interior.  A
@@ -334,8 +334,9 @@ def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
 class _PackSearch:
     """The state of one call's branch-and-bound, with its relaxation
     caches keyed by the interior vertices committed so far (see the module
-    docstring).  ``blocked`` holds the terminals and those interiors, and
-    ``avoid`` the set a node's branch segments avoid: ``blocked`` and the
+    docstring).  A node's blocked set, the ``terminals`` and those
+    interiors, is derived from its commitments, never kept, and ``avoid``
+    holds the set a node's branch segments avoid: the blocked set and the
     leaf's critical vertices, never None, as every node's leaf is feasible
     (``rec``).  The caches hold booleans and vertex sets, never networks;
     a node's leaf network lives only while its subtree is searched, and
@@ -349,10 +350,10 @@ class _PackSearch:
         self.branch, self.leaf = _split_for_search(trip, counts)
         self.chosen: list[Segment] = []
         self.leaf_found: list[list[Segment]] | None = None
-        self.blocked = set(trip)
+        self.terminals = frozenset(trip)
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.joint_ok: dict[tuple[frozenset[int], int], bool] = {}
-        self.avoid: dict[frozenset[int], set[int]] = {}
+        self.avoid: dict[frozenset[int], frozenset[int]] = {}
         # (g, t, the images found so far) of each map fixing every terminal
         self.maps = [(g, t, {}) for g, t, perm in symmetries(view, trip)
                      if perm == (0, 1, 2)]
@@ -373,10 +374,12 @@ class _PackSearch:
         segment, so its root returns at the leaf)."""
         u, v, need = self.branch
         chosen = self.chosen
+        key = self.committed()
+        blocked = self.terminals | key
         if len(chosen) == need:
             # the witness comes from a fresh flow over the blocked set: a
             # repaired one depends on the nodes the search passed through
-            net = _saturate(self.view, self.leaf, self.blocked)
+            net = _saturate(self.view, self.leaf, blocked)
             self.leaf_found = None if net is None else _classify(net, self.leaf)
             return self.leaf_found is not None
         # a branch segment may not cross ``blocked`` nor any free vertex
@@ -386,11 +389,10 @@ class _PackSearch:
         # by the per-commitment leaf check.  One saturated leaf answers
         # for every vertex: a feasible leaf spares all but the vertices
         # every saturating flow crosses (``UnitFlowNet.critical``).
-        key = self.committed()
         if key not in self.avoid:
             if net is None:
-                net = _saturate(self.view, self.leaf, self.blocked)
-            self.avoid[key] = self.blocked | net.critical(known)
+                net = _saturate(self.view, self.leaf, blocked)
+            self.avoid[key] = blocked | net.critical(known)
         avoid = self.avoid[key]
         floor = chosen[-1] if chosen else None
         owed = need - len(chosen)
@@ -407,14 +409,12 @@ class _PackSearch:
             ok = self.leaf_ok.get(key)
             if ok is None:
                 if net is None:  # this node's verdicts were all cached
-                    net = _saturate(self.view, self.leaf, self.blocked)
+                    net = _saturate(self.view, self.leaf, blocked)
                 leaf_net = self.repaired(net, interior)
                 ok = self.leaf_ok[key] = leaf_net is not None
-            self.blocked.update(interior)
             if ok and self.joint(key, leaf_net) and self.rec(leaf_net, avoid):
                 return True
             chosen.pop()
-            self.blocked.difference_update(interior)
         return False
 
     def dominated(self, seg: Segment) -> bool:
@@ -435,10 +435,10 @@ class _PackSearch:
 
     def joint(self, key: frozenset[int], leaf_net: UnitFlowNet | None) -> bool:
         """Whether the joint relaxation of every segment still owed
-        saturates, from ``leaf_net``, the saturated leaf over the current
-        blocked set, if at hand.  With none owed it is the leaf relaxation,
-        which the caller has already seen saturate (a zero count adds
-        nothing)."""
+        saturates, from ``leaf_net``, the saturated leaf over the blocked
+        set of the commitments ``key``, if at hand.  With none owed it is
+        the leaf relaxation, which the caller has already seen saturate (a
+        zero count adds nothing)."""
         u, v, need = self.branch
         owed = need - len(self.chosen)
         if not owed:
@@ -447,7 +447,7 @@ class _PackSearch:
         if ok is None:
             if leaf_net is None:
                 left = [(u, v, owed), *self.leaf]
-                ok = _saturate(self.view, left, self.blocked) is not None
+                ok = _saturate(self.view, left, self.terminals | key) is not None
             else:
                 ok = self.repaired(leaf_net, owed=owed) is not None
             self.joint_ok[key, owed] = ok

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from aqpath import oracle, report
-from aqpath.cube import (AdjListView, AugmentedCube, automorphisms, map_vertex,
-                         orbit_representatives)
+from aqpath.cube import (AdjListView, AugmentedCube, RestrictedView, automorphisms,
+                         complement_word, map_vertex, orbit_representatives)
 from aqpath.oracle import (
     ResourceGuard,
     brute_small,
@@ -427,3 +427,59 @@ def test_max_dpaths_is_invariant_under_automorphisms():
         moved = tuple(map(h, D))
         assert max_dpaths(cube, moved)[0] == val
         assert check_family(cube, moved, [tuple(map(h, p)) for p in fam]) is None
+
+
+def hypercube(n):
+    """The hypercube Q_n: AQ_n without the edges along its complement
+    words, each of length >= 2, so every vertex keeps its n hyper edges."""
+    cube = AugmentedCube(n)
+    words = [complement_word(n, d) for d in range(1, n)]
+    return RestrictedView(cube, forbidden_edges=[
+        (v, v ^ w) for v in cube.vertices() for w in words if v < v ^ w])
+
+
+def hypercube_triples(n):
+    """One triple (0, p, q) of Q_n per orbit of its translations and
+    coordinate permutations.  A permutation keeps the counts of p-only,
+    q-only and shared bits, and swapping p and q or translating another
+    terminal to 0 permutes them, so each orbit is a sorted count triple
+    a <= b <= c with a + b + c <= n and at most one zero (the terminals
+    differ): here p has bits 0..a+c-1, and q the c shared and b more."""
+    for a in range(n + 1):
+        for b in range(max(a, 1), n + 1):
+            for c in range(b, n + 1 - a - b):
+                yield 0, (1 << (a + c)) - 1, ((1 << (b + c)) - 1) << a
+
+
+def hypercube_pi3(n):
+    """The least ``max_dpaths`` over ``hypercube_triples(n)``, each
+    witness checked by the referee."""
+    view = hypercube(n)
+    assert all(sorted(v ^ w for w in view.neighbors(v)) == [1 << i for i in range(n)]
+               for v in view.vertices())
+    least = n
+    for D in hypercube_triples(n):
+        value, fam = max_dpaths(view, D)
+        assert check_family(view, D, fam) is None and len(fam) == value, D
+        least = min(least, value)
+    return least
+
+
+def test_the_hypercube_triples_are_the_orbits():
+    # 6, 10, 16 and 23 orbits for n = 4..7, and each count triple once
+    for n, orbits in [(4, 6), (5, 10), (6, 16), (7, 23)]:
+        triples = list(hypercube_triples(n))
+        classes = {((p & ~q).bit_count(), (q & ~p).bit_count(), (p & q).bit_count())
+                   for _, p, q in triples}
+        assert len(triples) == len(classes) == orbits
+
+
+# a second referee for the oracle: pi3(Q_n) = floor((3n - 1) / 4) (Zhu,
+# Hao & Li, The 3-path-connectivity of the hypercubes, Discrete Applied
+# Mathematics 2022), through a view with no symmetries.  A disagreement is
+# a fault of the oracle, never a pin to move
+@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow),
+                               pytest.param(9, marks=pytest.mark.slow),
+                               pytest.param(10, marks=pytest.mark.slow)])
+def test_the_oracle_gives_the_hypercube_its_published_value(n):
+    assert hypercube_pi3(n) == (3 * n - 1) // 4

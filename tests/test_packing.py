@@ -326,6 +326,15 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
     assert len(calls) == 67
 
 
+def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():
+    # the refutation above takes 112 ticks: the 112th is still within a
+    # budget of 112 and the first past a budget of 111
+    cube = AugmentedCube(4)
+    assert pack_segments(cube, *REFUTED, Budget(112)) is None
+    with pytest.raises(SearchBudgetExceeded, match="search budget 111 exhausted"):
+        pack_segments(cube, *REFUTED, Budget(111))
+
+
 def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeypatch):
     calls = []
     max_flow = UnitFlowNet.max_flow

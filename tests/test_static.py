@@ -203,6 +203,25 @@ def test_only_the_router_the_repair_and_the_packer_build_a_net():
                      ("packing.py", "_saturate")}
 
 
+def stored_attributes(tree, cls, owners=("self", "net")):
+    """The attribute names the class ``cls`` stores on ``owners``."""
+    node, = (node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {child.attr for child in ast.walk(node)
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store)
+            and isinstance(child.value, ast.Name) and child.value.id in owners}
+
+
+def test_the_search_engines_keep_no_second_copy_of_their_state():
+    # a flow net's aim is the first sink in ``_live`` and its distance
+    # table that sink's shared one, and the packing search's blocked set is
+    # the terminals and its commitments: a stored copy of either would
+    # have to be kept in step by hand
+    assert stored_attributes(parse_module("flow.py"), "UnitFlowNet") == {
+        "view", "sources", "sinks", "blocked", "cap", "_pending", "_live"}
+    assert "blocked" not in stored_attributes(parse_module("packing.py"), "_PackSearch")
+
+
 LADDER_BUILDERS = ["_even_pair_sibling_mated", "_even_pair_sibling_generic",
                    "_even_cross_half", "_odd_cross_half"]
 

@@ -58,7 +58,7 @@ def with_fresh_relaxations(fn, *args):
     def fresh(search, net, interior=(), owed=0):
         u, v, _ = search.branch
         return packing._saturate(search.view, [(u, v, owed), *search.leaf],
-                                 search.blocked.union(interior))
+                                 search.terminals | search.committed())
 
     def searched(net, known=frozenset()):
         return critical(net)

@@ -104,6 +104,7 @@ def test_missing_terminal_reported_before_overlap():
 @pytest.mark.parametrize("terminals, paths", [
     ((0, 0, 1), [(0, 1)]),            # a repeated terminal
     ((0, 1), [(0, 1), (0, 2, 1)]),    # only two terminals
+    ((0, 1, 2, 2), [(0, 1, 2)]),      # four terminals, three distinct
 ])
 def test_terminals_must_be_three_distinct_vertices(terminals, paths):
     with pytest.raises(ValueError):
