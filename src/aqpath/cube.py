@@ -116,7 +116,8 @@ def sink_distances(view, t: int) -> dict[int, int]:
     ``view.distance_to(t)(x)`` (the closed form on a cube view, 0 on an
     adjacency list), computed and stored on the first read.  It depends on
     nothing else, so the tables live in the view's ``to_sink``, shared by
-    every net and search over it, and go when the view does."""
+    every net and search over it (and ``flow.route``'s order of retries
+    toward the free sinks), and go when the view does."""
     got = view.to_sink.get(t)
     if got is None:
         got = view.to_sink[t] = _SinkTable(view.distance_to(t))
@@ -191,20 +192,25 @@ def closer_words(y: int) -> Iterator[int]:
     run, can be closer too and is not yielded: for x ^ t = 249 in AQ_8 the
     closer words are 1, 2, 4, 7 and 255, and this yields 1, 7 and 255.  So
     ``flow.descend`` may step sideways while such a word is free.
-    The first word is 2 * low - 1 for a lowest run of odd length and
-    2 * low for an even one (low = y & -y); ``flow.descend`` reads it so,
-    in closed form, and starts this generator only when that word is
-    blocked or leaves the view; ``flow._hops`` lists them all from here."""
+    Each word is yielded as it is computed, so a caller that stops early
+    pays for the words it took, not for a list of the run's.  The first
+    word is 2 * low - 1 for a lowest run of odd length and 2 * low for an
+    even one (low = y & -y); ``flow.descend`` reads it so, in closed form,
+    and starts this generator only when that word is refused;
+    ``flow._leave`` tries a fan's first hops from here."""
     while y:
         low = y & -y
         run = y & ~(y + low)  # the carry clears just the lowest run
         y ^= run
-        q, size = low.bit_length() - 1, run.bit_count()
-        if size % 2:
-            yield from [(2 << (q + i)) - 1 for i in range(0, size, 2)]
-            yield from [1 << (q + i) for i in range(1, size)]
-        else:
-            yield from [1 << (q + i) for i in range(1, size, 2)]
+        top, odd = run + low, run.bit_count() % 2  # top: the bit above it
+        w = low
+        while odd and w < top:
+            yield 2 * w - 1
+            w <<= 2
+        w = low << 1
+        while w < top:
+            yield w
+            w <<= 2 - odd
 
 
 def map_vertex(images: Sequence[int], v: int) -> int:

@@ -56,14 +56,16 @@ ladders take them), ``fan`` and the constructor's prescribed pairs.
 ``descend`` steps from a source toward its target by
 ``cube.closer_words``, one closer each step; it reads a step's first
 closer word in closed form and starts the generator only where that word
-is blocked, so most steps cost a few integer operations, a lookup and an
-adjacency test.  A fan's source, which sends a unit to every target,
-leaves by the first of its free neighbours (closer steps first, then the
-others nearest the target) from which a walk arrives, handing the walk
-the distance it ordered them by, so a late walk is not lost because its
-first closer step is taken, and it tries no neighbour a kept walk took;
-and a bundle's walk that gets stuck short of the free sinks is retried
-toward each of them.
+is refused, so most steps cost a few integer operations, an adjacency
+test and two lookups, and the generator, which yields its words one at a
+time, computes only the words a step tries.  A fan's source, which sends
+a unit to every target, leaves by the first of its free neighbours
+(closer steps as ``closer_words`` yields them, then the others nearest
+the target) from which a walk arrives, handing the walk the distance it
+ordered them by, so a late walk is not lost because its first closer step
+is taken, and it tries no neighbour a kept walk took; and a bundle's walk
+that gets stuck short of the free sinks is retried toward each of them,
+nearest first, reading distances only until a retry arrives.
 Only the units no walk delivers are left to a net, seeded with the walks
 (``UnitFlowNet.seed``) and augmented.
 Seeding asks the view for nothing: what a walk writes into the row of an
@@ -84,6 +86,7 @@ saturated net's constraints re-augments only the units they displace.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Collection, Container, Iterable
 
 from .cube import check_vertices, closer_words, sink_distances
@@ -128,42 +131,51 @@ def descend(view, x: int, t: int, avoid: Container[int],
     Each step takes the first of ``cube.closer_words`` the view has and
     ``avoid`` leaves free, else (``_SIDEWAYS`` times in all) the first
     neighbour as far from t.  The first word is read in closed form, from
-    the lowest run of the gray word y, and the generator starts only when
-    that word is blocked or leaves the view (or y = 0), past that word, so
-    the tries keep their order and none is made twice.  ``dist`` is
-    ``view.distance_to(t)`` if the caller has it.  A view whose
-    ``distance_to`` is 0 away from t, an adjacency list, is not walked."""
+    the lowest run of the gray word y, and tested once: adjacency first,
+    then ``stop`` (the walk ends there), then ``avoid``, so a word that
+    leaves the view costs no lookup.  The generator starts only when that
+    word is refused (or y = 0), past that word, so the tries keep their
+    order and none is made twice.  ``dist`` is ``view.distance_to(t)`` if
+    the caller has it.  A view whose ``distance_to`` is 0 away from t, an
+    adjacency list, is not walked."""
     if dist is None:
         dist = view.distance_to(t)
     if not dist(x):
         return None
     adjacent = view.is_adjacent
-    gt, path, sideways = t ^ (t >> 1), [x], _SIDEWAYS
+    gt, path, sideways, v = t ^ (t >> 1), [x], _SIDEWAYS, x
     while True:
-        v = path[-1]
         y = v ^ (v >> 1) ^ gt
         low = y & -y
-        # closer_words(y)'s first word: 2 * low - 1 if y's lowest run is odd
+        # closer_words(y)'s first word: 2 * low - 1 if y's lowest run is odd;
+        # at y = 0 it is v itself, which no view holds adjacent to v
         u = v ^ (2 * low - (y & ~(y + low)).bit_count() % 2)
-        if not (y and (u in stop or u not in avoid) and adjacent(v, u)):
-            words = closer_words(y)
-            next(words, None)  # u, refused just now
-            for w in words:
-                u = v ^ w
-                if (u in stop or u not in avoid) and adjacent(v, u):
-                    break
-            else:
-                if not sideways:
-                    return None
-                sideways -= 1
-                d = dist(v)
-                u = next((u for u in view.neighbors(v) if dist(u) == d
-                          and (u in stop or u not in avoid) and u not in path), None)
-                if u is None:
-                    return None
+        if adjacent(v, u):
+            if u in stop:
+                return (*path, u)
+            if u not in avoid:
+                path.append(u)
+                v = u
+                continue
+        words = closer_words(y)
+        next(words, None)  # u, refused just now
+        for w in words:
+            u = v ^ w
+            if (u in stop or u not in avoid) and adjacent(v, u):
+                break
+        else:
+            if not sideways:
+                return None
+            sideways -= 1
+            d = dist(v)
+            u = next((u for u in view.neighbors(v) if dist(u) == d
+                      and (u in stop or u not in avoid) and u not in path), None)
+            if u is None:
+                return None
         path.append(u)
         if u in stop:
             return tuple(path)
+        v = u
 
 
 class UnitFlowNet:
@@ -475,44 +487,64 @@ class UnitFlowNet:
         return sorted(paths)
 
 
-def _hops(x: int, t: int, dist: Callable[[int], int], nbrs: dict[int, None]):
-    """x's free neighbours ``nbrs``, ascending, in the order a walk from x
-    toward t tries them as its first hop: the closer steps in
-    ``cube.closer_words`` order, then the others nearest t first, from
-    three buckets (each lies within one of x's distance); each part is
-    listed only once reached."""
+def _leave(view, x: int, t: int, avoid: Container[int], stop: Container[int],
+           nbrs: dict[int, None]) -> tuple[int, ...] | None:
+    """A walk from x toward t to the first vertex of ``stop``: ``descend``
+    from the first of x's free neighbours ``nbrs`` from which it arrives,
+    leaving x by the last of them the walk crosses; or None.  The closer
+    steps are tried in ``cube.closer_words`` order, each as it is found,
+    then the others nearest t first, from three buckets (each lies within
+    one of x's distance) filled only once the closer steps are spent.
+    Each walk takes the distance the buckets read, so a target's distance
+    is built once.  A view with no distance is not walked."""
+    dist = view.distance_to(t)
+    d = dist(x) - 1
+    if d < 0:
+        return None
+
+    def arrive(u: int) -> tuple[int, ...] | None:
+        """x and the walk from its free neighbour u, cut at the walk's
+        last vertex in ``nbrs``, if the walk arrives."""
+        if u in stop:
+            return (x, u)
+        q = None if u in avoid else descend(view, u, t, avoid, stop, dist)
+        if q is not None:
+            i = len(q) - 1
+            while q[i] not in nbrs:
+                i -= 1
+            return (x, *q[i:])
+
     first = set()
     for w in closer_words(x ^ (x >> 1) ^ t ^ (t >> 1)):
-        if x ^ w in nbrs:
-            first.add(x ^ w)
-            yield x ^ w
-    d = dist(x) - 1
+        if (u := x ^ w) in nbrs:
+            first.add(u)
+            if p := arrive(u):
+                return p
     buckets: tuple[list[int], ...] = ([], [], [])  # d - 1, d, d + 1
     for u in nbrs:
         if u not in first:
             buckets[dist(u) - d].append(u)
-    for bucket in buckets:
+    return next(filter(None, map(arrive, itertools.chain(*buckets))), None)
+
+
+def _nearest(view, x: int, t: int, sinks: Iterable[int], free: Container[int]):
+    """The ``sinks`` in ``free``, nearest x first, ties in sink order, each
+    found only once reached.  By the triangle inequality none lies nearer
+    than lo, x's distance to t less the farthest sink's distance to t (read
+    from the view's table for t), so one pass yields each at lo as it
+    meets it and buckets the others, which follow by distance."""
+    near = view.distance_to(x)
+    far = max(map(sink_distances(view, t).__getitem__, sinks), default=0)
+    lo = near(t) - far
+    later: list[list[int]] = [[] for _ in range(2 * far)]  # lo + 1, lo + 2, ...
+    for s in sinks:
+        if s in free:
+            if (d := near(s)) == lo:
+                yield s
+            else:
+                later[d - lo - 1].append(s)
+    for bucket in later:
         yield from bucket
-
-
-def _leave(view, x: int, t: int, avoid: Container[int], stop: Container[int],
-           nbrs: dict[int, None]) -> tuple[int, ...] | None:
-    """A walk from x toward t to the first vertex of ``stop``: ``descend``
-    from the first of x's free neighbours ``nbrs``, in ``_hops`` order,
-    from which it arrives, leaving x by the last of them the walk crosses;
-    or None.  Each walk takes the distance ``_hops`` reads, so a target's
-    distance is built once.  A view with no distance is not walked."""
-    dist = view.distance_to(t)
-    for u in _hops(x, t, dist, nbrs) if dist(x) else ():
-        if u in stop:
-            q = (u,)
-        elif u not in avoid:
-            q = descend(view, u, t, avoid, stop, dist)
-        else:
-            continue
-        if q is not None:
-            return (x, *q[max(i for i, v in enumerate(q) if v in nbrs):])
-    return None
 
 
 def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
@@ -528,7 +560,7 @@ def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
       (``_leave``), its neighbour row read once per call and trimmed of
       every kept walk;
     - a walk toward the free sinks that gets stuck (a bundle's) is retried
-      toward each of them, nearest x first.
+      toward each of them, nearest x first (``_nearest``).
     Short of ``want``, the net is seeded with the walks and augmented: a
     flow augmented from any flow until no augmenting path is left is a
     maximum one, so walking first loses no unit."""
@@ -543,11 +575,8 @@ def route(view, sources: dict[int, int], sinks: Collection[int], blocked,
         else:
             p = descend(view, x, t, avoid, stop)
         if p is None and stop is free:
-            near = view.distance_to(x)
-            for s in sorted((s for s in sinks if s in free), key=near):
-                p = descend(view, x, s, avoid, free)
-                if p is not None:
-                    break
+            p = next(filter(None, (descend(view, x, s, avoid, free)
+                                   for s in _nearest(view, x, t, sinks, free))), None)
         if p is not None:
             walked.append(p)
             avoid.update(p)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 import weakref
 from collections import deque
 
@@ -520,6 +521,55 @@ def test_closer_words_shorten_the_distance_by_exactly_one():
     w, masks = 249, AugmentedCube(8).words
     assert list(closer_words(w ^ (w >> 1))) == [1, 7, 255]
     assert sorted(m for m in masks if distance(w ^ m, 0) == 2) == [1, 2, 4, 7, 255]
+
+
+def listed_closer_words(y):
+    """``closer_words`` with each run's words built as lists, as first
+    written: the reference for the words it yields one at a time."""
+    while y:
+        low = y & -y
+        run = y & ~(y + low)
+        y ^= run
+        q, size = low.bit_length() - 1, run.bit_count()
+        if size % 2:
+            yield from [(2 << (q + i)) - 1 for i in range(0, size, 2)]
+            yield from [1 << (q + i) for i in range(1, size)]
+        else:
+            yield from [1 << (q + i) for i in range(1, size, 2)]
+
+
+def test_closer_words_match_the_list_built_reference():
+    # every gray word below 2**12, then 2,000 seeded ones of up to 1,024
+    # bits: half of them random bits, half runs of 1 to 64 ones apart by
+    # gaps of 1 to 8, so long runs of both parities occur
+    for y in range(1 << 12):
+        assert list(closer_words(y)) == list(listed_closer_words(y)), y
+    rng = random.Random("closer-words")
+    for i in range(2000):
+        bits = rng.randint(1, 1024)
+        if i % 2:
+            y = rng.getrandbits(bits)
+        else:
+            y, at = 0, rng.randint(0, 8)
+            while at < bits:
+                size = min(rng.randint(1, 64), bits - at)
+                y |= ((1 << size) - 1) << at
+                at += size + rng.randint(1, 8)
+        assert list(closer_words(y)) == list(listed_closer_words(y)), y
+
+
+def test_closer_words_are_yielded_one_at_a_time():
+    # the gray word of one run of 20,001 ones: its first two words need
+    # no list of the run's 10,001 odd words (13.7 MB when listed)
+    words = closer_words((1 << 20001) - 1)
+    tracemalloc.start()
+    try:
+        first = [next(words), next(words)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [1, 7]
+    assert peak < 1 << 20
 
 
 def from_gray(y):

@@ -476,10 +476,11 @@ def test_the_hypercube_triples_are_the_orbits():
 
 # a second referee for the oracle: pi3(Q_n) = floor((3n - 1) / 4) (Zhu,
 # Hao & Li, The 3-path-connectivity of the hypercubes, Discrete Applied
-# Mathematics 2022), through a view with no symmetries.  A disagreement is
-# a fault of the oracle, never a pin to move
-@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow),
-                               pytest.param(9, marks=pytest.mark.slow),
-                               pytest.param(10, marks=pytest.mark.slow)])
+# Mathematics 2022), through a view with no symmetries: n = 4..9 in the
+# gate, n = 10..12 in the slow tier.  A disagreement is a fault of the
+# oracle, never a pin to move
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9,
+                               *(pytest.param(n, marks=pytest.mark.slow)
+                                 for n in (10, 11, 12))])
 def test_the_oracle_gives_the_hypercube_its_published_value(n):
     assert hypercube_pi3(n) == (3 * n - 1) // 4
