@@ -5,9 +5,11 @@ member visits all three terminals, the pairwise vertex intersections are
 exactly the terminal set, and no edge is used twice.  Uses only adjacency
 queries and set arithmetic -- no flow and no constructor code -- so it can
 referee both sides.
-A sound family is accepted in bulk, in one pass that builds each path's
-vertex set once (``view.is_walk`` and set counts); any other is scanned
-vertex by vertex, and that scan alone names the fault.
+Each check decides once, in order, by a set-level test: each member
+alone (``check_path``, whose fast test is one ``view.is_walk`` query),
+then each member's terminals, then one count of the members' union and
+of their terminal-terminal edges.  Only a family that fails the count is
+scanned, to name the least pair of members that overlap.
 """
 
 from __future__ import annotations
@@ -72,49 +74,39 @@ def check_family(view, terminals: Sequence[int],
     for t in D:
         if t not in view:
             return Violation(ViolationKind.WRONG_GRAPH, f"terminal {t} not in view")
-    # a sound family passes in one pass, one vertex set per path: every
-    # path is simple and holds D, and no interior vertex and no
-    # terminal-terminal edge repeats
-    seen: set[int] = set()
-    tt = []
-    for p in paths:
-        s = set(p) if set(map(type, p)) == {int} else set()
-        if len(s) != len(p) or not s >= D or not view.is_walk(p):
-            break
-        seen |= s
-        a, b, c = sorted(map(p.index, D))
-        tt += [frozenset(p[i:i + 2]) for i, j in ((a, b), (b, c)) if j == i + 1]
-    else:
-        if (len(set(tt)) == len(tt)
-                and len(seen) == 3 + sum(map(len, paths)) - 3 * len(paths)):
-            return None
-    # a fault: the scan below finds the first one
     for i, p in enumerate(paths):
         bad = check_path(view, p)
         if bad is not None:
             return bad._replace(paths=(i,))
+    # each member is now a simple path; read its terminals' places, which
+    # also give the edges between two terminals
+    tt = []
     for i, p in enumerate(paths):
-        missing = D - set(p)
-        if missing:
+        try:
+            a, b, c = sorted(map(p.index, D))
+        except ValueError:
             return Violation(ViolationKind.MISSING_TERMINAL,
-                             f"terminal {min(missing)} absent", (i,))
-    # The least pair (i, j) of members sharing an interior vertex or an
-    # edge: an element's first owner i is the least member holding it, so
-    # the least pair is (first owner, later holder) for some element.  An
-    # edge with an interior end shares that vertex too, so only edges
-    # between two terminals need owners.
+                             f"terminal {min(D - set(p))} absent", (i,))
+        tt += [frozenset(p[k:k + 2]) for k, m in ((a, b), (b, c)) if m == k + 1]
+    # every member holds D, so the interiors are disjoint iff the union
+    # counts them all; an edge with an interior end shares that vertex too
+    if (len(set(tt)) == len(tt)
+            and len(D.union(*paths)) == 3 + sum(map(len, paths)) - 3 * len(paths)):
+        return None
+    # A fault, so some pair of members shares an interior vertex or an edge
+    # between two terminals.  An element's first owner i is the least
+    # member holding it, so the least pair is (first owner, later holder)
+    # for some element.
     owner: dict = {}
-    least = None
+    pairs = []
     for j, p in enumerate(paths):
         keys = [v for v in p if v not in D]
         keys += [frozenset(e) for e in zip(p, p[1:]) if D.issuperset(e)]
         for key in keys:
             i = owner.setdefault(key, j)
-            if i != j and (least is None or (i, j) < least):
-                least = (i, j)
-    if least is None:
-        return None
-    i, j = least
+            if i != j:
+                pairs.append((i, j))
+    i, j = least = min(pairs)
     shared = (set(paths[i]) - D) & (set(paths[j]) - D)
     if shared:
         return Violation(ViolationKind.VERTEX_OVERLAP,

@@ -216,6 +216,18 @@ def test_counting_bounds():
         cube_upper_bound(3)
 
 
+@pytest.mark.parametrize("k, r, bound", [(1, 0, 0), (1, 1, 0), (4, 0, 3), (4, 4, 2)])
+def test_the_regular_bound_takes_every_r_from_zero_to_k(k, r, bound):
+    # the guard's edges: the least degree, and no or every neighbor shared
+    assert regular_upper_bound(k, r) == bound
+
+
+@pytest.mark.parametrize("k, r", [(0, 0), (4, -1), (4, 5)])
+def test_the_regular_bound_refuses_a_degree_or_share_out_of_range(k, r):
+    with pytest.raises(ValueError, match="need integers k >= 1 and 0 <= r <= k"):
+        regular_upper_bound(k, r)
+
+
 def test_common_neighbors_example():
     cube = AugmentedCube(4)
     got = common_neighbors(cube, [0b0000, 0b0111])
@@ -236,6 +248,8 @@ def test_max_common_values():
     g = AdjListView([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], bits=2)
     assert max_common(g, 2) == (2, (0, 2))
     assert max_common(g, 3) == (1, (0, 1, 3))
+    # a perfect matching: no pair shares a neighbor, yet one is the witness
+    assert max_common(AdjListView([(0, 1), (2, 3)], bits=2), 2) == (0, (0, 1))
 
 
 def test_max_common_needs_as_many_vertices_as_its_arity():
@@ -254,6 +268,11 @@ def test_witness_triple_structure():
         for u, v, label in w.certificate:
             assert cube.is_adjacent(u, v)
             assert cube.mask_label(u, v) == label
+        # the plain variant is the third vertex with its n - 3 trailing
+        # ones cleared
+        low = (1 << (n - 3)) - 1
+        assert w.triple[2] & low == low
+        assert w.uncorrected_third == w.triple[2] & ~low == 0b101 << (n - 3)
 
 
 def test_a_broken_witness_certificate_raises(monkeypatch):

@@ -165,13 +165,25 @@ def test_the_cube_alone_owns_the_distance_tables_and_the_triple_check():
 
 
 def test_the_referee_imports_no_library_module():
-    # the referee accepts in bulk by asking the view (``is_walk``), never a
+    # the referee asks only the view (``is_walk``, ``is_adjacent``), never a
     # cube or flow helper, so it stays independent of what it referees
     tree = parse_module("verify.py")
     assert not any(isinstance(node, ast.ImportFrom) and node.level
                    for node in ast.walk(tree))
     assert all(name.split(".")[0] != "aqpath" for name in imported_modules(
         Path(aqpath.__file__).parent / "verify.py"))
+
+
+def test_the_referee_accepts_a_family_in_one_place():
+    # each check of ``check_family`` decides once, so the union count is
+    # its only accept; a second ``return None`` would be a second verdict
+    # path that a bug could hide behind
+    [fn] = [node for node in ast.walk(parse_module("verify.py"))
+            if isinstance(node, ast.FunctionDef) and node.name == "check_family"]
+    accepts = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Return)
+               and (node.value is None or (isinstance(node.value, ast.Constant)
+                                           and node.value.value is None))]
+    assert len(accepts) == 1, accepts
 
 
 def calls_by_function(tree, name, keep=lambda call: True):

@@ -19,9 +19,9 @@ def test_accepts_base_family():
     assert check_family(CUBE, BASE_D, base_family()) is None
 
 
-def test_an_empty_family_is_accepted_by_the_one_pass_referee():
-    # no path holds the terminals, so the bulk count (3 + 0 - 0) misses the
-    # empty union and the one-pass referee finds no pair to name
+def test_an_empty_family_is_accepted_by_the_union_count():
+    # the union of no members is D itself, so it counts 3 + 0 - 0 vertices
+    # and the referee accepts before any scan
     assert check_family(AugmentedCube(4), (0, 1, 2), []) is None
 
 
@@ -351,7 +351,7 @@ def test_the_one_pass_referee_names_the_pairwise_violation():
     assert seen.get(None), seen
 
 
-# -- the bulk acceptance against the per-vertex referee ------------------
+# -- the set-level checks against the per-vertex referee -----------------
 
 
 def walk_to(p, a, w):
@@ -396,7 +396,8 @@ def referee_views(rng, n, D, paths):
 
 
 CORRUPTIONS = ("True", "1.0", "negative", "outside", "repeat", "non-adjacent",
-               "shared-interior", "shared-edge", "missing-terminal", "detour")
+               "shared-interior", "shared-edge", "missing-terminal", "detour",
+               "empty-member")
 
 
 def corrupt(rng, kind, view, D, fam, outside, detour):
@@ -421,6 +422,8 @@ def corrupt(rng, kind, view, D, fam, outside, detour):
         fam[i] = [~v for v in p]
     elif kind in ("outside", "detour"):
         fam[i] = (outside if kind == "outside" else detour)(p)
+    elif kind == "empty-member":
+        fam.insert(rng.randrange(len(fam) + 1), [])
     elif not inner:
         return None
     elif kind == "shared-interior":  # a member copied, reversed, to another place
@@ -431,12 +434,11 @@ def corrupt(rng, kind, view, D, fam, outside, detour):
     return fam
 
 
-def test_the_bulk_referee_gives_the_per_vertex_verdict():
+def test_the_referee_gives_the_per_vertex_verdict_on_four_views():
     # corrupted families of construct(6..10, .) on four kinds of view: the
     # referee names the violation the per-vertex referee names, kind,
     # detail and members alike, for the whole family, for each member and
-    # for its first vertex alone, and accepts every clean family by its
-    # bulk test
+    # for its first vertex alone, and accepts every clean family
     rng = random.Random("bulk referee")
     seen = {}
     for n in range(6, 11):
