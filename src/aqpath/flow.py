@@ -79,9 +79,9 @@ seeded one.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
-``UnitFlowNet.amended`` copies a net with more vertices blocked or more
-demand, keeping the flow that still fits, so a caller that grows a
-saturated net's constraints re-augments only the units they displace.
+``UnitFlowNet.amended`` copies a net with more vertices blocked, keeping
+the flow that still fits, so a caller that blocks more of a saturated net
+re-augments only the units the new blocks displace.
 """
 
 from __future__ import annotations
@@ -377,14 +377,12 @@ class UnitFlowNet:
             self._push(nodes, 1)
         return out
 
-    def amended(self, blocked=(), demand=None) -> tuple[UnitFlowNet, int]:
-        """A copy of the net with the free vertices ``blocked`` blocked too
-        and, for ``demand`` = (u, v, k), k more units of capacity at the
-        terminal u as a source and at v, already a sink, as a sink; and
-        the number of units it is short.  Every unit that crossed a newly
-        blocked vertex is cancelled, the rest of the flow is kept, and the
-        copy is short of the units lost and the k added.  So when this net
-        carried its full demand, pushing that many units more
+    def amended(self, blocked) -> tuple[UnitFlowNet, int]:
+        """A copy of the net with the free vertices ``blocked`` blocked too,
+        and the number of units it is short.  Every unit that crossed a
+        newly blocked vertex is cancelled, the rest of the flow is kept,
+        and the copy is short of the units lost.  So when this net carried
+        its full demand, pushing that many units more
         (``max_flow(limit=short)``) carries the copy's full demand iff its
         network admits one, and a caller re-augments only those units
         instead of all of them.
@@ -394,19 +392,12 @@ class UnitFlowNet:
         its row derived.  The copy takes every row this net has derived,
         so it lists no more of the view than this net did; this net is
         left as it was.  A blocked vertex keeps no through arc, so no
-        search crosses it, and the sinks of the cancelled units (then v)
-        take flow again after those that already did, in the net's sink
-        order.  A unit that runs around a cycle is cancelled too, and
-        loses no value."""
+        search crosses it, and the sinks of the cancelled units take flow
+        again after those that already did, in the net's sink order.  A
+        unit that runs around a cycle is cancelled too, and loses no
+        value."""
         gone = frozenset(blocked)
-        sources, sinks = self.sources, self.sinks
-        if demand is not None:
-            u, v, k = demand
-            if v not in sinks:  # rows derived so far have no arc into it
-                raise ValueError(f"{v} is not a sink of the net")
-            sources = {**sources, u: sources.get(u, 0) + k}
-            sinks = {**sinks, v: sinks[v] + k}
-        net = UnitFlowNet(self.view, sources, sinks, self.blocked | gone)
+        net = UnitFlowNet(self.view, self.sources, self.sinks, self.blocked | gone)
         cap = net.cap = {x: row.copy() for x, row in self.cap.items()}
         hit = set()
         short = 0
@@ -422,14 +413,7 @@ class UnitFlowNet:
             if _in(w) in cap:  # its entries are all 0 now
                 cap[_in(w)] = {}
                 cap.pop(_out(w), None)
-        if demand is not None:
-            short += k
-            if _SRC in cap:
-                cap[_SRC][_out(u)] = cap[_SRC].get(_out(u), 0) + k
-            if _in(v) in cap:
-                cap[_in(v)][_SNK] += k
-            hit.add(v)
-        net._live = self._live + [t for t in sinks if t in hit and t not in self._live]
+        net._live = self._live + [t for t in self.sinks if t in hit and t not in self._live]
         return net, short
 
     def _unit(self, w: int) -> list[int]:
@@ -622,8 +606,8 @@ def disjoint_paths(view, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     next to its ends.  Cut at the last vertex in N(u) and the first after
     it in N(v), any maximum family takes this shape, so the count is exact.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if type(k) is not int or k < 1:  # a bool is not a count
+        raise ValueError(f"k must be a positive integer, not {k!r}")
     paths = _bundle(view, u, v, k)
     if len(paths) < k:
         raise Insufficient(len(paths), k)

@@ -251,8 +251,8 @@ def max_common(view, arity: int) -> tuple[int, tuple[int, ...]]:
     On an augmented cube, which is vertex-transitive, the first element is
     pinned to the smallest vertex, which translation invariance justifies.
     """
-    if arity not in (2, 3):
-        raise ValueError("arity must be 2 or 3")
+    if type(arity) is not int or arity not in (2, 3):  # 2.0 == 2
+        raise ValueError(f"arity must be 2 or 3, not {arity!r}")
     guard_size(view, EXHAUSTIVE_MAX_VERTICES, "shared-neighbor scan")
     if view.vertex_count < arity:
         raise ValueError(f"no {arity}-vertex groups to scan, "

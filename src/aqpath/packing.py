@@ -63,26 +63,24 @@ Feasibility is decided exactly, in two stages:
    reversed if need be, serves the leaf.
    Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
    both take {a, b}, and so may two shorter segments), and within one
-   search those vertices fix the free set.  So every relaxation verdict is
-   cached for the search under the committed set: the leaf's feasibility
-   and spare set under the set alone, the joint relaxation (the leaf with
-   the segments still owed asked of the branched pair besides) under the
-   set and the segments still owed.
+   search those vertices fix the free set.  So the leaf's two verdicts,
+   its feasibility and its spare set, are cached for the search under the
+   committed set.  A child is entered iff its leaf saturates: that one
+   relaxation decides each node, and no flow asks for the segments still
+   owed.
    A child node differs from its parent only by the committed segment's
    interior, so no relaxation below the root is built from scratch.  The
    child's leaf flow is the parent's copied with the units through that
    interior cancelled, and only those are pushed again
-   (``UnitFlowNet.amended``); the joint relaxation starts from the
-   child's saturated leaf flow, which it admits, and pushes only the owed
-   segments.  A flow is maximum iff no augmenting path is left, whatever
-   flow the augmentation started from, so each verdict is exact.  The
-   child's spare set searches for no vertex already critical to the
-   parent, as critical vertices stay critical when the blocked set grows
-   (see the length cap).  Verdicts and spare sets depend on the network
-   alone, not on the flow found, so neither the caches nor the repairs
-   change a visit, tick or answer, only the number and size of flows.  A
-   repaired flow does depend on the nodes above it, so the leaf that
-   completes a packing, whose flow gives the leaf's segments, is
+   (``UnitFlowNet.amended``).  A flow is maximum iff no augmenting path
+   is left, whatever flow the augmentation started from, so each verdict
+   is exact.  The child's spare set searches for no vertex already
+   critical to the parent, as critical vertices stay critical when the
+   blocked set grows (see the length cap).  Verdicts and spare sets depend
+   on the network alone, not on the flow found, so neither the caches nor
+   the repairs change a visit, tick or answer, only the number and size of
+   flows.  A repaired flow does depend on the nodes above it, so the leaf
+   that completes a packing, whose flow gives the leaf's segments, is
    saturated afresh over the final blocked set.
    The search also follows the cube's lex-leader rule (``aqpath.cube``).
    An automorphism fixing every terminal (``cube.symmetries``) sends
@@ -352,7 +350,6 @@ class _PackSearch:
         self.leaf_found: list[list[Segment]] | None = None
         self.terminals = frozenset(trip)
         self.leaf_ok: dict[frozenset[int], bool] = {}
-        self.joint_ok: dict[tuple[frozenset[int], int], bool] = {}
         self.avoid: dict[frozenset[int], frozenset[int]] = {}
         # (g, t, the images found so far) of each map fixing every terminal
         self.maps = [(g, t, {}) for g, t, perm in symmetries(view, trip)
@@ -403,8 +400,6 @@ class _PackSearch:
             interior = seg[1:-1]
             chosen.append(seg)
             key = self.committed()
-            # the leaf alone is an exact, junk-free necessary condition and
-            # prunes far harder than the joint relaxation
             leaf_net = None
             ok = self.leaf_ok.get(key)
             if ok is None:
@@ -412,7 +407,7 @@ class _PackSearch:
                     net = _saturate(self.view, self.leaf, blocked)
                 leaf_net = self.repaired(net, interior)
                 ok = self.leaf_ok[key] = leaf_net is not None
-            if ok and self.joint(key, leaf_net) and self.rec(leaf_net, avoid):
+            if ok and self.rec(leaf_net, avoid):
                 return True
             chosen.pop()
         return False
@@ -433,36 +428,13 @@ class _PackSearch:
                 return True
         return False
 
-    def joint(self, key: frozenset[int], leaf_net: UnitFlowNet | None) -> bool:
-        """Whether the joint relaxation of every segment still owed
-        saturates, from ``leaf_net``, the saturated leaf over the blocked
-        set of the commitments ``key``, if at hand.  With none owed it is
-        the leaf relaxation, which the caller has already seen saturate (a
-        zero count adds nothing)."""
-        u, v, need = self.branch
-        owed = need - len(self.chosen)
-        if not owed:
-            return True
-        ok = self.joint_ok.get((key, owed))
-        if ok is None:
-            if leaf_net is None:
-                left = [(u, v, owed), *self.leaf]
-                ok = _saturate(self.view, left, self.terminals | key) is not None
-            else:
-                ok = self.repaired(leaf_net, owed=owed) is not None
-            self.joint_ok[key, owed] = ok
-        return ok
-
-    def repaired(self, net: UnitFlowNet, interior: Segment = (),
-                 owed: int = 0) -> UnitFlowNet | None:
+    def repaired(self, net: UnitFlowNet, interior: Segment) -> UnitFlowNet | None:
         """``net``, a saturated leaf relaxation, with ``interior`` blocked
-        too and, when ``owed``, that many branched segments asked besides
-        (the joint relaxation), saturated again: only the units that
-        crossed ``interior`` and the owed ones are pushed, and ``net`` is
-        left as it was (``UnitFlowNet.amended``).  None when they do not
-        all fit, exactly when a fresh ``_saturate`` would answer None."""
-        u, v, _ = self.branch
-        child, short = net.amended(interior, (u, v, owed) if owed else None)
+        too, saturated again: only the units that crossed ``interior`` are
+        pushed, and ``net`` is left as it was (``UnitFlowNet.amended``).
+        None when they do not all fit, exactly when a fresh ``_saturate``
+        would answer None."""
+        child, short = net.amended(interior)
         if short and child.max_flow(limit=short) < short:
             return None
         return child

@@ -242,8 +242,9 @@ def test_max_common_values():
         assert max_common(cube, 2)[0] == 4
         assert max_common(cube, 3)[0] == 4
     assert max_common(AugmentedCube(3), 2)[0] <= 4
-    with pytest.raises(ValueError, match="arity must be 2 or 3"):
-        max_common(AugmentedCube(4), 4)
+    for arity in (4, 2.0, 3.0):
+        with pytest.raises(ValueError, match="arity must be 2 or 3"):
+            max_common(AugmentedCube(4), arity)
     # a listed graph pins no vertex: the 4-cycle 0-1-2-3 with the chord 0-2
     g = AdjListView([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], bits=2)
     assert max_common(g, 2) == (2, (0, 2))

@@ -289,6 +289,8 @@ REFUTED = ((0, 1, 2), (4, 3, 3))
 
 
 def test_a_search_without_a_budget_takes_the_default(monkeypatch):
+    # the default the README documents, and the command line's --budget
+    assert packing.DEFAULT_BUDGET == 2_000_000
     monkeypatch.setattr(packing, "DEFAULT_BUDGET", 100)
     with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
         pack_segments(AugmentedCube(4), *REFUTED)
@@ -320,10 +322,10 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
     # three terminals prunes the subtrees it sends onto earlier ones, and
     # the length cap the segments still owed set prunes the rest.  A child
     # repairs its parent's leaf flow, with no flow at all when the
-    # committed segment crossed no unit of it, and pushes only the owed
-    # segments onto that for the joint relaxation
+    # committed segment crossed no unit of it, and that leaf alone decides
+    # whether the child is entered
     assert budget.used == 112
-    assert len(calls) == 67
+    assert len(calls) == 44
 
 
 def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():
@@ -348,26 +350,9 @@ def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeyp
     assert [len(segs) for segs in found] == [3, 4, 3]
     # three orientations, the root leaf, the repairs of the leaf as the
     # three branched segments are committed (those crossing no unit of it
-    # push nothing), the joint relaxations while segments are owed, and
-    # one fresh leaf flow for the witness, so the witness does not depend
-    # on the path the search took
-    assert len(calls) == 9
-
-
-def test_the_joint_relaxation_prunes_what_the_leaf_alone_does_not(monkeypatch):
-    # a node whose leaf still saturates, yet not with the branched segments
-    # it owes asked besides: the joint relaxation drops it untried
-    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[11],
-                          forbidden_edges=[(15, 13), (2, 6), (0, 15), (15, 8)])
-    trip, counts = (12, 13, 6), (3, 3, 3)
-    assert not packing_exists(view, trip, counts)
-    budget = Budget(packing.DEFAULT_BUDGET)
-    assert pack_segments(view, trip, counts, budget) is None
-    assert budget.used == 11
-    monkeypatch.setattr(packing._PackSearch, "joint", lambda search, key, net: True)
-    budget = Budget(packing.DEFAULT_BUDGET)
-    assert pack_segments(view, trip, counts, budget) is None
-    assert budget.used == 12
+    # push nothing), and one fresh leaf flow for the witness, so the
+    # witness does not depend on the path the search took
+    assert len(calls) == 7
 
 
 def test_a_node_entered_with_cached_verdicts_saturates_its_leaf_afresh(monkeypatch):
@@ -375,17 +360,17 @@ def test_a_node_entered_with_cached_verdicts_saturates_its_leaf_afresh(monkeypat
     # D = x-d1-d2-d3-y, and [A, D] commits K = {a, d1, d2, d3}, the interior
     # of [B, C].  Besides four pipes, the leaf sends one unit from z to x
     # (by z-v-e1 or z-w-u1) and one to y (by z-v-e2 or z-w-u2), so neither
-    # e1 nor e2 is critical, but with E committed both units need w.  A
-    # cycle at x lets the joint relaxations pass.  [A, D] is entered and
-    # refuted first, so [B, C] is entered with its verdicts cached and no
-    # net, and E, listed at no node before, needs a fresh leaf flow there
-    x, y, z, d1, a, d2, d3, e1, e2, v, w, u1, u2, p1, p2, q1, q2, c1, c2 = range(19)
+    # e1 nor e2 is critical, but with E committed both units need w.
+    # [A, D] is entered and refuted first, so [B, C] is entered with its
+    # verdicts cached and no net, and E, listed at no node before, needs a
+    # fresh leaf flow there
+    x, y, z, d1, a, d2, d3, e1, e2, v, w, u1, u2, p1, p2, q1, q2 = range(17)
     view = AdjListView([
         (x, a), (a, y), (x, d1), (d1, d2), (d2, y), (d2, d3), (d3, y), (a, d3),
         (x, e1), (e1, e2), (e2, y), (z, v), (v, e1), (v, e2),
         (z, w), (w, u1), (u1, x), (w, u2), (u2, y),
-        (z, p1), (p1, x), (z, p2), (p2, x), (z, q1), (q1, y), (z, q2), (q2, y),
-        (x, c1), (c1, c2), (c2, x)], bits=5, vertices=range(19))
+        (z, p1), (p1, x), (z, p2), (p2, x), (z, q1), (q1, y), (z, q2), (q2, y)],
+        bits=5, vertices=range(17))
     trip, counts, K = (x, y, z), (3, 3, 3), frozenset({a, d1, d2, d3})
     searches, leaf_flows = [], []
     saturate = packing._saturate
@@ -519,6 +504,11 @@ def exactness_cases():
             yield f"parsed-{seed}", view, *tight_triangle(view, rng)
         for zeros in (1, 2):
             yield f"parsed-{seed}", view, *pair_or_wedge(view, rng, zeros)
+    # a demand with an odd total whose refutation enters a node that the
+    # leaf admits though the segments it still owes do not fit besides
+    yield "restricted-AQ4", RestrictedView(
+        AugmentedCube(4), forbidden_vertices=[11],
+        forbidden_edges=[(15, 13), (2, 6), (0, 15), (15, 8)]), (12, 13, 6), (3, 3, 3)
     cube = AugmentedCube(4)
     rng = random.Random(4)
     yield "AQ4", cube, *REFUTED
@@ -607,6 +597,10 @@ def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
         max_dpaths(g, rng.sample(list(g.vertices()), 3))
     assert min(map(min, relaxed)) > 0
     assert shapes.count(0) == len(relaxed) < len(shapes)
+    # a profile (a, b, c) asks a + b, b + c and a + c segments, 2m in all,
+    # so no triangle the oracle asks for has an odd total, such as the
+    # restricted demand of ``exactness_cases``
+    assert all(sum(counts) % 2 == 0 for counts in relaxed)
 
 
 def lemma_views(rng):

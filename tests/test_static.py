@@ -234,6 +234,18 @@ def test_the_search_engines_keep_no_second_copy_of_their_state():
     assert "blocked" not in stored_attributes(parse_module("packing.py"), "_PackSearch")
 
 
+def test_each_packing_node_is_decided_by_its_leaf_alone():
+    # a repair only blocks more vertices, and the search caches the leaf's
+    # verdicts and spare sets and nothing of a relaxation asking the
+    # segments still owed besides
+    flow = importlib.import_module("aqpath.flow")
+    assert list(inspect.signature(flow.UnitFlowNet.amended).parameters) == [
+        "self", "blocked"]
+    assert stored_attributes(parse_module("packing.py"), "_PackSearch") == {
+        "view", "budget", "branch", "leaf", "chosen", "leaf_found", "terminals",
+        "leaf_ok", "avoid", "maps"}
+
+
 LADDER_BUILDERS = ["_even_pair_sibling_mated", "_even_pair_sibling_generic",
                    "_even_cross_half", "_odd_cross_half"]
 
