@@ -1192,6 +1192,22 @@ def test_an_amended_leaf_matches_a_fresh_one(n):
     assert min(seen.values()) > 0, seen
 
 
+def test_blocking_vertices_no_unit_crosses_keeps_the_whole_flow():
+    # 0 -> 1 and 0 -> 3 -> 1 carry the two units; blocking nothing, or 5,
+    # which no unit crosses, cancels none, so the copy is short of none and
+    # keeps the flow, and the net it came from is left as it was
+    net = _saturate(AugmentedCube(4), [(0, 1, 2)], {0, 1, 2})
+    rows = rows_of(net)
+    for blocked, grown in (((), {0, 1, 2}), ((5,), {0, 1, 2, 5})):
+        child, short = net.amended(blocked)
+        assert short == 0
+        assert child.blocked == grown
+        assert child.unit_paths() == net.unit_paths() == [(0, 1), (0, 3, 1)]
+        assert child.max_flow(limit=1) == 0
+        assert rows_of(net) == rows
+        assert net.blocked == {0, 1, 2}
+
+
 def test_blocking_a_vertex_cancels_a_cycle_through_it():
     # 0 -> 2 -> 1 carries the unit; a circulation 3 -> 4 -> 5 -> 3 through
     # vertices the flow may use loses no value when it is cancelled, and

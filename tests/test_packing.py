@@ -355,6 +355,29 @@ def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeyp
     assert len(calls) == 7
 
 
+def test_an_odd_total_demand_is_refuted_by_its_leaf_relaxations_alone(monkeypatch):
+    # the restricted case of ``exactness_cases``: its refutation enters one
+    # node whose leaf saturates though the segments it still owes do not
+    # fit besides, and that node costs one tick more than a search asking
+    # them besides spent (11); the oracle never sends such an odd total
+    calls = []
+    max_flow = UnitFlowNet.max_flow
+
+    def counted(net, limit=None):
+        calls.append(limit)
+        return max_flow(net, limit)
+
+    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[11],
+                          forbidden_edges=[(15, 13), (2, 6), (0, 15), (15, 8)])
+    trip, counts = (12, 13, 6), (3, 3, 3)
+    assert not packing_exists(view, trip, counts)
+    monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert pack_segments(view, trip, counts, budget) is None
+    assert budget.used == 12
+    assert len(calls) == 14
+
+
 def test_a_node_entered_with_cached_verdicts_saturates_its_leaf_afresh(monkeypatch):
     # A = x-a-y < B = x-d1-d2-y < C = x-a-d3-y < E = x-e1-e2-y <
     # D = x-d1-d2-d3-y, and [A, D] commits K = {a, d1, d2, d3}, the interior
