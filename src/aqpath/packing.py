@@ -8,44 +8,69 @@ pair x-y, y-z and x-z: the triangle of pair demands that a split profile
 of the exact D-path oracle induces.  So the live demands (positive counts)
 are one pair, two pairs sharing a terminal, or a triangle.
 
-Feasibility is decided exactly, in two stages:
+Feasibility is decided exactly, in three stages:
 
-1. for a triangle (three positive counts), single-commodity flow
-   relaxations (sources at first endpoints, sinks at second endpoints,
-   unit capacities on free vertices), each a ``aqpath.flow.UnitFlowNet``
-   over the view, saturated by ``_saturate``.  A value below the total
-   demand refutes the packing, which also caps a terminal's demands by its
-   degree.  When the integral flow decomposes into unit paths whose
-   endpoints match the demands, that decomposition *is* a packing.  Only a
-   terminal that is both source and sink leaves slack, so each of the three
+0. a counting presolve (``_presolve``), which commits the segments every
+   packing holds.  The segments ending at a terminal t leave it by distinct
+   neighbours: interiors are disjoint, and a direct edge serves one segment
+   of its own pair.  So a neighbour is *usable* by t if it is a free vertex
+   no committed segment takes, or a terminal s that t still owes a segment
+   and whose direct edge is not committed.
+   (R1) t owing more segments than it has usable neighbours refutes.
+   (R2) t owing exactly as many is *full*: every usable neighbour starts
+   one of its segments.  A usable terminal s then makes the direct edge t-s
+   a segment of every packing.  A free vertex w usable by two full
+   terminals t and s starts a segment at each, yet lies on one segment
+   only, so that segment is (t, w, s), and the pair must still owe one.  A
+   third full terminal at w then has one usable neighbour too few, and (R1)
+   refutes.  A committed segment is taken out of its pair's count and its
+   interior or edge out of every terminal's usable neighbours, and the
+   rules run again until nothing changes.  One pass commits all it finds: a
+   commit leaves a full terminal full, or owing more than it can, which
+   (R1) refutes on a later pass.  So if any packing exists, every packing
+   holds every committed segment and packs what is still owed around them,
+   and the call is feasible iff that rest is.  If at most two pairs are
+   still owed, their single-source leaf (stage 2's split, which branches a
+   zero count) decides the rest with one flow over the committed interiors
+   blocked.  A direct edge committed on a leaf pair is owed there again, so
+   no view has to drop it: k segments avoiding the edge, with the edge, are
+   k + 1 segments, and k + 1 segments, which hold the edge at most once,
+   keep k without it.  So a pair or a wedge (two pairs sharing a terminal)
+   never branches, and no segment is enumerated for it.  A triangle that
+   still owes all three pairs goes on as if no presolve had run: its
+   committed segments are dropped, and its witness is the one the later
+   stages find;
+1. for that triangle, single-commodity flow relaxations (sources at
+   first endpoints, sinks at second endpoints, unit capacities on free
+   vertices), each a ``aqpath.flow.UnitFlowNet`` over the view, saturated
+   by ``_saturate``.  A value below the total demand refutes the packing.
+   When the integral flow decomposes into unit paths whose endpoints match
+   the demands, that decomposition *is* a packing.  Only a terminal that
+   is both source and sink leaves slack, so each of the three
    orientations, one per terminal in that double role, is tried;
 2. otherwise a branch-and-bound with one branched demand, the smallest.
-   The other two, oriented out of the third terminal, form a
-   single-source leaf the relaxation decides exactly (one source cannot
-   loop back to itself), so every branch ends in an exact flow.  A pair
-   or a wedge (two pairs sharing a terminal) branches on a zero count, so
-   its one leaf, oriented out of the shared terminal, decides it at once
-   and no segment is enumerated.  The branched segment sets are
-   enumerated shortest-first (then lexicographically) in strictly
+   The other two, oriented out of the third terminal, form a single-source
+   leaf the relaxation decides exactly (one source cannot loop back to
+   itself), so every branch ends in an exact flow.  The branched segment
+   sets are enumerated shortest-first (then lexicographically) in strictly
    increasing order, so no packing is visited twice, pruned by distance
-   bounds and by the relaxation after every commitment.  Shortest
-   lengths come from a search steered by the view's distance to the far
-   endpoint (``_hops``), and a partial segment is dropped once that
-   distance exceeds the edges it has left, so the search reads only the
-   region around the segments it builds.  Both read the distance from the
-   view's table for that endpoint (``cube.sink_distances``), which the
-   flows share.  Branch segments route only through the leaf's spare
-   vertices, those whose removal alone keeps the leaf feasible: the free
-   vertices one saturated leaf flow does not need (``UnitFlowNet.critical``).
-   The order also caps every segment's length by counting.  At a node
-   owing k segments, the one being chosen included, let S be the spare
-   vertices.  Each of the k segments has at least as many interior
-   vertices as the one being chosen, the interiors are pairwise disjoint,
-   and all lie in S: the blocked set only grows below the node, and so
-   does the set of critical vertices, since a flow saturating the leaf
-   under a larger blocked set also saturates it under a smaller one.  So a
-   segment with more than |S| // k interior vertices completes no packing
-   and is never listed.
+   bounds and by the relaxation after every commitment.  Shortest lengths
+   come from a search steered by the view's distance to the far endpoint
+   (``_hops``), and a partial segment is dropped once that distance exceeds
+   the edges it has left, so the search reads only the region around the
+   segments it builds.  Both read the distance from the view's table for
+   that endpoint (``cube.sink_distances``), which the flows share.  Branch
+   segments route only through the leaf's spare vertices, those whose
+   removal alone keeps the leaf feasible: the free vertices one saturated
+   leaf flow does not need (``UnitFlowNet.critical``).  The order also caps
+   every segment's length by counting.  At a node owing k segments, the one
+   being chosen included, let S be the spare vertices.  Each of the k
+   segments has at least as many interior vertices as the one being chosen,
+   the interiors are pairwise disjoint, and all lie in S: the blocked set
+   only grows below the node, and so does the set of critical vertices,
+   since a flow saturating the leaf under a larger blocked set also
+   saturates it under a smaller one.  So a segment with more than |S| // k
+   interior vertices completes no packing and is never listed.
    A triangle's root leaf is always feasible (the root lemma), as the
    triangle gets here only after all three orientations saturate.  Write
    (a, b, c) for the counts of x-y, y-z and x-z, and take the split that
@@ -142,8 +167,8 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
     pairs x-y, y-z and x-z, as three sorted lists whose segments run from
     the pair's first terminal to its second; or None, which is exact: no
     packing exists.  No interior holds a terminal, even one counted 0.
-    A triangle goes to the branch-and-bound only when the relaxations
-    leave it open; a pair or a wedge goes there at once.
+    A triangle goes to the branch-and-bound only when the presolve and
+    the relaxations leave it open; a pair or a wedge never goes there.
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
@@ -159,20 +184,78 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
         return [[], [], []]
 
     budget.tick()
-    if min(counts) > 0:
-        for oriented in _orientations(trip, counts):
-            net = _saturate(view, oriented, set(trip))
-            if net is None:
-                return None
-            segs = _classify(net, oriented)
-            if segs is not None:
-                return _regroup(trip, oriented, segs)
+    found = _presolve(view, trip, counts)
+    if found is None:
+        return None
+    rest, forced, direct, blocked = found
+    if min(rest) == 0:
+        # at most two pairs are still owed, and their single-source leaf
+        # decides them; a direct edge committed on a leaf pair is owed
+        # there again, so the flow may cross it once and never twice
+        (u, v, _), leaf = _split_for_search(trip, rest)
+        leaf = [(p, q, c + (frozenset((p, q)) in direct)) for p, q, c in leaf]
+        net = _saturate(view, leaf, blocked)
+        if net is None:
+            return None
+        if frozenset((u, v)) in direct:
+            forced.append((u, v))
+        return _regroup(trip, forced + net.unit_paths())
+
+    for oriented in _orientations(trip, counts):
+        net = _saturate(view, oriented, set(trip))
+        if net is None:
+            return None
+        segs = _classify(net, oriented)
+        if segs is not None:
+            return _regroup(trip, segs)
 
     search = _PackSearch(view, trip, counts, budget)
     if not search.rec():
         return None
-    return _regroup(trip, [search.branch, *search.leaf],
-                    [search.chosen, *search.leaf_found])
+    return _regroup(trip, search.chosen + search.leaf_found)
+
+
+def _presolve(view, trip: Sequence[int], counts: Sequence[int]):
+    """The counting presolve (module docstring): the counts still owed per
+    pair of ``trip``, the wedge segments every packing holds, the pairs
+    whose direct edge every packing holds, and the blocked set, the
+    terminals and the wedges' interiors; or None, which is exact: no
+    packing exists."""
+    x, y, z = trip
+    pairs = [frozenset(p) for p in ((x, y), (y, z), (x, z))]
+    owed = dict(zip(pairs, counts))
+    forced: list[Segment] = []
+    direct: set[frozenset[int]] = set()
+    blocked = set(trip)
+    near = {t: view.neighbors(t) for t in trip}
+    ends_at = {t: [frozenset((t, s)) for s in near[t] if s in near] for t in trip}
+    at = {t: [p for p in pairs if t in p] for t in trip}
+    while True:
+        before = len(forced) + len(direct)
+        claims: dict[int, list[int]] = {}  # free vertex -> full terminals
+        for t in trip:
+            free = [w for w in near[t] if w not in blocked]
+            ends = [p for p in ends_at[t] if owed[p] and p not in direct]
+            demand = sum(owed[p] for p in at[t])
+            if demand > len(free) + len(ends):  # (R1)
+                return None
+            if demand == len(free) + len(ends):  # (R2): t is full
+                for p in ends:
+                    owed[p] -= 1
+                direct.update(ends)
+                for w in free:
+                    claims.setdefault(w, []).append(t)
+        for w, full in claims.items():
+            if len(full) > 1:  # (R2): the wedge through w
+                t, s = full[:2]
+                p = frozenset((t, s))
+                if not owed[p]:
+                    return None
+                owed[p] -= 1
+                forced.append((t, w, s))
+                blocked.add(w)
+        if len(forced) + len(direct) == before:
+            return [owed[p] for p in pairs], forced, direct, blocked
 
 
 def _orientations(trip: Sequence[int], counts: Sequence[int]) -> list[list[Demand]]:
@@ -187,11 +270,14 @@ def _orientations(trip: Sequence[int], counts: Sequence[int]) -> list[list[Deman
     ]
 
 
-def _regroup(trip, oriented, segs) -> list[list[Segment]]:
-    """Per-oriented-pair segments as one sorted list per pair of ``trip``."""
-    found = {frozenset((u, v)): s for (u, v, _), s in zip(oriented, segs)}
+def _regroup(trip, segs: Iterable[Segment]) -> list[list[Segment]]:
+    """The segments as one sorted list per pair of ``trip``, each running
+    from the pair's first terminal to its second."""
     x, y, z = trip
-    return [sorted(s if s[0] == u else tuple(reversed(s))
+    found: dict[frozenset[int], list[Segment]] = {}
+    for s in segs:
+        found.setdefault(frozenset((s[0], s[-1])), []).append(s)
+    return [sorted(s if s[0] == u else s[::-1]
                    for s in found.get(frozenset((u, v)), ()))
             for u, v in ((x, y), (y, z), (x, z))]
 
@@ -213,21 +299,17 @@ def _saturate(view, demands: Sequence[Demand], blocked) -> UnitFlowNet | None:
     return net if net.max_flow(limit=total) == total else None
 
 
-def _classify(net, demands: Sequence[Demand]):
-    """Turn a saturating flow into per-demand segments, or None if any unit
+def _classify(net, demands: Sequence[Demand]) -> list[Segment] | None:
+    """A saturating flow's unit paths as segments, or None if any unit
     loops back to its own source terminal or pairs endpoints no demand
     names (possible only through double roles or between distinct pairs).
     Otherwise each demand gets exactly its count: the flow fills every
     source and sink, a terminal with one demand as a source or as a sink
     fixes that demand's count, and every orientation here leaves at most
     one demand without such a terminal, which the total then fixes."""
-    got: dict[tuple[int, int], list[Segment]] = {(u, v): [] for (u, v, _) in demands}
-    for seg in net.unit_paths():
-        key = (seg[0], seg[-1])
-        if key not in got:
-            return None
-        got[key].append(seg)
-    return [got[(u, v)] for (u, v, _) in demands]
+    named = {(u, v) for u, v, _ in demands}
+    segs = net.unit_paths()
+    return segs if all((s[0], s[-1]) in named for s in segs) else None
 
 
 # -- exhaustive branch and bound ----------------------------------------
@@ -320,7 +402,7 @@ def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
     """The demands as (the branched demand, the single-source leaf): the
     smallest demand (u, v) is branched and the other two are re-oriented
     out of the third terminal.  With a zero count that demand is branched,
-    so a pair or a wedge is its leaf alone."""
+    so what the presolve leaves of a pair or a wedge is its leaf alone."""
     x, y, z = trip
     a, b, c = counts
     return min([((x, y, a), [(z, x, c), (z, y, b)]),
@@ -330,7 +412,7 @@ def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
 
 
 class _PackSearch:
-    """The state of one call's branch-and-bound, with its relaxation
+    """The state of one triangle's branch-and-bound, with its relaxation
     caches keyed by the interior vertices committed so far (see the module
     docstring).  A node's blocked set, the ``terminals`` and those
     interiors, is derived from its commitments, never kept, and ``avoid``
@@ -347,7 +429,7 @@ class _PackSearch:
         self.budget = budget
         self.branch, self.leaf = _split_for_search(trip, counts)
         self.chosen: list[Segment] = []
-        self.leaf_found: list[list[Segment]] | None = None
+        self.leaf_found: list[Segment] | None = None
         self.terminals = frozenset(trip)
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.avoid: dict[frozenset[int], frozenset[int]] = {}
@@ -365,10 +447,9 @@ class _PackSearch:
         set of the parent node, whose critical vertices stay critical here.
         The leaf has one source, which no unit can loop back into, so
         saturation decides it exactly and forces the split between its
-        sinks.  Every node that branches has a feasible leaf: a triangle's
-        root by the root lemma (module docstring), a child as it is entered
-        only when its leaf saturates (a pair or a wedge owes no branched
-        segment, so its root returns at the leaf)."""
+        sinks.  Every node that branches has a feasible leaf: the root by
+        the root lemma (module docstring), a child as it is entered only
+        when its leaf saturates."""
         u, v, need = self.branch
         chosen = self.chosen
         key = self.committed()
@@ -377,7 +458,7 @@ class _PackSearch:
             # the witness comes from a fresh flow over the blocked set: a
             # repaired one depends on the nodes the search passed through
             net = _saturate(self.view, self.leaf, blocked)
-            self.leaf_found = None if net is None else _classify(net, self.leaf)
+            self.leaf_found = None if net is None else net.unit_paths()
             return self.leaf_found is not None
         # a branch segment may not cross ``blocked`` nor any free vertex
         # whose removal alone makes the leaf infeasible.  Leaf feasibility

@@ -146,8 +146,10 @@ def test_a_negative_budget_is_a_usage_error(capsys, argv):
     ["pi3", "--n", "4"],
 ], ids=["oracle", "pi3"])
 def test_an_exhausted_budget_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv, "--budget", "100")
-    assert (code, out, err) == (2, "", "error: search budget 100 exhausted\n")
+    # the argmin triple 0000,0001,0010 takes three ticks: two refuted
+    # profiles and a packed one
+    code, out, err = run(capsys, *argv, "--budget", "2")
+    assert (code, out, err) == (2, "", "error: search budget 2 exhausted\n")
 
 
 def test_a_budget_that_suffices_prints_the_value(capsys):

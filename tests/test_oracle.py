@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from aqpath.oracle import (
     regular_upper_bound,
     witness_triple,
 )
-from aqpath.packing import SearchBudgetExceeded
+from aqpath.packing import SearchBudgetExceeded, pack_segments
 from aqpath.verify import check_family
 
 
@@ -175,9 +176,26 @@ def test_max_dpaths_takes_only_an_integer_budget(budget):
 
 
 def test_max_dpaths_raises_when_the_budget_runs_out():
-    # the argmin orbit of pi3(AQ_4) needs a branch-and-bound refutation
-    with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
-        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=100)
+    # the argmin orbit of pi3(AQ_4) refutes two profiles before it packs
+    # one, a tick each
+    assert max_dpaths(AugmentedCube(4), (0, 1, 2), budget=3)[0] == 4
+    with pytest.raises(SearchBudgetExceeded, match="search budget 2 exhausted"):
+        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=2)
+
+
+def test_two_calls_that_outran_the_branch_and_bound_are_decided_at_once():
+    # with the presolve off, each of these exhausts 200,000 ticks in the
+    # branch-and-bound; counting decides their refutations before any
+    # branch, under the default budget
+    view = RestrictedView(AugmentedCube(5), forbidden_vertices=[3, 17, 22],
+                          forbidden_edges=[(0, 1), (8, 9), (4, 12)])
+    start = time.perf_counter()
+    value, fam = max_dpaths(view, (28, 14, 31))
+    assert time.perf_counter() - start <= 5
+    assert value == 5 and check_family(view, (28, 14, 31), fam) is None
+    start = time.perf_counter()
+    assert pack_segments(AugmentedCube(5), (17, 22, 29), (3, 6, 3)) is None
+    assert time.perf_counter() - start <= 5
 
 
 def test_the_oracle_packs_the_sorted_triple_with_two_pairs_or_more(monkeypatch):

@@ -65,4 +65,4 @@ def test_dimension_four_witnesses_are_unchanged():
         value, fam = max_dpaths(cube, (0, b, c))
         h.update(f"{value}\n{render_family((0, b, c), fam, 4)}".encode())
     assert h.hexdigest() == (
-        "08e5aaad537bdffbc010f3335b7de4e71dcad36d3ab3d534a60a08400b557dba")
+        "5dd772c74c7fdc6937dee67f6bdc1d9a2b79220c3956a867c75d753e509e28e8")

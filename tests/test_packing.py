@@ -63,6 +63,12 @@ def test_no_demand_packs_nothing():
     assert pack_segments(AugmentedCube(4), (0, 1, 2), (0, 0, 0)) == [[], [], []]
 
 
+def no_presolve(view, trip, counts):
+    """A presolve that commits and refutes nothing, so that a triangle
+    reaches the relaxations and the branch-and-bound as if none had run."""
+    return list(counts), [], set(), set(trip)
+
+
 def spare_by_rebuild(view, leaf, blocked):
     # the reference: one relaxation per free vertex, left out in turn
     return {w for w in view.vertices() if w not in blocked
@@ -127,11 +133,12 @@ def test_an_infeasible_leaf_spares_nothing():
     assert spare_vertices(view, [(2, 3, 2)], {0, 1, 2, 3}) == set()
 
 
-def test_an_infeasible_leaf_still_tries_the_direct_edge():
-    # the triangle branches on 0-1 (twice) beside the leaf 2 to 0 and 2 to
-    # 1 (twice each), which needs 3, 4 and 6; every 0-1 path with an
-    # interior crosses one of them and leaves the leaf infeasible, so the
-    # direct edge 0-1 is the one segment enumerated and ticks once
+def test_an_infeasible_leaf_still_tries_the_direct_edge(monkeypatch):
+    # with the presolve off, the triangle branches on 0-1 (twice) beside
+    # the leaf 2 to 0 and 2 to 1 (twice each), which needs 3, 4 and 6;
+    # every 0-1 path with an interior crosses one of them and leaves the
+    # leaf infeasible, so the direct edge 0-1 is the one segment
+    # enumerated and ticks once
     view = AdjListView([(0, 1), (0, 2), (0, 3), (0, 7), (1, 2), (1, 3),
                         (1, 5), (2, 4), (2, 6), (3, 6), (4, 5), (4, 7)], bits=3)
     trip, counts = (0, 1, 2), (2, 2, 2)
@@ -141,7 +148,15 @@ def test_an_infeasible_leaf_still_tries_the_direct_edge():
     assert spare_by_rebuild(view, leaf, {0, 1, 2}) == {5, 7}
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(view, trip, counts, budget) is None
+    # each terminal owes four segments and has four neighbours, so the
+    # presolve commits the three direct edges and the wedge 0-3-1, and
+    # the leaf flow of what is left refutes at the root tick
+    assert budget.used == 1
+    monkeypatch.setattr(packing, "_presolve", no_presolve)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert pack_segments(view, trip, counts, budget) is None
     assert budget.used == 2
+
 
 def test_spare_vertices_with_a_direct_terminal_edge():
     cube = AugmentedCube(4)
@@ -288,26 +303,16 @@ def test_segments_come_in_the_order_exact_pruning_gives(name):
 REFUTED = ((0, 1, 2), (4, 3, 3))
 
 
-def test_a_search_without_a_budget_takes_the_default(monkeypatch):
-    # the default the README documents, and the command line's --budget
-    assert packing.DEFAULT_BUDGET == 2_000_000
-    monkeypatch.setattr(packing, "DEFAULT_BUDGET", 100)
-    with pytest.raises(SearchBudgetExceeded, match="search budget 100 exhausted"):
-        pack_segments(AugmentedCube(4), *REFUTED)
+def searched_refutation():
+    """A refutation the presolve and the relaxations leave to the
+    branch-and-bound: one vertex out of AQ_4, so no map fixes the
+    terminals, and 26 ticks."""
+    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[5])
+    return view, (1, 11, 15), (3, 4, 3)
 
 
-def test_a_refutation_leaves_no_cyclic_garbage():
-    cube = AugmentedCube(4)
-    gc.collect()
-    gc.disable()
-    try:
-        assert pack_segments(cube, *REFUTED) is None
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
-def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
+def count_max_flows(monkeypatch):
+    """The limit of every max-flow run from here on, in order."""
     calls = []
     max_flow = UnitFlowNet.max_flow
 
@@ -316,11 +321,49 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
         return max_flow(net, limit)
 
     monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
+    return calls
+
+
+def test_a_search_without_a_budget_takes_the_default(monkeypatch):
+    # the default the README documents, and the command line's --budget
+    assert packing.DEFAULT_BUDGET == 2_000_000
+    monkeypatch.setattr(packing, "DEFAULT_BUDGET", 25)
+    with pytest.raises(SearchBudgetExceeded, match="search budget 25 exhausted"):
+        pack_segments(*searched_refutation())
+
+
+def test_a_refutation_leaves_no_cyclic_garbage():
+    cube, (view, trip, counts) = AugmentedCube(4), searched_refutation()
+    gc.collect()
+    gc.disable()
+    try:
+        assert pack_segments(cube, *REFUTED) is None
+        assert pack_segments(view, trip, counts) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_argmin_refutation_is_decided_by_one_wedge_flow(monkeypatch):
+    # every terminal of REFUTED is full: the presolve commits the three
+    # direct edges and the wedges through 3, 5 and 6, which leave two
+    # pairs owed, and their leaf flow refutes with no segment enumerated
+    calls = count_max_flows(monkeypatch)
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
-    # the caches keep the search tree and save flows; a map fixing the
-    # three terminals prunes the subtrees it sends onto earlier ones, and
-    # the length cap the segments still owed set prunes the rest.  A child
+    assert budget.used == 1
+    assert len(calls) == 1
+
+
+def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
+    calls = count_max_flows(monkeypatch)
+    monkeypatch.setattr(packing, "_presolve", no_presolve)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
+    # with the presolve off the branch-and-bound refutes it.  The caches
+    # keep the search tree and save flows; a map fixing the three
+    # terminals prunes the subtrees it sends onto earlier ones, and the
+    # length cap the segments still owed set prunes the rest.  A child
     # repairs its parent's leaf flow, with no flow at all when the
     # committed segment crossed no unit of it, and that leaf alone decides
     # whether the child is entered
@@ -329,12 +372,17 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
 
 
 def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():
-    # the refutation above takes 112 ticks: the 112th is still within a
-    # budget of 112 and the first past a budget of 111
+    # REFUTED takes its one root tick, and the searched refutation 26: the
+    # last tick is still within a budget of that many and the first past
+    # a budget of one less
     cube = AugmentedCube(4)
-    assert pack_segments(cube, *REFUTED, Budget(112)) is None
-    with pytest.raises(SearchBudgetExceeded, match="search budget 111 exhausted"):
-        pack_segments(cube, *REFUTED, Budget(111))
+    assert pack_segments(cube, *REFUTED, Budget(1)) is None
+    with pytest.raises(SearchBudgetExceeded, match="search budget 0 exhausted"):
+        pack_segments(cube, *REFUTED, Budget(0))
+    view, trip, counts = searched_refutation()
+    assert pack_segments(view, trip, counts, Budget(26)) is None
+    with pytest.raises(SearchBudgetExceeded, match="search budget 25 exhausted"):
+        pack_segments(view, trip, counts, Budget(25))
 
 
 def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeypatch):
@@ -356,22 +404,20 @@ def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeyp
 
 
 def test_an_odd_total_demand_is_refuted_by_its_leaf_relaxations_alone(monkeypatch):
-    # the restricted case of ``exactness_cases``: its refutation enters one
-    # node whose leaf saturates though the segments it still owes do not
-    # fit besides, and that node costs one tick more than a search asking
-    # them besides spent (11); the oracle never sends such an odd total
-    calls = []
-    max_flow = UnitFlowNet.max_flow
-
-    def counted(net, limit=None):
-        calls.append(limit)
-        return max_flow(net, limit)
-
+    # the restricted case of ``exactness_cases``.  Counting refutes it at
+    # the root tick; with the presolve off, its refutation enters one node
+    # whose leaf saturates though the segments it still owes do not fit
+    # besides, and that node costs one tick more than a search asking them
+    # besides spent (11); the oracle never sends such an odd total
     view = RestrictedView(AugmentedCube(4), forbidden_vertices=[11],
                           forbidden_edges=[(15, 13), (2, 6), (0, 15), (15, 8)])
     trip, counts = (12, 13, 6), (3, 3, 3)
     assert not packing_exists(view, trip, counts)
-    monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
+    calls = count_max_flows(monkeypatch)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert pack_segments(view, trip, counts, budget) is None
+    assert (budget.used, len(calls)) == (1, 0)
+    monkeypatch.setattr(packing, "_presolve", no_presolve)
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(view, trip, counts, budget) is None
     assert budget.used == 12
@@ -537,6 +583,10 @@ def exactness_cases():
     yield "AQ4", cube, *REFUTED
     for _ in range(18):
         yield "AQ4", cube, *tight_triangle(cube, rng)
+    # two triangles the presolve and the relaxations leave to the
+    # branch-and-bound, one refuted and one packed
+    yield "restricted-AQ4", *searched_refutation()
+    yield "AQ4", cube, (0, 10, 14), (3, 4, 3)
 
 
 def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
@@ -556,70 +606,145 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
         if found is not None:
             assert_packing(view, trip, counts, found)
         verdicts.add((counts.count(0), found is not None))
-    # pairs and wedges, packed and refuted, are among the cases; the
-    # caches only act inside a triangle's branch-and-bound
+    # pairs and wedges, packed and refuted, are among the cases; only a
+    # triangle reaches the branch-and-bound, and its caches
     assert {(1, True), (1, False), (2, True), (2, False)} <= verdicts
+    assert all(min(counts) > 0 for _, counts in searches)
     assert sum(min(counts) > 0 for _, counts in searches) >= 5
 
 
-@pytest.mark.parametrize("trip, counts, packed", [
-    ((0, 1, 2), (2, 0, 0), True), ((0, 5, 10), (0, 3, 3), True),
-    ((0, 5, 10), (0, 4, 4), False)], ids=["pair", "wedge", "refuted-wedge"])
-def test_a_pair_or_a_wedge_is_decided_by_one_leaf_flow(monkeypatch, trip, counts, packed):
-    # the zero count is branched, so the branch-and-bound's single-source
-    # leaf decides the call at its root: one flow, the call's one tick and
-    # no segment enumerated
-    calls = []
-    max_flow = UnitFlowNet.max_flow
+@pytest.mark.parametrize("view, trip, counts, packed", [
+    (AugmentedCube(4), (0, 1, 2), (2, 0, 0), True),
+    (AugmentedCube(4), (0, 5, 10), (0, 3, 3), True),
+    (random_graph(0), (1, 6, 7), (0, 2, 2), False)],
+    ids=["pair", "wedge", "refuted-wedge"])
+def test_a_pair_or_a_wedge_is_decided_by_one_leaf_flow(monkeypatch, view, trip,
+                                                        counts, packed):
+    # no terminal here is full, so the presolve commits nothing and the
+    # single-source leaf decides the call: one flow, the call's one tick,
+    # no branch-and-bound and no segment enumerated
+    def entered(*args):
+        raise AssertionError("a pair or a wedge reached the branch-and-bound")
 
-    def counted(net, limit=None):
-        calls.append(limit)
-        return max_flow(net, limit)
-
-    def enumerated(*args):
-        raise AssertionError("a segment was enumerated")
-
-    monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
-    monkeypatch.setattr(packing, "_enum_segments", enumerated)
-    cube = AugmentedCube(4)
+    assert packing._presolve(view, trip, counts) == (
+        list(counts), [], set(), set(trip))
+    calls = count_max_flows(monkeypatch)
+    monkeypatch.setattr(packing, "_PackSearch", entered)
+    monkeypatch.setattr(packing, "_enum_segments", entered)
     budget = Budget(packing.DEFAULT_BUDGET)
-    found = pack_segments(cube, trip, counts, budget)
-    assert (found is not None) == packed == packing_exists(cube, trip, counts)
+    found = pack_segments(view, trip, counts, budget)
+    assert (found is not None) == packed == packing_exists(view, trip, counts)
     if packed:
-        assert_packing(cube, trip, counts, found)
+        assert_packing(view, trip, counts, found)
     assert len(calls) == budget.used == 1
+
+
+def test_a_vertex_next_to_three_full_terminals_refutes():
+    # 3 is next to every terminal, and each terminal owes two segments and
+    # has two neighbours: all three must leave by 3, which one segment
+    # alone can cross
+    edges = [(0, 3), (1, 3), (2, 3), (0, 4), (1, 5), (2, 6), (4, 5), (5, 6), (4, 6)]
+    view = AdjListView(edges, bits=3)
+    trip, counts = (0, 1, 2), (1, 1, 1)
+    assert packing._presolve(view, trip, counts) is None
+    assert pack_segments(view, trip, counts) is None
+    assert not packing_exists(view, trip, counts)
+    # with a third neighbour 7 for the terminal 2, only 0 and 1 are full
+    # at first: they share 3, so 0-3-1 is committed, and 3 is no longer
+    # 2's to use, which fills 2 in turn
+    view = AdjListView(edges + [(2, 7), (7, 5)], bits=3)
+    assert packing._presolve(view, trip, counts) == (
+        [0, 1, 1], [(0, 3, 1)], set(), {0, 1, 2, 3})
+    found = pack_segments(view, trip, counts)
+    assert_packing(view, trip, counts, found)
+    assert found[0] == [(0, 3, 1)]
+    assert sum(3 in seg for segs in found for seg in segs) == 1
+
+
+def test_a_committed_direct_edge_on_a_leaf_pair_is_crossed_at_most_once(monkeypatch):
+    # 0 owes six segments to 1 and has six usable neighbours, so the direct
+    # edge 0-1 and the wedge 0-3-1 are committed; the leaf is then owed
+    # four segments and the edge again, five in all, which its flow packs
+    cube = AugmentedCube(4)
+    trip, counts = (0, 1, 2), (6, 0, 0)
+    assert packing._presolve(cube, trip, counts) == (
+        [4, 0, 0], [(0, 3, 1)], {frozenset((0, 1))}, {0, 1, 2, 3})
+    leaves = []
+    saturate = packing._saturate
+
+    def watched(view, demands, blocked):
+        leaves.append([d for d in demands if d[2]])
+        return saturate(view, demands, blocked)
+
+    monkeypatch.setattr(packing, "_saturate", watched)
+    found = pack_segments(cube, trip, counts)
+    assert leaves == [[(1, 0, 5)]]
+    assert_packing(cube, trip, counts, found)
+    assert found[0].count((0, 1)) == 1 and (0, 3, 1) in found[0]
+    # seven segments would need a seventh neighbour of 0
+    assert pack_segments(cube, trip, (7, 0, 0)) is None
+
+
+@pytest.mark.parametrize("view, trip, counts", [
+    (AugmentedCube(4), (0, 1, 6), (3, 4, 3)),
+    (AugmentedCube(4), (0, 5, 10), (0, 4, 4)),
+    (RestrictedView(AugmentedCube(4), forbidden_vertices=[11],
+                    forbidden_edges=[(15, 13), (2, 6), (0, 15), (15, 8)]),
+     (12, 13, 6), (3, 3, 3))],
+    ids=["argmin-profile", "wedge", "odd-total"])
+def test_a_demand_refuted_by_counting_runs_no_max_flow(monkeypatch, view, trip, counts):
+    # one of the oracle's 320 AQ_4 refutations that counting alone
+    # decides, a wedge asking more than the shared terminal's degree, and
+    # the odd total of ``exactness_cases``
+    calls = count_max_flows(monkeypatch)
+    budget = Budget(packing.DEFAULT_BUDGET)
+    assert packing._presolve(view, trip, counts) is None
+    assert pack_segments(view, trip, counts, budget) is None
+    assert not packing_exists(view, trip, counts)
+    assert (budget.used, calls) == (1, [])
 
 
 def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
     # over pi3(AQ_4)'s 105 pinned triples and the inputs of acceptance
     # criterion 8 (AQ_3's 56 triples and 200 random graphs), every pack the
-    # oracle asks for with three positive counts, and only those, runs the
-    # orientation relaxations; AQ_4's are all triangles
-    relaxed, shapes = [], []
-    orientations, pack = packing._orientations, oracle.pack_segments
+    # oracle asks for whose presolve leaves all three pairs owed, and only
+    # those, runs the orientation relaxations; AQ_4's packs are all
+    # triangles, and the presolve decides most of them
+    relaxed, left, shapes = [], [], []
+    orientations, presolve = packing._orientations, packing._presolve
+    pack = oracle.pack_segments
 
     def seen(trip, counts):
         relaxed.append(tuple(counts))
         return orientations(trip, counts)
+
+    def presolved(view, trip, counts):
+        found = presolve(view, trip, counts)
+        if found is not None and min(found[0]) > 0:
+            left.append(tuple(counts))
+        return found
 
     def packed(view, trip, counts, budget=None):
         shapes.append(counts.count(0))
         return pack(view, trip, counts, budget)
 
     monkeypatch.setattr(packing, "_orientations", seen)
+    monkeypatch.setattr(packing, "_presolve", presolved)
     monkeypatch.setattr(oracle, "pack_segments", packed)
     cube = AugmentedCube(4)
     for b, c in itertools.combinations(range(1, 16), 2):
         max_dpaths(cube, (0, b, c))
-    assert shapes.count(0) == len(shapes) == len(relaxed)
+    assert shapes.count(0) == len(shapes) > 2 * len(relaxed) > 0
+    assert relaxed == left
     for D in itertools.combinations(range(8), 3):
         max_dpaths(AugmentedCube(3), D)
     rng = random.Random(report.CORPUS_SEED)
     for _ in range(report.CORPUS_GRAPHS):
         g = report.random_connected_graph(rng)
         max_dpaths(g, rng.sample(list(g.vertices()), 3))
+    assert relaxed == left
     assert min(map(min, relaxed)) > 0
-    assert shapes.count(0) == len(relaxed) < len(shapes)
+    assert len(relaxed) < shapes.count(0) < len(shapes)
     # a profile (a, b, c) asks a + b, b + c and a + c segments, 2m in all,
     # so no triangle the oracle asks for has an odd total, such as the
     # restricted demand of ``exactness_cases``

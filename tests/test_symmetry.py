@@ -9,7 +9,10 @@ packings as the search, which may only use fewer budget ticks.  The third
 saturates every leaf relaxation of the search afresh and searches for
 every critical vertex, where the search repairs its parent's leaf flow and
 inherits its parent's critical vertices; it must match the search tick for
-tick.
+tick.  The last runs no presolve, so every triangle reaches the
+relaxations and the branch-and-bound: it must give the same values and
+verdicts, never with fewer ticks.  The presolve decides every AQ_4
+refutation, so the savings the other modes pin are shown with it off.
 """
 
 import itertools
@@ -18,7 +21,7 @@ import random
 import pytest
 
 from aqpath import oracle, packing
-from aqpath.cube import AugmentedCube, automorphisms, map_vertex
+from aqpath.cube import AugmentedCube, RestrictedView, automorphisms, map_vertex
 from aqpath.flow import UnitFlowNet
 from aqpath.oracle import max_dpaths
 from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
@@ -49,6 +52,15 @@ def without_length_cap(fn, *args):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "_enum_segments", uncapped)
+        return fn(*args)
+
+
+def without_presolve(fn, *args):
+    def nothing(view, trip, counts):
+        return list(counts), [], set(), set(trip)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "_presolve", nothing)
         return fn(*args)
 
 
@@ -105,11 +117,68 @@ def test_every_dimension_four_triple_keeps_value_and_witness():
     with pytest.MonkeyPatch.context() as mp:
         work = counted_work(mp)
         found = [max_dpaths(cube, D) for D in triples]
-    # the work with symmetry, pinned exactly: a change to how symmetry is
-    # broken that changes any of it must say so
-    assert work == {"ticks": 11_161, "packings": 944, "max_flows": 5_373}
+    # the work with symmetry and the presolve, pinned exactly: a change to
+    # how either prunes that changes any of it must say so
+    assert work == {"ticks": 1_227, "packings": 944, "max_flows": 1_217}
     for D, got in zip(triples, found):
         assert got == without_symmetry(max_dpaths, cube, D), D
+
+
+def test_every_triple_of_the_argmin_orbit_takes_the_same_ticks():
+    # the presolve refutes both five-path profiles at their root ticks,
+    # and the first four-path profile packs at its own, however the
+    # triple is labelled
+    cube = AugmentedCube(4)
+    orbit = {tuple(sorted(map_vertex(g, v) ^ t for v in ARGMIN))
+             for g in automorphisms(4) for t in range(16)}
+    assert len(orbit) == 32
+    assert {D: ticked(max_dpaths, cube, D)[1] for D in orbit} == dict.fromkeys(orbit, 3)
+
+
+def seeded_restrictions(rng):
+    """Fifteen seeded restrictions each of AQ_4 and AQ_5, as
+    ``lemma_views`` in the packing tests draws them."""
+    for n in (4, 5):
+        cube = AugmentedCube(n)
+        verts = range(1 << n)
+        for _ in range(15):
+            yield RestrictedView(
+                cube, forbidden_vertices=rng.sample(verts, rng.randint(1, 4)),
+                forbidden_edges=[(v, rng.choice(cube.neighbors(v)))
+                                 for v in rng.sample(verts, 4)])
+
+
+def test_the_presolve_keeps_every_value_and_verdict_with_no_more_ticks():
+    cube = AugmentedCube(4)
+    for D in itertools.combinations(range(16), 3):
+        (value, _), used = ticked(max_dpaths, cube, D)
+        (ref, _), ref_used = without_presolve(ticked, max_dpaths, cube, D)
+        assert value == ref and used <= ref_used, D
+    rng = random.Random(51)
+    seen, exhausted = set(), 0
+    for view in seeded_restrictions(rng):
+        verts = sorted(view.vertices())
+        for _ in range(8):
+            # a split profile near the counting ceiling of the least degree,
+            # as ``seeded_triangles`` draws one
+            trip = tuple(rng.sample(verts, 3))
+            deg = min(len(view.neighbors(t)) for t in trip)
+            m = 3 * deg // 4 - rng.randint(0, 1)
+            cap = deg - m
+            a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
+                                  for b in range(cap + 1) if 0 <= m - a - b <= cap])
+            counts = (a + b, b + c, a + c)
+            found, used = outcome(view, trip, counts, 2000)
+            ref, ref_used = without_presolve(outcome, view, trip, counts, 2000)
+            assert used <= ref_used, (trip, counts)
+            if ref != "budget":
+                assert (found is None) == (ref is None), (trip, counts)
+            seen.add((found is None, used < ref_used))
+            exhausted += found is None and ref == "budget"
+    # packed and refuted calls, some of each with fewer ticks; one call the
+    # presolve refutes exhausts the budget with it off
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert exhausted == 1
 
 
 def test_the_argmin_orbit_refutes_two_profiles_not_three(monkeypatch):
@@ -143,9 +212,9 @@ def outcome(view, trip, counts, limit):
 
 def seeded_triangles(rng):
     """Split-profile triangles on AQ_4 and AQ_5: four images of ``ARGMIN``
-    with the largest total a profile allows (refuted on AQ_4 by
-    branch-and-bound), then four random triples with that total or one
-    less."""
+    with the largest total a profile allows (refuted on AQ_4 by the
+    presolve, or by the branch-and-bound with it off), then four random
+    triples with that total or one less."""
     for n in (4, 5):
         deg = 2 * n - 1
         for k in range(8):
@@ -163,16 +232,30 @@ def seeded_triangles(rng):
             yield n, tuple(trip), (a + b, b + c, a + c)
 
 
-def test_seeded_packings_match_with_no_more_ticks():
+def as_is(fn, *args):
+    return fn(*args)
+
+
+def fewer_ticks_than(mode, presolve=as_is):
+    """On how many seeded triangles the search takes fewer ticks than
+    under ``mode``, which must find the same and never take fewer; both
+    run under ``presolve``."""
     cubes = {n: AugmentedCube(n) for n in (4, 5)}
     fewer = 0
     for n, trip, counts in seeded_triangles(random.Random(15)):
-        found, used = outcome(cubes[n], trip, counts, 2000)
-        ref, ref_used = without_symmetry(outcome, cubes[n], trip, counts, 2000)
+        found, used = presolve(outcome, cubes[n], trip, counts, 2000)
+        ref, ref_used = presolve(mode, outcome, cubes[n], trip, counts, 2000)
         assert found == ref, (trip, counts)
         assert used <= ref_used, (trip, counts)
         fewer += used < ref_used
-    assert fewer == 3
+    return fewer
+
+
+def test_seeded_packings_match_with_no_more_ticks():
+    # the presolve decides every seeded triangle that symmetry saved
+    # ticks on, so the saving shows with it off
+    assert fewer_ticks_than(without_symmetry) == 0
+    assert fewer_ticks_than(without_symmetry, without_presolve) == 3
 
 
 def ticked(fn, *args):
@@ -189,20 +272,15 @@ def test_the_length_cap_keeps_every_pinned_value_and_witness():
         ref, ref_used = without_length_cap(ticked, max_dpaths, cube, D)
         assert found == ref, D
         assert used <= ref_used, D
-        if D == ARGMIN:
-            assert used < ref_used
+    # the presolve refutes at the argmin without a search; with it off the
+    # cap saves ticks there
+    assert (without_presolve(ticked, max_dpaths, cube, ARGMIN)[1]
+            < without_presolve(without_length_cap, ticked, max_dpaths, cube, ARGMIN)[1])
 
 
 def test_seeded_packings_match_the_uncapped_search():
-    cubes = {n: AugmentedCube(n) for n in (4, 5)}
-    fewer = 0
-    for n, trip, counts in seeded_triangles(random.Random(15)):
-        found, used = outcome(cubes[n], trip, counts, 2000)
-        ref, ref_used = without_length_cap(outcome, cubes[n], trip, counts, 2000)
-        assert found == ref, (trip, counts)
-        assert used <= ref_used, (trip, counts)
-        fewer += used < ref_used
-    assert fewer == 4
+    assert fewer_ticks_than(without_length_cap) == 0
+    assert fewer_ticks_than(without_length_cap, without_presolve) == 4
 
 
 def max_flows(fn, *args):
@@ -218,10 +296,11 @@ def test_repaired_relaxations_keep_every_pinned_value_witness_and_tick():
     for D in [(0, b, c) for b, c in itertools.combinations(range(1, 16), 2)]:
         found, used = ticked(max_dpaths, cube, D)
         assert (found, used) == with_fresh_relaxations(ticked, max_dpaths, cube, D), D
-    # the reference does rebuild: on the argmin it runs more max-flows, as
-    # a repair that cancels no unit runs none
-    assert max_flows(max_dpaths, cube, ARGMIN) < with_fresh_relaxations(
-        max_flows, max_dpaths, cube, ARGMIN)
+    # the reference does rebuild: on the argmin, with the presolve off so
+    # that the search refutes, it runs more max-flows, as a repair that
+    # cancels no unit runs none
+    assert without_presolve(max_flows, max_dpaths, cube, ARGMIN) < without_presolve(
+        with_fresh_relaxations, max_flows, max_dpaths, cube, ARGMIN)
 
 
 def test_seeded_packings_match_with_fresh_relaxations():
