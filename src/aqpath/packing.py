@@ -8,7 +8,8 @@ pair x-y, y-z and x-z: the triangle of pair demands that a split profile
 of the exact D-path oracle induces.  So the live demands (positive counts)
 are one pair, two pairs sharing a terminal, or a triangle.
 
-Feasibility is decided exactly, in three stages:
+Feasibility is decided exactly, in three stages, all around one blocked
+set:
 
 0. a counting presolve (``_presolve``), which commits the segments every
    packing holds.  The segments ending at a terminal t leave it by distinct
@@ -21,37 +22,44 @@ Feasibility is decided exactly, in three stages:
    one of its segments.  A usable terminal s then makes the direct edge t-s
    a segment of every packing.  A free vertex w usable by two full
    terminals t and s starts a segment at each, yet lies on one segment
-   only, so that segment is (t, w, s), and the pair must still owe one.  A
-   third full terminal at w then has one usable neighbour too few, and (R1)
-   refutes.  A committed segment is taken out of its pair's count and its
-   interior or edge out of every terminal's usable neighbours, and the
-   rules run again until nothing changes.  One pass commits all it finds: a
-   commit leaves a full terminal full, or owing more than it can, which
-   (R1) refutes on a later pass.  So if any packing exists, every packing
-   holds every committed segment and packs what is still owed around them,
-   and the call is feasible iff that rest is.  If at most two pairs are
-   still owed, their single-source leaf (stage 2's split, which branches a
-   zero count) decides the rest with one flow over the committed interiors
-   blocked.  A direct edge committed on a leaf pair is owed there again, so
-   no view has to drop it: k segments avoiding the edge, with the edge, are
-   k + 1 segments, and k + 1 segments, which hold the edge at most once,
-   keep k without it.  So a pair or a wedge (two pairs sharing a terminal)
-   never branches, and no segment is enumerated for it.  A triangle that
-   still owes all three pairs goes on as if no presolve had run: its
-   committed segments are dropped, and its witness is the one the later
-   stages find;
-1. for that triangle, single-commodity flow relaxations (sources at
-   first endpoints, sinks at second endpoints, unit capacities on free
-   vertices), each a ``aqpath.flow.UnitFlowNet`` over the view, saturated
-   by ``_saturate``.  A value below the total demand refutes the packing.
-   When the integral flow decomposes into unit paths whose endpoints match
-   the demands, that decomposition *is* a packing.  Only a terminal that
-   is both source and sink leaves slack, so each of the three
-   orientations, one per terminal in that double role, is tried;
+   only, so that segment is (t, w, s), a *wedge*, and the pair must still
+   owe one.  A third full terminal at w then has one usable neighbour too
+   few, and (R1) refutes.  A committed segment is taken out of its pair's
+   count and its interior or edge out of every terminal's usable
+   neighbours, and the rules run again until nothing changes.  One pass
+   commits all it finds: a commit leaves a full terminal full, or owing
+   more than it can, which (R1) refutes on a later pass.  So if any
+   packing exists, every packing holds every committed segment and packs
+   what is still owed around them, and the call is feasible iff that rest
+   is.
+   The rest owes every committed direct edge again: its pair asks k + 1
+   segments where k are owed besides the edge.  The two ask the same, as
+   k segments avoiding the edge, with the edge, are k + 1 segments, and
+   k + 1 segments, which hold the edge at most once, keep k without it.
+   So the later stages block only the terminals and the wedges'
+   interiors, and a packing they find, with the wedges added, meets the
+   call's counts: no edge is appended.
+   An automorphism fixing each terminal (``cube.symmetries``) sends the
+   committed wedges onto themselves.  The rules read only the terminals'
+   neighbours, the counts and the terminals' order, all of which the map
+   keeps, so pass by pass it sends usable neighbours, full terminals and
+   the free vertices two of them share to their like.  It fixes the
+   blocked set, and so still sends the rest's packings to the rest's
+   packings, which stage 2's lex-leader rule needs;
+1. when all three pairs are still owed, single-commodity flow relaxations
+   (sources at first endpoints, sinks at second endpoints, unit
+   capacities on free vertices), each a ``aqpath.flow.UnitFlowNet`` over
+   the view, saturated by ``_saturate``.  A value below the total demand
+   refutes the packing.  When the integral flow decomposes into unit paths
+   whose endpoints match the demands, that decomposition *is* a packing.
+   Only a terminal that is both source and sink leaves slack, so each of
+   the three orientations, one per terminal in that double role, is tried;
 2. otherwise a branch-and-bound with one branched demand, the smallest.
    The other two, oriented out of the third terminal, form a single-source
    leaf the relaxation decides exactly (one source cannot loop back to
-   itself), so every branch ends in an exact flow.  The branched segment
+   itself), so every branch ends in an exact flow.  A pair or a wedge (two
+   pairs sharing a terminal) branches its zero count, so its root leaf's
+   one flow decides it and no segment is enumerated.  The branched segment
    sets are enumerated shortest-first (then lexicographically) in strictly
    increasing order, so no packing is visited twice, pruned by distance
    bounds and by the relaxation after every commitment.  Shortest lengths
@@ -72,7 +80,8 @@ Feasibility is decided exactly, in three stages:
    saturates it under a smaller one.  So a segment with more than |S| // k
    interior vertices completes no packing and is never listed.
    A triangle's root leaf is always feasible (the root lemma), as the
-   triangle gets here only after all three orientations saturate.  Write
+   triangle gets here only after all three orientations saturate around
+   the same blocked set, the terminals and the wedges' interiors.  Write
    (a, b, c) for the counts of x-y, y-z and x-z, and take the split that
    branches x-y: its leaf sends c units from z to x and b from z to y.
    One source with k_p units for the sink p and k_q for q saturates iff
@@ -83,14 +92,14 @@ Feasibility is decided exactly, in three stages:
    r({x}) >= c.  In the x-double one z again takes b + c, at most c from
    x: r({y}) >= b.  The other two splits follow alike from the two
    orientations in which the leaf's source has no double role.  Every net
-   blocks the same terminals, carries at most one unit over a direct
-   terminal edge and runs over an undirected view, so a unit's path,
-   reversed if need be, serves the leaf.
+   blocks that same set, carries at most one unit over a direct terminal
+   edge and runs over an undirected view, so a unit's path, reversed if
+   need be, serves the leaf.
    Many commitments cover the same interior vertices (u-a-b-v and u-b-a-v
    both take {a, b}, and so may two shorter segments), and within one
    search those vertices fix the free set.  So the leaf's two verdicts,
    its feasibility and its spare set, are cached for the search under the
-   committed set.  A child is entered iff its leaf saturates: that one
+   interiors it has branched.  A child is entered iff its leaf saturates: that one
    relaxation decides each node, and no flow asks for the segments still
    owed.
    A child node differs from its parent only by the committed segment's
@@ -108,18 +117,19 @@ Feasibility is decided exactly, in three stages:
    that completes a packing, whose flow gives the leaf's segments, is
    saturated afresh over the final blocked set.
    The search also follows the cube's lex-leader rule (``aqpath.cube``).
-   An automorphism fixing every terminal (``cube.symmetries``) sends
-   packings to packings.  Segment sets are committed in increasing order
-   and every pruning step is sound, so the search returns the least set
-   that completes, and no such map sends it to a lower one.  A segment is
+   An automorphism fixing every terminal (``cube.symmetries``) fixes the
+   blocked set too (stage 0), so it sends packings to packings.  Segment
+   sets are committed in increasing order and every pruning step is
+   sound, so the search returns the least set that completes, and no such
+   map sends it to a lower one.  A segment is
    therefore skipped, after its tick, when a map sends the committed
    segments with it appended to a set that sorts lower: the same packing
    is returned, and a refutation stays a refutation with fewer ticks.
 
 No stage lists the view: the free vertices are the view's vertices
-outside a small blocked set (the terminals, then the committed interiors
-and the vertices a branch segment must avoid), as ``UnitFlowNet`` takes
-them.
+outside a small blocked set (the terminals and the wedges' interiors, then
+the branched interiors and the vertices a branch segment must avoid), as
+``UnitFlowNet`` takes them.
 
 The search is always budgeted, by ``DEFAULT_BUDGET`` ticks unless its
 caller passes a ``Budget``; running out raises, never an approximation.
@@ -167,8 +177,11 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
     pairs x-y, y-z and x-z, as three sorted lists whose segments run from
     the pair's first terminal to its second; or None, which is exact: no
     packing exists.  No interior holds a terminal, even one counted 0.
-    A triangle goes to the branch-and-bound only when the presolve and
-    the relaxations leave it open; a pair or a wedge never goes there.
+    Every call runs one sequence over the terminals and the interiors of
+    the wedges the presolve commits: the orientation relaxations when all
+    three pairs are still owed, then the branch-and-bound, whose root leaf
+    flow alone decides a pair or a wedge.  The packing returned holds
+    every committed segment.
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
@@ -187,40 +200,27 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
     found = _presolve(view, trip, counts)
     if found is None:
         return None
-    rest, forced, direct, blocked = found
-    if min(rest) == 0:
-        # at most two pairs are still owed, and their single-source leaf
-        # decides them; a direct edge committed on a leaf pair is owed
-        # there again, so the flow may cross it once and never twice
-        (u, v, _), leaf = _split_for_search(trip, rest)
-        leaf = [(p, q, c + (frozenset((p, q)) in direct)) for p, q, c in leaf]
-        net = _saturate(view, leaf, blocked)
-        if net is None:
-            return None
-        if frozenset((u, v)) in direct:
-            forced.append((u, v))
-        return _regroup(trip, forced + net.unit_paths())
+    rest, forced = found
+    blocked = frozenset(trip).union(w for _, w, _ in forced)
+    if min(rest) > 0:
+        for oriented in _orientations(trip, rest):
+            segs = _classify(view, oriented, blocked)
+            if segs is None:
+                return None
+            if segs:
+                return _regroup(trip, forced + segs)
 
-    for oriented in _orientations(trip, counts):
-        net = _saturate(view, oriented, set(trip))
-        if net is None:
-            return None
-        segs = _classify(net, oriented)
-        if segs is not None:
-            return _regroup(trip, segs)
-
-    search = _PackSearch(view, trip, counts, budget)
+    search = _PackSearch(view, trip, rest, budget, blocked)
     if not search.rec():
         return None
-    return _regroup(trip, search.chosen + search.leaf_found)
+    return _regroup(trip, forced + search.chosen + search.leaf_found)
 
 
 def _presolve(view, trip: Sequence[int], counts: Sequence[int]):
     """The counting presolve (module docstring): the counts still owed per
-    pair of ``trip``, the wedge segments every packing holds, the pairs
-    whose direct edge every packing holds, and the blocked set, the
-    terminals and the wedges' interiors; or None, which is exact: no
-    packing exists."""
+    pair of ``trip``, each committed direct edge owed again, and the wedge
+    segments every packing holds; or None, which is exact: no packing
+    exists."""
     x, y, z = trip
     pairs = [frozenset(p) for p in ((x, y), (y, z), (x, z))]
     owed = dict(zip(pairs, counts))
@@ -255,7 +255,7 @@ def _presolve(view, trip: Sequence[int], counts: Sequence[int]):
                 forced.append((t, w, s))
                 blocked.add(w)
         if len(forced) + len(direct) == before:
-            return [owed[p] for p in pairs], forced, direct, blocked
+            return [owed[p] + (p in direct) for p in pairs], forced
 
 
 def _orientations(trip: Sequence[int], counts: Sequence[int]) -> list[list[Demand]]:
@@ -299,17 +299,22 @@ def _saturate(view, demands: Sequence[Demand], blocked) -> UnitFlowNet | None:
     return net if net.max_flow(limit=total) == total else None
 
 
-def _classify(net, demands: Sequence[Demand]) -> list[Segment] | None:
-    """A saturating flow's unit paths as segments, or None if any unit
-    loops back to its own source terminal or pairs endpoints no demand
-    names (possible only through double roles or between distinct pairs).
-    Otherwise each demand gets exactly its count: the flow fills every
+def _classify(view, demands: Sequence[Demand], blocked) -> list[Segment] | None:
+    """The relaxation of one orientation over ``blocked``, saturated: None
+    when its flow falls short of the total demand, which refutes; its unit
+    paths as segments when no unit loops back to its own source terminal
+    or pairs endpoints no demand names (possible only through double roles
+    or between distinct pairs); otherwise [], which leaves the triangle
+    open.  Unit paths that match are a packing: the flow fills every
     source and sink, a terminal with one demand as a source or as a sink
     fixes that demand's count, and every orientation here leaves at most
     one demand without such a terminal, which the total then fixes."""
+    net = _saturate(view, demands, blocked)
+    if net is None:
+        return None
     named = {(u, v) for u, v, _ in demands}
     segs = net.unit_paths()
-    return segs if all((s[0], s[-1]) in named for s in segs) else None
+    return segs if all((s[0], s[-1]) in named for s in segs) else []
 
 
 # -- exhaustive branch and bound ----------------------------------------
@@ -412,10 +417,11 @@ def _split_for_search(trip, counts) -> tuple[Demand, list[Demand]]:
 
 
 class _PackSearch:
-    """The state of one triangle's branch-and-bound, with its relaxation
-    caches keyed by the interior vertices committed so far (see the module
-    docstring).  A node's blocked set, the ``terminals`` and those
-    interiors, is derived from its commitments, never kept, and ``avoid``
+    """The state of one call's branch-and-bound, with its relaxation
+    caches keyed by the interior vertices it has committed so far (see the
+    module docstring).  A node's blocked set, the root's (``fixed``: the
+    terminals and the presolve's wedge interiors) and those interiors, is
+    derived from its commitments, never kept, and ``avoid``
     holds the set a node's branch segments avoid: the blocked set and the
     leaf's critical vertices, never None, as every node's leaf is feasible
     (``rec``).  The caches hold booleans and vertex sets, never networks;
@@ -424,21 +430,22 @@ class _PackSearch:
     """
 
     def __init__(self, view, trip: Sequence[int], counts: Sequence[int],
-                 budget: Budget) -> None:
+                 budget: Budget, fixed: frozenset[int]) -> None:
         self.view = view
         self.budget = budget
         self.branch, self.leaf = _split_for_search(trip, counts)
         self.chosen: list[Segment] = []
         self.leaf_found: list[Segment] | None = None
-        self.terminals = frozenset(trip)
+        self.fixed = fixed
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.avoid: dict[frozenset[int], frozenset[int]] = {}
-        # (g, t, the images found so far) of each map fixing every terminal
+        # (g, t, the images found so far) of each map fixing every
+        # terminal, which fixes ``fixed`` too (module docstring, stage 0)
         self.maps = [(g, t, {}) for g, t, perm in symmetries(view, trip)
                      if perm == (0, 1, 2)]
 
     def committed(self) -> frozenset[int]:
-        """The interior vertices of every segment chosen so far."""
+        """The interior vertices of every segment branched so far."""
         return frozenset(w for seg in self.chosen for w in seg[1:-1])
 
     def rec(self, net=None, known=frozenset()) -> bool:
@@ -449,11 +456,12 @@ class _PackSearch:
         saturation decides it exactly and forces the split between its
         sinks.  Every node that branches has a feasible leaf: the root by
         the root lemma (module docstring), a child as it is entered only
-        when its leaf saturates."""
+        when its leaf saturates.  A zero count branches nothing, so the
+        root's one leaf flow decides a pair or a wedge."""
         u, v, need = self.branch
         chosen = self.chosen
         key = self.committed()
-        blocked = self.terminals | key
+        blocked = self.fixed | key
         if len(chosen) == need:
             # the witness comes from a fresh flow over the blocked set: a
             # repaired one depends on the nodes the search passed through

@@ -65,4 +65,4 @@ def test_dimension_four_witnesses_are_unchanged():
         value, fam = max_dpaths(cube, (0, b, c))
         h.update(f"{value}\n{render_family((0, b, c), fam, 4)}".encode())
     assert h.hexdigest() == (
-        "5dd772c74c7fdc6937dee67f6bdc1d9a2b79220c3956a867c75d753e509e28e8")
+        "70487c52c3ef36c48ce2028067fd32eee43fd2eb8e30dae23e0af6e414c070ff")

@@ -66,7 +66,7 @@ def test_no_demand_packs_nothing():
 def no_presolve(view, trip, counts):
     """A presolve that commits and refutes nothing, so that a triangle
     reaches the relaxations and the branch-and-bound as if none had run."""
-    return list(counts), [], set(), set(trip)
+    return list(counts), []
 
 
 def spare_by_rebuild(view, leaf, blocked):
@@ -149,8 +149,9 @@ def test_an_infeasible_leaf_still_tries_the_direct_edge(monkeypatch):
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(view, trip, counts, budget) is None
     # each terminal owes four segments and has four neighbours, so the
-    # presolve commits the three direct edges and the wedge 0-3-1, and
-    # the leaf flow of what is left refutes at the root tick
+    # presolve commits the three direct edges and the wedge 0-3-1; with
+    # each edge owed again, (1, 2, 2) is left, and an orientation flow
+    # around 3 refutes it at the root tick
     assert budget.used == 1
     monkeypatch.setattr(packing, "_presolve", no_presolve)
     budget = Budget(packing.DEFAULT_BUDGET)
@@ -306,9 +307,9 @@ REFUTED = ((0, 1, 2), (4, 3, 3))
 def searched_refutation():
     """A refutation the presolve and the relaxations leave to the
     branch-and-bound: one vertex out of AQ_4, so no map fixes the
-    terminals, and 26 ticks."""
-    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[5])
-    return view, (1, 11, 15), (3, 4, 3)
+    terminals, no terminal is full, and 20 ticks."""
+    view = RestrictedView(AugmentedCube(4), forbidden_vertices=[0])
+    return view, (9, 10, 15), (3, 3, 3)
 
 
 def count_max_flows(monkeypatch):
@@ -327,8 +328,8 @@ def count_max_flows(monkeypatch):
 def test_a_search_without_a_budget_takes_the_default(monkeypatch):
     # the default the README documents, and the command line's --budget
     assert packing.DEFAULT_BUDGET == 2_000_000
-    monkeypatch.setattr(packing, "DEFAULT_BUDGET", 25)
-    with pytest.raises(SearchBudgetExceeded, match="search budget 25 exhausted"):
+    monkeypatch.setattr(packing, "DEFAULT_BUDGET", 19)
+    with pytest.raises(SearchBudgetExceeded, match="search budget 19 exhausted"):
         pack_segments(*searched_refutation())
 
 
@@ -344,10 +345,14 @@ def test_a_refutation_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_the_argmin_refutation_is_decided_by_one_wedge_flow(monkeypatch):
+def test_the_argmin_refutation_is_decided_by_one_orientation_flow(monkeypatch):
     # every terminal of REFUTED is full: the presolve commits the three
-    # direct edges and the wedges through 3, 5 and 6, which leave two
-    # pairs owed, and their leaf flow refutes with no segment enumerated
+    # direct edges and the wedges through 3, 5 and 6.  Each direct edge is
+    # owed again, so all three pairs are still owed, (3, 1, 3), and the
+    # first orientation's flow around 3, 5 and 6 refutes with no segment
+    # enumerated
+    assert packing._presolve(AugmentedCube(4), *REFUTED) == (
+        [3, 1, 3], [(0, 3, 1), (1, 5, 2), (1, 6, 2)])
     calls = count_max_flows(monkeypatch)
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
@@ -372,7 +377,7 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
 
 
 def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():
-    # REFUTED takes its one root tick, and the searched refutation 26: the
+    # REFUTED takes its one root tick, and the searched refutation 20: the
     # last tick is still within a budget of that many and the first past
     # a budget of one less
     cube = AugmentedCube(4)
@@ -380,9 +385,10 @@ def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():
     with pytest.raises(SearchBudgetExceeded, match="search budget 0 exhausted"):
         pack_segments(cube, *REFUTED, Budget(0))
     view, trip, counts = searched_refutation()
-    assert pack_segments(view, trip, counts, Budget(26)) is None
-    with pytest.raises(SearchBudgetExceeded, match="search budget 25 exhausted"):
-        pack_segments(view, trip, counts, Budget(25))
+    assert packing._presolve(view, trip, counts) == (list(counts), [])
+    assert pack_segments(view, trip, counts, Budget(20)) is None
+    with pytest.raises(SearchBudgetExceeded, match="search budget 19 exhausted"):
+        pack_segments(view, trip, counts, Budget(19))
 
 
 def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeypatch):
@@ -396,10 +402,15 @@ def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeyp
     monkeypatch.setattr(UnitFlowNet, "max_flow", counted)
     found = pack_segments(AugmentedCube(4), (0, 10, 14), (3, 4, 3))
     assert [len(segs) for segs in found] == [3, 4, 3]
-    # three orientations, the root leaf, the repairs of the leaf as the
-    # three branched segments are committed (those crossing no unit of it
-    # push nothing), and one fresh leaf flow for the witness, so the
-    # witness does not depend on the path the search took
+    # the presolve commits the wedges 10-9-14 and 10-13-14 and leaves
+    # (3, 2, 3) owed: three orientations around them, the root leaf, the
+    # repairs of the leaf as the two branched 10-14 segments are committed
+    # (those crossing no unit of it push nothing), and one fresh leaf flow
+    # for the witness, so the witness does not depend on the path the
+    # search took
+    assert packing._presolve(AugmentedCube(4), (0, 10, 14), (3, 4, 3)) == (
+        [3, 2, 3], [(10, 9, 14), (10, 13, 14)])
+    assert (10, 9, 14) in found[1] and (10, 13, 14) in found[1]
     assert len(calls) == 7
 
 
@@ -432,15 +443,18 @@ def test_a_node_entered_with_cached_verdicts_saturates_its_leaf_afresh(monkeypat
     # e1 nor e2 is critical, but with E committed both units need w.
     # [A, D] is entered and refuted first, so [B, C] is entered with its
     # verdicts cached and no net, and E, listed at no node before, needs a
-    # fresh leaf flow there
-    x, y, z, d1, a, d2, d3, e1, e2, v, w, u1, u2, p1, p2, q1, q2 = range(17)
+    # fresh leaf flow there.  The dead ends r and s keep x and z from being
+    # full, so the presolve commits no pipe and the search branches x-y
+    x, y, z, d1, a, d2, d3, e1, e2, v, w, u1, u2, p1, p2, q1, q2, r, s = range(19)
     view = AdjListView([
         (x, a), (a, y), (x, d1), (d1, d2), (d2, y), (d2, d3), (d3, y), (a, d3),
         (x, e1), (e1, e2), (e2, y), (z, v), (v, e1), (v, e2),
         (z, w), (w, u1), (u1, x), (w, u2), (u2, y),
-        (z, p1), (p1, x), (z, p2), (p2, x), (z, q1), (q1, y), (z, q2), (q2, y)],
-        bits=5, vertices=range(17))
+        (z, p1), (p1, x), (z, p2), (p2, x), (z, q1), (q1, y), (z, q2), (q2, y),
+        (x, r), (z, s)],
+        bits=5, vertices=range(19))
     trip, counts, K = (x, y, z), (3, 3, 3), frozenset({a, d1, d2, d3})
+    assert packing._presolve(view, trip, counts) == (list(counts), [])
     searches, leaf_flows = [], []
     saturate = packing._saturate
 
@@ -593,9 +607,9 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
     searches = []
 
     class CountedSearch(packing._PackSearch):
-        def __init__(self, view, trip, counts, budget):
-            searches.append((trip, counts))
-            super().__init__(view, trip, counts, budget)
+        def __init__(self, view, trip, counts, *args):
+            searches.append(counts)
+            super().__init__(view, trip, counts, *args)
 
     monkeypatch.setattr(packing, "_PackSearch", CountedSearch)
     verdicts = set()
@@ -606,11 +620,12 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
         if found is not None:
             assert_packing(view, trip, counts, found)
         verdicts.add((counts.count(0), found is not None))
-    # pairs and wedges, packed and refuted, are among the cases; only a
-    # triangle reaches the branch-and-bound, and its caches
+    # pairs and wedges, packed and refuted, are among the cases; every
+    # call the presolve and the relaxations leave open reaches the search,
+    # which branches only on what still owes all three pairs
     assert {(1, True), (1, False), (2, True), (2, False)} <= verdicts
-    assert all(min(counts) > 0 for _, counts in searches)
-    assert sum(min(counts) > 0 for _, counts in searches) >= 5
+    assert sum(min(counts) == 0 for counts in searches) >= 50
+    assert sum(min(counts) > 0 for counts in searches) >= 5
 
 
 @pytest.mark.parametrize("view, trip, counts, packed", [
@@ -620,17 +635,15 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
     ids=["pair", "wedge", "refuted-wedge"])
 def test_a_pair_or_a_wedge_is_decided_by_one_leaf_flow(monkeypatch, view, trip,
                                                         counts, packed):
-    # no terminal here is full, so the presolve commits nothing and the
-    # single-source leaf decides the call: one flow, the call's one tick,
-    # no branch-and-bound and no segment enumerated
-    def entered(*args):
-        raise AssertionError("a pair or a wedge reached the branch-and-bound")
+    # no terminal here is full, so the presolve commits nothing, and the
+    # search branches the zero count, so its root leaf decides the call:
+    # one flow, the call's one tick, and no segment enumerated
+    def listed(*args):
+        raise AssertionError("a pair or a wedge listed a segment")
 
-    assert packing._presolve(view, trip, counts) == (
-        list(counts), [], set(), set(trip))
+    assert packing._presolve(view, trip, counts) == (list(counts), [])
     calls = count_max_flows(monkeypatch)
-    monkeypatch.setattr(packing, "_PackSearch", entered)
-    monkeypatch.setattr(packing, "_enum_segments", entered)
+    monkeypatch.setattr(packing, "_enum_segments", listed)
     budget = Budget(packing.DEFAULT_BUDGET)
     found = pack_segments(view, trip, counts, budget)
     assert (found is not None) == packed == packing_exists(view, trip, counts)
@@ -653,8 +666,7 @@ def test_a_vertex_next_to_three_full_terminals_refutes():
     # at first: they share 3, so 0-3-1 is committed, and 3 is no longer
     # 2's to use, which fills 2 in turn
     view = AdjListView(edges + [(2, 7), (7, 5)], bits=3)
-    assert packing._presolve(view, trip, counts) == (
-        [0, 1, 1], [(0, 3, 1)], set(), {0, 1, 2, 3})
+    assert packing._presolve(view, trip, counts) == ([0, 1, 1], [(0, 3, 1)])
     found = pack_segments(view, trip, counts)
     assert_packing(view, trip, counts, found)
     assert found[0] == [(0, 3, 1)]
@@ -663,12 +675,12 @@ def test_a_vertex_next_to_three_full_terminals_refutes():
 
 def test_a_committed_direct_edge_on_a_leaf_pair_is_crossed_at_most_once(monkeypatch):
     # 0 owes six segments to 1 and has six usable neighbours, so the direct
-    # edge 0-1 and the wedge 0-3-1 are committed; the leaf is then owed
-    # four segments and the edge again, five in all, which its flow packs
+    # edge 0-1 and the wedge 0-3-1 are committed; the pair is then owed
+    # four segments and the edge again, five in all, which its leaf flow
+    # packs around 3 with the edge at most once
     cube = AugmentedCube(4)
     trip, counts = (0, 1, 2), (6, 0, 0)
-    assert packing._presolve(cube, trip, counts) == (
-        [4, 0, 0], [(0, 3, 1)], {frozenset((0, 1))}, {0, 1, 2, 3})
+    assert packing._presolve(cube, trip, counts) == ([5, 0, 0], [(0, 3, 1)])
     leaves = []
     saturate = packing._saturate
 
@@ -683,6 +695,31 @@ def test_a_committed_direct_edge_on_a_leaf_pair_is_crossed_at_most_once(monkeypa
     assert found[0].count((0, 1)) == 1 and (0, 3, 1) in found[0]
     # seven segments would need a seventh neighbour of 0
     assert pack_segments(cube, trip, (7, 0, 0)) is None
+
+
+def test_every_packing_of_the_oracle_holds_the_committed_wedges(monkeypatch):
+    # over every pack the oracle asks on all of AQ_4 (all triangles), the
+    # packing returned holds each wedge the presolve committed, whichever
+    # stage completes it
+    pack, held = oracle.pack_segments, []
+
+    def checked(view, trip, counts, budget=None):
+        found = pack(view, trip, counts, budget)
+        if found is not None:
+            assert_packing(view, trip, counts, found)
+            segs = {seg for segs in found for seg in segs}
+            _, forced = packing._presolve(view, trip, counts)
+            assert all((t, w, s) in segs or (s, w, t) in segs
+                       for t, w, s in forced), (trip, counts)
+            held.append(len(forced))
+        return found
+
+    monkeypatch.setattr(oracle, "pack_segments", checked)
+    cube = AugmentedCube(4)
+    for D in itertools.combinations(range(16), 3):
+        max_dpaths(cube, D)
+    # one packing per triple; 368 of them hold 1,856 committed wedges
+    assert (len(held), sum(map(bool, held)), sum(held)) == (560, 368, 1_856)
 
 
 @pytest.mark.parametrize("view, trip, counts", [
@@ -708,9 +745,9 @@ def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
     # over pi3(AQ_4)'s 105 pinned triples and the inputs of acceptance
     # criterion 8 (AQ_3's 56 triples and 200 random graphs), every pack the
     # oracle asks for whose presolve leaves all three pairs owed, and only
-    # those, runs the orientation relaxations; AQ_4's packs are all
-    # triangles, and the presolve decides most of them
-    relaxed, left, shapes = [], [], []
+    # those, runs the orientation relaxations, on the counts still owed;
+    # AQ_4's packs are all triangles, and the presolve decides most of them
+    relaxed, left, asked = [], [], []
     orientations, presolve = packing._orientations, packing._presolve
     pack = oracle.pack_segments
 
@@ -721,11 +758,11 @@ def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
     def presolved(view, trip, counts):
         found = presolve(view, trip, counts)
         if found is not None and min(found[0]) > 0:
-            left.append(tuple(counts))
+            left.append(tuple(found[0]))
         return found
 
     def packed(view, trip, counts, budget=None):
-        shapes.append(counts.count(0))
+        asked.append(counts)
         return pack(view, trip, counts, budget)
 
     monkeypatch.setattr(packing, "_orientations", seen)
@@ -734,7 +771,8 @@ def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
     cube = AugmentedCube(4)
     for b, c in itertools.combinations(range(1, 16), 2):
         max_dpaths(cube, (0, b, c))
-    assert shapes.count(0) == len(shapes) > 2 * len(relaxed) > 0
+    triangles = sum(min(counts) > 0 for counts in asked)
+    assert triangles == len(asked) > 2 * len(relaxed) > 0
     assert relaxed == left
     for D in itertools.combinations(range(8), 3):
         max_dpaths(AugmentedCube(3), D)
@@ -744,11 +782,12 @@ def test_only_a_triangle_is_relaxed_by_orientation(monkeypatch):
         max_dpaths(g, rng.sample(list(g.vertices()), 3))
     assert relaxed == left
     assert min(map(min, relaxed)) > 0
-    assert len(relaxed) < shapes.count(0) < len(shapes)
+    triangles = sum(min(counts) > 0 for counts in asked)
+    assert len(relaxed) < triangles < len(asked)
     # a profile (a, b, c) asks a + b, b + c and a + c segments, 2m in all,
     # so no triangle the oracle asks for has an odd total, such as the
     # restricted demand of ``exactness_cases``
-    assert all(sum(counts) % 2 == 0 for counts in relaxed)
+    assert all(sum(counts) % 2 == 0 for counts in asked)
 
 
 def lemma_views(rng):
@@ -767,29 +806,33 @@ def lemma_views(rng):
 
 
 def test_a_triangle_reaches_the_search_with_every_split_leaf_feasible():
-    # the root lemma: once all three orientations saturate and none
-    # classifies, every single-source leaf the search could split off
-    # saturates too, so ``rec`` needs no exit for an infeasible root
+    # the root lemma, over the blocked set the presolve leaves: once all
+    # three orientations of the counts still owed saturate around the
+    # committed wedges and none classifies, every single-source leaf the
+    # search could split off saturates too, so ``rec`` needs no exit for
+    # an infeasible root
     rng = random.Random(44)
     met = {"cube": 0, "restricted": 0, "graph": 0}
+    wedged = 0
     for kind, view in lemma_views(rng):
         verts = sorted(view.vertices())
         for _ in range(200):
             trip = tuple(rng.sample(verts, 3))
             degs = [len(view.neighbors(t)) for t in trip]
-            counts = a, b, c = tuple(rng.randint(1, min(degs)) for _ in range(3))
-            # a terminal asked for more segments than it has edges is
-            # refuted by an orientation where it has one role
-            if any(d < s for d, s in zip(degs, (a + c, a + b, b + c))):
+            counts = tuple(rng.randint(1, min(degs)) for _ in range(3))
+            found = packing._presolve(view, trip, counts)
+            if found is None or min(found[0]) == 0:
                 continue
-            oriented = packing._orientations(trip, counts)
-            nets = [_saturate(view, o, set(trip)) for o in oriented]
-            if None in nets or any(packing._classify(net, o) is not None
-                                   for net, o in zip(nets, oriented)):
+            (a, b, c), forced = found
+            blocked = set(trip) | {w for _, w, _ in forced}
+            oriented = packing._orientations(trip, (a, b, c))
+            if any(packing._classify(view, o, blocked) != [] for o in oriented):
                 continue
             met[kind] += 1
+            wedged += bool(forced)
             x, y, z = trip
             for leaf in ([(z, x, c), (z, y, b)], [(x, y, a), (x, z, c)],
                          [(y, x, a), (y, z, b)]):
-                assert _saturate(view, leaf, set(trip)) is not None, (trip, counts)
+                assert _saturate(view, leaf, blocked) is not None, (trip, counts)
     assert sum(met.values()) >= 150 and min(met.values()) >= 15, met
+    assert wedged >= 10

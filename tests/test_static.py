@@ -227,8 +227,9 @@ def stored_attributes(tree, cls, owners=("self", "net")):
 def test_the_search_engines_keep_no_second_copy_of_their_state():
     # a flow net's aim is the first sink in ``_live`` and its distance
     # table that sink's shared one, and the packing search's blocked set is
-    # the terminals and its commitments: a stored copy of either would
-    # have to be kept in step by hand
+    # the root's (the terminals and the presolve's wedges) and its
+    # commitments: a stored copy of either would have to be kept in step
+    # by hand
     assert stored_attributes(parse_module("flow.py"), "UnitFlowNet") == {
         "view", "sources", "sinks", "blocked", "cap", "_pending", "_live"}
     assert "blocked" not in stored_attributes(parse_module("packing.py"), "_PackSearch")
@@ -242,8 +243,21 @@ def test_each_packing_node_is_decided_by_its_leaf_alone():
     assert list(inspect.signature(flow.UnitFlowNet.amended).parameters) == [
         "self", "blocked"]
     assert stored_attributes(parse_module("packing.py"), "_PackSearch") == {
-        "view", "budget", "branch", "leaf", "chosen", "leaf_found", "terminals",
+        "view", "budget", "branch", "leaf", "chosen", "leaf_found", "fixed",
         "leaf_ok", "avoid", "maps"}
+
+
+def test_the_packer_runs_one_sequence_after_the_presolve():
+    # every call the presolve leaves open goes through the orientation
+    # relaxations (``_classify``) and the branch-and-bound, whose split of
+    # a zero count is a pair's or a wedge's one leaf flow; a leaf flow run
+    # by ``pack_segments`` itself, or by a new helper it calls, would be a
+    # second path around them
+    tree = parse_module("packing.py")
+    for helper in ("_saturate", "_split_for_search"):
+        assert "pack_segments" not in calls_by_function(tree, helper), helper
+    assert calls_by_function(tree, "_saturate") == [
+        "_classify", "_PackSearch.rec", "_PackSearch.rec", "_PackSearch.rec"]
 
 
 LADDER_BUILDERS = ["_even_pair_sibling_mated", "_even_pair_sibling_generic",

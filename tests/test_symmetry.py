@@ -21,7 +21,8 @@ import random
 import pytest
 
 from aqpath import oracle, packing
-from aqpath.cube import AugmentedCube, RestrictedView, automorphisms, map_vertex
+from aqpath.cube import (AugmentedCube, RestrictedView, automorphisms, map_vertex,
+                         symmetries)
 from aqpath.flow import UnitFlowNet
 from aqpath.oracle import max_dpaths
 from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
@@ -57,7 +58,7 @@ def without_length_cap(fn, *args):
 
 def without_presolve(fn, *args):
     def nothing(view, trip, counts):
-        return list(counts), [], set(), set(trip)
+        return list(counts), []
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packing, "_presolve", nothing)
@@ -69,7 +70,7 @@ def with_fresh_relaxations(fn, *args):
 
     def fresh(search, net, interior):
         return packing._saturate(search.view, search.leaf,
-                                 search.terminals | search.committed())
+                                 search.fixed | search.committed())
 
     def searched(net, known=frozenset()):
         return critical(net)
@@ -119,7 +120,7 @@ def test_every_dimension_four_triple_keeps_value_and_witness():
         found = [max_dpaths(cube, D) for D in triples]
     # the work with symmetry and the presolve, pinned exactly: a change to
     # how either prunes that changes any of it must say so
-    assert work == {"ticks": 1_227, "packings": 944, "max_flows": 1_217}
+    assert work == {"ticks": 1_087, "packings": 944, "max_flows": 1_228}
     for D, got in zip(triples, found):
         assert got == without_symmetry(max_dpaths, cube, D), D
 
@@ -199,6 +200,32 @@ def test_seeded_dimension_five_triples_keep_value_and_witness():
     for _ in range(100):
         D = tuple(rng.sample(range(32), 3))
         assert max_dpaths(cube, D) == without_symmetry(max_dpaths, cube, D), D
+
+
+def test_a_map_fixing_the_terminals_keeps_the_committed_wedges():
+    # the lex-leader skip maps the branched segments alone, so it needs
+    # every map fixing each terminal to send the presolve's committed
+    # wedges, and with them the search's root blocked set, onto themselves
+    rng = random.Random(52)
+    checked = 0
+    for n in (4, 5, 6):
+        cube = AugmentedCube(n)
+        deg = 2 * n - 1
+        for _ in range(400):
+            trip = tuple(rng.sample(range(1 << n), 3))
+            maps = [(g, t) for g, t, perm in symmetries(cube, trip) if perm == (0, 1, 2)]
+            m = 3 * deg // 4 - rng.randint(0, 2)
+            cap = deg - m
+            a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
+                                  for b in range(cap + 1) if 0 <= m - a - b <= cap])
+            found = packing._presolve(cube, trip, (a + b, b + c, a + c))
+            if not maps or found is None:
+                continue
+            forced = set(found[1])
+            for g, t in maps:
+                assert {(u, map_vertex(g, w) ^ t, v) for u, w, v in forced} == forced
+            checked += bool(forced)
+    assert checked >= 100
 
 
 def outcome(view, trip, counts, limit):
