@@ -156,6 +156,10 @@ def distance(u: int, v: int) -> int:
     return d
 
 
+# a width -> the word of bits 0, 2, 4, ... below it, computed once per width
+_EVEN: dict[int, int] = {}
+
+
 def distance_to(bits: int, t: int) -> Callable[[int], int]:
     """The function ``dist(x)`` giving distance(x, t) for vertices below
     2**bits, read from the gray word y = g(x) ^ g(t), g(w) = w ^ (w >> 1).
@@ -167,7 +171,7 @@ def distance_to(bits: int, t: int) -> Callable[[int], int]:
     bits leaves, in every run, exactly the bits of its lowest bit's parity.
     """
     gt = t ^ (t >> 1)
-    even = (4 ** ((bits + 1) // 2) - 1) // 3  # bits 0, 2, 4, ... below bits
+    even = _EVEN.get(bits) or _EVEN.setdefault(bits, (4 ** ((bits + 1) // 2) - 1) // 3)
 
     def dist(x: int) -> int:
         y = x ^ (x >> 1) ^ gt

@@ -72,17 +72,17 @@ def cube_upper_bound(n: int) -> int:
 def _slot_bound(view, D: Sequence[int]) -> int:
     """Per-triple counting ceiling: every family edge at a terminal needs a
     slot, a non-terminal can host at most two slots, and each terminal pair
-    can use its direct edge once."""
-    Dset = set(D)
-    shared: dict[int, int] = {}
+    can use its direct edge once (two slots, one at each end)."""
+    slots, seen, twice = 0, set(), set()  # seen at a terminal, and at a second one
     for t in D:
         for w in view.neighbors(t):
-            if w not in Dset:
-                shared[w] = shared.get(w, 0) + 1
-    slots = sum(min(2, c) for c in shared.values())
-    slots += 2 * sum(1 for a, b in itertools.combinations(sorted(Dset), 2)
-                     if view.is_adjacent(a, b))
-    return slots // 4
+            if w in D:
+                slots += 1
+            elif w in seen:
+                twice.add(w)
+            else:
+                seen.add(w)
+    return (slots + len(seen) + len(twice)) // 4
 
 
 # -- exact maximum via split profiles ---------------------------------

@@ -125,6 +125,9 @@ set:
    therefore skipped, after its tick, when a map sends the committed
    segments with it appended to a set that sorts lower: the same packing
    is returned, and a refutation stays a refutation with fewer ticks.
+   The maps are listed on first use, when the search checks its first
+   segment, so a pair or a wedge, which its root leaf decides, and any
+   search that lists no segment never ask for them.
 
 No stage lists the view: the free vertices are the view's vertices
 outside a small blocked set (the terminals and the wedges' interiors, then
@@ -216,46 +219,49 @@ def pack_segments(view, trip: Sequence[int], counts: Iterable[int],
     return _regroup(trip, forced + search.chosen + search.leaf_found)
 
 
+# the pair index (0 = x-y, 1 = y-z, 2 = x-z) of the terminals i and j of a
+# triple; terminal i is in every pair but (i + 1) % 3
+_PAIR = ((None, 0, 2), (0, None, 1), (2, 1, None))
+
+
 def _presolve(view, trip: Sequence[int], counts: Sequence[int]):
     """The counting presolve (module docstring): the counts still owed per
     pair of ``trip``, each committed direct edge owed again, and the wedge
     segments every packing holds; or None, which is exact: no packing
     exists."""
-    x, y, z = trip
-    pairs = [frozenset(p) for p in ((x, y), (y, z), (x, z))]
-    owed = dict(zip(pairs, counts))
+    owed = list(counts)
+    direct = [False, False, False]
     forced: list[Segment] = []
-    direct: set[frozenset[int]] = set()
     blocked = set(trip)
-    near = {t: view.neighbors(t) for t in trip}
-    ends_at = {t: [frozenset((t, s)) for s in near[t] if s in near] for t in trip}
-    at = {t: [p for p in pairs if t in p] for t in trip}
+    rows = [view.neighbors(t) for t in trip]
+    # per terminal, the pairs whose other end is one of its neighbours
+    ends = [[_PAIR[i][j] for j in range(3) if trip[j] in rows[i]] for i in range(3)]
     while True:
-        before = len(forced) + len(direct)
+        before = len(forced) + sum(direct)
         claims: dict[int, list[int]] = {}  # free vertex -> full terminals
-        for t in trip:
-            free = [w for w in near[t] if w not in blocked]
-            ends = [p for p in ends_at[t] if owed[p] and p not in direct]
-            demand = sum(owed[p] for p in at[t])
-            if demand > len(free) + len(ends):  # (R1)
+        for i in range(3):
+            free = [w for w in rows[i] if w not in blocked]
+            open_ends = [p for p in ends[i] if owed[p] and not direct[p]]
+            demand = sum(owed) - owed[(i + 1) % 3]
+            if demand > len(free) + len(open_ends):  # (R1)
                 return None
-            if demand == len(free) + len(ends):  # (R2): t is full
-                for p in ends:
+            if demand == len(free) + len(open_ends):  # (R2): trip[i] is full
+                for p in open_ends:
                     owed[p] -= 1
-                direct.update(ends)
+                    direct[p] = True
                 for w in free:
-                    claims.setdefault(w, []).append(t)
+                    claims.setdefault(w, []).append(i)
         for w, full in claims.items():
             if len(full) > 1:  # (R2): the wedge through w
-                t, s = full[:2]
-                p = frozenset((t, s))
+                i, j = full[:2]
+                p = _PAIR[i][j]
                 if not owed[p]:
                     return None
                 owed[p] -= 1
-                forced.append((t, w, s))
+                forced.append((trip[i], w, trip[j]))
                 blocked.add(w)
-        if len(forced) + len(direct) == before:
-            return [owed[p] + (p in direct) for p in pairs], forced
+        if len(forced) + sum(direct) == before:
+            return [k + d for k, d in zip(owed, direct)], forced
 
 
 def _orientations(trip: Sequence[int], counts: Sequence[int]) -> list[list[Demand]]:
@@ -272,14 +278,13 @@ def _orientations(trip: Sequence[int], counts: Sequence[int]) -> list[list[Deman
 
 def _regroup(trip, segs: Iterable[Segment]) -> list[list[Segment]]:
     """The segments as one sorted list per pair of ``trip``, each running
-    from the pair's first terminal to its second."""
-    x, y, z = trip
-    found: dict[frozenset[int], list[Segment]] = {}
+    from the pair's first terminal to its second, the one earlier in
+    ``trip``."""
+    found: list[list[Segment]] = [[], [], []]
     for s in segs:
-        found.setdefault(frozenset((s[0], s[-1])), []).append(s)
-    return [sorted(s if s[0] == u else s[::-1]
-                   for s in found.get(frozenset((u, v)), ()))
-            for u, v in ((x, y), (y, z), (x, z))]
+        i, j = trip.index(s[0]), trip.index(s[-1])
+        found[_PAIR[i][j]].append(s if i < j else s[::-1])
+    return [sorted(f) for f in found]
 
 
 def _saturate(view, demands: Sequence[Demand], blocked) -> UnitFlowNet | None:
@@ -439,10 +444,8 @@ class _PackSearch:
         self.fixed = fixed
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.avoid: dict[frozenset[int], frozenset[int]] = {}
-        # (g, t, the images found so far) of each map fixing every
-        # terminal, which fixes ``fixed`` too (module docstring, stage 0)
-        self.maps = [(g, t, {}) for g, t, perm in symmetries(view, trip)
-                     if perm == (0, 1, 2)]
+        self.trip = trip
+        self.maps: list | None = None  # built by the first ``dominated``
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment branched so far."""
@@ -484,7 +487,7 @@ class _PackSearch:
         owed = need - len(chosen)
         for seg in _enum_segments(self.view, u, v, avoid, floor, owed):
             self.budget.tick()
-            if self.maps and self.dominated(seg):
+            if self.dominated(seg):
                 continue
             interior = seg[1:-1]
             chosen.append(seg)
@@ -505,7 +508,14 @@ class _PackSearch:
         """Whether a map fixing the terminals sends the branched segments,
         ``seg`` appended, to a set that sorts below them in ``_seg_key``
         order, so that no least packing starts with them.  The segments
-        before ``seg`` were checked here first, so their images are known."""
+        before ``seg`` were checked here first, so their images are known.
+        The maps, with the images found so far, are listed on the first
+        check: a search that lists no segment needs none."""
+        if self.maps is None:
+            # each map fixing every terminal, which fixes ``fixed`` too
+            # (module docstring, stage 0)
+            self.maps = [(g, t, {}) for g, t, perm in symmetries(self.view, self.trip)
+                         if perm == (0, 1, 2)]
         segs = self.chosen + [seg]
         keys = [_seg_key(s) for s in segs]
         for g, t, image in self.maps:

@@ -5,7 +5,8 @@ from collections import deque
 
 import pytest
 
-from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
+from aqpath.cube import (AdjListView, AugmentedCube, PrefixView, RestrictedView,
+                         symmetries)
 from aqpath.flow import UnitFlowNet
 from aqpath import oracle, packing, report
 from aqpath.oracle import max_dpaths
@@ -331,6 +332,20 @@ def test_a_search_without_a_budget_takes_the_default(monkeypatch):
     monkeypatch.setattr(packing, "DEFAULT_BUDGET", 19)
     with pytest.raises(SearchBudgetExceeded, match="search budget 19 exhausted"):
         pack_segments(*searched_refutation())
+
+
+@pytest.mark.parametrize("trip", [(22, 1, 14), (28, 23, 16)])
+def test_a_long_search_runs_out_of_ticks_and_raises(trip):
+    # the presolve commits one direct edge here, which is owed again, so
+    # the search branches through all of a small budget.  A map besides the
+    # identity fixes each terminal, so the lex-leader maps the search lists
+    # on its first segment are checked all the way
+    cube = AugmentedCube(5)
+    assert [perm for _, _, perm in symmetries(cube, trip)].count((0, 1, 2)) >= 1
+    budget = Budget(20_000)
+    with pytest.raises(SearchBudgetExceeded, match="search budget 20000 exhausted"):
+        pack_segments(cube, trip, (4, 5, 3), budget)
+    assert budget.used == 20_001
 
 
 def test_a_refutation_leaves_no_cyclic_garbage():

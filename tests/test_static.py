@@ -244,7 +244,19 @@ def test_each_packing_node_is_decided_by_its_leaf_alone():
         "self", "blocked"]
     assert stored_attributes(parse_module("packing.py"), "_PackSearch") == {
         "view", "budget", "branch", "leaf", "chosen", "leaf_found", "fixed",
-        "leaf_ok", "avoid", "maps"}
+        "leaf_ok", "avoid", "trip", "maps"}
+
+
+def test_the_presolve_keys_its_pairs_by_index_and_the_maps_wait_for_a_segment():
+    # the presolve reads each pair as 0 = x-y, 1 = y-z, 2 = x-z, with no
+    # frozenset built per call, and a search lists the maps fixing the
+    # terminals only when it first checks a segment: a pair or a wedge,
+    # and any search that lists no segment, never asks for them
+    tree = parse_module("packing.py")
+    presolve, = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_presolve")
+    assert not calls_by_function(presolve, "frozenset")
+    assert calls_by_function(tree, "symmetries") == ["_PackSearch.dominated"]
 
 
 def test_the_packer_runs_one_sequence_after_the_presolve():

@@ -22,7 +22,7 @@ import pytest
 
 from aqpath import oracle, packing
 from aqpath.cube import (AugmentedCube, RestrictedView, automorphisms, map_vertex,
-                         symmetries)
+                         orbit_representatives, symmetries)
 from aqpath.flow import UnitFlowNet
 from aqpath.oracle import max_dpaths
 from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
@@ -180,6 +180,79 @@ def test_the_presolve_keeps_every_value_and_verdict_with_no_more_ticks():
     # presolve refutes exhausts the budget with it off
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert exhausted == 1
+
+
+def presolve_by_pair_sets(view, trip, counts):
+    """The counting presolve as it read each pair as a frozenset of its
+    terminals, kept as the reference for ``packing._presolve``."""
+    x, y, z = trip
+    pairs = [frozenset(p) for p in ((x, y), (y, z), (x, z))]
+    owed = dict(zip(pairs, counts))
+    forced = []
+    direct = set()
+    blocked = set(trip)
+    near = {t: view.neighbors(t) for t in trip}
+    ends_at = {t: [frozenset((t, s)) for s in near[t] if s in near] for t in trip}
+    at = {t: [p for p in pairs if t in p] for t in trip}
+    while True:
+        before = len(forced) + len(direct)
+        claims = {}  # free vertex -> full terminals
+        for t in trip:
+            free = [w for w in near[t] if w not in blocked]
+            ends = [p for p in ends_at[t] if owed[p] and p not in direct]
+            demand = sum(owed[p] for p in at[t])
+            if demand > len(free) + len(ends):  # (R1)
+                return None
+            if demand == len(free) + len(ends):  # (R2): t is full
+                for p in ends:
+                    owed[p] -= 1
+                direct.update(ends)
+                for w in free:
+                    claims.setdefault(w, []).append(t)
+        for w, full in claims.items():
+            if len(full) > 1:  # (R2): the wedge through w
+                t, s = full[:2]
+                p = frozenset((t, s))
+                if not owed[p]:
+                    return None
+                owed[p] -= 1
+                forced.append((t, w, s))
+                blocked.add(w)
+        if len(forced) + len(direct) == before:
+            return [owed[p] + (p in direct) for p in pairs], forced
+
+
+def test_the_presolve_on_pair_indices_matches_the_pair_set_reference(monkeypatch):
+    # every profile the oracle asks: all of AQ_4, the orbit representatives
+    # of AQ_5 and AQ_6, and seeded triples of the seeded restrictions
+    presolve = packing._presolve
+    outcomes = []
+
+    def compared(view, trip, counts):
+        found = presolve(view, trip, counts)
+        assert found == presolve_by_pair_sets(view, trip, counts), (trip, counts)
+        outcomes.append(None if found is None else len(found[1]))
+        return found
+
+    monkeypatch.setattr(packing, "_presolve", compared)
+    for D in itertools.combinations(range(16), 3):
+        max_dpaths(AugmentedCube(4), D)
+    for n in (5, 6):
+        for D in orbit_representatives(n):
+            max_dpaths(AugmentedCube(n), D)
+    asked = len(outcomes)
+    rng = random.Random(53)
+    for view in seeded_restrictions(rng):
+        verts = sorted(view.vertices())
+        for _ in range(8):
+            try:
+                max_dpaths(view, rng.sample(verts, 3), budget=20_000)
+            except SearchBudgetExceeded:
+                pass
+    # 1,124 profiles of the cubes and 263 of the restrictions: refutations,
+    # calls with no wedge, and calls with one to nine wedges
+    assert (asked, len(outcomes)) == (1_124, 1_387)
+    assert set(outcomes) == {None, *range(10)}
 
 
 def test_the_argmin_orbit_refutes_two_profiles_not_three(monkeypatch):
