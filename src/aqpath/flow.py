@@ -73,9 +73,10 @@ out-node no search has scanned waits as a pending entry, and joins the
 row when a search derives it.  A flow augmented from any flow
 reaches the maximum, so walking changes which paths are found, never how
 many; a view with no distance is not walked.  Only ``route``,
-``UnitFlowNet.amended`` and the packing engine build a net.  Only
-``route`` seeds one, and only the packing engine amends one, never a
-seeded one.
+``UnitFlowNet.amended`` and the packing engine build a net.  ``route``
+seeds its walks, and the packing engine's relaxations seed their direct
+edges and wedges before they search; only the packing engine amends a
+net, seeded or not.
 
 ``UnitFlowNet.critical`` reads, from the flow already found and with no
 network rebuilt, the free vertices that every flow of its value must cross.
@@ -387,28 +388,32 @@ class UnitFlowNet:
         network admits one, and a caller re-augments only those units
         instead of all of them.
 
-        The net must not be seeded (``seed``): nothing of its flow waits in
-        ``_pending``, and the out-node of every vertex a unit crosses has
-        its row derived.  The copy takes every row this net has derived,
-        so it lists no more of the view than this net did; this net is
-        left as it was.  A blocked vertex keeps no through arc, so no
-        search crosses it, and the sinks of the cancelled units take flow
-        again after those that already did, in the net's sink order.  A
-        unit that runs around a cycle is cancelled too, and loses no
+        The copy takes every row this net has derived, and first derives
+        the rows whose entries a seed (``seed``) left in ``_pending``, so
+        the out-node of every vertex a unit crosses has its row: it lists
+        no more of the view than this net did, or its seeds named.  This
+        net is left as it was.  A blocked vertex keeps no through arc, so
+        no search crosses it, and the sinks of the cancelled units take
+        flow again after those that already did, in the net's sink order.
+        A unit that runs around a cycle is cancelled too, and loses no
         value."""
         gone = frozenset(blocked)
-        net = UnitFlowNet(self.view, self.sources, self.sinks, self.blocked | gone)
+        net = UnitFlowNet(self.view, self.sources, self.sinks, self.blocked)
         cap = net.cap = {x: row.copy() for x, row in self.cap.items()}
+        net._pending = dict(self._pending)
+        for u in self._pending:
+            net._row(u)
         hit = set()
         short = 0
         for w in gone:
             if cap.get(_in(w), {}).get(_out(w), 1):
                 continue  # no unit crosses w, or one cancelled already did
-            nodes = self._unit(w)
+            nodes = net._unit(w)
             net._push(nodes, -1)
             if nodes[-1] == _SNK:
                 hit.add(nodes[-2] // 2)
                 short += 1
+        net.blocked |= gone
         for w in gone:
             if _in(w) in cap:  # its entries are all 0 now
                 cap[_in(w)] = {}
@@ -419,7 +424,9 @@ class UnitFlowNet:
     def _unit(self, w: int) -> list[int]:
         """The split nodes, in flow order, of the unit crossing the free
         vertex w: from the source to the sink, or from w's in-node around a
-        cycle back to it, in a net no seed touched (see ``amended``).
+        cycle back to it, in a net with nothing left in ``_pending`` (see
+        ``amended``); units cancelled before, which share no vertex with
+        this one, do not change its walk.
         Forward, an out-node's one arc with no residual capacity carries
         the unit; backward, an in-node's one positive entry is the reverse
         entry of the arc the unit came in on (its through arc has none

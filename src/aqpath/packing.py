@@ -49,7 +49,11 @@ set:
 1. when all three pairs are still owed, single-commodity flow relaxations
    (sources at first endpoints, sinks at second endpoints, unit
    capacities on free vertices), each a ``aqpath.flow.UnitFlowNet`` over
-   the view, saturated by ``_saturate``.  A value below the total demand
+   the view, saturated by ``_saturate``.  It seeds each demand with its
+   direct edge and its wedges through free common neighbours, which take
+   no search, and augments only for the rest: a flow augmented from any
+   feasible flow until no augmenting path is left is a maximum one, so
+   the value is exact.  A value below the total demand
    refutes the packing.  When the integral flow decomposes into unit paths
    whose endpoints match the demands, that decomposition *is* a packing.
    Only a terminal that is both source and sink leaves slack, so each of
@@ -59,9 +63,9 @@ set:
    leaf the relaxation decides exactly (one source cannot loop back to
    itself), so every branch ends in an exact flow.  A pair or a wedge (two
    pairs sharing a terminal) branches its zero count, so its root leaf's
-   one flow decides it and no segment is enumerated.  The branched segment
-   sets are enumerated shortest-first (then lexicographically) in strictly
-   increasing order, so no packing is visited twice, pruned by distance
+   one relaxation decides it and no segment is enumerated.  The branched
+   segment sets are enumerated shortest-first (then lexicographically) in
+   strictly increasing order, so no packing is visited twice, pruned by distance
    bounds and by the relaxation after every commitment.  Shortest lengths
    come from a search steered by the view's distance to the far endpoint
    (``_hops``), and a partial segment is dropped once that distance exceeds
@@ -291,7 +295,16 @@ def _saturate(view, demands: Sequence[Demand], blocked) -> UnitFlowNet | None:
     """The relaxation network with a maximum flow pushed through it, or
     None when that flow falls short of the total demand.  Each demand adds
     its count to the source capacity of its first and the sink capacity of
-    its second endpoint; a zero count adds nothing."""
+    its second endpoint; a zero count adds nothing.  The demands name
+    distinct pairs.
+
+    Each demand (u, v, c) is seeded before any search
+    (``UnitFlowNet.seed``): the direct edge u-v if the view has it, then
+    (u, w, v) through each common neighbour w in ``view.neighbors(u)``
+    order that is free and no earlier seed took, c units at most.  That
+    is a feasible flow, and one augmented until no augmenting path is
+    left is a maximum one, so only the rest is pushed and the verdict
+    stays exact."""
     sources: dict[int, int] = {}
     sinks: dict[int, int] = {}
     total = 0
@@ -301,7 +314,17 @@ def _saturate(view, demands: Sequence[Demand], blocked) -> UnitFlowNet | None:
             sinks[v] = sinks.get(v, 0) + c
             total += c
     net = UnitFlowNet(view, sources, sinks, blocked)
-    return net if net.max_flow(limit=total) == total else None
+    taken = set(net.blocked)
+    for u, v, c in demands:
+        if c > 0:
+            walks = [(u, v)] if view.is_adjacent(u, v) else []
+            walks += [(u, w, v) for w in view.neighbors(u)
+                      if w not in taken and view.is_adjacent(w, v)]
+            for p in walks[:c]:
+                net.seed(p)
+                taken.update(p[1:-1])
+                total -= 1
+    return net if not total or net.max_flow(limit=total) == total else None
 
 
 def _classify(view, demands: Sequence[Demand], blocked) -> list[Segment] | None:

@@ -260,8 +260,10 @@ def triangle_pairs(trip):
 
 @pytest.mark.parametrize("trip, counts, ticks", [
     ((0, 1, 2), (1, 0, 1), 1),
-    # the flow relaxations leave these two to the branch-and-bound
-    ((0, 3, 5), (2, 3, 2), 3),
+    # an orientation relaxation, seeded with its direct edges and wedges,
+    # classifies this one at the call's root tick
+    ((0, 3, 5), (2, 3, 2), 1),
+    # the flow relaxations leave this one to the branch-and-bound
     ((0, 1, 2), (3, 4, 3), 4),
 ], ids=["unit-pairs", "triangle", "searched"])
 def test_packing_in_a_huge_half_lists_no_vertex(trip, counts, ticks):

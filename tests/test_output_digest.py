@@ -65,4 +65,4 @@ def test_dimension_four_witnesses_are_unchanged():
         value, fam = max_dpaths(cube, (0, b, c))
         h.update(f"{value}\n{render_family((0, b, c), fam, 4)}".encode())
     assert h.hexdigest() == (
-        "70487c52c3ef36c48ce2028067fd32eee43fd2eb8e30dae23e0af6e414c070ff")
+        "b8f3c71e7072e69499caa5aa88598af5afcd74a311430927efa3340837806033")

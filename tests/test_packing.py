@@ -406,6 +406,50 @@ def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():
         pack_segments(view, trip, counts, Budget(19))
 
 
+def unseeded(view, leaf, blocked):
+    """The leaf relaxation with every unit searched for: no seed."""
+    sources, sinks = {}, {}
+    for u, v, c in leaf:
+        sources[u] = sources.get(u, 0) + c
+        sinks[v] = sinks.get(v, 0) + c
+    net = UnitFlowNet(view, sources, sinks, blocked)
+    net.max_flow(limit=sum(sources.values()))
+    return net
+
+
+def test_an_amended_seeded_leaf_matches_an_amended_unseeded_one():
+    # each leaf of the searched refutation, seeded with its direct edges
+    # and wedges as ``_saturate`` does, keeps some of its seeds' entries
+    # waiting in ``_pending``; ``amended`` derives them in the copy, so
+    # blocking the interior of any segment the search could branch gives
+    # the same shortfall and the same verdict as amending the leaf with no
+    # seed, and leaves the seeded net as it was
+    view, (x, y, z), (a, b, c) = searched_refutation()
+    blocked = frozenset((x, y, z))
+    splits = [((x, y, a), [(z, x, c), (z, y, b)]), ((y, z, b), [(x, y, a), (x, z, c)]),
+              ((x, z, c), [(y, x, a), (y, z, b)])]
+    verdicts = set()
+    for (u, v, owed), leaf in splits:
+        seeded, plain = _saturate(view, leaf, blocked), unseeded(view, leaf, blocked)
+        assert seeded is not None and seeded._pending
+        rows = {w: dict(row) for w, row in seeded.cap.items()}
+        pending = {w: dict(row) for w, row in seeded._pending.items()}
+        # the search caches its verdicts by the vertices it has committed
+        interiors = {frozenset(seg[1:-1])
+                     for seg in _enum_segments(view, u, v, blocked, None, owed)}
+        for seg in sorted(map(sorted, interiors)):
+            child, short = seeded.amended(seg)
+            ref, ref_short = plain.amended(seg)
+            assert short == ref_short, seg
+            ok = child.max_flow(limit=short) == short
+            assert ok == (ref.max_flow(limit=short) == short), seg
+            assert ok == (_saturate(view, leaf, blocked | set(seg)) is not None), seg
+            verdicts.add((ok, short > 0))
+        assert {w: dict(row) for w, row in seeded.cap.items()} == rows
+        assert {w: dict(row) for w, row in seeded._pending.items()} == pending
+    assert verdicts == {(True, False), (True, True), (False, True)}
+
+
 def test_a_packing_found_at_full_depth_saturates_its_witness_leaf_afresh(monkeypatch):
     calls = []
     max_flow = UnitFlowNet.max_flow
@@ -643,16 +687,19 @@ def test_pack_segments_matches_an_exhaustive_search(monkeypatch):
     assert sum(min(counts) > 0 for counts in searches) >= 5
 
 
-@pytest.mark.parametrize("view, trip, counts, packed", [
-    (AugmentedCube(4), (0, 1, 2), (2, 0, 0), True),
-    (AugmentedCube(4), (0, 5, 10), (0, 3, 3), True),
-    (random_graph(0), (1, 6, 7), (0, 2, 2), False)],
+@pytest.mark.parametrize("view, trip, counts, packed, flows", [
+    # the pair's leaf is filled by its seeds, the direct edge 0-1 and the
+    # wedge through 3, so it runs no max-flow at all
+    (AugmentedCube(4), (0, 1, 2), (2, 0, 0), True, 0),
+    (AugmentedCube(4), (0, 5, 10), (0, 3, 3), True, 1),
+    (random_graph(0), (1, 6, 7), (0, 2, 2), False, 1)],
     ids=["pair", "wedge", "refuted-wedge"])
 def test_a_pair_or_a_wedge_is_decided_by_one_leaf_flow(monkeypatch, view, trip,
-                                                        counts, packed):
+                                                        counts, packed, flows):
     # no terminal here is full, so the presolve commits nothing, and the
     # search branches the zero count, so its root leaf decides the call:
-    # one flow, the call's one tick, and no segment enumerated
+    # one relaxation, at most one flow for what its seeds leave, the
+    # call's one tick, and no segment enumerated
     def listed(*args):
         raise AssertionError("a pair or a wedge listed a segment")
 
@@ -664,7 +711,8 @@ def test_a_pair_or_a_wedge_is_decided_by_one_leaf_flow(monkeypatch, view, trip,
     assert (found is not None) == packed == packing_exists(view, trip, counts)
     if packed:
         assert_packing(view, trip, counts, found)
-    assert len(calls) == budget.used == 1
+    assert len(calls) == flows
+    assert budget.used == 1
 
 
 def test_a_vertex_next_to_three_full_terminals_refutes():
@@ -823,9 +871,10 @@ def lemma_views(rng):
 def test_a_triangle_reaches_the_search_with_every_split_leaf_feasible():
     # the root lemma, over the blocked set the presolve leaves: once all
     # three orientations of the counts still owed saturate around the
-    # committed wedges and none classifies, every single-source leaf the
-    # search could split off saturates too, so ``rec`` needs no exit for
-    # an infeasible root
+    # committed wedges, every single-source leaf the search could split
+    # off saturates too, so ``rec`` needs no exit for an infeasible root.
+    # Its hypothesis is the saturation alone: whether an orientation's
+    # flow classifies depends on the paths found, not on the network
     rng = random.Random(44)
     met = {"cube": 0, "restricted": 0, "graph": 0}
     wedged = 0
@@ -841,7 +890,7 @@ def test_a_triangle_reaches_the_search_with_every_split_leaf_feasible():
             (a, b, c), forced = found
             blocked = set(trip) | {w for _, w, _ in forced}
             oriented = packing._orientations(trip, (a, b, c))
-            if any(packing._classify(view, o, blocked) != [] for o in oriented):
+            if any(_saturate(view, o, blocked) is None for o in oriented):
                 continue
             met[kind] += 1
             wedged += bool(forced)

@@ -215,6 +215,14 @@ def test_only_the_router_the_repair_and_the_packer_build_a_net():
                      ("packing.py", "_saturate")}
 
 
+def test_only_the_router_and_the_relaxations_seed_a_net():
+    # ``route`` seeds its walks and ``packing._saturate`` its direct edges
+    # and wedges; every other flow starts from the source
+    seeded = {(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
+              for fn in calls_by_function(parse_module(path.name), "seed")}
+    assert seeded == {("flow.py", "route"), ("packing.py", "_saturate")}
+
+
 def stored_attributes(tree, cls, owners=("self", "net")):
     """The attribute names the class ``cls`` stores on ``owners``."""
     node, = (node for node in tree.body

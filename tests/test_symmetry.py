@@ -17,10 +17,11 @@ refutation, so the savings the other modes pin are shown with it off.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from aqpath import oracle, packing
+from aqpath import oracle, packing, report
 from aqpath.cube import (AugmentedCube, RestrictedView, automorphisms, map_vertex,
                          orbit_representatives, symmetries)
 from aqpath.flow import UnitFlowNet
@@ -118,9 +119,10 @@ def test_every_dimension_four_triple_keeps_value_and_witness():
     with pytest.MonkeyPatch.context() as mp:
         work = counted_work(mp)
         found = [max_dpaths(cube, D) for D in triples]
-    # the work with symmetry and the presolve, pinned exactly: a change to
-    # how either prunes that changes any of it must say so
-    assert work == {"ticks": 1_087, "packings": 944, "max_flows": 1_228}
+    # the work with symmetry, the presolve and seeded relaxations, pinned
+    # exactly: a change to how any of them prunes that changes any of it
+    # must say so.  A relaxation whose seeds fill it runs no max-flow
+    assert work == {"ticks": 1_064, "packings": 944, "max_flows": 1_174}
     for D, got in zip(triples, found):
         assert got == without_symmetry(max_dpaths, cube, D), D
 
@@ -149,6 +151,71 @@ def seeded_restrictions(rng):
                                  for v in rng.sample(verts, 4)])
 
 
+def near_ceiling(view, rng):
+    """A random triple of the view and the pair counts of a split profile
+    near the counting ceiling of its least degree, as ``seeded_triangles``
+    draws one."""
+    trip = tuple(rng.sample(sorted(view.vertices()), 3))
+    deg = min(len(view.neighbors(t)) for t in trip)
+    m = 3 * deg // 4 - rng.randint(0, 1)
+    cap = deg - m
+    a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
+                          for b in range(cap + 1) if 0 <= m - a - b <= cap])
+    return trip, (a + b, b + c, a + c)
+
+
+def test_every_seeded_relaxation_decides_as_an_unseeded_flow(monkeypatch):
+    # ``_saturate`` seeds each demand's direct edge and wedges before it
+    # searches: on the oracle traffic of every AQ_4 triple, acceptance
+    # criterion 8's inputs and the seeded restrictions, each verdict is
+    # that of a net pushed from the source alone, and each saturated flow
+    # splits into interior-disjoint paths of the view that fill every
+    # source and sink
+    saturate, seed = packing._saturate, UnitFlowNet.seed
+    seen = Counter()
+
+    def counted(net, path):
+        seen["seeds"] += 1
+        seed(net, path)
+
+    def checked(view, demands, blocked):
+        net = saturate(view, demands, blocked)
+        sources, sinks = Counter(), Counter()
+        for u, v, c in demands:
+            sources[u] += c
+            sinks[v] += c
+        total = sum(sources.values())
+        fresh = UnitFlowNet(view, +sources, +sinks, blocked)
+        assert (net is not None) == (fresh.max_flow(limit=total) == total), demands
+        seen[net is not None] += 1
+        if net is not None:
+            paths = net.unit_paths()
+            assert Counter(p[0] for p in paths) == +sources
+            assert Counter(p[-1] for p in paths) == +sinks
+            interiors = [w for p in paths for w in p[1:-1]]
+            assert len(set(interiors)) == len(interiors)
+            assert not set(interiors) & set(blocked)
+            assert all(view.is_adjacent(a, b) for p in paths for a, b in zip(p, p[1:]))
+        return net
+
+    monkeypatch.setattr(UnitFlowNet, "seed", counted)
+    monkeypatch.setattr(packing, "_saturate", checked)
+    cube = AugmentedCube(4)
+    for D in itertools.combinations(range(16), 3):
+        max_dpaths(cube, D)
+    for D in itertools.combinations(range(8), 3):
+        max_dpaths(AugmentedCube(3), D)
+    rng = random.Random(report.CORPUS_SEED)
+    for _ in range(report.CORPUS_GRAPHS):
+        g = report.random_connected_graph(rng)
+        max_dpaths(g, tuple(sorted(rng.sample(list(g.vertices()), 3))))
+    rng = random.Random(51)
+    for view in seeded_restrictions(rng):
+        for _ in range(8):
+            outcome(view, *near_ceiling(view, rng), 2000)
+    assert min(seen.values()) > 100, seen
+
+
 def test_the_presolve_keeps_every_value_and_verdict_with_no_more_ticks():
     cube = AugmentedCube(4)
     for D in itertools.combinations(range(16), 3):
@@ -158,17 +225,8 @@ def test_the_presolve_keeps_every_value_and_verdict_with_no_more_ticks():
     rng = random.Random(51)
     seen, exhausted = set(), 0
     for view in seeded_restrictions(rng):
-        verts = sorted(view.vertices())
         for _ in range(8):
-            # a split profile near the counting ceiling of the least degree,
-            # as ``seeded_triangles`` draws one
-            trip = tuple(rng.sample(verts, 3))
-            deg = min(len(view.neighbors(t)) for t in trip)
-            m = 3 * deg // 4 - rng.randint(0, 1)
-            cap = deg - m
-            a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
-                                  for b in range(cap + 1) if 0 <= m - a - b <= cap])
-            counts = (a + b, b + c, a + c)
+            trip, counts = near_ceiling(view, rng)
             found, used = outcome(view, trip, counts, 2000)
             ref, ref_used = without_presolve(outcome, view, trip, counts, 2000)
             assert used <= ref_used, (trip, counts)
