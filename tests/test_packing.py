@@ -437,13 +437,14 @@ def test_an_amended_seeded_leaf_matches_an_amended_unseeded_one():
         # the search caches its verdicts by the vertices it has committed
         interiors = {frozenset(seg[1:-1])
                      for seg in _enum_segments(view, u, v, blocked, None, owed)}
-        for seg in sorted(map(sorted, interiors)):
-            child, short = seeded.amended(seg)
-            ref, ref_short = plain.amended(seg)
-            assert short == ref_short, seg
+        for interior in sorted(map(sorted, interiors)):
+            child, short = seeded.amended(interior)
+            ref, ref_short = plain.amended(interior)
+            assert short == ref_short, interior
             ok = child.max_flow(limit=short) == short
-            assert ok == (ref.max_flow(limit=short) == short), seg
-            assert ok == (_saturate(view, leaf, blocked | set(seg)) is not None), seg
+            assert ok == (ref.max_flow(limit=short) == short), interior
+            fresh = _saturate(view, leaf, blocked | set(interior))
+            assert ok == (fresh is not None), interior
             verdicts.add((ok, short > 0))
         assert {w: dict(row) for w, row in seeded.cap.items()} == rows
         assert {w: dict(row) for w, row in seeded._pending.items()} == pending
