@@ -22,12 +22,13 @@ Conventions
   bits and by reversing the path that w -> w ^ (w >> 1) makes of the mask
   words; with the translations they let the exhaustive sweeps visit one
   triple per orbit (``orbit_representatives``).
-- The oracle breaks symmetry by one rule, the lex-leader test (Crawford
-  et al., KR 1996): where every candidate is scanned in increasing order,
-  a map of a whole cube that sends the terminal set onto itself
-  (``symmetries``) carries solutions to solutions, so a candidate that
-  such a map sends to one sorting lower is skipped.  That lower one was
-  scanned first, and it settled the question already.
+- The oracle breaks symmetry by one rule, over its split profiles alone:
+  the lex-leader test (Crawford et al., KR 1996).  Where every candidate
+  is scanned in increasing order, a map of a whole cube that sends the
+  terminal set onto itself (``symmetries``) carries solutions to
+  solutions, so a candidate that such a map sends to one sorting lower is
+  skipped.  That lower one was scanned first, and it settled the question
+  already.
 - The distance between u and v is the fewest mask words whose XOR is
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
@@ -420,7 +421,9 @@ class AugmentedCube(PrefixView):
 
 
 class RestrictedView:
-    """A view minus forbidden vertices and/or edges; used for avoid sets."""
+    """A view minus forbidden vertices and/or edges: a cube or sub-cube
+    with faulty nodes or links, for a caller to hand to the oracle, the
+    flows or the referee.  The library builds none itself."""
 
     def __init__(self, base, forbidden_vertices: Iterable[int] = (),
                  forbidden_edges: Iterable[tuple[int, int]] = ()):
@@ -498,7 +501,8 @@ class AdjListView:
         return x in self._adj and y in self._adj[x]
 
     def is_walk(self, path: Sequence[int]) -> bool:
-        return path[0] in self._adj and all(map(self.is_adjacent, path, path[1:]))
+        return not path or (path[0] in self._adj
+                            and all(map(self.is_adjacent, path, path[1:])))
 
     def distance_to(self, t: int) -> Callable[[int], int]:
         """x -> 0: no known bound on an arbitrary graph."""

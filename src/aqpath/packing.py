@@ -38,14 +38,7 @@ set:
    k + 1 segments, which hold the edge at most once, keep k without it.
    So the later stages block only the terminals and the wedges'
    interiors, and a packing they find, with the wedges added, meets the
-   call's counts: no edge is appended.
-   An automorphism fixing each terminal (``cube.symmetries``) sends the
-   committed wedges onto themselves.  The rules read only the terminals'
-   neighbours, the counts and the terminals' order, all of which the map
-   keeps, so pass by pass it sends usable neighbours, full terminals and
-   the free vertices two of them share to their like.  It fixes the
-   blocked set, and so still sends the rest's packings to the rest's
-   packings, which stage 2's lex-leader rule needs;
+   call's counts: no edge is appended;
 1. when all three pairs are still owed, single-commodity flow relaxations
    (sources at first endpoints, sinks at second endpoints, unit
    capacities on free vertices), each a ``aqpath.flow.UnitFlowNet`` over
@@ -120,18 +113,6 @@ set:
    flows.  A repaired flow does depend on the nodes above it, so the leaf
    that completes a packing, whose flow gives the leaf's segments, is
    saturated afresh over the final blocked set.
-   The search also follows the cube's lex-leader rule (``aqpath.cube``).
-   An automorphism fixing every terminal (``cube.symmetries``) fixes the
-   blocked set too (stage 0), so it sends packings to packings.  Segment
-   sets are committed in increasing order and every pruning step is
-   sound, so the search returns the least set that completes, and no such
-   map sends it to a lower one.  A segment is
-   therefore skipped, after its tick, when a map sends the committed
-   segments with it appended to a set that sorts lower: the same packing
-   is returned, and a refutation stays a refutation with fewer ticks.
-   The maps are listed on first use, when the search checks its first
-   segment, so a pair or a wedge, which its root leaf decides, and any
-   search that lists no segment never ask for them.
 
 No stage lists the view: the free vertices are the view's vertices
 outside a small blocked set (the terminals and the wedges' interiors, then
@@ -147,7 +128,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Collection, Iterable, Sequence
 
-from .cube import check_triple, map_vertex, sink_distances, symmetries
+from .cube import check_triple, sink_distances
 from .flow import UnitFlowNet
 
 
@@ -383,7 +364,7 @@ def _seg_key(seg: Segment) -> tuple[int, Segment]:
 
 
 def _enum_segments(view, u: int, v: int, blocked: Collection[int],
-                   floor: Segment | None, owed: int = 1):
+                   floor: Segment | None, owed: int):
     """u->v segments with no interior vertex in ``blocked``, shortest first
     and within a length lexicographically, strictly above ``floor`` in that
     same order, and with at most |S| // ``owed`` interior vertices, S the
@@ -467,8 +448,6 @@ class _PackSearch:
         self.fixed = fixed
         self.leaf_ok: dict[frozenset[int], bool] = {}
         self.avoid: dict[frozenset[int], frozenset[int]] = {}
-        self.trip = trip
-        self.maps: list | None = None  # built by the first ``dominated``
 
     def committed(self) -> frozenset[int]:
         """The interior vertices of every segment branched so far."""
@@ -510,8 +489,6 @@ class _PackSearch:
         owed = need - len(chosen)
         for seg in _enum_segments(self.view, u, v, avoid, floor, owed):
             self.budget.tick()
-            if self.dominated(seg):
-                continue
             interior = seg[1:-1]
             chosen.append(seg)
             key = self.committed()
@@ -525,29 +502,6 @@ class _PackSearch:
             if ok and self.rec(leaf_net, avoid):
                 return True
             chosen.pop()
-        return False
-
-    def dominated(self, seg: Segment) -> bool:
-        """Whether a map fixing the terminals sends the branched segments,
-        ``seg`` appended, to a set that sorts below them in ``_seg_key``
-        order, so that no least packing starts with them.  The segments
-        before ``seg`` were checked here first, so their images are known.
-        The maps, with the images found so far, are listed on the first
-        check: a search that lists no segment needs none."""
-        if self.maps is None:
-            # each map fixing every terminal, which fixes ``fixed`` too
-            # (module docstring, stage 0)
-            self.maps = [(g, t, {}) for g, t, perm in symmetries(self.view, self.trip)
-                         if perm == (0, 1, 2)]
-        segs = self.chosen + [seg]
-        keys = [_seg_key(s) for s in segs]
-        for g, t, image in self.maps:
-            for w in seg:
-                if w not in image:
-                    image[w] = map_vertex(g, w) ^ t
-            moved = [_seg_key(tuple([image[w] for w in s])) for s in segs]
-            if sorted(moved) < keys:
-                return True
         return False
 
     def repaired(self, net: UnitFlowNet, interior: Segment) -> UnitFlowNet | None:

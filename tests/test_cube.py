@@ -435,6 +435,20 @@ def test_adjlist_view():
         AdjListView([(0, 0)], bits=1)
 
 
+@pytest.mark.parametrize("view", [
+    AugmentedCube(3),
+    AugmentedCube(3).half_view(1),
+    RestrictedView(AugmentedCube(3), forbidden_vertices={3}),
+    AdjListView([(5, 6)], bits=3),
+], ids=["cube", "half", "restricted", "adjlist"])
+def test_every_view_kind_reads_an_empty_or_one_vertex_path_alike(view):
+    # the empty path has no step to refute, and one vertex is a walk iff
+    # it is a vertex of the view
+    assert view.is_walk([])
+    for v in (3, 5, 6, 99):
+        assert view.is_walk([v]) == (v in view), v
+
+
 def hops_from(view, source):
     """Breadth-first hop counts from ``source`` inside a view."""
     hops = {source: 0}

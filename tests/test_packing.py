@@ -5,8 +5,7 @@ from collections import deque
 
 import pytest
 
-from aqpath.cube import (AdjListView, AugmentedCube, PrefixView, RestrictedView,
-                         symmetries)
+from aqpath.cube import AdjListView, AugmentedCube, PrefixView, RestrictedView
 from aqpath.flow import UnitFlowNet
 from aqpath import oracle, packing, report
 from aqpath.oracle import max_dpaths
@@ -286,9 +285,9 @@ def test_segments_come_in_the_order_exact_pruning_gives(name):
         free = set(rng.sample([w for w in verts if w not in (u, v)], 7))
         blocked = set(verts) - free
         want = list(enum_reference(view, u, v, free, None))
-        assert list(_enum_segments(view, u, v, blocked, None)) == want
+        assert list(_enum_segments(view, u, v, blocked, None, 1)) == want
         for floor in want[::3]:
-            assert (list(_enum_segments(view, u, v, blocked, floor))
+            assert (list(_enum_segments(view, u, v, blocked, floor, 1))
                     == list(enum_reference(view, u, v, free, floor)))
         for owed in (2, 3):
             # owing more segments caps the interior, never reorders
@@ -307,8 +306,8 @@ REFUTED = ((0, 1, 2), (4, 3, 3))
 
 def searched_refutation():
     """A refutation the presolve and the relaxations leave to the
-    branch-and-bound: one vertex out of AQ_4, so no map fixes the
-    terminals, no terminal is full, and 20 ticks."""
+    branch-and-bound: one vertex out of AQ_4, no terminal full, and 20
+    ticks."""
     view = RestrictedView(AugmentedCube(4), forbidden_vertices=[0])
     return view, (9, 10, 15), (3, 3, 3)
 
@@ -337,11 +336,8 @@ def test_a_search_without_a_budget_takes_the_default(monkeypatch):
 @pytest.mark.parametrize("trip", [(22, 1, 14), (28, 23, 16)])
 def test_a_long_search_runs_out_of_ticks_and_raises(trip):
     # the presolve commits one direct edge here, which is owed again, so
-    # the search branches through all of a small budget.  A map besides the
-    # identity fixes each terminal, so the lex-leader maps the search lists
-    # on its first segment are checked all the way
+    # the search branches through all of a small budget
     cube = AugmentedCube(5)
-    assert [perm for _, _, perm in symmetries(cube, trip)].count((0, 1, 2)) >= 1
     budget = Budget(20_000)
     with pytest.raises(SearchBudgetExceeded, match="search budget 20000 exhausted"):
         pack_segments(cube, trip, (4, 5, 3), budget)
@@ -381,14 +377,12 @@ def test_a_refutation_reuses_relaxation_verdicts(monkeypatch):
     budget = Budget(packing.DEFAULT_BUDGET)
     assert pack_segments(AugmentedCube(4), *REFUTED, budget) is None
     # with the presolve off the branch-and-bound refutes it.  The caches
-    # keep the search tree and save flows; a map fixing the three
-    # terminals prunes the subtrees it sends onto earlier ones, and the
-    # length cap the segments still owed set prunes the rest.  A child
-    # repairs its parent's leaf flow, with no flow at all when the
-    # committed segment crossed no unit of it, and that leaf alone decides
-    # whether the child is entered
-    assert budget.used == 112
-    assert len(calls) == 44
+    # keep the search tree and save flows, and the length cap the segments
+    # still owed set prunes it.  A child repairs its parent's leaf flow,
+    # with no flow at all when the committed segment crossed no unit of
+    # it, and that leaf alone decides whether the child is entered
+    assert budget.used == 163
+    assert len(calls) == 65
 
 
 def test_a_budget_of_exactly_the_ticks_a_search_takes_suffices():

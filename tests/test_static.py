@@ -120,14 +120,13 @@ def test_one_cube_per_construct_call_and_its_views_from_the_cube_module():
             if calls_by_function(parse_module(path.name), "PrefixView")} == {"cube.py"}
 
 
-def test_the_packing_engine_takes_symmetry_from_the_cube_alone():
-    # ``cube.symmetries`` alone decides which views have symmetries and
-    # leaves out the identity, so the packing search needs nothing else
-    # from the cube than the maps it applies, the triple check every
-    # entry point shares and the distance tables the flows share too
+def test_the_packing_engine_takes_no_symmetry_from_the_cube():
+    # the oracle breaks symmetry over profiles alone, so the packing
+    # search needs nothing from the cube but the triple check every entry
+    # point shares and the distance tables the flows share too
     tree = parse_module("packing.py")
-    assert sorted(imported_names(tree, "cube")) == ["check_triple", "map_vertex",
-                                                     "sink_distances", "symmetries"]
+    assert sorted(imported_names(tree, "cube")) == ["check_triple", "sink_distances"]
+    assert not calls_by_function(tree, "map_vertex")
 
 
 def test_every_public_name_of_the_cube_has_a_reader():
@@ -252,19 +251,24 @@ def test_each_packing_node_is_decided_by_its_leaf_alone():
         "self", "blocked"]
     assert stored_attributes(parse_module("packing.py"), "_PackSearch") == {
         "view", "budget", "branch", "leaf", "chosen", "leaf_found", "fixed",
-        "leaf_ok", "avoid", "trip", "maps"}
+        "leaf_ok", "avoid"}
 
 
-def test_the_presolve_keys_its_pairs_by_index_and_the_maps_wait_for_a_segment():
+def test_the_presolve_keys_its_pairs_by_index():
     # the presolve reads each pair as 0 = x-y, 1 = y-z, 2 = x-z, with no
-    # frozenset built per call, and a search lists the maps fixing the
-    # terminals only when it first checks a segment: a pair or a wedge,
-    # and any search that lists no segment, never asks for them
+    # frozenset built per call
     tree = parse_module("packing.py")
     presolve, = (node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_presolve")
     assert not calls_by_function(presolve, "frozenset")
-    assert calls_by_function(tree, "symmetries") == ["_PackSearch.dominated"]
+
+
+def test_symmetry_is_broken_once_over_the_oracle_profiles():
+    # one lex-leader rule, over split profiles: no search node depends on
+    # an automorphism of the cube
+    calls = [(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
+             for fn in calls_by_function(parse_module(path.name), "symmetries")]
+    assert calls == [("oracle.py", "max_dpaths")]
 
 
 def test_the_packer_runs_one_sequence_after_the_presolve():
