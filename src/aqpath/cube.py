@@ -22,13 +22,6 @@ Conventions
   bits and by reversing the path that w -> w ^ (w >> 1) makes of the mask
   words; with the translations they let the exhaustive sweeps visit one
   triple per orbit (``orbit_representatives``).
-- The oracle breaks symmetry by one rule, over its split profiles alone:
-  the lex-leader test (Crawford et al., KR 1996).  Where every candidate
-  is scanned in increasing order, a map of a whole cube that sends the
-  terminal set onto itself (``symmetries``) carries solutions to
-  solutions, so a candidate that such a map sends to one sorting lower is
-  skipped.  That lower one was scanned first, and it settled the question
-  already.
 - The distance between u and v is the fewest mask words whose XOR is
   u ^ v (``distance``).  It does not depend on n, and it bounds the hop
   count in every view below: a view keeps a subset of the cube's edges.
@@ -252,30 +245,6 @@ def automorphisms(n: int) -> tuple[tuple[int, ...], ...]:
         maps += [tuple(images), tuple(sigma(w) for w in images)]
         images = [rho(sigma(w)) for w in images]
     return tuple(dict.fromkeys(maps))
-
-
-def symmetries(view, D: Sequence[int]
-               ) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Every automorphism v -> map_vertex(g, v) ^ t of a whole cube other
-    than the identity (which shows no lower image, the lex-leader test's
-    only use for a map) that sends the set D onto itself, as (g, t, perm)
-    with D[i] sent to D[perm[i]]; nothing unless ``view`` is an
-    ``AugmentedCube`` itself, as a sub-cube view or restriction is not
-    known to keep any such map.  A map sends D[0] into D, so t is
-    g(D[0]) ^ d for some d in D: at most 8 |D| candidates, each checked on
-    D alone.  The maps fixing D pointwise are those whose perm is the
-    identity."""
-    if type(view) is not AugmentedCube:
-        return
-    where = {d: i for i, d in enumerate(D)}
-    maps = automorphisms(view.n)
-    for g in maps:
-        moved = [map_vertex(g, d) for d in D]
-        for d in D:
-            t = moved[0] ^ d
-            perm = tuple(where.get(w ^ t, -1) for w in moved)
-            if -1 not in perm and (t or g != maps[0]):
-                yield g, t, perm
 
 
 def orbit_representatives(n: int) -> Iterable[tuple[int, int, int]]:

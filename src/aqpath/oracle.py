@@ -8,14 +8,6 @@ demands that profile induces, a + b segments x-y, b + c y-z and a + c x-z,
 are packed exactly by the segment engine.  Profiles are scanned by
 decreasing total (then ascending lexicographically); the first feasible
 total is the maximum because dropping a path keeps a packing valid.
-Profiles follow the cube's lex-leader rule (``aqpath.cube``): an
-automorphism that permutes the terminals (``cube.symmetries``) sends a
-packing for one profile to a packing for the permuted profile, and on a
-whole cube every terminal has the same cap, so a profile with a lower
-image is skipped: that image was scanned first and found infeasible.  The
-first profile scanned at each total is the least of its orbit, so the
-permutations are found only at the first infeasible profile, and a call
-that meets none pays nothing for them.
 
 ``brute_small`` is the oracle's own referee: it enumerates the simple
 terminal-to-terminal paths containing the third terminal and takes a
@@ -39,7 +31,7 @@ import itertools
 from typing import NamedTuple, Sequence
 
 from .cube import (AugmentedCube, check_triple, check_vertices, guard_size,
-                   orbit_representatives, symmetries)
+                   orbit_representatives)
 from .cube import ResourceGuard  # re-exported: callers catch oracle.ResourceGuard
 from .packing import DEFAULT_BUDGET, Budget, pack_segments
 
@@ -116,27 +108,29 @@ def _assemble(profile: tuple[int, int, int],
 
 def max_dpaths(view, D: Sequence[int], budget: int = DEFAULT_BUDGET
                ) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact maximum family size through the three terminals, with a witness."""
+    """Exact maximum family size through the three terminals, with a witness.
+
+    The profiles are scanned in decreasing total, and the first one that
+    packs gives the value; a value of 0 comes with an empty witness.
+    ``budget`` is one tick count shared by every profile of the call, not
+    a count per profile.  Raises ``SearchBudgetExceeded`` when the ticks
+    run out, ``ResourceGuard`` when the view has more than
+    ``ORACLE_MAX_VERTICES`` vertices, and ``ValueError`` for a budget that
+    is not a non-negative int or a triple that is not three distinct
+    vertices of the view.
+    """
     tracker = Budget(budget)
     guard_size(view, ORACLE_MAX_VERTICES, "the oracle")
     trip = tuple(sorted(check_triple(view, D, "terminal")))
     degs = tuple(len(view.neighbors(t)) for t in trip)
     ub = min(min(degs), _slot_bound(view, trip))
-    perms = None  # the triple's permutations, found when first needed
     for m in range(ub, 0, -1):
         for profile in _profiles(m, tuple(d - m for d in degs)):
-            # the permutations form a group, so the images under their
-            # inverses, read here, are the images under them
-            if perms and any((profile[i], profile[j], profile[k]) < profile
-                             for i, j, k in perms):
-                continue
             a, b, c = profile
             segs = pack_segments(view, trip, (a + b, b + c, a + c),
                                  budget=tracker)
             if segs is not None:
                 return m, _assemble(profile, segs)
-            if perms is None:
-                perms = {perm for _, _, perm in symmetries(view, trip)}
     return 0, []
 
 

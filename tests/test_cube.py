@@ -15,7 +15,6 @@ from aqpath.cube import (
     CUBE_MAX_N,
     AdjListView,
     AugmentedCube,
-    PrefixView,
     ResourceGuard,
     RestrictedView,
     automorphisms,
@@ -28,7 +27,6 @@ from aqpath.cube import (
     map_vertex,
     orbit_representatives,
     sink_distances,
-    symmetries,
 )
 from aqpath.flow import disjoint_paths, fan, min_vertex_cut
 from aqpath.oracle import (brute_small, common_neighbors, cube_upper_bound,
@@ -741,44 +739,3 @@ def test_automorphisms_are_listed_once_per_dimension():
     assert automorphisms(6) is automorphisms(6)
     assert isinstance(automorphisms(6), tuple)
     assert [len(automorphisms(n)) for n in (1, 2, 3)] == [1, 6, 8]
-
-
-def set_preserving_maps(n, D):
-    """The reference for ``symmetries``: every one of the 8 * 2**n maps
-    but the identity, kept when it sends the set D onto itself."""
-    want, kept = set(D), []
-    for g in automorphisms(n):
-        moved = [map_vertex(g, d) for d in D]
-        kept += [(g, t) for t in range(1 << n) if {w ^ t for w in moved} == want]
-    kept.remove((automorphisms(n)[0], 0))
-    return sorted(kept)
-
-
-def symmetry_cases():
-    for n in (4, 5):
-        for trip in orbit_representatives(n):
-            yield n, trip
-    rng = random.Random(8)
-    for _ in range(200):
-        yield 8, tuple(rng.sample(range(256), 3))
-
-
-def test_symmetries_are_exactly_the_maps_keeping_the_set():
-    cubes = {n: AugmentedCube(n) for n in (4, 5, 8)}
-    for n, D in symmetry_cases():
-        got = list(symmetries(cubes[n], D))
-        assert sorted((g, t) for g, t, _ in got) == set_preserving_maps(n, D), D
-        for g, t, perm in got:
-            assert [map_vertex(g, d) ^ t for d in D] == [D[i] for i in perm]
-
-
-def test_only_a_whole_cube_yields_symmetries():
-    cube = AugmentedCube(4)
-    D = (0, 1, 2)
-    assert len(list(symmetries(cube, D))) == 3
-    # the empty-prefix view is the whole cube's graph, but not a cube
-    others = [cube.half_view(0), cube.quadrant_view(0), RestrictedView(cube),
-              PrefixView(cube, (0,), 0),
-              AdjListView([(0, 1), (1, 2), (0, 2)], bits=2)]
-    for view in others:
-        assert list(symmetries(view, D)) == [], type(view).__name__

@@ -176,11 +176,11 @@ def test_max_dpaths_takes_only_an_integer_budget(budget):
 
 
 def test_max_dpaths_raises_when_the_budget_runs_out():
-    # the argmin orbit of pi3(AQ_4) refutes two profiles before it packs
-    # one, a tick each
-    assert max_dpaths(AugmentedCube(4), (0, 1, 2), budget=3)[0] == 4
-    with pytest.raises(SearchBudgetExceeded, match="search budget 2 exhausted"):
-        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=2)
+    # the argmin orbit of pi3(AQ_4) refutes three profiles before it packs
+    # one, a tick each, all from the one budget of the call
+    assert max_dpaths(AugmentedCube(4), (0, 1, 2), budget=4)[0] == 4
+    with pytest.raises(SearchBudgetExceeded, match="search budget 3 exhausted"):
+        max_dpaths(AugmentedCube(4), (0, 1, 2), budget=3)
 
 
 def test_two_calls_that_outran_the_branch_and_bound_are_decided_at_once():
@@ -514,8 +514,8 @@ def test_the_hypercube_triples_are_the_orbits():
 
 # a second referee for the oracle: pi3(Q_n) = floor((3n - 1) / 4) (Zhu,
 # Hao & Li, The 3-path-connectivity of the hypercubes, Discrete Applied
-# Mathematics 2022), through a view with no symmetries: n = 4..9 in the
-# gate, n = 10..12 in the slow tier.  A disagreement is a fault of the
+# Mathematics 2022), through a restriction of the augmented cube: n = 4..9
+# in the gate, n = 10..12 in the slow tier.  A disagreement is a fault of the
 # oracle, never a pin to move
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9,
                                *(pytest.param(n, marks=pytest.mark.slow)

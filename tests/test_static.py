@@ -121,12 +121,10 @@ def test_one_cube_per_construct_call_and_its_views_from_the_cube_module():
 
 
 def test_the_packing_engine_takes_no_symmetry_from_the_cube():
-    # the oracle breaks symmetry over profiles alone, so the packing
-    # search needs nothing from the cube but the triple check every entry
-    # point shares and the distance tables the flows share too
+    # the packing search needs nothing from the cube but the triple check
+    # every entry point shares and the distance tables the flows share too
     tree = parse_module("packing.py")
     assert sorted(imported_names(tree, "cube")) == ["check_triple", "sink_distances"]
-    assert not calls_by_function(tree, "map_vertex")
 
 
 def test_every_public_name_of_the_cube_has_a_reader():
@@ -263,12 +261,14 @@ def test_the_presolve_keys_its_pairs_by_index():
     assert not calls_by_function(presolve, "frozenset")
 
 
-def test_symmetry_is_broken_once_over_the_oracle_profiles():
-    # one lex-leader rule, over split profiles: no search node depends on
-    # an automorphism of the cube
-    calls = [(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
-             for fn in calls_by_function(parse_module(path.name), "symmetries")]
-    assert calls == [("oracle.py", "max_dpaths")]
+def test_only_the_orbit_sweep_reads_the_cube_automorphisms():
+    # the exhaustive sweeps visit one triple per orbit, and no search skips
+    # work by a map of the cube: a symmetry rule in the oracle or the
+    # packing search would have to be added here, with its savings measured
+    calls = {(path.name, fn) for path in Path(aqpath.__file__).parent.glob("*.py")
+             for name in ("automorphisms", "map_vertex")
+             for fn in calls_by_function(parse_module(path.name), name)}
+    assert calls == {("cube.py", "orbit_representatives")}
 
 
 def test_the_packer_runs_one_sequence_after_the_presolve():

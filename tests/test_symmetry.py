@@ -1,11 +1,9 @@
-"""The oracle's symmetry breaking, length cap and repaired relaxations
-change work, never answers.
+"""The oracle's length cap, presolve and repaired relaxations change work,
+never answers.
 
-One reference mode sees no symmetry: ``symmetries`` yields nothing, so
-``max_dpaths`` skips no profile.
-Another caps no segment's length: ``_enum_segments`` is always told that
-one segment is owed.  Each mode must return the same values, witnesses and
-packings as the search, which may only use fewer budget ticks.  The third
+One reference mode caps no segment's length: ``_enum_segments`` is always
+told that one segment is owed.  It must return the same values, witnesses
+and packings as the search, which may only use fewer budget ticks.  The next
 saturates every leaf relaxation of the search afresh and searches for
 every critical vertex, where the search repairs its parent's leaf flow and
 inherits its parent's critical vertices; it must match the search tick for
@@ -23,26 +21,14 @@ import pytest
 
 from aqpath import oracle, packing, report
 from aqpath.cube import (AugmentedCube, RestrictedView, automorphisms, map_vertex,
-                         orbit_representatives, symmetries)
+                         orbit_representatives)
 from aqpath.flow import UnitFlowNet
 from aqpath.oracle import max_dpaths
 from aqpath.packing import Budget, SearchBudgetExceeded, pack_segments
 
 
-# the least triple of the orbit where pi3(AQ_4) = 4 is attained: a map
-# swapping 1 and 2 fixes it as a set, and one map besides the identity
-# fixes it pointwise
+# the least triple of the orbit where pi3(AQ_4) = 4 is attained
 ARGMIN = (0, 1, 2)
-
-
-def no_symmetries(view, D):
-    return iter(())
-
-
-def without_symmetry(fn, *args):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "symmetries", no_symmetries)
-        return fn(*args)
 
 
 def without_length_cap(fn, *args):
@@ -81,18 +67,6 @@ def with_fresh_relaxations(fn, *args):
         return fn(*args)
 
 
-def counted_pack_segments(monkeypatch):
-    calls = []
-    pack = oracle.pack_segments
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])  # the pair counts: the triple is fixed
-        return pack(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "pack_segments", counted)
-    return calls
-
-
 def counted_work(mp):
     """Count, from here on, the budget ticks, the ``pack_segments`` calls
     of ``max_dpaths`` and the max-flows."""
@@ -112,29 +86,15 @@ def counted_work(mp):
     return work
 
 
-def test_every_dimension_four_triple_keeps_value_and_witness():
-    cube = AugmentedCube(4)
-    triples = list(itertools.combinations(range(16), 3))
-    with pytest.MonkeyPatch.context() as mp:
-        work = counted_work(mp)
-        found = [max_dpaths(cube, D) for D in triples]
-    # the work with symmetry, the presolve and seeded relaxations, pinned
-    # exactly: a change to how any of them prunes that changes any of it
-    # must say so.  A relaxation whose seeds fill it runs no max-flow
-    assert work == {"ticks": 1_064, "packings": 944, "max_flows": 1_174}
-    for D, got in zip(triples, found):
-        assert got == without_symmetry(max_dpaths, cube, D), D
-
-
 def test_every_triple_of_the_argmin_orbit_takes_the_same_ticks():
-    # the presolve refutes both five-path profiles at their root ticks,
-    # and the first four-path profile packs at its own, however the
+    # the presolve refutes all three five-path profiles at their root
+    # ticks, and the first four-path profile packs at its own, however the
     # triple is labelled
     cube = AugmentedCube(4)
     orbit = {tuple(sorted(map_vertex(g, v) ^ t for v in ARGMIN))
              for g in automorphisms(4) for t in range(16)}
     assert len(orbit) == 32
-    assert {D: ticked(max_dpaths, cube, D)[1] for D in orbit} == dict.fromkeys(orbit, 3)
+    assert {D: ticked(max_dpaths, cube, D)[1] for D in orbit} == dict.fromkeys(orbit, 4)
 
 
 def seeded_restrictions(rng):
@@ -292,17 +252,19 @@ def test_the_presolve_on_pair_indices_matches_the_pair_set_reference(monkeypatch
         return found
 
     monkeypatch.setattr(packing, "_presolve", compared)
-    for D in itertools.combinations(range(16), 3):
-        max_dpaths(AugmentedCube(4), D)
     work = {}
-    for n in (5, 6):
+    for n in (4, 5, 6):
         with pytest.MonkeyPatch.context() as mp:
             work[n] = counted_work(mp)
-            for D in orbit_representatives(n):
+            for D in (itertools.combinations(range(16), 3) if n == 4
+                      else orbit_representatives(n)):
                 max_dpaths(AugmentedCube(n), D)
-    # one packing per orbit representative, the value at its ceiling, with
-    # the work pinned exactly, as on AQ_4
-    assert work == {5: {"ticks": 65, "packings": 38, "max_flows": 107},
+    # the work of the presolve and the seeded relaxations, pinned exactly:
+    # a change to how either prunes that changes any of it must say so.  A
+    # relaxation whose seeds fill it runs no max-flow.  AQ_5 and AQ_6 take
+    # one packing per orbit representative, the value at its ceiling
+    assert work == {4: {"ticks": 1_160, "packings": 1_040, "max_flows": 1_214},
+                    5: {"ticks": 65, "packings": 38, "max_flows": 107},
                     6: {"ticks": 630, "packings": 142, "max_flows": 1_049}}
     asked = len(outcomes)
     rng = random.Random(53)
@@ -313,30 +275,10 @@ def test_the_presolve_on_pair_indices_matches_the_pair_set_reference(monkeypatch
                 max_dpaths(view, rng.sample(verts, 3), budget=20_000)
             except SearchBudgetExceeded:
                 pass
-    # 1,124 profiles of the cubes and 263 of the restrictions: refutations,
+    # 1,220 profiles of the cubes and 263 of the restrictions: refutations,
     # calls with no wedge, and calls with one to nine wedges
-    assert (asked, len(outcomes)) == (1_124, 1_387)
+    assert (asked, len(outcomes)) == (1_220, 1_483)
     assert set(outcomes) == {None, *range(10)}
-
-
-def test_the_argmin_orbit_refutes_two_profiles_not_three(monkeypatch):
-    cube = AugmentedCube(4)
-    calls = counted_pack_segments(monkeypatch)
-    assert max_dpaths(cube, ARGMIN)[0] == 4
-    with_symmetry = list(calls)
-    calls.clear()
-    without_symmetry(max_dpaths, cube, ARGMIN)
-    # three five-path profiles, then the first four-path one fits
-    assert len(calls) == 4
-    assert len(with_symmetry) == 3 and with_symmetry[-1] == calls[-1]
-
-
-def test_seeded_dimension_five_triples_keep_value_and_witness():
-    cube = AugmentedCube(5)
-    rng = random.Random(5)
-    for _ in range(100):
-        D = tuple(rng.sample(range(32), 3))
-        assert max_dpaths(cube, D) == without_symmetry(max_dpaths, cube, D), D
 
 
 def test_a_map_fixing_the_terminals_keeps_the_committed_wedges():
@@ -350,7 +292,11 @@ def test_a_map_fixing_the_terminals_keeps_the_committed_wedges():
         deg = 2 * n - 1
         for _ in range(400):
             trip = tuple(rng.sample(range(1 << n), 3))
-            maps = [(g, t) for g, t, perm in symmetries(cube, trip) if perm == (0, 1, 2)]
+            # a map sending x to x translates by g(x) ^ x; the first linear
+            # map is the identity, which fixes everything
+            maps = [(g, t) for g in automorphisms(n)[1:]
+                    for t in [map_vertex(g, trip[0]) ^ trip[0]]
+                    if all(map_vertex(g, v) ^ t == v for v in trip)]
             m = 3 * deg // 4 - rng.randint(0, 2)
             cap = deg - m
             a, b, c = rng.choice([(a, b, m - a - b) for a in range(cap + 1)
