@@ -218,6 +218,79 @@ def test_the_oracle_packs_the_sorted_triple_with_two_pairs_or_more(monkeypatch):
             assert trip == D and sum(c > 0 for c in counts) >= 2, (D, counts)
 
 
+def asked_profiles(monkeypatch):
+    """Record, from here on, each profile (a, b, c) ``max_dpaths`` asks,
+    the budget it passes and whether the profile packed."""
+    asked = []
+    pack = oracle.pack_segments
+
+    def recorded(view, trip, counts, budget=None):
+        xy, yz, xz = counts
+        segs = pack(view, trip, counts, budget)
+        profile = ((xy + xz - yz) // 2, (xy + yz - xz) // 2, (yz + xz - xy) // 2)
+        asked.append((profile, budget, segs is not None))
+        return segs
+
+    monkeypatch.setattr(oracle, "pack_segments", recorded)
+    return asked
+
+
+def test_the_profiles_are_every_split_within_the_caps_in_order():
+    for m in range(8):
+        for caps in itertools.product(range(5), repeat=3):
+            want = [p for p in itertools.product(range(m + 1), repeat=3)
+                    if sum(p) == m and all(v <= cap for v, cap in zip(p, caps))]
+            assert list(oracle._profiles(m, caps)) == want, (m, caps)
+
+
+def test_the_argmin_asks_three_five_path_profiles_then_one_of_four(monkeypatch):
+    # no profile is skipped: each five-path split within the spare degree
+    # 2 is refuted, and the first four-path split packs
+    asked = asked_profiles(monkeypatch)
+    assert max_dpaths(AugmentedCube(4), (0, 1, 2))[0] == 4
+    assert [(p, packed) for p, _, packed in asked] == [
+        ((1, 2, 2), False), ((2, 1, 2), False), ((2, 2, 1), False), ((0, 1, 3), True)]
+
+
+def test_every_profile_of_a_call_draws_on_one_budget(monkeypatch):
+    asked = asked_profiles(monkeypatch)
+    # the three orbits of AQ_4 one path below their counting ceiling
+    for D in [(0, 1, 2), (0, 1, 6), (0, 3, 9)]:
+        asked.clear()
+        max_dpaths(AugmentedCube(4), D, budget=50)
+        tracker = asked[0][1]
+        assert len(asked) >= 2 and all(budget is tracker for _, budget, _ in asked), D
+        assert tracker.limit == 50 and len(asked) <= tracker.used <= 50, D
+
+
+def test_the_scan_refutes_every_larger_profile_before_one_packs(monkeypatch):
+    asked = asked_profiles(monkeypatch)
+    cube = AugmentedCube(4)
+    for D in itertools.combinations(range(16), 3):
+        asked.clear()
+        value, fam = max_dpaths(cube, D)
+        profiles = [p for p, _, _ in asked]
+        assert [packed for _, _, packed in asked] == [False] * (len(asked) - 1) + [True], D
+        assert sum(profiles[0]) == min(7, oracle._slot_bound(cube, D)), D
+        assert sum(profiles[-1]) == value == len(fam), D
+        # each larger total is asked whole, every split within the spare
+        # degree 7 - m, in ascending order
+        for m in range(sum(profiles[0]), value, -1):
+            splits = [p for p in itertools.product(range(8 - m), repeat=3) if sum(p) == m]
+            assert [p for p in profiles if sum(p) == m] == splits, (D, m)
+
+
+def test_seeded_dimension_five_triples_meet_their_ceiling_with_a_witness():
+    # labelled as drawn, not as their orbit representative
+    cube = AugmentedCube(5)
+    rng = random.Random(5)
+    for _ in range(100):
+        D = tuple(rng.sample(range(32), 3))
+        value, fam = max_dpaths(cube, D)
+        assert value == min(9, oracle._slot_bound(cube, D)), D
+        assert len(fam) == value and check_family(cube, D, fam) is None, D
+
+
 def test_brute_size_guard():
     cube = AugmentedCube(4)
     with pytest.raises(ResourceGuard):
